@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from . import threshold as threshold_mod
 from .codec import N_DOF
 from .config import ConfigError, CostModel, RunConfig, SuiteConfig
-from .simenv import DraftNoiseModel, NoisyDrafter, PlanVerifier, SimEnv, make_task
+from .simenv import NoisyDrafter, PlanVerifier, SimEnv, make_task
 from .specdec import EngineConfig, run_episode
 from .threshold import CalibrationTable
 from .trace import EpisodeTrace
@@ -117,13 +117,7 @@ def run_one_episode(
     seed = suite_cfg.seed_base + cfg.seed_offset + trial
     spec = make_task(suite_cfg.kind, seed, cfg.key)
     env = SimEnv(spec, cfg.key, suite=suite_cfg.name, robot=cfg.robot, trial=trial)
-    noise = DraftNoiseModel(
-        q_err=cfg.noise.q_err,
-        max_offset=cfg.noise.max_offset,
-        zipf_s=cfg.noise.zipf_s,
-        seed=cfg.noise.seed,
-    )
-    draft = NoisyDrafter(env, noise)
+    draft = NoisyDrafter(env, cfg.noise)
     verify = PlanVerifier(env)
     tstate = None
     if mode == "kerv":
@@ -222,10 +216,7 @@ def run_suite(
                     comp_events=sum(t.comp_events for t in traces),
                 )
             )
-    report = SuiteReport(rows=rows)
-    # keep only requested modes in the returned traces unless the baseline
-    # was requested too; callers doing cost checks still see everything
-    return report, all_traces
+    return SuiteReport(rows=rows), all_traces
 
 
 def emit_results(

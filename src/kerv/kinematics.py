@@ -2,9 +2,11 @@
 
 Each DoF gets an independent constant-velocity scalar filter (state =
 position and velocity) fed from a bounded cache of the most recent executed
-action values. Filter state is always the deterministic replay of the cache
+action values. Filter state is the deterministic replay of the cache
 contents, so the action-context bound genuinely limits how much history the
-predictor sees: prediction behaves like a sliding-window filter.
+predictor sees: prediction behaves like a sliding-window filter. Pushing
+only appends to the caches; the replay runs when a prediction or state is
+read and the caches changed since the last replay.
 """
 
 from __future__ import annotations
@@ -116,59 +118,64 @@ def _replay(values: tuple[float, ...], params: KfParams) -> _FilterState:
 class KfBank:
     """Seven independent constant-velocity filters with bounded action caches.
 
-    Single-writer: one bank per episode. State after every push equals the
-    replay of the current cache contents, so identical (params, observation
-    window) always yield identical predictions.
+    Single-writer: one bank per episode. Every read sees the replay of the
+    current cache contents, so identical (params, observation window)
+    always yield identical predictions.
     """
 
     def __init__(self, params: KfParams | None = None, ac: int = DEFAULT_AC) -> None:
         self.params = params or KfParams()
         self.ac = ac
         self.caches = [DofCache(ac) for _ in range(N_DOF)]
-        self._states: list[_FilterState | None] = [None] * N_DOF
+        self._states: list[_FilterState] = []
+        self._stale = False
 
     @property
     def has_context(self) -> bool:
         return all(len(c) > 0 for c in self.caches)
 
     def push_slice(self, actions: ActionSlice) -> None:
-        """Append one executed slice and refresh every DoF's filter state."""
+        """Append one executed slice; filter states are replayed on the next read."""
         for dof in range(N_DOF):
             self.caches[dof].append(actions.values[dof])
-            self._states[dof] = _replay(self.caches[dof].values(), self.params)
+        self._stale = True
+
+    def _replayed(self) -> list[_FilterState]:
+        if self._stale:
+            self._states = [_replay(c.values(), self.params) for c in self.caches]
+            self._stale = False
+        return self._states
 
     def predict(self, pl: int) -> list[ActionSlice]:
         """Roll each filter forward ``pl`` steps with no new measurements.
 
-        Returns one predicted slice per step ahead; does not mutate the bank.
+        Returns one predicted slice per step ahead; does not change the
+        filters' inputs.
         """
         if pl < 1:
             raise KinematicsError(f"prediction length must be >= 1, got {pl}")
         if not self.has_context:
             raise NoContextError("no action context: push at least one slice first")
         dt = self.params.dt
-        out = []
-        for k in range(1, pl + 1):
-            vals = []
-            for dof in range(N_DOF):
-                st = self._states[dof]
-                assert st is not None
-                vals.append(st.pos + k * dt * st.vel)
-            out.append(ActionSlice(tuple(vals)))
-        return out
+        states = self._replayed()
+        return [
+            ActionSlice(tuple(st.pos + k * dt * st.vel for st in states))
+            for k in range(1, pl + 1)
+        ]
+
+    def _dof_state(self, dof: int) -> _FilterState:
+        if not self.caches[dof]:
+            raise NoContextError("no action context for this DoF")
+        return self._replayed()[dof]
 
     def covariance(self, dof: int) -> tuple[float, float, float]:
         """Current (p00, p01, p11) covariance terms for one DoF's filter."""
-        st = self._states[dof]
-        if st is None:
-            raise NoContextError("no action context for this DoF")
+        st = self._dof_state(dof)
         return (st.p00, st.p01, st.p11)
 
     def state(self, dof: int) -> tuple[float, float]:
         """Current (position, velocity) estimate for one DoF's filter."""
-        st = self._states[dof]
-        if st is None:
-            raise NoContextError("no action context for this DoF")
+        st = self._dof_state(dof)
         return (st.pos, st.vel)
 
 

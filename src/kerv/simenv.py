@@ -9,6 +9,12 @@ oracle corrupts the verify oracle's tokens with per-position noise whose
 offset distribution is heavy-tailed, producing both small misses that a
 relaxed threshold accepts and occasional large ones.
 
+Each env step's work is done once: ``SimEnv.truth`` computes the oracle's
+tokens once per state, and ``NoisyDrafter`` corrupts them once per state,
+so every draft round and verify call of a slice reads the same two slices.
+A plan is built once per task (``build_plan`` caches it on the fields it
+derives from, so ``make_task`` and ``SimEnv`` share the build).
+
 The gripper channel is a three-level impulse: 0 holds the current state,
 +/-1 sets it. Offsets never reach half the action range, so draft noise
 cannot flip the gripper; only the plan's toggle steps do.
@@ -108,6 +114,13 @@ class DraftNoiseModel:
         w = np.arange(1, self.max_offset + 1, dtype=float) ** (-self.zipf_s)
         return w / w.sum()
 
+    @functools.cached_property
+    def offset_cdf(self) -> np.ndarray:
+        """Cumulative offset weights, normalized as ``Generator.choice`` does."""
+        cdf = self.offset_probs.cumsum()
+        cdf /= cdf[-1]
+        return cdf
+
 
 @dataclass(frozen=True)
 class Plan:
@@ -153,20 +166,15 @@ def make_task(kind: str, seed: int, key: NormKey = DEFAULT_KEY) -> TaskSpec:
         tuple(map(float, np.concatenate([pos[i], rot[i], [grip[i]]])))
         for i in range(n_way)
     )
-    seg_steps = _segment_steps(kind, seed, n_way)
-    plan_steps = sum(seg_steps)
-
-    spec = TaskSpec(
+    plan = _plan_for(kind, seed, waypoints, key)
+    return TaskSpec(
         kind=kind,
         seed=seed,
-        goal=(0.0, 0.0, 0.0),  # filled below from the quantized plan
+        goal=tuple(float(x) for x in plan.poses[-1, :3]),
         waypoints=waypoints,
-        max_steps=2 * plan_steps,
+        max_steps=2 * plan.steps,
         success_tolerance=DEFAULT_TOLERANCE,
     )
-    plan = _build_plan_for(spec, seg_steps, key)
-    goal = tuple(float(x) for x in plan.poses[-1, :3])
-    return replace(spec, goal=goal)
 
 
 def _segment_steps(kind: str, seed: int, n_way: int) -> tuple[int, ...]:
@@ -178,15 +186,23 @@ def _segment_steps(kind: str, seed: int, n_way: int) -> tuple[int, ...]:
     )
 
 
-@functools.lru_cache(maxsize=512)
 def build_plan(spec: TaskSpec, key: NormKey = DEFAULT_KEY) -> Plan:
-    """Quantized ground-truth plan for a spec (cached; specs are frozen)."""
-    seg_steps = _segment_steps(spec.kind, spec.seed, len(spec.waypoints))
-    return _build_plan_for(spec, seg_steps, key)
+    """Quantized ground-truth plan for a spec.
+
+    The plan derives from the kind, seed and waypoints alone (the goal is
+    derived from the plan), so the cache is keyed on those: ``make_task``
+    and every later lookup for its spec share one build.
+    ``build_plan.cache_clear()`` empties the cache.
+    """
+    return _plan_for(spec.kind, spec.seed, spec.waypoints, key)
 
 
-def _build_plan_for(spec: TaskSpec, seg_steps: tuple[int, ...], key: NormKey) -> Plan:
-    way = np.asarray(spec.waypoints, dtype=float)
+@functools.lru_cache(maxsize=512)
+def _plan_for(
+    kind: str, seed: int, waypoints: tuple[tuple[float, ...], ...], key: NormKey
+) -> Plan:
+    seg_steps = _segment_steps(kind, seed, len(waypoints))
+    way = np.asarray(waypoints, dtype=float)
     t_way = np.concatenate([[0], np.cumsum(seg_steps)]).astype(float)
     total = int(t_way[-1])
     ts = np.arange(total + 1, dtype=float)
@@ -229,6 +245,9 @@ def _build_plan_for(spec: TaskSpec, seg_steps: tuple[int, ...], key: NormKey) ->
     )
 
 
+build_plan.cache_clear = _plan_for.cache_clear
+
+
 def oracle_policy(state: EnvState, spec: TaskSpec, key: NormKey = DEFAULT_KEY) -> TokenSlice:
     """True (greedy) tokens for the next slice: track the plan from the
     current pose, clamped to the action range."""
@@ -257,22 +276,31 @@ def draft_policy(
     Deterministic per (noise seed, task seed, step), so repeated drafting
     within one slice sees the same corruption.
     """
-    truth = oracle_policy(state, spec, key)
+    return corrupt_slice(oracle_policy(state, spec, key), spec.seed, state.t, noise, key)
+
+
+def corrupt_slice(
+    truth: TokenSlice, task_seed: int, t: int, noise: DraftNoiseModel, key: NormKey
+) -> TokenSlice:
+    """Draft noise applied to a truth slice, drawn from the (noise seed,
+    task seed, step) stream."""
+    # a uint32 array seeds the same stream as the list of these sub-2**32
+    # ints, without coercing each int separately
     rng = np.random.default_rng(
-        [noise.seed & 0x7FFFFFFF, spec.seed & 0x7FFFFFFF, state.t, 0x5EED]
+        np.array([noise.seed & 0x7FFFFFFF, task_seed & 0x7FFFFFFF, t, 0x5EED], dtype=np.uint32)
     )
-    errs = rng.random(N_DOF) < noise.q_err
-    magnitudes = rng.choice(
-        np.arange(1, noise.max_offset + 1), size=N_DOF, p=noise.offset_probs
-    )
-    signs = rng.choice(np.array([-1, 1]), size=N_DOF)
+    errs = (rng.random(N_DOF) < noise.q_err).tolist()
+    # the draws Generator.choice makes for the p-weighted magnitudes and the
+    # uniform signs, without its per-call validation
+    magnitudes = noise.offset_cdf.searchsorted(rng.random(N_DOF), side="right") + 1
+    signs = 2 * rng.integers(0, 2, N_DOF) - 1
+    offsets = (signs * magnitudes).tolist()
     vmax = key.vocab_size - 1
     ids = []
-    for dof, tok in enumerate(truth.ids):
-        if not errs[dof]:
+    for tok, err, off in zip(truth.ids, errs, offsets):
+        if not err:
             ids.append(tok)
             continue
-        off = int(signs[dof] * magnitudes[dof])
         corrupted = min(max(tok + off, 0), vmax)
         if corrupted == tok:  # clamp swallowed the offset; mirror it
             corrupted = min(max(tok - off, 0), vmax)
@@ -342,6 +370,8 @@ class SimEnv:
         self.plan = build_plan(spec, key)
         self.plan_steps = self.plan.steps
         self.state = self._initial_state()
+        self._truth_state: EnvState | None = None
+        self._truth: TokenSlice | None = None
 
     def _initial_state(self) -> EnvState:
         return EnvState(
@@ -360,6 +390,13 @@ class SimEnv:
         self.state = step(self.state, actions, self.spec, self.key)
         return self.state
 
+    def truth(self) -> TokenSlice:
+        """The oracle's tokens for the current state, computed once per state."""
+        if self._truth_state is not self.state:
+            self._truth = oracle_policy(self.state, self.spec, self.key)
+            self._truth_state = self.state
+        return self._truth
+
 
 class PlanVerifier:
     """Verify oracle bound to a live environment: plan-tracking truths."""
@@ -368,19 +405,24 @@ class PlanVerifier:
         self.env = env
 
     def verify(self, prefix, drafted):
-        truth = oracle_policy(self.env.state, self.env.spec, self.env.key)
         start = len(prefix)
-        return truth.ids[start : start + len(drafted)]
+        return self.env.truth().ids[start : start + len(drafted)]
 
 
 class NoisyDrafter:
-    """Draft oracle bound to a live environment: corrupted plan tokens."""
+    """Draft oracle bound to a live environment: corrupted plan tokens,
+    drawn once per env state."""
 
     def __init__(self, env: SimEnv, noise: DraftNoiseModel) -> None:
         self.env = env
         self.noise = noise
+        self._state: EnvState | None = None
+        self._ids: tuple[int, ...] = ()
 
     def draft(self, prefix, depth):
-        tokens = draft_policy(self.env.state, self.env.spec, self.noise, self.env.key)
+        env, state = self.env, self.env.state
+        if self._state is not state:
+            self._ids = corrupt_slice(env.truth(), env.seed, state.t, self.noise, env.key).ids
+            self._state = state
         start = len(prefix)
-        return tokens.ids[start : start + depth]
+        return self._ids[start : start + depth]

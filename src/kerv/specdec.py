@@ -272,7 +272,8 @@ def run_episode(env, draft: DraftOracle, verify: VerifyOracle, cfg: EngineConfig
     metadata attributes (``suite``, ``kind``, ``robot``, ``trial``,
     ``seed``, ``plan_steps``).
     """
-    bank = KfBank(cfg.kf_params, ac=cfg.ac)
+    # only kerv compensates, so only kerv feeds and reads a filter bank
+    bank = KfBank(cfg.kf_params, ac=cfg.ac) if cfg.mode == "kerv" else None
     kv = KinVar()
     tstate = cfg.threshold_state
     cooldown = 0
@@ -287,7 +288,7 @@ def run_episode(env, draft: DraftOracle, verify: VerifyOracle, cfg: EngineConfig
         else:
             assert tstate is not None
             r_now = tstate.r
-        allow_comp = cfg.mode == "kerv" and cooldown == 0 and bank.has_context
+        allow_comp = bank is not None and cooldown == 0 and bank.has_context
 
         result = decode_slice_sd(
             draft,

@@ -46,3 +46,34 @@ def mc_first_error_position(q_err, n_positions=7, samples=1_000_000, seed=0):
     any_miss = miss.any(axis=1)
     firsts = miss[any_miss].argmax(axis=1) + 1
     return float(firsts.mean())
+
+
+def reference_draft_ids(truth_ids, noise, task_seed, t, vocab_size):
+    """Draft-noise corruption of one truth slice, drawn the original way.
+
+    One ``default_rng`` per (noise seed, task seed, step), then the error
+    mask, ``choice`` over offset magnitudes weighted by ``offset_probs``,
+    and ``choice`` over the signs; an offset that clamping at the
+    vocabulary edge would cancel is mirrored.
+    """
+    n = len(truth_ids)
+    rng = np.random.default_rng(
+        [noise.seed & 0x7FFFFFFF, task_seed & 0x7FFFFFFF, t, 0x5EED]
+    )
+    errs = rng.random(n) < noise.q_err
+    magnitudes = rng.choice(
+        np.arange(1, noise.max_offset + 1), size=n, p=noise.offset_probs
+    )
+    signs = rng.choice(np.array([-1, 1]), size=n)
+    vmax = vocab_size - 1
+    ids = []
+    for dof, tok in enumerate(truth_ids):
+        if not errs[dof]:
+            ids.append(tok)
+            continue
+        off = int(signs[dof] * magnitudes[dof])
+        corrupted = min(max(tok + off, 0), vmax)
+        if corrupted == tok:
+            corrupted = min(max(tok - off, 0), vmax)
+        ids.append(corrupted)
+    return tuple(ids)

@@ -13,6 +13,7 @@ from kerv.kinematics import (
     KinVar,
     KinematicsError,
     NoContextError,
+    _replay,
     accumulate_kvar,
     kin_variability,
 )
@@ -202,3 +203,48 @@ def test_accumulate_kvar():
     assert kv.cumulative == pytest.approx(0.7)
     with pytest.raises(KinematicsError):
         accumulate_kvar(kv, -0.1)
+
+
+_finite = st.floats(-2.0, 2.0, allow_nan=False, width=64)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.tuples(*[_finite] * 7)),
+        st.tuples(st.just("predict"), st.integers(1, 4)),
+        st.tuples(st.just("state"), st.integers(0, 6)),
+        st.tuples(st.just("covariance"), st.integers(0, 6)),
+    ),
+    max_size=60,
+)
+
+
+@given(ops=_ops, ac=st.sampled_from([1, 10, 40]))
+@settings(max_examples=150, deadline=None)
+def test_lazy_replay_equals_eager_replay_bit_for_bit(ops, ac):
+    params = KfParams(process_noise=2e-3, measurement_noise=5e-3)
+    bank = KfBank(params, ac=ac)
+    pushed = []
+
+    def eager(dof):
+        return _replay(tuple(v[dof] for v in pushed[-ac:]), params)
+
+    for op, arg in ops:
+        if op == "push":
+            bank.push_slice(ActionSlice(arg))
+            pushed.append(arg)
+            continue
+        if not pushed:
+            with pytest.raises(NoContextError):
+                getattr(bank, op)(arg)
+            continue
+        if op == "predict":
+            states = [eager(dof) for dof in range(7)]
+            expect = [
+                tuple(s.pos + k * params.dt * s.vel for s in states) for k in range(1, arg + 1)
+            ]
+            assert [p.values for p in bank.predict(arg)] == expect
+        elif op == "state":
+            s = eager(arg)
+            assert bank.state(arg) == (s.pos, s.vel)
+        else:
+            s = eager(arg)
+            assert bank.covariance(arg) == (s.p00, s.p01, s.p11)

@@ -3,19 +3,27 @@
 import numpy as np
 import pytest
 
-from kerv.codec import ActionSlice, TokenSlice, decode_slice, encode_slice
+from kerv import simenv
+from kerv.codec import ActionSlice, NormKey, TokenSlice, decode_slice, encode_slice
 from kerv.simenv import (
     DEFAULT_TOLERANCE,
     DraftNoiseModel,
     EnvStateError,
+    NoisyDrafter,
+    PlanVerifier,
     SimEnv,
     TaskError,
     build_plan,
+    corrupt_slice,
     draft_policy,
     make_task,
     oracle_policy,
     step,
 )
+from kerv.specdec import MODES, EngineConfig, run_episode
+from kerv.threshold import ThresholdState
+
+from oracles import reference_draft_ids
 
 
 def test_make_task_deterministic():
@@ -201,3 +209,103 @@ def test_env_is_pure_function_of_spec_and_actions():
         return env.state
 
     assert run() == run()
+
+
+# --- draft noise against the reference stream --------------------------------
+
+
+def _states_along_plan(spec, n):
+    """The first ``n`` states of an episode that follows the oracle."""
+    env = SimEnv(spec)
+    states = []
+    while len(states) < n and not env.state.done:
+        states.append(env.state)
+        env.step(decode_slice(oracle_policy(env.state, spec)))
+    return states
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [
+        DraftNoiseModel(seed=0),
+        DraftNoiseModel(seed=9),
+        DraftNoiseModel(seed=(1 << 31) + 77),  # masked to 31 bits
+        DraftNoiseModel(q_err=0.0, seed=3),
+        DraftNoiseModel(q_err=1.0, seed=4),
+        DraftNoiseModel(q_err=1.0, max_offset=1, seed=5),
+        DraftNoiseModel(q_err=0.7, max_offset=3, zipf_s=2.5, seed=6),
+    ],
+)
+def test_draft_policy_matches_reference_stream(noise):
+    vocab = NormKey().vocab_size
+    for kind, task_seed in (("reach", 0), ("pick_place", 41), ("long_horizon", 1 << 31)):
+        spec = make_task(kind, task_seed)
+        for state in _states_along_plan(spec, 30):
+            truth = oracle_policy(state, spec).ids
+            expected = reference_draft_ids(truth, noise, spec.seed, state.t, vocab)
+            assert draft_policy(state, spec, noise).ids == expected
+
+
+@pytest.mark.parametrize("max_offset", [1, 60])
+@pytest.mark.parametrize("q_err", [0.0, 0.5, 1.0])
+def test_corruption_at_vocabulary_edges_matches_reference(q_err, max_offset):
+    # offsets that clamping would cancel are mirrored, as in the reference
+    key = NormKey()
+    vmax = key.vocab_size - 1
+    for truth in ((0,) * 7, (vmax,) * 7, (0, vmax, 0, vmax, 0, vmax, 1)):
+        for seed in range(4):
+            noise = DraftNoiseModel(q_err=q_err, max_offset=max_offset, seed=seed)
+            for t in (0, 1, 57, 1000):
+                got = corrupt_slice(TokenSlice(truth), 11, t, noise, key).ids
+                assert got == reference_draft_ids(truth, noise, 11, t, key.vocab_size)
+
+
+# --- work done once per step and per episode ----------------------------------
+
+
+def _episode(spec, mode):
+    env = SimEnv(spec, suite="t")
+    kw = {"mode": mode}
+    if mode == "kerv":
+        kw["threshold_state"] = ThresholdState(kvar_ref=0.08, tau=1.0, phi=0.7)
+    return run_episode(
+        env, NoisyDrafter(env, DraftNoiseModel(seed=9)), PlanVerifier(env), EngineConfig(**kw)
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_oracle_runs_at_most_once_per_env_step(mode, monkeypatch):
+    calls = []
+    real = simenv.oracle_policy
+
+    def counting(state, spec, key=simenv.DEFAULT_KEY):
+        calls.append(state.t)
+        return real(state, spec, key)
+
+    monkeypatch.setattr(simenv, "oracle_policy", counting)
+    trace = _episode(make_task("pick_place", 5), mode)
+    assert trace.steps > 0
+    assert sorted(calls) == sorted(set(calls))
+    assert len(calls) <= trace.steps
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_plan_built_once_per_episode(mode, monkeypatch):
+    fits = []
+    real = simenv.CubicSpline
+
+    def counting(*args, **kwargs):  # one spline fit per plan build
+        fits.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simenv, "CubicSpline", counting)
+    build_plan.cache_clear()
+    _episode(make_task("reach", 12), mode)
+    assert len(fits) == 1
+    # a warm cache serves the next episode of the same task ...
+    _episode(make_task("reach", 12), mode)
+    assert len(fits) == 1
+    # ... and cache_clear leaves nothing for it to reuse
+    build_plan.cache_clear()
+    _episode(make_task("reach", 12), mode)
+    assert len(fits) == 2

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kerv import specdec
 from kerv.codec import ActionSlice, NormKey, decode_slice, token_to_action
 from kerv.kinematics import KfBank, KfParams
 from kerv.simenv import DraftNoiseModel, NoisyDrafter, PlanVerifier, SimEnv, make_task
@@ -17,6 +18,7 @@ from kerv.specdec import (
     SRC_DRAFT,
     SRC_KF,
     SRC_VERIFY,
+    MODES,
     EngineConfig,
     EngineError,
     MissingContextError,
@@ -366,3 +368,19 @@ def test_kvar_cum_matches_brute_force_sum():
         assert rec.kvar_step == pytest.approx(step_mass, abs=1e-12)
         total += step_mass
     assert trace.slices[-1].kvar_cum == pytest.approx(total, abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_only_kerv_builds_a_filter_bank(mode, monkeypatch):
+    banks = []
+
+    def counting(*args, **kwargs):
+        banks.append(KfBank(*args, **kwargs))
+        return banks[-1]
+
+    monkeypatch.setattr(specdec, "KfBank", counting)
+    trace = _episode(mode)
+    assert len(banks) == (1 if mode == "kerv" else 0)
+    if mode == "kerv":
+        assert trace.comp_events > 0
+        assert len(banks[0].caches[0]) == min(trace.steps, banks[0].ac)
