@@ -15,6 +15,7 @@ from pathlib import Path
 from .codec import NormKey
 from .kinematics import KfParams
 from .simenv import KINDS, DraftNoiseModel
+from .threshold import MODES as THRESHOLD_MODES
 
 
 class ConfigError(ValueError):
@@ -208,6 +209,18 @@ def from_mapping(mapping: dict[str, str]) -> RunConfig:
         if m not in ("naive", "fixed_relaxed", "kerv"):
             raise ConfigError(f"unknown mode {m!r} in run.modes")
 
+    threshold_mode = _get(mapping, "threshold.mode", str, base.threshold_mode)
+    if threshold_mode not in THRESHOLD_MODES:
+        raise ConfigError(
+            f"unknown threshold.mode {threshold_mode!r}; expected one of {THRESHOLD_MODES}"
+        )
+    r_max = _get(mapping, "threshold.r_max", float, base.r_max)
+    r_min = _get(mapping, "threshold.r_min", float, base.r_min)
+    if not (r_max > r_min >= 0):
+        raise ConfigError(
+            f"need threshold.r_max > threshold.r_min >= 0, got r_max={r_max}, r_min={r_min}"
+        )
+
     return RunConfig(
         key=key,
         kf_params=kf,
@@ -216,11 +229,11 @@ def from_mapping(mapping: dict[str, str]) -> RunConfig:
         comp_n=_get(mapping, "comp.n", int, base.comp_n),
         p_source=_get(mapping, "comp.p_source", str, base.p_source),
         depth=_get(mapping, "sd.depth", int, base.depth),
-        threshold_mode=_get(mapping, "threshold.mode", str, base.threshold_mode),
+        threshold_mode=threshold_mode,
         table_path=_get(mapping, "threshold.table", str, base.table_path),
         fixed_r=_get(mapping, "threshold.fixed_r", float, base.fixed_r),
-        r_max=_get(mapping, "threshold.r_max", float, base.r_max),
-        r_min=_get(mapping, "threshold.r_min", float, base.r_min),
+        r_max=r_max,
+        r_min=r_min,
         tau=_get(mapping, "threshold.tau", float, base.tau),
         phi=_get(mapping, "threshold.phi", float, base.phi),
         cost=cost,

@@ -18,6 +18,13 @@ Two update modes exist:
   ``dr = -sign(dK) * tau * (r_max - r_min) * (1 - exp(-|dK / kvar_ref| ** phi))``
   clamped to [r_min, r_max]. Magnitude grows with |dK|, so a larger
   variability jump never yields a weaker correction.
+
+Both updates live in ``step_r``, which works on plain floats. ``adjust``
+wraps it for the decoder's per-episode ``ThresholdState``; calibration calls
+it directly and keeps only r (and the literal-mode freeze flag) while it
+replays a candidate. Calibration decodes each recorded miss of a (task,
+robot) group once and re-judges those distances and action masses under
+every candidate's walk.
 """
 
 from __future__ import annotations
@@ -25,14 +32,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .codec import DEFAULT_KEY, NormKey, token_to_action
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .trace import EpisodeTrace
+from .trace import EpisodeTrace, write_text_atomic
 
 DEFAULT_R_MAX = 15.0
 DEFAULT_R_MIN = 5.0
@@ -80,55 +85,82 @@ class ThresholdState:
             raise ThresholdConfigError(f"kvar_ref must be > 0, got {self.kvar_ref!r}")
 
 
+def step_r(
+    r: float,
+    delta_k: float,
+    frozen: bool,
+    r_max: float,
+    r_min: float,
+    tau: float,
+    phi: float,
+    kvar_ref: float,
+    mode: str,
+) -> tuple[float, float, bool, bool]:
+    """One controller update on plain floats; ``mode`` must be in ``MODES``.
+
+    Returns ``(r, dr, frozen, degenerate)``: the new threshold, the raw
+    update before clamping (0.0 when nothing moved), the literal-mode freeze
+    flag, and whether the update was dropped for non-finite arithmetic.
+    """
+    if delta_k == 0.0:
+        return r, 0.0, frozen, False
+
+    if mode == "literal":
+        if frozen:
+            return r, 0.0, True, False
+        try:
+            inner = math.pow(-delta_k / kvar_ref, phi)
+            dr = (r_max - r_min) * math.exp(inner)
+        except (ValueError, OverflowError):
+            return r, 0.0, False, True
+        if not math.isfinite(dr):
+            return r, 0.0, False, True
+        new_r = r + dr
+        if new_r <= r_min:
+            return r_min, dr, True, False
+        return min(new_r, r_max), dr, False, False
+
+    # rectified
+    magnitude = tau * (r_max - r_min) * (1.0 - math.exp(-abs(delta_k / kvar_ref) ** phi))
+    dr = -math.copysign(magnitude, delta_k)
+    # min(max(r + dr, r_min), r_max), without the two builtin calls
+    new_r = r + dr
+    if r_min > new_r:
+        new_r = r_min
+    if new_r > r_max:
+        new_r = r_max
+    return new_r, dr, frozen, False
+
+
 def adjust(state: ThresholdState, kvar_step: float, mode: str = "rectified") -> ThresholdState:
     """Advance the controller one step given the step's kinematic variability."""
     if mode not in MODES:
         raise ThresholdConfigError(f"unknown adjustment mode {mode!r}")
     if not (math.isfinite(kvar_step) and kvar_step >= 0):
         raise ThresholdConfigError(f"kvar_step must be finite and >= 0, got {kvar_step!r}")
-
-    delta_k = kvar_step - state.prev_kvar
-    if delta_k == 0.0:
-        return replace(state, prev_kvar=kvar_step, last_delta=0.0)
-
-    if mode == "literal":
-        if state.frozen:
-            return replace(state, prev_kvar=kvar_step, last_delta=0.0)
-        try:
-            inner = math.pow(-delta_k / state.kvar_ref, state.phi)
-            dr = (state.r_max - state.r_min) * math.exp(inner)
-        except (ValueError, OverflowError):
-            return replace(
-                state,
-                prev_kvar=kvar_step,
-                last_delta=0.0,
-                degenerate_events=state.degenerate_events + 1,
-            )
-        if not math.isfinite(dr):
-            return replace(
-                state,
-                prev_kvar=kvar_step,
-                last_delta=0.0,
-                degenerate_events=state.degenerate_events + 1,
-            )
-        new_r = state.r + dr
-        if new_r <= state.r_min:
-            return replace(
-                state, r=state.r_min, prev_kvar=kvar_step, frozen=True, last_delta=dr
-            )
-        return replace(
-            state, r=min(new_r, state.r_max), prev_kvar=kvar_step, last_delta=dr
-        )
-
-    # rectified
-    magnitude = (
-        state.tau
-        * (state.r_max - state.r_min)
-        * (1.0 - math.exp(-abs(delta_k / state.kvar_ref) ** state.phi))
+    r, dr, frozen, degenerate = step_r(
+        state.r,
+        kvar_step - state.prev_kvar,
+        state.frozen,
+        state.r_max,
+        state.r_min,
+        state.tau,
+        state.phi,
+        state.kvar_ref,
+        mode,
     )
-    dr = -math.copysign(magnitude, delta_k)
-    new_r = min(max(state.r + dr, state.r_min), state.r_max)
-    return replace(state, r=new_r, prev_kvar=kvar_step, last_delta=dr)
+    return ThresholdState(
+        r=r,
+        r_max=state.r_max,
+        r_min=state.r_min,
+        tau=state.tau,
+        phi=state.phi,
+        kvar_ref=state.kvar_ref,
+        prev_kvar=kvar_step,
+        frozen=frozen,
+        last_delta=dr,
+        degenerate_events=state.degenerate_events + 1 if degenerate else state.degenerate_events,
+    )
 
 
 @dataclass(frozen=True)
@@ -176,7 +208,7 @@ class CalibrationTable:
         return buf.getvalue()
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.dumps())
+        write_text_atomic(path, self.dumps())
 
     @classmethod
     def loads(cls, text: str) -> "CalibrationTable":
@@ -228,53 +260,75 @@ def lookup(table: CalibrationTable, task: str, robot: str) -> ThresholdState:
     )
 
 
+# Per trace, per slice: (token distance, |true action - draft action|) for
+# each verified position whose draft missed, in position order.
+JudgedSlices = list[list[list[tuple[int, float]]]]
+
+
+def _judge_group(traces: Sequence[EpisodeTrace], key: NormKey) -> JudgedSlices:
+    """Decode each recorded miss of a group once, for every candidate to reuse."""
+    judged = []
+    for trace in traces:
+        slices = []
+        for rec in trace.slices:
+            pairs = []
+            for pos, (draft_id, true_id) in enumerate(zip(rec.draft_ids, rec.true_ids)):
+                if draft_id is None or true_id is None or draft_id == true_id:
+                    continue
+                pairs.append(
+                    (
+                        abs(draft_id - true_id),
+                        abs(
+                            token_to_action(true_id, pos, key)
+                            - token_to_action(draft_id, pos, key)
+                        ),
+                    )
+                )
+            slices.append(pairs)
+        judged.append(slices)
+    return judged
+
+
 def _replay_objective(
-    traces: Sequence["EpisodeTrace"],
+    judged: JudgedSlices,
     tau: float,
     phi: float,
     r_max: float,
     r_min: float,
     kvar_ref: float,
-    key: NormKey,
     mode: str,
     step_penalty: float,
 ) -> float:
     """Score one (tau, phi) candidate by replaying recorded draft/true pairs.
 
-    The candidate controller is run over each trace; at every slice the
-    recorded token pairs are re-judged under the replayed threshold. The
-    score trades accepted-error action mass (a proxy for task success)
-    against re-inference pressure (rejections per slice, a proxy for extra
-    decode rounds).
+    The candidate controller walks r over each trace; at every slice the
+    recorded misses are re-judged under floor(r): a miss within it adds its
+    action mass, one beyond it counts as a rejection, and the slice's mass
+    feeds the next update. The score trades accepted-error action mass (a
+    proxy for task success) against re-inference pressure (rejections per
+    slice, a proxy for extra decode rounds).
     """
     total_mass = 0.0
     total_rejections = 0
     total_slices = 0
-    for trace in traces:
-        state = ThresholdState(
-            r=r_max, r_max=r_max, r_min=r_min, tau=tau, phi=phi, kvar_ref=kvar_ref
-        )
-        for rec in trace.slices:
-            applied = math.floor(state.r)
+    for slices in judged:
+        r = r_max
+        prev_mass = 0.0
+        frozen = False
+        for pairs in slices:
+            applied = math.floor(r)
             mass = 0.0
-            for pos, (draft_id, true_id) in enumerate(zip(rec.draft_ids, rec.true_ids)):
-                if draft_id is None or true_id is None:
-                    continue
-                dist = abs(draft_id - true_id)
-                if dist == 0:
-                    continue
+            for dist, miss_mass in pairs:
                 if dist <= applied:
-                    mass += abs(
-                        token_to_action(true_id, pos, key)
-                        - token_to_action(draft_id, pos, key)
-                    )
+                    mass += miss_mass
                 else:
                     total_rejections += 1
             total_mass += mass
             total_slices += 1
-            state = adjust(state, mass, mode)
-    if total_slices == 0:
-        raise ThresholdConfigError("calibration traces contain no slices")
+            r, _, frozen, _ = step_r(
+                r, mass - prev_mass, frozen, r_max, r_min, tau, phi, kvar_ref, mode
+            )
+            prev_mass = mass
     mean_mass = total_mass / total_slices
     mean_rounds = 1.0 + total_rejections / total_slices
     success_proxy = 1.0 / (1.0 + mean_mass)
@@ -282,7 +336,7 @@ def _replay_objective(
 
 
 def calibrate(
-    pre_sample_traces: Iterable["EpisodeTrace"],
+    pre_sample_traces: Iterable[EpisodeTrace],
     grid: Sequence[tuple[float, float]],
     *,
     r_max: float = DEFAULT_R_MAX,
@@ -296,7 +350,16 @@ def calibrate(
     The reference variability of each key is the mean per-step variability
     observed in its traces and must be strictly positive: pre-sampling has
     to run with relaxed acceptance so that accepted errors actually occur.
+
+    Each group's recorded misses are decoded once (``_judge_group``); every
+    candidate then replays them, walking r with ``step_r`` on plain floats,
+    so the scores equal those of a per-slice ``adjust`` replay bit for bit.
+    ``mode`` and the r bounds are checked before any replay.
     """
+    if mode not in MODES:
+        raise ThresholdConfigError(f"unknown adjustment mode {mode!r}")
+    if not (r_max > r_min >= 0):
+        raise ThresholdConfigError(f"need r_max > r_min >= 0, got r_max={r_max}, r_min={r_min}")
     candidates = list(grid)
     if not candidates:
         raise ThresholdConfigError("calibration grid is empty")
@@ -312,16 +375,18 @@ def calibrate(
         if not steps:
             raise ThresholdConfigError(f"traces for ({task}, {robot}) contain no slices")
         kvar_ref = sum(steps) / len(steps)
-        if kvar_ref <= 0:
+        if not (math.isfinite(kvar_ref) and kvar_ref > 0):
             raise ThresholdConfigError(
-                f"pre-sample for ({task}, {robot}) has zero variability; "
-                "pre-sample with relaxed acceptance (fixed_relaxed mode)"
+                f"pre-sample for ({task}, {robot}) has variability {kvar_ref!r}, "
+                "need a finite value > 0; pre-sample with relaxed acceptance "
+                "(fixed_relaxed mode)"
             )
+        judged = _judge_group(traces, key)
         best = None
         best_score = -math.inf
         for tau, phi in candidates:
             score = _replay_objective(
-                traces, tau, phi, r_max, r_min, kvar_ref, key, mode, step_penalty
+                judged, tau, phi, r_max, r_min, kvar_ref, mode, step_penalty
             )
             if score > best_score:
                 best_score = score

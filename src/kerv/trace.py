@@ -6,12 +6,20 @@ everything needed to replay acceptance decisions and cost accounting
 offline: per-position draft/true ids (null where a position was never
 drafted or verified), acceptance statuses, final tokens, value sources,
 and the step's threshold, variability, and call counters.
+
+The summary line is required: ``loads`` rejects a stream without one, with
+a second header, with a record after the summary, or whose slice count
+differs from the summary's ``steps``, so a truncated file never reaches
+the metrics. Traces and calibration tables are written atomically (a
+temporary file in the target directory, then ``os.replace``), so a reader
+sees the old file or the whole new one.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import os
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -73,25 +81,36 @@ class EpisodeTrace:
         }
 
     def dumps(self) -> str:
+        # records hold only JSON scalars and tuples of them, which encode as
+        # lists: no deep copy is needed
         lines = [json.dumps({"episode": self.meta()}, sort_keys=True)]
         for rec in self.slices:
-            lines.append(json.dumps(asdict(rec), sort_keys=True))
+            lines.append(json.dumps(vars(rec), sort_keys=True))
         lines.append(json.dumps({"summary": self.summary()}, sort_keys=True))
         return "\n".join(lines) + "\n"
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.dumps())
+        write_text_atomic(path, self.dumps())
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it over."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _record_from_dict(d: dict) -> SliceRecord:
-    def opt_tuple(xs):
-        return tuple(None if x is None else x for x in xs)
-
     return SliceRecord(
         step=d["step"],
-        draft_ids=opt_tuple(d["draft_ids"]),
-        true_ids=opt_tuple(d["true_ids"]),
-        statuses=opt_tuple(d["statuses"]),
+        draft_ids=tuple(d["draft_ids"]),
+        true_ids=tuple(d["true_ids"]),
+        statuses=tuple(d["statuses"]),
         tokens=tuple(d["tokens"]),
         sources=tuple(d["sources"]),
         first_error_pos=d["first_error_pos"],
@@ -107,11 +126,19 @@ def _record_from_dict(d: dict) -> SliceRecord:
 
 def loads(text: str) -> EpisodeTrace:
     trace: EpisodeTrace | None = None
+    summarized = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
-        obj = json.loads(raw)
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise TraceError(f"line {lineno}: not a JSON record ({exc})") from None
+        if summarized:
+            raise TraceError(f"line {lineno}: record after the summary line")
         if "episode" in obj:
+            if trace is not None:
+                raise TraceError(f"line {lineno}: second episode header")
             m = obj["episode"]
             trace = EpisodeTrace(
                 suite=m["suite"],
@@ -130,12 +157,20 @@ def loads(text: str) -> EpisodeTrace:
             trace.deviation = s["deviation"]
             trace.plan_steps = s["plan_steps"]
             trace.comp_events = s["comp_events"]
+            summarized = True
         else:
             if trace is None:
                 raise TraceError(f"line {lineno}: slice record before episode header")
             trace.slices.append(_record_from_dict(obj))
     if trace is None:
         raise TraceError("empty trace stream")
+    if not summarized:
+        raise TraceError("trace stream ends without a summary line (truncated?)")
+    if len(trace.slices) != trace.steps:
+        raise TraceError(
+            f"trace has {len(trace.slices)} slice records but its summary says "
+            f"{trace.steps} steps"
+        )
     return trace
 
 

@@ -18,7 +18,7 @@ def bench_cfg():
 
 
 @pytest.fixture(scope="session")
-def calib_table(bench_cfg):
+def pre_sample(bench_cfg):
     pre_cfg = replace(bench_cfg, fixed_r=15.0)
     traces = []
     for suite in bench_cfg.suites:
@@ -26,4 +26,9 @@ def calib_table(bench_cfg):
             run_one_episode(pre_cfg, suite, "fixed_relaxed", trial, None)
             for trial in range(PRE_SAMPLE_TRIALS)
         )
-    return calibrate(traces, DEFAULT_GRID)
+    return traces
+
+
+@pytest.fixture(scope="session")
+def calib_table(pre_sample):
+    return calibrate(pre_sample, DEFAULT_GRID)

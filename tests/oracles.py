@@ -3,9 +3,19 @@
 These deliberately avoid the library's code paths: the filter oracle uses
 textbook 2x2 matrix arithmetic via numpy, and the first-error-position
 oracle is a direct Monte-Carlo simulation of per-position Bernoulli misses.
+The calibration and trace references keep the original straightforward
+forms: a ``ThresholdState`` advanced by ``dataclasses.replace`` per slice,
+every token pair decoded again per candidate, and ``asdict`` serialization.
 """
 
+import json
+import math
+from dataclasses import asdict, replace
+
 import numpy as np
+
+from kerv.codec import token_to_action
+from kerv.threshold import MODES, ThresholdConfigError, ThresholdState
 
 
 def matrix_kf_predict(observations, params, horizon=1):
@@ -77,3 +87,102 @@ def reference_draft_ids(truth_ids, noise, task_seed, t, vocab_size):
             corrupted = min(max(tok - off, 0), vmax)
         ids.append(corrupted)
     return tuple(ids)
+
+
+def reference_adjust(state, kvar_step, mode="rectified"):
+    """One controller step, each outcome built with ``dataclasses.replace``."""
+    if mode not in MODES:
+        raise ThresholdConfigError(f"unknown adjustment mode {mode!r}")
+    if not (math.isfinite(kvar_step) and kvar_step >= 0):
+        raise ThresholdConfigError(f"kvar_step must be finite and >= 0, got {kvar_step!r}")
+
+    delta_k = kvar_step - state.prev_kvar
+    if delta_k == 0.0:
+        return replace(state, prev_kvar=kvar_step, last_delta=0.0)
+
+    if mode == "literal":
+        if state.frozen:
+            return replace(state, prev_kvar=kvar_step, last_delta=0.0)
+        try:
+            inner = math.pow(-delta_k / state.kvar_ref, state.phi)
+            dr = (state.r_max - state.r_min) * math.exp(inner)
+        except (ValueError, OverflowError):
+            return replace(
+                state,
+                prev_kvar=kvar_step,
+                last_delta=0.0,
+                degenerate_events=state.degenerate_events + 1,
+            )
+        if not math.isfinite(dr):
+            return replace(
+                state,
+                prev_kvar=kvar_step,
+                last_delta=0.0,
+                degenerate_events=state.degenerate_events + 1,
+            )
+        new_r = state.r + dr
+        if new_r <= state.r_min:
+            return replace(
+                state, r=state.r_min, prev_kvar=kvar_step, frozen=True, last_delta=dr
+            )
+        return replace(
+            state, r=min(new_r, state.r_max), prev_kvar=kvar_step, last_delta=dr
+        )
+
+    # rectified
+    magnitude = (
+        state.tau
+        * (state.r_max - state.r_min)
+        * (1.0 - math.exp(-abs(delta_k / state.kvar_ref) ** state.phi))
+    )
+    dr = -math.copysign(magnitude, delta_k)
+    new_r = min(max(state.r + dr, state.r_min), state.r_max)
+    return replace(state, r=new_r, prev_kvar=kvar_step, last_delta=dr)
+
+
+def reference_replay_objective(
+    traces, tau, phi, r_max, r_min, kvar_ref, key, mode, step_penalty
+):
+    """Score one (tau, phi) candidate the direct way: a fresh state per
+    trace, every recorded token pair decoded and judged again per slice."""
+    total_mass = 0.0
+    total_rejections = 0
+    total_slices = 0
+    for trace in traces:
+        state = ThresholdState(
+            r=r_max, r_max=r_max, r_min=r_min, tau=tau, phi=phi, kvar_ref=kvar_ref
+        )
+        for rec in trace.slices:
+            applied = math.floor(state.r)
+            mass = 0.0
+            for pos, (draft_id, true_id) in enumerate(zip(rec.draft_ids, rec.true_ids)):
+                if draft_id is None or true_id is None:
+                    continue
+                dist = abs(draft_id - true_id)
+                if dist == 0:
+                    continue
+                if dist <= applied:
+                    mass += abs(
+                        token_to_action(true_id, pos, key)
+                        - token_to_action(draft_id, pos, key)
+                    )
+                else:
+                    total_rejections += 1
+            total_mass += mass
+            total_slices += 1
+            state = reference_adjust(state, mass, mode)
+    if total_slices == 0:
+        raise ThresholdConfigError("calibration traces contain no slices")
+    mean_mass = total_mass / total_slices
+    mean_rounds = 1.0 + total_rejections / total_slices
+    success_proxy = 1.0 / (1.0 + mean_mass)
+    return success_proxy - step_penalty * mean_rounds
+
+
+def reference_trace_dumps(trace):
+    """JSON-lines text of a trace with each record deep-copied by ``asdict``."""
+    lines = [json.dumps({"episode": trace.meta()}, sort_keys=True)]
+    for rec in trace.slices:
+        lines.append(json.dumps(asdict(rec), sort_keys=True))
+    lines.append(json.dumps({"summary": trace.summary()}, sort_keys=True))
+    return "\n".join(lines) + "\n"

@@ -111,6 +111,26 @@ def test_config_bad_value_reported():
         loads("kf.ac = banana\n")
 
 
+@pytest.mark.parametrize(
+    "lines",
+    [
+        "threshold.mode = bogus\n",
+        "threshold.r_max = 5\nthreshold.r_min = 5\n",
+        "threshold.r_max = 4\n",
+        "threshold.r_min = -1\n",
+        "threshold.r_max = nan\n",
+    ],
+)
+def test_config_validates_threshold_at_load(lines):
+    with pytest.raises(ConfigError, match="threshold"):
+        loads(default_config_text() + lines)
+
+
+def test_config_threshold_zero_floor_and_literal_mode_load():
+    cfg = loads(default_config_text() + "threshold.mode = literal\nthreshold.r_min = 0\n")
+    assert cfg.threshold_mode == "literal" and cfg.r_min == 0.0
+
+
 def test_config_suite_requires_kind():
     with pytest.raises(ConfigError):
         loads("suite.x.trials = 3\n")
@@ -269,6 +289,43 @@ def test_cli_calibrate_then_kerv_run(tmp_path, capsys):
     assert {t.mode for t in traces} == {"kerv", "naive"}
     report_text = (out / "report.txt").read_text()
     assert "kerv" in report_text and "fixed_relaxed" not in report_text
+
+
+def test_cli_calibrate_passes_config_threshold_through(tmp_path, capsys, small_cfg):
+    goal = small_cfg.suite("goal")
+    pre = [
+        run_one_episode(replace(small_cfg, fixed_r=15.0), goal, "fixed_relaxed", t, None)
+        for t in range(2)
+    ]
+    for t in pre:
+        t.save(tmp_path / f"goal_{t.trial:04d}.jsonl")
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("grid.tau = 0.5,2.0\ngrid.phi = 0.7,1.5\n")
+    cfg_path = tmp_path / "lit.cfg"
+    cfg_path.write_text(
+        default_config_text(trials=2)
+        + "threshold.mode = literal\nthreshold.r_max = 12\nthreshold.r_min = 0\n"
+    )
+    out = tmp_path / "table.csv"
+    rc = cli.main(
+        ["calibrate", "--traces", str(tmp_path), "--grid", str(grid), "--out", str(out),
+         "--config", str(cfg_path)]
+    )
+    assert rc == 0
+    expected = calibrate(
+        pre, [(0.5, 0.7), (0.5, 1.5), (2.0, 0.7), (2.0, 1.5)],
+        r_max=12.0, r_min=0.0, mode="literal",
+    )
+    assert out.read_text() == expected.dumps()
+
+    cfg_path.write_text(default_config_text(trials=2) + "threshold.mode = bogus\n")
+    rc = cli.main(
+        ["calibrate", "--traces", str(tmp_path), "--grid", str(grid), "--out",
+         str(tmp_path / "bad.csv"), "--config", str(cfg_path)]
+    )
+    assert rc != 0
+    assert "threshold.mode" in capsys.readouterr().err
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_cli_sweep_writes_table(tmp_path, capsys):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kerv import threshold
+from kerv.codec import DEFAULT_KEY
 from kerv.threshold import (
     DEFAULT_GRID,
     CalibrationRow,
@@ -17,6 +19,7 @@ from kerv.threshold import (
     lookup,
 )
 from kerv.trace import EpisodeTrace, SliceRecord
+from oracles import reference_adjust, reference_replay_objective
 
 
 def make_state(**kw):
@@ -254,3 +257,192 @@ def test_calibrate_replay_keeps_r_bounded():
         seen.append(state.r)
     assert all(state.r_min <= r <= state.r_max for r in seen)
     assert any(r != 15.0 for r in seen)
+
+
+# --- calibration replay against the direct per-slice reference ---------------
+
+# one (draft, true) pair per position: never verified, a hit, or a miss by
+# 1..30 ids, which lands on both sides of floor(r) for r in [0, 15]
+_position = st.one_of(
+    st.just((None, None)),
+    st.tuples(st.integers(0, 255), st.just(None)),
+    st.integers(0, 255).map(lambda t: (t, t)),
+    st.tuples(st.integers(0, 225), st.integers(1, 30), st.booleans()).map(
+        lambda x: (x[0], x[0] + x[1]) if x[2] else (x[0] + x[1], x[0])
+    ),
+)
+_slice_pairs = st.lists(_position, min_size=7, max_size=7)
+
+
+@st.composite
+def _traces(draw):
+    """Traces built from a few slice templates, so equal slices (zero-delta
+    updates) and runs of equal ``kvar_step`` recur."""
+    templates = draw(st.lists(_slice_pairs, min_size=1, max_size=4))
+    kvars = draw(st.lists(st.sampled_from([0.0, 0.05, 0.2, 0.7]), min_size=1, max_size=3))
+    traces = []
+    for trial in range(draw(st.integers(1, 3))):
+        order = draw(st.lists(st.integers(0, len(templates) - 1), min_size=1, max_size=25))
+        slices = []
+        for step, i in enumerate(order):
+            pairs = templates[i]
+            slices.append(
+                SliceRecord(
+                    step=step,
+                    draft_ids=tuple(d for d, _ in pairs),
+                    true_ids=tuple(t for _, t in pairs),
+                    statuses=(None,) * 7,
+                    tokens=(0,) * 7,
+                    sources=("draft",) * 7,
+                    first_error_pos=7,
+                    r=15.0,
+                    kvar_step=kvars[step % len(kvars)],
+                    kvar_cum=0.0,
+                    verify_calls=1,
+                    draft_calls=1,
+                    comp_fired=False,
+                    cooldown_remaining=0,
+                )
+            )
+        traces.append(
+            EpisodeTrace(
+                suite="t", kind="reach", mode="fixed_relaxed", robot="armX",
+                trial=trial, seed=0, slices=slices, success=trial % 2 == 0,
+                steps=len(slices),
+            )
+        )
+    return traces
+
+
+# fractional phi makes the literal update degenerate whenever mass rises
+_GRID = [(tau, phi) for tau in (0.5, 1.0, 4.0) for phi in (0.5, 0.7, 1.0, 1.5, 2.0)]
+
+
+@given(
+    _traces(),
+    st.sampled_from(["rectified", "literal"]),
+    st.sampled_from([0.0, 5.0]),
+    st.floats(0.01, 2.0),
+)
+@settings(max_examples=150, deadline=None)
+def test_replay_scores_match_reference_bit_for_bit(traces, mode, r_min, kvar_ref):
+    judged = threshold._judge_group(traces, DEFAULT_KEY)
+    for tau, phi in _GRID:
+        got = threshold._replay_objective(judged, tau, phi, 15.0, r_min, kvar_ref, mode, 0.01)
+        want = reference_replay_objective(
+            traces, tau, phi, 15.0, r_min, kvar_ref, DEFAULT_KEY, mode, 0.01
+        )
+        assert got.hex() == want.hex()
+
+
+@given(_traces(), st.sampled_from(["rectified", "literal"]), st.sampled_from([0.0, 5.0]))
+@settings(max_examples=60, deadline=None)
+def test_calibrate_table_matches_reference_argmax(traces, mode, r_min):
+    steps = [rec.kvar_step for t in traces for rec in t.slices]
+    kvar_ref = sum(steps) / len(steps)
+    if kvar_ref <= 0:
+        with pytest.raises(ThresholdConfigError):
+            calibrate(traces, _GRID, r_min=r_min, mode=mode)
+        return
+    scores = [
+        reference_replay_objective(
+            traces, tau, phi, 15.0, r_min, kvar_ref, DEFAULT_KEY, mode, 0.01
+        )
+        for tau, phi in _GRID
+    ]
+    tau, phi = _GRID[scores.index(max(scores))]
+    table = calibrate(traces, _GRID, r_min=r_min, mode=mode)
+    expected = CalibrationTable()
+    expected.put(
+        "t",
+        "armX",
+        CalibrationRow(
+            tau, phi, 15.0, r_min, kvar_ref,
+            sum(1.0 for t in traces if t.success) / len(traces),
+            sum(t.steps for t in traces) / len(traces),
+        ),
+    )
+    assert table.dumps() == expected.dumps()
+
+
+@given(
+    st.lists(st.floats(0, 3, allow_nan=False), min_size=1, max_size=40),
+    st.sampled_from(["rectified", "literal"]),
+    st.sampled_from([0.0, 5.0]),
+    st.sampled_from([0.5, 0.7, 1.0, 2.0]),
+    st.floats(-30.0, 15.0),
+)
+@settings(max_examples=200)
+def test_adjust_matches_reference_state_for_state(steps, mode, r_min, phi, r0):
+    # r0 below r_min reaches the literal freeze, which r_max never does
+    state = want = make_state(r=r0, r_min=r_min, phi=phi, tau=2.0, kvar_ref=0.3)
+    for k in steps:
+        state = adjust(state, k, mode)
+        want = reference_adjust(want, k, mode)
+        assert state == want
+        assert state.r.hex() == want.r.hex()
+        assert state.last_delta.hex() == want.last_delta.hex()
+
+
+def test_calibrate_judges_each_miss_once(monkeypatch):
+    """token_to_action runs twice per verified miss, not once per candidate;
+    the replay builds no ThresholdState and calls no adjust."""
+    pairs = [(100, 108), (30, 27), (None, 5), (7, 7), (200, 240)]
+    kvars = [0.05, 0.3, 0.1, 0.5, 0.2, 0.0, 0.3]
+    traces = [_trace("t1", kvars, pairs), _trace("t2", kvars[:4], pairs[:2])]
+    misses = 3 * len(kvars) + 2 * 4
+
+    decoded = []
+    real_decode = threshold.token_to_action
+    monkeypatch.setattr(
+        threshold,
+        "token_to_action",
+        lambda tok, dof, key: decoded.append(tok) or real_decode(tok, dof, key),
+    )
+    built = []
+    real_post_init = ThresholdState.__post_init__
+    monkeypatch.setattr(
+        ThresholdState, "__post_init__", lambda self: built.append(self) or real_post_init(self)
+    )
+    adjusted = []
+    monkeypatch.setattr(threshold, "adjust", lambda *a: adjusted.append(a))
+    replays = []
+    real_replay = threshold._replay_objective
+    monkeypatch.setattr(
+        threshold, "_replay_objective", lambda *a: replays.append(a) or real_replay(*a)
+    )
+
+    grid = DEFAULT_GRID
+    calibrate(traces, grid)
+    assert len(replays) == 2 * len(grid)
+    assert len(decoded) <= 2 * misses
+    assert built == [] and adjusted == []
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"mode": "bogus"},
+        {"r_max": 5.0, "r_min": 5.0},
+        {"r_max": 15.0, "r_min": -1.0},
+        {"r_max": float("nan")},
+    ],
+)
+def test_calibrate_validates_before_replay(monkeypatch, kwargs):
+    calls = []
+    monkeypatch.setattr(threshold, "_judge_group", lambda *a: calls.append(a))
+    monkeypatch.setattr(threshold, "_replay_objective", lambda *a: calls.append(a))
+    traces = [_trace("t1", [0.1, 0.3], [(100, 103)])]
+    with pytest.raises(ThresholdConfigError):
+        calibrate(traces, DEFAULT_GRID, **kwargs)
+    assert calls == []
+
+
+def test_table_save_is_atomic(tmp_path):
+    table = CalibrationTable()
+    table.put("a", "r1", CalibrationRow(1.0, 0.7, 15.0, 5.0, 0.0877, 0.75, 96.5))
+    path = tmp_path / "table.csv"
+    path.write_text("stale\n")
+    table.save(path)
+    assert path.read_text() == table.dumps()
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]

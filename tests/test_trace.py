@@ -1,0 +1,123 @@
+"""Trace serialization: reference byte equality, partial streams, atomic saves."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kerv.trace import EpisodeTrace, SliceRecord, TraceError, load, loads
+from oracles import reference_trace_dumps
+
+_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 1.0, 3.0, 1e-300, 2.5e16, 0.1 + 0.2]
+)
+_opt_id = st.none() | st.integers(0, 255)
+_seven = lambda elem: st.lists(elem, min_size=7, max_size=7).map(tuple)  # noqa: E731
+
+_records = st.builds(
+    SliceRecord,
+    step=st.integers(0, 10_000),
+    draft_ids=_seven(_opt_id),
+    true_ids=_seven(_opt_id),
+    statuses=_seven(st.none() | st.sampled_from(["accept", "relaxed", "reject"])),
+    tokens=_seven(st.integers(0, 255)),
+    sources=_seven(st.sampled_from(["draft", "verify", "kf"])),
+    first_error_pos=st.integers(0, 7),
+    r=_floats,
+    kvar_step=_floats,
+    kvar_cum=_floats,
+    verify_calls=st.integers(0, 9),
+    draft_calls=st.integers(0, 9),
+    comp_fired=st.booleans(),
+    cooldown_remaining=st.integers(0, 5),
+)
+
+
+@st.composite
+def _episodes(draw):
+    slices = draw(st.lists(_records, max_size=6))
+    return EpisodeTrace(
+        suite="goal", kind="reach", mode=draw(st.sampled_from(["naive", "kerv"])),
+        robot="sim7dof", trial=draw(st.integers(0, 99)), seed=draw(st.integers(0, 2**40)),
+        slices=slices, success=draw(st.booleans()), steps=len(slices),
+        deviation=draw(_floats), plan_steps=draw(st.integers(0, 500)),
+        comp_events=draw(st.integers(0, 9)),
+    )
+
+
+@given(_episodes())
+@settings(max_examples=100, deadline=None)
+def test_dumps_matches_asdict_reference_and_roundtrips(trace):
+    text = trace.dumps()
+    assert text == reference_trace_dumps(trace)
+    back = loads(text)
+    assert back == trace
+    assert back.dumps() == text
+
+
+def _episode_text(n=3):
+    rec = SliceRecord(
+        step=0, draft_ids=(1, None, 3, 4, 5, 6, 7), true_ids=(1,) * 7,
+        statuses=("accept",) + (None,) * 6, tokens=(1,) * 7, sources=("draft",) * 7,
+        first_error_pos=7, r=9.0, kvar_step=0.1, kvar_cum=0.1, verify_calls=1,
+        draft_calls=1, comp_fired=False, cooldown_remaining=0,
+    )
+    return EpisodeTrace(
+        suite="goal", kind="reach", mode="naive", robot="sim7dof", trial=0, seed=1,
+        slices=[rec] * n, success=True, steps=n, plan_steps=n,
+    ).dumps()
+
+
+def test_truncated_stream_is_rejected():
+    lines = _episode_text().splitlines(keepends=True)
+    loads("".join(lines))
+    with pytest.raises(TraceError, match="without a summary line"):
+        loads("".join(lines[:-1]))
+    with pytest.raises(TraceError, match="without a summary line"):
+        loads(lines[0])
+
+
+def test_slice_count_must_match_steps():
+    lines = _episode_text().splitlines(keepends=True)
+    with pytest.raises(TraceError, match="3 steps"):
+        loads("".join(lines[:-1] + [lines[1]] + lines[-1:]))
+    with pytest.raises(TraceError, match="3 steps"):
+        loads("".join(lines[:1] + lines[2:]))
+
+
+def test_record_after_summary_is_rejected():
+    text = _episode_text()
+    lines = text.splitlines(keepends=True)
+    with pytest.raises(TraceError, match="after the summary"):
+        loads(text + lines[1])
+    with pytest.raises(TraceError, match="after the summary"):
+        loads(text + lines[-1])
+
+
+def test_second_header_is_rejected():
+    lines = _episode_text().splitlines(keepends=True)
+    with pytest.raises(TraceError, match="second episode header"):
+        loads(lines[0] + "".join(lines))
+
+
+def test_malformed_line_is_trace_error():
+    lines = _episode_text().splitlines(keepends=True)
+    with pytest.raises(TraceError, match="line 2"):
+        loads(lines[0] + lines[1][: len(lines[1]) // 2] + "\n" + "".join(lines[2:]))
+
+
+def test_save_replaces_atomically_and_leaves_no_temporary(tmp_path):
+    trace = loads(_episode_text())
+    path = tmp_path / "goal_naive_0000.jsonl"
+    path.write_text("stale partial line\n")
+    trace.save(path)
+    assert path.read_text() == trace.dumps()
+    assert load(path) == trace
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_failed_save_leaves_no_temporary(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(OSError):
+        loads(_episode_text()).save(target)
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
