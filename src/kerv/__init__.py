@@ -16,7 +16,6 @@ from .kinematics import DofCache, KfBank, KfParams, KinVar, accumulate_kvar, kin
 from .simenv import DraftNoiseModel, EnvState, SimEnv, TaskSpec, make_task
 from .specdec import (
     AcceptanceOutcome,
-    EngineConfig,
     SliceResult,
     decode_slice_sd,
     relaxed_accept,
@@ -57,7 +56,6 @@ __all__ = [
     "TaskSpec",
     "make_task",
     "AcceptanceOutcome",
-    "EngineConfig",
     "SliceResult",
     "decode_slice_sd",
     "relaxed_accept",

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import config as config_mod
 from . import harness, trace
+from .specdec import MODES
 from .threshold import calibrate
 
 
@@ -34,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(run_p)
     run_p.add_argument(
         "--mode",
-        choices=("naive", "fixed_relaxed", "kerv"),
+        choices=MODES,
         default=None,
         help="restrict to one decoding mode (default: run.modes from config)",
     )
@@ -56,14 +58,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     cfg = config_mod.load(args.config)
     if args.seed is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, seed_offset=args.seed)
     modes = (args.mode,) if args.mode else None
     suites = (args.suite,) if args.suite else None
     report, traces = harness.run_suite(cfg, modes=modes, suites=suites, trials=args.trials)
     harness.emit_results(report, traces, args.out)
-    sys.stdout.write(report.render(include_wallclock=True))
+    sys.stdout.write(report.render())
     return 0
 
 
@@ -100,25 +100,12 @@ def _cmd_calibrate(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = config_mod.load(args.config)
     if args.seed is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, seed_offset=args.seed)
     values = [float(v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise config_mod.ConfigError("sweep needs at least one value")
-    table = None
-    if args.param in ("n", "ac", "pl"):
-        if not cfg.table_path:
-            raise config_mod.ConfigError(
-                f"sweeping {args.param} runs the adaptive mode: set threshold.table"
-            )
-        from .threshold import CalibrationTable
-
-        table = CalibrationTable.load(cfg.table_path)
     suites = (args.suite,) if args.suite else None
-    rows = harness.sweep(
-        cfg, args.param, values, suites=suites, trials=args.trials, table=table
-    )
+    rows = harness.sweep(cfg, args.param, values, suites=suites, trials=args.trials)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     text = harness.render_sweep(rows)

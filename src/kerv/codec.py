@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 N_DOF = 7
 GRIPPER_DOF = 6
@@ -88,40 +87,6 @@ class NormKey:
     def bin_width(self, dof: int) -> float:
         _check_dof(dof)
         return (self.hi[dof] - self.lo[dof]) / self.vocab_size
-
-    @classmethod
-    def parse(cls, text: str) -> "NormKey":
-        """Parse a flat ``key = value`` block: ``dof<i> = lo,hi`` lines plus
-        ``vocab_size = <V>`` (``codec.vocab_size`` is accepted as an alias).
-        DoF lines that are absent default to the [-1, 1] range.
-        """
-        lo = [-1.0] * N_DOF
-        hi = [1.0] * N_DOF
-        vocab = DEFAULT_VOCAB_SIZE
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CodecError(f"line {lineno}: expected 'key = value', got {raw!r}")
-            name, _, value = line.partition("=")
-            name = name.strip()
-            value = value.strip()
-            if name in ("vocab_size", "codec.vocab_size"):
-                vocab = int(value)
-            elif name.startswith("dof"):
-                dof = int(name[3:])
-                _check_dof(dof)
-                parts = [p.strip() for p in value.split(",")]
-                if len(parts) != 2:
-                    raise CodecError(f"line {lineno}: dof range must be 'lo,hi'")
-                lo[dof], hi[dof] = float(parts[0]), float(parts[1])
-            # unrelated keys (kf.*, cost.*, ...) may share the file; skip them
-        return cls(lo=tuple(lo), hi=tuple(hi), vocab_size=vocab)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "NormKey":
-        return cls.parse(Path(path).read_text())
 
 
 DEFAULT_KEY = NormKey()

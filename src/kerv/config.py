@@ -9,13 +9,14 @@ fail loudly instead of silently running defaults.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .codec import NormKey
+from .codec import N_DOF, NormKey
 from .kinematics import KfParams
 from .simenv import KINDS, DraftNoiseModel
-from .threshold import MODES as THRESHOLD_MODES
+from .specdec import MODES
+from .threshold import ADJUST_MODES
 
 
 class ConfigError(ValueError):
@@ -24,7 +25,6 @@ class ConfigError(ValueError):
 
 _SCALAR_KEYS = {
     "codec.vocab_size",
-    "vocab_size",
     "kf.process_noise",
     "kf.measurement_noise",
     "kf.initial_variance",
@@ -39,8 +39,6 @@ _SCALAR_KEYS = {
     "threshold.fixed_r",
     "threshold.r_max",
     "threshold.r_min",
-    "threshold.tau",
-    "threshold.phi",
     "cost.verify",
     "cost.draft",
     "cost.kf",
@@ -102,14 +100,38 @@ class RunConfig:
     fixed_r: float = 9.0
     r_max: float = 15.0
     r_min: float = 5.0
-    tau: float = 1.0
-    phi: float = 1.0
     cost: CostModel = field(default_factory=CostModel)
     noise: DraftNoiseModel = field(default_factory=DraftNoiseModel)
     robot: str = "sim7dof"
-    modes: tuple[str, ...] = ("naive", "fixed_relaxed", "kerv")
+    modes: tuple[str, ...] = MODES
     seed_offset: int = 0
     suites: tuple[SuiteConfig, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.depth <= N_DOF:
+            raise ConfigError(f"sd.depth must be in [1, {N_DOF}], got {self.depth}")
+        if self.p_source not in ("verify", "kf"):
+            raise ConfigError(f"comp.p_source must be verify or kf, got {self.p_source!r}")
+        if self.ac < 1:
+            raise ConfigError(f"kf.ac must be >= 1, got {self.ac}")
+        if self.pl < 1:
+            raise ConfigError(f"kf.pl must be >= 1, got {self.pl}")
+        if self.comp_n < 0:
+            raise ConfigError(f"comp.n must be >= 0, got {self.comp_n}")
+        if not self.fixed_r >= 0:
+            raise ConfigError(f"threshold.fixed_r must be >= 0, got {self.fixed_r}")
+        if self.threshold_mode not in ADJUST_MODES:
+            raise ConfigError(
+                f"unknown threshold.mode {self.threshold_mode!r}; expected one of {ADJUST_MODES}"
+            )
+        if not (self.r_max > self.r_min >= 0):
+            raise ConfigError(
+                "need threshold.r_max > threshold.r_min >= 0, "
+                f"got r_max={self.r_max}, r_min={self.r_min}"
+            )
+        for m in self.modes:
+            if m not in MODES:
+                raise ConfigError(f"unknown mode {m!r} in run.modes")
 
     def suite(self, name: str) -> SuiteConfig:
         for s in self.suites:
@@ -142,6 +164,11 @@ def _validate_keys(mapping: dict[str, str]) -> None:
         raise ConfigError(f"unknown configuration keys: {sorted(bad)}")
 
 
+def _range(text: str) -> tuple[float, float]:
+    lo, hi = text.split(",")
+    return float(lo), float(hi)
+
+
 def _get(mapping: dict[str, str], key: str, cast, default):
     if key not in mapping:
         return default
@@ -155,10 +182,15 @@ def from_mapping(mapping: dict[str, str]) -> RunConfig:
     _validate_keys(mapping)
     base = RunConfig()
 
-    key_lines = [f"{k} = {v}" for k, v in mapping.items() if _DOF_RE.match(k)]
-    vocab = _get(mapping, "codec.vocab_size", int, _get(mapping, "vocab_size", int, 256))
-    key_lines.append(f"vocab_size = {vocab}")
-    key = NormKey.parse("\n".join(key_lines))
+    ranges = [
+        _get(mapping, f"dof{dof}", _range, (base.key.lo[dof], base.key.hi[dof]))
+        for dof in range(N_DOF)
+    ]
+    key = NormKey(
+        lo=tuple(lo for lo, _ in ranges),
+        hi=tuple(hi for _, hi in ranges),
+        vocab_size=_get(mapping, "codec.vocab_size", int, base.key.vocab_size),
+    )
 
     kf = KfParams(
         process_noise=_get(mapping, "kf.process_noise", float, base.kf_params.process_noise),
@@ -184,42 +216,22 @@ def from_mapping(mapping: dict[str, str]) -> RunConfig:
         seed=_get(mapping, "noise.seed", int, base.noise.seed),
     )
 
-    suites: dict[str, dict[str, str]] = {}
-    for k, v in mapping.items():
-        m = _SUITE_RE.match(k)
-        if m:
-            suites.setdefault(m.group(1), {})[m.group(2)] = v
+    suite_names = sorted({m.group(1) for k in mapping if (m := _SUITE_RE.match(k))})
     suite_cfgs = []
-    for name in sorted(suites):
-        fields = suites[name]
-        if "kind" not in fields:
-            raise ConfigError(f"suite {name!r} is missing suite.{name}.kind")
+    for name in suite_names:
+        prefix = f"suite.{name}."
+        if prefix + "kind" not in mapping:
+            raise ConfigError(f"suite {name!r} is missing {prefix}kind")
         suite_cfgs.append(
             SuiteConfig(
                 name=name,
-                kind=fields["kind"],
-                trials=int(fields.get("trials", "50")),
-                seed_base=int(fields.get("seed_base", "0")),
+                kind=mapping[prefix + "kind"],
+                trials=_get(mapping, prefix + "trials", int, 50),
+                seed_base=_get(mapping, prefix + "seed_base", int, 0),
             )
         )
 
     modes_raw = mapping.get("run.modes", ",".join(base.modes))
-    modes = tuple(m.strip() for m in modes_raw.split(",") if m.strip())
-    for m in modes:
-        if m not in ("naive", "fixed_relaxed", "kerv"):
-            raise ConfigError(f"unknown mode {m!r} in run.modes")
-
-    threshold_mode = _get(mapping, "threshold.mode", str, base.threshold_mode)
-    if threshold_mode not in THRESHOLD_MODES:
-        raise ConfigError(
-            f"unknown threshold.mode {threshold_mode!r}; expected one of {THRESHOLD_MODES}"
-        )
-    r_max = _get(mapping, "threshold.r_max", float, base.r_max)
-    r_min = _get(mapping, "threshold.r_min", float, base.r_min)
-    if not (r_max > r_min >= 0):
-        raise ConfigError(
-            f"need threshold.r_max > threshold.r_min >= 0, got r_max={r_max}, r_min={r_min}"
-        )
 
     return RunConfig(
         key=key,
@@ -229,17 +241,15 @@ def from_mapping(mapping: dict[str, str]) -> RunConfig:
         comp_n=_get(mapping, "comp.n", int, base.comp_n),
         p_source=_get(mapping, "comp.p_source", str, base.p_source),
         depth=_get(mapping, "sd.depth", int, base.depth),
-        threshold_mode=threshold_mode,
+        threshold_mode=_get(mapping, "threshold.mode", str, base.threshold_mode),
         table_path=_get(mapping, "threshold.table", str, base.table_path),
         fixed_r=_get(mapping, "threshold.fixed_r", float, base.fixed_r),
-        r_max=r_max,
-        r_min=r_min,
-        tau=_get(mapping, "threshold.tau", float, base.tau),
-        phi=_get(mapping, "threshold.phi", float, base.phi),
+        r_max=_get(mapping, "threshold.r_max", float, base.r_max),
+        r_min=_get(mapping, "threshold.r_min", float, base.r_min),
         cost=cost,
         noise=noise,
         robot=_get(mapping, "robot", str, base.robot),
-        modes=modes,
+        modes=tuple(m.strip() for m in modes_raw.split(",") if m.strip()),
         seed_offset=_get(mapping, "run.seed_offset", int, base.seed_offset),
         suites=tuple(suite_cfgs),
     )
@@ -284,8 +294,6 @@ threshold.mode = rectified
 threshold.fixed_r = 9
 threshold.r_max = 15
 threshold.r_min = 5
-threshold.tau = 1.0
-threshold.phi = 1.0
 
 # latency cost model (time units per operation)
 cost.verify = 1.0

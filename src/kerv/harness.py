@@ -3,15 +3,12 @@
 Episode latency is modeled, not measured: each slice contributes its verify
 and draft calls at configured per-call costs, plus a filter-predict and a
 host round-trip charge when compensation fired, plus the per-slice
-threshold-adjustment charge. Wall-clock numbers are measured as well but
-are written to a separate sidecar so the main report stays byte-identical
-across reruns with the same seeds.
+threshold-adjustment charge. Every output is deterministic for fixed seeds.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -19,11 +16,9 @@ from . import threshold as threshold_mod
 from .codec import N_DOF
 from .config import ConfigError, CostModel, RunConfig, SuiteConfig
 from .simenv import NoisyDrafter, PlanVerifier, SimEnv, make_task
-from .specdec import EngineConfig, run_episode
+from .specdec import MODES, run_episode
 from .threshold import CalibrationTable
 from .trace import EpisodeTrace
-
-MODE_ORDER = ("naive", "fixed_relaxed", "kerv")
 
 
 def modeled_latency(trace: EpisodeTrace, cm: CostModel) -> float:
@@ -74,7 +69,6 @@ class ReportRow:
     mode: str
     sr: float
     modeled_speedup: float
-    wallclock_speedup: float
     afep: float
     avg_steps: float
     avg_r: float
@@ -85,19 +79,18 @@ class ReportRow:
 class SuiteReport:
     rows: list[ReportRow]
 
-    def render(self, *, include_wallclock: bool = False) -> str:
-        """Plain columnar text; wall-clock column is optional because it is
-        not reproducible across runs."""
-        cols = ["suite", "mode", "sr", "modeled_speedup"]
-        if include_wallclock:
-            cols.append("wallclock_speedup")
-        cols += ["afep", "avg_steps", "avg_r", "comp_events"]
+    def render(self) -> str:
+        """Plain columnar text."""
+        cols = (
+            "suite", "mode", "sr", "modeled_speedup", "afep", "avg_steps", "avg_r", "comp_events",
+        )
         lines = [" ".join(f"{c:>18}" for c in cols)]
         for r in self.rows:
-            vals = [r.suite, r.mode, f"{r.sr:.4f}", f"{r.modeled_speedup:.4f}"]
-            if include_wallclock:
-                vals.append(f"{r.wallclock_speedup:.4f}")
-            vals += [
+            vals = [
+                r.suite,
+                r.mode,
+                f"{r.sr:.4f}",
+                f"{r.modeled_speedup:.4f}",
                 f"{r.afep:.4f}",
                 f"{r.avg_steps:.2f}",
                 f"{r.avg_r:.3f}",
@@ -124,20 +117,7 @@ def run_one_episode(
         if table is None:
             raise ConfigError("kerv mode needs a calibration table")
         tstate = threshold_mod.lookup(table, suite_cfg.name, cfg.robot)
-    engine_cfg = EngineConfig(
-        mode=mode,
-        depth=cfg.depth,
-        fixed_r=cfg.fixed_r,
-        cooldown_n=cfg.comp_n,
-        p_source=cfg.p_source,
-        kf_pl=cfg.pl,
-        ac=cfg.ac,
-        kf_params=cfg.kf_params,
-        key=cfg.key,
-        threshold_state=tstate,
-        threshold_mode=cfg.threshold_mode,
-    )
-    return run_episode(env, draft, verify, engine_cfg)
+    return run_episode(env, draft, verify, cfg, mode, tstate)
 
 
 def run_suite(
@@ -156,7 +136,7 @@ def run_suite(
     """
     requested = tuple(modes) if modes is not None else cfg.modes
     for m in requested:
-        if m not in MODE_ORDER:
+        if m not in MODES:
             raise ConfigError(f"unknown mode {m!r}")
     suite_cfgs = list(cfg.suites)
     if suites is not None:
@@ -173,19 +153,14 @@ def run_suite(
             )
         table = CalibrationTable.load(cfg.table_path)
 
-    run_modes = tuple(
-        m for m in MODE_ORDER if m == "naive" or m in requested
-    )
+    run_modes = tuple(m for m in MODES if m == "naive" or m in requested)
     all_traces: dict[tuple[str, str], list[EpisodeTrace]] = {}
-    wall: dict[tuple[str, str], float] = {}
     for suite_cfg in suite_cfgs:
         n = suite_cfg.trials if trials is None else trials
         for mode in run_modes:
-            t0 = time.perf_counter()
             all_traces[(suite_cfg.name, mode)] = [
                 run_one_episode(cfg, suite_cfg, mode, trial, table) for trial in range(n)
             ]
-            wall[(suite_cfg.name, mode)] = time.perf_counter() - t0
 
     rows: list[ReportRow] = []
     for suite_cfg in suite_cfgs:
@@ -193,8 +168,7 @@ def run_suite(
         if not base:
             continue  # zero-trial suite contributes no rows
         base_latency = sum(modeled_latency(t, cfg.cost) for t in base)
-        base_wall = wall[(suite_cfg.name, "naive")]
-        for mode in MODE_ORDER:
+        for mode in MODES:
             if mode not in requested:
                 continue
             traces = all_traces[(suite_cfg.name, mode)]
@@ -205,11 +179,6 @@ def run_suite(
                     mode=mode,
                     sr=success_rate(traces),
                     modeled_speedup=base_latency / latency if latency else 0.0,
-                    wallclock_speedup=(
-                        base_wall / wall[(suite_cfg.name, mode)]
-                        if wall[(suite_cfg.name, mode)]
-                        else 0.0
-                    ),
                     afep=afep(traces),
                     avg_steps=mean_steps(traces),
                     avg_r=mean_r(traces),
@@ -227,7 +196,7 @@ def emit_results(
     """Write the report table, per-episode trace streams, and plot data.
 
     ``report.txt`` and everything under ``traces/`` and ``plotdata/`` are
-    deterministic for fixed seeds; measured timings go to ``wallclock.txt``.
+    deterministic for fixed seeds.
     """
     out = Path(out_dir)
     try:
@@ -238,10 +207,6 @@ def emit_results(
         raise OSError(f"cannot write results under {out}: {exc}") from exc
 
     (out / "report.txt").write_text(report.render())
-    wall_lines = [f"{'suite':>18} {'mode':>18} {'wallclock_speedup':>18}"]
-    for r in report.rows:
-        wall_lines.append(f"{r.suite:>18} {r.mode:>18} {r.wallclock_speedup:>18.4f}")
-    (out / "wallclock.txt").write_text("\n".join(wall_lines) + "\n")
 
     for (suite, mode), ts in sorted(traces.items()):
         for t in ts:
@@ -293,8 +258,6 @@ def sweep(
     static relaxed threshold."""
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"sweep param must be one of {SWEEP_PARAMS}, got {param!r}")
-    from dataclasses import replace
-
     rows: list[SweepRow] = []
     for value in values:
         if param == "n":

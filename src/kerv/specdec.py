@@ -15,13 +15,17 @@ fall back to classic resampling, keeping the filter's inputs dominated by
 verified actions. Compensation is only taken when the first rejection lands
 in the first draft round, so a compensated slice never pays more than one
 verify call.
+
+``run_episode`` decodes a whole episode in one of the three ``MODES``
+(strict ``naive``, static-threshold ``fixed_relaxed``, adaptive ``kerv``)
+and reads its engine parameters straight from the run's ``RunConfig``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from . import threshold as threshold_mod
 from .codec import (
@@ -36,9 +40,12 @@ from .codec import (
     token_distance,
     token_to_action,
 )
-from .kinematics import KfBank, KfParams, KinVar, accumulate_kvar, kin_variability
+from .kinematics import KfBank, KinVar, accumulate_kvar, kin_variability
 from .threshold import ThresholdState
 from .trace import EpisodeTrace, SliceRecord
+
+if TYPE_CHECKING:  # config imports this module for MODES
+    from .config import RunConfig
 
 EXACT = "exact"
 RELAXED = "relaxed"
@@ -48,6 +55,7 @@ SRC_DRAFT = "draft"
 SRC_VERIFY = "verify_corrected"
 SRC_KF = "kf"
 
+# the decoding policies, in report order
 MODES = ("naive", "fixed_relaxed", "kerv")
 
 
@@ -233,57 +241,46 @@ def accepted_error_kvar(outcomes: Sequence[AcceptanceOutcome], key: NormKey) -> 
     return kin_variability(ActionSlice(tuple(correct)), ActionSlice(tuple(erroneous)))
 
 
-@dataclass
-class EngineConfig:
-    """Per-episode decoding configuration.
+def run_episode(
+    env,
+    draft: DraftOracle,
+    verify: VerifyOracle,
+    cfg: RunConfig,
+    mode: str,
+    threshold_state: ThresholdState | None = None,
+) -> EpisodeTrace:
+    """Decode slices in ``mode`` until the environment terminates; record
+    everything.
 
-    mode selects the acceptance policy: ``naive`` is strict speculative
-    decoding (r = 0, no compensation), ``fixed_relaxed`` uses a static
-    threshold with classic resampling, ``kerv`` runs the adaptive threshold
-    controller plus Kalman compensation.
-    """
-
-    mode: str = "kerv"
-    depth: int = 4
-    fixed_r: float = 9.0
-    cooldown_n: int = 4
-    p_source: str = "verify"
-    kf_pl: int = 1
-    ac: int = 10
-    kf_params: KfParams = field(default_factory=KfParams)
-    key: NormKey = field(default_factory=NormKey)
-    threshold_state: ThresholdState | None = None
-    threshold_mode: str = "rectified"
-
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise EngineError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.mode == "kerv" and self.threshold_state is None:
-            raise EngineError("kerv mode needs a threshold state (see threshold.lookup)")
-        if self.cooldown_n < 0:
-            raise EngineError(f"cooldown must be >= 0, got {self.cooldown_n}")
-
-
-def run_episode(env, draft: DraftOracle, verify: VerifyOracle, cfg: EngineConfig) -> EpisodeTrace:
-    """Decode slices until the environment terminates; record everything.
+    ``mode`` is one of ``MODES``: ``naive`` is strict speculative decoding
+    (r = 0, no compensation), ``fixed_relaxed`` accepts within the static
+    ``cfg.fixed_r`` and resamples classically, ``kerv`` walks r from
+    ``threshold_state`` (required) with ``cfg.threshold_mode`` updates and
+    compensates from a filter bank. The engine reads ``cfg.depth``,
+    ``cfg.fixed_r``, ``cfg.comp_n`` (cooldown slices), ``cfg.p_source``,
+    ``cfg.pl``, ``cfg.ac``, ``cfg.kf_params`` and ``cfg.key``.
 
     The environment must be freshly reset and expose ``state`` (with
     ``done``/``succeeded``/``t``/``deviation``), ``step(actions)``, and
     metadata attributes (``suite``, ``kind``, ``robot``, ``trial``,
     ``seed``, ``plan_steps``).
     """
+    if mode not in MODES:
+        raise EngineError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if mode == "kerv" and threshold_state is None:
+        raise EngineError("kerv mode needs a threshold state (see threshold.lookup)")
     # only kerv compensates, so only kerv feeds and reads a filter bank
-    bank = KfBank(cfg.kf_params, ac=cfg.ac) if cfg.mode == "kerv" else None
+    bank = KfBank(cfg.kf_params, ac=cfg.ac) if mode == "kerv" else None
     kv = KinVar()
-    tstate = cfg.threshold_state
+    tstate = threshold_state
     cooldown = 0
     comp_events = 0
     records: list[SliceRecord] = []
 
     while not env.state.done:
-        if cfg.mode == "naive":
+        if mode == "naive":
             r_now = 0.0
-        elif cfg.mode == "fixed_relaxed":
+        elif mode == "fixed_relaxed":
             r_now = float(cfg.fixed_r)
         else:
             assert tstate is not None
@@ -298,7 +295,7 @@ def run_episode(env, draft: DraftOracle, verify: VerifyOracle, cfg: EngineConfig
             compensation_enabled=allow_comp,
             bank=bank,
             key=cfg.key,
-            kf_pl=cfg.kf_pl,
+            kf_pl=cfg.pl,
             p_source=cfg.p_source,
         )
         step_index = env.state.t
@@ -306,13 +303,13 @@ def run_episode(env, draft: DraftOracle, verify: VerifyOracle, cfg: EngineConfig
 
         kstep = accepted_error_kvar(result.outcomes, cfg.key)
         kv = accumulate_kvar(kv, kstep)
-        if cfg.mode == "kerv":
+        if mode == "kerv":
             assert tstate is not None
             tstate = threshold_mod.adjust(tstate, kstep, cfg.threshold_mode)
 
         if result.comp_fired:
             comp_events += 1
-            cooldown = cfg.cooldown_n
+            cooldown = cfg.comp_n
         elif cooldown > 0:
             cooldown -= 1
 
@@ -341,7 +338,7 @@ def run_episode(env, draft: DraftOracle, verify: VerifyOracle, cfg: EngineConfig
     return EpisodeTrace(
         suite=getattr(env, "suite", ""),
         kind=getattr(env, "kind", ""),
-        mode=cfg.mode,
+        mode=mode,
         robot=getattr(env, "robot", ""),
         trial=getattr(env, "trial", 0),
         seed=getattr(env, "seed", 0),

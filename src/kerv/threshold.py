@@ -41,7 +41,7 @@ from .trace import EpisodeTrace, write_text_atomic
 
 DEFAULT_R_MAX = 15.0
 DEFAULT_R_MIN = 5.0
-MODES = ("literal", "rectified")
+ADJUST_MODES = ("literal", "rectified")
 
 # candidate (tau, phi) pairs; large tau exploits the state-dependent
 # variability scale (big deltas near r_max, small ones near r_min) to bias
@@ -96,7 +96,7 @@ def step_r(
     kvar_ref: float,
     mode: str,
 ) -> tuple[float, float, bool, bool]:
-    """One controller update on plain floats; ``mode`` must be in ``MODES``.
+    """One controller update on plain floats; ``mode`` must be in ``ADJUST_MODES``.
 
     Returns ``(r, dr, frozen, degenerate)``: the new threshold, the raw
     update before clamping (0.0 when nothing moved), the literal-mode freeze
@@ -134,7 +134,7 @@ def step_r(
 
 def adjust(state: ThresholdState, kvar_step: float, mode: str = "rectified") -> ThresholdState:
     """Advance the controller one step given the step's kinematic variability."""
-    if mode not in MODES:
+    if mode not in ADJUST_MODES:
         raise ThresholdConfigError(f"unknown adjustment mode {mode!r}")
     if not (math.isfinite(kvar_step) and kvar_step >= 0):
         raise ThresholdConfigError(f"kvar_step must be finite and >= 0, got {kvar_step!r}")
@@ -223,13 +223,19 @@ class CalibrationTable:
         for rec in reader:
             if not rec:
                 continue
+            where = f"calibration table line {reader.line_num}"
+            if len(rec) != len(cls.HEADER):
+                raise ThresholdConfigError(
+                    f"{where}: expected {len(cls.HEADER)} fields, got {len(rec)}"
+                )
             task, robot = rec[0], rec[1]
-            tau, phi, r_max, r_min, kvar_ref, sr, steps = map(float, rec[2:9])
-            table.put(
-                task,
-                robot,
-                CalibrationRow(tau, phi, r_max, r_min, kvar_ref, sr, steps),
-            )
+            if (task, robot) in table.rows:
+                raise ThresholdConfigError(f"{where}: second row for ({task!r}, {robot!r})")
+            try:
+                row = CalibrationRow(*map(float, rec[2:]))
+            except ValueError as exc:
+                raise ThresholdConfigError(f"{where}: {exc}") from None
+            table.put(task, robot, row)
         return table
 
     @classmethod
@@ -356,7 +362,7 @@ def calibrate(
     so the scores equal those of a per-slice ``adjust`` replay bit for bit.
     ``mode`` and the r bounds are checked before any replay.
     """
-    if mode not in MODES:
+    if mode not in ADJUST_MODES:
         raise ThresholdConfigError(f"unknown adjustment mode {mode!r}")
     if not (r_max > r_min >= 0):
         raise ThresholdConfigError(f"need r_max > r_min >= 0, got r_max={r_max}, r_min={r_min}")

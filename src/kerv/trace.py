@@ -10,9 +10,11 @@ and the step's threshold, variability, and call counters.
 The summary line is required: ``loads`` rejects a stream without one, with
 a second header, with a record after the summary, or whose slice count
 differs from the summary's ``steps``, so a truncated file never reaches
-the metrics. Traces and calibration tables are written atomically (a
-temporary file in the target directory, then ``os.replace``), so a reader
-sees the old file or the whole new one.
+the metrics. A line that is not a JSON object, or a header, record or
+summary missing a field, is rejected with its line number. Traces and
+calibration tables are written atomically (a temporary file in the target
+directory, then ``os.replace``), so a reader sees the old file or the whole
+new one.
 """
 
 from __future__ import annotations
@@ -134,34 +136,39 @@ def loads(text: str) -> EpisodeTrace:
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise TraceError(f"line {lineno}: not a JSON record ({exc})") from None
+        if not isinstance(obj, dict):
+            raise TraceError(f"line {lineno}: not a JSON object")
         if summarized:
             raise TraceError(f"line {lineno}: record after the summary line")
-        if "episode" in obj:
-            if trace is not None:
-                raise TraceError(f"line {lineno}: second episode header")
-            m = obj["episode"]
-            trace = EpisodeTrace(
-                suite=m["suite"],
-                kind=m["kind"],
-                mode=m["mode"],
-                robot=m["robot"],
-                trial=m["trial"],
-                seed=m["seed"],
-            )
-        elif "summary" in obj:
-            if trace is None:
-                raise TraceError(f"line {lineno}: summary before episode header")
-            s = obj["summary"]
-            trace.success = s["success"]
-            trace.steps = s["steps"]
-            trace.deviation = s["deviation"]
-            trace.plan_steps = s["plan_steps"]
-            trace.comp_events = s["comp_events"]
-            summarized = True
-        else:
-            if trace is None:
-                raise TraceError(f"line {lineno}: slice record before episode header")
-            trace.slices.append(_record_from_dict(obj))
+        try:
+            if "episode" in obj:
+                if trace is not None:
+                    raise TraceError(f"line {lineno}: second episode header")
+                m = obj["episode"]
+                trace = EpisodeTrace(
+                    suite=m["suite"],
+                    kind=m["kind"],
+                    mode=m["mode"],
+                    robot=m["robot"],
+                    trial=m["trial"],
+                    seed=m["seed"],
+                )
+            elif "summary" in obj:
+                if trace is None:
+                    raise TraceError(f"line {lineno}: summary before episode header")
+                s = obj["summary"]
+                trace.success = s["success"]
+                trace.steps = s["steps"]
+                trace.deviation = s["deviation"]
+                trace.plan_steps = s["plan_steps"]
+                trace.comp_events = s["comp_events"]
+                summarized = True
+            else:
+                if trace is None:
+                    raise TraceError(f"line {lineno}: slice record before episode header")
+                trace.slices.append(_record_from_dict(obj))
+        except KeyError as exc:
+            raise TraceError(f"line {lineno}: record has no {exc.args[0]!r} field") from None
     if trace is None:
         raise TraceError("empty trace stream")
     if not summarized:

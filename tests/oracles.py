@@ -15,7 +15,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from kerv.codec import token_to_action
-from kerv.threshold import MODES, ThresholdConfigError, ThresholdState
+from kerv.threshold import ADJUST_MODES, ThresholdConfigError, ThresholdState
 
 
 def matrix_kf_predict(observations, params, horizon=1):
@@ -42,6 +42,24 @@ def matrix_kf_predict(observations, params, horizon=1):
         x = x + K @ (np.array([[z]]) - H @ x)
         P = (np.eye(2) - K @ H) @ P
     return float(x[0, 0] + horizon * dt * x[1, 0])
+
+
+def expected_verify_calls(q, depth, n=7):
+    """Closed-form expected verify calls per slice under strict acceptance.
+
+    Each round drafts ``m = min(depth, k)`` of the ``k`` open positions and
+    verifies them in one call; every position misses independently with
+    probability ``q``. A first miss at offset ``i`` (probability
+    ``q(1-q)**i``) is replaced by the verifier's token, leaving
+    ``k - i - 1`` positions; a clean round leaves ``k - m``:
+    ``f(k) = 1 + sum_{i<m} q(1-q)**i f(k-i-1) + (1-q)**m f(k-m)``, ``f(0) = 0``.
+    """
+    f = [0.0] * (n + 1)
+    for k in range(1, n + 1):
+        m = min(depth, k)
+        misses = sum(q * (1 - q) ** i * f[k - i - 1] for i in range(m))
+        f[k] = 1.0 + misses + (1 - q) ** m * f[k - m]
+    return f[n]
 
 
 def mc_first_error_position(q_err, n_positions=7, samples=1_000_000, seed=0):
@@ -91,7 +109,7 @@ def reference_draft_ids(truth_ids, noise, task_seed, t, vocab_size):
 
 def reference_adjust(state, kvar_step, mode="rectified"):
     """One controller step, each outcome built with ``dataclasses.replace``."""
-    if mode not in MODES:
+    if mode not in ADJUST_MODES:
         raise ThresholdConfigError(f"unknown adjustment mode {mode!r}")
     if not (math.isfinite(kvar_step) and kvar_step >= 0):
         raise ThresholdConfigError(f"kvar_step must be finite and >= 0, got {kvar_step!r}")

@@ -25,7 +25,7 @@ from kerv.simenv import KINDS, build_plan, make_task
 from kerv.specdec import SRC_KF, decode_slice_sd
 from kerv.threshold import ThresholdState, adjust
 
-from oracles import matrix_kf_predict, mc_first_error_position
+from oracles import expected_verify_calls, matrix_kf_predict, mc_first_error_position
 
 KEY = NormKey()
 
@@ -171,6 +171,40 @@ def test_c04_afep_matches_monte_carlo_oracle():
     dt = time.perf_counter() - t0
     assert dt < 60.0
     _report(4, f"strict-acceptance AFEP within 2% of Monte-Carlo oracle at q=0.2/0.4/0.6 ({dt:.1f}s)")
+
+
+def test_c04_strict_verify_calls_match_closed_form(bench_cfg):
+    # a draft miss always lands on another token (corrupt_slice mirrors an
+    # offset the vocabulary edge would cancel), so under r = 0 each position
+    # is rejected with probability exactly q_err
+    assert expected_verify_calls(0.0, 3) == 3.0  # ceil(7 / 3) clean rounds
+    assert expected_verify_calls(1.0, 4) == 7.0  # one call per position
+    assert expected_verify_calls(0.48, 4) == pytest.approx(4.0233, abs=1e-4)
+    t0 = time.perf_counter()
+    goal = bench_cfg.suite("goal")
+    checked = []
+    for q in (0.2, 0.48):
+        for depth in (1, 4, 7):
+            cfg = replace(bench_cfg, depth=depth, noise=replace(bench_cfg.noise, q_err=q))
+            calls = np.array(
+                [
+                    rec.verify_calls
+                    for trial in range(40)
+                    for rec in run_one_episode(cfg, goal, "naive", trial, None).slices
+                ],
+                dtype=float,
+            )
+            expected = expected_verify_calls(q, depth)
+            se = calls.std(ddof=1) / math.sqrt(len(calls))
+            # depth 1 always takes 7 calls: se is 0 and only rounding remains
+            assert calls.mean() == pytest.approx(expected, rel=1e-12, abs=4 * se), (
+                f"q={q} depth={depth}: mean {calls.mean():.4f} over {len(calls)} slices, "
+                f"closed form {expected:.4f}, se {se:.4f}"
+            )
+            checked.append(f"q={q}/d={depth}: {calls.mean():.3f} vs {expected:.3f}")
+    dt = time.perf_counter() - t0
+    assert dt < 60.0
+    _report(4, f"strict verify calls/slice within 4 SE of closed form ({'; '.join(checked)}) ({dt:.1f}s)")
 
 
 # --- 5. compensation cost bound ----------------------------------------------
@@ -345,8 +379,6 @@ def test_c11_reports_and_traces_byte_identical(bench_cfg, calib_table, tmp_path)
     for rel in sorted(
         p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*") if p.is_file()
     ):
-        if rel.name == "wallclock.txt":  # measured timings are not reproducible
-            continue
         a = (tmp_path / "a" / rel).read_bytes()
         b = (tmp_path / "b" / rel).read_bytes()
         assert a == b, f"{rel} differs between identical runs"

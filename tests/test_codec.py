@@ -104,21 +104,6 @@ def test_norm_key_validation():
         NormKey(vocab_size=1)
 
 
-def test_norm_key_parse_and_file(tmp_path):
-    text = "\n".join(
-        ["vocab_size = 128", "dof0 = -2, 2", "dof6 = 0,1", "# comment", "kf.dt = 1.0"]
-    )
-    key = NormKey.parse(text)
-    assert key.vocab_size == 128
-    assert key.lo[0] == -2.0 and key.hi[0] == 2.0
-    assert key.lo[6] == 0.0 and key.hi[6] == 1.0
-    assert key.lo[3] == -1.0  # absent DoF defaults
-
-    path = tmp_path / "key.cfg"
-    path.write_text(text)
-    assert NormKey.from_file(path) == key
-
-
 def test_gripper_snap():
     key = NormKey()
     low, hold, high = gripper_tokens(key)

@@ -5,13 +5,13 @@ threshold modes.
 
 The pins were computed once and are never regenerated to make a change
 pass: a refactor or speed-up that moves any of them has changed what the
-simulator decodes. ``wallclock.txt`` holds measured timings and is not
-pinned.
+simulator decodes. Every file a run emits is pinned.
 """
 
 import hashlib
 
-from kerv.harness import MODE_ORDER, emit_results, run_suite
+from kerv.harness import emit_results, run_suite
+from kerv.specdec import MODES
 from kerv.threshold import DEFAULT_GRID, calibrate
 
 GOLDEN_TRIALS = 2
@@ -39,7 +39,7 @@ def _tree_digest(root):
 
 def test_golden_digests(bench_cfg, calib_table, tmp_path):
     report, traces = run_suite(
-        bench_cfg, modes=MODE_ORDER, trials=GOLDEN_TRIALS, table=calib_table
+        bench_cfg, modes=MODES, trials=GOLDEN_TRIALS, table=calib_table
     )
     emit_results(report, traces, tmp_path)
     got = {

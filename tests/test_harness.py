@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from kerv import cli
-from kerv.config import ConfigError, CostModel, default_config, default_config_text, loads
+from kerv.config import ConfigError, CostModel, default_config, default_config_text, load, loads
 from kerv.harness import (
     SuiteReport,
     afep,
@@ -126,6 +126,54 @@ def test_config_validates_threshold_at_load(lines):
         loads(default_config_text() + lines)
 
 
+@pytest.mark.parametrize(
+    "lines, match",
+    [
+        ("sd.depth = 9", "sd.depth"),
+        ("sd.depth = 0", "sd.depth"),
+        ("comp.p_source = foo", "comp.p_source"),
+        ("kf.ac = 0", "kf.ac"),
+        ("kf.pl = 0", "kf.pl"),
+        ("comp.n = -1", "comp.n"),
+        ("threshold.fixed_r = -1", "threshold.fixed_r"),
+        ("run.modes = naive,greedy", "greedy"),
+        ("suite.goal.trials = many", "suite.goal.trials"),
+        ("suite.goal.seed_base = 1.5", "suite.goal.seed_base"),
+        ("threshold.tau = 1.0", "threshold.tau"),
+        ("threshold.phi = 1.0", "threshold.phi"),
+        ("vocab_size = 128", "vocab_size"),
+    ],
+)
+def test_config_validates_engine_values_at_load(lines, match):
+    with pytest.raises(ConfigError, match=match):
+        loads(default_config_text() + lines)
+
+
+def test_config_validates_values_set_by_replace():
+    cfg = default_config()
+    for kw in ({"depth": 8}, {"comp_n": -2}, {"fixed_r": float("nan")}, {"pl": 0}):
+        with pytest.raises(ConfigError):
+            replace(cfg, **kw)
+
+
+def test_config_norm_key_loads_and_load(tmp_path):
+    text = "\n".join(
+        ["codec.vocab_size = 128", "dof0 = -2, 2", "dof6 = 0,1", "# comment", "kf.dt = 1.0"]
+    )
+    key = loads(text).key
+    assert key.vocab_size == 128
+    assert key.lo[0] == -2.0 and key.hi[0] == 2.0
+    assert key.lo[6] == 0.0 and key.hi[6] == 1.0
+    assert key.lo[3] == -1.0 and key.hi[3] == 1.0  # absent DoF defaults
+
+    path = tmp_path / "key.cfg"
+    path.write_text(text)
+    assert load(path) == loads(text)
+
+    with pytest.raises(ConfigError, match="dof3"):
+        loads(text + "\ndof3 = 1\n")
+
+
 def test_config_threshold_zero_floor_and_literal_mode_load():
     cfg = loads(default_config_text() + "threshold.mode = literal\nthreshold.r_min = 0\n")
     assert cfg.threshold_mode == "literal" and cfg.r_min == 0.0
@@ -187,7 +235,6 @@ def test_emit_results_and_cost_accounting_roundtrip(tmp_path, small_cfg):
     out = tmp_path / "res"
     emit_results(report, traces, out)
     assert (out / "report.txt").exists()
-    assert (out / "wallclock.txt").exists()
     files = sorted(p.name for p in (out / "traces").glob("*.jsonl"))
     assert files == [
         "goal_fixed_relaxed_0000.jsonl",

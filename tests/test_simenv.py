@@ -20,7 +20,8 @@ from kerv.simenv import (
     oracle_policy,
     step,
 )
-from kerv.specdec import MODES, EngineConfig, run_episode
+from kerv.config import RunConfig
+from kerv.specdec import MODES, run_episode
 from kerv.threshold import ThresholdState
 
 from oracles import reference_draft_ids
@@ -265,12 +266,9 @@ def test_corruption_at_vocabulary_edges_matches_reference(q_err, max_offset):
 
 def _episode(spec, mode):
     env = SimEnv(spec, suite="t")
-    kw = {"mode": mode}
-    if mode == "kerv":
-        kw["threshold_state"] = ThresholdState(kvar_ref=0.08, tau=1.0, phi=0.7)
-    return run_episode(
-        env, NoisyDrafter(env, DraftNoiseModel(seed=9)), PlanVerifier(env), EngineConfig(**kw)
-    )
+    tstate = ThresholdState(kvar_ref=0.08, tau=1.0, phi=0.7) if mode == "kerv" else None
+    draft = NoisyDrafter(env, DraftNoiseModel(seed=9))
+    return run_episode(env, draft, PlanVerifier(env), RunConfig(), mode, tstate)
 
 
 @pytest.mark.parametrize("mode", MODES)

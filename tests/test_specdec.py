@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from kerv import specdec
 from kerv.codec import ActionSlice, NormKey, decode_slice, token_to_action
+from kerv.config import RunConfig
 from kerv.kinematics import KfBank, KfParams
 from kerv.simenv import DraftNoiseModel, NoisyDrafter, PlanVerifier, SimEnv, make_task
 from kerv.specdec import (
@@ -19,7 +20,6 @@ from kerv.specdec import (
     SRC_KF,
     SRC_VERIFY,
     MODES,
-    EngineConfig,
     EngineError,
     MissingContextError,
     accepted_error_kvar,
@@ -286,11 +286,8 @@ def _episode(mode, seed=5, kind="pick_place", **cfg_kw):
     env = SimEnv(spec, suite="t", trial=0)
     draft = NoisyDrafter(env, DraftNoiseModel(seed=9))
     verify = PlanVerifier(env)
-    kw = dict(mode=mode)
-    if mode == "kerv":
-        kw["threshold_state"] = ThresholdState(kvar_ref=0.08, tau=1.0, phi=0.7)
-    kw.update(cfg_kw)
-    return run_episode(env, draft, verify, EngineConfig(**kw))
+    tstate = ThresholdState(kvar_ref=0.08, tau=1.0, phi=0.7) if mode == "kerv" else None
+    return run_episode(env, draft, verify, RunConfig(**cfg_kw), mode, tstate)
 
 
 def test_cooldown_blocks_compensation_for_n_slices():
@@ -324,8 +321,13 @@ def test_fixed_mode_uses_static_threshold():
 
 
 def test_kerv_requires_threshold_state():
+    spec = make_task("reach", 5)
+    env = SimEnv(spec, suite="t", trial=0)
+    draft, verify = NoisyDrafter(env, DraftNoiseModel(seed=9)), PlanVerifier(env)
     with pytest.raises(EngineError):
-        EngineConfig(mode="kerv")
+        run_episode(env, draft, verify, RunConfig(), "kerv")
+    with pytest.raises(EngineError):
+        run_episode(env, draft, verify, RunConfig(), "greedy")
 
 
 def test_episode_trace_is_deterministic():

@@ -164,6 +164,25 @@ def test_table_rejects_bad_header():
         CalibrationTable.loads("nope,nope\n")
 
 
+_HEADER_LINE = "task,robot,tau,phi,r_max,r_min,kvar_ref,sr,steps\n"
+_ROW = "goal,sim7dof,1.0,0.7,15.0,5.0,0.08,0.75,96.5\n"
+
+
+def test_table_rejects_short_row():
+    with pytest.raises(ThresholdConfigError, match="line 3: expected 9 fields, got 2"):
+        CalibrationTable.loads(_HEADER_LINE + _ROW + "long,sim7dof\n")
+
+
+def test_table_rejects_non_numeric_field():
+    with pytest.raises(ThresholdConfigError, match="line 2"):
+        CalibrationTable.loads(_HEADER_LINE + _ROW.replace("0.7", "wide"))
+
+
+def test_table_rejects_duplicate_key():
+    with pytest.raises(ThresholdConfigError, match="second row for \\('goal', 'sim7dof'\\)"):
+        CalibrationTable.loads(_HEADER_LINE + _ROW + _ROW.replace("1.0", "2.0", 1))
+
+
 def _trace(suite, kvar_steps, pairs, success=True, steps=None):
     """Minimal trace: one slice per kvar value, with given (draft, true) pairs."""
     slices = []

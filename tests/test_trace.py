@@ -105,6 +105,23 @@ def test_malformed_line_is_trace_error():
         loads(lines[0] + lines[1][: len(lines[1]) // 2] + "\n" + "".join(lines[2:]))
 
 
+def test_record_missing_a_field_is_trace_error():
+    lines = _episode_text().splitlines(keepends=True)
+    with pytest.raises(TraceError, match="line 2: record has no 'draft_ids' field"):
+        loads(lines[0] + '{"step": 0}\n' + "".join(lines[2:]))
+    summary = lines[-1].replace('"comp_events": 0, ', "")
+    assert summary != lines[-1]
+    with pytest.raises(TraceError, match="line 5: record has no 'comp_events' field"):
+        loads("".join(lines[:-1]) + summary)
+
+
+def test_non_object_line_is_trace_error():
+    lines = _episode_text().splitlines(keepends=True)
+    for line in ("[1, 2]\n", '"episode"\n', "7\n"):
+        with pytest.raises(TraceError, match="line 2: not a JSON object"):
+            loads(lines[0] + line + "".join(lines[1:]))
+
+
 def test_save_replaces_atomically_and_leaves_no_temporary(tmp_path):
     trace = loads(_episode_text())
     path = tmp_path / "goal_naive_0000.jsonl"
