@@ -84,10 +84,6 @@ class NormKey:
             if self.lo[dof] >= self.hi[dof]:
                 raise CodecError(f"dof{dof} range needs lo < hi")
 
-    def bin_width(self, dof: int) -> float:
-        _check_dof(dof)
-        return (self.hi[dof] - self.lo[dof]) / self.vocab_size
-
 
 DEFAULT_KEY = NormKey()
 

@@ -230,7 +230,8 @@ def emit_results(
         (out / "plotdata" / f"afep_hist_{stem}.txt").write_text("\n".join(h_lines) + "\n")
 
 
-SWEEP_PARAMS = ("n", "ac", "pl", "r")
+# sweep parameter -> the RunConfig field it sets
+SWEEP_PARAMS = {"n": "comp_n", "ac": "ac", "pl": "pl", "r": "fixed_r"}
 
 
 @dataclass(frozen=True)
@@ -257,21 +258,18 @@ def sweep(
     """Hyperparameter sweep: n / ac / pl vary the adaptive mode, r varies the
     static relaxed threshold."""
     if param not in SWEEP_PARAMS:
-        raise ConfigError(f"sweep param must be one of {SWEEP_PARAMS}, got {param!r}")
+        raise ConfigError(f"sweep param must be one of {tuple(SWEEP_PARAMS)}, got {param!r}")
+    if param == "r":
+        mode, cast = "fixed_relaxed", float
+    else:
+        mode, cast = "kerv", int
+        bad = [v for v in values if not float(v).is_integer()]
+        if bad:
+            raise ConfigError(f"sweep {param} takes integer values, got {bad}")
+    # every value is checked by RunConfig before any episode runs
+    run_cfgs = [replace(cfg, **{SWEEP_PARAMS[param]: cast(v)}) for v in values]
     rows: list[SweepRow] = []
-    for value in values:
-        if param == "n":
-            run_cfg = replace(cfg, comp_n=int(value))
-            mode = "kerv"
-        elif param == "ac":
-            run_cfg = replace(cfg, ac=int(value))
-            mode = "kerv"
-        elif param == "pl":
-            run_cfg = replace(cfg, pl=int(value))
-            mode = "kerv"
-        else:
-            run_cfg = replace(cfg, fixed_r=float(value))
-            mode = "fixed_relaxed"
+    for value, run_cfg in zip(values, run_cfgs):
         report, _ = run_suite(
             run_cfg, modes=(mode,), suites=suites, trials=trials, table=table
         )

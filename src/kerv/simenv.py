@@ -1,8 +1,10 @@
 """Synthetic 7-DoF tasks and the token oracles that drive them.
 
 A task is a smooth spline trajectory through random waypoints; the plan is
-the trajectory quantized onto the token grid step by step, so replaying the
-plan's own tokens reproduces it exactly. The verify oracle is a
+the trajectory quantized onto the token grid step by step. The plan build,
+the verify oracle and the env step share one tracking rule (``_track``) and
+one pose update (``_advance``), so replaying the plan's own tokens
+reproduces it exactly. The verify oracle is a
 plan-tracking feedback policy (it re-targets the plan from the current
 pose, so one-off action errors are corrected on the next slice); the draft
 oracle corrupts the verify oracle's tokens with per-position noise whose
@@ -208,44 +210,56 @@ def _plan_for(
     ts = np.arange(total + 1, dtype=float)
 
     motion = CubicSpline(t_way, way[:, :GRIPPER_DOF], axis=0, bc_type="clamped")(ts)
-    # target gripper state at time t: the state of the last waypoint reached
     way_idx = np.searchsorted(t_way, ts, side="right") - 1
-    grip_state = way[way_idx, GRIPPER_DOF]
 
-    poses = np.empty((total + 1, N_DOF))
-    actions = np.empty((total, N_DOF))
-    tokens = np.empty((total, N_DOF), dtype=int)
-    poses[0, :GRIPPER_DOF] = motion[0]
-    poses[0, GRIPPER_DOF] = grip_state[0]
-    for t in range(total):
-        for dof in range(GRIPPER_DOF):
-            desired = motion[t + 1, dof] - poses[t, dof]
-            desired = min(max(desired, key.lo[dof]), key.hi[dof])
-            tok = action_to_token(desired, dof, key)
-            val = token_to_action(tok, dof, key)
-            tokens[t, dof] = tok
-            actions[t, dof] = val
-            poses[t + 1, dof] = poses[t, dof] + val
-        impulse = grip_state[t + 1] if grip_state[t + 1] != poses[t, GRIPPER_DOF] else 0.0
-        tok = action_to_token(impulse, GRIPPER_DOF, key)
-        tokens[t, GRIPPER_DOF] = tok
-        actions[t, GRIPPER_DOF] = token_to_action(tok, GRIPPER_DOF, key)
-        poses[t + 1, GRIPPER_DOF] = (
-            grip_state[t + 1] if abs(actions[t, GRIPPER_DOF]) > GRIPPER_FLIP_LEVEL
-            else poses[t, GRIPPER_DOF]
-        )
+    # the pose the plan tracks at each time: the spline's motion channels and
+    # the gripper state of the last waypoint reached
+    targets = np.column_stack([motion, way[way_idx, GRIPPER_DOF]]).tolist()
+    pose = targets[0]
+    poses, actions, tokens = [pose], [], []
+    for target in targets[1:]:
+        ids = _track(target, pose, key)
+        values = [token_to_action(tok, dof, key) for dof, tok in enumerate(ids)]
+        pose = _advance(pose, values)
+        poses.append(pose)
+        actions.append(values)
+        tokens.append(ids)
+    actions = np.array(actions)
 
     path_length = float(np.abs(actions[:, :GRIPPER_DOF]).sum())
     return Plan(
-        poses=poses,
+        poses=np.array(poses),
         actions=actions,
-        tokens=tokens,
+        tokens=np.array(tokens, dtype=int),
         path_length=path_length,
         deviation_budget=DEVIATION_BUDGET_FRAC * path_length,
     )
 
 
 build_plan.cache_clear = _plan_for.cache_clear
+
+
+def _track(target, pose, key: NormKey) -> list[int]:
+    """Tokens that move ``pose`` toward ``target``: each motion DoF's gap,
+    clamped to the action range, and a gripper impulse to the target's state
+    when it differs from the pose's."""
+    ids = []
+    for dof in range(GRIPPER_DOF):
+        desired = min(max(target[dof] - pose[dof], key.lo[dof]), key.hi[dof])
+        ids.append(action_to_token(desired, dof, key))
+    impulse = target[GRIPPER_DOF] if target[GRIPPER_DOF] != pose[GRIPPER_DOF] else 0.0
+    ids.append(action_to_token(impulse, GRIPPER_DOF, key))
+    return ids
+
+
+def _advance(pose, values) -> list[float]:
+    """The pose after one slice of action values: the motion DoFs add their
+    values, and the gripper latches to the command's sign once the command
+    passes ``GRIPPER_FLIP_LEVEL``."""
+    new = [p + v for p, v in zip(pose[:GRIPPER_DOF], values)]
+    g_cmd = values[GRIPPER_DOF]
+    new.append(math.copysign(1.0, g_cmd) if abs(g_cmd) > GRIPPER_FLIP_LEVEL else pose[GRIPPER_DOF])
+    return new
 
 
 def oracle_policy(state: EnvState, spec: TaskSpec, key: NormKey = DEFAULT_KEY) -> TokenSlice:
@@ -255,14 +269,7 @@ def oracle_policy(state: EnvState, spec: TaskSpec, key: NormKey = DEFAULT_KEY) -
         raise EnvStateError("environment is done; no further actions")
     plan = build_plan(spec, key)
     target = plan.poses[min(state.t + 1, plan.steps)]
-    ids = []
-    for dof in range(GRIPPER_DOF):
-        desired = target[dof] - state.pose[dof]
-        desired = min(max(desired, key.lo[dof]), key.hi[dof])
-        ids.append(action_to_token(desired, dof, key))
-    impulse = target[GRIPPER_DOF] if target[GRIPPER_DOF] != state.pose[GRIPPER_DOF] else 0.0
-    ids.append(action_to_token(impulse, GRIPPER_DOF, key))
-    return TokenSlice(tuple(ids))
+    return TokenSlice(tuple(_track(target, state.pose, key)))
 
 
 def draft_policy(
@@ -319,12 +326,7 @@ def step(
             # non-finite command aborts the episode as a failure
             return replace(state, done=True, succeeded=False)
     plan = build_plan(spec, key)
-    pose = list(state.pose)
-    for dof in range(GRIPPER_DOF):
-        pose[dof] += actions.values[dof]
-    g_cmd = actions.values[GRIPPER_DOF]
-    if abs(g_cmd) > GRIPPER_FLIP_LEVEL:
-        pose[GRIPPER_DOF] = math.copysign(1.0, g_cmd)
+    pose = _advance(state.pose, actions.values)
 
     t = state.t + 1
     ref = plan.poses[min(t, plan.steps)]
@@ -369,22 +371,15 @@ class SimEnv:
         self.seed = spec.seed
         self.plan = build_plan(spec, key)
         self.plan_steps = self.plan.steps
-        self.state = self._initial_state()
-        self._truth_state: EnvState | None = None
-        self._truth: TokenSlice | None = None
-
-    def _initial_state(self) -> EnvState:
-        return EnvState(
+        self.state = EnvState(
             pose=tuple(float(x) for x in self.plan.poses[0]),
             t=0,
             deviation=0.0,
             done=False,
             succeeded=False,
         )
-
-    def reset(self) -> EnvState:
-        self.state = self._initial_state()
-        return self.state
+        self._truth_state: EnvState | None = None
+        self._truth: TokenSlice | None = None
 
     def step(self, actions: ActionSlice) -> EnvState:
         self.state = step(self.state, actions, self.spec, self.key)

@@ -232,9 +232,16 @@ class CalibrationTable:
             if (task, robot) in table.rows:
                 raise ThresholdConfigError(f"{where}: second row for ({task!r}, {robot!r})")
             try:
-                row = CalibrationRow(*map(float, rec[2:]))
+                values = [float(v) for v in rec[2:]]
             except ValueError as exc:
                 raise ThresholdConfigError(f"{where}: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                raise ThresholdConfigError(f"{where}: every numeric field must be finite")
+            row = CalibrationRow(*values)
+            if not (row.r_max > row.r_min >= 0):
+                raise ThresholdConfigError(
+                    f"{where}: need r_max > r_min >= 0, got r_max={row.r_max}, r_min={row.r_min}"
+                )
             table.put(task, robot, row)
         return table
 

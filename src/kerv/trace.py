@@ -23,7 +23,6 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 
 class TraceError(ValueError):
@@ -191,8 +190,3 @@ def load_dir(path: str | Path) -> list[EpisodeTrace]:
     for p in sorted(Path(path).glob("*.jsonl")):
         traces.append(load(p))
     return traces
-
-
-def iter_slices(traces: Iterable[EpisodeTrace]) -> Iterable[SliceRecord]:
-    for t in traces:
-        yield from t.slices

@@ -204,3 +204,70 @@ def reference_trace_dumps(trace):
         lines.append(json.dumps(asdict(rec), sort_keys=True))
     lines.append(json.dumps({"summary": trace.summary()}, sort_keys=True))
     return "\n".join(lines) + "\n"
+
+
+def reference_default_config_text(trials=50):
+    """The hand-written default configuration that ``config.default_config``
+    replaced; every value in it is written out independently of the
+    dataclass defaults."""
+    return f"""\
+# token grid
+codec.vocab_size = 256
+dof0 = -1,1
+dof1 = -1,1
+dof2 = -1,1
+dof3 = -1,1
+dof4 = -1,1
+dof5 = -1,1
+dof6 = -1,1
+
+# kinematic predictor
+kf.process_noise = 1e-3
+kf.measurement_noise = 1e-2
+kf.initial_variance = 1.0
+kf.dt = 1.0
+kf.ac = 10
+kf.pl = 1
+
+# compensation
+comp.n = 4
+comp.p_source = verify
+
+# drafting and thresholds
+sd.depth = 4
+threshold.mode = rectified
+threshold.fixed_r = 9
+threshold.r_max = 15
+threshold.r_min = 5
+
+# latency cost model (time units per operation)
+cost.verify = 1.0
+cost.draft = 0.02
+cost.kf = 0.001
+cost.adjust = 0.0005
+cost.transfer = 0.002
+
+# draft noise
+noise.q_err = 0.48
+noise.max_offset = 60
+noise.zipf_s = 0.8
+noise.seed = 0
+
+robot = sim7dof
+run.modes = naive,fixed_relaxed,kerv
+run.seed_offset = 0
+
+# task suites
+suite.goal.kind = reach
+suite.goal.trials = {trials}
+suite.goal.seed_base = 1000
+suite.object.kind = pick_place
+suite.object.trials = {trials}
+suite.object.seed_base = 2000
+suite.spatial.kind = reach
+suite.spatial.trials = {trials}
+suite.spatial.seed_base = 3000
+suite.long.kind = long_horizon
+suite.long.trials = {trials}
+suite.long.seed_base = 4000
+"""

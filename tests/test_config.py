@@ -1,0 +1,132 @@
+"""The config schema: ``dumps``/``loads`` round trips, the defaults against
+the hand-written reference text, and the names the benchmark's tracer wraps."""
+
+import importlib
+from dataclasses import fields, is_dataclass
+from pathlib import Path
+
+import pytest
+
+from kerv import cli, harness, simenv, threshold
+from kerv.codec import NormKey
+from kerv.config import (
+    SCHEMA,
+    CostModel,
+    RunConfig,
+    SuiteConfig,
+    default_config,
+    default_config_text,
+    dumps,
+    loads,
+    parse_mapping,
+)
+from kerv.kinematics import KfParams
+from kerv.simenv import DraftNoiseModel
+from oracles import reference_default_config_text
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _every_value_changed() -> RunConfig:
+    return RunConfig(
+        key=NormKey(
+            lo=(-2.0, -1.5, -0.75, -3.0, -0.5, -2.5, -1.25),
+            hi=(2.0, 1.5, 0.75, 3.0, 0.5, 2.5, 1.25),
+            vocab_size=128,
+        ),
+        kf_params=KfParams(
+            process_noise=2e-4, measurement_noise=0.05, initial_variance=0.5, dt=0.1
+        ),
+        ac=6,
+        pl=3,
+        comp_n=2,
+        p_source="kf",
+        depth=7,
+        threshold_mode="literal",
+        table_path="tables/cal.csv",
+        fixed_r=7.5,
+        r_max=12.25,
+        r_min=0.0,
+        cost=CostModel(
+            verify_cost=0.9, draft_cost=0.03, kf_cost=0.002, adjust_cost=1e-05, transfer_cost=0.004
+        ),
+        noise=DraftNoiseModel(q_err=0.3, max_offset=40, zipf_s=1.1, seed=7),
+        robot="arm2",
+        modes=("kerv", "naive"),
+        seed_offset=11,
+        suites=(SuiteConfig("a", "pick_place", 3, 10), SuiteConfig("b", "long_horizon", 0, 20)),
+    )
+
+
+def _leaves(obj, prefix=""):
+    """(dotted field path, value) for every field, descending into value
+    objects and into the per-DoF entries of tuples of numbers."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        path = prefix + f.name
+        if is_dataclass(value):
+            yield from _leaves(value, path + ".")
+        elif isinstance(value, tuple) and value and isinstance(value[0], float):
+            yield from ((f"{path}[{i}]", v) for i, v in enumerate(value))
+        else:
+            yield path, value
+
+
+def test_dumps_roundtrips_default_config():
+    cfg = default_config()
+    assert loads(dumps(cfg)) == cfg
+    assert default_config_text(3) == dumps(default_config(3))
+
+
+def test_dumps_roundtrips_every_field_set():
+    cfg = _every_value_changed()
+    defaults = dict(_leaves(RunConfig()))
+    unchanged = [path for path, value in _leaves(cfg) if defaults[path] == value]
+    assert unchanged == []  # so a field that dumps or loads drops cannot pass
+    assert loads(dumps(cfg)) == cfg
+
+
+@pytest.mark.parametrize("trials", [50, 3])
+def test_default_config_matches_hand_written_reference(trials):
+    assert default_config(trials) == loads(reference_default_config_text(trials))
+
+
+def test_scalar_keys_unchanged():
+    ref = parse_mapping(reference_default_config_text())
+    scalar = {k for k in ref if not k.startswith(("dof", "suite."))}
+    # the reference text leaves the table path at its default, so it never names it
+    assert set(SCHEMA) == scalar | {"threshold.table"}
+    assert len(SCHEMA) == 27
+
+
+def test_later_assignment_overrides_default_text():
+    cfg = loads(default_config_text() + "threshold.table = t.csv\nrun.seed_offset = 5\n")
+    assert cfg.table_path == "t.csv" and cfg.seed_offset == 5
+
+
+def test_perfbench_trace_targets_resolve(monkeypatch):
+    """The tracer wraps attributes by looking them up in their owner's
+    ``__dict__``; a rename there breaks ``perfbench/run.py --trace 1``."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    for owner, attr, _ in spans.TARGETS:
+        assert callable(vars(owner).get(attr)), f"{owner.__name__}.{attr}"
+    assert callable(vars(threshold).get("_replay_objective"))
+    assert callable(simenv.build_plan.cache_clear)
+
+
+@pytest.mark.parametrize("param", ["n", "ac", "pl"])
+def test_cli_sweep_rejects_non_integer_values_before_running(param, tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(default_config_text(trials=1))
+    runs = []
+    monkeypatch.setattr(harness, "run_suite", lambda *a, **kw: runs.append(a))
+    out = tmp_path / "sw"
+    rc = cli.main(
+        ["sweep", "--config", str(cfg_path), "--out", str(out), "--param", param,
+         "--values", "2,1.7", "--suite", "goal", "--trials", "1"]
+    )
+    assert rc != 0
+    assert f"sweep {param} takes integer values" in capsys.readouterr().err
+    assert runs == []
+    assert not out.exists()

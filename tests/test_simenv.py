@@ -53,6 +53,17 @@ def test_plan_replay_succeeds_with_zero_deviation():
         assert env.state.t == plan.steps
 
 
+@pytest.mark.parametrize("grip_range", [(-1.0, 1.0), (0.6, 2.0)])
+def test_plan_replay_reproduces_every_pose(grip_range):
+    # with (0.6, 2.0) every gripper token decodes above the flip level
+    key = NormKey(lo=(-1.0,) * 6 + (grip_range[0],), hi=(1.0,) * 6 + (grip_range[1],))
+    env = SimEnv(make_task("pick_place", 3, key), key)
+    plan = env.plan
+    for t in range(plan.steps):
+        env.step(decode_slice(TokenSlice(tuple(int(x) for x in plan.tokens[t])), key))
+        assert env.state.pose == tuple(plan.poses[t + 1])
+
+
 def test_zero_actions_fail_at_max_steps():
     spec = make_task("reach", 5)
     env = SimEnv(spec)

@@ -183,6 +183,23 @@ def test_table_rejects_duplicate_key():
         CalibrationTable.loads(_HEADER_LINE + _ROW + _ROW.replace("1.0", "2.0", 1))
 
 
+def test_table_rejects_nan_field():
+    with pytest.raises(ThresholdConfigError, match="line 3: every numeric field must be finite"):
+        CalibrationTable.loads(_HEADER_LINE + _ROW + "long,sim7dof,nan,0.7,15.0,5.0,0.08,0.75,96.5\n")
+
+
+def test_table_rejects_infinite_kvar_ref():
+    with pytest.raises(ThresholdConfigError, match="line 2: every numeric field must be finite"):
+        CalibrationTable.loads(_HEADER_LINE + _ROW.replace("0.08", "inf"))
+
+
+@pytest.mark.parametrize("r_max, r_min", [("5.0", "5.0"), ("4.0", "5.0"), ("15.0", "-1.0")])
+def test_table_rejects_bad_r_bounds(r_max, r_min):
+    row = _ROW.replace("15.0,5.0", f"{r_max},{r_min}")
+    with pytest.raises(ThresholdConfigError, match="line 2: need r_max > r_min >= 0"):
+        CalibrationTable.loads(_HEADER_LINE + row)
+
+
 def _trace(suite, kvar_steps, pairs, success=True, steps=None):
     """Minimal trace: one slice per kvar value, with given (draft, true) pairs."""
     slices = []
