@@ -18,9 +18,9 @@ from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from pathlib import Path
 
-from .codec import N_DOF, NormKey
-from .kinematics import KfParams
-from .simenv import KINDS, DraftNoiseModel
+from .codec import N_DOF, CodecError, NormKey
+from .kinematics import KfParams, KinematicsError
+from .simenv import KINDS, DraftNoiseModel, TaskError
 from .specdec import MODES
 from .threshold import ADJUST_MODES
 
@@ -72,6 +72,7 @@ SCHEMA = {
 _KEY_OF = {path: key for key, (path, _) in SCHEMA.items()}
 _SUITE_FIELDS = {"kind": str, "trials": int, "seed_base": int}
 _DOF_RE = re.compile(r"^dof[0-6]$")
+_COMMENT_RE = re.compile(r"(^|\s)#.*")
 _SUITE_RE = re.compile(rf"^suite\.([A-Za-z0-9_]+)\.({'|'.join(_SUITE_FIELDS)})$")
 
 
@@ -160,11 +161,12 @@ class RunConfig:
 
 
 def parse_mapping(text: str) -> dict[str, str]:
-    """Parse flat ``key = value`` lines; ``#`` starts a comment and the last
-    assignment to a key wins."""
+    """Parse flat ``key = value`` lines; the last assignment to a key wins.
+    A ``#`` at the start of a line or after whitespace starts a comment; one
+    inside a value (``threshold.table = runs/#3/table.csv``) does not."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT_RE.sub("", raw, count=1).strip()
         if not line:
             continue
         if "=" not in line:
@@ -192,22 +194,37 @@ def _parse(mapping: dict[str, str], key: str, parse):
 def from_mapping(mapping: dict[str, str]) -> RunConfig:
     _validate_keys(mapping)
     base = RunConfig()
-    # parsed values by section; "" holds the top-level RunConfig fields
-    parsed: dict[str, dict] = {"": {}, "key": {}}
+    top: dict = {}  # the top-level RunConfig fields
+    # the value objects, set one key at a time, so that a value the
+    # section's own check rejects is reported under the key that set it
+    sections: dict = {}
+
+    def set_section(key: str, section: str, **values) -> None:
+        try:
+            sections[section] = replace(sections.get(section, getattr(base, section)), **values)
+        except (CodecError, ConfigError, KinematicsError, TaskError) as exc:
+            raise ConfigError(f"bad value for {key}: {mapping[key]!r} ({exc})") from None
+
     for key, (path, parse) in SCHEMA.items():
         if key in mapping:
             section, _, name = path.rpartition(".")
-            parsed.setdefault(section, {})[name] = _parse(mapping, key, parse)
-
-    ranges = [
-        _parse(mapping, f"dof{dof}", _range) if f"dof{dof}" in mapping
-        else (base.key.lo[dof], base.key.hi[dof])
-        for dof in range(N_DOF)
-    ]
-    parsed["key"].update(lo=tuple(lo for lo, _ in ranges), hi=tuple(hi for _, hi in ranges))
-    top = parsed.pop("")
-    for section, values in parsed.items():
-        top[section] = replace(getattr(base, section), **values)
+            value = _parse(mapping, key, parse)
+            if section:
+                set_section(key, section, **{name: value})
+            else:
+                top[name] = value
+    for dof in range(N_DOF):
+        key = f"dof{dof}"
+        if key in mapping:
+            lo, hi = _parse(mapping, key, _range)
+            norm = sections.get("key", base.key)
+            set_section(
+                key,
+                "key",
+                lo=norm.lo[:dof] + (lo,) + norm.lo[dof + 1 :],
+                hi=norm.hi[:dof] + (hi,) + norm.hi[dof + 1 :],
+            )
+    top.update(sections)
 
     suites = []
     for name in sorted({m.group(1) for k in mapping if (m := _SUITE_RE.match(k))}):

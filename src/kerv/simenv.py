@@ -15,7 +15,19 @@ Each env step's work is done once: ``SimEnv.truth`` computes the oracle's
 tokens once per state, and ``NoisyDrafter`` corrupts them once per state,
 so every draft round and verify call of a slice reads the same two slices.
 A plan is built once per task (``build_plan`` caches it on the fields it
-derives from, so ``make_task`` and ``SimEnv`` share the build).
+derives from, so ``make_task`` and ``SimEnv`` share the build), and
+``SimEnv`` passes the plan it holds to ``oracle_policy`` and ``step``, so
+no per-slice call looks it up again.
+
+The draft noise of step t is NumPy's own stream for the seed words (noise
+seed, task seed, t, 0x5EED). It does not depend on the trajectory (only the
+clamp at the vocabulary edge reads the truth token), so ``noise_rows``
+draws the error mask and signed offsets of a whole run of steps in one
+vectorised pass: ``NoisyDrafter`` draws an episode's rows when it is made,
+and ``corrupt_slice`` draws the one row it needs. The rows equal the
+per-step generator's bit for bit on the installed numpy (tested on 2.4.6);
+that rests on ``Generator.random``/``integers``, which NEP 19 does not
+freeze, and ``tests/oracles.py::reference_draft_ids`` is the guard.
 
 The gripper channel is a three-level impulse: 0 holds the current state,
 +/-1 sets it. Offsets never reach half the action range, so draft noise
@@ -95,9 +107,13 @@ class DraftNoiseModel:
 
     Each of the seven positions errs independently with probability
     ``q_err``; an erring position is offset by a signed token distance drawn
-    from a zipf-like categorical over 1..max_offset (weight k**-zipf_s).
-    A drawn error always lands on a token different from the truth: if
-    clamping at the vocabulary edge would cancel it, the offset is mirrored.
+    from a zipf-like categorical over 1..max_offset (weight k**-zipf_s, so
+    ``zipf_s`` must be finite and give finite weights). A drawn error
+    always lands on a token different from the truth: if clamping at the
+    vocabulary edge would cancel it, the offset is mirrored. The draws of
+    step t come from the (noise seed, task seed, t) stream; ``noise_rows``
+    draws the rows of many steps at once, and an episode's drafter draws
+    all of its rows up front.
     """
 
     q_err: float = 0.48
@@ -110,6 +126,10 @@ class DraftNoiseModel:
             raise TaskError(f"q_err must be in [0, 1], got {self.q_err}")
         if self.max_offset < 1:
             raise TaskError(f"max_offset must be >= 1, got {self.max_offset}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights_ok = math.isfinite(self.zipf_s) and np.isfinite(self.offset_cdf).all()
+        if not weights_ok:
+            raise TaskError(f"zipf_s must be finite with finite offset weights, got {self.zipf_s}")
 
     @functools.cached_property
     def offset_probs(self) -> np.ndarray:
@@ -262,12 +282,16 @@ def _advance(pose, values) -> list[float]:
     return new
 
 
-def oracle_policy(state: EnvState, spec: TaskSpec, key: NormKey = DEFAULT_KEY) -> TokenSlice:
+def oracle_policy(
+    state: EnvState, spec: TaskSpec, key: NormKey = DEFAULT_KEY, plan: Plan | None = None
+) -> TokenSlice:
     """True (greedy) tokens for the next slice: track the plan from the
-    current pose, clamped to the action range."""
+    current pose, clamped to the action range. ``plan`` is the spec's plan
+    when the caller holds it (``SimEnv`` does); otherwise it is looked up."""
     if state.done:
         raise EnvStateError("environment is done; no further actions")
-    plan = build_plan(spec, key)
+    if plan is None:
+        plan = build_plan(spec, key)
     target = plan.poses[min(state.t + 1, plan.steps)]
     return TokenSlice(tuple(_track(target, state.pose, key)))
 
@@ -289,22 +313,23 @@ def draft_policy(
 def corrupt_slice(
     truth: TokenSlice, task_seed: int, t: int, noise: DraftNoiseModel, key: NormKey
 ) -> TokenSlice:
-    """Draft noise applied to a truth slice, drawn from the (noise seed,
-    task seed, step) stream."""
-    # a uint32 array seeds the same stream as the list of these sub-2**32
-    # ints, without coercing each int separately
-    rng = np.random.default_rng(
-        np.array([noise.seed & 0x7FFFFFFF, task_seed & 0x7FFFFFFF, t, 0x5EED], dtype=np.uint32)
-    )
-    errs = (rng.random(N_DOF) < noise.q_err).tolist()
-    # the draws Generator.choice makes for the p-weighted magnitudes and the
-    # uniform signs, without its per-call validation
-    magnitudes = noise.offset_cdf.searchsorted(rng.random(N_DOF), side="right") + 1
-    signs = 2 * rng.integers(0, 2, N_DOF) - 1
-    offsets = (signs * magnitudes).tolist()
+    """Draft noise of step ``t`` applied to a truth slice.
+
+    This draws the single row ``t`` of ``noise_rows``, the same code and
+    stream from which ``NoisyDrafter`` takes an episode's rows up front, so
+    it equals the per-step ``default_rng`` stream on the installed numpy
+    (``tests/oracles.py::reference_draft_ids`` guards that).
+    """
+    errs, offsets = noise_rows(noise, task_seed, t, t + 1)
     vmax = key.vocab_size - 1
+    return TokenSlice(_corrupt(truth.ids, errs[0].tolist(), offsets[0].tolist(), vmax))
+
+
+def _corrupt(truth_ids, errs, offsets, vmax: int) -> tuple[int, ...]:
+    """Each erring position offset and clamped to ``[0, vmax]``; an offset
+    the clamp would cancel is mirrored."""
     ids = []
-    for tok, err, off in zip(truth.ids, errs, offsets):
+    for tok, err, off in zip(truth_ids, errs, offsets):
         if not err:
             ids.append(tok)
             continue
@@ -312,20 +337,155 @@ def corrupt_slice(
         if corrupted == tok:  # clamp swallowed the offset; mirror it
             corrupted = min(max(tok - off, 0), vmax)
         ids.append(corrupted)
-    return TokenSlice(tuple(ids))
+    return tuple(ids)
+
+
+# --- draft noise: NumPy's per-step stream, drawn for many steps at once ------
+#
+# Step t's noise is what default_rng([noise seed, task seed, t, 0x5EED])
+# gives for random(7) (error mask), random(7) (offset magnitudes, as
+# Generator.choice draws them) and integers(0, 2, 7) (signs). That is
+# SeedSequence (four uint32 entropy words, pool of four) -> PCG64 seeding
+# -> 18 XSL-RR outputs, each recomputed below over one numpy lane per step.
+
+_MASK32 = 0xFFFFFFFF
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_OUTPUTS_PER_STEP = 2 * N_DOF + 4  # two random(7), then 7 buffered uint32 halves
+
+
+def _split128(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    return (
+        np.array([v >> 64 for v in values], dtype=np.uint64),
+        np.array([v & (2**64 - 1) for v in values], dtype=np.uint64),
+    )
+
+
+# k PCG64 steps take a state s to M**k * s + sum(M**i for i < k) * inc; a
+# step's outputs read the states k = 2 .. 19 steps on from the seeding's
+# ``state += initstate``
+_JUMPS = range(2, _OUTPUTS_PER_STEP + 2)
+_JUMP_MUL_HI, _JUMP_MUL_LO = _split128([pow(_PCG_MULT, k, 2**128) for k in _JUMPS])
+_JUMP_ADD_HI, _JUMP_ADD_LO = _split128(
+    [sum(pow(_PCG_MULT, i, 2**128) for i in range(k)) % 2**128 for k in _JUMPS]
+)
+
+
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """SeedSequence's running hash multipliers ``init * mult**k`` mod 2**32,
+    k < n, as a column that broadcasts over lanes."""
+    return np.array([init * pow(mult, k, 2**32) % 2**32 for k in range(n)], np.uint32)[:, None]
+
+
+_HASH_A = _hash_consts(_SS_INIT_A, _SS_MULT_A, 17)  # 4 + 12 hashmix calls, plus one
+_HASH_B = _hash_consts(_SS_INIT_B, _SS_MULT_B, 9)  # 8 state words, plus one
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray, k0: int, k1: int) -> np.ndarray:
+    """SeedSequence's hashmix calls k0 .. k1 - 1, one per row of the result."""
+    values = (values ^ consts[k0:k1]) * consts[k0 + 1 : k1 + 1]
+    return values ^ (values >> 16)
+
+
+def _seed_state(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)`` per lane, for
+    (4, lanes) uint32 entropy words (the pool size, so none are left over).
+    The hash constants do not depend on the data, so all lanes share them,
+    and the three mixes from one pool word into the others run as one."""
+    pool = _hashmix(entropy, _HASH_A, 0, 4)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        k = 4 + 3 * src
+        mixed = _SS_MIX_L * pool[dst] - _SS_MIX_R * _hashmix(pool[src], _HASH_A, k, k + 3)
+        pool[dst] = mixed ^ (mixed >> 16)
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B, 0, 8).astype(np.uint64)
+    return words[0::2] | (words[1::2] << 32)
+
+
+def _mul64(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full 128-bit products of uint64 arrays as (hi, lo), from 32-bit
+    partial products."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32), a * b
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    hi, lo = _mul64(a_lo, b_lo)
+    return hi + a_hi * b_lo + a_lo * b_hi, lo
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def noise_rows(
+    noise: DraftNoiseModel, task_seed: int, t0: int, t1: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Error mask ``errs`` (bool) and signed ``offsets`` (int), each of shape
+    (t1 - t0, 7), of the steps ``t0 <= t < t1``: row ``t - t0`` equals what
+    ``default_rng([noise.seed & 0x7FFFFFFF, task_seed & 0x7FFFFFFF, t,
+    0x5EED])`` followed by ``random(7)``, ``random(7)`` and
+    ``integers(0, 2, 7)`` gives, bit for bit.
+
+    The rows rest on the installed numpy's ``Generator.random`` and
+    ``integers`` algorithms, which NEP 19 does not freeze (it does freeze
+    ``SeedSequence`` and ``PCG64``); ``tests/oracles.py::reference_draft_ids``
+    draws the stream through numpy itself and guards the match.
+    """
+    if not 0 <= t0 <= t1 <= 2**32:
+        raise TaskError(f"noise steps must lie in [0, 2**32), got [{t0}, {t1})")
+    n = t1 - t0
+    entropy = np.empty((4, n), dtype=np.uint32)
+    entropy[0] = noise.seed & 0x7FFFFFFF
+    entropy[1] = task_seed & 0x7FFFFFFF
+    entropy[2] = np.arange(t0, t1, dtype=np.uint64)  # every t < 2**32 fits one word
+    entropy[3] = 0x5EED
+    seed_hi, seed_lo, seq_hi, seq_lo = _seed_state(entropy)[:, :, None]
+    # PCG64 seeding: state = 0, inc = initseq << 1 | 1, step, add initstate;
+    # output j then reads the state 1 + j steps further on
+    inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
+    base_hi, base_lo = _add128(inc_hi, inc_lo, seed_hi, seed_lo)
+    hi, lo = _add128(
+        *_mul128(base_hi, base_lo, _JUMP_MUL_HI, _JUMP_MUL_LO),
+        *_mul128(inc_hi, inc_lo, _JUMP_ADD_HI, _JUMP_ADD_LO),
+    )
+    # XSL-RR output: the xor of the halves rotated right by the top six bits
+    xored, rot = hi ^ lo, hi >> 58
+    out = (xored >> rot) | (xored << ((64 - rot) & 63))
+
+    uniform = (out[:, : 2 * N_DOF] >> 11) * 2.0**-53  # Generator.random
+    errs = uniform[:, :N_DOF] < noise.q_err
+    magnitudes = noise.offset_cdf.searchsorted(uniform[:, N_DOF:], side="right") + 1
+    # integers(0, 2) takes uint32 halves, low first; Lemire's method for a
+    # range of two never rejects and returns bit 31 of each
+    halves = out[:, 2 * N_DOF :]
+    sign_bits = np.stack([(halves >> 31) & 1, halves >> 63], axis=2).reshape(n, 8)[:, :N_DOF]
+    return errs, np.where(sign_bits == 1, magnitudes, -magnitudes)
 
 
 def step(
-    state: EnvState, actions: ActionSlice, spec: TaskSpec, key: NormKey = DEFAULT_KEY
+    state: EnvState,
+    actions: ActionSlice,
+    spec: TaskSpec,
+    key: NormKey = DEFAULT_KEY,
+    plan: Plan | None = None,
 ) -> EnvState:
-    """Integrate one slice of actions and update termination flags."""
+    """Integrate one slice of actions and update termination flags.
+    ``plan`` is the spec's plan when the caller holds it, as for
+    ``oracle_policy``."""
     if state.done:
         raise EnvStateError("environment is done; no further steps")
     for v in actions.values:
         if not math.isfinite(v):
             # non-finite command aborts the episode as a failure
             return replace(state, done=True, succeeded=False)
-    plan = build_plan(spec, key)
+    if plan is None:
+        plan = build_plan(spec, key)
     pose = _advance(state.pose, actions.values)
 
     t = state.t + 1
@@ -382,13 +542,13 @@ class SimEnv:
         self._truth: TokenSlice | None = None
 
     def step(self, actions: ActionSlice) -> EnvState:
-        self.state = step(self.state, actions, self.spec, self.key)
+        self.state = step(self.state, actions, self.spec, self.key, self.plan)
         return self.state
 
     def truth(self) -> TokenSlice:
         """The oracle's tokens for the current state, computed once per state."""
         if self._truth_state is not self.state:
-            self._truth = oracle_policy(self.state, self.spec, self.key)
+            self._truth = oracle_policy(self.state, self.spec, self.key, self.plan)
             self._truth_state = self.state
         return self._truth
 
@@ -406,18 +566,29 @@ class PlanVerifier:
 
 class NoisyDrafter:
     """Draft oracle bound to a live environment: corrupted plan tokens,
-    drawn once per env state."""
+    drawn once per env state.
+
+    The episode's noise rows (``noise_rows`` for every step below the
+    task's ``max_steps``, the step bound of every episode) are drawn once,
+    when the drafter is made; each state applies row ``state.t`` to the
+    oracle's tokens, as ``corrupt_slice`` does for one step.
+    """
 
     def __init__(self, env: SimEnv, noise: DraftNoiseModel) -> None:
         self.env = env
         self.noise = noise
+        errs, offsets = noise_rows(noise, env.seed, 0, env.spec.max_steps)
+        self._errs, self._offsets = errs.tolist(), offsets.tolist()
+        self._vmax = env.key.vocab_size - 1
         self._state: EnvState | None = None
         self._ids: tuple[int, ...] = ()
 
     def draft(self, prefix, depth):
         env, state = self.env, self.env.state
         if self._state is not state:
-            self._ids = corrupt_slice(env.truth(), env.seed, state.t, self.noise, env.key).ids
+            truth = env.truth().ids  # raises once the episode is done
+            t = state.t
+            self._ids = _corrupt(truth, self._errs[t], self._offsets[t], self._vmax)
             self._state = state
         start = len(prefix)
         return self._ids[start : start + depth]

@@ -2,7 +2,7 @@
 the hand-written reference text, and the names the benchmark's tracer wraps."""
 
 import importlib
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +11,7 @@ from kerv import cli, harness, simenv, threshold
 from kerv.codec import NormKey
 from kerv.config import (
     SCHEMA,
+    ConfigError,
     CostModel,
     RunConfig,
     SuiteConfig,
@@ -97,6 +98,29 @@ def test_scalar_keys_unchanged():
     # the reference text leaves the table path at its default, so it never names it
     assert set(SCHEMA) == scalar | {"threshold.table"}
     assert len(SCHEMA) == 27
+
+
+def test_hash_inside_a_value_is_kept():
+    cfg = replace(default_config(), table_path="runs/#3/table.csv")
+    assert loads(dumps(cfg)) == cfg
+    text = "# heading\nthreshold.table = runs/#3/t.csv  # trailing note\n\t# indented\n"
+    assert loads(text).table_path == "runs/#3/t.csv"
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("cost.verify = -1", "cost.verify"),
+        ("noise.q_err = 2", "noise.q_err"),
+        ("kf.dt = 0", "kf.dt"),
+        ("noise.zipf_s = nan", "noise.zipf_s"),
+        ("noise.zipf_s = -inf", "noise.zipf_s"),
+        ("dof3 = 2,1", "dof3"),
+    ],
+)
+def test_section_value_errors_name_the_key(line, key):
+    with pytest.raises(ConfigError, match=f"bad value for {key}: "):
+        loads(default_config_text() + line + "\n")
 
 
 def test_later_assignment_overrides_default_text():

@@ -1,13 +1,18 @@
 """Synthetic tasks: plan consistency, oracles, noise model, termination."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerv import simenv
 from kerv.codec import ActionSlice, NormKey, TokenSlice, decode_slice, encode_slice
 from kerv.simenv import (
     DEFAULT_TOLERANCE,
     DraftNoiseModel,
+    EnvState,
     EnvStateError,
     NoisyDrafter,
     PlanVerifier,
@@ -17,6 +22,7 @@ from kerv.simenv import (
     corrupt_slice,
     draft_policy,
     make_task,
+    noise_rows,
     oracle_policy,
     step,
 )
@@ -272,6 +278,70 @@ def test_corruption_at_vocabulary_edges_matches_reference(q_err, max_offset):
                 assert got == reference_draft_ids(truth, noise, 11, t, key.vocab_size)
 
 
+@pytest.mark.parametrize(
+    "kind, task_seed, noise",
+    [
+        ("reach", 0, DraftNoiseModel(seed=0)),
+        ("pick_place", 41, DraftNoiseModel(q_err=1.0, seed=9)),
+        ("long_horizon", 1 << 31, DraftNoiseModel(seed=(1 << 31) + 77)),
+        ("reach", (1 << 32) + 5, DraftNoiseModel(q_err=0.7, max_offset=3, zipf_s=2.5, seed=6)),
+    ],
+)
+def test_drafter_rows_match_reference_at_every_step(kind, task_seed, noise):
+    """The rows a drafter draws up front, applied at every t < max_steps
+    (past the plan's end too), against the per-step reference stream."""
+    spec = make_task(kind, task_seed)
+    env = SimEnv(spec)
+    draft = NoisyDrafter(env, noise)
+    vocab = env.key.vocab_size
+    for t in range(spec.max_steps):
+        pose = tuple(float(x) for x in env.plan.poses[min(t, env.plan.steps)])
+        env.state = EnvState(pose=pose, t=t, deviation=0.0, done=False, succeeded=False)
+        expected = reference_draft_ids(env.truth().ids, noise, spec.seed, t, vocab)
+        assert draft.draft((), 7) == expected, t
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    noise_seed=st.integers(0, 2**33),
+    task_seed=st.integers(0, 2**33),
+    t0=st.one_of(st.integers(0, 3000), st.integers(0, 2**32 - 6)),
+    steps=st.integers(0, 6),
+    q_err=st.sampled_from([0.0, 0.5, 1.0]),
+    max_offset=st.sampled_from([1, 60]),
+    zipf_s=st.floats(-1.0, 4.0),
+)
+def test_noise_rows_match_reference_stream(
+    noise_seed, task_seed, t0, steps, q_err, max_offset, zipf_s
+):
+    noise = DraftNoiseModel(q_err=q_err, max_offset=max_offset, zipf_s=zipf_s, seed=noise_seed)
+    errs, offsets = noise_rows(noise, task_seed, t0, t0 + steps)
+    assert errs.shape == offsets.shape == (steps, 7)
+    # a mid-vocabulary truth is never clamped, so the reference's ids give
+    # the offset of every erring position
+    mid = (128,) * 7
+    for row, t in enumerate(range(t0, t0 + steps)):
+        expected = np.array(reference_draft_ids(mid, noise, task_seed, t, 256)) - 128
+        assert np.where(errs[row], offsets[row], 0).tolist() == expected.tolist()
+        assert (np.abs(offsets[row]) >= 1).all() and (np.abs(offsets[row]) <= max_offset).all()
+
+
+def test_noise_rows_reject_steps_outside_uint32():
+    noise = DraftNoiseModel(seed=1)
+    for t0, t1 in ((-1, 2), (2**32, 2**32 + 1), (5, 3)):
+        with pytest.raises(TaskError):
+            noise_rows(noise, 7, t0, t1)
+    errs, offsets = noise_rows(noise, 7, 2**32 - 1, 2**32)
+    expected = np.array(reference_draft_ids((128,) * 7, noise, 7, 2**32 - 1, 256)) - 128
+    assert np.where(errs[0], offsets[0], 0).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("zipf_s", [math.nan, -math.inf, math.inf, -1000.0])
+def test_noise_model_rejects_non_finite_offset_weights(zipf_s):
+    with pytest.raises(TaskError, match="zipf_s"):
+        DraftNoiseModel(zipf_s=zipf_s)
+
+
 # --- work done once per step and per episode ----------------------------------
 
 
@@ -287,9 +357,9 @@ def test_oracle_runs_at_most_once_per_env_step(mode, monkeypatch):
     calls = []
     real = simenv.oracle_policy
 
-    def counting(state, spec, key=simenv.DEFAULT_KEY):
+    def counting(state, spec, key=simenv.DEFAULT_KEY, plan=None):
         calls.append(state.t)
-        return real(state, spec, key)
+        return real(state, spec, key, plan)
 
     monkeypatch.setattr(simenv, "oracle_policy", counting)
     trace = _episode(make_task("pick_place", 5), mode)
@@ -318,3 +388,23 @@ def test_plan_built_once_per_episode(mode, monkeypatch):
     build_plan.cache_clear()
     _episode(make_task("reach", 12), mode)
     assert len(fits) == 2
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_episode_builds_no_generator_and_looks_up_no_plan(mode, monkeypatch):
+    """Once the env and drafter exist, an episode seeds no generator (the
+    drafter holds its noise rows) and fetches no plan (the env passes its
+    own to the oracle and the env step)."""
+    spec = make_task("pick_place", 5)
+    env = SimEnv(spec, suite="t")
+    draft = NoisyDrafter(env, DraftNoiseModel(seed=9))
+    tstate = ThresholdState(kvar_ref=0.08, tau=1.0, phi=0.7) if mode == "kerv" else None
+    generators, lookups = [], []
+    real_rng, real_plan = np.random.default_rng, simenv.build_plan
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda *a, **kw: generators.append(a) or real_rng(*a, **kw)
+    )
+    monkeypatch.setattr(simenv, "build_plan", lambda *a: lookups.append(a) or real_plan(*a))
+    trace = run_episode(env, draft, PlanVerifier(env), RunConfig(), mode, tstate)
+    assert trace.steps > 0
+    assert generators == [] and lookups == []
