@@ -13,6 +13,7 @@ typos fail loudly instead of silently running defaults.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
@@ -21,7 +22,7 @@ from pathlib import Path
 from .codec import N_DOF, CodecError, NormKey
 from .kinematics import KfParams, KinematicsError
 from .simenv import KINDS, DraftNoiseModel, TaskError
-from .specdec import MODES
+from .specdec import MODES, P_SOURCES
 from .threshold import ADJUST_MODES
 
 
@@ -130,11 +131,12 @@ class RunConfig:
     def __post_init__(self) -> None:
         checks = (
             ("depth", 1 <= self.depth <= N_DOF, f"must be in [1, {N_DOF}]"),
-            ("p_source", self.p_source in ("verify", "kf"), "must be verify or kf"),
+            ("p_source", self.p_source in P_SOURCES, f"must be one of {P_SOURCES}"),
             ("ac", self.ac >= 1, "must be >= 1"),
             ("pl", self.pl >= 1, "must be >= 1"),
             ("comp_n", self.comp_n >= 0, "must be >= 0"),
-            ("fixed_r", self.fixed_r >= 0, "must be >= 0"),
+            ("fixed_r", 0 <= self.fixed_r < math.inf, "must be finite and >= 0"),
+            ("r_max", self.r_max < math.inf, "must be finite"),
         )
         for name, ok, need in checks:
             if not ok:

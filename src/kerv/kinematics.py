@@ -1,19 +1,23 @@
 """Per-DoF Kalman-filter action prediction and the kinematic-variability metric.
 
 Each DoF gets an independent constant-velocity scalar filter (state =
-position and velocity) fed from a bounded cache of the most recent executed
-action values. Filter state is the deterministic replay of the cache
-contents, so the action-context bound genuinely limits how much history the
-predictor sees: prediction behaves like a sliding-window filter. Pushing
-only appends to the caches; the replay runs when a prediction or state is
-read and the caches changed since the last replay.
+position and velocity) over a bounded window of the most recent executed
+action values, so the action-context bound genuinely limits how much history
+the predictor sees: prediction behaves like a sliding-window filter. The
+filter's covariance and gains do not depend on the observations, so its
+estimates are fixed linear weights on the window (``_weights``, cached per
+parameters and window length): pushing only appends to the window, and a
+read is one (2, n) x (n, 7) product.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .codec import N_DOF, ActionSlice
 
@@ -21,7 +25,7 @@ DEFAULT_AC = 10
 
 
 class KinematicsError(ValueError):
-    """Raised for invalid filter parameters or non-finite observations."""
+    """Raised for invalid filter parameters, window bounds or variability values."""
 
 
 class NoContextError(RuntimeError):
@@ -49,43 +53,16 @@ class KfParams:
                 raise KinematicsError(f"{name} must be finite and > 0, got {v!r}")
 
 
-class DofCache:
-    """Bounded history of executed action values for one DoF, oldest-first."""
-
-    def __init__(self, capacity: int = DEFAULT_AC) -> None:
-        if capacity < 1:
-            raise KinematicsError(f"cache capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._values: deque[float] = deque(maxlen=capacity)
-
-    def append(self, value: float) -> None:
-        if not math.isfinite(value):
-            raise KinematicsError(f"cached action must be finite, got {value!r}")
-        self._values.append(value)
-
-    def values(self) -> tuple[float, ...]:
-        return tuple(self._values)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-
-@dataclass
-class _FilterState:
-    """Scalar constant-velocity state: estimates plus 2x2 covariance terms."""
-
-    pos: float
-    vel: float
-    p00: float
-    p01: float
-    p11: float
-
-
-def _replay(values: tuple[float, ...], params: KfParams) -> _FilterState:
-    """Run the filter over a window of observations from scratch.
+@functools.lru_cache(maxsize=256)
+def _weights(params: KfParams, n: int) -> tuple[np.ndarray, tuple[float, float, float]]:
+    """Fixed linear weights of the filter run over a window of ``n`` observations.
 
     The first observation initializes position (velocity 0); each later one
-    is a predict-then-correct cycle.
+    is a predict-then-correct cycle. The covariance and gains do not depend
+    on the observations, so the recursion runs once over coefficient
+    vectors: row 0 of the returned (2, n) array weighs the window into the
+    position estimate and row 1 into the velocity. The second item is the
+    final (p00, p01, p11) covariance.
     """
     dt = params.dt
     q = params.process_noise
@@ -94,11 +71,12 @@ def _replay(values: tuple[float, ...], params: KfParams) -> _FilterState:
     q01 = q * dt**3 / 2.0
     q11 = q * dt**2
 
-    pos = values[0]
-    vel = 0.0
+    pos = np.zeros(n)
+    pos[0] = 1.0
+    vel = np.zeros(n)
     p00 = p11 = params.initial_variance
     p01 = 0.0
-    for z in values[1:]:
+    for i in range(1, n):
         # predict
         pos = pos + dt * vel
         p00 = p00 + 2.0 * dt * p01 + dt * dt * p11 + q00
@@ -108,75 +86,78 @@ def _replay(values: tuple[float, ...], params: KfParams) -> _FilterState:
         s = p00 + r
         k0 = p00 / s
         k1 = p01 / s
-        innov = z - pos
+        innov = -pos
+        innov[i] += 1.0
         pos = pos + k0 * innov
         vel = vel + k1 * innov
         p00, p01, p11 = (1.0 - k0) * p00, (1.0 - k0) * p01, p11 - k1 * p01
-    return _FilterState(pos, vel, p00, p01, p11)
+    weights = np.stack([pos, vel])
+    weights.flags.writeable = False
+    return weights, (p00, p01, p11)
 
 
 class KfBank:
-    """Seven independent constant-velocity filters with bounded action caches.
+    """Seven independent constant-velocity filters over one bounded window.
 
-    Single-writer: one bank per episode. Every read sees the replay of the
-    current cache contents, so identical (params, observation window)
-    always yield identical predictions.
+    The window holds the last ``ac`` executed slices, oldest first. Every
+    read applies the cached ``_weights`` for the current window length, so
+    identical (params, window) always yield identical estimates.
+    Single-writer: one bank per episode.
     """
 
     def __init__(self, params: KfParams | None = None, ac: int = DEFAULT_AC) -> None:
+        if ac < 1:
+            raise KinematicsError(f"action context must be >= 1, got {ac}")
         self.params = params or KfParams()
         self.ac = ac
-        self.caches = [DofCache(ac) for _ in range(N_DOF)]
-        self._states: list[_FilterState] = []
-        self._stale = False
+        self.window: deque[tuple[float, ...]] = deque(maxlen=ac)
 
     @property
     def has_context(self) -> bool:
-        return all(len(c) > 0 for c in self.caches)
+        return bool(self.window)
 
     def push_slice(self, actions: ActionSlice) -> None:
-        """Append one executed slice; filter states are replayed on the next read."""
-        for dof in range(N_DOF):
-            self.caches[dof].append(actions.values[dof])
-        self._stale = True
+        """Append one executed slice, evicting the oldest past ``ac``."""
+        self.window.append(actions.values)
 
-    def _replayed(self) -> list[_FilterState]:
-        if self._stale:
-            self._states = [_replay(c.values(), self.params) for c in self.caches]
-            self._stale = False
-        return self._states
+    def _read(self, dof: int = 0) -> tuple[list[list[float]], tuple[float, float, float]]:
+        """Per-DoF [positions, velocities] over the window, and the
+        (p00, p01, p11) covariance all seven filters share; ``dof`` is the
+        DoF the caller reads."""
+        if not 0 <= dof < N_DOF:
+            raise KinematicsError(f"dof index must be in [0, {N_DOF - 1}], got {dof}")
+        if not self.window:
+            raise NoContextError("no action context: push at least one slice first")
+        weights, cov = _weights(self.params, len(self.window))
+        return (weights @ np.array(self.window)).tolist(), cov
 
     def predict(self, pl: int) -> list[ActionSlice]:
         """Roll each filter forward ``pl`` steps with no new measurements.
 
         Returns one predicted slice per step ahead; does not change the
-        filters' inputs.
+        window.
         """
         if pl < 1:
             raise KinematicsError(f"prediction length must be >= 1, got {pl}")
-        if not self.has_context:
-            raise NoContextError("no action context: push at least one slice first")
+        (pos, vel), _ = self._read()
         dt = self.params.dt
-        states = self._replayed()
         return [
-            ActionSlice(tuple(st.pos + k * dt * st.vel for st in states))
+            ActionSlice(tuple(p + k * dt * v for p, v in zip(pos, vel)))
             for k in range(1, pl + 1)
         ]
 
-    def _dof_state(self, dof: int) -> _FilterState:
-        if not self.caches[dof]:
-            raise NoContextError("no action context for this DoF")
-        return self._replayed()[dof]
-
     def covariance(self, dof: int) -> tuple[float, float, float]:
-        """Current (p00, p01, p11) covariance terms for one DoF's filter."""
-        st = self._dof_state(dof)
-        return (st.p00, st.p01, st.p11)
+        """Current (p00, p01, p11) covariance terms for one DoF's filter.
+
+        The covariance does not depend on the observations, and every DoF
+        sees the same window length, so all seven filters share it.
+        """
+        return self._read(dof)[1]
 
     def state(self, dof: int) -> tuple[float, float]:
         """Current (position, velocity) estimate for one DoF's filter."""
-        st = self._dof_state(dof)
-        return (st.pos, st.vel)
+        (pos, vel), _ = self._read(dof)
+        return (pos[dof], vel[dof])
 
 
 @dataclass(frozen=True)

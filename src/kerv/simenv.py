@@ -23,8 +23,8 @@ The draft noise of step t is NumPy's own stream for the seed words (noise
 seed, task seed, t, 0x5EED). It does not depend on the trajectory (only the
 clamp at the vocabulary edge reads the truth token), so ``noise_rows``
 draws the error mask and signed offsets of a whole run of steps in one
-vectorised pass: ``NoisyDrafter`` draws an episode's rows when it is made,
-and ``corrupt_slice`` draws the one row it needs. The rows equal the
+vectorised pass: ``NoisyDrafter`` draws the plan's rows when it is made
+and the rest when needed, ``corrupt_slice`` the one row. The rows equal the
 per-step generator's bit for bit on the installed numpy (tested on 2.4.6);
 that rests on ``Generator.random``/``integers``, which NEP 19 does not
 freeze, and ``tests/oracles.py::reference_draft_ids`` is the guard.
@@ -113,7 +113,7 @@ class DraftNoiseModel:
     vocabulary edge would cancel it, the offset is mirrored. The draws of
     step t come from the (noise seed, task seed, t) stream; ``noise_rows``
     draws the rows of many steps at once, and an episode's drafter draws
-    all of its rows up front.
+    the rows of the plan's steps up front.
     """
 
     q_err: float = 0.48
@@ -292,7 +292,8 @@ def oracle_policy(
         raise EnvStateError("environment is done; no further actions")
     if plan is None:
         plan = build_plan(spec, key)
-    target = plan.poses[min(state.t + 1, plan.steps)]
+    # one row as floats: element reads of the ndarray build numpy scalars
+    target = plan.poses[min(state.t + 1, plan.steps)].tolist()
     return TokenSlice(tuple(_track(target, state.pose, key)))
 
 
@@ -489,7 +490,7 @@ def step(
     pose = _advance(state.pose, actions.values)
 
     t = state.t + 1
-    ref = plan.poses[min(t, plan.steps)]
+    ref = plan.poses[min(t, plan.steps)].tolist()
     gap = float(sum(abs(pose[d] - ref[d]) for d in range(GRIPPER_DOF)))
     if pose[GRIPPER_DOF] != ref[GRIPPER_DOF]:
         gap += 2.0
@@ -532,7 +533,7 @@ class SimEnv:
         self.plan = build_plan(spec, key)
         self.plan_steps = self.plan.steps
         self.state = EnvState(
-            pose=tuple(float(x) for x in self.plan.poses[0]),
+            pose=tuple(self.plan.poses[0].tolist()),
             t=0,
             deviation=0.0,
             done=False,
@@ -568,17 +569,18 @@ class NoisyDrafter:
     """Draft oracle bound to a live environment: corrupted plan tokens,
     drawn once per env state.
 
-    The episode's noise rows (``noise_rows`` for every step below the
-    task's ``max_steps``, the step bound of every episode) are drawn once,
-    when the drafter is made; each state applies row ``state.t`` to the
-    oracle's tokens, as ``corrupt_slice`` does for one step.
+    The noise rows (``noise_rows``) of the plan's steps are drawn when the
+    drafter is made, and those of the later steps below the task's
+    ``max_steps`` in one more pass only if the episode runs past the plan.
+    Each state applies row ``state.t`` to the oracle's tokens, as
+    ``corrupt_slice`` does for one step.
     """
 
     def __init__(self, env: SimEnv, noise: DraftNoiseModel) -> None:
         self.env = env
         self.noise = noise
-        errs, offsets = noise_rows(noise, env.seed, 0, env.spec.max_steps)
-        self._errs, self._offsets = errs.tolist(), offsets.tolist()
+        self._rows: list[tuple[list[bool], list[int]]] = []  # (errs, offsets) per step
+        self._draw_rows(env.plan_steps)
         self._vmax = env.key.vocab_size - 1
         self._state: EnvState | None = None
         self._ids: tuple[int, ...] = ()
@@ -588,7 +590,14 @@ class NoisyDrafter:
         if self._state is not state:
             truth = env.truth().ids  # raises once the episode is done
             t = state.t
-            self._ids = _corrupt(truth, self._errs[t], self._offsets[t], self._vmax)
+            if t >= len(self._rows):
+                self._draw_rows(env.spec.max_steps)
+            self._ids = _corrupt(truth, *self._rows[t], self._vmax)
             self._state = state
         start = len(prefix)
         return self._ids[start : start + depth]
+
+    def _draw_rows(self, t1: int) -> None:
+        """Append the rows of the steps from the first undrawn one up to ``t1``."""
+        errs, offsets = noise_rows(self.noise, self.env.seed, len(self._rows), t1)
+        self._rows += zip(errs.tolist(), offsets.tolist())

@@ -57,6 +57,8 @@ SRC_KF = "kf"
 
 # the decoding policies, in report order
 MODES = ("naive", "fixed_relaxed", "kerv")
+# where a compensated slice takes the token at its first rejection
+P_SOURCES = ("verify", "kf")
 
 
 class EngineError(RuntimeError):
@@ -136,8 +138,8 @@ def decode_slice_sd(
         raise EngineError(f"draft depth must be in [1, {N_DOF}], got {depth}")
     if r < 0:
         raise EngineError(f"acceptance threshold must be >= 0, got {r}")
-    if p_source not in ("verify", "kf"):
-        raise EngineError(f"p_source must be 'verify' or 'kf', got {p_source!r}")
+    if p_source not in P_SOURCES:
+        raise EngineError(f"p_source must be one of {P_SOURCES}, got {p_source!r}")
     if compensation_enabled and (bank is None or not bank.has_context):
         raise MissingContextError("no action context: compensation needs a primed bank")
 

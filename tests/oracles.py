@@ -1,7 +1,9 @@
 """Independent reference implementations used to generate expected values.
 
 These deliberately avoid the library's code paths: the filter oracle uses
-textbook 2x2 matrix arithmetic via numpy, and the first-error-position
+textbook 2x2 matrix arithmetic via numpy, the filter reference replays the
+scalar recursion over each window's observations (the library applies
+precomputed linear weights instead), and the first-error-position
 oracle is a direct Monte-Carlo simulation of per-position Bernoulli misses.
 The calibration and trace references keep the original straightforward
 forms: a ``ThresholdState`` advanced by ``dataclasses.replace`` per slice,
@@ -42,6 +44,40 @@ def matrix_kf_predict(observations, params, horizon=1):
         x = x + K @ (np.array([[z]]) - H @ x)
         P = (np.eye(2) - K @ H) @ P
     return float(x[0, 0] + horizon * dt * x[1, 0])
+
+
+def reference_kf_replay(values, params):
+    """The scalar constant-velocity filter run over a window from scratch.
+
+    The first observation initializes position (velocity 0); each later one
+    is a predict-then-correct cycle. Returns ``(pos, vel, p00, p01, p11)``.
+    """
+    dt = params.dt
+    q = params.process_noise
+    r = params.measurement_noise
+    q00 = q * dt**4 / 4.0
+    q01 = q * dt**3 / 2.0
+    q11 = q * dt**2
+
+    pos = values[0]
+    vel = 0.0
+    p00 = p11 = params.initial_variance
+    p01 = 0.0
+    for z in values[1:]:
+        # predict
+        pos = pos + dt * vel
+        p00 = p00 + 2.0 * dt * p01 + dt * dt * p11 + q00
+        p01 = p01 + dt * p11 + q01
+        p11 = p11 + q11
+        # correct
+        s = p00 + r
+        k0 = p00 / s
+        k1 = p01 / s
+        innov = z - pos
+        pos = pos + k0 * innov
+        vel = vel + k1 * innov
+        p00, p01, p11 = (1.0 - k0) * p00, (1.0 - k0) * p01, p11 - k1 * p01
+    return pos, vel, p00, p01, p11
 
 
 def expected_verify_calls(q, depth, n=7):

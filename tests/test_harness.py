@@ -136,6 +136,8 @@ def test_config_validates_threshold_at_load(lines):
         ("kf.pl = 0", "kf.pl"),
         ("comp.n = -1", "comp.n"),
         ("threshold.fixed_r = -1", "threshold.fixed_r"),
+        ("threshold.fixed_r = inf", "threshold.fixed_r"),
+        ("threshold.r_max = inf", "threshold.r_max"),
         ("run.modes = naive,greedy", "greedy"),
         ("suite.goal.trials = many", "suite.goal.trials"),
         ("suite.goal.seed_base = 1.5", "suite.goal.seed_base"),
@@ -151,7 +153,14 @@ def test_config_validates_engine_values_at_load(lines, match):
 
 def test_config_validates_values_set_by_replace():
     cfg = default_config()
-    for kw in ({"depth": 8}, {"comp_n": -2}, {"fixed_r": float("nan")}, {"pl": 0}):
+    for kw in (
+        {"depth": 8},
+        {"comp_n": -2},
+        {"fixed_r": float("nan")},
+        {"fixed_r": float("inf")},
+        {"r_max": float("inf")},
+        {"pl": 0},
+    ):
         with pytest.raises(ConfigError):
             replace(cfg, **kw)
 

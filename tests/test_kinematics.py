@@ -5,44 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kerv.codec import ActionSlice
+from kerv.codec import ActionSlice, CodecError
 from kerv.kinematics import (
-    DofCache,
     KfBank,
     KfParams,
     KinVar,
     KinematicsError,
     NoContextError,
-    _replay,
     accumulate_kvar,
     kin_variability,
 )
-
-
-def matrix_kf_predict(observations, params, horizon=1):
-    """Independent reference: textbook 2x2 matrix Kalman filter.
-
-    First observation initializes [pos, 0]; the rest run predict/update.
-    Returns the position extrapolated ``horizon`` steps past the last
-    observation.
-    """
-    dt = params.dt
-    F = np.array([[1.0, dt], [0.0, 1.0]])
-    H = np.array([[1.0, 0.0]])
-    Q = params.process_noise * np.array(
-        [[dt**4 / 4, dt**3 / 2], [dt**3 / 2, dt**2]]
-    )
-    R = np.array([[params.measurement_noise]])
-    x = np.array([[observations[0]], [0.0]])
-    P = np.eye(2) * params.initial_variance
-    for z in observations[1:]:
-        x = F @ x
-        P = F @ P @ F.T + Q
-        S = H @ P @ H.T + R
-        K = P @ H.T @ np.linalg.inv(S)
-        x = x + K @ (np.array([[z]]) - H @ x)
-        P = (np.eye(2) - K @ H) @ P
-    return float(x[0, 0] + horizon * dt * x[1, 0])
+from oracles import matrix_kf_predict, reference_kf_replay
 
 
 def slice_of(value):
@@ -57,16 +30,23 @@ def test_params_validated():
 
 
 def test_cache_eviction_oldest_first():
-    cache = DofCache(capacity=3)
+    with pytest.raises(KinematicsError):
+        KfBank(ac=0)
+    bank = KfBank(ac=3)
     for v in (1.0, 2.0, 3.0, 4.0):
-        cache.append(v)
-    assert cache.values() == (2.0, 3.0, 4.0)
-    assert len(cache) == 3
+        bank.push_slice(slice_of(v))
+    assert [row[0] for row in bank.window] == [2.0, 3.0, 4.0]
+    assert len(bank.window) == 3
 
 
 def test_cache_rejects_non_finite():
-    with pytest.raises(KinematicsError):
-        DofCache(3).append(float("nan"))
+    # every push is an ActionSlice, which refuses non-finite values, so
+    # none can reach the window
+    bank = KfBank(ac=3)
+    bank.push_slice(slice_of(0.5))
+    with pytest.raises(CodecError):
+        bank.push_slice(slice_of(float("nan")))
+    assert list(bank.window) == [(0.5,) * 7]
 
 
 def test_first_push_initializes_at_observation():
@@ -92,12 +72,21 @@ def test_cache_bounded_at_capacity():
     bank = KfBank(ac=10)
     for i in range(11):
         bank.push_slice(slice_of(float(i)))
-    assert all(len(c) == 10 for c in bank.caches)
+    assert len(bank.window) == 10
 
 
 def test_predict_requires_context():
     with pytest.raises(NoContextError):
         KfBank().predict(1)
+
+
+@pytest.mark.parametrize("dof", [-1, 7])
+def test_reads_reject_a_dof_outside_the_slice(dof):
+    bank = KfBank()
+    bank.push_slice(slice_of(0.1))
+    for read in (bank.state, bank.covariance):
+        with pytest.raises(KinematicsError, match="dof"):
+            read(dof)
 
 
 def test_predict_does_not_mutate():
@@ -217,16 +206,23 @@ _ops = st.lists(
 )
 
 
+_PARAMS = KfParams(process_noise=2e-3, measurement_noise=5e-3)
+
+
+def _read(bank, op, arg):
+    out = getattr(bank, op)(arg)
+    return [p.values for p in out] if op == "predict" else out
+
+
 @given(ops=_ops, ac=st.sampled_from([1, 10, 40]))
 @settings(max_examples=150, deadline=None)
 def test_lazy_replay_equals_eager_replay_bit_for_bit(ops, ac):
-    params = KfParams(process_noise=2e-3, measurement_noise=5e-3)
-    bank = KfBank(params, ac=ac)
+    # a bank read between interleaved pushes equals a fresh bank fed only
+    # the last ac pushes bit for bit; against the scalar replay of that
+    # window, its covariance is equal bit for bit and its estimates are
+    # within 1e-12 (the weight form sums in another order)
+    bank = KfBank(_PARAMS, ac=ac)
     pushed = []
-
-    def eager(dof):
-        return _replay(tuple(v[dof] for v in pushed[-ac:]), params)
-
     for op, arg in ops:
         if op == "push":
             bank.push_slice(ActionSlice(arg))
@@ -236,15 +232,16 @@ def test_lazy_replay_equals_eager_replay_bit_for_bit(ops, ac):
             with pytest.raises(NoContextError):
                 getattr(bank, op)(arg)
             continue
-        if op == "predict":
-            states = [eager(dof) for dof in range(7)]
-            expect = [
-                tuple(s.pos + k * params.dt * s.vel for s in states) for k in range(1, arg + 1)
-            ]
-            assert [p.values for p in bank.predict(arg)] == expect
+        fresh = KfBank(_PARAMS, ac=ac)
+        for values in pushed[-ac:]:
+            fresh.push_slice(ActionSlice(values))
+        got = _read(bank, op, arg)
+        assert got == _read(fresh, op, arg)
+        ref = [reference_kf_replay(tuple(v[d] for v in pushed[-ac:]), _PARAMS) for d in range(7)]
+        if op == "covariance":
+            assert got == ref[arg][2:]
         elif op == "state":
-            s = eager(arg)
-            assert bank.state(arg) == (s.pos, s.vel)
+            assert np.allclose(got, ref[arg][:2], rtol=0, atol=1e-12)
         else:
-            s = eager(arg)
-            assert bank.covariance(arg) == (s.p00, s.p01, s.p11)
+            expect = [[p + k * _PARAMS.dt * v for p, v, *_ in ref] for k in range(1, arg + 1)]
+            assert np.allclose(got, expect, rtol=0, atol=1e-12)

@@ -288,8 +288,9 @@ def test_corruption_at_vocabulary_edges_matches_reference(q_err, max_offset):
     ],
 )
 def test_drafter_rows_match_reference_at_every_step(kind, task_seed, noise):
-    """The rows a drafter draws up front, applied at every t < max_steps
-    (past the plan's end too), against the per-step reference stream."""
+    """The rows a drafter draws, applied at every t < max_steps (past the
+    plan's end too, where it draws the rest), against the per-step
+    reference stream."""
     spec = make_task(kind, task_seed)
     env = SimEnv(spec)
     draft = NoisyDrafter(env, noise)
@@ -408,3 +409,24 @@ def test_episode_builds_no_generator_and_looks_up_no_plan(mode, monkeypatch):
     trace = run_episode(env, draft, PlanVerifier(env), RunConfig(), mode, tstate)
     assert trace.steps > 0
     assert generators == [] and lookups == []
+
+
+def test_drafter_draws_rows_past_the_plan_only_for_steps_past_it(monkeypatch):
+    spans = []
+    real = simenv.noise_rows
+    monkeypatch.setattr(simenv, "noise_rows", lambda *a: spans.append(a[2:]) or real(*a))
+    spec = make_task("reach", 12)
+    steps = build_plan(spec).steps
+    # strict decoding tracks the plan and reaches the goal on its last step
+    trace = _episode(spec, "naive")
+    assert trace.success and trace.steps == steps
+    assert spans == [(0, steps)]
+
+    spans.clear()
+    env = SimEnv(spec)
+    draft = NoisyDrafter(env, DraftNoiseModel(seed=9))
+    for t in (steps - 1, steps, spec.max_steps - 1):
+        pose = tuple(env.plan.poses[min(t, steps)].tolist())
+        env.state = EnvState(pose=pose, t=t, deviation=0.0, done=False, succeeded=False)
+        draft.draft((), 7)
+    assert spans == [(0, steps), (steps, spec.max_steps)]

@@ -229,7 +229,7 @@ def test_final_slice_pushed_into_bank():
         bank=bank,
         key=KEY,
     )
-    assert bank.caches[0].values()[-1] == res.actions.values[0]
+    assert bank.window[-1] == res.actions.values
 
 
 @settings(max_examples=120, deadline=None)
@@ -385,4 +385,4 @@ def test_only_kerv_builds_a_filter_bank(mode, monkeypatch):
     assert len(banks) == (1 if mode == "kerv" else 0)
     if mode == "kerv":
         assert trace.comp_events > 0
-        assert len(banks[0].caches[0]) == min(trace.steps, banks[0].ac)
+        assert len(banks[0].window) == min(trace.steps, banks[0].ac)
