@@ -103,8 +103,9 @@ class CostModel:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ConfigError(f"{f.name} must be >= 0")
+            v = getattr(self, f.name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ConfigError(f"{f.name} must be finite and >= 0, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -151,6 +152,8 @@ class RunConfig:
                 f"need {_KEY_OF['r_max']} > {_KEY_OF['r_min']} >= 0, "
                 f"got r_max={self.r_max}, r_min={self.r_min}"
             )
+        if not self.modes:
+            raise ConfigError(f"{_KEY_OF['modes']} names no mode; expected some of {MODES}")
         for m in self.modes:
             if m not in MODES:
                 raise ConfigError(f"unknown mode {m!r} in {_KEY_OF['modes']}")

@@ -134,6 +134,8 @@ def run_suite(
     when not among the requested modes) because speedups are defined
     against it. Returns the report plus all traces keyed by (suite, mode).
     """
+    if trials is not None and trials < 0:
+        raise ConfigError(f"trials must be >= 0, got {trials}")
     requested = tuple(modes) if modes is not None else cfg.modes
     for m in requested:
         if m not in MODES:

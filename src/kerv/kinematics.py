@@ -1,4 +1,4 @@
-"""Per-DoF Kalman-filter action prediction and the kinematic-variability metric.
+"""Per-DoF Kalman-filter action prediction and the running kinematic variability.
 
 Each DoF gets an independent constant-velocity scalar filter (state =
 position and velocity) over a bounded window of the most recent executed
@@ -8,6 +8,10 @@ filter's covariance and gains do not depend on the observations, so its
 estimates are fixed linear weights on the window (``_weights``, cached per
 parameters and window length): pushing only appends to the window, and a
 read is one (2, n) x (n, 7) product.
+
+``accumulate_kvar`` checks one slice's kinematic variability and folds it
+into an episode's running sum; ``specdec.accepted_error_kvar`` measures that
+per-slice value from the decoded slice.
 """
 
 from __future__ import annotations
@@ -160,27 +164,8 @@ class KfBank:
         return (pos[dof], vel[dof])
 
 
-@dataclass(frozen=True)
-class KinVar:
-    """Kinematic variability: L1 action discrepancy per step and its running sum."""
-
-    per_step: float = 0.0
-    cumulative: float = 0.0
-
-
-def kin_variability(correct: ActionSlice, erroneous: ActionSlice) -> float:
-    """L1 distance between two slices, summed over all seven DoF.
-
-    Positions with no accepted-but-erroneous token should carry equal values
-    in both slices so they contribute zero.
-    """
-    return sum(
-        abs(c - e) for c, e in zip(correct.values, erroneous.values)
-    )
-
-
-def accumulate_kvar(kv: KinVar, step_value: float) -> KinVar:
-    """Fold one step's variability into the running record."""
+def accumulate_kvar(cumulative: float, step_value: float) -> float:
+    """Fold one step's kinematic variability into the running sum."""
     if not (math.isfinite(step_value) and step_value >= 0):
         raise KinematicsError(f"step variability must be finite and >= 0, got {step_value!r}")
-    return KinVar(per_step=step_value, cumulative=kv.cumulative + step_value)
+    return cumulative + step_value

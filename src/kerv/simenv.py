@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -481,10 +481,6 @@ def step(
     ``oracle_policy``."""
     if state.done:
         raise EnvStateError("environment is done; no further steps")
-    for v in actions.values:
-        if not math.isfinite(v):
-            # non-finite command aborts the episode as a failure
-            return replace(state, done=True, succeeded=False)
     if plan is None:
         plan = build_plan(spec, key)
     pose = _advance(state.pose, actions.values)

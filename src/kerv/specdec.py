@@ -16,6 +16,10 @@ verified actions. Compensation is only taken when the first rejection lands
 in the first draft round, so a compensated slice never pays more than one
 verify call.
 
+Each drafted position's draft id, verified id and status are kept in the
+trace record's three 7-slot tuples; the slice's kinematic variability
+(``accepted_error_kvar``) reads them, from a decoded slice or a trace.
+
 ``run_episode`` decodes a whole episode in one of the three ``MODES``
 (strict ``naive``, static-threshold ``fixed_relaxed``, adaptive ``kerv``)
 and reads its engine parameters straight from the run's ``RunConfig``.
@@ -40,7 +44,7 @@ from .codec import (
     token_distance,
     token_to_action,
 )
-from .kinematics import KfBank, KinVar, accumulate_kvar, kin_variability
+from .kinematics import KfBank, accumulate_kvar
 from .threshold import ThresholdState
 from .trace import EpisodeTrace, SliceRecord
 
@@ -81,44 +85,37 @@ class VerifyOracle(Protocol):
         ...
 
 
-@dataclass(frozen=True)
-class AcceptanceOutcome:
-    position: int
-    draft_id: int
-    true_id: int
-    status: str
-
-
-def relaxed_accept(
-    draft_id: int, true_id: int, r: float, position: int = 0
-) -> AcceptanceOutcome:
-    """Judge one draft token against the verifier's token.
+def relaxed_accept(draft_id: int, true_id: int, r: float) -> str:
+    """Judge one draft token against the verifier's token: ``EXACT``,
+    ``RELAXED`` or ``REJECTED``.
 
     Exact match always accepts; a nonzero miss is accepted while the token
     distance stays within floor(r); anything farther is rejected.
     """
     dist = token_distance(draft_id, true_id)
     if dist == 0:
-        status = EXACT
-    elif dist <= r:
-        status = RELAXED
-    else:
-        status = REJECTED
-    return AcceptanceOutcome(position=position, draft_id=draft_id, true_id=true_id, status=status)
+        return EXACT
+    if dist <= r:
+        return RELAXED
+    return REJECTED
 
 
 @dataclass
 class SliceResult:
+    """One decoded slice. ``draft_ids``, ``true_ids`` and ``statuses`` hold
+    one slot per position, ``None`` where nothing was drafted, as the trace
+    records them."""
+
     tokens: TokenSlice
     actions: ActionSlice
     first_error_position: int
     sources: tuple[str, ...]
-    outcomes: list[AcceptanceOutcome]
     verify_calls: int
     draft_calls: int
     comp_fired: bool
     draft_ids: tuple[int | None, ...]
     true_ids: tuple[int | None, ...]
+    statuses: tuple[str | None, ...]
 
 
 def decode_slice_sd(
@@ -145,9 +142,9 @@ def decode_slice_sd(
 
     tokens: list[int] = []
     sources: list[str] = []
-    outcomes: list[AcceptanceOutcome] = []
     draft_ids: list[int | None] = [None] * N_DOF
     true_ids: list[int | None] = [None] * N_DOF
+    statuses: list[str | None] = [None] * N_DOF
     first_error = N_DOF
     verify_calls = 0
     draft_calls = 0
@@ -169,9 +166,8 @@ def decode_slice_sd(
             pos = base + i
             draft_ids[pos] = d_tok
             true_ids[pos] = t_tok
-            outcome = relaxed_accept(d_tok, t_tok, r, position=pos)
-            outcomes.append(outcome)
-            if outcome.status != REJECTED:
+            status = statuses[pos] = relaxed_accept(d_tok, t_tok, r)
+            if status != REJECTED:
                 tokens.append(d_tok)
                 sources.append(SRC_DRAFT)
                 continue
@@ -212,12 +208,12 @@ def decode_slice_sd(
         actions=actions,
         first_error_position=first_error,
         sources=tuple(sources),
-        outcomes=outcomes,
         verify_calls=verify_calls,
         draft_calls=draft_calls,
         comp_fired=comp_fired,
         draft_ids=tuple(draft_ids),
         true_ids=tuple(true_ids),
+        statuses=tuple(statuses),
     )
 
 
@@ -227,20 +223,23 @@ def _tokenize_prediction(value: float, dof: int, key: NormKey) -> int:
     return action_to_token(value, dof, key)
 
 
-def accepted_error_kvar(outcomes: Sequence[AcceptanceOutcome], key: NormKey) -> float:
-    """Per-step kinematic variability from relaxed-accepted tokens.
+def accepted_error_kvar(rec: SliceResult | SliceRecord, key: NormKey) -> float:
+    """Per-step kinematic variability: the L1 action error of the
+    relaxed-accepted tokens of one slice.
 
     Rejected tokens were replaced and exact tokens carry no error, so only
-    relaxed acceptances contribute; both comparison slices hold zeros at
-    every other position.
+    ``RELAXED`` slots contribute, summed in position order. ``rec`` is a
+    decoded slice or a trace record, so a trace's ``kvar_step`` can be
+    rebuilt from the trace alone.
     """
-    correct = [0.0] * N_DOF
-    erroneous = [0.0] * N_DOF
-    for o in outcomes:
-        if o.status == RELAXED:
-            correct[o.position] = token_to_action(o.true_id, o.position, key)
-            erroneous[o.position] = token_to_action(o.draft_id, o.position, key)
-    return kin_variability(ActionSlice(tuple(correct)), ActionSlice(tuple(erroneous)))
+    kvar = 0.0
+    for pos, status in enumerate(rec.statuses):
+        if status == RELAXED:
+            kvar += abs(
+                token_to_action(rec.true_ids[pos], pos, key)
+                - token_to_action(rec.draft_ids[pos], pos, key)
+            )
+    return kvar
 
 
 def run_episode(
@@ -273,7 +272,7 @@ def run_episode(
         raise EngineError("kerv mode needs a threshold state (see threshold.lookup)")
     # only kerv compensates, so only kerv feeds and reads a filter bank
     bank = KfBank(cfg.kf_params, ac=cfg.ac) if mode == "kerv" else None
-    kv = KinVar()
+    kvar_cum = 0.0
     tstate = threshold_state
     cooldown = 0
     comp_events = 0
@@ -303,8 +302,8 @@ def run_episode(
         step_index = env.state.t
         env.step(result.actions)
 
-        kstep = accepted_error_kvar(result.outcomes, cfg.key)
-        kv = accumulate_kvar(kv, kstep)
+        kstep = accepted_error_kvar(result, cfg.key)
+        kvar_cum = accumulate_kvar(kvar_cum, kstep)
         if mode == "kerv":
             assert tstate is not None
             tstate = threshold_mod.adjust(tstate, kstep, cfg.threshold_mode)
@@ -315,21 +314,18 @@ def run_episode(
         elif cooldown > 0:
             cooldown -= 1
 
-        statuses: list[str | None] = [None] * N_DOF
-        for o in result.outcomes:
-            statuses[o.position] = o.status
         records.append(
             SliceRecord(
                 step=step_index,
                 draft_ids=result.draft_ids,
                 true_ids=result.true_ids,
-                statuses=tuple(statuses),
+                statuses=result.statuses,
                 tokens=result.tokens.ids,
                 sources=result.sources,
                 first_error_pos=result.first_error_position,
                 r=r_now,
-                kvar_step=kv.per_step,
-                kvar_cum=kv.cumulative,
+                kvar_step=kstep,
+                kvar_cum=kvar_cum,
                 verify_calls=result.verify_calls,
                 draft_calls=result.draft_calls,
                 comp_fired=result.comp_fired,

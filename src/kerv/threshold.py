@@ -242,6 +242,10 @@ class CalibrationTable:
                 raise ThresholdConfigError(
                     f"{where}: need r_max > r_min >= 0, got r_max={row.r_max}, r_min={row.r_min}"
                 )
+            if not (row.tau > 0 and row.phi > 0):
+                raise ThresholdConfigError(
+                    f"{where}: need tau > 0 and phi > 0, got tau={row.tau}, phi={row.phi}"
+                )
             table.put(task, robot, row)
         return table
 
@@ -367,7 +371,7 @@ def calibrate(
     Each group's recorded misses are decoded once (``_judge_group``); every
     candidate then replays them, walking r with ``step_r`` on plain floats,
     so the scores equal those of a per-slice ``adjust`` replay bit for bit.
-    ``mode`` and the r bounds are checked before any replay.
+    ``mode``, the r bounds and the grid are checked before any replay.
     """
     if mode not in ADJUST_MODES:
         raise ThresholdConfigError(f"unknown adjustment mode {mode!r}")
@@ -376,6 +380,9 @@ def calibrate(
     candidates = list(grid)
     if not candidates:
         raise ThresholdConfigError("calibration grid is empty")
+    bad = [c for c in candidates if not all(math.isfinite(v) and v > 0 for v in c)]
+    if bad:
+        raise ThresholdConfigError(f"grid tau and phi must be finite and > 0, got {bad}")
     groups: dict[tuple[str, str], list[EpisodeTrace]] = {}
     for trace in pre_sample_traces:
         groups.setdefault((trace.suite, trace.robot), []).append(trace)

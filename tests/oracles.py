@@ -5,9 +5,11 @@ textbook 2x2 matrix arithmetic via numpy, the filter reference replays the
 scalar recursion over each window's observations (the library applies
 precomputed linear weights instead), and the first-error-position
 oracle is a direct Monte-Carlo simulation of per-position Bernoulli misses.
-The calibration and trace references keep the original straightforward
-forms: a ``ThresholdState`` advanced by ``dataclasses.replace`` per slice,
-every token pair decoded again per candidate, and ``asdict`` serialization.
+The calibration, variability and trace references keep the original
+straightforward forms: a ``ThresholdState`` advanced by
+``dataclasses.replace`` per slice, every token pair decoded again per
+candidate, zero-padded action slices compared over all seven positions,
+and ``asdict`` serialization.
 """
 
 import json
@@ -231,6 +233,20 @@ def reference_replay_objective(
     mean_rounds = 1.0 + total_rejections / total_slices
     success_proxy = 1.0 / (1.0 + mean_mass)
     return success_proxy - step_penalty * mean_rounds
+
+
+def reference_accepted_error_kvar(rec, key):
+    """Per-slice kinematic variability as first written: zero-padded
+    correct and erroneous action slices, holding the true and draft actions
+    at the relaxed-accepted positions, then their L1 distance over all
+    seven positions."""
+    correct = [0.0] * 7
+    erroneous = [0.0] * 7
+    for pos, status in enumerate(rec.statuses):
+        if status == "relaxed":
+            correct[pos] = token_to_action(rec.true_ids[pos], pos, key)
+            erroneous[pos] = token_to_action(rec.draft_ids[pos], pos, key)
+    return sum(abs(c - e) for c, e in zip(correct, erroneous))
 
 
 def reference_trace_dumps(trace):

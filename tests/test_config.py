@@ -116,6 +116,8 @@ def test_hash_inside_a_value_is_kept():
         ("noise.zipf_s = nan", "noise.zipf_s"),
         ("noise.zipf_s = -inf", "noise.zipf_s"),
         ("dof3 = 2,1", "dof3"),
+        ("cost.verify = nan", "cost.verify"),
+        ("cost.draft = inf", "cost.draft"),
     ],
 )
 def test_section_value_errors_name_the_key(line, key):

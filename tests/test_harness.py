@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from kerv import cli
+from kerv import cli, harness
 from kerv.config import ConfigError, CostModel, default_config, default_config_text, load, loads
 from kerv.harness import (
     SuiteReport,
@@ -139,6 +139,7 @@ def test_config_validates_threshold_at_load(lines):
         ("threshold.fixed_r = inf", "threshold.fixed_r"),
         ("threshold.r_max = inf", "threshold.r_max"),
         ("run.modes = naive,greedy", "greedy"),
+        ("run.modes =", "run.modes"),
         ("suite.goal.trials = many", "suite.goal.trials"),
         ("suite.goal.seed_base = 1.5", "suite.goal.seed_base"),
         ("threshold.tau = 1.0", "threshold.tau"),
@@ -160,6 +161,7 @@ def test_config_validates_values_set_by_replace():
         {"fixed_r": float("inf")},
         {"r_max": float("inf")},
         {"pl": 0},
+        {"modes": ()},
     ):
         with pytest.raises(ConfigError):
             replace(cfg, **kw)
@@ -215,6 +217,14 @@ def test_run_suite_zero_trials_is_empty_report(small_cfg):
     report, traces = run_suite(small_cfg, modes=("naive",), suites=("goal",), trials=0)
     assert report.rows == []
     assert traces[("goal", "naive")] == []
+
+
+def test_run_suite_negative_trials_is_error_before_any_episode(small_cfg, monkeypatch):
+    ran = []
+    monkeypatch.setattr(harness, "run_one_episode", lambda *a: ran.append(a))
+    with pytest.raises(ConfigError, match="trials must be >= 0, got -2"):
+        run_suite(small_cfg, modes=("naive",), trials=-2)
+    assert ran == []
 
 
 def test_run_suite_report_shape(small_cfg, small_table):
@@ -310,6 +320,16 @@ def test_cli_bad_config_exits_nonzero(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_negative_trials_exits_nonzero(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = cli.main(
+        ["run", "--config", str(_write_cfg(tmp_path)), "--out", str(out), "--trials", "-2"]
+    )
+    assert rc != 0
+    assert "trials must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_calibrate_then_kerv_run(tmp_path, capsys):

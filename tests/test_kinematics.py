@@ -1,4 +1,4 @@
-"""Filter bank: cache bounds, oracle equivalence, variability metric."""
+"""Filter bank: cache bounds, oracle equivalence, running variability."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,9 @@ from kerv.codec import ActionSlice, CodecError
 from kerv.kinematics import (
     KfBank,
     KfParams,
-    KinVar,
     KinematicsError,
     NoContextError,
     accumulate_kvar,
-    kin_variability,
 )
 from oracles import matrix_kf_predict, reference_kf_replay
 
@@ -163,35 +161,13 @@ def test_covariance_stays_psd():
             assert p00 * p11 - p01 * p01 >= -1e-9
 
 
-def test_kin_variability_identity_and_arithmetic():
-    a = ActionSlice((0.1, 0.2, 0.3, 0.0, 0.0, 0.0, -1.0))
-    assert kin_variability(a, a) == 0.0
-    b = ActionSlice((0.2, 0.2, 0.3, 0.1, 0.0, 0.0, -1.0))
-    assert kin_variability(a, b) == pytest.approx(0.2)
-
-
-@given(
-    st.lists(st.floats(-10, 10), min_size=7, max_size=7),
-    st.lists(st.floats(-10, 10), min_size=7, max_size=7),
-)
-@settings(max_examples=100)
-def test_kin_variability_metric_properties(xs, ys):
-    a, b = ActionSlice(tuple(xs)), ActionSlice(tuple(ys))
-    v = kin_variability(a, b)
-    assert v >= 0.0
-    assert v == kin_variability(b, a)
-    assert (v == 0.0) == (a.values == b.values)
-
-
 def test_accumulate_kvar():
-    kv = KinVar(per_step=0.1, cumulative=0.5)
-    kv = accumulate_kvar(kv, 0.2)
-    assert kv.per_step == 0.2
-    assert kv.cumulative == pytest.approx(0.7)
-    kv = accumulate_kvar(kv, 0.0)
-    assert kv.cumulative == pytest.approx(0.7)
-    with pytest.raises(KinematicsError):
-        accumulate_kvar(kv, -0.1)
+    cum = accumulate_kvar(0.5, 0.2)
+    assert cum == 0.5 + 0.2
+    assert accumulate_kvar(cum, 0.0) == cum
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(KinematicsError):
+            accumulate_kvar(cum, bad)
 
 
 _finite = st.floats(-2.0, 2.0, allow_nan=False, width=64)

@@ -200,6 +200,13 @@ def test_table_rejects_bad_r_bounds(r_max, r_min):
         CalibrationTable.loads(_HEADER_LINE + row)
 
 
+@pytest.mark.parametrize("tau, phi", [("0.0", "0.7"), ("-1.0", "0.7"), ("1.0", "0.0"), ("1.0", "-0.7")])
+def test_table_rejects_non_positive_tau_phi(tau, phi):
+    row = _ROW.replace("1.0,0.7", f"{tau},{phi}")
+    with pytest.raises(ThresholdConfigError, match="line 2: need tau > 0 and phi > 0"):
+        CalibrationTable.loads(_HEADER_LINE + row)
+
+
 def _trace(suite, kvar_steps, pairs, success=True, steps=None):
     """Minimal trace: one slice per kvar value, with given (draft, true) pairs."""
     slices = []
@@ -462,6 +469,10 @@ def test_calibrate_judges_each_miss_once(monkeypatch):
         {"r_max": 5.0, "r_min": 5.0},
         {"r_max": 15.0, "r_min": -1.0},
         {"r_max": float("nan")},
+        {"grid": [(1.0, 0.7), (float("nan"), 1.0)]},
+        {"grid": [(-1.0, 1.0)]},
+        {"grid": [(1.0, 0.0)]},
+        {"grid": [(1.0, float("inf"))]},
     ],
 )
 def test_calibrate_validates_before_replay(monkeypatch, kwargs):
@@ -469,8 +480,10 @@ def test_calibrate_validates_before_replay(monkeypatch, kwargs):
     monkeypatch.setattr(threshold, "_judge_group", lambda *a: calls.append(a))
     monkeypatch.setattr(threshold, "_replay_objective", lambda *a: calls.append(a))
     traces = [_trace("t1", [0.1, 0.3], [(100, 103)])]
+    kwargs = dict(kwargs)
+    grid = kwargs.pop("grid", DEFAULT_GRID)
     with pytest.raises(ThresholdConfigError):
-        calibrate(traces, DEFAULT_GRID, **kwargs)
+        calibrate(traces, grid, **kwargs)
     assert calls == []
 
 
