@@ -137,6 +137,8 @@ def run_suite(
     if trials is not None and trials < 0:
         raise ConfigError(f"trials must be >= 0, got {trials}")
     requested = tuple(modes) if modes is not None else cfg.modes
+    if not requested:
+        raise ConfigError(f"modes names no mode; expected some of {MODES}")
     for m in requested:
         if m not in MODES:
             raise ConfigError(f"unknown mode {m!r}")

@@ -1,10 +1,14 @@
 """Synthetic 7-DoF tasks and the token oracles that drive them.
 
 A task is a smooth spline trajectory through random waypoints; the plan is
-the trajectory quantized onto the token grid step by step. The plan build,
-the verify oracle and the env step share one tracking rule (``_track``) and
-one pose update (``_advance``), so replaying the plan's own tokens
-reproduces it exactly. The verify oracle is a
+the token path that tracks it, one ``_track`` and one ``_advance`` per
+step. The plan is built for all steps at once by guess and confirm: every
+pose is guessed on the lattice its bin-centre steps can reach, and the
+guessed tokens are replayed with the same float operations and tracked
+again, which confirms them exactly up to the first miss; a miss starts
+another pass from there (``_quantize``). The verify oracle and the env
+step use the same ``_track`` and ``_advance``, one slice at a time, so
+replaying the plan's own tokens reproduces it exactly. The verify oracle is a
 plan-tracking feedback policy (it re-targets the plan from the current
 pose, so one-off action errors are corrected on the next slice); the draft
 oracle corrupts the verify oracle's tokens with per-position noise whose
@@ -48,6 +52,7 @@ from .codec import (
     GRIPPER_DOF,
     N_DOF,
     ActionSlice,
+    CodecError,
     NormKey,
     TokenSlice,
     action_to_token,
@@ -146,7 +151,8 @@ class DraftNoiseModel:
 
 @dataclass(frozen=True)
 class Plan:
-    """Token-quantized ground-truth trajectory derived from a TaskSpec."""
+    """Token-quantized ground-truth trajectory derived from a TaskSpec; its
+    arrays are read-only."""
 
     poses: np.ndarray  # (T+1, 7); gripper channel holds the latched state
     actions: np.ndarray  # (T, 7) decoded token values, gripper = impulse
@@ -223,40 +229,128 @@ def build_plan(spec: TaskSpec, key: NormKey = DEFAULT_KEY) -> Plan:
 def _plan_for(
     kind: str, seed: int, waypoints: tuple[tuple[float, ...], ...], key: NormKey
 ) -> Plan:
-    seg_steps = _segment_steps(kind, seed, len(waypoints))
-    way = np.asarray(waypoints, dtype=float)
-    t_way = np.concatenate([[0], np.cumsum(seg_steps)]).astype(float)
-    total = int(t_way[-1])
-    ts = np.arange(total + 1, dtype=float)
+    """The plan of a task: the pose tracks a spline through the waypoints,
+    one ``_track`` and ``_advance`` per step, computed for all steps at once
+    by guess and confirm (``_quantize``). The arrays are read-only, since
+    the cache hands them to every episode and mode of the task.
 
-    motion = CubicSpline(t_way, way[:, :GRIPPER_DOF], axis=0, bc_type="clamped")(ts)
-    way_idx = np.searchsorted(t_way, ts, side="right") - 1
-
-    # the pose the plan tracks at each time: the spline's motion channels and
-    # the gripper state of the last waypoint reached
-    targets = np.column_stack([motion, way[way_idx, GRIPPER_DOF]]).tolist()
-    pose = targets[0]
-    poses, actions, tokens = [pose], [], []
-    for target in targets[1:]:
-        ids = _track(target, pose, key)
-        values = [token_to_action(tok, dof, key) for dof, tok in enumerate(ids)]
-        pose = _advance(pose, values)
-        poses.append(pose)
-        actions.append(values)
-        tokens.append(ids)
-    actions = np.array(actions)
+    The confirmation is exact whatever the guess. It decodes the guessed
+    tokens with ``token_to_action``'s own expression and sums them onto the
+    start pose with ``np.cumsum``, which makes the same float adds in the
+    same order as ``_advance``; the gripper column comes from its own
+    scalar pass. It then tracks every step again (``_track_rows``, with
+    ``_track``'s float operations) from those replayed poses. The first
+    step starts from the exact start pose, so its re-tracked token is the
+    true one. If it equals the guess, the replayed pose after it is exact
+    too, and so on by induction: every step before the first mismatch is
+    the step-by-step loop's, bit for bit, and so is the pose the mismatched
+    step starts from. The next pass starts from that pose.
+    """
+    poses, actions, tokens = _quantize(_targets(kind, seed, waypoints), key)
+    for array in (poses, actions, tokens):  # the cache shares them with every caller
+        array.flags.writeable = False
 
     path_length = float(np.abs(actions[:, :GRIPPER_DOF]).sum())
     return Plan(
-        poses=np.array(poses),
+        poses=poses,
         actions=actions,
-        tokens=np.array(tokens, dtype=int),
+        tokens=tokens,
         path_length=path_length,
         deviation_budget=DEVIATION_BUDGET_FRAC * path_length,
     )
 
 
 build_plan.cache_clear = _plan_for.cache_clear
+
+
+def _targets(kind: str, seed: int, waypoints: tuple[tuple[float, ...], ...]) -> np.ndarray:
+    """The pose a plan tracks at each time, (T+1, 7): the spline's motion
+    channels and the gripper state of the last waypoint reached."""
+    seg_steps = _segment_steps(kind, seed, len(waypoints))
+    way = np.asarray(waypoints, dtype=float)
+    t_way = np.concatenate([[0], np.cumsum(seg_steps)]).astype(float)
+    ts = np.arange(int(t_way[-1]) + 1, dtype=float)
+    motion = CubicSpline(t_way, way[:, :GRIPPER_DOF], axis=0, bc_type="clamped")(ts)
+    way_idx = np.searchsorted(t_way, ts, side="right") - 1
+    return np.column_stack([motion, way[way_idx, GRIPPER_DOF]])
+
+
+def _quantize(
+    targets: np.ndarray, key: NormKey
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Poses (T+1, 7), action values (T, 7) and tokens (T, 7) of tracking the
+    rows of ``targets`` from its first row, as ``_track``, ``token_to_action``
+    and ``_advance`` make them one step at a time.
+
+    The gripper column depends on nothing else, so ``_gripper_states`` runs
+    it exactly first. A motion token k decodes to the bin centre
+    ``lo + b * (k + 1/2)``, so j steps after a start pose a motion DoF lies
+    on the lattice ``start + j * (lo + b/2) + b * n``, where each step adds
+    0 to vocab - 1 to n. An unclamped step lands on the lattice point
+    nearest its target. Each pass guesses every remaining pose that way and
+    then applies the two clamps in turn, each to all steps at once as a
+    running extreme: n rises by at most vocab - 1 per step (a running
+    minimum) and never falls (a running maximum). The guess can miss where
+    a step clamped at the top follows one clamped at the bottom, or where a
+    target sits within rounding of a bin edge; the check that ``_plan_for``
+    describes finds the first miss, and the next pass starts there.
+    """
+    if not np.isfinite(targets).all():
+        raise CodecError("plan targets must be finite")
+    motion = slice(None, GRIPPER_DOF)
+    vocab = key.vocab_size
+    lo, hi = np.array(key.lo), np.array(key.hi)
+    width = (hi[motion] - lo[motion]) / vocab
+    lowest = lo[motion] + width / 2  # the centre of token 0
+
+    n_steps = len(targets) - 1
+    poses = targets.copy()
+    poses[:, GRIPPER_DOF] = _gripper_states(targets[:, GRIPPER_DOF].tolist(), key)
+    actions = np.empty((n_steps, N_DOF))
+    tokens = np.empty((n_steps, N_DOF), dtype=int)
+    start = 0  # poses[: start + 1] are exact
+    while start < n_steps:
+        ahead = targets[start + 1 :]
+        reach = np.arange(1.0, n_steps - start + 1)[:, None]
+        base = poses[start, motion] + reach * lowest
+        nearest = np.rint((ahead[:, motion] - base) / width)
+        top = reach * (vocab - 1)
+        bins = np.minimum.accumulate(np.minimum(nearest - top, 0), axis=0) + top
+        bins = np.maximum.accumulate(np.maximum(bins, 0), axis=0)
+        guessed = poses[start:-1].copy()
+        guessed[1:, motion] = (base + width * bins)[:-1]
+
+        ids = _track_rows(ahead, guessed, key)
+        values = lo + (hi - lo) * (ids + 0.5) / vocab  # token_to_action's expression
+        steps = values[:, motion].copy()
+        steps[0] += poses[start, motion]
+        poses[start + 1 :, motion] = np.cumsum(steps, axis=0)
+        tokens[start:], actions[start:] = ids, values
+
+        wrong = _track_rows(ahead, poses[start:-1], key) != ids
+        if not wrong.any():
+            break
+        # >= 1, since a pass's first step starts from an exact pose
+        start += int(wrong.argmax()) // N_DOF
+    return poses, actions, tokens
+
+
+def _gripper_states(targets: list[float], key: NormKey) -> list[float]:
+    """The gripper column of the plan's poses: ``_track``'s impulse toward
+    each target and ``_advance``'s latch, one step at a time. An impulse is
+    a target or 0.0, so each distinct one is encoded and decoded once."""
+    state = targets[0]
+    states = [state]
+    commands: dict[float, float] = {}
+    for target in targets[1:]:
+        impulse = target if target != state else 0.0
+        command = commands.get(impulse)
+        if command is None:
+            tok = action_to_token(impulse, GRIPPER_DOF, key)
+            command = commands[impulse] = token_to_action(tok, GRIPPER_DOF, key)
+        state = _latch(state, command)
+        states.append(state)
+    return states
 
 
 def _track(target, pose, key: NormKey) -> list[int]:
@@ -272,14 +366,29 @@ def _track(target, pose, key: NormKey) -> list[int]:
     return ids
 
 
+def _track_rows(targets: np.ndarray, poses: np.ndarray, key: NormKey) -> np.ndarray:
+    """``_track`` of each row of ``targets`` from the same row of ``poses``,
+    as an (n, 7) int array, with ``action_to_token``'s float operations."""
+    lo, hi = np.array(key.lo), np.array(key.hi)
+    desired = np.minimum(np.maximum(targets - poses, lo), hi)
+    grip_target, grip_pose = targets[:, GRIPPER_DOF], poses[:, GRIPPER_DOF]
+    desired[:, GRIPPER_DOF] = np.where(grip_target != grip_pose, grip_target, 0.0)
+    idx = np.floor((desired - lo) / (hi - lo) * key.vocab_size)
+    return np.clip(idx, 0, key.vocab_size - 1).astype(int)
+
+
 def _advance(pose, values) -> list[float]:
     """The pose after one slice of action values: the motion DoFs add their
-    values, and the gripper latches to the command's sign once the command
-    passes ``GRIPPER_FLIP_LEVEL``."""
+    values, and the gripper latches (``_latch``)."""
     new = [p + v for p, v in zip(pose[:GRIPPER_DOF], values)]
-    g_cmd = values[GRIPPER_DOF]
-    new.append(math.copysign(1.0, g_cmd) if abs(g_cmd) > GRIPPER_FLIP_LEVEL else pose[GRIPPER_DOF])
+    new.append(_latch(pose[GRIPPER_DOF], values[GRIPPER_DOF]))
     return new
+
+
+def _latch(state: float, command: float) -> float:
+    """The gripper state after a command: the command's sign once it passes
+    ``GRIPPER_FLIP_LEVEL``, else the state held."""
+    return math.copysign(1.0, command) if abs(command) > GRIPPER_FLIP_LEVEL else state
 
 
 def oracle_policy(

@@ -5,11 +5,11 @@ textbook 2x2 matrix arithmetic via numpy, the filter reference replays the
 scalar recursion over each window's observations (the library applies
 precomputed linear weights instead), and the first-error-position
 oracle is a direct Monte-Carlo simulation of per-position Bernoulli misses.
-The calibration, variability and trace references keep the original
-straightforward forms: a ``ThresholdState`` advanced by
-``dataclasses.replace`` per slice, every token pair decoded again per
-candidate, zero-padded action slices compared over all seven positions,
-and ``asdict`` serialization.
+The plan, calibration, variability and trace references keep the original
+straightforward forms: the plan tracked one step and one DoF at a time, a
+``ThresholdState`` advanced by ``dataclasses.replace`` per slice, every
+token pair decoded again per candidate, zero-padded action slices compared
+over all seven positions, and ``asdict`` serialization.
 """
 
 import json
@@ -19,6 +19,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from kerv.codec import token_to_action
+from kerv.simenv import _advance, _track
 from kerv.threshold import ADJUST_MODES, ThresholdConfigError, ThresholdState
 
 
@@ -143,6 +144,23 @@ def reference_draft_ids(truth_ids, noise, task_seed, t, vocab_size):
             corrupted = min(max(tok - off, 0), vmax)
         ids.append(corrupted)
     return tuple(ids)
+
+
+def reference_plan(targets, key):
+    """Poses, actions and tokens of a plan that tracks ``targets`` (rows of
+    seven floats, the first the start pose), built the original way: one
+    ``_track``, seven ``token_to_action`` calls and one ``_advance`` per
+    step."""
+    pose = targets[0]
+    poses, actions, tokens = [pose], [], []
+    for target in targets[1:]:
+        ids = _track(target, pose, key)
+        values = [token_to_action(tok, dof, key) for dof, tok in enumerate(ids)]
+        pose = _advance(pose, values)
+        poses.append(pose)
+        actions.append(values)
+        tokens.append(ids)
+    return np.array(poses), np.array(actions), np.array(tokens, dtype=int)
 
 
 def reference_adjust(state, kvar_step, mode="rectified"):

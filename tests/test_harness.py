@@ -227,6 +227,14 @@ def test_run_suite_negative_trials_is_error_before_any_episode(small_cfg, monkey
     assert ran == []
 
 
+def test_run_suite_no_modes_is_error_before_any_episode(small_cfg, monkeypatch):
+    ran = []
+    monkeypatch.setattr(harness, "run_one_episode", lambda *a: ran.append(a))
+    with pytest.raises(ConfigError, match="modes names no mode"):
+        run_suite(small_cfg, modes=(), trials=1)
+    assert ran == []
+
+
 def test_run_suite_report_shape(small_cfg, small_table):
     table = CalibrationTable()
     for name in ("goal",):

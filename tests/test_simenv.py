@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kerv import simenv
-from kerv.codec import ActionSlice, NormKey, TokenSlice, decode_slice, encode_slice
+from kerv.codec import (
+    ActionSlice,
+    CodecError,
+    NormKey,
+    TokenSlice,
+    decode_slice,
+    encode_slice,
+)
 from kerv.simenv import (
     DEFAULT_TOLERANCE,
     DraftNoiseModel,
@@ -30,7 +37,7 @@ from kerv.config import RunConfig
 from kerv.specdec import MODES, run_episode
 from kerv.threshold import ThresholdState
 
-from oracles import reference_draft_ids
+from oracles import reference_draft_ids, reference_plan
 
 
 def test_make_task_deterministic():
@@ -227,6 +234,117 @@ def test_env_is_pure_function_of_spec_and_actions():
         return env.state
 
     assert run() == run()
+
+
+# --- the plan against the scalar loop -----------------------------------------
+
+PLAN_KEYS = [
+    NormKey(),
+    NormKey(lo=(-1.0,) * 6 + (0.6,), hi=(1.0,) * 6 + (2.0,)),  # every gripper token latches
+    NormKey(lo=(-0.5,) * 7, hi=(0.5,) * 7, vocab_size=64),  # the gripper never latches
+    NormKey(lo=(-0.05,) * 6 + (-1.0,), hi=(0.05,) * 6 + (1.0,), vocab_size=16),  # heavy clamping
+    NormKey(vocab_size=2),
+    NormKey(
+        lo=(-0.3, -1.0, -0.2, -2.0, -0.7, -1.5, -1.0),
+        hi=(0.9, 0.4, 1.1, 1.0, 0.6, 2.5, 1.0),
+        vocab_size=200,
+    ),
+]
+
+
+def _assert_bitwise_equal(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(simenv.KINDS),
+    seed=st.one_of(st.integers(0, 200), st.integers(2**31, 2**33)),
+    key=st.sampled_from(PLAN_KEYS),
+    jitter=st.sampled_from([0.0, 1e-9, 1e-3, 0.05]),
+    jitter_seed=st.integers(0, 2**32 - 1),
+)
+def test_plan_equals_the_scalar_loop_bit_for_bit(kind, seed, key, jitter, jitter_seed):
+    """Tokens, poses and actions, sign bits included, against the one-step-
+    at-a-time loop: the plan itself, and the same tracking of jittered
+    targets (the gripper column jittered too, so it holds values other
+    than +/-1)."""
+    spec = make_task(kind, seed, key)
+    targets = simenv._targets(kind, seed, spec.waypoints)
+    if jitter:
+        targets = targets + np.random.default_rng(jitter_seed).normal(0.0, jitter, targets.shape)
+        got = simenv._quantize(targets, key)
+    else:
+        plan = build_plan(spec, key)
+        got = (plan.poses, plan.actions, plan.tokens)
+    for array, expected in zip(got, reference_plan(targets.tolist(), key)):
+        _assert_bitwise_equal(array, expected)
+
+
+_GRIPPER_VALUES = st.sampled_from([-1.0, 1.0, 0.0, -0.0, 0.5, -0.5])
+_FLOATS = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    key=st.sampled_from(PLAN_KEYS),
+    rows=st.lists(
+        st.tuples(
+            st.lists(_FLOATS, min_size=6, max_size=6),  # poses
+            st.lists(st.one_of(_FLOATS, st.integers(-300, 300)), min_size=6, max_size=6),
+            st.one_of(_GRIPPER_VALUES, _FLOATS),  # pose gripper state
+            st.one_of(_GRIPPER_VALUES, _FLOATS),  # target gripper state
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_track_rows_equals_track_row_by_row(key, rows):
+    """An integer gap k puts the target at the DoF's k-th bin edge from the
+    pose, or within rounding of it."""
+    def gap(dof, g):
+        if isinstance(g, float):
+            return g
+        return key.lo[dof] + g * (key.hi[dof] - key.lo[dof]) / key.vocab_size
+
+    poses, targets = [], []
+    for pose, gaps, grip_pose, grip_target in rows:
+        poses.append(pose + [grip_pose])
+        targets.append([p + gap(d, g) for d, (p, g) in enumerate(zip(pose, gaps))] + [grip_target])
+    got = simenv._track_rows(np.array(targets), np.array(poses), key)
+    assert got.dtype == np.dtype(int)
+    assert got.tolist() == [simenv._track(t, p, key) for t, p in zip(targets, poses)]
+
+
+def test_default_plans_are_built_in_one_guess_pass(monkeypatch):
+    """One pass tracks the steps twice: from the guessed poses and from the
+    replayed ones. More calls mean the guess missed."""
+    calls = []
+    real = simenv._track_rows
+    monkeypatch.setattr(simenv, "_track_rows", lambda *a: calls.append(a) or real(*a))
+    for kind in simenv.KINDS:
+        for seed in range(50):
+            build_plan.cache_clear()
+            calls.clear()
+            make_task(kind, seed)
+            assert len(calls) == 2, (kind, seed)
+
+
+def test_plan_arrays_are_read_only():
+    """The plan cache hands the same arrays to every episode of a task."""
+    plan = build_plan(make_task("reach", 4))
+    for array in (plan.poses, plan.actions, plan.tokens):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0
+
+
+def test_plan_targets_must_be_finite():
+    targets = np.zeros((3, 7))
+    targets[2, 1] = math.nan
+    with pytest.raises(CodecError, match="finite"):
+        simenv._quantize(targets, NormKey())
 
 
 # --- draft noise against the reference stream --------------------------------
