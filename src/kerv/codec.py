@@ -6,6 +6,19 @@ command. Each DoF is emitted as one token on a uniform bin grid whose
 range is given by per-DoF normalization statistics (the norm key).
 The mapping uses bin centers, so decoding a token and re-encoding the
 value is exact.
+
+Where values are checked: the norm key when the config is loaded
+(``NormKey``); every token an oracle returns, where the decoder judges it
+(``specdec.decode_slice_sd``: an ``int`` in ``[0, vocab)``); and every
+``TokenSlice``/``ActionSlice`` when it is built, in one pass that accepts
+plain in-range values as they are and falls back to the normalizing loop
+for anything else. Token ids read back from a trace are range-checked by
+``token_to_action`` when calibration or ``accepted_error_kvar`` decodes
+them. The per-slice paths compute the codec's expressions inline on plain
+ints and floats instead of calling the checked scalar functions:
+``decode_slice`` (one range check per token, then ``token_to_action``'s
+expression) and ``simenv._track`` (``action_to_token``'s expression on a
+gap already clamped to the action range).
 """
 
 from __future__ import annotations
@@ -29,18 +42,30 @@ class TokenSlice:
     ids: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.ids) != N_DOF:
-            raise CodecError(f"token slice needs {N_DOF} ids, got {len(self.ids)}")
-        norm = []
-        for tok in self.ids:
-            try:
-                as_int = int(tok)
-            except (TypeError, ValueError):
-                raise CodecError(f"token id must be an integer, got {tok!r}") from None
-            if as_int != tok or as_int < 0:
-                raise CodecError(f"token id must be a non-negative integer, got {tok!r}")
-            norm.append(as_int)
-        object.__setattr__(self, "ids", tuple(norm))
+        ids = self.ids
+        if len(ids) != N_DOF:
+            raise CodecError(f"token slice needs {N_DOF} ids, got {len(ids)}")
+        for tok in ids:
+            if type(tok) is not int or tok < 0:
+                object.__setattr__(self, "ids", _normalized_ids(ids))
+                return
+        if type(ids) is not tuple:
+            object.__setattr__(self, "ids", tuple(ids))
+
+
+def _normalized_ids(ids) -> tuple[int, ...]:
+    """Each id as an ``int``, refusing one that is not a non-negative
+    integer (``3.0`` and ``np.int64(3)`` pass, ``3.5`` and ``"3"`` do not)."""
+    norm = []
+    for tok in ids:
+        try:
+            as_int = int(tok)
+        except (TypeError, ValueError):
+            raise CodecError(f"token id must be an integer, got {tok!r}") from None
+        if as_int != tok or as_int < 0:
+            raise CodecError(f"token id must be a non-negative integer, got {tok!r}")
+        norm.append(as_int)
+    return tuple(norm)
 
 
 @dataclass(frozen=True)
@@ -50,15 +75,26 @@ class ActionSlice:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) != N_DOF:
-            raise CodecError(f"action slice needs {N_DOF} values, got {len(self.values)}")
-        norm = []
-        for v in self.values:
-            f = float(v)
-            if not math.isfinite(f):
-                raise CodecError(f"action value must be finite, got {v!r}")
-            norm.append(f)
-        object.__setattr__(self, "values", tuple(norm))
+        values = self.values
+        if len(values) != N_DOF:
+            raise CodecError(f"action slice needs {N_DOF} values, got {len(values)}")
+        for v in values:
+            if type(v) is not float or not math.isfinite(v):
+                object.__setattr__(self, "values", _normalized_values(values))
+                return
+        if type(values) is not tuple:
+            object.__setattr__(self, "values", tuple(values))
+
+
+def _normalized_values(values) -> tuple[float, ...]:
+    """Each value as a ``float``, refusing one that is not finite."""
+    norm = []
+    for v in values:
+        f = float(v)
+        if not math.isfinite(f):
+            raise CodecError(f"action value must be finite, got {v!r}")
+        norm.append(f)
+    return tuple(norm)
 
 
 @dataclass(frozen=True)
@@ -118,10 +154,16 @@ def action_to_token(value: float, dof: int, key: NormKey = DEFAULT_KEY) -> int:
 
 
 def decode_slice(tokens: TokenSlice, key: NormKey = DEFAULT_KEY) -> ActionSlice:
-    """Decode all seven tokens of a slice to continuous actions."""
-    return ActionSlice(
-        tuple(token_to_action(tok, dof, key) for dof, tok in enumerate(tokens.ids))
-    )
+    """Decode all seven tokens of a slice to continuous actions, with
+    ``token_to_action``'s range check and expression inline per DoF."""
+    vocab = key.vocab_size
+    values = []
+    for dof, tok in enumerate(tokens.ids):
+        if tok >= vocab:  # a TokenSlice holds non-negative ints
+            raise CodecError(f"token id {tok} outside [0, {vocab - 1}] for dof{dof}")
+        lo, hi = key.lo[dof], key.hi[dof]
+        values.append(lo + (hi - lo) * (tok + 0.5) / vocab)
+    return ActionSlice(tuple(values))
 
 
 def encode_slice(values, key: NormKey = DEFAULT_KEY) -> TokenSlice:

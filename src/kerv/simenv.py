@@ -356,13 +356,31 @@ def _gripper_states(targets: list[float], key: NormKey) -> list[float]:
 def _track(target, pose, key: NormKey) -> list[int]:
     """Tokens that move ``pose`` toward ``target``: each motion DoF's gap,
     clamped to the action range, and a gripper impulse to the target's state
-    when it differs from the pose's."""
+    when it differs from the pose's.
+
+    Each value is encoded with ``action_to_token``'s expression inline, and
+    each ``min(max(x, a), b)`` is written as the two comparisons that give
+    the same result. A non-finite value (a NaN gap, an infinite impulse)
+    makes ``math.floor`` raise, and is refused as ``action_to_token``
+    refuses it.
+    """
+    vocab = key.vocab_size
+    top = vocab - 1
     ids = []
-    for dof in range(GRIPPER_DOF):
-        desired = min(max(target[dof] - pose[dof], key.lo[dof]), key.hi[dof])
-        ids.append(action_to_token(desired, dof, key))
-    impulse = target[GRIPPER_DOF] if target[GRIPPER_DOF] != pose[GRIPPER_DOF] else 0.0
-    ids.append(action_to_token(impulse, GRIPPER_DOF, key))
+    try:
+        for dof in range(N_DOF):
+            lo, hi = key.lo[dof], key.hi[dof]
+            if dof == GRIPPER_DOF:
+                desired = target[dof] if target[dof] != pose[dof] else 0.0
+            else:
+                gap = target[dof] - pose[dof]
+                desired = lo if lo > gap else hi if hi < gap else gap
+            idx = math.floor((desired - lo) / (hi - lo) * vocab)
+            ids.append(0 if idx < 0 else top if idx > top else idx)
+    except (ValueError, OverflowError):
+        if math.isfinite(desired):
+            raise
+        raise CodecError(f"action value must be finite, got {desired!r}") from None
     return ids
 
 

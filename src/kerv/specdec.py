@@ -75,13 +75,24 @@ class MissingContextError(EngineError):
 
 class DraftOracle(Protocol):
     def draft(self, prefix: Sequence[int], depth: int) -> Sequence[int]:
-        """Propose ``depth`` tokens for the positions following ``prefix``."""
+        """Propose ``depth`` tokens for the positions following ``prefix``.
+
+        The result is a sequence of exactly ``depth`` tokens, each an
+        ``int`` (not a ``bool``) in ``[0, vocab_size)``. The decoder reads it
+        without copying, refuses a wrong length, and refuses a bad token
+        with ``EngineError`` when it judges that position.
+        """
         ...
 
 
 class VerifyOracle(Protocol):
     def verify(self, prefix: Sequence[int], drafted: Sequence[int]) -> Sequence[int]:
-        """Return the true token at each drafted position, in one call."""
+        """Return the true token at each drafted position, in one call.
+
+        The same contract as ``DraftOracle.draft``: exactly
+        ``len(drafted)`` tokens, each an ``int`` in ``[0, vocab_size)``,
+        checked by the decoder where it judges that position.
+        """
         ...
 
 
@@ -140,30 +151,34 @@ def decode_slice_sd(
     if compensation_enabled and (bank is None or not bank.has_context):
         raise MissingContextError("no action context: compensation needs a primed bank")
 
+    vocab = key.vocab_size
     tokens: list[int] = []
     sources: list[str] = []
     draft_ids: list[int | None] = [None] * N_DOF
     true_ids: list[int | None] = [None] * N_DOF
     statuses: list[str | None] = [None] * N_DOF
     first_error = N_DOF
-    verify_calls = 0
-    draft_calls = 0
+    rounds = 0  # one draft call and one verify call each
     comp_fired = False
 
-    while len(tokens) < N_DOF:
-        base = len(tokens)
+    base = 0  # positions decoded so far
+    while base < N_DOF:
         want = min(depth, N_DOF - base)
-        drafted = list(draft.draft(tuple(tokens), want))
-        draft_calls += 1
+        prefix = tuple(tokens)
+        drafted = draft.draft(prefix, want)
         if len(drafted) != want:
             raise EngineError(f"draft oracle returned {len(drafted)} tokens, wanted {want}")
-        truths = list(verify.verify(tuple(tokens), drafted))
-        verify_calls += 1
+        truths = verify.verify(prefix, drafted)
         if len(truths) != want:
             raise EngineError(f"verify oracle returned {len(truths)} tokens, wanted {want}")
+        rounds += 1
 
-        for i, (d_tok, t_tok) in enumerate(zip(drafted, truths)):
-            pos = base + i
+        for pos, d_tok, t_tok in zip(range(base, N_DOF), drafted, truths):
+            # the oracle boundary: each judged token is checked once, here
+            if type(d_tok) is not int or not 0 <= d_tok < vocab:
+                raise _bad_token("draft", pos, d_tok, vocab)
+            if type(t_tok) is not int or not 0 <= t_tok < vocab:
+                raise _bad_token("verify", pos, t_tok, vocab)
             draft_ids[pos] = d_tok
             true_ids[pos] = t_tok
             status = statuses[pos] = relaxed_accept(d_tok, t_tok, r)
@@ -176,9 +191,7 @@ def decode_slice_sd(
                 first_error = pos
             # compensation replaces re-inference only when the miss shows up
             # in the first round; a compensated slice must cost one verify
-            can_compensate = (
-                compensation_enabled and verify_calls == 1 and pos < N_DOF - 1
-            )
+            can_compensate = compensation_enabled and rounds == 1 and pos < N_DOF - 1
             if can_compensate:
                 assert bank is not None
                 predicted = bank.predict(kf_pl)[-1].values
@@ -196,8 +209,7 @@ def decode_slice_sd(
                 tokens.append(t_tok)
                 sources.append(SRC_VERIFY)
             break
-        if comp_fired:
-            break
+        base = len(tokens)  # a compensated slice is full
 
     final_tokens = TokenSlice(tuple(tokens))
     actions = decode_slice(final_tokens, key)
@@ -208,12 +220,19 @@ def decode_slice_sd(
         actions=actions,
         first_error_position=first_error,
         sources=tuple(sources),
-        verify_calls=verify_calls,
-        draft_calls=draft_calls,
+        verify_calls=rounds,
+        draft_calls=rounds,
         comp_fired=comp_fired,
         draft_ids=tuple(draft_ids),
         true_ids=tuple(true_ids),
         statuses=tuple(statuses),
+    )
+
+
+def _bad_token(oracle: str, pos: int, tok, vocab: int) -> EngineError:
+    return EngineError(
+        f"{oracle} oracle returned {tok!r} at position {pos}; "
+        f"tokens must be ints in [0, {vocab - 1}]"
     )
 
 

@@ -5,11 +5,14 @@ textbook 2x2 matrix arithmetic via numpy, the filter reference replays the
 scalar recursion over each window's observations (the library applies
 precomputed linear weights instead), and the first-error-position
 oracle is a direct Monte-Carlo simulation of per-position Bernoulli misses.
-The plan, calibration, variability and trace references keep the original
-straightforward forms: the plan tracked one step and one DoF at a time, a
-``ThresholdState`` advanced by ``dataclasses.replace`` per slice, every
-token pair decoded again per candidate, zero-padded action slices compared
-over all seven positions, and ``asdict`` serialization.
+The plan, tracking, decoding, calibration, variability and trace
+references keep the original straightforward forms: the plan tracked one
+step and one DoF at a time, each tracked or decoded value sent through the
+checked scalar ``action_to_token``/``token_to_action`` (the library inlines
+their expressions), a ``ThresholdState`` advanced by
+``dataclasses.replace`` per slice, every token pair decoded again per
+candidate, zero-padded action slices compared over all seven positions,
+and ``asdict`` serialization.
 """
 
 import json
@@ -18,8 +21,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from kerv.codec import token_to_action
-from kerv.simenv import _advance, _track
+from kerv.codec import GRIPPER_DOF, NormKey, action_to_token, token_to_action
+from kerv.simenv import _advance
 from kerv.threshold import ADJUST_MODES, ThresholdConfigError, ThresholdState
 
 
@@ -146,15 +149,47 @@ def reference_draft_ids(truth_ids, noise, task_seed, t, vocab_size):
     return tuple(ids)
 
 
+# norm keys for the bit-exact plan, tracking and decoding tests
+PLAN_KEYS = [
+    NormKey(),
+    NormKey(lo=(-1.0,) * 6 + (0.6,), hi=(1.0,) * 6 + (2.0,)),  # every gripper token latches
+    NormKey(lo=(-0.5,) * 7, hi=(0.5,) * 7, vocab_size=64),  # the gripper never latches
+    NormKey(lo=(-0.05,) * 6 + (-1.0,), hi=(0.05,) * 6 + (1.0,), vocab_size=16),  # heavy clamping
+    NormKey(vocab_size=2),
+    NormKey(
+        lo=(-0.3, -1.0, -0.2, -2.0, -0.7, -1.5, -1.0),
+        hi=(0.9, 0.4, 1.1, 1.0, 0.6, 2.5, 1.0),
+        vocab_size=200,
+    ),
+]
+
+
+def reference_track(target, pose, key):
+    """Tokens that move ``pose`` toward ``target``, one checked
+    ``action_to_token`` call per DoF."""
+    ids = []
+    for dof in range(GRIPPER_DOF):
+        desired = min(max(target[dof] - pose[dof], key.lo[dof]), key.hi[dof])
+        ids.append(action_to_token(desired, dof, key))
+    impulse = target[GRIPPER_DOF] if target[GRIPPER_DOF] != pose[GRIPPER_DOF] else 0.0
+    ids.append(action_to_token(impulse, GRIPPER_DOF, key))
+    return ids
+
+
+def reference_decode_slice(ids, key):
+    """Seven token ids decoded one checked ``token_to_action`` call at a time."""
+    return tuple(token_to_action(tok, dof, key) for dof, tok in enumerate(ids))
+
+
 def reference_plan(targets, key):
     """Poses, actions and tokens of a plan that tracks ``targets`` (rows of
     seven floats, the first the start pose), built the original way: one
-    ``_track``, seven ``token_to_action`` calls and one ``_advance`` per
-    step."""
+    ``reference_track``, seven ``token_to_action`` calls and one
+    ``_advance`` per step."""
     pose = targets[0]
     poses, actions, tokens = [pose], [], []
     for target in targets[1:]:
-        ids = _track(target, pose, key)
+        ids = reference_track(target, pose, key)
         values = [token_to_action(tok, dof, key) for dof, tok in enumerate(ids)]
         pose = _advance(pose, values)
         poses.append(pose)

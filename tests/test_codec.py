@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,8 @@ from kerv.codec import (
     token_distance,
     token_to_action,
 )
+
+from oracles import PLAN_KEYS, reference_decode_slice
 
 
 def test_bin_center_value():
@@ -151,3 +154,92 @@ def test_encode_slice_matches_per_dof():
     tokens = encode_slice(vals, key)
     for dof, v in enumerate(vals):
         assert tokens.ids[dof] == action_to_token(v, dof, key)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(PLAN_KEYS), data=st.data())
+def test_decode_slice_equals_token_to_action_per_dof(key, data):
+    """The inlined decoder against ``token_to_action`` per DoF, bit for bit,
+    with the end and middle bins drawn often."""
+    top = key.vocab_size - 1
+    tok = st.one_of(st.sampled_from([0, 1, top - 1, top, top // 2, (top + 1) // 2]), st.integers(0, top))
+    ids = data.draw(st.lists(tok, min_size=7, max_size=7))
+    got = decode_slice(TokenSlice(tuple(ids)), key).values
+    assert [v.hex() for v in got] == [v.hex() for v in reference_decode_slice(ids, key)]
+
+
+@pytest.mark.parametrize("dof", range(7))
+def test_decode_slice_refuses_a_token_past_the_vocabulary_as_token_to_action(dof):
+    key = NormKey(vocab_size=16)
+    ids = [3] * 7
+    ids[dof] = 16
+    with pytest.raises(CodecError) as expected:
+        reference_decode_slice(ids, key)
+    with pytest.raises(CodecError) as got:
+        decode_slice(TokenSlice(tuple(ids)), key)
+    assert str(got.value) == str(expected.value) == f"token id 16 outside [0, 15] for dof{dof}"
+
+
+# what the slices did with each input before their checks took a fast path
+# for plain in-range values: the normalized slice, or the refusal message
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (3, (0, 1, 3, 3, 4, 5, 6)),
+        (3.0, (0, 1, 3, 3, 4, 5, 6)),
+        (True, (0, 1, 1, 3, 4, 5, 6)),
+        (np.int64(3), (0, 1, 3, 3, 4, 5, 6)),
+        (3.5, "token id must be a non-negative integer, got 3.5"),
+        ("3", "token id must be a non-negative integer, got '3'"),
+        (-1, "token id must be a non-negative integer, got -1"),
+        (math.nan, "token id must be an integer, got nan"),
+    ],
+)
+def test_token_slice_outcomes_are_unchanged(value, expected):
+    ids = [0, 1, value, 3, 4, 5, 6]
+    for given_ids in (tuple(ids), ids):
+        if isinstance(expected, str):
+            with pytest.raises(CodecError) as got:
+                TokenSlice(given_ids)
+            assert str(got.value) == expected
+        else:
+            got = TokenSlice(given_ids).ids
+            assert type(got) is tuple and got == expected
+            assert all(type(tok) is int for tok in got)
+
+
+@pytest.mark.parametrize("ids", [(1, 2, 3), (1,) * 8, ()])
+def test_token_slice_length_message_is_unchanged(ids):
+    with pytest.raises(CodecError, match=f"^token slice needs 7 ids, got {len(ids)}$"):
+        TokenSlice(ids)
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (1, (0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
+        (np.float64(0.5), (0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0)),
+        (-0.0, (0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
+        (math.nan, "action value must be finite, got nan"),
+        (math.inf, "action value must be finite, got inf"),
+        (-math.inf, "action value must be finite, got -inf"),
+    ],
+)
+def test_action_slice_outcomes_are_unchanged(value, expected):
+    values = [0.0, value, 0.0, 0.0, 0.0, 0.0, 0.0]
+    for given_values in (tuple(values), values):
+        if isinstance(expected, str):
+            with pytest.raises(CodecError) as got:
+                ActionSlice(given_values)
+            assert str(got.value) == expected
+        else:
+            got = ActionSlice(given_values).values
+            assert type(got) is tuple
+            assert [v.hex() for v in got] == [v.hex() for v in expected]
+            assert all(type(v) is float for v in got)
+
+
+@pytest.mark.parametrize("values", [(0.0,) * 6, (0.0,) * 8])
+def test_action_slice_length_message_is_unchanged(values):
+    with pytest.raises(CodecError, match=f"^action slice needs 7 values, got {len(values)}$"):
+        ActionSlice(values)

@@ -37,7 +37,7 @@ from kerv.config import RunConfig
 from kerv.specdec import MODES, run_episode
 from kerv.threshold import ThresholdState
 
-from oracles import reference_draft_ids, reference_plan
+from oracles import PLAN_KEYS, reference_draft_ids, reference_plan, reference_track
 
 
 def test_make_task_deterministic():
@@ -238,19 +238,6 @@ def test_env_is_pure_function_of_spec_and_actions():
 
 # --- the plan against the scalar loop -----------------------------------------
 
-PLAN_KEYS = [
-    NormKey(),
-    NormKey(lo=(-1.0,) * 6 + (0.6,), hi=(1.0,) * 6 + (2.0,)),  # every gripper token latches
-    NormKey(lo=(-0.5,) * 7, hi=(0.5,) * 7, vocab_size=64),  # the gripper never latches
-    NormKey(lo=(-0.05,) * 6 + (-1.0,), hi=(0.05,) * 6 + (1.0,), vocab_size=16),  # heavy clamping
-    NormKey(vocab_size=2),
-    NormKey(
-        lo=(-0.3, -1.0, -0.2, -2.0, -0.7, -1.5, -1.0),
-        hi=(0.9, 0.4, 1.1, 1.0, 0.6, 2.5, 1.0),
-        vocab_size=200,
-    ),
-]
-
 
 def _assert_bitwise_equal(got, expected):
     assert got.dtype == expected.dtype and got.shape == expected.shape
@@ -316,6 +303,64 @@ def test_track_rows_equals_track_row_by_row(key, rows):
     got = simenv._track_rows(np.array(targets), np.array(poses), key)
     assert got.dtype == np.dtype(int)
     assert got.tolist() == [simenv._track(t, p, key) for t, p in zip(targets, poses)]
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, OverflowError) as exc:  # CodecError is a ValueError
+        return type(exc), str(exc)
+
+
+def _edges(key, dof):
+    """The DoF's bin edges from one past either clamp, each moved up to two
+    floats either way."""
+    def edge(k, ulps):
+        x = key.lo[dof] + k * (key.hi[dof] - key.lo[dof]) / key.vocab_size
+        for _ in range(abs(ulps)):
+            x = math.nextafter(x, math.copysign(math.inf, ulps))
+        return x
+
+    return st.builds(edge, st.integers(-1, key.vocab_size + 1), st.integers(-2, 2))
+
+
+_SPECIAL_GAPS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1e300, -1e300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(PLAN_KEYS), data=st.data())
+def test_track_equals_the_checked_encoder_per_dof(key, data):
+    """The inlined encoder against ``action_to_token`` per DoF: gaps on and
+    next to bin edges, +/-0.0, and past both clamps; a pose of 0.0 keeps the
+    drawn gap exact. Infinite gripper impulses are refused by both alike."""
+    target, pose = [], []
+    for dof in range(7):
+        p = data.draw(st.one_of(st.sampled_from([0.0, -0.0]), _FLOATS, _GRIPPER_VALUES))
+        g = data.draw(st.one_of(_edges(key, dof), _FLOATS, _SPECIAL_GAPS))
+        if dof == 6 and data.draw(st.booleans()):
+            g = 0.0  # the gripper holds: a zero impulse
+        pose.append(p)
+        target.append(g if p == 0.0 else p + g)
+    got = _outcome(simenv._track, target, pose, key)
+    assert got == _outcome(reference_track, target, pose, key)
+    if isinstance(got, list):
+        assert all(type(tok) is int for tok in got)
+
+
+@pytest.mark.parametrize("dof", range(7))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_track_refuses_a_non_finite_value_as_the_encoder_does(dof, value):
+    """A NaN gap, or a non-finite gripper impulse, raises the encoder's
+    ``CodecError``; an infinite motion gap is clamped like any other."""
+    key = NormKey()
+    pose = [0.1] * 7
+    target = [0.2] * 7
+    target[dof] = value
+    expected = _outcome(reference_track, target, pose, key)
+    assert _outcome(simenv._track, target, pose, key) == expected
+    if math.isnan(value) or dof == 6:
+        assert expected == (CodecError, f"action value must be finite, got {value!r}")
 
 
 def test_default_plans_are_built_in_one_guess_pass(monkeypatch):

@@ -218,6 +218,35 @@ def test_parameter_validation():
         )
 
 
+@pytest.mark.parametrize("oracle", ["draft", "verify"])
+@pytest.mark.parametrize("bad", [999, -40, 7.5, True])
+@pytest.mark.parametrize("pos", [1, 5])
+def test_a_bad_oracle_token_is_refused_where_it_is_judged(oracle, bad, pos):
+    """Each value is rejected against the other oracle's 50. A rejected
+    draft token never reaches the slice's tokens, so only this check keeps
+    it out of the trace's ids (``True`` would be written as JSON ``true``).
+    The error names the oracle, the position and the value, in the first
+    draft round (position 1) or a later one (position 5)."""
+    good = [140, 141, 142, 143, 144, 145, 146]
+    good[pos] = 50
+    bad_row = list(good)
+    bad_row[pos] = bad
+    draft_row, verify_row = (bad_row, good) if oracle == "draft" else (good, bad_row)
+    with pytest.raises(EngineError) as err:
+        decode_slice_sd(
+            ScriptedOracle(draft_row),
+            ScriptedOracle(verify_row),
+            r=0,
+            depth=4,
+            compensation_enabled=False,
+            bank=None,
+            key=KEY,
+        )
+    assert str(err.value) == (
+        f"{oracle} oracle returned {bad!r} at position {pos}; tokens must be ints in [0, 255]"
+    )
+
+
 def test_final_slice_pushed_into_bank():
     tokens = (10, 20, 30, 40, 50, 60, 70)
     bank = primed_bank()
