@@ -69,6 +69,9 @@ def _cmd_run(args) -> int:
 
 def _parse_grid(path: str) -> list[tuple[float, float]]:
     mapping = config_mod.parse_mapping(Path(path).read_text())
+    bad = sorted(set(mapping) - {"grid.tau", "grid.phi"})
+    if bad:
+        raise config_mod.ConfigError(f"unknown grid keys: {bad}")
     try:
         taus = [float(x) for x in mapping["grid.tau"].split(",") if x.strip()]
         phis = [float(x) for x in mapping["grid.phi"].split(",") if x.strip()]

@@ -166,14 +166,6 @@ def decode_slice(tokens: TokenSlice, key: NormKey = DEFAULT_KEY) -> ActionSlice:
     return ActionSlice(tuple(values))
 
 
-def encode_slice(values, key: NormKey = DEFAULT_KEY) -> TokenSlice:
-    """Encode seven action values (any sequence of floats) to tokens."""
-    vals = tuple(float(v) for v in values)
-    if len(vals) != N_DOF:
-        raise CodecError(f"expected {N_DOF} values, got {len(vals)}")
-    return TokenSlice(tuple(action_to_token(v, dof, key) for dof, v in enumerate(vals)))
-
-
 def token_distance(a: int, b: int) -> int:
     """Absolute difference between two token ids."""
     return abs(a - b)

@@ -22,7 +22,7 @@ from pathlib import Path
 from .codec import N_DOF, CodecError, NormKey
 from .kinematics import KfParams, KinematicsError
 from .simenv import KINDS, DraftNoiseModel, TaskError
-from .specdec import MODES, P_SOURCES
+from .specdec import MODES
 from .threshold import ADJUST_MODES
 
 
@@ -50,7 +50,6 @@ SCHEMA = {
     "kf.ac": ("ac", int),
     "kf.pl": ("pl", int),
     "comp.n": ("comp_n", int),
-    "comp.p_source": ("p_source", str),
     "sd.depth": ("depth", int),
     "threshold.mode": ("threshold_mode", str),
     "threshold.table": ("table_path", str),
@@ -115,7 +114,6 @@ class RunConfig:
     ac: int = 10
     pl: int = 1
     comp_n: int = 4
-    p_source: str = "verify"
     depth: int = 4
     threshold_mode: str = "rectified"
     table_path: str = ""
@@ -132,7 +130,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         checks = (
             ("depth", 1 <= self.depth <= N_DOF, f"must be in [1, {N_DOF}]"),
-            ("p_source", self.p_source in P_SOURCES, f"must be one of {P_SOURCES}"),
             ("ac", self.ac >= 1, "must be >= 1"),
             ("pl", self.pl >= 1, "must be >= 1"),
             ("comp_n", self.comp_n >= 0, "must be >= 0"),

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import N_DOF, ActionSlice
+from .codec import ActionSlice
 
 DEFAULT_AC = 10
 
@@ -124,44 +124,18 @@ class KfBank:
         """Append one executed slice, evicting the oldest past ``ac``."""
         self.window.append(actions.values)
 
-    def _read(self, dof: int = 0) -> tuple[list[list[float]], tuple[float, float, float]]:
-        """Per-DoF [positions, velocities] over the window, and the
-        (p00, p01, p11) covariance all seven filters share; ``dof`` is the
-        DoF the caller reads."""
-        if not 0 <= dof < N_DOF:
-            raise KinematicsError(f"dof index must be in [0, {N_DOF - 1}], got {dof}")
-        if not self.window:
-            raise NoContextError("no action context: push at least one slice first")
-        weights, cov = _weights(self.params, len(self.window))
-        return (weights @ np.array(self.window)).tolist(), cov
-
-    def predict(self, pl: int) -> list[ActionSlice]:
-        """Roll each filter forward ``pl`` steps with no new measurements.
-
-        Returns one predicted slice per step ahead; does not change the
-        window.
-        """
+    def predict(self, pl: int) -> ActionSlice:
+        """Roll each filter forward ``pl`` steps with no new measurements
+        and return the slice predicted that far ahead; the window does not
+        change."""
         if pl < 1:
             raise KinematicsError(f"prediction length must be >= 1, got {pl}")
-        (pos, vel), _ = self._read()
+        if not self.window:
+            raise NoContextError("no action context: push at least one slice first")
+        weights, _ = _weights(self.params, len(self.window))
+        pos, vel = (weights @ np.array(self.window)).tolist()
         dt = self.params.dt
-        return [
-            ActionSlice(tuple(p + k * dt * v for p, v in zip(pos, vel)))
-            for k in range(1, pl + 1)
-        ]
-
-    def covariance(self, dof: int) -> tuple[float, float, float]:
-        """Current (p00, p01, p11) covariance terms for one DoF's filter.
-
-        The covariance does not depend on the observations, and every DoF
-        sees the same window length, so all seven filters share it.
-        """
-        return self._read(dof)[1]
-
-    def state(self, dof: int) -> tuple[float, float]:
-        """Current (position, velocity) estimate for one DoF's filter."""
-        (pos, vel), _ = self._read(dof)
-        return (pos[dof], vel[dof])
+        return ActionSlice(tuple(p + pl * dt * v for p, v in zip(pos, vel)))
 
 
 def accumulate_kvar(cumulative: float, step_value: float) -> float:

@@ -20,18 +20,18 @@ tokens once per state, and ``NoisyDrafter`` corrupts them once per state,
 so every draft round and verify call of a slice reads the same two slices.
 A plan is built once per task (``build_plan`` caches it on the fields it
 derives from, so ``make_task`` and ``SimEnv`` share the build), and
-``SimEnv`` passes the plan it holds to ``oracle_policy`` and ``step``, so
-no per-slice call looks it up again.
+``oracle_policy`` and ``step`` take the plan ``SimEnv`` holds, so no
+per-slice call looks it up again.
 
 The draft noise of step t is NumPy's own stream for the seed words (noise
 seed, task seed, t, 0x5EED). It does not depend on the trajectory (only the
 clamp at the vocabulary edge reads the truth token), so ``noise_rows``
 draws the error mask and signed offsets of a whole run of steps in one
 vectorised pass: ``NoisyDrafter`` draws the plan's rows when it is made
-and the rest when needed, ``corrupt_slice`` the one row. The rows equal the
-per-step generator's bit for bit on the installed numpy (tested on 2.4.6);
-that rests on ``Generator.random``/``integers``, which NEP 19 does not
-freeze, and ``tests/oracles.py::reference_draft_ids`` is the guard.
+and the rest when needed. The rows equal the per-step generator's bit for
+bit on the installed numpy (tested on 2.4.6); that rests on
+``Generator.random``/``integers``, which NEP 19 does not freeze, and
+``tests/oracles.py::reference_draft_ids`` is the guard.
 
 The gripper channel is a three-level impulse: 0 holds the current state,
 +/-1 sets it. Offsets never reach half the action range, so draft noise
@@ -409,48 +409,14 @@ def _latch(state: float, command: float) -> float:
     return math.copysign(1.0, command) if abs(command) > GRIPPER_FLIP_LEVEL else state
 
 
-def oracle_policy(
-    state: EnvState, spec: TaskSpec, key: NormKey = DEFAULT_KEY, plan: Plan | None = None
-) -> TokenSlice:
+def oracle_policy(state: EnvState, plan: Plan, key: NormKey) -> TokenSlice:
     """True (greedy) tokens for the next slice: track the plan from the
-    current pose, clamped to the action range. ``plan`` is the spec's plan
-    when the caller holds it (``SimEnv`` does); otherwise it is looked up."""
+    current pose, clamped to the action range."""
     if state.done:
         raise EnvStateError("environment is done; no further actions")
-    if plan is None:
-        plan = build_plan(spec, key)
     # one row as floats: element reads of the ndarray build numpy scalars
     target = plan.poses[min(state.t + 1, plan.steps)].tolist()
     return TokenSlice(tuple(_track(target, state.pose, key)))
-
-
-def draft_policy(
-    state: EnvState,
-    spec: TaskSpec,
-    noise: DraftNoiseModel,
-    key: NormKey = DEFAULT_KEY,
-) -> TokenSlice:
-    """Noisy copy of the oracle's tokens for the current step.
-
-    Deterministic per (noise seed, task seed, step), so repeated drafting
-    within one slice sees the same corruption.
-    """
-    return corrupt_slice(oracle_policy(state, spec, key), spec.seed, state.t, noise, key)
-
-
-def corrupt_slice(
-    truth: TokenSlice, task_seed: int, t: int, noise: DraftNoiseModel, key: NormKey
-) -> TokenSlice:
-    """Draft noise of step ``t`` applied to a truth slice.
-
-    This draws the single row ``t`` of ``noise_rows``, the same code and
-    stream from which ``NoisyDrafter`` takes an episode's rows up front, so
-    it equals the per-step ``default_rng`` stream on the installed numpy
-    (``tests/oracles.py::reference_draft_ids`` guards that).
-    """
-    errs, offsets = noise_rows(noise, task_seed, t, t + 1)
-    vmax = key.vocab_size - 1
-    return TokenSlice(_corrupt(truth.ids, errs[0].tolist(), offsets[0].tolist(), vmax))
 
 
 def _corrupt(truth_ids, errs, offsets, vmax: int) -> tuple[int, ...]:
@@ -596,20 +562,10 @@ def noise_rows(
     return errs, np.where(sign_bits == 1, magnitudes, -magnitudes)
 
 
-def step(
-    state: EnvState,
-    actions: ActionSlice,
-    spec: TaskSpec,
-    key: NormKey = DEFAULT_KEY,
-    plan: Plan | None = None,
-) -> EnvState:
-    """Integrate one slice of actions and update termination flags.
-    ``plan`` is the spec's plan when the caller holds it, as for
-    ``oracle_policy``."""
+def step(state: EnvState, actions: ActionSlice, spec: TaskSpec, plan: Plan) -> EnvState:
+    """Integrate one slice of actions and update termination flags."""
     if state.done:
         raise EnvStateError("environment is done; no further steps")
-    if plan is None:
-        plan = build_plan(spec, key)
     pose = _advance(state.pose, actions.values)
 
     t = state.t + 1
@@ -666,13 +622,13 @@ class SimEnv:
         self._truth: TokenSlice | None = None
 
     def step(self, actions: ActionSlice) -> EnvState:
-        self.state = step(self.state, actions, self.spec, self.key, self.plan)
+        self.state = step(self.state, actions, self.spec, self.plan)
         return self.state
 
     def truth(self) -> TokenSlice:
         """The oracle's tokens for the current state, computed once per state."""
         if self._truth_state is not self.state:
-            self._truth = oracle_policy(self.state, self.spec, self.key, self.plan)
+            self._truth = oracle_policy(self.state, self.plan, self.key)
             self._truth_state = self.state
         return self._truth
 
@@ -695,8 +651,7 @@ class NoisyDrafter:
     The noise rows (``noise_rows``) of the plan's steps are drawn when the
     drafter is made, and those of the later steps below the task's
     ``max_steps`` in one more pass only if the episode runs past the plan.
-    Each state applies row ``state.t`` to the oracle's tokens, as
-    ``corrupt_slice`` does for one step.
+    Each state applies row ``state.t`` to the oracle's tokens (``_corrupt``).
     """
 
     def __init__(self, env: SimEnv, noise: DraftNoiseModel) -> None:

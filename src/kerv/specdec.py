@@ -2,13 +2,12 @@
 
 One slice is decoded by chain-drafting up to ``depth`` tokens at a time and
 verifying each batch with a single oracle call. Draft tokens within the
-acceptance threshold r of the verifier's token are kept; on the first
-rejection the engine either
+acceptance threshold r of the verifier's token are kept; the first
+rejected position takes the verifier's token, and the engine then either
 
 * fills the remaining positions from the Kalman-filter bank instead of
   re-inference (compensation, at most one verify call per slice), or
-* resamples classically: keep the verifier's correction and start a new
-  draft round after it.
+* resamples classically: start a new draft round after the correction.
 
 Compensation is followed by a cooldown of n slices during which rejections
 fall back to classic resampling, keeping the filter's inputs dominated by
@@ -50,6 +49,7 @@ from .trace import EpisodeTrace, SliceRecord
 
 if TYPE_CHECKING:  # config imports this module for MODES
     from .config import RunConfig
+    from .simenv import SimEnv
 
 EXACT = "exact"
 RELAXED = "relaxed"
@@ -61,8 +61,6 @@ SRC_KF = "kf"
 
 # the decoding policies, in report order
 MODES = ("naive", "fixed_relaxed", "kerv")
-# where a compensated slice takes the token at its first rejection
-P_SOURCES = ("verify", "kf")
 
 
 class EngineError(RuntimeError):
@@ -139,15 +137,12 @@ def decode_slice_sd(
     bank: KfBank | None,
     key: NormKey,
     kf_pl: int = 1,
-    p_source: str = "verify",
 ) -> SliceResult:
     """Decode one full 7-token slice through the draft/verify loop."""
     if not 1 <= depth <= N_DOF:
         raise EngineError(f"draft depth must be in [1, {N_DOF}], got {depth}")
     if r < 0:
         raise EngineError(f"acceptance threshold must be >= 0, got {r}")
-    if p_source not in P_SOURCES:
-        raise EngineError(f"p_source must be one of {P_SOURCES}, got {p_source!r}")
     if compensation_enabled and (bank is None or not bank.has_context):
         raise MissingContextError("no action context: compensation needs a primed bank")
 
@@ -189,25 +184,17 @@ def decode_slice_sd(
 
             if first_error == N_DOF:
                 first_error = pos
+            tokens.append(t_tok)
+            sources.append(SRC_VERIFY)
             # compensation replaces re-inference only when the miss shows up
             # in the first round; a compensated slice must cost one verify
-            can_compensate = compensation_enabled and rounds == 1 and pos < N_DOF - 1
-            if can_compensate:
+            if compensation_enabled and rounds == 1 and pos < N_DOF - 1:
                 assert bank is not None
-                predicted = bank.predict(kf_pl)[-1].values
-                if p_source == "verify":
-                    tokens.append(t_tok)
-                    sources.append(SRC_VERIFY)
-                else:
-                    tokens.append(_tokenize_prediction(predicted[pos], pos, key))
-                    sources.append(SRC_KF)
+                predicted = bank.predict(kf_pl).values
                 for dof in range(pos + 1, N_DOF):
                     tokens.append(_tokenize_prediction(predicted[dof], dof, key))
                     sources.append(SRC_KF)
                 comp_fired = True
-            else:
-                tokens.append(t_tok)
-                sources.append(SRC_VERIFY)
             break
         base = len(tokens)  # a compensated slice is full
 
@@ -262,7 +249,7 @@ def accepted_error_kvar(rec: SliceResult | SliceRecord, key: NormKey) -> float:
 
 
 def run_episode(
-    env,
+    env: SimEnv,
     draft: DraftOracle,
     verify: VerifyOracle,
     cfg: RunConfig,
@@ -277,13 +264,11 @@ def run_episode(
     ``cfg.fixed_r`` and resamples classically, ``kerv`` walks r from
     ``threshold_state`` (required) with ``cfg.threshold_mode`` updates and
     compensates from a filter bank. The engine reads ``cfg.depth``,
-    ``cfg.fixed_r``, ``cfg.comp_n`` (cooldown slices), ``cfg.p_source``,
-    ``cfg.pl``, ``cfg.ac``, ``cfg.kf_params`` and ``cfg.key``.
+    ``cfg.fixed_r``, ``cfg.comp_n`` (cooldown slices), ``cfg.pl``,
+    ``cfg.ac``, ``cfg.kf_params`` and ``cfg.key``.
 
-    The environment must be freshly reset and expose ``state`` (with
-    ``done``/``succeeded``/``t``/``deviation``), ``step(actions)``, and
-    metadata attributes (``suite``, ``kind``, ``robot``, ``trial``,
-    ``seed``, ``plan_steps``).
+    ``env`` must be freshly reset; the trace's header and summary come from
+    its metadata and final state.
     """
     if mode not in MODES:
         raise EngineError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -316,7 +301,6 @@ def run_episode(
             bank=bank,
             key=cfg.key,
             kf_pl=cfg.pl,
-            p_source=cfg.p_source,
         )
         step_index = env.state.t
         env.step(result.actions)
@@ -353,16 +337,16 @@ def run_episode(
         )
 
     return EpisodeTrace(
-        suite=getattr(env, "suite", ""),
-        kind=getattr(env, "kind", ""),
+        suite=env.suite,
+        kind=env.kind,
         mode=mode,
-        robot=getattr(env, "robot", ""),
-        trial=getattr(env, "trial", 0),
-        seed=getattr(env, "seed", 0),
+        robot=env.robot,
+        trial=env.trial,
+        seed=env.seed,
         slices=records,
         success=env.state.succeeded,
         steps=env.state.t,
         deviation=env.state.deviation,
-        plan_steps=getattr(env, "plan_steps", 0),
+        plan_steps=env.plan_steps,
         comp_events=comp_events,
     )

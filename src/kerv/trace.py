@@ -10,11 +10,12 @@ and the step's threshold, variability, and call counters.
 The summary line is required: ``loads`` rejects a stream without one, with
 a second header, with a record after the summary, or whose slice count
 differs from the summary's ``steps``, so a truncated file never reaches
-the metrics. A line that is not a JSON object, or a header, record or
-summary missing a field, is rejected with its line number. Traces and
-calibration tables are written atomically (a temporary file in the target
-directory, then ``os.replace``), so a reader sees the old file or the whole
-new one.
+the metrics. A line that is not a JSON object, a header, record or
+summary missing a field, a record whose per-position fields are not
+7-item lists, or a summary whose ``steps`` is not an int, is rejected with
+its line number. Traces and calibration tables are written atomically (a
+temporary file in the target directory, then ``os.replace``), so a reader
+sees the old file or the whole new one.
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .codec import N_DOF
+
+# the per-position fields of a slice record, one slot per DoF
+_SLOT_FIELDS = ("draft_ids", "true_ids", "statuses", "tokens", "sources")
 
 
 class TraceError(ValueError):
@@ -156,8 +162,11 @@ def loads(text: str) -> EpisodeTrace:
                 if trace is None:
                     raise TraceError(f"line {lineno}: summary before episode header")
                 s = obj["summary"]
+                steps = s["steps"]
+                if type(steps) is not int:
+                    raise TraceError(f"line {lineno}: summary steps must be an int, got {steps!r}")
                 trace.success = s["success"]
-                trace.steps = s["steps"]
+                trace.steps = steps
                 trace.deviation = s["deviation"]
                 trace.plan_steps = s["plan_steps"]
                 trace.comp_events = s["comp_events"]
@@ -165,6 +174,12 @@ def loads(text: str) -> EpisodeTrace:
             else:
                 if trace is None:
                     raise TraceError(f"line {lineno}: slice record before episode header")
+                for name in _SLOT_FIELDS:
+                    slots = obj[name]
+                    if type(slots) is not list or len(slots) != N_DOF:
+                        raise TraceError(
+                            f"line {lineno}: {name} must be a list of {N_DOF} items, got {slots!r}"
+                        )
                 trace.slices.append(_record_from_dict(obj))
         except KeyError as exc:
             raise TraceError(f"line {lineno}: record has no {exc.args[0]!r} field") from None

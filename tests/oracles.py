@@ -336,7 +336,6 @@ kf.pl = 1
 
 # compensation
 comp.n = 4
-comp.p_source = verify
 
 # drafting and thresholds
 sd.depth = 4

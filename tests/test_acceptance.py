@@ -67,7 +67,7 @@ def test_c02_kf_matches_brute_force_oracle():
         bank = KfBank(params, ac=10)
         for z in seq:
             bank.push_slice(ActionSlice((z,) * 7))
-        got = bank.predict(1)[0].values[0]
+        got = bank.predict(1).values[0]
         expect = matrix_kf_predict(seq, params, horizon=1)
         worst = max(worst, abs(got - expect))
     dt = time.perf_counter() - t0
@@ -98,12 +98,11 @@ def test_c03_prediction_error_trends():
             b40.push_slice(obs)
             if t < 3:
                 continue
-            preds = b10.predict(5)
             for pl in horizons:
-                p = np.asarray(preds[pl - 1].values[:6])
+                p = np.asarray(b10.predict(pl).values[:6])
                 pl_errs[pl].append(float(np.abs(p - acts[t + pl][:6]).mean()))
-            p10 = np.asarray(b10.predict(1)[0].values[:6])
-            p40 = np.asarray(b40.predict(1)[0].values[:6])
+            p10 = np.asarray(b10.predict(1).values[:6])
+            p40 = np.asarray(b40.predict(1).values[:6])
             ac_errs[10].append(float(np.abs(p10 - acts[t + 1][:6]).mean()))
             ac_errs[40].append(float(np.abs(p40 - acts[t + 1][:6]).mean()))
     means = {pl: float(np.mean(v)) for pl, v in pl_errs.items()}
@@ -174,7 +173,7 @@ def test_c04_afep_matches_monte_carlo_oracle():
 
 
 def test_c04_strict_verify_calls_match_closed_form(bench_cfg):
-    # a draft miss always lands on another token (corrupt_slice mirrors an
+    # a draft miss always lands on another token (the drafter mirrors an
     # offset the vocabulary edge would cancel), so under r = 0 each position
     # is rejected with probability exactly q_err
     assert expected_verify_calls(0.0, 3) == 3.0  # ceil(7 / 3) clean rounds

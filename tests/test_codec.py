@@ -16,7 +16,6 @@ from kerv.codec import (
     TokenSlice,
     action_to_token,
     decode_slice,
-    encode_slice,
     gripper_tokens,
     snap_gripper_token,
     token_distance,
@@ -146,14 +145,6 @@ def test_distance_is_metric(data):
     assert (token_distance(a, b) == 0) == (a == b)
     for c in range(vocab):
         assert token_distance(a, b) <= token_distance(a, c) + token_distance(c, b)
-
-
-def test_encode_slice_matches_per_dof():
-    key = NormKey()
-    vals = (0.1, -0.2, 0.3, 0.0, -0.9, 0.99, -1.0)
-    tokens = encode_slice(vals, key)
-    for dof, v in enumerate(vals):
-        assert tokens.ids[dof] == action_to_token(v, dof, key)
 
 
 @settings(max_examples=300, deadline=None)

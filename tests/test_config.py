@@ -1,6 +1,7 @@
 """The config schema: ``dumps``/``loads`` round trips, the defaults against
-the hand-written reference text, and the names the benchmark's tracer wraps."""
+the hand-written reference text, and the names the benchmark reads."""
 
+import ast
 import importlib
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -41,7 +42,6 @@ def _every_value_changed() -> RunConfig:
         ac=6,
         pl=3,
         comp_n=2,
-        p_source="kf",
         depth=7,
         threshold_mode="literal",
         table_path="tables/cal.csv",
@@ -97,7 +97,10 @@ def test_scalar_keys_unchanged():
     scalar = {k for k in ref if not k.startswith(("dof", "suite."))}
     # the reference text leaves the table path at its default, so it never names it
     assert set(SCHEMA) == scalar | {"threshold.table"}
-    assert len(SCHEMA) == 27
+    assert len(SCHEMA) == 26
+    # the token at the first rejection is always the verifier's: no key picks it
+    with pytest.raises(ConfigError, match=r"unknown configuration keys: \['comp.p_source'\]"):
+        loads(default_config_text() + "comp.p_source = verify\n")
 
 
 def test_hash_inside_a_value_is_kept():
@@ -139,6 +142,34 @@ def test_perfbench_trace_targets_resolve(monkeypatch):
         assert callable(vars(owner).get(attr)), f"{owner.__name__}.{attr}"
     assert callable(vars(threshold).get("_replay_objective"))
     assert callable(simenv.build_plan.cache_clear)
+    # every attribute chain the benchmark scripts read off a kerv module
+    reads = list(_kerv_attribute_reads(PERFBENCH.glob("*.py")))
+    assert len(reads) >= 20  # the scan sees the scripts' reads, so it cannot pass empty
+    for where, module, chain in reads:
+        obj = importlib.import_module(f"kerv.{module}")
+        for i, attr in enumerate(chain):
+            assert hasattr(obj, attr), f"{where}: {'.'.join([module, *chain[: i + 1]])}"
+            obj = getattr(obj, attr)
+
+
+def _kerv_attribute_reads(paths):
+    """(file:line, module, attribute chain) of each ``module.a.b`` read in
+    ``paths`` whose root is a name bound by ``from kerv import module``."""
+    for path in sorted(paths):
+        tree = ast.parse(path.read_text())
+        modules = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "kerv"
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            chain, root = [], node
+            while isinstance(root, ast.Attribute):
+                chain.append(root.attr)
+                root = root.value
+            if chain and isinstance(root, ast.Name) and root.id in modules:
+                yield f"{path.name}:{node.lineno}", root.id, chain[::-1]
 
 
 @pytest.mark.parametrize("param", ["n", "ac", "pl"])

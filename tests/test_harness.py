@@ -131,7 +131,7 @@ def test_config_validates_threshold_at_load(lines):
     [
         ("sd.depth = 9", "sd.depth"),
         ("sd.depth = 0", "sd.depth"),
-        ("comp.p_source = foo", "comp.p_source"),
+        ("comp.p_source = foo", "comp.p_source"),  # not a key: the verifier's token is taken
         ("kf.ac = 0", "kf.ac"),
         ("kf.pl = 0", "kf.pl"),
         ("comp.n = -1", "comp.n"),
@@ -410,6 +410,16 @@ def test_cli_calibrate_passes_config_threshold_through(tmp_path, capsys, small_c
     assert rc != 0
     assert "threshold.mode" in capsys.readouterr().err
     assert not (tmp_path / "bad.csv").exists()
+
+
+def test_cli_calibrate_rejects_unknown_grid_keys(tmp_path, capsys):
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("grid.tau = 1.0\ngrid.phi = 0.7\ngrid.phii = 2\ngrid.tua = 9\n")
+    out = tmp_path / "table.csv"
+    rc = cli.main(["calibrate", "--traces", str(tmp_path), "--grid", str(grid), "--out", str(out)])
+    assert rc == 2
+    assert "unknown grid keys: ['grid.phii', 'grid.tua']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_sweep_writes_table(tmp_path, capsys):

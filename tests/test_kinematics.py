@@ -11,6 +11,7 @@ from kerv.kinematics import (
     KfParams,
     KinematicsError,
     NoContextError,
+    _weights,
     accumulate_kvar,
 )
 from oracles import matrix_kf_predict, reference_kf_replay
@@ -18,6 +19,11 @@ from oracles import matrix_kf_predict, reference_kf_replay
 
 def slice_of(value):
     return ActionSlice((value,) * 7)
+
+
+def estimates(bank):
+    """Per-DoF [positions, velocities]: the cached weights over the window."""
+    return (_weights(bank.params, len(bank.window))[0] @ np.array(bank.window)).tolist()
 
 
 def test_params_validated():
@@ -50,20 +56,18 @@ def test_cache_rejects_non_finite():
 def test_first_push_initializes_at_observation():
     bank = KfBank()
     bank.push_slice(slice_of(0.37))
-    for dof in range(7):
-        pos, vel = bank.state(dof)
-        assert pos == 0.37
-        assert vel == 0.0
+    pos, vel = estimates(bank)
+    assert pos == [0.37] * 7
+    assert vel == [0.0] * 7
 
 
 def test_constant_input_is_fixed_point():
     bank = KfBank()
     for _ in range(10):
         bank.push_slice(slice_of(0.25))
-    pred = bank.predict(1)[0]
+    pred = bank.predict(1)
     assert all(v == pytest.approx(0.25, abs=1e-12) for v in pred.values)
-    for dof in range(7):
-        assert abs(bank.state(dof)[1]) < 1e-3
+    assert all(abs(v) < 1e-3 for v in estimates(bank)[1])
 
 
 def test_cache_bounded_at_capacity():
@@ -78,22 +82,13 @@ def test_predict_requires_context():
         KfBank().predict(1)
 
 
-@pytest.mark.parametrize("dof", [-1, 7])
-def test_reads_reject_a_dof_outside_the_slice(dof):
-    bank = KfBank()
-    bank.push_slice(slice_of(0.1))
-    for read in (bank.state, bank.covariance):
-        with pytest.raises(KinematicsError, match="dof"):
-            read(dof)
-
-
 def test_predict_does_not_mutate():
     bank = KfBank()
     for i in range(5):
         bank.push_slice(slice_of(0.1 * i))
-    before = [bank.state(d) for d in range(7)]
+    before = list(bank.window), estimates(bank)
     bank.predict(3)
-    assert [bank.state(d) for d in range(7)] == before
+    assert (list(bank.window), estimates(bank)) == before
 
 
 def test_matches_matrix_oracle_on_ramp():
@@ -103,7 +98,7 @@ def test_matches_matrix_oracle_on_ramp():
     for z in obs:
         bank.push_slice(slice_of(z))
     expect = matrix_kf_predict(obs, params)
-    got = bank.predict(1)[0].values[0]
+    got = bank.predict(1).values[0]
     assert got == pytest.approx(expect, abs=1e-6)
 
 
@@ -122,7 +117,7 @@ def test_matches_matrix_oracle_random_sequences():
             bank.push_slice(slice_of(z))
         for horizon in (1, 2, 4):
             expect = matrix_kf_predict(obs, params, horizon)
-            got = bank.predict(horizon)[horizon - 1].values[3]
+            got = bank.predict(horizon).values[3]
             assert got == pytest.approx(expect, abs=1e-9)
 
 
@@ -134,7 +129,7 @@ def test_window_replay_uses_last_ac_observations():
     for z in obs:
         bank.push_slice(slice_of(z))
     expect = matrix_kf_predict(obs[-10:], params)
-    assert bank.predict(1)[0].values[0] == pytest.approx(expect, abs=1e-9)
+    assert bank.predict(1).values[0] == pytest.approx(expect, abs=1e-9)
 
 
 def test_deterministic_replay():
@@ -145,20 +140,16 @@ def test_deterministic_replay():
             bank.push_slice(ActionSlice(tuple(rng.uniform(-1, 1, 7))))
         return bank.predict(2)
 
-    a, b = run(), run()
-    assert [s.values for s in a] == [s.values for s in b]
+    assert run().values == run().values
 
 
 def test_covariance_stays_psd():
-    rng = np.random.default_rng(5)
-    bank = KfBank(KfParams(), ac=10)
-    for _ in range(40):
-        bank.push_slice(ActionSlice(tuple(rng.uniform(-1, 1, 7))))
-        for dof in range(7):
-            p00, p01, p11 = bank.covariance(dof)
-            assert p00 >= -1e-9
-            assert p11 >= -1e-9
-            assert p00 * p11 - p01 * p01 >= -1e-9
+    # the covariance depends only on the window length, which runs 1 .. ac
+    for n in range(1, 11):
+        p00, p01, p11 = _weights(KfParams(), n)[1]
+        assert p00 >= -1e-9
+        assert p11 >= -1e-9
+        assert p00 * p11 - p01 * p01 >= -1e-9
 
 
 def test_accumulate_kvar():
@@ -175,8 +166,7 @@ _ops = st.lists(
     st.one_of(
         st.tuples(st.just("push"), st.tuples(*[_finite] * 7)),
         st.tuples(st.just("predict"), st.integers(1, 4)),
-        st.tuples(st.just("state"), st.integers(0, 6)),
-        st.tuples(st.just("covariance"), st.integers(0, 6)),
+        st.tuples(st.just("estimate"), st.none()),
     ),
     max_size=60,
 )
@@ -185,18 +175,13 @@ _ops = st.lists(
 _PARAMS = KfParams(process_noise=2e-3, measurement_noise=5e-3)
 
 
-def _read(bank, op, arg):
-    out = getattr(bank, op)(arg)
-    return [p.values for p in out] if op == "predict" else out
-
-
 @given(ops=_ops, ac=st.sampled_from([1, 10, 40]))
 @settings(max_examples=150, deadline=None)
 def test_lazy_replay_equals_eager_replay_bit_for_bit(ops, ac):
     # a bank read between interleaved pushes equals a fresh bank fed only
     # the last ac pushes bit for bit; against the scalar replay of that
-    # window, its covariance is equal bit for bit and its estimates are
-    # within 1e-12 (the weight form sums in another order)
+    # window, the weights' covariance is equal bit for bit and the
+    # estimates are within 1e-12 (the weight form sums in another order)
     bank = KfBank(_PARAMS, ac=ac)
     pushed = []
     for op, arg in ops:
@@ -205,19 +190,21 @@ def test_lazy_replay_equals_eager_replay_bit_for_bit(ops, ac):
             pushed.append(arg)
             continue
         if not pushed:
-            with pytest.raises(NoContextError):
-                getattr(bank, op)(arg)
+            if op == "predict":
+                with pytest.raises(NoContextError):
+                    bank.predict(arg)
             continue
         fresh = KfBank(_PARAMS, ac=ac)
         for values in pushed[-ac:]:
             fresh.push_slice(ActionSlice(values))
-        got = _read(bank, op, arg)
-        assert got == _read(fresh, op, arg)
+        assert bank.window == fresh.window
         ref = [reference_kf_replay(tuple(v[d] for v in pushed[-ac:]), _PARAMS) for d in range(7)]
-        if op == "covariance":
-            assert got == ref[arg][2:]
-        elif op == "state":
-            assert np.allclose(got, ref[arg][:2], rtol=0, atol=1e-12)
+        if op == "estimate":
+            assert _weights(_PARAMS, len(bank.window))[1] == ref[0][2:]
+            expect = [[p for p, *_ in ref], [v for _, v, *_ in ref]]
+            assert np.allclose(estimates(bank), expect, rtol=0, atol=1e-12)
         else:
-            expect = [[p + k * _PARAMS.dt * v for p, v, *_ in ref] for k in range(1, arg + 1)]
+            got = bank.predict(arg).values
+            assert got == fresh.predict(arg).values
+            expect = [p + arg * _PARAMS.dt * v for p, v, *_ in ref]
             assert np.allclose(got, expect, rtol=0, atol=1e-12)

@@ -13,8 +13,8 @@ from kerv.codec import (
     CodecError,
     NormKey,
     TokenSlice,
+    action_to_token,
     decode_slice,
-    encode_slice,
 )
 from kerv.simenv import (
     DEFAULT_TOLERANCE,
@@ -26,8 +26,6 @@ from kerv.simenv import (
     SimEnv,
     TaskError,
     build_plan,
-    corrupt_slice,
-    draft_policy,
     make_task,
     noise_rows,
     oracle_policy,
@@ -94,38 +92,38 @@ def test_goal_is_plan_endpoint():
     assert np.linalg.norm(np.asarray(spec.goal) - plan.poses[0, :3]) > DEFAULT_TOLERANCE
 
 
+def encode(values):
+    return tuple(action_to_token(v, dof) for dof, v in enumerate(values))
+
+
 def test_oracle_tracks_plan_tokens():
-    spec = make_task("pick_place", 2)
-    env = SimEnv(spec)
+    env = SimEnv(make_task("pick_place", 2))
     for t in range(min(20, env.plan.steps)):
-        tokens = oracle_policy(env.state, spec)
+        tokens = oracle_policy(env.state, env.plan, env.key)
         assert tokens.ids == tuple(env.plan.tokens[t])
         env.step(decode_slice(tokens))
     assert env.state.deviation == 0.0
 
 
 def test_oracle_idempotent_under_codec_roundtrip():
-    spec = make_task("long_horizon", 4)
-    env = SimEnv(spec)
+    env = SimEnv(make_task("long_horizon", 4))
     for _ in range(25):
-        tokens = oracle_policy(env.state, spec)
+        tokens = oracle_policy(env.state, env.plan, env.key)
         actions = decode_slice(tokens)
-        assert encode_slice(actions.values).ids == tokens.ids
+        assert encode(actions.values) == tokens.ids
         env.step(actions)
 
 
 def test_oracle_at_goal_emits_zero_action_tokens():
-    spec = make_task("reach", 12)
-    env = SimEnv(spec)
+    env = SimEnv(make_task("reach", 12))
     for t in range(env.plan.steps):
         env.step(ActionSlice(tuple(env.plan.actions[t])))
     # re-open the episode at the final pose to query the policy past the plan
     from dataclasses import replace
 
     state = replace(env.state, done=False)
-    tokens = oracle_policy(state, spec)
-    zero_tokens = encode_slice((0.0,) * 7)
-    assert tokens.ids == zero_tokens.ids
+    tokens = oracle_policy(state, env.plan, env.key)
+    assert tokens.ids == encode((0.0,) * 7)
 
 
 def test_oracle_refuses_done_env():
@@ -134,50 +132,56 @@ def test_oracle_refuses_done_env():
     while not env.state.done:
         env.step(ActionSlice(tuple(env.plan.actions[min(env.state.t, env.plan.steps - 1)])))
     with pytest.raises(EnvStateError):
-        oracle_policy(env.state, spec)
+        oracle_policy(env.state, env.plan, env.key)
     with pytest.raises(EnvStateError):
-        step(env.state, ActionSlice((0.0,) * 7), spec)
+        step(env.state, ActionSlice((0.0,) * 7), spec, env.plan)
+
+
+def _drafts_along_plan(kind, task_seed, noise, n):
+    """(step, truth ids, drafted ids) of the first ``n`` states of an
+    episode that follows the oracle, drafted by a ``NoisyDrafter``."""
+    env = SimEnv(make_task(kind, task_seed))
+    draft = NoisyDrafter(env, noise)
+    out = []
+    while len(out) < n and not env.state.done:
+        truth = env.truth()
+        out.append((env.state.t, truth.ids, draft.draft((), 7)))
+        env.step(decode_slice(truth))
+    return out
 
 
 def test_draft_noiseless_limit_matches_oracle():
-    spec = make_task("reach", 21)
-    env = SimEnv(spec)
     noise = DraftNoiseModel(q_err=0.0, seed=1)
-    for _ in range(10):
-        assert draft_policy(env.state, spec, noise).ids == oracle_policy(env.state, spec).ids
-        env.step(decode_slice(oracle_policy(env.state, spec)))
+    for _, truth, drafted in _drafts_along_plan("reach", 21, noise, 10):
+        assert drafted == truth
 
 
 def test_draft_saturated_noise_offsets_every_position():
-    spec = make_task("reach", 22)
-    env = SimEnv(spec)
     noise = DraftNoiseModel(q_err=1.0, max_offset=1, seed=2)
-    truth = oracle_policy(env.state, spec)
-    drafted = draft_policy(env.state, spec, noise)
-    for d, t in zip(drafted.ids, truth.ids):
+    [(_, truth, drafted)] = _drafts_along_plan("reach", 22, noise, 1)
+    for d, t in zip(drafted, truth):
         assert abs(d - t) == 1
 
 
 def test_draft_deterministic_per_step():
-    spec = make_task("reach", 23)
-    env = SimEnv(spec)
+    # two drafters of the same task and noise agree at every step, and one
+    # drafter asked again within a step returns the same draft
     noise = DraftNoiseModel(seed=3)
-    assert draft_policy(env.state, spec, noise) == draft_policy(env.state, spec, noise)
+    assert _drafts_along_plan("reach", 23, noise, 15) == _drafts_along_plan("reach", 23, noise, 15)
+    env = SimEnv(make_task("reach", 23))
+    draft = NoisyDrafter(env, noise)
+    assert draft.draft((), 7) == draft.draft((), 7)
+    assert draft.draft((1, 2, 3), 4) == draft.draft((), 7)[3:]
 
 
 def test_draft_error_never_cancelled_by_clamping():
     # truths at the vocabulary edge must still yield a different token
-    spec = make_task("pick_place", 2)
-    env = SimEnv(spec)
     noise = DraftNoiseModel(q_err=1.0, seed=4)
-    rng_steps = 0
-    while rng_steps < min(env.plan.steps, 40):
-        truth = oracle_policy(env.state, spec)
-        drafted = draft_policy(env.state, spec, noise)
-        for d, t in zip(drafted.ids, truth.ids):
+    steps = _drafts_along_plan("pick_place", 2, noise, 40)
+    assert len(steps) == 40
+    for _, truth, drafted in steps:
+        for d, t in zip(drafted, truth):
             assert d != t
-        env.step(decode_slice(truth))
-        rng_steps += 1
 
 
 def test_long_horizon_at_least_twice_reach_length():
@@ -395,16 +399,6 @@ def test_plan_targets_must_be_finite():
 # --- draft noise against the reference stream --------------------------------
 
 
-def _states_along_plan(spec, n):
-    """The first ``n`` states of an episode that follows the oracle."""
-    env = SimEnv(spec)
-    states = []
-    while len(states) < n and not env.state.done:
-        states.append(env.state)
-        env.step(decode_slice(oracle_policy(env.state, spec)))
-    return states
-
-
 @pytest.mark.parametrize(
     "noise",
     [
@@ -420,11 +414,8 @@ def _states_along_plan(spec, n):
 def test_draft_policy_matches_reference_stream(noise):
     vocab = NormKey().vocab_size
     for kind, task_seed in (("reach", 0), ("pick_place", 41), ("long_horizon", 1 << 31)):
-        spec = make_task(kind, task_seed)
-        for state in _states_along_plan(spec, 30):
-            truth = oracle_policy(state, spec).ids
-            expected = reference_draft_ids(truth, noise, spec.seed, state.t, vocab)
-            assert draft_policy(state, spec, noise).ids == expected
+        for t, truth, drafted in _drafts_along_plan(kind, task_seed, noise, 30):
+            assert drafted == reference_draft_ids(truth, noise, task_seed, t, vocab)
 
 
 @pytest.mark.parametrize("max_offset", [1, 60])
@@ -437,7 +428,8 @@ def test_corruption_at_vocabulary_edges_matches_reference(q_err, max_offset):
         for seed in range(4):
             noise = DraftNoiseModel(q_err=q_err, max_offset=max_offset, seed=seed)
             for t in (0, 1, 57, 1000):
-                got = corrupt_slice(TokenSlice(truth), 11, t, noise, key).ids
+                errs, offsets = noise_rows(noise, 11, t, t + 1)
+                got = simenv._corrupt(truth, errs[0].tolist(), offsets[0].tolist(), vmax)
                 assert got == reference_draft_ids(truth, noise, 11, t, key.vocab_size)
 
 
@@ -521,9 +513,9 @@ def test_oracle_runs_at_most_once_per_env_step(mode, monkeypatch):
     calls = []
     real = simenv.oracle_policy
 
-    def counting(state, spec, key=simenv.DEFAULT_KEY, plan=None):
+    def counting(state, plan, key):
         calls.append(state.t)
-        return real(state, spec, key, plan)
+        return real(state, plan, key)
 
     monkeypatch.setattr(simenv, "oracle_policy", counting)
     trace = _episode(make_task("pick_place", 5), mode)

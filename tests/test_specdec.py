@@ -111,28 +111,10 @@ def test_first_round_rejection_triggers_compensation():
     assert res.statuses == (EXACT, RELAXED, REJECTED, None, None, None, None)
     # filled positions tokenize the one-step filter prediction; the gripper
     # channel snaps to its three-level command instead
-    pred = primed_bank().predict(1)[0].values
+    pred = primed_bank().predict(1).values
     for dof in range(3, 6):
         assert res.actions.values[dof] == pytest.approx(pred[dof], abs=2.0 / 256)
     assert res.tokens.ids[6] in (0, 128, 255)
-
-
-def test_compensation_p_source_kf_variant():
-    draft = ScriptedOracle((140, 149, 183, 0, 0, 0, 0))
-    verify = ScriptedOracle((140, 151, 128, 5, 5, 5, 128))
-    res = decode_slice_sd(
-        draft,
-        verify,
-        r=14,
-        depth=4,
-        compensation_enabled=True,
-        bank=primed_bank(),
-        key=KEY,
-        p_source="kf",
-    )
-    assert res.comp_fired
-    assert res.sources[2] == SRC_KF
-    assert res.tokens.ids[2] != 128 or True  # value comes from the filter, not the verifier
 
 
 def test_second_round_rejection_resamples_instead_of_compensating():
@@ -204,17 +186,6 @@ def test_parameter_validation():
     with pytest.raises(EngineError):
         decode_slice_sd(
             draft, verify, r=-1, depth=4, compensation_enabled=False, bank=None, key=KEY
-        )
-    with pytest.raises(EngineError):
-        decode_slice_sd(
-            draft,
-            verify,
-            r=0,
-            depth=4,
-            compensation_enabled=False,
-            bank=None,
-            key=KEY,
-            p_source="nope",
         )
 
 

@@ -1,5 +1,7 @@
 """Trace serialization: reference byte equality, partial streams, atomic saves."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,6 +115,34 @@ def test_record_missing_a_field_is_trace_error():
     assert summary != lines[-1]
     with pytest.raises(TraceError, match="line 5: record has no 'comp_events' field"):
         loads("".join(lines[:-1]) + summary)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("draft_ids", 5),
+        ("draft_ids", [1, 2]),
+        ("true_ids", None),
+        ("statuses", "relaxed"),  # seven characters, but not a list
+        ("tokens", [1] * 8),
+        ("sources", {"draft": 7}),
+    ],
+)
+def test_record_whose_slot_field_is_not_seven_items_is_trace_error(field, value):
+    lines = _episode_text().splitlines(keepends=True)
+    rec = json.loads(lines[2])
+    rec[field] = value
+    with pytest.raises(TraceError, match=f"line 3: {field} must be a list of 7 items"):
+        loads("".join(lines[:2]) + json.dumps(rec) + "\n" + "".join(lines[3:]))
+
+
+@pytest.mark.parametrize("steps", ["3", 3.0, True, None])
+def test_summary_steps_not_an_int_is_trace_error(steps):
+    lines = _episode_text().splitlines(keepends=True)
+    summary = json.loads(lines[-1])
+    summary["summary"]["steps"] = steps
+    with pytest.raises(TraceError, match="line 5: summary steps must be an int"):
+        loads("".join(lines[:-1]) + json.dumps(summary) + "\n")
 
 
 def test_non_object_line_is_trace_error():
