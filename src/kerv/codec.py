@@ -7,18 +7,26 @@ range is given by per-DoF normalization statistics (the norm key).
 The mapping uses bin centers, so decoding a token and re-encoding the
 value is exact.
 
-Where values are checked: the norm key when the config is loaded
-(``NormKey``); every token an oracle returns, where the decoder judges it
-(``specdec.decode_slice_sd``: an ``int`` in ``[0, vocab)``); and every
-``TokenSlice``/``ActionSlice`` when it is built, in one pass that accepts
-plain in-range values as they are and falls back to the normalizing loop
-for anything else. Token ids read back from a trace are range-checked by
-``token_to_action`` when calibration or ``accepted_error_kvar`` decodes
-them. The per-slice paths compute the codec's expressions inline on plain
-ints and floats instead of calling the checked scalar functions:
-``decode_slice`` (one range check per token, then ``token_to_action``'s
-expression) and ``simenv._track`` (``action_to_token``'s expression on a
-gap already clamped to the action range).
+Where values are checked: a slice flows as a plain tuple (seven ``int``
+token ids, or the seven ``float`` values ``decode_slice`` returns), and
+its values are checked at four boundaries:
+
+* the norm key when the config is loaded (``NormKey``): every range is
+  finite and narrow enough that ``(hi - lo) * vocab_size`` is too, so
+  every decoded value is finite;
+* every token an oracle returns, where the decoder judges it
+  (``specdec.decode_slice_sd``);
+* every id ``decode_slice`` decodes: seven ids, each an ``int`` (not a
+  ``bool``) in ``[0, vocab)``;
+* every record read back from a trace (``trace.loads``).
+
+Tokens the decoder fills from filter predictions come from
+``action_to_token``/``snap_gripper_token``, which refuse a non-finite
+value and clamp to the vocabulary. The per-slice paths compute the
+codec's expressions inline on plain ints and floats instead of calling the
+checked scalar functions: ``decode_slice`` and ``simenv._track``
+(``action_to_token``'s expression on a gap already clamped to the action
+range).
 """
 
 from __future__ import annotations
@@ -36,68 +44,6 @@ class CodecError(ValueError):
 
 
 @dataclass(frozen=True)
-class TokenSlice:
-    """Seven token ids, one per DoF, in slice order (X, Y, Z, rx, ry, rz, G)."""
-
-    ids: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        ids = self.ids
-        if len(ids) != N_DOF:
-            raise CodecError(f"token slice needs {N_DOF} ids, got {len(ids)}")
-        for tok in ids:
-            if type(tok) is not int or tok < 0:
-                object.__setattr__(self, "ids", _normalized_ids(ids))
-                return
-        if type(ids) is not tuple:
-            object.__setattr__(self, "ids", tuple(ids))
-
-
-def _normalized_ids(ids) -> tuple[int, ...]:
-    """Each id as an ``int``, refusing one that is not a non-negative
-    integer (``3.0`` and ``np.int64(3)`` pass, ``3.5`` and ``"3"`` do not)."""
-    norm = []
-    for tok in ids:
-        try:
-            as_int = int(tok)
-        except (TypeError, ValueError):
-            raise CodecError(f"token id must be an integer, got {tok!r}") from None
-        if as_int != tok or as_int < 0:
-            raise CodecError(f"token id must be a non-negative integer, got {tok!r}")
-        norm.append(as_int)
-    return tuple(norm)
-
-
-@dataclass(frozen=True)
-class ActionSlice:
-    """Seven continuous action values in normalized units, one per DoF."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        values = self.values
-        if len(values) != N_DOF:
-            raise CodecError(f"action slice needs {N_DOF} values, got {len(values)}")
-        for v in values:
-            if type(v) is not float or not math.isfinite(v):
-                object.__setattr__(self, "values", _normalized_values(values))
-                return
-        if type(values) is not tuple:
-            object.__setattr__(self, "values", tuple(values))
-
-
-def _normalized_values(values) -> tuple[float, ...]:
-    """Each value as a ``float``, refusing one that is not finite."""
-    norm = []
-    for v in values:
-        f = float(v)
-        if not math.isfinite(f):
-            raise CodecError(f"action value must be finite, got {v!r}")
-        norm.append(f)
-    return tuple(norm)
-
-
-@dataclass(frozen=True)
 class NormKey:
     """Per-DoF action ranges plus the shared token vocabulary size.
 
@@ -112,12 +58,16 @@ class NormKey:
     def __post_init__(self) -> None:
         if len(self.lo) != N_DOF or len(self.hi) != N_DOF:
             raise CodecError("norm key needs lo/hi for all 7 DoF")
-        if self.vocab_size < 2:
-            raise CodecError(f"vocab_size must be >= 2, got {self.vocab_size}")
+        if not 2 <= self.vocab_size <= 2**52:  # a bin centre tok + 0.5 is exact below 2**52
+            raise CodecError(f"vocab_size must be in [2, 2**52], got {self.vocab_size}")
         for dof in range(N_DOF):
-            if not (math.isfinite(self.lo[dof]) and math.isfinite(self.hi[dof])):
-                raise CodecError(f"dof{dof} range must be finite")
-            if self.lo[dof] >= self.hi[dof]:
+            lo, hi = self.lo[dof], self.hi[dof]
+            # (hi - lo) * vocab bounds every product the bin centres take
+            if not math.isfinite((hi - lo) * self.vocab_size):
+                raise CodecError(
+                    f"dof{dof} range must be finite, with (hi - lo) * vocab_size finite"
+                )
+            if lo >= hi:
                 raise CodecError(f"dof{dof} range needs lo < hi")
 
 
@@ -153,17 +103,25 @@ def action_to_token(value: float, dof: int, key: NormKey = DEFAULT_KEY) -> int:
     return min(max(idx, 0), key.vocab_size - 1)
 
 
-def decode_slice(tokens: TokenSlice, key: NormKey = DEFAULT_KEY) -> ActionSlice:
-    """Decode all seven tokens of a slice to continuous actions, with
-    ``token_to_action``'s range check and expression inline per DoF."""
+def decode_slice(ids, key: NormKey = DEFAULT_KEY) -> tuple[float, ...]:
+    """Decode the seven token ids of a slice to continuous actions, with
+    ``token_to_action``'s expression inline per DoF.
+
+    Each id must be an ``int`` (not a ``bool``) in ``[0, vocab)``, the rule
+    ``specdec.decode_slice_sd`` applies to oracle tokens.
+    """
+    if len(ids) != N_DOF:
+        raise CodecError(f"token slice needs {N_DOF} ids, got {len(ids)}")
     vocab = key.vocab_size
     values = []
-    for dof, tok in enumerate(tokens.ids):
-        if tok >= vocab:  # a TokenSlice holds non-negative ints
+    for dof, tok in enumerate(ids):
+        if type(tok) is not int:
+            raise CodecError(f"token id must be an int, got {tok!r} for dof{dof}")
+        if not 0 <= tok < vocab:
             raise CodecError(f"token id {tok} outside [0, {vocab - 1}] for dof{dof}")
         lo, hi = key.lo[dof], key.hi[dof]
         values.append(lo + (hi - lo) * (tok + 0.5) / vocab)
-    return ActionSlice(tuple(values))
+    return tuple(values)
 
 
 def token_distance(a: int, b: int) -> int:

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import ActionSlice
-
 DEFAULT_AC = 10
 
 
@@ -120,11 +118,12 @@ class KfBank:
     def has_context(self) -> bool:
         return bool(self.window)
 
-    def push_slice(self, actions: ActionSlice) -> None:
-        """Append one executed slice, evicting the oldest past ``ac``."""
-        self.window.append(actions.values)
+    def push_slice(self, values: tuple[float, ...]) -> None:
+        """Append one executed slice (the seven floats ``decode_slice``
+        returns), evicting the oldest past ``ac``."""
+        self.window.append(values)
 
-    def predict(self, pl: int) -> ActionSlice:
+    def predict(self, pl: int) -> tuple[float, ...]:
         """Roll each filter forward ``pl`` steps with no new measurements
         and return the slice predicted that far ahead; the window does not
         change."""
@@ -135,7 +134,7 @@ class KfBank:
         weights, _ = _weights(self.params, len(self.window))
         pos, vel = (weights @ np.array(self.window)).tolist()
         dt = self.params.dt
-        return ActionSlice(tuple(p + pl * dt * v for p, v in zip(pos, vel)))
+        return tuple(p + pl * dt * v for p, v in zip(pos, vel))
 
 
 def accumulate_kvar(cumulative: float, step_value: float) -> float:

@@ -51,10 +51,8 @@ from .codec import (
     DEFAULT_KEY,
     GRIPPER_DOF,
     N_DOF,
-    ActionSlice,
     CodecError,
     NormKey,
-    TokenSlice,
     action_to_token,
     token_to_action,
 )
@@ -409,14 +407,14 @@ def _latch(state: float, command: float) -> float:
     return math.copysign(1.0, command) if abs(command) > GRIPPER_FLIP_LEVEL else state
 
 
-def oracle_policy(state: EnvState, plan: Plan, key: NormKey) -> TokenSlice:
+def oracle_policy(state: EnvState, plan: Plan, key: NormKey) -> tuple[int, ...]:
     """True (greedy) tokens for the next slice: track the plan from the
     current pose, clamped to the action range."""
     if state.done:
         raise EnvStateError("environment is done; no further actions")
     # one row as floats: element reads of the ndarray build numpy scalars
     target = plan.poses[min(state.t + 1, plan.steps)].tolist()
-    return TokenSlice(tuple(_track(target, state.pose, key)))
+    return tuple(_track(target, state.pose, key))
 
 
 def _corrupt(truth_ids, errs, offsets, vmax: int) -> tuple[int, ...]:
@@ -562,11 +560,12 @@ def noise_rows(
     return errs, np.where(sign_bits == 1, magnitudes, -magnitudes)
 
 
-def step(state: EnvState, actions: ActionSlice, spec: TaskSpec, plan: Plan) -> EnvState:
-    """Integrate one slice of actions and update termination flags."""
+def step(state: EnvState, actions: tuple[float, ...], spec: TaskSpec, plan: Plan) -> EnvState:
+    """Integrate one slice of action values (as ``decode_slice`` returns
+    them) and update termination flags."""
     if state.done:
         raise EnvStateError("environment is done; no further steps")
-    pose = _advance(state.pose, actions.values)
+    pose = _advance(state.pose, actions)
 
     t = state.t + 1
     ref = plan.poses[min(t, plan.steps)].tolist()
@@ -578,7 +577,10 @@ def step(state: EnvState, actions: ActionSlice, spec: TaskSpec, plan: Plan) -> E
     done = False
     succeeded = False
     if t >= plan.steps:
-        dist = math.sqrt(sum((pose[d] - spec.goal[d]) ** 2 for d in range(3)))
+        try:
+            dist = math.sqrt(sum((pose[d] - spec.goal[d]) ** 2 for d in range(3)))
+        except OverflowError:  # a square past the float range: far off the goal
+            dist = math.inf
         if dist <= spec.success_tolerance:
             done = True
             succeeded = deviation <= plan.deviation_budget
@@ -619,13 +621,13 @@ class SimEnv:
             succeeded=False,
         )
         self._truth_state: EnvState | None = None
-        self._truth: TokenSlice | None = None
+        self._truth: tuple[int, ...] = ()
 
-    def step(self, actions: ActionSlice) -> EnvState:
+    def step(self, actions: tuple[float, ...]) -> EnvState:
         self.state = step(self.state, actions, self.spec, self.plan)
         return self.state
 
-    def truth(self) -> TokenSlice:
+    def truth(self) -> tuple[int, ...]:
         """The oracle's tokens for the current state, computed once per state."""
         if self._truth_state is not self.state:
             self._truth = oracle_policy(self.state, self.plan, self.key)
@@ -641,7 +643,7 @@ class PlanVerifier:
 
     def verify(self, prefix, drafted):
         start = len(prefix)
-        return self.env.truth().ids[start : start + len(drafted)]
+        return self.env.truth()[start : start + len(drafted)]
 
 
 class NoisyDrafter:
@@ -666,7 +668,7 @@ class NoisyDrafter:
     def draft(self, prefix, depth):
         env, state = self.env, self.env.state
         if self._state is not state:
-            truth = env.truth().ids  # raises once the episode is done
+            truth = env.truth()  # raises once the episode is done
             t = state.t
             if t >= len(self._rows):
                 self._draw_rows(env.spec.max_steps)

@@ -34,9 +34,7 @@ from . import threshold as threshold_mod
 from .codec import (
     GRIPPER_DOF,
     N_DOF,
-    ActionSlice,
     NormKey,
-    TokenSlice,
     action_to_token,
     decode_slice,
     snap_gripper_token,
@@ -45,19 +43,11 @@ from .codec import (
 )
 from .kinematics import KfBank, accumulate_kvar
 from .threshold import ThresholdState
-from .trace import EpisodeTrace, SliceRecord
+from .trace import EXACT, REJECTED, RELAXED, SRC_DRAFT, SRC_KF, SRC_VERIFY, EpisodeTrace, SliceRecord
 
 if TYPE_CHECKING:  # config imports this module for MODES
     from .config import RunConfig
     from .simenv import SimEnv
-
-EXACT = "exact"
-RELAXED = "relaxed"
-REJECTED = "rejected"
-
-SRC_DRAFT = "draft"
-SRC_VERIFY = "verify_corrected"
-SRC_KF = "kf"
 
 # the decoding policies, in report order
 MODES = ("naive", "fixed_relaxed", "kerv")
@@ -115,8 +105,8 @@ class SliceResult:
     one slot per position, ``None`` where nothing was drafted, as the trace
     records them."""
 
-    tokens: TokenSlice
-    actions: ActionSlice
+    tokens: tuple[int, ...]
+    actions: tuple[float, ...]
     first_error_position: int
     sources: tuple[str, ...]
     verify_calls: int
@@ -190,7 +180,7 @@ def decode_slice_sd(
             # in the first round; a compensated slice must cost one verify
             if compensation_enabled and rounds == 1 and pos < N_DOF - 1:
                 assert bank is not None
-                predicted = bank.predict(kf_pl).values
+                predicted = bank.predict(kf_pl)
                 for dof in range(pos + 1, N_DOF):
                     tokens.append(_tokenize_prediction(predicted[dof], dof, key))
                     sources.append(SRC_KF)
@@ -198,7 +188,7 @@ def decode_slice_sd(
             break
         base = len(tokens)  # a compensated slice is full
 
-    final_tokens = TokenSlice(tuple(tokens))
+    final_tokens = tuple(tokens)
     actions = decode_slice(final_tokens, key)
     if bank is not None:
         bank.push_slice(actions)
@@ -323,7 +313,7 @@ def run_episode(
                 draft_ids=result.draft_ids,
                 true_ids=result.true_ids,
                 statuses=result.statuses,
-                tokens=result.tokens.ids,
+                tokens=result.tokens,
                 sources=result.sources,
                 first_error_pos=result.first_error_position,
                 r=r_now,

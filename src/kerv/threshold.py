@@ -121,7 +121,11 @@ def step_r(
         return min(new_r, r_max), dr, False, False
 
     # rectified
-    magnitude = tau * (r_max - r_min) * (1.0 - math.exp(-abs(delta_k / kvar_ref) ** phi))
+    try:
+        decay = 1.0 - math.exp(-abs(delta_k / kvar_ref) ** phi)
+    except OverflowError:  # the power passed the float range, where 1 - exp(-x) is 1.0
+        decay = 1.0
+    magnitude = tau * (r_max - r_min) * decay
     dr = -math.copysign(magnitude, delta_k)
     # min(max(r + dr, r_min), r_max), without the two builtin calls
     new_r = r + dr

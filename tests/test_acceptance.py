@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kerv.codec import ActionSlice, NormKey, action_to_token, token_to_action
+from kerv.codec import NormKey, action_to_token, token_to_action
 from kerv.config import default_config
 from kerv.harness import (
     afep,
@@ -66,8 +66,8 @@ def test_c02_kf_matches_brute_force_oracle():
         seq = [a + b * t for t in range(n)]
         bank = KfBank(params, ac=10)
         for z in seq:
-            bank.push_slice(ActionSlice((z,) * 7))
-        got = bank.predict(1).values[0]
+            bank.push_slice((z,) * 7)
+        got = bank.predict(1)[0]
         expect = matrix_kf_predict(seq, params, horizon=1)
         worst = max(worst, abs(got - expect))
     dt = time.perf_counter() - t0
@@ -93,16 +93,16 @@ def test_c03_prediction_error_trends():
         b10 = KfBank(params, ac=10)
         b40 = KfBank(params, ac=40)
         for t in range(len(acts) - 5):
-            obs = ActionSlice(tuple(acts[t]))
+            obs = acts[t].tolist()
             b10.push_slice(obs)
             b40.push_slice(obs)
             if t < 3:
                 continue
             for pl in horizons:
-                p = np.asarray(b10.predict(pl).values[:6])
+                p = np.asarray(b10.predict(pl)[:6])
                 pl_errs[pl].append(float(np.abs(p - acts[t + pl][:6]).mean()))
-            p10 = np.asarray(b10.predict(1).values[:6])
-            p40 = np.asarray(b40.predict(1).values[:6])
+            p10 = np.asarray(b10.predict(1)[:6])
+            p40 = np.asarray(b40.predict(1)[:6])
             ac_errs[10].append(float(np.abs(p10 - acts[t + 1][:6]).mean()))
             ac_errs[40].append(float(np.abs(p40 - acts[t + 1][:6]).mean()))
     means = {pl: float(np.mean(v)) for pl, v in pl_errs.items()}

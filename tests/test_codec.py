@@ -11,9 +11,7 @@ from kerv.codec import (
     DEFAULT_KEY,
     GRIPPER_DOF,
     CodecError,
-    ActionSlice,
     NormKey,
-    TokenSlice,
     action_to_token,
     decode_slice,
     gripper_tokens,
@@ -46,8 +44,8 @@ def test_extreme_bins():
 
 def test_decode_slice_midpoint_bins():
     key = NormKey()
-    actions = decode_slice(TokenSlice((128,) * 7), key)
-    assert all(v == pytest.approx(2.0 / 512) for v in actions.values)
+    actions = decode_slice((128,) * 7, key)
+    assert all(v == pytest.approx(2.0 / 512) for v in actions)
 
 
 def test_roundtrip_all_tokens():
@@ -92,11 +90,7 @@ def test_action_to_token_rejects_non_finite():
 
 def test_slice_length_enforced():
     with pytest.raises(CodecError):
-        TokenSlice((1, 2, 3))
-    with pytest.raises(CodecError):
-        ActionSlice((0.0,) * 6)
-    with pytest.raises(CodecError):
-        ActionSlice((0.0,) * 6 + (float("nan"),))
+        decode_slice((1, 2, 3))
 
 
 def test_norm_key_validation():
@@ -104,6 +98,27 @@ def test_norm_key_validation():
         NormKey(lo=(1.0,) * 7, hi=(0.0,) * 7)
     with pytest.raises(CodecError):
         NormKey(vocab_size=1)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (-1e308, 1e308),  # each end finite, the width is not
+        (-math.inf, 1.0),
+        (0.0, math.nan),
+        (-5e307, 5e307),  # the width is finite, (hi - lo) * vocab is not
+    ],
+)
+def test_norm_key_refuses_a_range_too_wide_for_floats(lo, hi):
+    with pytest.raises(CodecError, match="^dof3 range must be finite"):
+        NormKey(lo=(-1.0,) * 3 + (lo,) + (-1.0,) * 3, hi=(1.0,) * 3 + (hi,) + (1.0,) * 3)
+
+
+def test_widest_norm_key_decodes_finite_values():
+    top = math.floor(1.7e308 / 256)
+    key = NormKey(lo=(-top / 2,) * 7, hi=(top / 2,) * 7)
+    for tok in (0, 1, 127, 128, 254, 255):
+        assert all(math.isfinite(v) for v in decode_slice((tok,) * 7, key))
 
 
 def test_gripper_snap():
@@ -155,7 +170,7 @@ def test_decode_slice_equals_token_to_action_per_dof(key, data):
     top = key.vocab_size - 1
     tok = st.one_of(st.sampled_from([0, 1, top - 1, top, top // 2, (top + 1) // 2]), st.integers(0, top))
     ids = data.draw(st.lists(tok, min_size=7, max_size=7))
-    got = decode_slice(TokenSlice(tuple(ids)), key).values
+    got = decode_slice(ids, key)
     assert [v.hex() for v in got] == [v.hex() for v in reference_decode_slice(ids, key)]
 
 
@@ -167,70 +182,36 @@ def test_decode_slice_refuses_a_token_past_the_vocabulary_as_token_to_action(dof
     with pytest.raises(CodecError) as expected:
         reference_decode_slice(ids, key)
     with pytest.raises(CodecError) as got:
-        decode_slice(TokenSlice(tuple(ids)), key)
+        decode_slice(ids, key)
     assert str(got.value) == str(expected.value) == f"token id 16 outside [0, 15] for dof{dof}"
 
 
-# what the slices did with each input before their checks took a fast path
-# for plain in-range values: the normalized slice, or the refusal message
+def _with_dof2(value):
+    return (0, 1, value, 3, 4, 5, 6)
+
+
 @pytest.mark.parametrize(
-    "value, expected",
+    "ids, message",
     [
-        (3, (0, 1, 3, 3, 4, 5, 6)),
-        (3.0, (0, 1, 3, 3, 4, 5, 6)),
-        (True, (0, 1, 1, 3, 4, 5, 6)),
-        (np.int64(3), (0, 1, 3, 3, 4, 5, 6)),
-        (3.5, "token id must be a non-negative integer, got 3.5"),
-        ("3", "token id must be a non-negative integer, got '3'"),
-        (-1, "token id must be a non-negative integer, got -1"),
-        (math.nan, "token id must be an integer, got nan"),
+        (_with_dof2(value), f"token id must be an int, got {value!r} for dof2")
+        for value in (True, np.int64(3), 3.0, "3")
+    ]
+    + [
+        (_with_dof2(-1), "token id -1 outside [0, 255] for dof2"),
+        (_with_dof2(256), "token id 256 outside [0, 255] for dof2"),
+        ((1,) * 6, "token slice needs 7 ids, got 6"),
+        ((1,) * 8, "token slice needs 7 ids, got 8"),
     ],
 )
-def test_token_slice_outcomes_are_unchanged(value, expected):
-    ids = [0, 1, value, 3, 4, 5, 6]
-    for given_ids in (tuple(ids), ids):
-        if isinstance(expected, str):
-            with pytest.raises(CodecError) as got:
-                TokenSlice(given_ids)
-            assert str(got.value) == expected
-        else:
-            got = TokenSlice(given_ids).ids
-            assert type(got) is tuple and got == expected
-            assert all(type(tok) is int for tok in got)
+def test_decode_slice_refuses_anything_but_seven_ints_in_the_vocabulary(ids, message):
+    # one rule for every token id, as specdec.decode_slice_sd applies to
+    # oracle tokens: bools, numpy ints and integral floats are refused too
+    with pytest.raises(CodecError) as got:
+        decode_slice(ids)
+    assert str(got.value) == message
 
 
 @pytest.mark.parametrize("ids", [(1, 2, 3), (1,) * 8, ()])
 def test_token_slice_length_message_is_unchanged(ids):
     with pytest.raises(CodecError, match=f"^token slice needs 7 ids, got {len(ids)}$"):
-        TokenSlice(ids)
-
-
-@pytest.mark.parametrize(
-    "value, expected",
-    [
-        (1, (0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
-        (np.float64(0.5), (0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0)),
-        (-0.0, (0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
-        (math.nan, "action value must be finite, got nan"),
-        (math.inf, "action value must be finite, got inf"),
-        (-math.inf, "action value must be finite, got -inf"),
-    ],
-)
-def test_action_slice_outcomes_are_unchanged(value, expected):
-    values = [0.0, value, 0.0, 0.0, 0.0, 0.0, 0.0]
-    for given_values in (tuple(values), values):
-        if isinstance(expected, str):
-            with pytest.raises(CodecError) as got:
-                ActionSlice(given_values)
-            assert str(got.value) == expected
-        else:
-            got = ActionSlice(given_values).values
-            assert type(got) is tuple
-            assert [v.hex() for v in got] == [v.hex() for v in expected]
-            assert all(type(v) is float for v in got)
-
-
-@pytest.mark.parametrize("values", [(0.0,) * 6, (0.0,) * 8])
-def test_action_slice_length_message_is_unchanged(values):
-    with pytest.raises(CodecError, match=f"^action slice needs 7 values, got {len(values)}$"):
-        ActionSlice(values)
+        decode_slice(ids)

@@ -121,6 +121,9 @@ def test_hash_inside_a_value_is_kept():
         ("dof3 = 2,1", "dof3"),
         ("cost.verify = nan", "cost.verify"),
         ("cost.draft = inf", "cost.draft"),
+        ("dof0 = -1e308,1e308", "dof0"),
+        ("dof5 = -5e307,5e307", "dof5"),
+        (f"codec.vocab_size = {2**53}", "codec.vocab_size"),
     ],
 )
 def test_section_value_errors_name_the_key(line, key):

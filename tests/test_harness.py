@@ -438,3 +438,13 @@ def test_cli_sweep_writes_table(tmp_path, capsys):
 def test_cli_missing_required_args_exit_code():
     with pytest.raises(SystemExit):
         cli.main(["run"])
+
+
+def test_widest_range_the_config_accepts_runs_to_the_end():
+    # a relaxed miss of a few bins on a 1e300-wide grid moves the pose by
+    # about 1e298, whose square passes the float range in the goal distance
+    cfg = loads(default_config_text(1) + "dof0 = -1e300,1e300\n")
+    suite = cfg.suites[0]
+    trace = run_one_episode(cfg, suite, "fixed_relaxed", 0, None)
+    assert not trace.success
+    assert trace.steps == len(trace.slices) > 0

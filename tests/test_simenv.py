@@ -8,14 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kerv import simenv
-from kerv.codec import (
-    ActionSlice,
-    CodecError,
-    NormKey,
-    TokenSlice,
-    action_to_token,
-    decode_slice,
-)
+from kerv.codec import CodecError, NormKey, action_to_token, decode_slice
 from kerv.simenv import (
     DEFAULT_TOLERANCE,
     DraftNoiseModel,
@@ -57,7 +50,7 @@ def test_plan_replay_succeeds_with_zero_deviation():
         env = SimEnv(spec)
         plan = env.plan
         for t in range(plan.steps):
-            env.step(ActionSlice(tuple(plan.actions[t])))
+            env.step(plan.actions[t].tolist())
         assert env.state.done
         assert env.state.succeeded
         assert env.state.deviation == 0.0
@@ -71,14 +64,14 @@ def test_plan_replay_reproduces_every_pose(grip_range):
     env = SimEnv(make_task("pick_place", 3, key), key)
     plan = env.plan
     for t in range(plan.steps):
-        env.step(decode_slice(TokenSlice(tuple(int(x) for x in plan.tokens[t])), key))
+        env.step(decode_slice(plan.tokens[t].tolist(), key))
         assert env.state.pose == tuple(plan.poses[t + 1])
 
 
 def test_zero_actions_fail_at_max_steps():
     spec = make_task("reach", 5)
     env = SimEnv(spec)
-    still = ActionSlice((0.0,) * 7)
+    still = (0.0,) * 7
     while not env.state.done:
         env.step(still)
     assert env.state.t == spec.max_steps
@@ -100,7 +93,7 @@ def test_oracle_tracks_plan_tokens():
     env = SimEnv(make_task("pick_place", 2))
     for t in range(min(20, env.plan.steps)):
         tokens = oracle_policy(env.state, env.plan, env.key)
-        assert tokens.ids == tuple(env.plan.tokens[t])
+        assert tokens == tuple(env.plan.tokens[t].tolist())
         env.step(decode_slice(tokens))
     assert env.state.deviation == 0.0
 
@@ -110,31 +103,31 @@ def test_oracle_idempotent_under_codec_roundtrip():
     for _ in range(25):
         tokens = oracle_policy(env.state, env.plan, env.key)
         actions = decode_slice(tokens)
-        assert encode(actions.values) == tokens.ids
+        assert encode(actions) == tokens
         env.step(actions)
 
 
 def test_oracle_at_goal_emits_zero_action_tokens():
     env = SimEnv(make_task("reach", 12))
     for t in range(env.plan.steps):
-        env.step(ActionSlice(tuple(env.plan.actions[t])))
+        env.step(env.plan.actions[t].tolist())
     # re-open the episode at the final pose to query the policy past the plan
     from dataclasses import replace
 
     state = replace(env.state, done=False)
     tokens = oracle_policy(state, env.plan, env.key)
-    assert tokens.ids == encode((0.0,) * 7)
+    assert tokens == encode((0.0,) * 7)
 
 
 def test_oracle_refuses_done_env():
     spec = make_task("reach", 1)
     env = SimEnv(spec)
     while not env.state.done:
-        env.step(ActionSlice(tuple(env.plan.actions[min(env.state.t, env.plan.steps - 1)])))
+        env.step(env.plan.actions[min(env.state.t, env.plan.steps - 1)].tolist())
     with pytest.raises(EnvStateError):
         oracle_policy(env.state, env.plan, env.key)
     with pytest.raises(EnvStateError):
-        step(env.state, ActionSlice((0.0,) * 7), spec, env.plan)
+        step(env.state, (0.0,) * 7, spec, env.plan)
 
 
 def _drafts_along_plan(kind, task_seed, noise, n):
@@ -145,7 +138,7 @@ def _drafts_along_plan(kind, task_seed, noise, n):
     out = []
     while len(out) < n and not env.state.done:
         truth = env.truth()
-        out.append((env.state.t, truth.ids, draft.draft((), 7)))
+        out.append((env.state.t, truth, draft.draft((), 7)))
         env.step(decode_slice(truth))
     return out
 
@@ -212,7 +205,7 @@ def test_deviation_matches_brute_force_replay():
         if rng.random() < 0.1:
             a[2] += 0.5  # corrupt one DoF
         executed.append(a)
-        env.step(ActionSlice(tuple(a)))
+        env.step(a.tolist())
         if env.state.done:
             break
     # independent replay of the pose recursion and gap accumulation
@@ -229,7 +222,7 @@ def test_deviation_matches_brute_force_replay():
 
 def test_env_is_pure_function_of_spec_and_actions():
     spec = make_task("pick_place", 33)
-    seq = [ActionSlice(tuple(build_plan(spec).actions[t])) for t in range(10)]
+    seq = [build_plan(spec).actions[t].tolist() for t in range(10)]
 
     def run():
         env = SimEnv(spec)
@@ -453,7 +446,7 @@ def test_drafter_rows_match_reference_at_every_step(kind, task_seed, noise):
     for t in range(spec.max_steps):
         pose = tuple(float(x) for x in env.plan.poses[min(t, env.plan.steps)])
         env.state = EnvState(pose=pose, t=t, deviation=0.0, done=False, succeeded=False)
-        expected = reference_draft_ids(env.truth().ids, noise, spec.seed, t, vocab)
+        expected = reference_draft_ids(env.truth(), noise, spec.seed, t, vocab)
         assert draft.draft((), 7) == expected, t
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kerv import specdec
-from kerv.codec import ActionSlice, NormKey, decode_slice, token_to_action
+from kerv.codec import NormKey, decode_slice, token_to_action
 from kerv.config import RunConfig
 from kerv.kinematics import KfBank, KfParams
 from kerv.simenv import DraftNoiseModel, NoisyDrafter, PlanVerifier, SimEnv, make_task
@@ -53,7 +53,7 @@ class ScriptedOracle:
 def primed_bank(values=(0.1,) * 7, n=5):
     bank = KfBank(KfParams(), ac=10)
     for _ in range(n):
-        bank.push_slice(ActionSlice(values))
+        bank.push_slice(values)
     return bank
 
 
@@ -87,7 +87,7 @@ def test_perfect_draft_needs_ceil_rounds():
             bank=None,
             key=KEY,
         )
-        assert res.tokens.ids == tokens
+        assert res.tokens == tokens
         assert res.first_error_position == 7
         assert res.verify_calls == math.ceil(7 / depth)
         assert all(s == SRC_DRAFT for s in res.sources)
@@ -105,16 +105,16 @@ def test_first_round_rejection_triggers_compensation():
     assert res.comp_fired
     assert res.verify_calls == 1 and res.draft_calls == 1
     assert res.first_error_position == 2
-    assert res.tokens.ids[:3] == (140, 149, 128)  # corrected token at the miss
+    assert res.tokens[:3] == (140, 149, 128)  # corrected token at the miss
     assert res.sources[:3] == (SRC_DRAFT, SRC_DRAFT, SRC_VERIFY)
     assert all(s == SRC_KF for s in res.sources[3:])
     assert res.statuses == (EXACT, RELAXED, REJECTED, None, None, None, None)
     # filled positions tokenize the one-step filter prediction; the gripper
     # channel snaps to its three-level command instead
-    pred = primed_bank().predict(1).values
+    pred = primed_bank().predict(1)
     for dof in range(3, 6):
-        assert res.actions.values[dof] == pytest.approx(pred[dof], abs=2.0 / 256)
-    assert res.tokens.ids[6] in (0, 128, 255)
+        assert res.actions[dof] == pytest.approx(pred[dof], abs=2.0 / 256)
+    assert res.tokens[6] in (0, 128, 255)
 
 
 def test_second_round_rejection_resamples_instead_of_compensating():
@@ -133,7 +133,7 @@ def test_second_round_rejection_resamples_instead_of_compensating():
     )
     assert not res.comp_fired
     assert res.first_error_position == 4
-    assert res.tokens.ids == (10, 20, 30, 40, 50, 60, 70)
+    assert res.tokens == (10, 20, 30, 40, 50, 60, 70)
     assert res.sources[4] == SRC_VERIFY
     assert res.verify_calls == 3  # clean round, rejected round, resumed round
 
@@ -144,7 +144,7 @@ def test_resample_handles_multiple_rejections():
     res = decode_slice_sd(
         draft, verify, r=0, depth=4, compensation_enabled=False, bank=None, key=KEY
     )
-    assert res.tokens.ids == (100, 2, 120, 4, 140, 6, 160)
+    assert res.tokens == (100, 2, 120, 4, 140, 6, 160)
     assert res.first_error_position == 0
     assert res.sources.count(SRC_VERIFY) == 4
     assert not res.comp_fired
@@ -163,7 +163,7 @@ def test_rejection_at_last_position_never_compensates():
         key=KEY,
     )
     assert not res.comp_fired
-    assert res.tokens.ids[6] == 70
+    assert res.tokens[6] == 70
     assert res.sources[6] == SRC_VERIFY
 
 
@@ -230,7 +230,7 @@ def test_final_slice_pushed_into_bank():
         bank=bank,
         key=KEY,
     )
-    assert bank.window[-1] == res.actions.values
+    assert bank.window[-1] == res.actions
 
 
 @settings(max_examples=120, deadline=None)
@@ -252,8 +252,8 @@ def test_slice_always_complete_and_attributed(draft_toks, true_toks, r, depth, c
         bank=bank,
         key=KEY,
     )
-    assert len(res.tokens.ids) == 7
-    assert len(res.actions.values) == 7
+    assert len(res.tokens) == 7
+    assert len(res.actions) == 7
     assert len(res.sources) == 7
     assert set(res.sources) <= {SRC_DRAFT, SRC_VERIFY, SRC_KF}
     assert res.actions == decode_slice(res.tokens, KEY)

@@ -90,6 +90,21 @@ def test_rectified_clamp_safety(steps):
         assert 5.0 <= state.r <= 15.0
 
 
+def test_rectified_power_past_the_float_range_moves_by_the_full_magnitude():
+    # |dK / kvar_ref| ** phi overflows; 1 - exp(-x) is already 1.0 in float
+    # well before that, so the update is tau * (r_max - r_min)
+    up = adjust(make_state(r=12.0, tau=0.5, phi=1000.0, kvar_ref=0.5), 2.0, "rectified")
+    assert (up.r, up.last_delta) == (7.0, -5.0)
+    s = make_state(r=6.0, tau=0.5, phi=1000.0, kvar_ref=0.5, prev_kvar=2.0)
+    down = adjust(s, 0.0, "rectified")
+    assert (down.r, down.last_delta) == (11.0, 5.0)
+
+
+def test_calibrate_a_grid_whose_power_overflows(pre_sample):
+    table = calibrate(pre_sample, [(1.0, 1000.0)])
+    assert {(row.tau, row.phi) for row in table.rows.values()} == {(1.0, 1000.0)}
+
+
 def test_literal_formula_fidelity():
     # the published update: dr = (r_max - r_min) * exp((-dK / ref) ** phi)
     cases = [

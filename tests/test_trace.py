@@ -20,9 +20,9 @@ _records = st.builds(
     step=st.integers(0, 10_000),
     draft_ids=_seven(_opt_id),
     true_ids=_seven(_opt_id),
-    statuses=_seven(st.none() | st.sampled_from(["accept", "relaxed", "reject"])),
+    statuses=_seven(st.none() | st.sampled_from(["exact", "relaxed", "rejected"])),
     tokens=_seven(st.integers(0, 255)),
-    sources=_seven(st.sampled_from(["draft", "verify", "kf"])),
+    sources=_seven(st.sampled_from(["draft", "verify_corrected", "kf"])),
     first_error_pos=st.integers(0, 7),
     r=_floats,
     kvar_step=_floats,
@@ -59,7 +59,7 @@ def test_dumps_matches_asdict_reference_and_roundtrips(trace):
 def _episode_text(n=3):
     rec = SliceRecord(
         step=0, draft_ids=(1, None, 3, 4, 5, 6, 7), true_ids=(1,) * 7,
-        statuses=("accept",) + (None,) * 6, tokens=(1,) * 7, sources=("draft",) * 7,
+        statuses=("exact",) + (None,) * 6, tokens=(1,) * 7, sources=("draft",) * 7,
         first_error_pos=7, r=9.0, kvar_step=0.1, kvar_cum=0.1, verify_calls=1,
         draft_calls=1, comp_fired=False, cooldown_remaining=0,
     )
@@ -143,6 +143,74 @@ def test_summary_steps_not_an_int_is_trace_error(steps):
     summary["summary"]["steps"] = steps
     with pytest.raises(TraceError, match="line 5: summary steps must be an int"):
         loads("".join(lines[:-1]) + json.dumps(summary) + "\n")
+
+
+def _with(lines, lineno, part, field, value):
+    """The trace of ``lines`` with one field of line ``lineno`` (1-based)
+    set to ``value``; ``part`` is the key the field sits under, or None."""
+    obj = json.loads(lines[lineno - 1])
+    (obj[part] if part else obj)[field] = value
+    return "".join(lines[: lineno - 1]) + json.dumps(obj) + "\n" + "".join(lines[lineno:])
+
+
+@pytest.mark.parametrize(
+    "lineno, part, field, value, what",
+    [
+        (1, "episode", "suite", 3, "a string"),
+        (1, "episode", "trial", "0", "an int"),
+        (1, "episode", "seed", True, "an int"),
+        (3, None, "step", 1.0, "an int"),
+        (3, None, "first_error_pos", False, "an int"),
+        (3, None, "r", "9", "a float or an int"),
+        (3, None, "kvar_step", "0.1", "a float or an int"),
+        (3, None, "kvar_cum", None, "a float or an int"),
+        (3, None, "verify_calls", True, "an int"),
+        (3, None, "comp_fired", 0, "a bool"),
+        (5, "summary", "success", 1, "a bool"),
+        (5, "summary", "deviation", "0.0", "a float or an int"),
+        (5, "summary", "comp_events", [0], "an int"),
+    ],
+)
+def test_scalar_field_of_the_wrong_json_type_is_trace_error(lineno, part, field, value, what):
+    lines = _episode_text().splitlines(keepends=True)
+    where = part or "record"
+    with pytest.raises(TraceError, match=f"^line {lineno}: {where} {field} must be {what}, got "):
+        loads(_with(lines, lineno, part, field, value))
+
+
+def test_header_or_summary_that_is_not_an_object_is_trace_error():
+    lines = _episode_text().splitlines(keepends=True)
+    with pytest.raises(TraceError, match="^line 1: episode must be a JSON object, got 5$"):
+        loads('{"episode": 5}\n' + "".join(lines[1:]))
+    with pytest.raises(TraceError, match="^line 5: summary must be a JSON object, got "):
+        loads("".join(lines[:-1]) + '{"summary": [3]}\n')
+
+
+def test_integral_number_in_a_float_field_loads():
+    lines = _episode_text().splitlines(keepends=True)
+    assert loads(_with(lines, 3, None, "r", 9)).slices[1].r == 9
+
+
+@pytest.mark.parametrize(
+    "field, slot, message",
+    [
+        ("draft_ids", "1", "ids must be ints or null, got '1'"),
+        ("true_ids", True, "ids must be ints or null, got True"),
+        ("draft_ids", 1.0, "ids must be ints or null, got 1.0"),
+        ("tokens", None, "tokens must be ints, got None"),
+        ("tokens", False, "tokens must be ints, got False"),
+        ("statuses", "accept", "unknown status or source in"),
+        ("statuses", 1, "unknown status or source in"),
+        ("sources", ["draft"], "unknown status or source in"),  # a slot no set can hold
+        ("sources", None, "unknown status or source in"),
+    ],
+)
+def test_slot_outside_its_type_or_set_is_trace_error(field, slot, message):
+    lines = _episode_text().splitlines(keepends=True)
+    slots = json.loads(lines[2])[field]
+    slots[4] = slot
+    with pytest.raises(TraceError, match="^line 3: " + message.replace("(", r"\(")):
+        loads(_with(lines, 3, None, field, slots))
 
 
 def test_non_object_line_is_trace_error():
