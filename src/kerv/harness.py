@@ -150,12 +150,16 @@ def run_suite(
             raise ConfigError(f"unknown suites requested: {missing}")
         suite_cfgs = [s for s in cfg.suites if s.name in set(suites)]
 
-    if "kerv" in requested and table is None:
-        if not cfg.table_path:
-            raise ConfigError(
-                "kerv mode needs a calibration table: set threshold.table or pass one"
-            )
-        table = CalibrationTable.load(cfg.table_path)
+    if "kerv" in requested:
+        if table is None:
+            if not cfg.table_path:
+                raise ConfigError(
+                    "kerv mode needs a calibration table: set threshold.table or pass one"
+                )
+            table = CalibrationTable.load(cfg.table_path)
+        # every row kerv reads is looked up before the first episode runs
+        for suite_cfg in suite_cfgs:
+            threshold_mod.lookup(table, suite_cfg.name, cfg.robot)
 
     run_modes = tuple(m for m in MODES if m == "naive" or m in requested)
     all_traces: dict[tuple[str, str], list[EpisodeTrace]] = {}

@@ -150,17 +150,15 @@ class DraftNoiseModel:
 @dataclass(frozen=True)
 class Plan:
     """Token-quantized ground-truth trajectory derived from a TaskSpec; its
-    arrays are read-only."""
+    poses are read-only."""
 
     poses: np.ndarray  # (T+1, 7); gripper channel holds the latched state
-    actions: np.ndarray  # (T, 7) decoded token values, gripper = impulse
-    tokens: np.ndarray  # (T, 7) int token ids
     path_length: float  # L1 arc length over the six motion channels
     deviation_budget: float
 
     @property
     def steps(self) -> int:
-        return self.actions.shape[0]
+        return len(self.poses) - 1
 
 
 def make_task(kind: str, seed: int, key: NormKey = DEFAULT_KEY) -> TaskSpec:
@@ -229,7 +227,7 @@ def _plan_for(
 ) -> Plan:
     """The plan of a task: the pose tracks a spline through the waypoints,
     one ``_track`` and ``_advance`` per step, computed for all steps at once
-    by guess and confirm (``_quantize``). The arrays are read-only, since
+    by guess and confirm (``_quantize``). The poses are read-only, since
     the cache hands them to every episode and mode of the task.
 
     The confirmation is exact whatever the guess. It decodes the guessed
@@ -244,15 +242,12 @@ def _plan_for(
     the step-by-step loop's, bit for bit, and so is the pose the mismatched
     step starts from. The next pass starts from that pose.
     """
-    poses, actions, tokens = _quantize(_targets(kind, seed, waypoints), key)
-    for array in (poses, actions, tokens):  # the cache shares them with every caller
-        array.flags.writeable = False
+    poses, actions, _ = _quantize(_targets(kind, seed, waypoints), key)
+    poses.flags.writeable = False
 
     path_length = float(np.abs(actions[:, :GRIPPER_DOF]).sum())
     return Plan(
         poses=poses,
-        actions=actions,
-        tokens=tokens,
         path_length=path_length,
         deviation_budget=DEVIATION_BUDGET_FRAC * path_length,
     )

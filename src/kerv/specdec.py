@@ -1,23 +1,24 @@
 """Speculative decoding engine for 7-token action slices.
 
-One slice is decoded by chain-drafting up to ``depth`` tokens at a time and
-verifying each batch with a single oracle call. Draft tokens within the
-acceptance threshold r of the verifier's token are kept; the first
-rejected position takes the verifier's token, and the engine then either
+Each step has a token-domain part and a kinematic-domain part. In the token
+domain, ``decode_slice_sd`` decides the slice's tokens: it chain-drafts up
+to ``depth`` tokens at a time and verifies each batch with one oracle
+call. Draft tokens within the acceptance threshold r of the verifier's
+token are kept; the first rejected position takes the verifier's token,
+and the engine then either
 
-* fills the remaining positions from the Kalman-filter bank instead of
-  re-inference (compensation, at most one verify call per slice), or
+* fills the remaining positions from the Kalman-filter bank it was handed
+  (compensation; only in the first draft round, so a compensated slice
+  never pays more than one verify call), or
 * resamples classically: start a new draft round after the correction.
 
-Compensation is followed by a cooldown of n slices during which rejections
-fall back to classic resampling, keeping the filter's inputs dominated by
-verified actions. Compensation is only taken when the first rejection lands
-in the first draft round, so a compensated slice never pays more than one
-verify call.
-
-Each drafted position's draft id, verified id and status are kept in the
-trace record's three 7-slot tuples; the slice's kinematic variability
-(``accepted_error_kvar``) reads them, from a decoded slice or a trace.
+In the kinematic domain, ``run_episode`` decodes the tokens to actions
+once, pushes them to the filter bank and steps the environment; the
+slice's variability (``accepted_error_kvar``, read from the draft ids,
+verified ids and statuses the trace records) moves the threshold. It hands
+the decoder the bank only when the bank holds context and no cooldown
+runs: a compensation starts n slices of classic resampling, keeping the
+filter's inputs dominated by verified actions.
 
 ``run_episode`` decodes a whole episode in one of the three ``MODES``
 (strict ``naive``, static-threshold ``fixed_relaxed``, adaptive ``kerv``)
@@ -26,7 +27,6 @@ and reads its engine parameters straight from the run's ``RunConfig``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, Sequence
 
@@ -57,10 +57,6 @@ class EngineError(RuntimeError):
     """Raised for oracle contract violations or invalid engine parameters."""
 
 
-class MissingContextError(EngineError):
-    """Raised when compensation is requested with an empty action cache."""
-
-
 class DraftOracle(Protocol):
     def draft(self, prefix: Sequence[int], depth: int) -> Sequence[int]:
         """Propose ``depth`` tokens for the positions following ``prefix``.
@@ -89,7 +85,8 @@ def relaxed_accept(draft_id: int, true_id: int, r: float) -> str:
     ``RELAXED`` or ``REJECTED``.
 
     Exact match always accepts; a nonzero miss is accepted while the token
-    distance stays within floor(r); anything farther is rejected.
+    distance stays within r, and anything farther is rejected. Distances are
+    ints, so a float r accepts exactly what floor(r) does.
     """
     dist = token_distance(draft_id, true_id)
     if dist == 0:
@@ -106,11 +103,9 @@ class SliceResult:
     records them."""
 
     tokens: tuple[int, ...]
-    actions: tuple[float, ...]
-    first_error_position: int
+    first_error_pos: int
     sources: tuple[str, ...]
-    verify_calls: int
-    draft_calls: int
+    rounds: int  # one draft call and one verify call each
     comp_fired: bool
     draft_ids: tuple[int | None, ...]
     true_ids: tuple[int | None, ...]
@@ -123,18 +118,16 @@ def decode_slice_sd(
     *,
     r: float,
     depth: int,
-    compensation_enabled: bool,
-    bank: KfBank | None,
     key: NormKey,
+    bank: KfBank | None = None,
     kf_pl: int = 1,
 ) -> SliceResult:
-    """Decode one full 7-token slice through the draft/verify loop."""
+    """Decide one full 7-token slice through the draft/verify loop; a given
+    ``bank`` compensates a first-round rejection from ``bank.predict(kf_pl)``."""
     if not 1 <= depth <= N_DOF:
         raise EngineError(f"draft depth must be in [1, {N_DOF}], got {depth}")
     if r < 0:
         raise EngineError(f"acceptance threshold must be >= 0, got {r}")
-    if compensation_enabled and (bank is None or not bank.has_context):
-        raise MissingContextError("no action context: compensation needs a primed bank")
 
     vocab = key.vocab_size
     tokens: list[int] = []
@@ -143,7 +136,7 @@ def decode_slice_sd(
     true_ids: list[int | None] = [None] * N_DOF
     statuses: list[str | None] = [None] * N_DOF
     first_error = N_DOF
-    rounds = 0  # one draft call and one verify call each
+    rounds = 0
     comp_fired = False
 
     base = 0  # positions decoded so far
@@ -178,8 +171,7 @@ def decode_slice_sd(
             sources.append(SRC_VERIFY)
             # compensation replaces re-inference only when the miss shows up
             # in the first round; a compensated slice must cost one verify
-            if compensation_enabled and rounds == 1 and pos < N_DOF - 1:
-                assert bank is not None
+            if bank is not None and rounds == 1 and pos < N_DOF - 1:
                 predicted = bank.predict(kf_pl)
                 for dof in range(pos + 1, N_DOF):
                     tokens.append(_tokenize_prediction(predicted[dof], dof, key))
@@ -188,17 +180,11 @@ def decode_slice_sd(
             break
         base = len(tokens)  # a compensated slice is full
 
-    final_tokens = tuple(tokens)
-    actions = decode_slice(final_tokens, key)
-    if bank is not None:
-        bank.push_slice(actions)
     return SliceResult(
-        tokens=final_tokens,
-        actions=actions,
-        first_error_position=first_error,
+        tokens=tuple(tokens),
+        first_error_pos=first_error,
         sources=tuple(sources),
-        verify_calls=rounds,
-        draft_calls=rounds,
+        rounds=rounds,
         comp_fired=comp_fired,
         draft_ids=tuple(draft_ids),
         true_ids=tuple(true_ids),
@@ -280,20 +266,16 @@ def run_episode(
         else:
             assert tstate is not None
             r_now = tstate.r
-        allow_comp = bank is not None and cooldown == 0 and bank.has_context
-
+        # the decoder compensates only from a bank it is handed
+        comp_bank = bank if cooldown == 0 and bank is not None and bank.has_context else None
         result = decode_slice_sd(
-            draft,
-            verify,
-            r=math.floor(r_now),
-            depth=cfg.depth,
-            compensation_enabled=allow_comp,
-            bank=bank,
-            key=cfg.key,
-            kf_pl=cfg.pl,
+            draft, verify, r=r_now, depth=cfg.depth, key=cfg.key, bank=comp_bank, kf_pl=cfg.pl
         )
+        actions = decode_slice(result.tokens, cfg.key)
+        if bank is not None:
+            bank.push_slice(actions)
         step_index = env.state.t
-        env.step(result.actions)
+        env.step(actions)
 
         kstep = accepted_error_kvar(result, cfg.key)
         kvar_cum = accumulate_kvar(kvar_cum, kstep)
@@ -315,12 +297,12 @@ def run_episode(
                 statuses=result.statuses,
                 tokens=result.tokens,
                 sources=result.sources,
-                first_error_pos=result.first_error_position,
+                first_error_pos=result.first_error_pos,
                 r=r_now,
                 kvar_step=kstep,
                 kvar_cum=kvar_cum,
-                verify_calls=result.verify_calls,
-                draft_calls=result.draft_calls,
+                verify_calls=result.rounds,
+                draft_calls=result.rounds,
                 comp_fired=result.comp_fired,
                 cooldown_remaining=cooldown,
             )

@@ -59,10 +59,10 @@ class ThresholdConfigError(ValueError):
 class ThresholdState:
     """Controller state for one episode.
 
-    r is real-valued; acceptance applies floor(r) since token distances are
-    integers. ``frozen`` marks the literal-mode terminal condition.
-    ``last_delta`` is the most recent raw update before clamping, and
-    ``degenerate_events`` counts updates dropped for non-finite arithmetic.
+    r is real-valued; token distances are ints, so one within r is within
+    floor(r). ``frozen`` marks the literal-mode terminal condition, and
+    ``last_delta`` is the most recent raw update before clamping (0.0 for
+    an update dropped for non-finite arithmetic).
     """
 
     r: float = DEFAULT_R_MAX
@@ -74,7 +74,6 @@ class ThresholdState:
     prev_kvar: float = 0.0
     frozen: bool = False
     last_delta: float = 0.0
-    degenerate_events: int = 0
 
     def __post_init__(self) -> None:
         if not (self.r_max > self.r_min >= 0):
@@ -95,30 +94,30 @@ def step_r(
     phi: float,
     kvar_ref: float,
     mode: str,
-) -> tuple[float, float, bool, bool]:
+) -> tuple[float, float, bool]:
     """One controller update on plain floats; ``mode`` must be in ``ADJUST_MODES``.
 
-    Returns ``(r, dr, frozen, degenerate)``: the new threshold, the raw
-    update before clamping (0.0 when nothing moved), the literal-mode freeze
-    flag, and whether the update was dropped for non-finite arithmetic.
+    Returns ``(r, dr, frozen)``: the new threshold, the raw update before
+    clamping (0.0 when nothing moved, or when the literal update is dropped
+    for non-finite arithmetic) and the literal-mode freeze flag.
     """
     if delta_k == 0.0:
-        return r, 0.0, frozen, False
+        return r, 0.0, frozen
 
     if mode == "literal":
         if frozen:
-            return r, 0.0, True, False
+            return r, 0.0, True
         try:
             inner = math.pow(-delta_k / kvar_ref, phi)
             dr = (r_max - r_min) * math.exp(inner)
         except (ValueError, OverflowError):
-            return r, 0.0, False, True
+            return r, 0.0, False
         if not math.isfinite(dr):
-            return r, 0.0, False, True
+            return r, 0.0, False
         new_r = r + dr
         if new_r <= r_min:
-            return r_min, dr, True, False
-        return min(new_r, r_max), dr, False, False
+            return r_min, dr, True
+        return min(new_r, r_max), dr, False
 
     # rectified
     try:
@@ -133,7 +132,7 @@ def step_r(
         new_r = r_min
     if new_r > r_max:
         new_r = r_max
-    return new_r, dr, frozen, False
+    return new_r, dr, frozen
 
 
 def adjust(state: ThresholdState, kvar_step: float, mode: str = "rectified") -> ThresholdState:
@@ -142,7 +141,7 @@ def adjust(state: ThresholdState, kvar_step: float, mode: str = "rectified") -> 
         raise ThresholdConfigError(f"unknown adjustment mode {mode!r}")
     if not (math.isfinite(kvar_step) and kvar_step >= 0):
         raise ThresholdConfigError(f"kvar_step must be finite and >= 0, got {kvar_step!r}")
-    r, dr, frozen, degenerate = step_r(
+    r, dr, frozen = step_r(
         state.r,
         kvar_step - state.prev_kvar,
         state.frozen,
@@ -163,7 +162,6 @@ def adjust(state: ThresholdState, kvar_step: float, mode: str = "rectified") -> 
         prev_kvar=kvar_step,
         frozen=frozen,
         last_delta=dr,
-        degenerate_events=state.degenerate_events + 1 if degenerate else state.degenerate_events,
     )
 
 
@@ -323,11 +321,12 @@ def _replay_objective(
     """Score one (tau, phi) candidate by replaying recorded draft/true pairs.
 
     The candidate controller walks r over each trace; at every slice the
-    recorded misses are re-judged under floor(r): a miss within it adds its
-    action mass, one beyond it counts as a rejection, and the slice's mass
-    feeds the next update. The score trades accepted-error action mass (a
-    proxy for task success) against re-inference pressure (rejections per
-    slice, a proxy for extra decode rounds).
+    recorded misses are re-judged under r (an int distance is within r
+    exactly when it is within floor(r)): a miss within it adds its action
+    mass, one beyond it counts as a rejection, and the slice's mass feeds
+    the next update. The score trades accepted-error action mass (a proxy
+    for task success) against re-inference pressure (rejections per slice,
+    a proxy for extra decode rounds).
     """
     total_mass = 0.0
     total_rejections = 0
@@ -337,16 +336,15 @@ def _replay_objective(
         prev_mass = 0.0
         frozen = False
         for pairs in slices:
-            applied = math.floor(r)
             mass = 0.0
             for dist, miss_mass in pairs:
-                if dist <= applied:
+                if dist <= r:
                     mass += miss_mass
                 else:
                     total_rejections += 1
             total_mass += mass
             total_slices += 1
-            r, _, frozen, _ = step_r(
+            r, _, frozen = step_r(
                 r, mass - prev_mass, frozen, r_max, r_min, tau, phi, kvar_ref, mode
             )
             prev_mass = mass

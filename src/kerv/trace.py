@@ -15,8 +15,10 @@ number, as is a header, record or summary that misses a field or holds a
 value of the wrong JSON type: a scalar of another type (an int field
 refuses ``true``/``false`` and ``1.0``; a float field takes an integer), a
 per-position field that is not a list of 7 slots, an id that is not an
-int or ``null`` (a token that is not an int), or a status or source
-outside its set. Traces and calibration tables are written atomically (a
+int or ``null`` (a token that is not an int), a status or source outside
+its set, or the constant ``NaN`` (``Infinity`` loads: an overflowing
+deviation is written as one). ``load`` puts the file's path in front of
+the error. Traces and calibration tables are written atomically (a
 temporary file in the target directory, then ``os.replace``), so a reader
 sees the old file or the whole new one.
 """
@@ -52,6 +54,17 @@ _TYPE_NAMES = {int: "an int", float: "a float", str: "a string", bool: "a bool"}
 
 class TraceError(ValueError):
     """Raised when a trace stream is malformed."""
+
+
+def _parse_constant(name: str) -> float:
+    # a run writes +-Infinity where a deviation overflows, but never NaN
+    if name == "NaN":
+        raise ValueError("NaN is not a trace value")
+    return float(name)
+
+
+# one decoder for every line: ``json.loads`` with an option builds a new one
+_DECODER = json.JSONDecoder(parse_constant=_parse_constant)
 
 
 @dataclass(frozen=True)
@@ -188,8 +201,8 @@ def loads(text: str) -> EpisodeTrace:
         if not raw.strip():
             continue
         try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
+            obj = _DECODER.decode(raw)
+        except ValueError as exc:  # malformed JSON, or NaN
             raise TraceError(f"line {lineno}: not a JSON record ({exc})") from None
         if not isinstance(obj, dict):
             raise TraceError(f"line {lineno}: not a JSON object")
@@ -231,7 +244,10 @@ def loads(text: str) -> EpisodeTrace:
 
 
 def load(path: str | Path) -> EpisodeTrace:
-    return loads(Path(path).read_text())
+    try:
+        return loads(Path(path).read_text())
+    except TraceError as exc:
+        raise TraceError(f"{path}: {exc}") from None
 
 
 def load_dir(path: str | Path) -> list[EpisodeTrace]:

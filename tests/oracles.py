@@ -216,19 +216,9 @@ def reference_adjust(state, kvar_step, mode="rectified"):
             inner = math.pow(-delta_k / state.kvar_ref, state.phi)
             dr = (state.r_max - state.r_min) * math.exp(inner)
         except (ValueError, OverflowError):
-            return replace(
-                state,
-                prev_kvar=kvar_step,
-                last_delta=0.0,
-                degenerate_events=state.degenerate_events + 1,
-            )
+            return replace(state, prev_kvar=kvar_step, last_delta=0.0)
         if not math.isfinite(dr):
-            return replace(
-                state,
-                prev_kvar=kvar_step,
-                last_delta=0.0,
-                degenerate_events=state.degenerate_events + 1,
-            )
+            return replace(state, prev_kvar=kvar_step, last_delta=0.0)
         new_r = state.r + dr
         if new_r <= state.r_min:
             return replace(

@@ -21,7 +21,7 @@ from kerv.harness import (
     run_suite,
 )
 from kerv.kinematics import KfBank, KfParams
-from kerv.simenv import KINDS, build_plan, make_task
+from kerv.simenv import KINDS, _quantize, _targets, make_task
 from kerv.specdec import SRC_KF, decode_slice_sd
 from kerv.threshold import ThresholdState, adjust
 
@@ -88,8 +88,8 @@ def test_c03_prediction_error_trends():
     pl_errs = {pl: [] for pl in horizons}
     ac_errs = {10: [], 40: []}
     for seed in range(100):
-        plan = build_plan(make_task(KINDS[seed % 3], seed))
-        acts = plan.actions
+        spec = make_task(KINDS[seed % 3], seed)
+        _, acts, _ = _quantize(_targets(spec.kind, seed, spec.waypoints), KEY)
         b10 = KfBank(params, ac=10)
         b40 = KfBank(params, ac=40)
         for t in range(len(acts) - 5):
@@ -152,17 +152,9 @@ def test_c04_afep_matches_monte_carlo_oracle():
         firsts = []
         for i in range(n_slices):
             drafts.i = truths.i = i
-            res = decode_slice_sd(
-                drafts,
-                truths,
-                r=0,
-                depth=4,
-                compensation_enabled=False,
-                bank=None,
-                key=KEY,
-            )
-            if res.first_error_position < 7:
-                firsts.append(res.first_error_position + 1)
+            res = decode_slice_sd(drafts, truths, r=0, depth=4, key=KEY)
+            if res.first_error_pos < 7:
+                firsts.append(res.first_error_pos + 1)
         measured = sum(firsts) / len(firsts)
         expected = mc_first_error_position(q, samples=1_000_000, seed=9000 + int(q * 10))
         rel = abs(measured - expected) / expected

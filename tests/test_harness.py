@@ -16,7 +16,13 @@ from kerv.harness import (
     run_suite,
     sweep,
 )
-from kerv.threshold import CalibrationRow, CalibrationTable, calibrate, DEFAULT_GRID
+from kerv.threshold import (
+    CalibrationRow,
+    CalibrationTable,
+    ThresholdConfigError,
+    calibrate,
+    DEFAULT_GRID,
+)
 from kerv.trace import EpisodeTrace, SliceRecord, load as load_trace, load_dir
 
 
@@ -252,6 +258,22 @@ def test_run_suite_kerv_without_table_is_startup_error(small_cfg):
         run_suite(small_cfg, modes=("kerv",), suites=("goal",), trials=1)
 
 
+@pytest.mark.parametrize("entry", ["run_suite", "sweep"])
+def test_missing_calibration_row_is_error_before_any_episode(
+    small_cfg, small_table, monkeypatch, entry
+):
+    ran = []
+    monkeypatch.setattr(harness, "run_one_episode", lambda *a: ran.append(a))
+    row = small_table.rows[("goal", "sim7dof")]
+    table = CalibrationTable({(name, "sim7dof"): row for name in ("goal", "long", "object")})
+    with pytest.raises(ThresholdConfigError, match=r"no calibration row for \('spatial', 'sim7dof'\)"):
+        if entry == "run_suite":
+            run_suite(small_cfg, trials=2, table=table)
+        else:
+            sweep(small_cfg, "n", [2, 4], trials=2, table=table)
+    assert ran == []
+
+
 def test_run_suite_unknown_suite_is_error(small_cfg):
     with pytest.raises(ConfigError):
         run_suite(small_cfg, modes=("naive",), suites=("mars",), trials=1)
@@ -419,6 +441,23 @@ def test_cli_calibrate_rejects_unknown_grid_keys(tmp_path, capsys):
     rc = cli.main(["calibrate", "--traces", str(tmp_path), "--grid", str(grid), "--out", str(out)])
     assert rc == 2
     assert "unknown grid keys: ['grid.phii', 'grid.tua']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_calibrate_names_the_bad_trace_file(tmp_path, capsys, small_cfg):
+    goal = small_cfg.suite("goal")
+    for t in range(4):
+        trace = run_one_episode(replace(small_cfg, fixed_r=15.0), goal, "fixed_relaxed", t, None)
+        trace.save(tmp_path / f"goal_{t:04d}.jsonl")
+    bad = tmp_path / "goal_0002.jsonl"
+    bad.write_text("".join(bad.read_text().splitlines(keepends=True)[:-1]))
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("grid.tau = 1.0\ngrid.phi = 0.7\n")
+    out = tmp_path / "table.csv"
+    rc = cli.main(["calibrate", "--traces", str(tmp_path), "--grid", str(grid), "--out", str(out)])
+    assert rc != 0
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: trace stream ends without a summary line (truncated?)\n"
     assert not out.exists()
 
 

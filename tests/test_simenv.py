@@ -31,6 +31,12 @@ from kerv.threshold import ThresholdState
 from oracles import PLAN_KEYS, reference_draft_ids, reference_plan, reference_track
 
 
+def plan_arrays(spec, key=simenv.DEFAULT_KEY):
+    """Poses, actions and tokens of a spec's plan, as ``_quantize`` builds
+    them; the cached ``Plan`` keeps only the poses."""
+    return simenv._quantize(simenv._targets(spec.kind, spec.seed, spec.waypoints), key)
+
+
 def test_make_task_deterministic():
     a = make_task("pick_place", 7)
     b = make_task("pick_place", 7)
@@ -49,8 +55,9 @@ def test_plan_replay_succeeds_with_zero_deviation():
         spec = make_task(kind, 3)
         env = SimEnv(spec)
         plan = env.plan
+        _, actions, _ = plan_arrays(spec)
         for t in range(plan.steps):
-            env.step(plan.actions[t].tolist())
+            env.step(actions[t].tolist())
         assert env.state.done
         assert env.state.succeeded
         assert env.state.deviation == 0.0
@@ -61,10 +68,12 @@ def test_plan_replay_succeeds_with_zero_deviation():
 def test_plan_replay_reproduces_every_pose(grip_range):
     # with (0.6, 2.0) every gripper token decodes above the flip level
     key = NormKey(lo=(-1.0,) * 6 + (grip_range[0],), hi=(1.0,) * 6 + (grip_range[1],))
-    env = SimEnv(make_task("pick_place", 3, key), key)
+    spec = make_task("pick_place", 3, key)
+    env = SimEnv(spec, key)
     plan = env.plan
+    _, _, tokens = plan_arrays(spec, key)
     for t in range(plan.steps):
-        env.step(decode_slice(plan.tokens[t].tolist(), key))
+        env.step(decode_slice(tokens[t].tolist(), key))
         assert env.state.pose == tuple(plan.poses[t + 1])
 
 
@@ -90,10 +99,12 @@ def encode(values):
 
 
 def test_oracle_tracks_plan_tokens():
-    env = SimEnv(make_task("pick_place", 2))
+    spec = make_task("pick_place", 2)
+    env = SimEnv(spec)
+    _, _, plan_tokens = plan_arrays(spec)
     for t in range(min(20, env.plan.steps)):
         tokens = oracle_policy(env.state, env.plan, env.key)
-        assert tokens == tuple(env.plan.tokens[t].tolist())
+        assert tokens == tuple(plan_tokens[t].tolist())
         env.step(decode_slice(tokens))
     assert env.state.deviation == 0.0
 
@@ -108,9 +119,11 @@ def test_oracle_idempotent_under_codec_roundtrip():
 
 
 def test_oracle_at_goal_emits_zero_action_tokens():
-    env = SimEnv(make_task("reach", 12))
+    spec = make_task("reach", 12)
+    env = SimEnv(spec)
+    _, actions, _ = plan_arrays(spec)
     for t in range(env.plan.steps):
-        env.step(env.plan.actions[t].tolist())
+        env.step(actions[t].tolist())
     # re-open the episode at the final pose to query the policy past the plan
     from dataclasses import replace
 
@@ -122,8 +135,9 @@ def test_oracle_at_goal_emits_zero_action_tokens():
 def test_oracle_refuses_done_env():
     spec = make_task("reach", 1)
     env = SimEnv(spec)
+    _, actions, _ = plan_arrays(spec)
     while not env.state.done:
-        env.step(env.plan.actions[min(env.state.t, env.plan.steps - 1)].tolist())
+        env.step(actions[min(env.state.t, env.plan.steps - 1)].tolist())
     with pytest.raises(EnvStateError):
         oracle_policy(env.state, env.plan, env.key)
     with pytest.raises(EnvStateError):
@@ -190,7 +204,7 @@ def test_gripper_toggles_in_pick_place():
     flips = np.sum(states[1:] != states[:-1])
     assert flips == 2
     # toggle steps carry a full-swing impulse, holds stay near zero
-    impulses = plan.actions[:, 6]
+    impulses = plan_arrays(spec)[1][:, 6]
     assert np.sum(np.abs(impulses) > 0.5) == 2
 
 
@@ -198,10 +212,11 @@ def test_deviation_matches_brute_force_replay():
     spec = make_task("reach", 17)
     env = SimEnv(spec)
     plan = env.plan
+    _, actions, _ = plan_arrays(spec)
     rng = np.random.default_rng(0)
     executed = []
     for t in range(plan.steps):
-        a = plan.actions[t].copy()
+        a = actions[t].copy()
         if rng.random() < 0.1:
             a[2] += 0.5  # corrupt one DoF
         executed.append(a)
@@ -222,7 +237,7 @@ def test_deviation_matches_brute_force_replay():
 
 def test_env_is_pure_function_of_spec_and_actions():
     spec = make_task("pick_place", 33)
-    seq = [build_plan(spec).actions[t].tolist() for t in range(10)]
+    seq = plan_arrays(spec)[1][:10].tolist()
 
     def run():
         env = SimEnv(spec)
@@ -259,12 +274,11 @@ def test_plan_equals_the_scalar_loop_bit_for_bit(kind, seed, key, jitter, jitter
     targets = simenv._targets(kind, seed, spec.waypoints)
     if jitter:
         targets = targets + np.random.default_rng(jitter_seed).normal(0.0, jitter, targets.shape)
-        got = simenv._quantize(targets, key)
-    else:
-        plan = build_plan(spec, key)
-        got = (plan.poses, plan.actions, plan.tokens)
+    got = simenv._quantize(targets, key)
     for array, expected in zip(got, reference_plan(targets.tolist(), key)):
         _assert_bitwise_equal(array, expected)
+    if not jitter:  # the cached plan holds the same poses
+        _assert_bitwise_equal(build_plan(spec, key).poses, got[0])
 
 
 _GRIPPER_VALUES = st.sampled_from([-1.0, 1.0, 0.0, -0.0, 0.5, -0.5])
@@ -375,11 +389,10 @@ def test_default_plans_are_built_in_one_guess_pass(monkeypatch):
 
 
 def test_plan_arrays_are_read_only():
-    """The plan cache hands the same arrays to every episode of a task."""
+    """The plan cache hands the same poses to every episode of a task."""
     plan = build_plan(make_task("reach", 4))
-    for array in (plan.poses, plan.actions, plan.tokens):
-        with pytest.raises(ValueError):
-            array[0, 0] = 0
+    with pytest.raises(ValueError):
+        plan.poses[0, 0] = 0
 
 
 def test_plan_targets_must_be_finite():

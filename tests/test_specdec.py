@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from kerv import specdec
 from kerv.codec import NormKey, decode_slice, token_to_action
 from kerv.config import RunConfig
-from kerv.kinematics import KfBank, KfParams
+from kerv.kinematics import KfBank, KfParams, NoContextError
 from kerv.simenv import DraftNoiseModel, NoisyDrafter, PlanVerifier, SimEnv, make_task
 from kerv.specdec import (
     EXACT,
@@ -21,7 +21,6 @@ from kerv.specdec import (
     SRC_VERIFY,
     MODES,
     EngineError,
-    MissingContextError,
     accepted_error_kvar,
     decode_slice_sd,
     relaxed_accept,
@@ -75,21 +74,20 @@ def test_relaxed_accept_exhaustive(draft, true, r):
         assert out == REJECTED
 
 
+@given(st.integers(0, 255), st.integers(0, 255), st.floats(0, 300, allow_nan=False))
+def test_a_float_threshold_accepts_what_its_floor_accepts(draft, true, r):
+    assert relaxed_accept(draft, true, r) == relaxed_accept(draft, true, math.floor(r))
+
+
 def test_perfect_draft_needs_ceil_rounds():
     tokens = (10, 20, 30, 40, 50, 60, 70)
     for depth in (1, 2, 3, 4, 7):
         res = decode_slice_sd(
-            ScriptedOracle(tokens),
-            ScriptedOracle(tokens),
-            r=0,
-            depth=depth,
-            compensation_enabled=False,
-            bank=None,
-            key=KEY,
+            ScriptedOracle(tokens), ScriptedOracle(tokens), r=0, depth=depth, key=KEY
         )
         assert res.tokens == tokens
-        assert res.first_error_position == 7
-        assert res.verify_calls == math.ceil(7 / depth)
+        assert res.first_error_pos == 7
+        assert res.rounds == math.ceil(7 / depth)
         assert all(s == SRC_DRAFT for s in res.sources)
         assert not res.comp_fired
 
@@ -99,12 +97,10 @@ def test_first_round_rejection_triggers_compensation():
     draft = ScriptedOracle((140, 149, 183, 0, 0, 0, 0))
     verify = ScriptedOracle((140, 151, 128, 5, 5, 5, 128))
     bank = primed_bank()
-    res = decode_slice_sd(
-        draft, verify, r=14, depth=4, compensation_enabled=True, bank=bank, key=KEY
-    )
+    res = decode_slice_sd(draft, verify, r=14, depth=4, key=KEY, bank=bank)
     assert res.comp_fired
-    assert res.verify_calls == 1 and res.draft_calls == 1
-    assert res.first_error_position == 2
+    assert res.rounds == 1
+    assert res.first_error_pos == 2
     assert res.tokens[:3] == (140, 149, 128)  # corrected token at the miss
     assert res.sources[:3] == (SRC_DRAFT, SRC_DRAFT, SRC_VERIFY)
     assert all(s == SRC_KF for s in res.sources[3:])
@@ -112,8 +108,9 @@ def test_first_round_rejection_triggers_compensation():
     # filled positions tokenize the one-step filter prediction; the gripper
     # channel snaps to its three-level command instead
     pred = primed_bank().predict(1)
+    actions = decode_slice(res.tokens, KEY)
     for dof in range(3, 6):
-        assert res.actions[dof] == pytest.approx(pred[dof], abs=2.0 / 256)
+        assert actions[dof] == pytest.approx(pred[dof], abs=2.0 / 256)
     assert res.tokens[6] in (0, 128, 255)
 
 
@@ -122,30 +119,20 @@ def test_second_round_rejection_resamples_instead_of_compensating():
     # round two, which must fall back to classic resampling
     draft = ScriptedOracle((10, 20, 30, 40, 200, 60, 70))
     verify = ScriptedOracle((10, 20, 30, 40, 50, 60, 70))
-    res = decode_slice_sd(
-        draft,
-        verify,
-        r=0,
-        depth=4,
-        compensation_enabled=True,
-        bank=primed_bank(),
-        key=KEY,
-    )
+    res = decode_slice_sd(draft, verify, r=0, depth=4, key=KEY, bank=primed_bank())
     assert not res.comp_fired
-    assert res.first_error_position == 4
+    assert res.first_error_pos == 4
     assert res.tokens == (10, 20, 30, 40, 50, 60, 70)
     assert res.sources[4] == SRC_VERIFY
-    assert res.verify_calls == 3  # clean round, rejected round, resumed round
+    assert res.rounds == 3  # clean round, rejected round, resumed round
 
 
 def test_resample_handles_multiple_rejections():
     draft = ScriptedOracle((1, 2, 3, 4, 5, 6, 7))
     verify = ScriptedOracle((100, 2, 120, 4, 140, 6, 160))
-    res = decode_slice_sd(
-        draft, verify, r=0, depth=4, compensation_enabled=False, bank=None, key=KEY
-    )
+    res = decode_slice_sd(draft, verify, r=0, depth=4, key=KEY)
     assert res.tokens == (100, 2, 120, 4, 140, 6, 160)
-    assert res.first_error_position == 0
+    assert res.first_error_pos == 0
     assert res.sources.count(SRC_VERIFY) == 4
     assert not res.comp_fired
 
@@ -153,40 +140,40 @@ def test_resample_handles_multiple_rejections():
 def test_rejection_at_last_position_never_compensates():
     draft = ScriptedOracle((10, 20, 30, 40, 50, 60, 200))
     verify = ScriptedOracle((10, 20, 30, 40, 50, 60, 70))
-    res = decode_slice_sd(
-        draft,
-        verify,
-        r=0,
-        depth=7,
-        compensation_enabled=True,
-        bank=primed_bank(),
-        key=KEY,
-    )
+    res = decode_slice_sd(draft, verify, r=0, depth=7, key=KEY, bank=primed_bank())
     assert not res.comp_fired
     assert res.tokens[6] == 70
     assert res.sources[6] == SRC_VERIFY
 
 
-def test_compensation_requires_context():
-    draft = ScriptedOracle((1,) * 7)
-    verify = ScriptedOracle((1,) * 7)
-    with pytest.raises(MissingContextError):
+def test_an_empty_bank_fails_only_where_it_would_compensate():
+    """An empty bank raises ``NoContextError`` on a first-round rejection;
+    with nothing rejected it is never read."""
+    with pytest.raises(NoContextError):
         decode_slice_sd(
-            draft, verify, r=0, depth=4, compensation_enabled=True, bank=KfBank(), key=KEY
+            ScriptedOracle((1, 2, 3, 4, 5, 6, 7)),
+            ScriptedOracle((1, 90, 3, 4, 5, 6, 7)),
+            r=0,
+            depth=4,
+            key=KEY,
+            bank=KfBank(),
         )
+    tokens = (10, 20, 30, 40, 50, 60, 70)
+    res = decode_slice_sd(
+        ScriptedOracle(tokens), ScriptedOracle(tokens), r=0, depth=4, key=KEY, bank=KfBank()
+    )
+    assert res.tokens == tokens
+    assert res.sources == (SRC_DRAFT,) * 7
+    assert not res.comp_fired
 
 
 def test_parameter_validation():
     draft = ScriptedOracle((1,) * 7)
     verify = ScriptedOracle((1,) * 7)
     with pytest.raises(EngineError):
-        decode_slice_sd(
-            draft, verify, r=0, depth=0, compensation_enabled=False, bank=None, key=KEY
-        )
+        decode_slice_sd(draft, verify, r=0, depth=0, key=KEY)
     with pytest.raises(EngineError):
-        decode_slice_sd(
-            draft, verify, r=-1, depth=4, compensation_enabled=False, bank=None, key=KEY
-        )
+        decode_slice_sd(draft, verify, r=-1, depth=4, key=KEY)
 
 
 @pytest.mark.parametrize("oracle", ["draft", "verify"])
@@ -205,32 +192,11 @@ def test_a_bad_oracle_token_is_refused_where_it_is_judged(oracle, bad, pos):
     draft_row, verify_row = (bad_row, good) if oracle == "draft" else (good, bad_row)
     with pytest.raises(EngineError) as err:
         decode_slice_sd(
-            ScriptedOracle(draft_row),
-            ScriptedOracle(verify_row),
-            r=0,
-            depth=4,
-            compensation_enabled=False,
-            bank=None,
-            key=KEY,
+            ScriptedOracle(draft_row), ScriptedOracle(verify_row), r=0, depth=4, key=KEY
         )
     assert str(err.value) == (
         f"{oracle} oracle returned {bad!r} at position {pos}; tokens must be ints in [0, 255]"
     )
-
-
-def test_final_slice_pushed_into_bank():
-    tokens = (10, 20, 30, 40, 50, 60, 70)
-    bank = primed_bank()
-    res = decode_slice_sd(
-        ScriptedOracle(tokens),
-        ScriptedOracle(tokens),
-        r=0,
-        depth=4,
-        compensation_enabled=True,
-        bank=bank,
-        key=KEY,
-    )
-    assert bank.window[-1] == res.actions
 
 
 @settings(max_examples=120, deadline=None)
@@ -244,22 +210,15 @@ def test_final_slice_pushed_into_bank():
 def test_slice_always_complete_and_attributed(draft_toks, true_toks, r, depth, comp):
     bank = primed_bank() if comp else None
     res = decode_slice_sd(
-        ScriptedOracle(draft_toks),
-        ScriptedOracle(true_toks),
-        r=r,
-        depth=depth,
-        compensation_enabled=comp,
-        bank=bank,
-        key=KEY,
+        ScriptedOracle(draft_toks), ScriptedOracle(true_toks), r=r, depth=depth, key=KEY, bank=bank
     )
     assert len(res.tokens) == 7
-    assert len(res.actions) == 7
     assert len(res.sources) == 7
     assert set(res.sources) <= {SRC_DRAFT, SRC_VERIFY, SRC_KF}
-    assert res.actions == decode_slice(res.tokens, KEY)
+    assert len(decode_slice(res.tokens, KEY)) == 7  # every token in the vocabulary
     if res.comp_fired:
-        assert res.verify_calls == 1
-    first = res.first_error_position
+        assert res.rounds == 1
+    first = res.first_error_pos
     if first < 7:
         assert all(s == SRC_DRAFT for s in res.sources[:first])
         assert res.sources[first] == SRC_VERIFY
@@ -278,9 +237,7 @@ def test_slice_always_complete_and_attributed(draft_toks, true_toks, r, depth, c
 def test_accepted_error_kvar_counts_only_relaxed():
     draft = ScriptedOracle((140, 149, 183, 0, 0, 0, 0))
     verify = ScriptedOracle((140, 151, 128, 5, 5, 5, 128))
-    res = decode_slice_sd(
-        draft, verify, r=14, depth=4, compensation_enabled=True, bank=primed_bank(), key=KEY
-    )
+    res = decode_slice_sd(draft, verify, r=14, depth=4, key=KEY, bank=primed_bank())
     expected = abs(token_to_action(151, 1, KEY) - token_to_action(149, 1, KEY))
     assert accepted_error_kvar(res, KEY) == pytest.approx(expected)
 
@@ -306,9 +263,8 @@ def test_accepted_error_kvar_matches_reference_bit_for_bit(pairs, r, depth, comp
         ScriptedOracle([min(max(d + off, 0), 255) for d, off in pairs]),
         r=r,
         depth=depth,
-        compensation_enabled=comp,
-        bank=primed_bank() if comp else None,
         key=key,
+        bank=primed_bank() if comp else None,
     )
     got = accepted_error_kvar(res, key)
     assert type(got) is float
@@ -431,3 +387,20 @@ def test_only_kerv_builds_a_filter_bank(mode, monkeypatch):
     if mode == "kerv":
         assert trace.comp_events > 0
         assert len(banks[0].window) == min(trace.steps, banks[0].ac)
+
+
+def test_bank_window_holds_the_last_executed_slices(monkeypatch):
+    """Every kerv slice is pushed once, decoded from the tokens its record
+    holds, in step order."""
+    banks = []
+
+    def keeping(*args, **kwargs):
+        banks.append(KfBank(*args, **kwargs))
+        return banks[-1]
+
+    monkeypatch.setattr(specdec, "KfBank", keeping)
+    trace = _episode("kerv")
+    (bank,) = banks
+    assert trace.steps > bank.ac and trace.comp_events > 0
+    executed = [decode_slice(rec.tokens, KEY) for rec in trace.slices[-bank.ac :]]
+    assert list(bank.window) == executed

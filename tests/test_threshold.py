@@ -122,11 +122,11 @@ def test_literal_formula_fidelity():
 
 
 def test_literal_negative_base_fractional_power_is_degenerate():
-    # dK > 0 with fractional phi makes the base negative: no update, counted
+    # dK > 0 with fractional phi makes the base negative: no update
     s = make_state(r=10.0, phi=0.5)
     out = adjust(s, 1.0, "literal")
     assert out.r == 10.0
-    assert out.degenerate_events == 1
+    assert out.last_delta == 0.0 and not out.frozen
     assert out.prev_kvar == 1.0
 
 

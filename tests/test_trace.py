@@ -1,6 +1,7 @@
 """Trace serialization: reference byte equality, partial streams, atomic saves."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +185,31 @@ def test_header_or_summary_that_is_not_an_object_is_trace_error():
         loads('{"episode": 5}\n' + "".join(lines[1:]))
     with pytest.raises(TraceError, match="^line 5: summary must be a JSON object, got "):
         loads("".join(lines[:-1]) + '{"summary": [3]}\n')
+
+
+@pytest.mark.parametrize(
+    "lineno, part, field",
+    [(3, None, "r"), (3, None, "kvar_step"), (5, "summary", "deviation")],
+)
+def test_nan_in_a_float_field_is_trace_error(lineno, part, field):
+    lines = _episode_text().splitlines(keepends=True)
+    text = _with(lines, lineno, part, field, math.nan)
+    assert "NaN" in text
+    with pytest.raises(TraceError, match=f"^line {lineno}: .*NaN is not a trace value"):
+        loads(text)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_infinite_deviation_loads(value):
+    lines = _episode_text().splitlines(keepends=True)
+    assert loads(_with(lines, 5, "summary", "deviation", value)).deviation == value
+
+
+def test_load_names_the_file(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(_episode_text().splitlines(keepends=True)[:-1]))
+    with pytest.raises(TraceError, match=f"^{path}: trace stream ends without a summary line"):
+        load(path)
 
 
 def test_integral_number_in_a_float_field_loads():
