@@ -9,6 +9,9 @@ The dataclasses hold every default, so a key left out of a file keeps its
 dataclass default, and ``dumps`` writes any config back out through the
 same schema. Unknown keys are a startup error (all of them are listed), so
 typos fail loudly instead of silently running defaults.
+
+``threshold.r_max``/``r_min`` are read only by ``kerv calibrate --config``;
+``kerv run`` takes each suite's bounds from its calibration-table row.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ from operator import attrgetter
 from pathlib import Path
 
 from .codec import N_DOF, CodecError, NormKey
-from .kinematics import KfParams, KinematicsError
+from .kinematics import DEFAULT_AC, KfParams, KinematicsError
 from .simenv import KINDS, DraftNoiseModel, TaskError
 from .specdec import MODES
-from .threshold import ADJUST_MODES
+from .threshold import ADJUST_MODES, DEFAULT_R_MAX, DEFAULT_R_MIN
 
 
 class ConfigError(ValueError):
@@ -40,7 +43,8 @@ def _range(text: str) -> tuple[float, float]:
 
 
 # key -> (RunConfig field, parser); "section.field" sets a field of the
-# value object held in the RunConfig field ``section``
+# value object held in the RunConfig field ``section``. threshold.r_max and
+# threshold.r_min only feed calibration; a run reads its table's bounds.
 SCHEMA = {
     "codec.vocab_size": ("key.vocab_size", int),
     "kf.process_noise": ("kf_params.process_noise", float),
@@ -111,15 +115,15 @@ class CostModel:
 class RunConfig:
     key: NormKey = field(default_factory=NormKey)
     kf_params: KfParams = field(default_factory=KfParams)
-    ac: int = 10
+    ac: int = DEFAULT_AC
     pl: int = 1
     comp_n: int = 4
     depth: int = 4
     threshold_mode: str = "rectified"
     table_path: str = ""
     fixed_r: float = 9.0
-    r_max: float = 15.0
-    r_min: float = 5.0
+    r_max: float = DEFAULT_R_MAX
+    r_min: float = DEFAULT_R_MIN
     cost: CostModel = field(default_factory=CostModel)
     noise: DraftNoiseModel = field(default_factory=DraftNoiseModel)
     robot: str = "sim7dof"

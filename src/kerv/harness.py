@@ -108,7 +108,7 @@ def run_one_episode(
     table: CalibrationTable | None,
 ) -> EpisodeTrace:
     seed = suite_cfg.seed_base + cfg.seed_offset + trial
-    spec = make_task(suite_cfg.kind, seed, cfg.key)
+    spec = make_task(suite_cfg.kind, seed)
     env = SimEnv(spec, cfg.key, suite=suite_cfg.name, robot=cfg.robot, trial=trial)
     draft = NoisyDrafter(env, cfg.noise)
     verify = PlanVerifier(env)
@@ -204,22 +204,17 @@ def emit_results(
     """Write the report table, per-episode trace streams, and plot data.
 
     ``report.txt`` and everything under ``traces/`` and ``plotdata/`` are
-    deterministic for fixed seeds.
+    deterministic for fixed seeds. Before anything is written, a file under
+    ``traces/`` or ``plotdata/`` that this run would not write (the output of
+    another run) raises ``FileExistsError``; no file is deleted.
     """
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "traces").mkdir(exist_ok=True)
-        (out / "plotdata").mkdir(exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot write results under {out}: {exc}") from exc
-
-    (out / "report.txt").write_text(report.render())
-
-    for (suite, mode), ts in sorted(traces.items()):
-        for t in ts:
-            t.save(out / "traces" / f"{suite}_{mode}_{t.trial:04d}.jsonl")
-
+    trace_paths = {
+        out / "traces" / f"{suite}_{mode}_{t.trial:04d}.jsonl": t
+        for (suite, mode), ts in sorted(traces.items())
+        for t in ts
+    }
+    plots = {}
     for (suite, mode), ts in sorted(traces.items()):
         r_lines = ["trial step r"]
         k_lines = ["trial step kvar_step kvar_cum"]
@@ -233,9 +228,25 @@ def emit_results(
         h_lines = ["first_error_pos count"]
         h_lines += [f"{pos + 1} {count}" for pos, count in enumerate(hist)]
         stem = f"{suite}_{mode}"
-        (out / "plotdata" / f"r_vs_step_{stem}.txt").write_text("\n".join(r_lines) + "\n")
-        (out / "plotdata" / f"kvar_vs_step_{stem}.txt").write_text("\n".join(k_lines) + "\n")
-        (out / "plotdata" / f"afep_hist_{stem}.txt").write_text("\n".join(h_lines) + "\n")
+        plots[out / "plotdata" / f"r_vs_step_{stem}.txt"] = r_lines
+        plots[out / "plotdata" / f"kvar_vs_step_{stem}.txt"] = k_lines
+        plots[out / "plotdata" / f"afep_hist_{stem}.txt"] = h_lines
+
+    for path in sorted(out.glob("traces/*")) + sorted(out.glob("plotdata/*")):
+        if path not in trace_paths and path not in plots:
+            raise FileExistsError(f"{path} is not an output of this run; use a new directory")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "traces").mkdir(exist_ok=True)
+        (out / "plotdata").mkdir(exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot write results under {out}: {exc}") from exc
+
+    (out / "report.txt").write_text(report.render())
+    for path, t in trace_paths.items():
+        t.save(path)
+    for path, lines in plots.items():
+        path.write_text("\n".join(lines) + "\n")
 
 
 # sweep parameter -> the RunConfig field it sets

@@ -15,13 +15,15 @@ oracle corrupts the verify oracle's tokens with per-position noise whose
 offset distribution is heavy-tailed, producing both small misses that a
 relaxed threshold accepts and occasional large ones.
 
-Each env step's work is done once: ``SimEnv.truth`` computes the oracle's
-tokens once per state, and ``NoisyDrafter`` corrupts them once per state,
-so every draft round and verify call of a slice reads the same two slices.
-A plan is built once per task (``build_plan`` caches it on the fields it
-derives from, so ``make_task`` and ``SimEnv`` share the build), and
-``oracle_policy`` and ``step`` take the plan ``SimEnv`` holds, so no
-per-slice call looks it up again.
+A task (``TaskSpec``) holds what its plan is built from: the kind, the
+seed and the waypoints. ``build_plan`` caches the plan on the spec and the
+codec key, so every episode and mode of a task shares one build, and
+``SimEnv`` holds the plan and the episode's state (pose, step count,
+deviation, termination flags), so no per-slice call looks the plan up
+again. Each step's work is done once: ``SimEnv.truth`` computes the
+oracle's tokens once per step, and ``NoisyDrafter`` corrupts them once per
+step, so every draft round and verify call of a slice reads the same two
+slices.
 
 The draft noise of step t is NumPy's own stream for the seed words (noise
 seed, task seed, t, 0x5EED). It does not depend on the trajectory (only the
@@ -70,7 +72,8 @@ _SEG_STEPS = (18, 24)
 _POS_RANGE = 0.75
 _ROT_RANGE = 3.75
 
-DEFAULT_TOLERANCE = 0.05
+# largest goal distance of a successful episode
+SUCCESS_TOLERANCE = 0.05
 # fraction of plan path length a trial may deviate and still count as clean;
 # sized so the relaxed-threshold operating points of interest straddle it
 DEVIATION_BUDGET_FRAC = 0.15
@@ -87,21 +90,11 @@ class EnvStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class TaskSpec:
+    """What a task's plan is built from."""
+
     kind: str
     seed: int
-    goal: tuple[float, float, float]
     waypoints: tuple[tuple[float, ...], ...]
-    max_steps: int
-    success_tolerance: float
-
-
-@dataclass(frozen=True)
-class EnvState:
-    pose: tuple[float, ...]
-    t: int
-    deviation: float
-    done: bool
-    succeeded: bool
 
 
 @dataclass(frozen=True)
@@ -153,16 +146,17 @@ class Plan:
     poses are read-only."""
 
     poses: np.ndarray  # (T+1, 7); gripper channel holds the latched state
-    path_length: float  # L1 arc length over the six motion channels
-    deviation_budget: float
+    deviation_budget: float  # a share of the motion channels' L1 arc length
+    goal: tuple[float, float, float]  # the position of the last pose
+    max_steps: int  # the step at which an unfinished episode ends
 
     @property
     def steps(self) -> int:
         return len(self.poses) - 1
 
 
-def make_task(kind: str, seed: int, key: NormKey = DEFAULT_KEY) -> TaskSpec:
-    """Deterministically generate a task of the given kind."""
+def make_task(kind: str, seed: int) -> TaskSpec:
+    """Deterministically draw the waypoints of a task of the given kind."""
     if kind not in KINDS:
         raise TaskError(f"unknown task kind {kind!r}; expected one of {KINDS}")
     rng = np.random.default_rng([_KIND_IDS[kind], seed & 0x7FFFFFFF])
@@ -190,15 +184,7 @@ def make_task(kind: str, seed: int, key: NormKey = DEFAULT_KEY) -> TaskSpec:
         tuple(map(float, np.concatenate([pos[i], rot[i], [grip[i]]])))
         for i in range(n_way)
     )
-    plan = _plan_for(kind, seed, waypoints, key)
-    return TaskSpec(
-        kind=kind,
-        seed=seed,
-        goal=tuple(float(x) for x in plan.poses[-1, :3]),
-        waypoints=waypoints,
-        max_steps=2 * plan.steps,
-        success_tolerance=DEFAULT_TOLERANCE,
-    )
+    return TaskSpec(kind=kind, seed=seed, waypoints=waypoints)
 
 
 def _segment_steps(kind: str, seed: int, n_way: int) -> tuple[int, ...]:
@@ -210,25 +196,14 @@ def _segment_steps(kind: str, seed: int, n_way: int) -> tuple[int, ...]:
     )
 
 
-def build_plan(spec: TaskSpec, key: NormKey = DEFAULT_KEY) -> Plan:
-    """Quantized ground-truth plan for a spec.
-
-    The plan derives from the kind, seed and waypoints alone (the goal is
-    derived from the plan), so the cache is keyed on those: ``make_task``
-    and every later lookup for its spec share one build.
-    ``build_plan.cache_clear()`` empties the cache.
-    """
-    return _plan_for(spec.kind, spec.seed, spec.waypoints, key)
-
-
 @functools.lru_cache(maxsize=512)
-def _plan_for(
-    kind: str, seed: int, waypoints: tuple[tuple[float, ...], ...], key: NormKey
-) -> Plan:
-    """The plan of a task: the pose tracks a spline through the waypoints,
-    one ``_track`` and ``_advance`` per step, computed for all steps at once
-    by guess and confirm (``_quantize``). The poses are read-only, since
-    the cache hands them to every episode and mode of the task.
+def build_plan(spec: TaskSpec, key: NormKey) -> Plan:
+    """The quantized ground-truth plan of a task: the pose tracks a spline
+    through the waypoints, one ``_track`` and ``_advance`` per step,
+    computed for all steps at once by guess and confirm (``_quantize``).
+    The plan is cached on the spec and key (``build_plan.cache_clear()``
+    empties the cache), and its poses are read-only, since the cache hands
+    them to every episode and mode of the task.
 
     The confirmation is exact whatever the guess. It decodes the guessed
     tokens with ``token_to_action``'s own expression and sums them onto the
@@ -242,18 +217,16 @@ def _plan_for(
     the step-by-step loop's, bit for bit, and so is the pose the mismatched
     step starts from. The next pass starts from that pose.
     """
-    poses, actions, _ = _quantize(_targets(kind, seed, waypoints), key)
+    poses, actions, _ = _quantize(_targets(spec.kind, spec.seed, spec.waypoints), key)
     poses.flags.writeable = False
 
     path_length = float(np.abs(actions[:, :GRIPPER_DOF]).sum())
     return Plan(
         poses=poses,
-        path_length=path_length,
         deviation_budget=DEVIATION_BUDGET_FRAC * path_length,
+        goal=tuple(poses[-1, :3].tolist()),
+        max_steps=2 * (len(poses) - 1),
     )
-
-
-build_plan.cache_clear = _plan_for.cache_clear
 
 
 def _targets(kind: str, seed: int, waypoints: tuple[tuple[float, ...], ...]) -> np.ndarray:
@@ -285,7 +258,7 @@ def _quantize(
     running extreme: n rises by at most vocab - 1 per step (a running
     minimum) and never falls (a running maximum). The guess can miss where
     a step clamped at the top follows one clamped at the bottom, or where a
-    target sits within rounding of a bin edge; the check that ``_plan_for``
+    target sits within rounding of a bin edge; the check that ``build_plan``
     describes finds the first miss, and the next pass starts there.
     """
     if not np.isfinite(targets).all():
@@ -402,14 +375,15 @@ def _latch(state: float, command: float) -> float:
     return math.copysign(1.0, command) if abs(command) > GRIPPER_FLIP_LEVEL else state
 
 
-def oracle_policy(state: EnvState, plan: Plan, key: NormKey) -> tuple[int, ...]:
-    """True (greedy) tokens for the next slice: track the plan from the
-    current pose, clamped to the action range."""
-    if state.done:
+def oracle_policy(env: SimEnv) -> tuple[int, ...]:
+    """True (greedy) tokens for the env's next slice: track the plan from
+    the current pose, clamped to the action range."""
+    if env.done:
         raise EnvStateError("environment is done; no further actions")
+    plan = env.plan
     # one row as floats: element reads of the ndarray build numpy scalars
-    target = plan.poses[min(state.t + 1, plan.steps)].tolist()
-    return tuple(_track(target, state.pose, key))
+    target = plan.poses[min(env.t + 1, plan.steps)].tolist()
+    return tuple(_track(target, env.pose, env.key))
 
 
 def _corrupt(truth_ids, errs, offsets, vmax: int) -> tuple[int, ...]:
@@ -555,40 +529,10 @@ def noise_rows(
     return errs, np.where(sign_bits == 1, magnitudes, -magnitudes)
 
 
-def step(state: EnvState, actions: tuple[float, ...], spec: TaskSpec, plan: Plan) -> EnvState:
-    """Integrate one slice of action values (as ``decode_slice`` returns
-    them) and update termination flags."""
-    if state.done:
-        raise EnvStateError("environment is done; no further steps")
-    pose = _advance(state.pose, actions)
-
-    t = state.t + 1
-    ref = plan.poses[min(t, plan.steps)].tolist()
-    gap = float(sum(abs(pose[d] - ref[d]) for d in range(GRIPPER_DOF)))
-    if pose[GRIPPER_DOF] != ref[GRIPPER_DOF]:
-        gap += 2.0
-    deviation = state.deviation + gap
-
-    done = False
-    succeeded = False
-    if t >= plan.steps:
-        try:
-            dist = math.sqrt(sum((pose[d] - spec.goal[d]) ** 2 for d in range(3)))
-        except OverflowError:  # a square past the float range: far off the goal
-            dist = math.inf
-        if dist <= spec.success_tolerance:
-            done = True
-            succeeded = deviation <= plan.deviation_budget
-    if not done and t >= spec.max_steps:
-        done = True
-        succeeded = False
-    return EnvState(
-        pose=tuple(pose), t=t, deviation=deviation, done=done, succeeded=succeeded
-    )
-
-
 class SimEnv:
-    """Stateful wrapper tying a task, its plan, and episode metadata together."""
+    """One episode of a task: the plan it tracks, its metadata, and the
+    executed pose, step count, deviation from the plan and termination
+    flags, which ``step`` updates."""
 
     def __init__(
         self,
@@ -602,31 +546,49 @@ class SimEnv:
         self.spec = spec
         self.key = key
         self.suite = suite or spec.kind
-        self.kind = spec.kind
         self.robot = robot
         self.trial = trial
-        self.seed = spec.seed
         self.plan = build_plan(spec, key)
-        self.plan_steps = self.plan.steps
-        self.state = EnvState(
-            pose=tuple(self.plan.poses[0].tolist()),
-            t=0,
-            deviation=0.0,
-            done=False,
-            succeeded=False,
-        )
-        self._truth_state: EnvState | None = None
+        self.pose = tuple(self.plan.poses[0].tolist())
+        self.t = 0
+        self.deviation = 0.0
+        self.done = False
+        self.succeeded = False
+        self._truth_t: int | None = None
         self._truth: tuple[int, ...] = ()
 
-    def step(self, actions: tuple[float, ...]) -> EnvState:
-        self.state = step(self.state, actions, self.spec, self.plan)
-        return self.state
+    def step(self, actions: tuple[float, ...]) -> None:
+        """Integrate one slice of action values (as ``decode_slice`` returns
+        them) and update the termination flags."""
+        if self.done:
+            raise EnvStateError("environment is done; no further steps")
+        plan = self.plan
+        pose = _advance(self.pose, actions)
+        t = self.t + 1
+        ref = plan.poses[min(t, plan.steps)].tolist()
+        gap = float(sum(abs(pose[d] - ref[d]) for d in range(GRIPPER_DOF)))
+        if pose[GRIPPER_DOF] != ref[GRIPPER_DOF]:
+            gap += 2.0
+        self.pose = tuple(pose)
+        self.t = t
+        self.deviation += gap
+
+        if t >= plan.steps:
+            try:
+                dist = math.sqrt(sum((pose[d] - plan.goal[d]) ** 2 for d in range(3)))
+            except OverflowError:  # a square past the float range: far off the goal
+                dist = math.inf
+            if dist <= SUCCESS_TOLERANCE:
+                self.done = True
+                self.succeeded = self.deviation <= plan.deviation_budget
+        if t >= plan.max_steps:
+            self.done = True
 
     def truth(self) -> tuple[int, ...]:
-        """The oracle's tokens for the current state, computed once per state."""
-        if self._truth_state is not self.state:
-            self._truth = oracle_policy(self.state, self.plan, self.key)
-            self._truth_state = self.state
+        """The oracle's tokens for the current step, computed once per step."""
+        if self._truth_t != self.t:
+            self._truth = oracle_policy(self)
+            self._truth_t = self.t
         return self._truth
 
 
@@ -643,36 +605,36 @@ class PlanVerifier:
 
 class NoisyDrafter:
     """Draft oracle bound to a live environment: corrupted plan tokens,
-    drawn once per env state.
+    drawn once per env step.
 
     The noise rows (``noise_rows``) of the plan's steps are drawn when the
-    drafter is made, and those of the later steps below the task's
+    drafter is made, and those of the later steps below the plan's
     ``max_steps`` in one more pass only if the episode runs past the plan.
-    Each state applies row ``state.t`` to the oracle's tokens (``_corrupt``).
+    Step t applies row t to the oracle's tokens (``_corrupt``).
     """
 
     def __init__(self, env: SimEnv, noise: DraftNoiseModel) -> None:
         self.env = env
         self.noise = noise
         self._rows: list[tuple[list[bool], list[int]]] = []  # (errs, offsets) per step
-        self._draw_rows(env.plan_steps)
+        self._draw_rows(env.plan.steps)
         self._vmax = env.key.vocab_size - 1
-        self._state: EnvState | None = None
+        self._t: int | None = None
         self._ids: tuple[int, ...] = ()
 
     def draft(self, prefix, depth):
-        env, state = self.env, self.env.state
-        if self._state is not state:
+        env = self.env
+        t = env.t
+        if self._t != t:
             truth = env.truth()  # raises once the episode is done
-            t = state.t
             if t >= len(self._rows):
-                self._draw_rows(env.spec.max_steps)
+                self._draw_rows(env.plan.max_steps)
             self._ids = _corrupt(truth, *self._rows[t], self._vmax)
-            self._state = state
+            self._t = t
         start = len(prefix)
         return self._ids[start : start + depth]
 
     def _draw_rows(self, t1: int) -> None:
         """Append the rows of the steps from the first undrawn one up to ``t1``."""
-        errs, offsets = noise_rows(self.noise, self.env.seed, len(self._rows), t1)
+        errs, offsets = noise_rows(self.noise, self.env.spec.seed, len(self._rows), t1)
         self._rows += zip(errs.tolist(), offsets.tolist())

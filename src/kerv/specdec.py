@@ -243,8 +243,8 @@ def run_episode(
     ``cfg.fixed_r``, ``cfg.comp_n`` (cooldown slices), ``cfg.pl``,
     ``cfg.ac``, ``cfg.kf_params`` and ``cfg.key``.
 
-    ``env`` must be freshly reset; the trace's header and summary come from
-    its metadata and final state.
+    ``env`` must be fresh (no step taken); the trace's header and summary
+    come from its spec, metadata and final state.
     """
     if mode not in MODES:
         raise EngineError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -258,7 +258,7 @@ def run_episode(
     comp_events = 0
     records: list[SliceRecord] = []
 
-    while not env.state.done:
+    while not env.done:
         if mode == "naive":
             r_now = 0.0
         elif mode == "fixed_relaxed":
@@ -274,7 +274,7 @@ def run_episode(
         actions = decode_slice(result.tokens, cfg.key)
         if bank is not None:
             bank.push_slice(actions)
-        step_index = env.state.t
+        step_index = env.t
         env.step(actions)
 
         kstep = accepted_error_kvar(result, cfg.key)
@@ -310,15 +310,15 @@ def run_episode(
 
     return EpisodeTrace(
         suite=env.suite,
-        kind=env.kind,
+        kind=env.spec.kind,
         mode=mode,
         robot=env.robot,
         trial=env.trial,
-        seed=env.seed,
+        seed=env.spec.seed,
         slices=records,
-        success=env.state.succeeded,
-        steps=env.state.t,
-        deviation=env.state.deviation,
-        plan_steps=env.plan_steps,
+        success=env.succeeded,
+        steps=env.t,
+        deviation=env.deviation,
+        plan_steps=env.plan.steps,
         comp_events=comp_events,
     )

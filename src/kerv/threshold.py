@@ -41,6 +41,8 @@ from .trace import EpisodeTrace, write_text_atomic
 
 DEFAULT_R_MAX = 15.0
 DEFAULT_R_MIN = 5.0
+# calibration's charge per decode round, against its success proxy
+STEP_PENALTY = 0.01
 ADJUST_MODES = ("literal", "rectified")
 
 # candidate (tau, phi) pairs; large tau exploits the state-dependent
@@ -316,7 +318,6 @@ def _replay_objective(
     r_min: float,
     kvar_ref: float,
     mode: str,
-    step_penalty: float,
 ) -> float:
     """Score one (tau, phi) candidate by replaying recorded draft/true pairs.
 
@@ -326,7 +327,7 @@ def _replay_objective(
     mass, one beyond it counts as a rejection, and the slice's mass feeds
     the next update. The score trades accepted-error action mass (a proxy
     for task success) against re-inference pressure (rejections per slice,
-    a proxy for extra decode rounds).
+    a proxy for extra decode rounds, each charged ``STEP_PENALTY``).
     """
     total_mass = 0.0
     total_rejections = 0
@@ -351,7 +352,7 @@ def _replay_objective(
     mean_mass = total_mass / total_slices
     mean_rounds = 1.0 + total_rejections / total_slices
     success_proxy = 1.0 / (1.0 + mean_mass)
-    return success_proxy - step_penalty * mean_rounds
+    return success_proxy - STEP_PENALTY * mean_rounds
 
 
 def calibrate(
@@ -362,7 +363,6 @@ def calibrate(
     r_min: float = DEFAULT_R_MIN,
     key: NormKey = DEFAULT_KEY,
     mode: str = "rectified",
-    step_penalty: float = 0.01,
 ) -> CalibrationTable:
     """Select (tau, phi) per (task, robot) key from pre-sample traces.
 
@@ -407,9 +407,7 @@ def calibrate(
         best = None
         best_score = -math.inf
         for tau, phi in candidates:
-            score = _replay_objective(
-                judged, tau, phi, r_max, r_min, kvar_ref, mode, step_penalty
-            )
+            score = _replay_objective(judged, tau, phi, r_max, r_min, kvar_ref, mode)
             if score > best_score:
                 best_score = score
                 best = (tau, phi)

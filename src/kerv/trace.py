@@ -17,8 +17,9 @@ refuses ``true``/``false`` and ``1.0``; a float field takes an integer), a
 per-position field that is not a list of 7 slots, an id that is not an
 int or ``null`` (a token that is not an int), a status or source outside
 its set, or the constant ``NaN`` (``Infinity`` loads: an overflowing
-deviation is written as one). ``load`` puts the file's path in front of
-the error. Traces and calibration tables are written atomically (a
+deviation is written as one), as is a record value outside its range
+(``_RECORD_RANGES``). ``load`` puts the file's path in front of the
+error. Traces and calibration tables are written atomically (a
 temporary file in the target directory, then ``os.replace``), so a reader
 sees the old file or the whole new one.
 """
@@ -26,7 +27,9 @@ sees the old file or the whole new one.
 from __future__ import annotations
 
 import json
+import math
 import os
+import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
@@ -50,6 +53,17 @@ _SOURCES = {SRC_DRAFT, SRC_VERIFY, SRC_KF}
 # of its own, so an int field refuses true/false
 _JSON_TYPES = {"int": {int}, "float": {int, float}, "str": {str}, "bool": {bool}}
 _TYPE_NAMES = {int: "an int", float: "a float", str: "a string", bool: "a bool"}
+# (field, lowest, highest, the range in words) of each numeric record field;
+# kvar_cum may be infinite, as a run whose variability overflows writes it
+_RECORD_RANGES = (
+    ("first_error_pos", 0, N_DOF, f"in [0, {N_DOF}]"),
+    ("verify_calls", 1, math.inf, ">= 1"),
+    ("draft_calls", 1, math.inf, ">= 1"),
+    ("cooldown_remaining", 0, math.inf, ">= 0"),
+    ("r", 0, sys.float_info.max, "finite and >= 0"),
+    ("kvar_step", 0, sys.float_info.max, "finite and >= 0"),
+    ("kvar_cum", 0, math.inf, ">= 0"),
+)
 
 
 class TraceError(ValueError):
@@ -194,6 +208,13 @@ def _check_slots(obj: dict, lineno: int) -> None:
         raise TraceError(f"line {lineno}: unknown status or source in {statuses!r}, {sources!r}")
 
 
+def _check_ranges(obj: dict, lineno: int) -> None:
+    for name, lowest, highest, need in _RECORD_RANGES:
+        value = obj[name]
+        if not lowest <= value <= highest:
+            raise TraceError(f"line {lineno}: record {name} must be {need}, got {value!r}")
+
+
 def loads(text: str) -> EpisodeTrace:
     trace: EpisodeTrace | None = None
     summarized = False
@@ -228,6 +249,7 @@ def loads(text: str) -> EpisodeTrace:
                     raise TraceError(f"line {lineno}: slice record before episode header")
                 _check_slots(obj, lineno)
                 _check_scalars(obj, "record", _RECORD_TYPES, lineno)
+                _check_ranges(obj, lineno)
                 trace.slices.append(_record_from_dict(obj))
         except KeyError as exc:
             raise TraceError(f"line {lineno}: record has no {exc.args[0]!r} field") from None

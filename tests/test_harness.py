@@ -313,6 +313,36 @@ def test_emit_results_empty_report_writes_headers(tmp_path):
     assert len(text.splitlines()) == 1
 
 
+def _files(root):
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_emit_results_refuses_to_mix_runs(tmp_path, small_cfg, capsys):
+    """A 3-trial naive+fixed run, then a 1-trial naive run into the same
+    directory: the second writes nothing, from the library or the CLI, and
+    names the first file it would leave stale. The same run again may
+    rewrite its own files."""
+    out = tmp_path / "out"
+    first = run_suite(small_cfg, modes=("fixed_relaxed",), suites=("goal",), trials=3)
+    emit_results(*first, out)
+    before = _files(out)
+    assert len(before) == 1 + 6 + 6  # the report, 6 traces, 3 plot files per mode
+    second = run_suite(small_cfg, modes=("naive",), suites=("goal",), trials=1)
+    stale = out / "traces" / "goal_fixed_relaxed_0000.jsonl"
+    with pytest.raises(FileExistsError, match=f"^{stale} is not an output of this run"):
+        emit_results(*second, out)
+    assert _files(out) == before
+    rc = cli.main(
+        ["run", "--config", str(_write_cfg(tmp_path)), "--out", str(out), "--mode", "naive",
+         "--suite", "goal", "--trials", "1"]
+    )
+    assert rc == 2
+    assert f"{stale} is not an output of this run" in capsys.readouterr().err
+    assert _files(out) == before
+    emit_results(*first, out)
+    assert _files(out) == before
+
+
 def test_sweep_r_uses_fixed_mode(small_cfg):
     rows = sweep(small_cfg, "r", [9, 15], suites=("goal",), trials=2)
     assert [r.value for r in rows] == [9.0, 15.0]

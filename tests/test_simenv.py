@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from kerv import simenv
 from kerv.codec import CodecError, NormKey, action_to_token, decode_slice
 from kerv.simenv import (
-    DEFAULT_TOLERANCE,
+    DEFAULT_KEY,
+    SUCCESS_TOLERANCE,
     DraftNoiseModel,
-    EnvState,
     EnvStateError,
     NoisyDrafter,
     PlanVerifier,
@@ -22,16 +22,16 @@ from kerv.simenv import (
     make_task,
     noise_rows,
     oracle_policy,
-    step,
 )
-from kerv.config import RunConfig
+from kerv.config import RunConfig, SuiteConfig
+from kerv.harness import run_one_episode
 from kerv.specdec import MODES, run_episode
 from kerv.threshold import ThresholdState
 
 from oracles import PLAN_KEYS, reference_draft_ids, reference_plan, reference_track
 
 
-def plan_arrays(spec, key=simenv.DEFAULT_KEY):
+def plan_arrays(spec, key=DEFAULT_KEY):
     """Poses, actions and tokens of a spec's plan, as ``_quantize`` builds
     them; the cached ``Plan`` keeps only the poses."""
     return simenv._quantize(simenv._targets(spec.kind, spec.seed, spec.waypoints), key)
@@ -58,40 +58,40 @@ def test_plan_replay_succeeds_with_zero_deviation():
         _, actions, _ = plan_arrays(spec)
         for t in range(plan.steps):
             env.step(actions[t].tolist())
-        assert env.state.done
-        assert env.state.succeeded
-        assert env.state.deviation == 0.0
-        assert env.state.t == plan.steps
+        assert env.done
+        assert env.succeeded
+        assert env.deviation == 0.0
+        assert env.t == plan.steps
 
 
 @pytest.mark.parametrize("grip_range", [(-1.0, 1.0), (0.6, 2.0)])
 def test_plan_replay_reproduces_every_pose(grip_range):
     # with (0.6, 2.0) every gripper token decodes above the flip level
     key = NormKey(lo=(-1.0,) * 6 + (grip_range[0],), hi=(1.0,) * 6 + (grip_range[1],))
-    spec = make_task("pick_place", 3, key)
+    spec = make_task("pick_place", 3)
     env = SimEnv(spec, key)
     plan = env.plan
     _, _, tokens = plan_arrays(spec, key)
     for t in range(plan.steps):
         env.step(decode_slice(tokens[t].tolist(), key))
-        assert env.state.pose == tuple(plan.poses[t + 1])
+        assert env.pose == tuple(plan.poses[t + 1])
 
 
 def test_zero_actions_fail_at_max_steps():
     spec = make_task("reach", 5)
     env = SimEnv(spec)
     still = (0.0,) * 7
-    while not env.state.done:
+    while not env.done:
         env.step(still)
-    assert env.state.t == spec.max_steps
-    assert not env.state.succeeded
+    assert env.t == env.plan.max_steps == 2 * env.plan.steps
+    assert not env.succeeded
 
 
 def test_goal_is_plan_endpoint():
     spec = make_task("reach", 9)
-    plan = build_plan(spec)
-    assert np.allclose(plan.poses[-1, :3], spec.goal)
-    assert np.linalg.norm(np.asarray(spec.goal) - plan.poses[0, :3]) > DEFAULT_TOLERANCE
+    plan = build_plan(spec, DEFAULT_KEY)
+    assert np.allclose(plan.poses[-1, :3], plan.goal)
+    assert np.linalg.norm(np.asarray(plan.goal) - plan.poses[0, :3]) > SUCCESS_TOLERANCE
 
 
 def encode(values):
@@ -103,16 +103,16 @@ def test_oracle_tracks_plan_tokens():
     env = SimEnv(spec)
     _, _, plan_tokens = plan_arrays(spec)
     for t in range(min(20, env.plan.steps)):
-        tokens = oracle_policy(env.state, env.plan, env.key)
+        tokens = oracle_policy(env)
         assert tokens == tuple(plan_tokens[t].tolist())
         env.step(decode_slice(tokens))
-    assert env.state.deviation == 0.0
+    assert env.deviation == 0.0
 
 
 def test_oracle_idempotent_under_codec_roundtrip():
     env = SimEnv(make_task("long_horizon", 4))
     for _ in range(25):
-        tokens = oracle_policy(env.state, env.plan, env.key)
+        tokens = oracle_policy(env)
         actions = decode_slice(tokens)
         assert encode(actions) == tokens
         env.step(actions)
@@ -125,23 +125,25 @@ def test_oracle_at_goal_emits_zero_action_tokens():
     for t in range(env.plan.steps):
         env.step(actions[t].tolist())
     # re-open the episode at the final pose to query the policy past the plan
-    from dataclasses import replace
-
-    state = replace(env.state, done=False)
-    tokens = oracle_policy(state, env.plan, env.key)
-    assert tokens == encode((0.0,) * 7)
+    assert env.done
+    env.done = False
+    assert oracle_policy(env) == encode((0.0,) * 7)
 
 
 def test_oracle_refuses_done_env():
     spec = make_task("reach", 1)
     env = SimEnv(spec)
     _, actions, _ = plan_arrays(spec)
-    while not env.state.done:
-        env.step(actions[min(env.state.t, env.plan.steps - 1)].tolist())
+    while not env.done:
+        env.step(actions[min(env.t, env.plan.steps - 1)].tolist())
+    finished = _state(env)
     with pytest.raises(EnvStateError):
-        oracle_policy(env.state, env.plan, env.key)
+        oracle_policy(env)
     with pytest.raises(EnvStateError):
-        step(env.state, (0.0,) * 7, spec, env.plan)
+        env.truth()
+    with pytest.raises(EnvStateError):
+        env.step((0.0,) * 7)
+    assert _state(env) == finished
 
 
 def _drafts_along_plan(kind, task_seed, noise, n):
@@ -150,9 +152,9 @@ def _drafts_along_plan(kind, task_seed, noise, n):
     env = SimEnv(make_task(kind, task_seed))
     draft = NoisyDrafter(env, noise)
     out = []
-    while len(out) < n and not env.state.done:
+    while len(out) < n and not env.done:
         truth = env.truth()
-        out.append((env.state.t, truth, draft.draft((), 7)))
+        out.append((env.t, truth, draft.draft((), 7)))
         env.step(decode_slice(truth))
     return out
 
@@ -192,14 +194,14 @@ def test_draft_error_never_cancelled_by_clamping():
 
 
 def test_long_horizon_at_least_twice_reach_length():
-    reach = [build_plan(make_task("reach", s)).steps for s in range(100)]
-    long = [build_plan(make_task("long_horizon", s)).steps for s in range(100)]
+    reach = [build_plan(make_task("reach", s), DEFAULT_KEY).steps for s in range(100)]
+    long = [build_plan(make_task("long_horizon", s), DEFAULT_KEY).steps for s in range(100)]
     assert np.mean(long) >= 2 * np.mean(reach)
 
 
 def test_gripper_toggles_in_pick_place():
     spec = make_task("pick_place", 6)
-    plan = build_plan(spec)
+    plan = build_plan(spec, DEFAULT_KEY)
     states = plan.poses[:, 6]
     flips = np.sum(states[1:] != states[:-1])
     assert flips == 2
@@ -221,7 +223,7 @@ def test_deviation_matches_brute_force_replay():
             a[2] += 0.5  # corrupt one DoF
         executed.append(a)
         env.step(a.tolist())
-        if env.state.done:
+        if env.done:
             break
     # independent replay of the pose recursion and gap accumulation
     pose = plan.poses[0].copy()
@@ -232,20 +234,25 @@ def test_deviation_matches_brute_force_replay():
             pose[6] = np.sign(a[6])
         ref = plan.poses[min(t + 1, plan.steps)]
         dev += float(np.abs(pose[:6] - ref[:6]).sum()) + 2.0 * (pose[6] != ref[6])
-    assert env.state.deviation == pytest.approx(dev, abs=1e-12)
+    assert env.deviation == pytest.approx(dev, abs=1e-12)
+
+
+def _state(env):
+    """The episode state an env holds."""
+    return env.pose, env.t, env.deviation, env.done, env.succeeded
 
 
 def test_env_is_pure_function_of_spec_and_actions():
+    """Two fresh envs of equal specs, stepped with the same actions, hold
+    the same state after every step."""
     spec = make_task("pick_place", 33)
     seq = plan_arrays(spec)[1][:10].tolist()
-
-    def run():
-        env = SimEnv(spec)
-        for a in seq:
-            env.step(a)
-        return env.state
-
-    assert run() == run()
+    first, second = SimEnv(spec), SimEnv(make_task("pick_place", 33))
+    assert _state(first) == _state(second)
+    for a in seq:
+        first.step(a)
+        second.step(a)
+        assert _state(first) == _state(second)
 
 
 # --- the plan against the scalar loop -----------------------------------------
@@ -270,7 +277,7 @@ def test_plan_equals_the_scalar_loop_bit_for_bit(kind, seed, key, jitter, jitter
     at-a-time loop: the plan itself, and the same tracking of jittered
     targets (the gripper column jittered too, so it holds values other
     than +/-1)."""
-    spec = make_task(kind, seed, key)
+    spec = make_task(kind, seed)
     targets = simenv._targets(kind, seed, spec.waypoints)
     if jitter:
         targets = targets + np.random.default_rng(jitter_seed).normal(0.0, jitter, targets.shape)
@@ -384,13 +391,13 @@ def test_default_plans_are_built_in_one_guess_pass(monkeypatch):
         for seed in range(50):
             build_plan.cache_clear()
             calls.clear()
-            make_task(kind, seed)
+            build_plan(make_task(kind, seed), DEFAULT_KEY)
             assert len(calls) == 2, (kind, seed)
 
 
 def test_plan_arrays_are_read_only():
     """The plan cache hands the same poses to every episode of a task."""
-    plan = build_plan(make_task("reach", 4))
+    plan = build_plan(make_task("reach", 4), DEFAULT_KEY)
     with pytest.raises(ValueError):
         plan.poses[0, 0] = 0
 
@@ -456,9 +463,8 @@ def test_drafter_rows_match_reference_at_every_step(kind, task_seed, noise):
     env = SimEnv(spec)
     draft = NoisyDrafter(env, noise)
     vocab = env.key.vocab_size
-    for t in range(spec.max_steps):
-        pose = tuple(float(x) for x in env.plan.poses[min(t, env.plan.steps)])
-        env.state = EnvState(pose=pose, t=t, deviation=0.0, done=False, succeeded=False)
+    for t in range(env.plan.max_steps):
+        env.pose, env.t = tuple(env.plan.poses[min(t, env.plan.steps)].tolist()), t
         expected = reference_draft_ids(env.truth(), noise, spec.seed, t, vocab)
         assert draft.draft((), 7) == expected, t
 
@@ -519,9 +525,9 @@ def test_oracle_runs_at_most_once_per_env_step(mode, monkeypatch):
     calls = []
     real = simenv.oracle_policy
 
-    def counting(state, plan, key):
-        calls.append(state.t)
-        return real(state, plan, key)
+    def counting(env):
+        calls.append(env.t)
+        return real(env)
 
     monkeypatch.setattr(simenv, "oracle_policy", counting)
     trace = _episode(make_task("pick_place", 5), mode)
@@ -555,8 +561,8 @@ def test_plan_built_once_per_episode(mode, monkeypatch):
 @pytest.mark.parametrize("mode", MODES)
 def test_episode_builds_no_generator_and_looks_up_no_plan(mode, monkeypatch):
     """Once the env and drafter exist, an episode seeds no generator (the
-    drafter holds its noise rows) and fetches no plan (the env passes its
-    own to the oracle and the env step)."""
+    drafter holds its noise rows) and fetches no plan (the oracle and the
+    env step read the plan the env holds)."""
     spec = make_task("pick_place", 5)
     env = SimEnv(spec, suite="t")
     draft = NoisyDrafter(env, DraftNoiseModel(seed=9))
@@ -577,7 +583,7 @@ def test_drafter_draws_rows_past_the_plan_only_for_steps_past_it(monkeypatch):
     real = simenv.noise_rows
     monkeypatch.setattr(simenv, "noise_rows", lambda *a: spans.append(a[2:]) or real(*a))
     spec = make_task("reach", 12)
-    steps = build_plan(spec).steps
+    steps = build_plan(spec, DEFAULT_KEY).steps
     # strict decoding tracks the plan and reaches the goal on its last step
     trace = _episode(spec, "naive")
     assert trace.success and trace.steps == steps
@@ -586,8 +592,20 @@ def test_drafter_draws_rows_past_the_plan_only_for_steps_past_it(monkeypatch):
     spans.clear()
     env = SimEnv(spec)
     draft = NoisyDrafter(env, DraftNoiseModel(seed=9))
-    for t in (steps - 1, steps, spec.max_steps - 1):
-        pose = tuple(env.plan.poses[min(t, steps)].tolist())
-        env.state = EnvState(pose=pose, t=t, deviation=0.0, done=False, succeeded=False)
+    max_steps = env.plan.max_steps
+    for t in (steps - 1, steps, max_steps - 1):
+        env.pose, env.t = tuple(env.plan.poses[min(t, steps)].tolist()), t
         draft.draft((), 7)
-    assert spans == [(0, steps), (steps, spec.max_steps)]
+    assert spans == [(0, steps), (steps, max_steps)]
+
+
+def test_make_task_builds_no_plan_and_an_episode_builds_one():
+    """The plan is built from the task, not by it: drawing a task leaves
+    the plan cache empty, and an episode of it builds the plan once."""
+    build_plan.cache_clear()
+    make_task("pick_place", 5)
+    assert build_plan.cache_info().currsize == 0
+    suite = SuiteConfig("t", "pick_place", trials=1, seed_base=5)
+    run_one_episode(RunConfig(suites=(suite,)), suite, "naive", 0, None)
+    info = build_plan.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 1, 1)

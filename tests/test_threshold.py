@@ -386,7 +386,7 @@ _GRID = [(tau, phi) for tau in (0.5, 1.0, 4.0) for phi in (0.5, 0.7, 1.0, 1.5, 2
 def test_replay_scores_match_reference_bit_for_bit(traces, mode, r_min, kvar_ref):
     judged = threshold._judge_group(traces, DEFAULT_KEY)
     for tau, phi in _GRID:
-        got = threshold._replay_objective(judged, tau, phi, 15.0, r_min, kvar_ref, mode, 0.01)
+        got = threshold._replay_objective(judged, tau, phi, 15.0, r_min, kvar_ref, mode)
         want = reference_replay_objective(
             traces, tau, phi, 15.0, r_min, kvar_ref, DEFAULT_KEY, mode, 0.01
         )

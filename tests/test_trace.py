@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,10 @@ from kerv.trace import EpisodeTrace, SliceRecord, TraceError, load, loads
 from oracles import reference_trace_dumps
 
 _floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 1.0, 3.0, 1e-300, 2.5e16, 0.1 + 0.2]
+)
+# r and the variabilities are never negative; kvar_cum may overflow
+_nonneg = st.floats(0.0, allow_infinity=False) | st.sampled_from(
     [0.0, -0.0, 1.0, 3.0, 1e-300, 2.5e16, 0.1 + 0.2]
 )
 _opt_id = st.none() | st.integers(0, 255)
@@ -25,11 +30,11 @@ _records = st.builds(
     tokens=_seven(st.integers(0, 255)),
     sources=_seven(st.sampled_from(["draft", "verify_corrected", "kf"])),
     first_error_pos=st.integers(0, 7),
-    r=_floats,
-    kvar_step=_floats,
-    kvar_cum=_floats,
-    verify_calls=st.integers(0, 9),
-    draft_calls=st.integers(0, 9),
+    r=_nonneg,
+    kvar_step=_nonneg,
+    kvar_cum=_nonneg | st.just(math.inf),
+    verify_calls=st.integers(1, 9),
+    draft_calls=st.integers(1, 9),
     comp_fired=st.booleans(),
     cooldown_remaining=st.integers(0, 5),
 )
@@ -203,6 +208,30 @@ def test_nan_in_a_float_field_is_trace_error(lineno, part, field):
 def test_infinite_deviation_loads(value):
     lines = _episode_text().splitlines(keepends=True)
     assert loads(_with(lines, 5, "summary", "deviation", value)).deviation == value
+
+
+@pytest.mark.parametrize(
+    "field, value, need",
+    [
+        ("first_error_pos", 42, "in [0, 7]"),
+        ("first_error_pos", 8, "in [0, 7]"),
+        ("first_error_pos", -1, "in [0, 7]"),
+        ("verify_calls", 0, ">= 1"),
+        ("draft_calls", 0, ">= 1"),
+        ("cooldown_remaining", -1, ">= 0"),
+        ("r", -1.0, "finite and >= 0"),
+        ("r", math.inf, "finite and >= 0"),
+        ("kvar_step", -5.0, "finite and >= 0"),
+        ("kvar_step", math.inf, "finite and >= 0"),
+        ("kvar_cum", -1e-300, ">= 0"),
+        ("kvar_cum", -math.inf, ">= 0"),
+    ],
+)
+def test_record_value_out_of_range_is_trace_error(field, value, need):
+    lines = _episode_text().splitlines(keepends=True)
+    message = re.escape(f"line 3: record {field} must be {need}, got ")
+    with pytest.raises(TraceError, match="^" + message):
+        loads(_with(lines, 3, None, field, value))
 
 
 def test_load_names_the_file(tmp_path):
