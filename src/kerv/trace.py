@@ -17,11 +17,12 @@ refuses ``true``/``false`` and ``1.0``; a float field takes an integer), a
 per-position field that is not a list of 7 slots, an id that is not an
 int or ``null`` (a token that is not an int), a status or source outside
 its set, or the constant ``NaN`` (``Infinity`` loads: an overflowing
-deviation is written as one), as is a record value outside its range
-(``_RECORD_RANGES``). ``load`` puts the file's path in front of the
-error. Traces and calibration tables are written atomically (a
-temporary file in the target directory, then ``os.replace``), so a reader
-sees the old file or the whole new one.
+deviation is written as one), as is a value outside its range
+(``_RANGES``): a negative trial, step, step count, event count or
+deviation, or a record value outside its bounds. ``load`` puts the file's
+path in front of the error. Traces and calibration tables are written
+atomically (a temporary file in the target directory, then
+``os.replace``), so a reader sees the old file or the whole new one.
 """
 
 from __future__ import annotations
@@ -53,17 +54,28 @@ _SOURCES = {SRC_DRAFT, SRC_VERIFY, SRC_KF}
 # of its own, so an int field refuses true/false
 _JSON_TYPES = {"int": {int}, "float": {int, float}, "str": {str}, "bool": {bool}}
 _TYPE_NAMES = {int: "an int", float: "a float", str: "a string", bool: "a bool"}
-# (field, lowest, highest, the range in words) of each numeric record field;
-# kvar_cum may be infinite, as a run whose variability overflows writes it
-_RECORD_RANGES = (
-    ("first_error_pos", 0, N_DOF, f"in [0, {N_DOF}]"),
-    ("verify_calls", 1, math.inf, ">= 1"),
-    ("draft_calls", 1, math.inf, ">= 1"),
-    ("cooldown_remaining", 0, math.inf, ">= 0"),
-    ("r", 0, sys.float_info.max, "finite and >= 0"),
-    ("kvar_step", 0, sys.float_info.max, "finite and >= 0"),
-    ("kvar_cum", 0, math.inf, ">= 0"),
-)
+# (field, lowest, highest, the range in words) of each numeric field of a
+# header, record and summary line; kvar_cum and deviation may be infinite,
+# as a run whose variability or deviation overflows writes them
+_RANGES = {
+    "episode": (("trial", 0, math.inf, ">= 0"),),
+    "record": (
+        ("step", 0, math.inf, ">= 0"),
+        ("first_error_pos", 0, N_DOF, f"in [0, {N_DOF}]"),
+        ("verify_calls", 1, math.inf, ">= 1"),
+        ("draft_calls", 1, math.inf, ">= 1"),
+        ("cooldown_remaining", 0, math.inf, ">= 0"),
+        ("r", 0, sys.float_info.max, "finite and >= 0"),
+        ("kvar_step", 0, sys.float_info.max, "finite and >= 0"),
+        ("kvar_cum", 0, math.inf, ">= 0"),
+    ),
+    "summary": (
+        ("steps", 0, math.inf, ">= 0"),
+        ("deviation", 0, math.inf, ">= 0"),
+        ("plan_steps", 0, math.inf, ">= 0"),
+        ("comp_events", 0, math.inf, ">= 0"),
+    ),
+}
 
 
 class TraceError(ValueError):
@@ -177,6 +189,8 @@ _RECORD_TYPES = _scalar_types(
 
 
 def _check_scalars(obj, part: str, types: tuple, lineno: int) -> None:
+    """Each scalar field of a line's ``part`` of an accepted type, and each
+    numeric one in its range (``_RANGES``)."""
     if type(obj) is not dict:
         raise TraceError(f"line {lineno}: {part} must be a JSON object, got {obj!r}")
     for name, allowed in types:
@@ -184,6 +198,10 @@ def _check_scalars(obj, part: str, types: tuple, lineno: int) -> None:
         if type(value) not in allowed:
             what = " or ".join(sorted(_TYPE_NAMES[t] for t in allowed))
             raise TraceError(f"line {lineno}: {part} {name} must be {what}, got {value!r}")
+    for name, lowest, highest, need in _RANGES[part]:
+        value = obj[name]
+        if not lowest <= value <= highest:
+            raise TraceError(f"line {lineno}: {part} {name} must be {need}, got {value!r}")
 
 
 def _check_slots(obj: dict, lineno: int) -> None:
@@ -206,13 +224,6 @@ def _check_slots(obj: dict, lineno: int) -> None:
         known = False
     if not known:
         raise TraceError(f"line {lineno}: unknown status or source in {statuses!r}, {sources!r}")
-
-
-def _check_ranges(obj: dict, lineno: int) -> None:
-    for name, lowest, highest, need in _RECORD_RANGES:
-        value = obj[name]
-        if not lowest <= value <= highest:
-            raise TraceError(f"line {lineno}: record {name} must be {need}, got {value!r}")
 
 
 def loads(text: str) -> EpisodeTrace:
@@ -249,7 +260,6 @@ def loads(text: str) -> EpisodeTrace:
                     raise TraceError(f"line {lineno}: slice record before episode header")
                 _check_slots(obj, lineno)
                 _check_scalars(obj, "record", _RECORD_TYPES, lineno)
-                _check_ranges(obj, lineno)
                 trace.slices.append(_record_from_dict(obj))
         except KeyError as exc:
             raise TraceError(f"line {lineno}: record has no {exc.args[0]!r} field") from None

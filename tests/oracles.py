@@ -12,7 +12,10 @@ checked scalar ``action_to_token``/``token_to_action`` (the library inlines
 their expressions), a ``ThresholdState`` advanced by
 ``dataclasses.replace`` per slice, every token pair decoded again per
 candidate, zero-padded action slices compared over all seven positions,
-and ``asdict`` serialization.
+and ``asdict`` serialization. The plan's target poses come from scipy's
+own ``CubicSpline`` (``reference_targets``), which the library reproduces
+in-house; scipy stays a test-only dependency, imported here and by the
+spline tests alone.
 """
 
 import json
@@ -20,9 +23,10 @@ import math
 from dataclasses import asdict, replace
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from kerv.codec import GRIPPER_DOF, NormKey, action_to_token, token_to_action
-from kerv.simenv import _advance
+from kerv.simenv import _advance, _segment_steps
 from kerv.threshold import ADJUST_MODES, ThresholdConfigError, ThresholdState
 
 
@@ -179,6 +183,18 @@ def reference_track(target, pose, key):
 def reference_decode_slice(ids, key):
     """Seven token ids decoded one checked ``token_to_action`` call at a time."""
     return tuple(token_to_action(tok, dof, key) for dof, tok in enumerate(ids))
+
+
+def reference_targets(kind, seed, waypoints):
+    """The pose a plan tracks at each time, (T+1, 7), with the motion
+    channels fitted and evaluated by scipy's clamped ``CubicSpline``."""
+    seg_steps = _segment_steps(kind, seed, len(waypoints))
+    way = np.asarray(waypoints, dtype=float)
+    t_way = np.concatenate([[0], np.cumsum(seg_steps)]).astype(float)
+    ts = np.arange(int(t_way[-1]) + 1, dtype=float)
+    motion = CubicSpline(t_way, way[:, :GRIPPER_DOF], axis=0, bc_type="clamped")(ts)
+    way_idx = np.searchsorted(t_way, ts, side="right") - 1
+    return np.column_stack([motion, way[way_idx, GRIPPER_DOF]])
 
 
 def reference_plan(targets, key):

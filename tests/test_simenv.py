@@ -1,14 +1,19 @@
 """Synthetic tasks: plan consistency, oracles, noise model, termination."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from kerv import simenv
-from kerv.codec import CodecError, NormKey, action_to_token, decode_slice
+from kerv.codec import GRIPPER_DOF, CodecError, NormKey, action_to_token, decode_slice
 from kerv.simenv import (
     DEFAULT_KEY,
     SUCCESS_TOLERANCE,
@@ -28,7 +33,13 @@ from kerv.harness import run_one_episode
 from kerv.specdec import MODES, run_episode
 from kerv.threshold import ThresholdState
 
-from oracles import PLAN_KEYS, reference_draft_ids, reference_plan, reference_track
+from oracles import (
+    PLAN_KEYS,
+    reference_draft_ids,
+    reference_plan,
+    reference_targets,
+    reference_track,
+)
 
 
 def plan_arrays(spec, key=DEFAULT_KEY):
@@ -402,6 +413,61 @@ def test_plan_arrays_are_read_only():
         plan.poses[0, 0] = 0
 
 
+# --- the plan's spline against scipy -------------------------------------------
+
+# seeds 0-99, every suite's report trials (c08, and c09's 500 goal trials),
+# and the first trials of perfbench seeds 1-10 (seed offset SEED_STRIDE * s)
+_SUITE_BASES = (1000, 2000, 3000, 4000)
+_SPLINE_SEEDS = sorted(
+    {*range(100), *range(1000, 1500), *(b + t for b in _SUITE_BASES for t in range(50))}
+    | {100_000 * s + b + t for s in range(1, 11) for b in _SUITE_BASES for t in range(10)}
+)
+
+
+@pytest.mark.parametrize("kind", simenv.KINDS)
+def test_targets_equal_scipys_clamped_spline_bit_for_bit(kind):
+    for seed in _SPLINE_SEEDS:
+        waypoints = make_task(kind, seed).waypoints
+        _assert_bitwise_equal(
+            simenv._targets(kind, seed, waypoints), reference_targets(kind, seed, waypoints)
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    spacings=st.lists(st.floats(1.0, 40.0), min_size=1, max_size=15),
+    values=st.lists(st.floats(-4.0, 4.0), min_size=12, max_size=16 * 6),
+    points=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+)
+# unit spacings keep every pivot; the plan's spacings swap every row but the
+# last; at the -0.0 knot every coefficient is negative, so only PPoly's
+# leading 0.0 + makes the value +0.0
+@example(spacings=[1.0] * 4, values=[1.0, -2.0] * 15, points=[0.3, 1.0])
+@example(spacings=[18.0, 24.0, 18.0, 24.0], values=[0.5, -1.0, 2.0] * 10, points=[0.5])
+@example(spacings=[40.0, 2.0, 2.0], values=[v for v in (0.5, -0.0, -1.0, -3.0) for _ in range(6)],
+         points=[0.5])
+def test_clamped_spline_equals_scipys_bit_for_bit(spacings, values, points):
+    """Random knot spacings from 1 to 40 reach both pivot choices of the
+    solve; the points include every knot and some between them."""
+    x = np.concatenate([[0.0], np.cumsum(spacings)])
+    n = len(x)
+    y = np.resize(np.array(values), (n, GRIPPER_DOF))
+    ts = np.sort(np.concatenate([x, x[-1] * np.array(points)]))
+    expected = CubicSpline(x, y, axis=0, bc_type="clamped")(ts)
+    _assert_bitwise_equal(simenv._clamped_spline(x, y, ts), expected)
+
+
+def test_importing_kerv_loads_no_scipy():
+    """``kerv.cli`` imports every kerv module; none of them pulls in scipy,
+    which would add tens of MB to every run's peak memory."""
+    src = str(Path(simenv.__file__).resolve().parents[1])
+    code = "import sys, kerv.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_plan_targets_must_be_finite():
     targets = np.zeros((3, 7))
     targets[2, 1] = math.nan
@@ -539,13 +605,13 @@ def test_oracle_runs_at_most_once_per_env_step(mode, monkeypatch):
 @pytest.mark.parametrize("mode", MODES)
 def test_plan_built_once_per_episode(mode, monkeypatch):
     fits = []
-    real = simenv.CubicSpline
+    real = simenv._clamped_spline
 
-    def counting(*args, **kwargs):  # one spline fit per plan build
+    def counting(*args):  # one spline fit per plan build
         fits.append(args)
-        return real(*args, **kwargs)
+        return real(*args)
 
-    monkeypatch.setattr(simenv, "CubicSpline", counting)
+    monkeypatch.setattr(simenv, "_clamped_spline", counting)
     build_plan.cache_clear()
     _episode(make_task("reach", 12), mode)
     assert len(fits) == 1

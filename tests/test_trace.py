@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 from kerv.trace import EpisodeTrace, SliceRecord, TraceError, load, loads
 from oracles import reference_trace_dumps
 
-_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
-    [0.0, -0.0, 1.0, 3.0, 1e-300, 2.5e16, 0.1 + 0.2]
-)
-# r and the variabilities are never negative; kvar_cum may overflow
+# r, the variabilities and the deviation are never negative; kvar_cum and
+# the deviation may overflow
 _nonneg = st.floats(0.0, allow_infinity=False) | st.sampled_from(
     [0.0, -0.0, 1.0, 3.0, 1e-300, 2.5e16, 0.1 + 0.2]
 )
@@ -47,7 +45,7 @@ def _episodes(draw):
         suite="goal", kind="reach", mode=draw(st.sampled_from(["naive", "kerv"])),
         robot="sim7dof", trial=draw(st.integers(0, 99)), seed=draw(st.integers(0, 2**40)),
         slices=slices, success=draw(st.booleans()), steps=len(slices),
-        deviation=draw(_floats), plan_steps=draw(st.integers(0, 500)),
+        deviation=draw(_nonneg | st.just(math.inf)), plan_steps=draw(st.integers(0, 500)),
         comp_events=draw(st.integers(0, 9)),
     )
 
@@ -204,7 +202,7 @@ def test_nan_in_a_float_field_is_trace_error(lineno, part, field):
         loads(text)
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.inf])
 def test_infinite_deviation_loads(value):
     lines = _episode_text().splitlines(keepends=True)
     assert loads(_with(lines, 5, "summary", "deviation", value)).deviation == value
@@ -225,6 +223,7 @@ def test_infinite_deviation_loads(value):
         ("kvar_step", math.inf, "finite and >= 0"),
         ("kvar_cum", -1e-300, ">= 0"),
         ("kvar_cum", -math.inf, ">= 0"),
+        ("step", -7, ">= 0"),
     ],
 )
 def test_record_value_out_of_range_is_trace_error(field, value, need):
@@ -232,6 +231,26 @@ def test_record_value_out_of_range_is_trace_error(field, value, need):
     message = re.escape(f"line 3: record {field} must be {need}, got ")
     with pytest.raises(TraceError, match="^" + message):
         loads(_with(lines, 3, None, field, value))
+
+
+@pytest.mark.parametrize(
+    "lineno, part, field, value",
+    [
+        (1, "episode", "trial", -1),
+        (5, "summary", "steps", -3),
+        (5, "summary", "plan_steps", -3),
+        (5, "summary", "comp_events", -4),
+        (5, "summary", "deviation", -1e-300),
+        (5, "summary", "deviation", -math.inf),
+    ],
+)
+def test_negative_header_or_summary_value_is_trace_error(lineno, part, field, value):
+    """A run writes no negative count, trial or deviation; the summary's
+    ``comp_events`` feeds the report's column."""
+    lines = _episode_text().splitlines(keepends=True)
+    message = re.escape(f"line {lineno}: {part} {field} must be >= 0, got {value!r}")
+    with pytest.raises(TraceError, match=f"^{message}$"):
+        loads(_with(lines, lineno, part, field, value))
 
 
 def test_load_names_the_file(tmp_path):
