@@ -42,10 +42,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     cal_p = sub.add_parser("calibrate", help="build a threshold calibration table")
-    cal_p.add_argument("--traces", required=True, help="directory of pre-sample trace files")
+    cal_p.add_argument("--traces", required=True, help="directory of fixed_relaxed pre-sample traces")
     cal_p.add_argument("--grid", required=True, help="grid file: grid.tau / grid.phi CSV lines")
     cal_p.add_argument("--out", required=True, help="output table path")
-    cal_p.add_argument("--config", default=None, help="optional config for bounds and codec")
+    cal_p.add_argument(
+        "--config",
+        default=None,
+        help="optional config for the codec and the r bounds threshold.r_max/r_min; "
+        "equal bounds give a fixed threshold with compensation",
+    )
 
     sweep_p = sub.add_parser("sweep", help="sweep one hyperparameter")
     _add_common(sweep_p)
@@ -86,12 +91,7 @@ def _cmd_calibrate(args) -> int:
     kwargs = {}
     if args.config:
         cfg = config_mod.load(args.config)
-        kwargs = {
-            "r_max": cfg.r_max,
-            "r_min": cfg.r_min,
-            "key": cfg.key,
-            "mode": cfg.threshold_mode,
-        }
+        kwargs = {"r_max": cfg.r_max, "r_min": cfg.r_min, "key": cfg.key}
     table = calibrate(traces, grid, **kwargs)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -11,7 +11,9 @@ same schema. Unknown keys are a startup error (all of them are listed), so
 typos fail loudly instead of silently running defaults.
 
 ``threshold.r_max``/``r_min`` are read only by ``kerv calibrate --config``;
-``kerv run`` takes each suite's bounds from its calibration-table row.
+``kerv run`` takes each suite's bounds from its calibration-table row. The
+threshold has one update rule, so no key picks one: equal bounds calibrate
+a table whose rows hold r fixed, with compensation.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from pathlib import Path
 from .codec import N_DOF, CodecError, NormKey
 from .kinematics import DEFAULT_AC, KfParams, KinematicsError
 from .simenv import KINDS, DraftNoiseModel, TaskError
-from .specdec import MODES
-from .threshold import ADJUST_MODES, DEFAULT_R_MAX, DEFAULT_R_MIN
+from .threshold import DEFAULT_R_MAX, DEFAULT_R_MIN
+from .trace import MODES
 
 
 class ConfigError(ValueError):
@@ -44,7 +46,8 @@ def _range(text: str) -> tuple[float, float]:
 
 # key -> (RunConfig field, parser); "section.field" sets a field of the
 # value object held in the RunConfig field ``section``. threshold.r_max and
-# threshold.r_min only feed calibration; a run reads its table's bounds.
+# threshold.r_min only feed calibration (equal bounds fix r); a run reads
+# its table's bounds.
 SCHEMA = {
     "codec.vocab_size": ("key.vocab_size", int),
     "kf.process_noise": ("kf_params.process_noise", float),
@@ -55,7 +58,6 @@ SCHEMA = {
     "kf.pl": ("pl", int),
     "comp.n": ("comp_n", int),
     "sd.depth": ("depth", int),
-    "threshold.mode": ("threshold_mode", str),
     "threshold.table": ("table_path", str),
     "threshold.fixed_r": ("fixed_r", float),
     "threshold.r_max": ("r_max", float),
@@ -119,7 +121,6 @@ class RunConfig:
     pl: int = 1
     comp_n: int = 4
     depth: int = 4
-    threshold_mode: str = "rectified"
     table_path: str = ""
     fixed_r: float = 9.0
     r_max: float = DEFAULT_R_MAX
@@ -143,14 +144,9 @@ class RunConfig:
         for name, ok, need in checks:
             if not ok:
                 raise ConfigError(f"{_KEY_OF[name]} {need}, got {getattr(self, name)!r}")
-        if self.threshold_mode not in ADJUST_MODES:
+        if not (self.r_max >= self.r_min >= 0):
             raise ConfigError(
-                f"unknown {_KEY_OF['threshold_mode']} {self.threshold_mode!r}; "
-                f"expected one of {ADJUST_MODES}"
-            )
-        if not (self.r_max > self.r_min >= 0):
-            raise ConfigError(
-                f"need {_KEY_OF['r_max']} > {_KEY_OF['r_min']} >= 0, "
+                f"need {_KEY_OF['r_max']} >= {_KEY_OF['r_min']} >= 0, "
                 f"got r_max={self.r_max}, r_min={self.r_min}"
             )
         if not self.modes:

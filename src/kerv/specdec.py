@@ -43,14 +43,21 @@ from .codec import (
 )
 from .kinematics import KfBank, accumulate_kvar
 from .threshold import ThresholdState
-from .trace import EXACT, REJECTED, RELAXED, SRC_DRAFT, SRC_KF, SRC_VERIFY, EpisodeTrace, SliceRecord
+from .trace import (
+    EXACT,
+    MODES,
+    REJECTED,
+    RELAXED,
+    SRC_DRAFT,
+    SRC_KF,
+    SRC_VERIFY,
+    EpisodeTrace,
+    SliceRecord,
+)
 
-if TYPE_CHECKING:  # config imports this module for MODES
+if TYPE_CHECKING:  # for annotations only
     from .config import RunConfig
     from .simenv import SimEnv
-
-# the decoding policies, in report order
-MODES = ("naive", "fixed_relaxed", "kerv")
 
 
 class EngineError(RuntimeError):
@@ -238,8 +245,10 @@ def run_episode(
     ``mode`` is one of ``MODES``: ``naive`` is strict speculative decoding
     (r = 0, no compensation), ``fixed_relaxed`` accepts within the static
     ``cfg.fixed_r`` and resamples classically, ``kerv`` walks r from
-    ``threshold_state`` (required) with ``cfg.threshold_mode`` updates and
-    compensates from a filter bank. The engine reads ``cfg.depth``,
+    ``threshold_state`` (required) with ``threshold.adjust`` after every
+    slice and compensates from a filter bank. A state whose bounds are
+    equal keeps r fixed, so ``kerv`` with such a table row is a fixed
+    threshold with compensation. The engine reads ``cfg.depth``,
     ``cfg.fixed_r``, ``cfg.comp_n`` (cooldown slices), ``cfg.pl``,
     ``cfg.ac``, ``cfg.kf_params`` and ``cfg.key``.
 
@@ -281,7 +290,7 @@ def run_episode(
         kvar_cum = accumulate_kvar(kvar_cum, kstep)
         if mode == "kerv":
             assert tstate is not None
-            tstate = threshold_mod.adjust(tstate, kstep, cfg.threshold_mode)
+            tstate = threshold_mod.adjust(tstate, kstep)
 
         if result.comp_fired:
             comp_events += 1

@@ -6,25 +6,26 @@ bounds in response to step-to-step changes in kinematic variability; the
 controller's gain parameters come from a pre-sampled calibration table
 keyed by (task, robot).
 
-Two update modes exist:
+One update rule exists. Its response direction follows the intent that
+rising variability must tighten acceptance:
+``dr = -sign(dK) * tau * (r_max - r_min) * (1 - exp(-|dK / kvar_ref| ** phi))``
+clamped to [r_min, r_max]. Magnitude grows with |dK|, so a larger
+variability jump never yields a weaker correction. A table row with
+``r_max == r_min`` moves r by ``tau * 0 * decay = +-0.0``: it is a fixed
+threshold with compensation, the arm that tells the adaptive threshold
+apart from a fixed relaxed one.
 
-* ``literal`` applies the published update exactly as printed:
-  ``dr = (r_max - r_min) * exp((-dK / kvar_ref) ** phi)``, which is always
-  positive, and freezes r at r_min once it falls to or below r_min. The
-  positive-only delta makes the freeze unreachable from above; the mode is
-  kept for fidelity testing.
-* ``rectified`` (default) makes the response direction follow the intent
-  that rising variability must tighten acceptance:
-  ``dr = -sign(dK) * tau * (r_max - r_min) * (1 - exp(-|dK / kvar_ref| ** phi))``
-  clamped to [r_min, r_max]. Magnitude grows with |dK|, so a larger
-  variability jump never yields a weaker correction.
+The update as printed in the paper, ``dr = (r_max - r_min) *
+exp((-dK / kvar_ref) ** phi)``, is not a run mode. Its delta is positive
+wherever it is defined, so from r_max, where ``lookup`` starts, the clamp
+holds r at r_max on every slice: it runs exactly what an equal-bounds row
+runs (``tests/oracles.py`` keeps it as the reference that checks this).
 
-Both updates live in ``step_r``, which works on plain floats. ``adjust``
-wraps it for the decoder's per-episode ``ThresholdState``; calibration calls
-it directly and keeps only r (and the literal-mode freeze flag) while it
-replays a candidate. Calibration decodes each recorded miss of a (task,
-robot) group once and re-judges those distances and action masses under
-every candidate's walk.
+The rule lives in ``step_r``, which works on plain floats. ``adjust`` wraps
+it for the decoder's per-episode ``ThresholdState``; calibration calls it
+directly and keeps only r while it replays a candidate. Calibration decodes
+each recorded miss of a (task, robot) group once and re-judges those
+distances and action masses under every candidate's walk.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ DEFAULT_R_MAX = 15.0
 DEFAULT_R_MIN = 5.0
 # calibration's charge per decode round, against its success proxy
 STEP_PENALTY = 0.01
-ADJUST_MODES = ("literal", "rectified")
 
 # candidate (tau, phi) pairs; large tau exploits the state-dependent
 # variability scale (big deltas near r_max, small ones near r_min) to bias
@@ -57,14 +57,19 @@ class ThresholdConfigError(ValueError):
     """Raised for unknown table keys, bad bounds, or empty calibration input."""
 
 
+def _check_bounds(r_max: float, r_min: float) -> None:
+    if not (math.isfinite(r_max) and r_max >= r_min >= 0):
+        raise ThresholdConfigError(
+            f"need finite r_max >= r_min >= 0, got r_max={r_max}, r_min={r_min}"
+        )
+
+
 @dataclass(frozen=True)
 class ThresholdState:
     """Controller state for one episode.
 
     r is real-valued; token distances are ints, so one within r is within
-    floor(r). ``frozen`` marks the literal-mode terminal condition, and
-    ``last_delta`` is the most recent raw update before clamping (0.0 for
-    an update dropped for non-finite arithmetic).
+    floor(r). Equal bounds hold r fixed.
     """
 
     r: float = DEFAULT_R_MAX
@@ -74,14 +79,9 @@ class ThresholdState:
     phi: float = 1.0
     kvar_ref: float = 1.0
     prev_kvar: float = 0.0
-    frozen: bool = False
-    last_delta: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.r_max > self.r_min >= 0):
-            raise ThresholdConfigError(
-                f"need r_max > r_min >= 0, got r_max={self.r_max}, r_min={self.r_min}"
-            )
+        _check_bounds(self.r_max, self.r_min)
         if not (math.isfinite(self.kvar_ref) and self.kvar_ref > 0):
             raise ThresholdConfigError(f"kvar_ref must be > 0, got {self.kvar_ref!r}")
 
@@ -89,81 +89,49 @@ class ThresholdState:
 def step_r(
     r: float,
     delta_k: float,
-    frozen: bool,
     r_max: float,
     r_min: float,
     tau: float,
     phi: float,
     kvar_ref: float,
-    mode: str,
-) -> tuple[float, float, bool]:
-    """One controller update on plain floats; ``mode`` must be in ``ADJUST_MODES``.
-
-    Returns ``(r, dr, frozen)``: the new threshold, the raw update before
-    clamping (0.0 when nothing moved, or when the literal update is dropped
-    for non-finite arithmetic) and the literal-mode freeze flag.
-    """
+) -> float:
+    """One controller update on plain floats; returns the new threshold."""
     if delta_k == 0.0:
-        return r, 0.0, frozen
-
-    if mode == "literal":
-        if frozen:
-            return r, 0.0, True
-        try:
-            inner = math.pow(-delta_k / kvar_ref, phi)
-            dr = (r_max - r_min) * math.exp(inner)
-        except (ValueError, OverflowError):
-            return r, 0.0, False
-        if not math.isfinite(dr):
-            return r, 0.0, False
-        new_r = r + dr
-        if new_r <= r_min:
-            return r_min, dr, True
-        return min(new_r, r_max), dr, False
-
-    # rectified
+        return r
     try:
         decay = 1.0 - math.exp(-abs(delta_k / kvar_ref) ** phi)
     except OverflowError:  # the power passed the float range, where 1 - exp(-x) is 1.0
         decay = 1.0
-    magnitude = tau * (r_max - r_min) * decay
-    dr = -math.copysign(magnitude, delta_k)
+    dr = -math.copysign(tau * (r_max - r_min) * decay, delta_k)
     # min(max(r + dr, r_min), r_max), without the two builtin calls
     new_r = r + dr
     if r_min > new_r:
         new_r = r_min
     if new_r > r_max:
         new_r = r_max
-    return new_r, dr, frozen
+    return new_r
 
 
-def adjust(state: ThresholdState, kvar_step: float, mode: str = "rectified") -> ThresholdState:
+def adjust(state: ThresholdState, kvar_step: float) -> ThresholdState:
     """Advance the controller one step given the step's kinematic variability."""
-    if mode not in ADJUST_MODES:
-        raise ThresholdConfigError(f"unknown adjustment mode {mode!r}")
     if not (math.isfinite(kvar_step) and kvar_step >= 0):
         raise ThresholdConfigError(f"kvar_step must be finite and >= 0, got {kvar_step!r}")
-    r, dr, frozen = step_r(
-        state.r,
-        kvar_step - state.prev_kvar,
-        state.frozen,
-        state.r_max,
-        state.r_min,
-        state.tau,
-        state.phi,
-        state.kvar_ref,
-        mode,
-    )
     return ThresholdState(
-        r=r,
+        r=step_r(
+            state.r,
+            kvar_step - state.prev_kvar,
+            state.r_max,
+            state.r_min,
+            state.tau,
+            state.phi,
+            state.kvar_ref,
+        ),
         r_max=state.r_max,
         r_min=state.r_min,
         tau=state.tau,
         phi=state.phi,
         kvar_ref=state.kvar_ref,
         prev_kvar=kvar_step,
-        frozen=frozen,
-        last_delta=dr,
     )
 
 
@@ -242,9 +210,9 @@ class CalibrationTable:
             if not all(map(math.isfinite, values)):
                 raise ThresholdConfigError(f"{where}: every numeric field must be finite")
             row = CalibrationRow(*values)
-            if not (row.r_max > row.r_min >= 0):
+            if not (row.r_max >= row.r_min >= 0):
                 raise ThresholdConfigError(
-                    f"{where}: need r_max > r_min >= 0, got r_max={row.r_max}, r_min={row.r_min}"
+                    f"{where}: need r_max >= r_min >= 0, got r_max={row.r_max}, r_min={row.r_min}"
                 )
             if not (row.tau > 0 and row.phi > 0):
                 raise ThresholdConfigError(
@@ -317,7 +285,6 @@ def _replay_objective(
     r_max: float,
     r_min: float,
     kvar_ref: float,
-    mode: str,
 ) -> float:
     """Score one (tau, phi) candidate by replaying recorded draft/true pairs.
 
@@ -335,7 +302,6 @@ def _replay_objective(
     for slices in judged:
         r = r_max
         prev_mass = 0.0
-        frozen = False
         for pairs in slices:
             mass = 0.0
             for dist, miss_mass in pairs:
@@ -345,9 +311,7 @@ def _replay_objective(
                     total_rejections += 1
             total_mass += mass
             total_slices += 1
-            r, _, frozen = step_r(
-                r, mass - prev_mass, frozen, r_max, r_min, tau, phi, kvar_ref, mode
-            )
+            r = step_r(r, mass - prev_mass, r_max, r_min, tau, phi, kvar_ref)
             prev_mass = mass
     mean_mass = total_mass / total_slices
     mean_rounds = 1.0 + total_rejections / total_slices
@@ -362,7 +326,6 @@ def calibrate(
     r_max: float = DEFAULT_R_MAX,
     r_min: float = DEFAULT_R_MIN,
     key: NormKey = DEFAULT_KEY,
-    mode: str = "rectified",
 ) -> CalibrationTable:
     """Select (tau, phi) per (task, robot) key from pre-sample traces.
 
@@ -373,12 +336,12 @@ def calibrate(
     Each group's recorded misses are decoded once (``_judge_group``); every
     candidate then replays them, walking r with ``step_r`` on plain floats,
     so the scores equal those of a per-slice ``adjust`` replay bit for bit.
-    ``mode``, the r bounds and the grid are checked before any replay.
+    With ``r_max == r_min`` r never moves, every candidate scores the same
+    and the grid's first one is kept. The r bounds, the grid and each
+    trace's mode (it must be ``fixed_relaxed``) are checked before any
+    replay.
     """
-    if mode not in ADJUST_MODES:
-        raise ThresholdConfigError(f"unknown adjustment mode {mode!r}")
-    if not (r_max > r_min >= 0):
-        raise ThresholdConfigError(f"need r_max > r_min >= 0, got r_max={r_max}, r_min={r_min}")
+    _check_bounds(r_max, r_min)
     candidates = list(grid)
     if not candidates:
         raise ThresholdConfigError("calibration grid is empty")
@@ -387,6 +350,11 @@ def calibrate(
         raise ThresholdConfigError(f"grid tau and phi must be finite and > 0, got {bad}")
     groups: dict[tuple[str, str], list[EpisodeTrace]] = {}
     for trace in pre_sample_traces:
+        if trace.mode != "fixed_relaxed":
+            raise ThresholdConfigError(
+                f"pre-sample trace {trace.suite} trial {trace.trial} was decoded in "
+                f"{trace.mode!r} mode; calibration needs fixed_relaxed traces"
+            )
         groups.setdefault((trace.suite, trace.robot), []).append(trace)
     if not groups:
         raise ThresholdConfigError("no pre-sample traces supplied")
@@ -407,7 +375,7 @@ def calibrate(
         best = None
         best_score = -math.inf
         for tau, phi in candidates:
-            score = _replay_objective(judged, tau, phi, r_max, r_min, kvar_ref, mode)
+            score = _replay_objective(judged, tau, phi, r_max, r_min, kvar_ref)
             if score > best_score:
                 best_score = score
                 best = (tau, phi)

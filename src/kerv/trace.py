@@ -16,7 +16,8 @@ value of the wrong JSON type: a scalar of another type (an int field
 refuses ``true``/``false`` and ``1.0``; a float field takes an integer), a
 per-position field that is not a list of 7 slots, an id that is not an
 int or ``null`` (a token that is not an int), a status or source outside
-its set, or the constant ``NaN`` (``Infinity`` loads: an overflowing
+its set, a header mode outside ``MODES`` or kind outside
+``simenv.KINDS``, or the constant ``NaN`` (``Infinity`` loads: an overflowing
 deviation is written as one), as is a value outside its range
 (``_RANGES``): a negative trial, step, step count, event count or
 deviation, or a record value outside its bounds. ``load`` puts the file's
@@ -36,6 +37,10 @@ from operator import itemgetter
 from pathlib import Path
 
 from .codec import N_DOF
+from .simenv import KINDS
+
+# the decoding policies, in report order
+MODES = ("naive", "fixed_relaxed", "kerv")
 
 # a drafted position's acceptance status, and where a final token came from
 EXACT, RELAXED, REJECTED = "exact", "relaxed", "rejected"
@@ -246,6 +251,11 @@ def loads(text: str) -> EpisodeTrace:
                     raise TraceError(f"line {lineno}: second episode header")
                 m = obj["episode"]
                 _check_scalars(m, "episode", _HEADER_TYPES, lineno)
+                for name, known in (("mode", MODES), ("kind", KINDS)):
+                    if m[name] not in known:
+                        raise TraceError(
+                            f"line {lineno}: episode {name} must be one of {known}, got {m[name]!r}"
+                        )
                 trace = EpisodeTrace(**{name: m[name] for name in _HEADER_FIELDS})
             elif "summary" in obj:
                 if trace is None:

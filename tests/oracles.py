@@ -15,7 +15,10 @@ candidate, zero-padded action slices compared over all seven positions,
 and ``asdict`` serialization. The plan's target poses come from scipy's
 own ``CubicSpline`` (``reference_targets``), which the library reproduces
 in-house; scipy stays a test-only dependency, imported here and by the
-spline tests alone.
+spline tests alone. The threshold update as the paper prints it
+(``printed_delta``, ``printed_walk``) is kept here as a reference only:
+the library has one update rule, and the printed one's walk from r_max is
+the same as that rule's on equal bounds.
 """
 
 import json
@@ -27,7 +30,7 @@ from scipy.interpolate import CubicSpline
 
 from kerv.codec import GRIPPER_DOF, NormKey, action_to_token, token_to_action
 from kerv.simenv import _advance, _segment_steps
-from kerv.threshold import ADJUST_MODES, ThresholdConfigError, ThresholdState
+from kerv.threshold import ThresholdConfigError, ThresholdState
 
 
 def matrix_kf_predict(observations, params, horizon=1):
@@ -214,37 +217,47 @@ def reference_plan(targets, key):
     return np.array(poses), np.array(actions), np.array(tokens, dtype=int)
 
 
-def reference_adjust(state, kvar_step, mode="rectified"):
+def printed_delta(delta_k, r_max, r_min, phi, kvar_ref):
+    """The paper's threshold update as printed,
+    ``dr = (r_max - r_min) * exp((-dK / kvar_ref) ** phi)``; ``None`` where
+    it is not defined (a negative base under a fractional power, or a
+    result past the float range)."""
+    try:
+        dr = (r_max - r_min) * math.exp(math.pow(-delta_k / kvar_ref, phi))
+    except (ValueError, OverflowError):
+        return None
+    return dr if math.isfinite(dr) else None
+
+
+def printed_walk(kvar_steps, r_max, r_min, phi, kvar_ref):
+    """r after each step of the printed controller loop, started at r_max
+    with no prior variability: an undefined or zero-input update leaves r
+    alone, ``r + dr`` is clamped to r_max, and r freezes at r_min once it
+    reaches it."""
+    r, prev, frozen = r_max, 0.0, False
+    seen = []
+    for k in kvar_steps:
+        delta_k, prev = k - prev, k
+        dr = None
+        if delta_k != 0.0 and not frozen:
+            dr = printed_delta(delta_k, r_max, r_min, phi, kvar_ref)
+        if dr is not None:
+            r = r + dr
+            if r <= r_min:
+                r, frozen = r_min, True
+            r = min(r, r_max)
+        seen.append(r)
+    return seen
+
+
+def reference_adjust(state, kvar_step):
     """One controller step, each outcome built with ``dataclasses.replace``."""
-    if mode not in ADJUST_MODES:
-        raise ThresholdConfigError(f"unknown adjustment mode {mode!r}")
     if not (math.isfinite(kvar_step) and kvar_step >= 0):
         raise ThresholdConfigError(f"kvar_step must be finite and >= 0, got {kvar_step!r}")
 
     delta_k = kvar_step - state.prev_kvar
     if delta_k == 0.0:
-        return replace(state, prev_kvar=kvar_step, last_delta=0.0)
-
-    if mode == "literal":
-        if state.frozen:
-            return replace(state, prev_kvar=kvar_step, last_delta=0.0)
-        try:
-            inner = math.pow(-delta_k / state.kvar_ref, state.phi)
-            dr = (state.r_max - state.r_min) * math.exp(inner)
-        except (ValueError, OverflowError):
-            return replace(state, prev_kvar=kvar_step, last_delta=0.0)
-        if not math.isfinite(dr):
-            return replace(state, prev_kvar=kvar_step, last_delta=0.0)
-        new_r = state.r + dr
-        if new_r <= state.r_min:
-            return replace(
-                state, r=state.r_min, prev_kvar=kvar_step, frozen=True, last_delta=dr
-            )
-        return replace(
-            state, r=min(new_r, state.r_max), prev_kvar=kvar_step, last_delta=dr
-        )
-
-    # rectified
+        return replace(state, prev_kvar=kvar_step)
     magnitude = (
         state.tau
         * (state.r_max - state.r_min)
@@ -252,12 +265,10 @@ def reference_adjust(state, kvar_step, mode="rectified"):
     )
     dr = -math.copysign(magnitude, delta_k)
     new_r = min(max(state.r + dr, state.r_min), state.r_max)
-    return replace(state, r=new_r, prev_kvar=kvar_step, last_delta=dr)
+    return replace(state, r=new_r, prev_kvar=kvar_step)
 
 
-def reference_replay_objective(
-    traces, tau, phi, r_max, r_min, kvar_ref, key, mode, step_penalty
-):
+def reference_replay_objective(traces, tau, phi, r_max, r_min, kvar_ref, key, step_penalty):
     """Score one (tau, phi) candidate the direct way: a fresh state per
     trace, every recorded token pair decoded and judged again per slice."""
     total_mass = 0.0
@@ -285,7 +296,7 @@ def reference_replay_objective(
                     total_rejections += 1
             total_mass += mass
             total_slices += 1
-            state = reference_adjust(state, mass, mode)
+            state = reference_adjust(state, mass)
     if total_slices == 0:
         raise ThresholdConfigError("calibration traces contain no slices")
     mean_mass = total_mass / total_slices
@@ -345,7 +356,6 @@ comp.n = 4
 
 # drafting and thresholds
 sd.depth = 4
-threshold.mode = rectified
 threshold.fixed_r = 9
 threshold.r_max = 15
 threshold.r_min = 5

@@ -43,7 +43,6 @@ def _every_value_changed() -> RunConfig:
         pl=3,
         comp_n=2,
         depth=7,
-        threshold_mode="literal",
         table_path="tables/cal.csv",
         fixed_r=7.5,
         r_max=12.25,
@@ -97,7 +96,10 @@ def test_scalar_keys_unchanged():
     scalar = {k for k in ref if not k.startswith(("dof", "suite."))}
     # the reference text leaves the table path at its default, so it never names it
     assert set(SCHEMA) == scalar | {"threshold.table"}
-    assert len(SCHEMA) == 26
+    assert len(SCHEMA) == 25
+    # one threshold update rule: no key picks one
+    with pytest.raises(ConfigError, match=r"unknown configuration keys: \['threshold.mode'\]"):
+        loads(default_config_text() + "threshold.mode = rectified\n")
     # the token at the first rejection is always the verifier's: no key picks it
     with pytest.raises(ConfigError, match=r"unknown configuration keys: \['comp.p_source'\]"):
         loads(default_config_text() + "comp.p_source = verify\n")

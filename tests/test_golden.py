@@ -1,7 +1,9 @@
 """Golden digests: a small fixed run over every suite and mode must keep
 producing byte-identical traces, report and plot data, and calibrating the
-shared pre-sample must keep producing byte-identical tables in both
-threshold modes.
+shared pre-sample must keep producing a byte-identical table. A kerv run
+from an equal-bounds table (r_max = r_min = 9) is pinned to the traces the
+paper's printed threshold update gives from a [9, 5] table, whose walk
+never leaves r_max.
 
 The pins were computed once and are never regenerated to make a change
 pass: a refactor or speed-up that moves any of them has changed what the
@@ -22,11 +24,14 @@ PINNED = {
     "plotdata": "356aa1ab87a332587e41f449e3181d164e6e3eb374b6f076ae82e06a0772d793",
 }
 
-# sha256 of ``calibrate(pre_sample, DEFAULT_GRID, mode=...).dumps()``
+# sha256 of ``calibrate(pre_sample, DEFAULT_GRID).dumps()``
 PINNED_TABLES = {
     "rectified": "6d71e1fde647749ff178b81ac8f3fed9906d2236ca049b02cccb576512289971",
-    "literal": "f746ba73c8f148e11c14533c2d5f60d48951ea420c502c35bce2b87094cf1b7b",
 }
+
+# sha256 of the kerv traces of a GOLDEN_TRIALS run from an equal-bounds
+# table, joined in (suite, mode) order
+PINNED_FIXED_R = "66751b4e2bb9ed8eb8210d9f8f66ca0b4961df8f9f6160f2f22a89160e1f7685"
 
 
 def _tree_digest(root):
@@ -51,10 +56,12 @@ def test_golden_digests(bench_cfg, calib_table, tmp_path):
 
 
 def test_golden_calibration_tables(pre_sample):
-    got = {
-        mode: hashlib.sha256(
-            calibrate(pre_sample, DEFAULT_GRID, mode=mode).dumps().encode()
-        ).hexdigest()
-        for mode in PINNED_TABLES
-    }
-    assert got == PINNED_TABLES
+    got = hashlib.sha256(calibrate(pre_sample, DEFAULT_GRID).dumps().encode()).hexdigest()
+    assert {"rectified": got} == PINNED_TABLES
+
+
+def test_golden_equal_bounds_traces(bench_cfg, pre_sample):
+    table = calibrate(pre_sample, DEFAULT_GRID, r_max=9.0, r_min=9.0)
+    _, traces = run_suite(bench_cfg, modes=("kerv",), trials=GOLDEN_TRIALS, table=table)
+    text = "".join(t.dumps() for k in sorted(traces) if k[1] == "kerv" for t in traces[k])
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_FIXED_R

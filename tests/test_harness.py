@@ -120,8 +120,8 @@ def test_config_bad_value_reported():
 @pytest.mark.parametrize(
     "lines",
     [
-        "threshold.mode = bogus\n",
-        "threshold.r_max = 5\nthreshold.r_min = 5\n",
+        "threshold.mode = bogus\n",  # not a key: one update rule exists
+        "threshold.r_max = 5\nthreshold.r_min = 5.5\n",  # floor above ceiling
         "threshold.r_max = 4\n",
         "threshold.r_min = -1\n",
         "threshold.r_max = nan\n",
@@ -191,9 +191,11 @@ def test_config_norm_key_loads_and_load(tmp_path):
         loads(text + "\ndof3 = 1\n")
 
 
-def test_config_threshold_zero_floor_and_literal_mode_load():
-    cfg = loads(default_config_text() + "threshold.mode = literal\nthreshold.r_min = 0\n")
-    assert cfg.threshold_mode == "literal" and cfg.r_min == 0.0
+def test_config_threshold_zero_floor_and_equal_bounds_load():
+    cfg = loads(default_config_text() + "threshold.r_min = 0\n")
+    assert cfg.r_min == 0.0
+    cfg = loads(default_config_text() + "threshold.r_max = 5\nthreshold.r_min = 5\n")
+    assert cfg.r_max == cfg.r_min == 5.0
 
 
 def test_config_suite_requires_kind():
@@ -392,22 +394,39 @@ def test_cli_negative_trials_exits_nonzero(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_calibrate_then_kerv_run(tmp_path, capsys):
-    cfg_path = _write_cfg(tmp_path, trials=2)
+def _cli_pre_sample(tmp_path, cfg_path, *args):
+    """``kerv run --mode fixed_relaxed`` traces, without the naive baseline
+    traces the run writes beside them; returns their directory."""
     pre_out = tmp_path / "pre"
     rc = cli.main(
-        ["run", "--config", str(cfg_path), "--out", str(pre_out), "--mode",
-         "fixed_relaxed", "--suite", "goal", "--trials", "3"]
+        ["run", "--config", str(cfg_path), "--out", str(pre_out), "--mode", "fixed_relaxed", *args]
     )
     assert rc == 0
+    for path in (pre_out / "traces").glob("*_naive_*.jsonl"):
+        path.unlink()
+    return pre_out / "traces"
+
+
+def test_cli_calibrate_then_kerv_run(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, trials=2)
     grid = tmp_path / "grid.cfg"
     grid.write_text("grid.tau = 1.0,2.0\ngrid.phi = 0.7,1.0\n")
     table_path = tmp_path / "table.csv"
+    calibrate_args = ["calibrate", "--grid", str(grid), "--out", str(table_path),
+                      "--config", str(cfg_path), "--traces"]
+    # the baseline traces a run writes beside its own are refused
     rc = cli.main(
-        ["calibrate", "--traces", str(pre_out / "traces"), "--grid", str(grid),
-         "--out", str(table_path), "--config", str(cfg_path)]
+        ["run", "--config", str(cfg_path), "--out", str(tmp_path / "mixed"), "--mode",
+         "fixed_relaxed", "--suite", "goal", "--trials", "1"]
     )
     assert rc == 0
+    capsys.readouterr()
+    assert cli.main(calibrate_args + [str(tmp_path / "mixed" / "traces")]) == 2
+    assert "pre-sample trace goal trial 0 was decoded in 'naive' mode" in capsys.readouterr().err
+    assert not table_path.exists()
+
+    pre = _cli_pre_sample(tmp_path, cfg_path, "--suite", "goal", "--trials", "3")
+    assert cli.main(calibrate_args + [str(pre)]) == 0
     assert table_path.exists()
 
     kerv_cfg = tmp_path / "kerv.cfg"
@@ -437,10 +456,9 @@ def test_cli_calibrate_passes_config_threshold_through(tmp_path, capsys, small_c
         t.save(tmp_path / f"goal_{t.trial:04d}.jsonl")
     grid = tmp_path / "grid.cfg"
     grid.write_text("grid.tau = 0.5,2.0\ngrid.phi = 0.7,1.5\n")
-    cfg_path = tmp_path / "lit.cfg"
+    cfg_path = tmp_path / "bounds.cfg"
     cfg_path.write_text(
-        default_config_text(trials=2)
-        + "threshold.mode = literal\nthreshold.r_max = 12\nthreshold.r_min = 0\n"
+        default_config_text(trials=2) + "threshold.r_max = 12\nthreshold.r_min = 0\n"
     )
     out = tmp_path / "table.csv"
     rc = cli.main(
@@ -450,7 +468,7 @@ def test_cli_calibrate_passes_config_threshold_through(tmp_path, capsys, small_c
     assert rc == 0
     expected = calibrate(
         pre, [(0.5, 0.7), (0.5, 1.5), (2.0, 0.7), (2.0, 1.5)],
-        r_max=12.0, r_min=0.0, mode="literal",
+        r_max=12.0, r_min=0.0,
     )
     assert out.read_text() == expected.dumps()
 
@@ -462,6 +480,37 @@ def test_cli_calibrate_passes_config_threshold_through(tmp_path, capsys, small_c
     assert rc != 0
     assert "threshold.mode" in capsys.readouterr().err
     assert not (tmp_path / "bad.csv").exists()
+
+
+def test_cli_equal_bounds_table_runs_a_fixed_threshold_with_compensation(tmp_path, capsys):
+    pre = _cli_pre_sample(tmp_path, _write_cfg(tmp_path, trials=2))
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("grid.tau = 1.0,2.0\ngrid.phi = 0.7,1.0\n")
+    bounds_cfg = tmp_path / "bounds.cfg"
+    bounds_cfg.write_text(
+        default_config_text(trials=2) + "threshold.r_max = 7\nthreshold.r_min = 7\n"
+    )
+    table_path = tmp_path / "table.csv"
+    rc = cli.main(
+        ["calibrate", "--traces", str(pre), "--grid", str(grid),
+         "--out", str(table_path), "--config", str(bounds_cfg)]
+    )
+    assert rc == 0
+
+    kerv_cfg = tmp_path / "kerv.cfg"
+    kerv_cfg.write_text(default_config_text(trials=2) + f"threshold.table = {table_path}\n")
+    out = tmp_path / "kerv_out"
+    capsys.readouterr()
+    rc = cli.main(["run", "--config", str(kerv_cfg), "--out", str(out), "--mode", "kerv"])
+    assert rc == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split()[6] == "avg_r"
+    assert len(rows) == 4 and {row.split()[1] for row in rows} == {"kerv"}
+    assert {row.split()[6] for row in rows} == {"7.000"}
+    kerv_traces = [t for t in load_dir(out / "traces") if t.mode == "kerv"]
+    assert len(kerv_traces) == 8
+    assert {rec.r for t in kerv_traces for rec in t.slices} == {7.0}
+    assert sum(t.comp_events for t in kerv_traces) > 0
 
 
 def test_cli_calibrate_rejects_unknown_grid_keys(tmp_path, capsys):

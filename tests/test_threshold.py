@@ -29,32 +29,46 @@ def make_state(**kw):
 
 
 def test_state_validation():
-    with pytest.raises(ThresholdConfigError):
-        make_state(r_max=5.0, r_min=5.0)
-    with pytest.raises(ThresholdConfigError):
-        make_state(kvar_ref=0.0)
+    assert make_state(r=5.0, r_max=5.0, r_min=5.0).r_max == 5.0  # a fixed threshold
+    for bad in (
+        dict(r_max=4.0, r_min=5.0),
+        dict(r_min=-1.0),
+        dict(r_max=math.nan),
+        dict(r_max=math.inf),
+        dict(r_max=math.inf, r_min=math.inf),
+        dict(kvar_ref=0.0),
+    ):
+        with pytest.raises(ThresholdConfigError):
+            make_state(**bad)
 
 
 def test_zero_delta_leaves_r_unchanged():
-    for mode in ("literal", "rectified"):
-        s = make_state(prev_kvar=0.3)
-        out = adjust(s, 0.3, mode)
-        assert out.r == s.r
-        assert out.last_delta == 0.0
+    s = make_state(prev_kvar=0.3)
+    out = adjust(s, 0.3)
+    assert out.r == s.r
+
+
+@given(st.lists(st.floats(0, 5, allow_nan=False), min_size=1, max_size=60), st.floats(0, 15))
+@settings(max_examples=200)
+def test_equal_bounds_never_move_r(steps, r):
+    state = make_state(r=r, r_max=r, r_min=r, tau=4.0, phi=0.7, kvar_ref=0.05)
+    for k in steps:
+        state = adjust(state, k)
+        assert state.r.hex() == r.hex()
 
 
 def test_rectified_direction():
     s = make_state(r=10.0)
-    up = adjust(s, 0.5, "rectified")  # variability rose -> r drops
+    up = adjust(s, 0.5)  # variability rose -> r drops
     assert up.r < 10.0
-    down = adjust(make_state(r=10.0, prev_kvar=0.5), 0.0, "rectified")
+    down = adjust(make_state(r=10.0, prev_kvar=0.5), 0.0)
     assert down.r > 10.0
 
 
 def test_rectified_monotone_response():
     base = make_state(r=12.0)
-    a = adjust(base, 0.8, "rectified")
-    b = adjust(base, 0.3, "rectified")
+    a = adjust(base, 0.8)
+    b = adjust(base, 0.3)
     assert a.r <= b.r
 
 
@@ -76,7 +90,7 @@ def test_rectified_scripted_trace_matches_hand_recurrence():
         expected.append(r)
     got = []
     for k in script:
-        state = adjust(state, k, "rectified")
+        state = adjust(state, k)
         got.append(state.r)
     assert got == pytest.approx(expected, abs=1e-12)
 
@@ -86,64 +100,23 @@ def test_rectified_scripted_trace_matches_hand_recurrence():
 def test_rectified_clamp_safety(steps):
     state = make_state()
     for k in steps:
-        state = adjust(state, k, "rectified")
+        state = adjust(state, k)
         assert 5.0 <= state.r <= 15.0
 
 
 def test_rectified_power_past_the_float_range_moves_by_the_full_magnitude():
     # |dK / kvar_ref| ** phi overflows; 1 - exp(-x) is already 1.0 in float
     # well before that, so the update is tau * (r_max - r_min)
-    up = adjust(make_state(r=12.0, tau=0.5, phi=1000.0, kvar_ref=0.5), 2.0, "rectified")
-    assert (up.r, up.last_delta) == (7.0, -5.0)
+    up = adjust(make_state(r=12.0, tau=0.5, phi=1000.0, kvar_ref=0.5), 2.0)
+    assert up.r == 7.0
     s = make_state(r=6.0, tau=0.5, phi=1000.0, kvar_ref=0.5, prev_kvar=2.0)
-    down = adjust(s, 0.0, "rectified")
-    assert (down.r, down.last_delta) == (11.0, 5.0)
+    down = adjust(s, 0.0)
+    assert down.r == 11.0
 
 
 def test_calibrate_a_grid_whose_power_overflows(pre_sample):
     table = calibrate(pre_sample, [(1.0, 1000.0)])
     assert {(row.tau, row.phi) for row in table.rows.values()} == {(1.0, 1000.0)}
-
-
-def test_literal_formula_fidelity():
-    # the published update: dr = (r_max - r_min) * exp((-dK / ref) ** phi)
-    cases = [
-        (0.0, 0.4, 1.0, 0.5),
-        (0.0, 0.9, 2.0, 0.3),
-        (0.2, 0.05, 0.5, 1.0),
-        (0.5, 0.1, 1.5, 0.7),
-    ]
-    for prev, step, phi, ref in cases:
-        s = make_state(r=6.0, prev_kvar=prev, phi=phi, kvar_ref=ref)
-        out = adjust(s, step, "literal")
-        dk = step - prev
-        expected = 10.0 * math.exp((-dk / ref) ** phi)
-        assert out.last_delta == pytest.approx(expected, abs=1e-12)
-
-
-def test_literal_negative_base_fractional_power_is_degenerate():
-    # dK > 0 with fractional phi makes the base negative: no update
-    s = make_state(r=10.0, phi=0.5)
-    out = adjust(s, 1.0, "literal")
-    assert out.r == 10.0
-    assert out.last_delta == 0.0 and not out.frozen
-    assert out.prev_kvar == 1.0
-
-
-def test_literal_freeze_at_floor():
-    # the printed delta is always positive, so the floor is reached from below
-    s = make_state(r=-20.0, prev_kvar=0.5, phi=1.0)
-    out = adjust(s, 0.4, "literal")  # dK = -0.1 -> dr = 10 * exp(0.1) ~ 11.05
-    assert out.frozen
-    assert out.r == 5.0
-    after = adjust(out, 5.0, "literal")
-    assert after.r == 5.0 and after.frozen
-
-
-def test_literal_clamps_at_ceiling():
-    s = make_state(r=14.0, prev_kvar=1.0)
-    out = adjust(s, 0.5, "literal")  # positive delta, would exceed r_max
-    assert out.r == 15.0
 
 
 def test_lookup_returns_row_verbatim():
@@ -208,11 +181,17 @@ def test_table_rejects_infinite_kvar_ref():
         CalibrationTable.loads(_HEADER_LINE + _ROW.replace("0.08", "inf"))
 
 
-@pytest.mark.parametrize("r_max, r_min", [("5.0", "5.0"), ("4.0", "5.0"), ("15.0", "-1.0")])
+@pytest.mark.parametrize("r_max, r_min", [("4.0", "5.0"), ("15.0", "-1.0")])
 def test_table_rejects_bad_r_bounds(r_max, r_min):
     row = _ROW.replace("15.0,5.0", f"{r_max},{r_min}")
-    with pytest.raises(ThresholdConfigError, match="line 2: need r_max > r_min >= 0"):
+    with pytest.raises(ThresholdConfigError, match="line 2: need r_max >= r_min >= 0"):
         CalibrationTable.loads(_HEADER_LINE + row)
+
+
+def test_table_accepts_equal_r_bounds():
+    table = CalibrationTable.loads(_HEADER_LINE + _ROW.replace("15.0,5.0", "7.0,7.0"))
+    state = lookup(table, "goal", "sim7dof")
+    assert (state.r, state.r_max, state.r_min) == (7.0, 7.0, 7.0)
 
 
 @pytest.mark.parametrize("tau, phi", [("0.0", "0.7"), ("-1.0", "0.7"), ("1.0", "0.0"), ("1.0", "-0.7")])
@@ -311,7 +290,7 @@ def test_calibrate_replay_keeps_r_bounded():
     state = lookup(table, "t1", "armX")
     seen = []
     for kv in kvars:
-        state = adjust(state, kv, "rectified")
+        state = adjust(state, kv)
         seen.append(state.r)
     assert all(state.r_min <= r <= state.r_max for r in seen)
     assert any(r != 15.0 for r in seen)
@@ -372,44 +351,40 @@ def _traces(draw):
     return traces
 
 
-# fractional phi makes the literal update degenerate whenever mass rises
 _GRID = [(tau, phi) for tau in (0.5, 1.0, 4.0) for phi in (0.5, 0.7, 1.0, 1.5, 2.0)]
 
 
-@given(
-    _traces(),
-    st.sampled_from(["rectified", "literal"]),
-    st.sampled_from([0.0, 5.0]),
-    st.floats(0.01, 2.0),
-)
+# r_min 15.0 equals r_max: a fixed threshold
+_R_MINS = [0.0, 5.0, 15.0]
+
+
+@given(_traces(), st.sampled_from(_R_MINS), st.floats(0.01, 2.0))
 @settings(max_examples=150, deadline=None)
-def test_replay_scores_match_reference_bit_for_bit(traces, mode, r_min, kvar_ref):
+def test_replay_scores_match_reference_bit_for_bit(traces, r_min, kvar_ref):
     judged = threshold._judge_group(traces, DEFAULT_KEY)
     for tau, phi in _GRID:
-        got = threshold._replay_objective(judged, tau, phi, 15.0, r_min, kvar_ref, mode)
+        got = threshold._replay_objective(judged, tau, phi, 15.0, r_min, kvar_ref)
         want = reference_replay_objective(
-            traces, tau, phi, 15.0, r_min, kvar_ref, DEFAULT_KEY, mode, 0.01
+            traces, tau, phi, 15.0, r_min, kvar_ref, DEFAULT_KEY, 0.01
         )
         assert got.hex() == want.hex()
 
 
-@given(_traces(), st.sampled_from(["rectified", "literal"]), st.sampled_from([0.0, 5.0]))
+@given(_traces(), st.sampled_from(_R_MINS))
 @settings(max_examples=60, deadline=None)
-def test_calibrate_table_matches_reference_argmax(traces, mode, r_min):
+def test_calibrate_table_matches_reference_argmax(traces, r_min):
     steps = [rec.kvar_step for t in traces for rec in t.slices]
     kvar_ref = sum(steps) / len(steps)
     if kvar_ref <= 0:
         with pytest.raises(ThresholdConfigError):
-            calibrate(traces, _GRID, r_min=r_min, mode=mode)
+            calibrate(traces, _GRID, r_min=r_min)
         return
     scores = [
-        reference_replay_objective(
-            traces, tau, phi, 15.0, r_min, kvar_ref, DEFAULT_KEY, mode, 0.01
-        )
+        reference_replay_objective(traces, tau, phi, 15.0, r_min, kvar_ref, DEFAULT_KEY, 0.01)
         for tau, phi in _GRID
     ]
     tau, phi = _GRID[scores.index(max(scores))]
-    table = calibrate(traces, _GRID, r_min=r_min, mode=mode)
+    table = calibrate(traces, _GRID, r_min=r_min)
     expected = CalibrationTable()
     expected.put(
         "t",
@@ -425,21 +400,19 @@ def test_calibrate_table_matches_reference_argmax(traces, mode, r_min):
 
 @given(
     st.lists(st.floats(0, 3, allow_nan=False), min_size=1, max_size=40),
-    st.sampled_from(["rectified", "literal"]),
-    st.sampled_from([0.0, 5.0]),
+    st.sampled_from(_R_MINS),
     st.sampled_from([0.5, 0.7, 1.0, 2.0]),
     st.floats(-30.0, 15.0),
 )
 @settings(max_examples=200)
-def test_adjust_matches_reference_state_for_state(steps, mode, r_min, phi, r0):
-    # r0 below r_min reaches the literal freeze, which r_max never does
+def test_adjust_matches_reference_state_for_state(steps, r_min, phi, r0):
+    # r0 below r_min starts outside the bounds, so the clamp brings it in
     state = want = make_state(r=r0, r_min=r_min, phi=phi, tau=2.0, kvar_ref=0.3)
     for k in steps:
-        state = adjust(state, k, mode)
-        want = reference_adjust(want, k, mode)
+        state = adjust(state, k)
+        want = reference_adjust(want, k)
         assert state == want
         assert state.r.hex() == want.r.hex()
-        assert state.last_delta.hex() == want.last_delta.hex()
 
 
 def test_calibrate_judges_each_miss_once(monkeypatch):
@@ -480,8 +453,8 @@ def test_calibrate_judges_each_miss_once(monkeypatch):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"mode": "bogus"},
-        {"r_max": 5.0, "r_min": 5.0},
+        {"r_max": float("inf"), "r_min": float("inf")},
+        {"r_max": 4.0, "r_min": 5.0},
         {"r_max": 15.0, "r_min": -1.0},
         {"r_max": float("nan")},
         {"grid": [(1.0, 0.7), (float("nan"), 1.0)]},
@@ -499,6 +472,29 @@ def test_calibrate_validates_before_replay(monkeypatch, kwargs):
     grid = kwargs.pop("grid", DEFAULT_GRID)
     with pytest.raises(ThresholdConfigError):
         calibrate(traces, grid, **kwargs)
+    assert calls == []
+
+
+def test_calibrate_accepts_equal_bounds():
+    # r never moves, so every candidate scores the same and the first is kept
+    traces = [_trace("t1", [0.1, 0.3, 0.2], [(100, 103), (30, 37)])]
+    row = calibrate(traces, DEFAULT_GRID, r_max=7.0, r_min=7.0).rows[("t1", "armX")]
+    assert (row.r_max, row.r_min) == (7.0, 7.0)
+    assert (row.tau, row.phi) == DEFAULT_GRID[0]
+
+
+@pytest.mark.parametrize("mode", ["naive", "kerv"])
+def test_calibrate_refuses_a_trace_not_decoded_in_fixed_relaxed(monkeypatch, mode):
+    calls = []
+    monkeypatch.setattr(threshold, "_judge_group", lambda *a: calls.append(a))
+    monkeypatch.setattr(threshold, "_replay_objective", lambda *a: calls.append(a))
+    other = _trace("t1", [0.1, 0.3], [(100, 103)])
+    other.mode, other.trial = mode, 3
+    traces = [_trace("t1", [0.1, 0.3], [(100, 103)]), other]
+    with pytest.raises(
+        ThresholdConfigError, match=f"pre-sample trace t1 trial 3 was decoded in '{mode}' mode"
+    ):
+        calibrate(traces, DEFAULT_GRID)
     assert calls == []
 
 

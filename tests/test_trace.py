@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kerv.trace import EpisodeTrace, SliceRecord, TraceError, load, loads
+from kerv import config, specdec
+from kerv.simenv import KINDS
+from kerv.trace import MODES, EpisodeTrace, SliceRecord, TraceError, load, loads
 from oracles import reference_trace_dumps
 
 # r, the variabilities and the deviation are never negative; kvar_cum and
@@ -251,6 +253,21 @@ def test_negative_header_or_summary_value_is_trace_error(lineno, part, field, va
     message = re.escape(f"line {lineno}: {part} {field} must be >= 0, got {value!r}")
     with pytest.raises(TraceError, match=f"^{message}$"):
         loads(_with(lines, lineno, part, field, value))
+
+
+def test_one_mode_list():
+    assert specdec.MODES is config.MODES is MODES
+
+
+@pytest.mark.parametrize(
+    "field, value, known",
+    [("mode", "bogus", MODES), ("mode", "literal", MODES), ("kind", "teleport", KINDS)],
+)
+def test_header_mode_or_kind_outside_its_set_is_trace_error(field, value, known):
+    lines = _episode_text().splitlines(keepends=True)
+    message = re.escape(f"line 1: episode {field} must be one of {known}, got {value!r}")
+    with pytest.raises(TraceError, match=f"^{message}$"):
+        loads(_with(lines, 1, "episode", field, value))
 
 
 def test_load_names_the_file(tmp_path):
