@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -42,7 +43,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     cal_p = sub.add_parser("calibrate", help="build a threshold calibration table")
-    cal_p.add_argument("--traces", required=True, help="directory of fixed_relaxed pre-sample traces")
+    cal_p.add_argument(
+        "--traces",
+        required=True,
+        help="directory of pre-sample traces; its fixed_relaxed traces are read, others skipped",
+    )
     cal_p.add_argument("--grid", required=True, help="grid file: grid.tau / grid.phi CSV lines")
     cal_p.add_argument("--out", required=True, help="output table path")
     cal_p.add_argument(
@@ -92,7 +97,13 @@ def _cmd_calibrate(args) -> int:
     if args.config:
         cfg = config_mod.load(args.config)
         kwargs = {"r_max": cfg.r_max, "r_min": cfg.r_min, "key": cfg.key}
-    table = calibrate(traces, grid, **kwargs)
+    # a run writes its naive baseline traces beside its fixed_relaxed ones:
+    # calibrate from the fixed_relaxed ones and say what else was skipped
+    pre_sample = [t for t in traces if t.mode == "fixed_relaxed"]
+    skipped = Counter(t.mode for t in traces if t.mode != "fixed_relaxed")
+    for mode, count in sorted(skipped.items()):
+        sys.stdout.write(f"skipped {count} {mode} traces in {args.traces}\n")
+    table = calibrate(pre_sample, grid, **kwargs)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     table.save(out)

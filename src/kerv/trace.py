@@ -7,34 +7,42 @@ offline: per-position draft/true ids (null where a position was never
 drafted or verified), acceptance statuses, final tokens, value sources,
 and the step's threshold, variability, and call counters.
 
+A record is a ``SliceRecord``: an immutable named tuple of 14 fields, which
+costs a tuple to build and is written as a JSON object with sorted keys.
+Every line of every trace is written by ``_ENCODE``, one JSON encoder built
+at import (``_line_encoder``), and read by ``_DECODER``, one decoder built
+there.
+
 The summary line is required: ``loads`` rejects a stream without one, with
 a second header, with a record after the summary, or whose slice count
 differs from the summary's ``steps``, so a truncated file never reaches
 the metrics. A line that is not a JSON object is rejected with its line
-number, as is a header, record or summary that misses a field or holds a
-value of the wrong JSON type: a scalar of another type (an int field
-refuses ``true``/``false`` and ``1.0``; a float field takes an integer), a
-per-position field that is not a list of 7 slots, an id that is not an
-int or ``null`` (a token that is not an int), a status or source outside
-its set, a header mode outside ``MODES`` or kind outside
-``simenv.KINDS``, or the constant ``NaN`` (``Infinity`` loads: an overflowing
-deviation is written as one), as is a value outside its range
-(``_RANGES``): a negative trial, step, step count, event count or
-deviation, or a record value outside its bounds. ``load`` puts the file's
-path in front of the error. Traces and calibration tables are written
-atomically (a temporary file in the target directory, then
-``os.replace``), so a reader sees the old file or the whole new one.
+number. ``loads`` checks each header, record and summary in one pass over
+its fields (``_checked``), which reads each field once and takes the
+field's JSON types from its annotation (``_JSON_TYPES``) and its range from
+``_RANGES``; the first fault in field order is reported. A field is at
+fault when it is missing or holds a value of the wrong JSON type: a scalar
+of another type (an int field refuses ``true``/``false`` and ``1.0``; a
+float field takes an integer), a per-position field that is not a list of
+7 slots, an id that is not an int or ``null`` (a token that is not an int),
+a status or source outside its set, or the constant ``NaN`` (``Infinity``
+loads: an overflowing deviation is written as one); or when it holds a
+value outside its range: a negative trial, step, step count, event count
+or deviation, or a record value outside its bounds. A header mode outside
+``MODES`` or kind outside ``simenv.KINDS`` is rejected after its fields.
+``load`` puts the file's path in front of the error. Traces and calibration
+tables are written atomically (a temporary file in the target directory,
+then ``os.replace``), so a reader sees the old file or the whole new one.
 """
-
-from __future__ import annotations
 
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, field
-from operator import itemgetter
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 from .codec import N_DOF
 from .simenv import KINDS
@@ -46,18 +54,15 @@ MODES = ("naive", "fixed_relaxed", "kerv")
 EXACT, RELAXED, REJECTED = "exact", "relaxed", "rejected"
 SRC_DRAFT, SRC_VERIFY, SRC_KF = "draft", "verify_corrected", "kf"
 
-# the fields of the header and summary lines, and the per-position fields
-# of a slice record, one slot per DoF
+# the fields of the header and summary lines
 _HEADER_FIELDS = ("suite", "kind", "mode", "robot", "trial", "seed")
 _SUMMARY_FIELDS = ("success", "steps", "deviation", "plan_steps", "comp_events")
-_SLOT_FIELDS = ("draft_ids", "true_ids", "statuses", "tokens", "sources")
-_SLOTS = itemgetter(*_SLOT_FIELDS)
 _STATUSES = {EXACT, RELAXED, REJECTED, None}
 _SOURCES = {SRC_DRAFT, SRC_VERIFY, SRC_KF}
 # the types ``loads`` accepts for each scalar annotation, as ``json.loads``
 # builds them: a float field also takes an integer, and ``bool`` is a type
 # of its own, so an int field refuses true/false
-_JSON_TYPES = {"int": {int}, "float": {int, float}, "str": {str}, "bool": {bool}}
+_JSON_TYPES = {int: {int}, float: {int, float}, str: {str}, bool: {bool}}
 _TYPE_NAMES = {int: "an int", float: "a float", str: "a string", bool: "a bool"}
 # (field, lowest, highest, the range in words) of each numeric field of a
 # header, record and summary line; kvar_cum and deviation may be infinite,
@@ -98,8 +103,29 @@ def _parse_constant(name: str) -> float:
 _DECODER = json.JSONDecoder(parse_constant=_parse_constant)
 
 
-@dataclass(frozen=True)
-class SliceRecord:
+def _line_encoder():
+    """``json.dumps(obj, sort_keys=True)`` with its encoder built once.
+
+    ``json.dumps`` with an option builds a ``JSONEncoder`` for every call,
+    and ``JSONEncoder.encode`` builds a C encoder for every call. This is
+    the C encoder ``encode`` builds, with the same arguments except the
+    circular-reference check: a trace line is built from scalars, tuples
+    and fresh dicts, none of which can hold itself."""
+    enc = json.JSONEncoder(sort_keys=True)
+    iterencode = c_make_encoder(
+        None, enc.default, encode_basestring_ascii, enc.indent, enc.key_separator,
+        enc.item_separator, enc.sort_keys, enc.skipkeys, enc.allow_nan,
+    )
+    return lambda obj: "".join(iterencode(obj, 0))
+
+
+_ENCODE = _line_encoder()
+
+
+class SliceRecord(NamedTuple):
+    """One decoded slice as its trace line records it; a tuple, so no field
+    can be assigned."""
+
     step: int
     draft_ids: tuple[int | None, ...]
     true_ids: tuple[int | None, ...]
@@ -139,11 +165,10 @@ class EpisodeTrace:
 
     def dumps(self) -> str:
         # records hold only JSON scalars and tuples of them, which encode as
-        # lists: no deep copy is needed
-        lines = [json.dumps({"episode": self.meta()}, sort_keys=True)]
-        for rec in self.slices:
-            lines.append(json.dumps(vars(rec), sort_keys=True))
-        lines.append(json.dumps({"summary": self.summary()}, sort_keys=True))
+        # lists
+        lines = [_ENCODE({"episode": self.meta()})]
+        lines += [_ENCODE(rec._asdict()) for rec in self.slices]
+        lines.append(_ENCODE({"summary": self.summary()}))
         return "\n".join(lines) + "\n"
 
     def save(self, path: str | Path) -> None:
@@ -162,73 +187,91 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise
 
 
-def _record_from_dict(d: dict) -> SliceRecord:
-    return SliceRecord(
-        step=d["step"],
-        draft_ids=tuple(d["draft_ids"]),
-        true_ids=tuple(d["true_ids"]),
-        statuses=tuple(d["statuses"]),
-        tokens=tuple(d["tokens"]),
-        sources=tuple(d["sources"]),
-        first_error_pos=d["first_error_pos"],
-        r=d["r"],
-        kvar_step=d["kvar_step"],
-        kvar_cum=d["kvar_cum"],
-        verify_calls=d["verify_calls"],
-        draft_calls=d["draft_calls"],
-        comp_fired=d["comp_fired"],
-        cooldown_remaining=d["cooldown_remaining"],
+def _typed_slots(types: set, what: str):
+    """The slot check of a per-position field whose slots are each of a type
+    in ``types``: it returns what is wrong with the slots, or None."""
+
+    def fault(slots: list, obj: dict) -> str | None:
+        if types.issuperset(map(type, slots)):
+            return None
+        bad = next(slot for slot in slots if type(slot) not in types)
+        return f"{what}, got {bad!r}"
+
+    return fault
+
+
+def _labelled_slots(known: set):
+    """The slot check of a per-position field whose slots are each in
+    ``known``; the fault names the record's statuses and sources."""
+
+    def fault(slots: list, obj: dict) -> str | None:
+        try:
+            if known.issuperset(slots):
+                return None
+        except TypeError:  # a list or object slot, which no set holds
+            pass
+        return f"unknown status or source in {obj['statuses']!r}, {obj['sources']!r}"
+
+    return fault
+
+
+# the slot check of each per-position field of a record, which holds one slot
+# per DoF: ids ints or null, tokens ints, statuses and sources in their sets
+_SLOT_CHECKS = {
+    "draft_ids": _typed_slots({int, type(None)}, "ids must be ints or null"),
+    "true_ids": _typed_slots({int, type(None)}, "ids must be ints or null"),
+    "statuses": _labelled_slots(_STATUSES),
+    "tokens": _typed_slots({int}, "tokens must be ints"),
+    "sources": _labelled_slots(_SOURCES),
+}
+
+
+def _checks(cls, part: str, names) -> tuple:
+    """(field, accepted JSON types, range, slot check) of each named field of
+    ``cls``, in order. A scalar takes its types from its annotation
+    (``_JSON_TYPES``; this module evaluates its annotations, so they are
+    types) and its (lowest, highest, the range in words) from ``_RANGES``,
+    or None; a per-position field has only its slot check."""
+    ranges = {name: bounds for name, *bounds in _RANGES[part]}
+    return tuple(
+        (name, None, None, _SLOT_CHECKS[name])
+        if name in _SLOT_CHECKS
+        else (name, _JSON_TYPES[cls.__annotations__[name]], ranges.get(name), None)
+        for name in names
     )
 
 
-def _scalar_types(cls, names) -> tuple:
-    """(field, accepted types) of each named scalar field of ``cls``."""
-    return tuple((name, _JSON_TYPES[cls.__annotations__[name]]) for name in names)
+_HEADER_CHECKS = _checks(EpisodeTrace, "episode", _HEADER_FIELDS)
+_RECORD_CHECKS = _checks(SliceRecord, "record", SliceRecord._fields)
+_SUMMARY_CHECKS = _checks(EpisodeTrace, "summary", _SUMMARY_FIELDS)
 
 
-_HEADER_TYPES = _scalar_types(EpisodeTrace, _HEADER_FIELDS)
-_SUMMARY_TYPES = _scalar_types(EpisodeTrace, _SUMMARY_FIELDS)
-_RECORD_TYPES = _scalar_types(
-    SliceRecord, [name for name in SliceRecord.__annotations__ if name not in _SLOT_FIELDS]
-)
-
-
-def _check_scalars(obj, part: str, types: tuple, lineno: int) -> None:
-    """Each scalar field of a line's ``part`` of an accepted type, and each
-    numeric one in its range (``_RANGES``)."""
+def _checked(obj, part: str, checks: tuple, lineno: int) -> list:
+    """The fields of a line's ``part`` in ``checks`` order, each read once
+    and checked: a scalar of an accepted type and in its range, a
+    per-position field a list of 7 slots that pass its slot check (returned
+    as a tuple)."""
     if type(obj) is not dict:
         raise TraceError(f"line {lineno}: {part} must be a JSON object, got {obj!r}")
-    for name, allowed in types:
+    values = []
+    for name, allowed, bounds, slot_fault in checks:
         value = obj[name]
-        if type(value) not in allowed:
+        if slot_fault is not None:
+            if type(value) is not list or len(value) != N_DOF:
+                raise TraceError(
+                    f"line {lineno}: {name} must be a list of {N_DOF} items, got {value!r}"
+                )
+            fault = slot_fault(value, obj)
+            if fault is not None:
+                raise TraceError(f"line {lineno}: {fault}")
+            value = tuple(value)
+        elif type(value) not in allowed:
             what = " or ".join(sorted(_TYPE_NAMES[t] for t in allowed))
             raise TraceError(f"line {lineno}: {part} {name} must be {what}, got {value!r}")
-    for name, lowest, highest, need in _RANGES[part]:
-        value = obj[name]
-        if not lowest <= value <= highest:
-            raise TraceError(f"line {lineno}: {part} {name} must be {need}, got {value!r}")
-
-
-def _check_slots(obj: dict, lineno: int) -> None:
-    """Each per-position field a list of 7 slots: ids ints or null, tokens
-    ints, statuses and sources in their sets."""
-    lists = _SLOTS(obj)
-    for name, slots in zip(_SLOT_FIELDS, lists):
-        if type(slots) is not list or len(slots) != N_DOF:
-            raise TraceError(f"line {lineno}: {name} must be a list of {N_DOF} items, got {slots!r}")
-    draft_ids, true_ids, statuses, tokens, sources = lists
-    for tok in draft_ids + true_ids:
-        if type(tok) is not int and tok is not None:
-            raise TraceError(f"line {lineno}: ids must be ints or null, got {tok!r}")
-    for tok in tokens:
-        if type(tok) is not int:
-            raise TraceError(f"line {lineno}: tokens must be ints, got {tok!r}")
-    try:
-        known = _STATUSES.issuperset(statuses) and _SOURCES.issuperset(sources)
-    except TypeError:  # a list or object slot, which no set holds
-        known = False
-    if not known:
-        raise TraceError(f"line {lineno}: unknown status or source in {statuses!r}, {sources!r}")
+        elif bounds is not None and not bounds[0] <= value <= bounds[1]:
+            raise TraceError(f"line {lineno}: {part} {name} must be {bounds[2]}, got {value!r}")
+        values.append(value)
+    return values
 
 
 def loads(text: str) -> EpisodeTrace:
@@ -249,28 +292,27 @@ def loads(text: str) -> EpisodeTrace:
             if "episode" in obj:
                 if trace is not None:
                     raise TraceError(f"line {lineno}: second episode header")
-                m = obj["episode"]
-                _check_scalars(m, "episode", _HEADER_TYPES, lineno)
+                values = _checked(obj["episode"], "episode", _HEADER_CHECKS, lineno)
+                m = dict(zip(_HEADER_FIELDS, values))
                 for name, known in (("mode", MODES), ("kind", KINDS)):
                     if m[name] not in known:
                         raise TraceError(
                             f"line {lineno}: episode {name} must be one of {known}, got {m[name]!r}"
                         )
-                trace = EpisodeTrace(**{name: m[name] for name in _HEADER_FIELDS})
+                trace = EpisodeTrace(**m)
             elif "summary" in obj:
                 if trace is None:
                     raise TraceError(f"line {lineno}: summary before episode header")
-                s = obj["summary"]
-                _check_scalars(s, "summary", _SUMMARY_TYPES, lineno)
-                for name in _SUMMARY_FIELDS:
-                    setattr(trace, name, s[name])
+                values = _checked(obj["summary"], "summary", _SUMMARY_CHECKS, lineno)
+                for name, value in zip(_SUMMARY_FIELDS, values):
+                    setattr(trace, name, value)
                 summarized = True
             else:
                 if trace is None:
                     raise TraceError(f"line {lineno}: slice record before episode header")
-                _check_slots(obj, lineno)
-                _check_scalars(obj, "record", _RECORD_TYPES, lineno)
-                trace.slices.append(_record_from_dict(obj))
+                trace.slices.append(
+                    SliceRecord._make(_checked(obj, "record", _RECORD_CHECKS, lineno))
+                )
         except KeyError as exc:
             raise TraceError(f"line {lineno}: record has no {exc.args[0]!r} field") from None
     if trace is None:

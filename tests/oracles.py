@@ -12,7 +12,9 @@ checked scalar ``action_to_token``/``token_to_action`` (the library inlines
 their expressions), a ``ThresholdState`` advanced by
 ``dataclasses.replace`` per slice, every token pair decoded again per
 candidate, zero-padded action slices compared over all seven positions,
-and ``asdict`` serialization. The plan's target poses come from scipy's
+one ``json.dumps(..., sort_keys=True)`` per trace line, and the trace
+loader that checked slots, then scalar types, then ranges, in three
+passes (``reference_trace_loads``). The plan's target poses come from scipy's
 own ``CubicSpline`` (``reference_targets``), which the library reproduces
 in-house; scipy stays a test-only dependency, imported here and by the
 spline tests alone. The threshold update as the paper prints it
@@ -23,14 +25,17 @@ the same as that rule's on equal bounds.
 
 import json
 import math
-from dataclasses import asdict, replace
+import sys
+from dataclasses import replace
+from operator import itemgetter
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from kerv.codec import GRIPPER_DOF, NormKey, action_to_token, token_to_action
-from kerv.simenv import _advance, _segment_steps
+from kerv.simenv import KINDS, _advance, _segment_steps
 from kerv.threshold import ThresholdConfigError, ThresholdState
+from kerv.trace import MODES, EpisodeTrace, SliceRecord, TraceError
 
 
 def matrix_kf_predict(observations, params, horizon=1):
@@ -319,13 +324,191 @@ def reference_accepted_error_kvar(rec, key):
     return sum(abs(c - e) for c, e in zip(correct, erroneous))
 
 
+# a slice record's fields, written out here rather than read from the
+# record type
+TRACE_RECORD_FIELDS = (
+    "step", "draft_ids", "true_ids", "statuses", "tokens", "sources", "first_error_pos", "r",
+    "kvar_step", "kvar_cum", "verify_calls", "draft_calls", "comp_fired", "cooldown_remaining",
+)
+
+
 def reference_trace_dumps(trace):
-    """JSON-lines text of a trace with each record deep-copied by ``asdict``."""
+    """JSON-lines text of a trace, one ``json.dumps(..., sort_keys=True)``
+    per line; a record's field dict is read field by field."""
     lines = [json.dumps({"episode": trace.meta()}, sort_keys=True)]
     for rec in trace.slices:
-        lines.append(json.dumps(asdict(rec), sort_keys=True))
+        fields = {name: getattr(rec, name) for name in TRACE_RECORD_FIELDS}
+        lines.append(json.dumps(fields, sort_keys=True))
     lines.append(json.dumps({"summary": trace.summary()}, sort_keys=True))
     return "\n".join(lines) + "\n"
+
+
+# The trace loader as it was before it checked each record in one pass:
+# ``reference_trace_loads`` and its helpers are kept as they were written,
+# with their tables copied here. The scalar type tables are written out, as
+# the loader read them from string annotations the record type no longer
+# has.
+_HEADER_FIELDS = ("suite", "kind", "mode", "robot", "trial", "seed")
+_SUMMARY_FIELDS = ("success", "steps", "deviation", "plan_steps", "comp_events")
+_SLOT_FIELDS = ("draft_ids", "true_ids", "statuses", "tokens", "sources")
+_SLOTS = itemgetter(*_SLOT_FIELDS)
+_STATUSES = {"exact", "relaxed", "rejected", None}
+_SOURCES = {"draft", "verify_corrected", "kf"}
+_TYPE_NAMES = {int: "an int", float: "a float", str: "a string", bool: "a bool"}
+_RANGES = {
+    "episode": (("trial", 0, math.inf, ">= 0"),),
+    "record": (
+        ("step", 0, math.inf, ">= 0"),
+        ("first_error_pos", 0, 7, "in [0, 7]"),
+        ("verify_calls", 1, math.inf, ">= 1"),
+        ("draft_calls", 1, math.inf, ">= 1"),
+        ("cooldown_remaining", 0, math.inf, ">= 0"),
+        ("r", 0, sys.float_info.max, "finite and >= 0"),
+        ("kvar_step", 0, sys.float_info.max, "finite and >= 0"),
+        ("kvar_cum", 0, math.inf, ">= 0"),
+    ),
+    "summary": (
+        ("steps", 0, math.inf, ">= 0"),
+        ("deviation", 0, math.inf, ">= 0"),
+        ("plan_steps", 0, math.inf, ">= 0"),
+        ("comp_events", 0, math.inf, ">= 0"),
+    ),
+}
+_INT, _FLOAT, _STR, _BOOL = {int}, {int, float}, {str}, {bool}
+_HEADER_TYPES = (
+    ("suite", _STR), ("kind", _STR), ("mode", _STR), ("robot", _STR), ("trial", _INT),
+    ("seed", _INT),
+)
+_SUMMARY_TYPES = (
+    ("success", _BOOL), ("steps", _INT), ("deviation", _FLOAT), ("plan_steps", _INT),
+    ("comp_events", _INT),
+)
+_RECORD_TYPES = (
+    ("step", _INT), ("first_error_pos", _INT), ("r", _FLOAT), ("kvar_step", _FLOAT),
+    ("kvar_cum", _FLOAT), ("verify_calls", _INT), ("draft_calls", _INT), ("comp_fired", _BOOL),
+    ("cooldown_remaining", _INT),
+)
+
+
+def _parse_constant(name):
+    # a run writes +-Infinity where a deviation overflows, but never NaN
+    if name == "NaN":
+        raise ValueError("NaN is not a trace value")
+    return float(name)
+
+
+_DECODER = json.JSONDecoder(parse_constant=_parse_constant)
+
+
+def _record_from_dict(d: dict) -> SliceRecord:
+    return SliceRecord(
+        step=d["step"],
+        draft_ids=tuple(d["draft_ids"]),
+        true_ids=tuple(d["true_ids"]),
+        statuses=tuple(d["statuses"]),
+        tokens=tuple(d["tokens"]),
+        sources=tuple(d["sources"]),
+        first_error_pos=d["first_error_pos"],
+        r=d["r"],
+        kvar_step=d["kvar_step"],
+        kvar_cum=d["kvar_cum"],
+        verify_calls=d["verify_calls"],
+        draft_calls=d["draft_calls"],
+        comp_fired=d["comp_fired"],
+        cooldown_remaining=d["cooldown_remaining"],
+    )
+
+
+def _check_scalars(obj, part: str, types: tuple, lineno: int) -> None:
+    """Each scalar field of a line's ``part`` of an accepted type, and each
+    numeric one in its range (``_RANGES``)."""
+    if type(obj) is not dict:
+        raise TraceError(f"line {lineno}: {part} must be a JSON object, got {obj!r}")
+    for name, allowed in types:
+        value = obj[name]
+        if type(value) not in allowed:
+            what = " or ".join(sorted(_TYPE_NAMES[t] for t in allowed))
+            raise TraceError(f"line {lineno}: {part} {name} must be {what}, got {value!r}")
+    for name, lowest, highest, need in _RANGES[part]:
+        value = obj[name]
+        if not lowest <= value <= highest:
+            raise TraceError(f"line {lineno}: {part} {name} must be {need}, got {value!r}")
+
+
+def _check_slots(obj: dict, lineno: int) -> None:
+    """Each per-position field a list of 7 slots: ids ints or null, tokens
+    ints, statuses and sources in their sets."""
+    lists = _SLOTS(obj)
+    for name, slots in zip(_SLOT_FIELDS, lists):
+        if type(slots) is not list or len(slots) != 7:
+            raise TraceError(f"line {lineno}: {name} must be a list of 7 items, got {slots!r}")
+    draft_ids, true_ids, statuses, tokens, sources = lists
+    for tok in draft_ids + true_ids:
+        if type(tok) is not int and tok is not None:
+            raise TraceError(f"line {lineno}: ids must be ints or null, got {tok!r}")
+    for tok in tokens:
+        if type(tok) is not int:
+            raise TraceError(f"line {lineno}: tokens must be ints, got {tok!r}")
+    try:
+        known = _STATUSES.issuperset(statuses) and _SOURCES.issuperset(sources)
+    except TypeError:  # a list or object slot, which no set holds
+        known = False
+    if not known:
+        raise TraceError(f"line {lineno}: unknown status or source in {statuses!r}, {sources!r}")
+
+
+def reference_trace_loads(text: str) -> EpisodeTrace:
+    trace: EpisodeTrace | None = None
+    summarized = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip():
+            continue
+        try:
+            obj = _DECODER.decode(raw)
+        except ValueError as exc:  # malformed JSON, or NaN
+            raise TraceError(f"line {lineno}: not a JSON record ({exc})") from None
+        if not isinstance(obj, dict):
+            raise TraceError(f"line {lineno}: not a JSON object")
+        if summarized:
+            raise TraceError(f"line {lineno}: record after the summary line")
+        try:
+            if "episode" in obj:
+                if trace is not None:
+                    raise TraceError(f"line {lineno}: second episode header")
+                m = obj["episode"]
+                _check_scalars(m, "episode", _HEADER_TYPES, lineno)
+                for name, known in (("mode", MODES), ("kind", KINDS)):
+                    if m[name] not in known:
+                        raise TraceError(
+                            f"line {lineno}: episode {name} must be one of {known}, got {m[name]!r}"
+                        )
+                trace = EpisodeTrace(**{name: m[name] for name in _HEADER_FIELDS})
+            elif "summary" in obj:
+                if trace is None:
+                    raise TraceError(f"line {lineno}: summary before episode header")
+                s = obj["summary"]
+                _check_scalars(s, "summary", _SUMMARY_TYPES, lineno)
+                for name in _SUMMARY_FIELDS:
+                    setattr(trace, name, s[name])
+                summarized = True
+            else:
+                if trace is None:
+                    raise TraceError(f"line {lineno}: slice record before episode header")
+                _check_slots(obj, lineno)
+                _check_scalars(obj, "record", _RECORD_TYPES, lineno)
+                trace.slices.append(_record_from_dict(obj))
+        except KeyError as exc:
+            raise TraceError(f"line {lineno}: record has no {exc.args[0]!r} field") from None
+    if trace is None:
+        raise TraceError("empty trace stream")
+    if not summarized:
+        raise TraceError("trace stream ends without a summary line (truncated?)")
+    if len(trace.slices) != trace.steps:
+        raise TraceError(
+            f"trace has {len(trace.slices)} slice records but its summary says "
+            f"{trace.steps} steps"
+        )
+    return trace
 
 
 def reference_default_config_text(trials=50):

@@ -1,6 +1,7 @@
 """Suite runner, cost model, emission, configuration, CLI."""
 
 import math
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -395,15 +396,13 @@ def test_cli_negative_trials_exits_nonzero(tmp_path, capsys):
 
 
 def _cli_pre_sample(tmp_path, cfg_path, *args):
-    """``kerv run --mode fixed_relaxed`` traces, without the naive baseline
-    traces the run writes beside them; returns their directory."""
+    """``kerv run --mode fixed_relaxed`` traces, beside the naive baseline
+    traces the run writes too; returns their directory."""
     pre_out = tmp_path / "pre"
     rc = cli.main(
         ["run", "--config", str(cfg_path), "--out", str(pre_out), "--mode", "fixed_relaxed", *args]
     )
     assert rc == 0
-    for path in (pre_out / "traces").glob("*_naive_*.jsonl"):
-        path.unlink()
     return pre_out / "traces"
 
 
@@ -411,23 +410,32 @@ def test_cli_calibrate_then_kerv_run(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, trials=2)
     grid = tmp_path / "grid.cfg"
     grid.write_text("grid.tau = 1.0,2.0\ngrid.phi = 0.7,1.0\n")
-    table_path = tmp_path / "table.csv"
-    calibrate_args = ["calibrate", "--grid", str(grid), "--out", str(table_path),
-                      "--config", str(cfg_path), "--traces"]
-    # the baseline traces a run writes beside its own are refused
-    rc = cli.main(
-        ["run", "--config", str(cfg_path), "--out", str(tmp_path / "mixed"), "--mode",
-         "fixed_relaxed", "--suite", "goal", "--trials", "1"]
-    )
-    assert rc == 0
-    capsys.readouterr()
-    assert cli.main(calibrate_args + [str(tmp_path / "mixed" / "traces")]) == 2
-    assert "pre-sample trace goal trial 0 was decoded in 'naive' mode" in capsys.readouterr().err
-    assert not table_path.exists()
 
-    pre = _cli_pre_sample(tmp_path, cfg_path, "--suite", "goal", "--trials", "3")
-    assert cli.main(calibrate_args + [str(pre)]) == 0
-    assert table_path.exists()
+    def calibrate_cli(traces, out):
+        return cli.main(["calibrate", "--grid", str(grid), "--out", str(out),
+                         "--config", str(cfg_path), "--traces", str(traces)])
+
+    # the baseline traces a run writes beside its own are skipped and
+    # counted, so the mixed directory calibrates as its fixed_relaxed
+    # traces alone do
+    mixed = _cli_pre_sample(tmp_path, cfg_path, "--suite", "goal", "--trials", "3")
+    table_path = tmp_path / "table.csv"
+    capsys.readouterr()
+    assert calibrate_cli(mixed, table_path) == 0
+    assert f"skipped 3 naive traces in {mixed}\n" in capsys.readouterr().out
+    clean, baseline = tmp_path / "clean", tmp_path / "baseline"
+    for directory, pattern in ((clean, "*_fixed_relaxed_*.jsonl"), (baseline, "*_naive_*.jsonl")):
+        directory.mkdir()
+        for path in mixed.glob(pattern):
+            shutil.copy(path, directory)
+    assert len(list(clean.iterdir())) == 3
+    assert calibrate_cli(clean, tmp_path / "clean.csv") == 0
+    assert (tmp_path / "clean.csv").read_text() == table_path.read_text()
+    # a directory without a fixed_relaxed trace is refused
+    capsys.readouterr()
+    assert calibrate_cli(baseline, tmp_path / "none.csv") == 2
+    assert "no pre-sample traces supplied" in capsys.readouterr().err
+    assert not (tmp_path / "none.csv").exists()
 
     kerv_cfg = tmp_path / "kerv.cfg"
     kerv_cfg.write_text(

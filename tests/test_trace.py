@@ -1,17 +1,18 @@
-"""Trace serialization: reference byte equality, partial streams, atomic saves."""
+"""Trace serialization: reference byte equality, the reference loader on
+mutated streams, partial streams, atomic saves."""
 
 import json
 import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kerv import config, specdec
 from kerv.simenv import KINDS
 from kerv.trace import MODES, EpisodeTrace, SliceRecord, TraceError, load, loads
-from oracles import reference_trace_dumps
+from oracles import TRACE_RECORD_FIELDS, reference_trace_dumps, reference_trace_loads
 
 # r, the variabilities and the deviation are never negative; kvar_cum and
 # the deviation may overflow
@@ -60,6 +61,79 @@ def test_dumps_matches_asdict_reference_and_roundtrips(trace):
     back = loads(text)
     assert back == trace
     assert back.dumps() == text
+
+
+# the mutations of one field, each with the types of the valid values it
+# replaces (None: any) and the values it writes
+_FIELD_MUTATIONS = {
+    "drop the field": (None, [None]),
+    "a value of the wrong JSON type": (None, ["9", "", None, [1], {"draft": 7}, 1.5]),
+    "true or 1.0 in an int field": ((int,), [True, False, 1.0]),
+    "NaN": ((int, float), [math.nan]),
+    "a value out of range": ((int, float), [-1, -1e-300, -1e309, 1e309, 0, 8]),
+    "6 or 8 slots": ((list,), [6, 8]),
+    "an unknown or mistyped slot": ((list,), ["bogus", "kf", None, True, 1.0, "1", [1], {}]),
+    "an unknown header string": ((str,), ["bogus", "literal", "teleport"]),
+}
+_LINE_MUTATIONS = ["a non-object line", "a second header"]
+
+
+@pytest.mark.parametrize("how", sorted(_FIELD_MUTATIONS) + _LINE_MUTATIONS)
+@given(trace=_episodes(), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_loads_agrees_with_the_reference_loader_on_a_mutated_line(how, trace, data):
+    """One line of a valid trace is mutated: one field as ``_FIELD_MUTATIONS``
+    says, the line replaced by a non-object, or a second header inserted
+    after it. Both loaders return equal traces, or both raise ``TraceError``
+    with the same message."""
+    lines = trace.dumps().splitlines(keepends=True)
+    if how in _LINE_MUTATIONS:
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        if how == "a second header":
+            lines.insert(i + 1, lines[0])
+        else:
+            lines[i] = data.draw(st.sampled_from(["[1, 2]\n", '"episode"\n', "7\n", "null\n"]))
+    else:
+        types, values = _FIELD_MUTATIONS[how]
+        objs = [json.loads(line) for line in lines]
+        fields = [
+            (i, part, name)
+            for i, obj in enumerate(objs)
+            for part in [obj.get("episode") or obj.get("summary") or obj]
+            for name in sorted(part)
+            if types is None or type(part[name]) in types
+        ]
+        assume(fields)
+        i, part, name = data.draw(st.sampled_from(fields), label="field")
+        value = data.draw(st.sampled_from(values), label="value")
+        if how == "drop the field":
+            del part[name]
+        elif how == "6 or 8 slots":
+            part[name] = (part[name] * 2)[:value]
+        elif how == "an unknown or mistyped slot":
+            part[name][data.draw(st.integers(0, 6), label="slot")] = value
+        else:
+            part[name] = value
+        lines[i] = json.dumps(objs[i]) + "\n"
+    text = "".join(lines)
+    try:
+        expected = reference_trace_loads(text)
+    except TraceError as exc:
+        with pytest.raises(TraceError) as got:
+            loads(text)
+        assert str(got.value) == str(exc)
+    else:
+        got = loads(text)
+        assert got == expected
+        assert got.dumps() == expected.dumps()
+
+
+def test_record_fields_keep_their_order_and_cannot_be_assigned():
+    assert SliceRecord._fields == TRACE_RECORD_FIELDS
+    rec = loads(_episode_text()).slices[0]
+    for name in TRACE_RECORD_FIELDS:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, getattr(rec, name))
 
 
 def _episode_text(n=3):
