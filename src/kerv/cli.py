@@ -91,16 +91,22 @@ def _parse_grid(path: str) -> list[tuple[float, float]]:
 
 
 def _cmd_calibrate(args) -> int:
-    traces = trace.load_dir(args.traces)
+    # a run writes its naive baseline traces beside its fixed_relaxed ones:
+    # calibrate from the fixed_relaxed ones, chosen by header line, and say
+    # what else was skipped; a file without a well-formed header is loaded,
+    # so its fault is reported
+    pre_sample, skipped = [], Counter()
+    for path in sorted(Path(args.traces).glob("*.jsonl")):
+        mode = trace.header_mode(path)
+        if mode in (None, "fixed_relaxed"):
+            pre_sample.append(trace.load(path))
+        else:
+            skipped[mode] += 1
     grid = _parse_grid(args.grid)
     kwargs = {}
     if args.config:
         cfg = config_mod.load(args.config)
         kwargs = {"r_max": cfg.r_max, "r_min": cfg.r_min, "key": cfg.key}
-    # a run writes its naive baseline traces beside its fixed_relaxed ones:
-    # calibrate from the fixed_relaxed ones and say what else was skipped
-    pre_sample = [t for t in traces if t.mode == "fixed_relaxed"]
-    skipped = Counter(t.mode for t in traces if t.mode != "fixed_relaxed")
     for mode, count in sorted(skipped.items()):
         sys.stdout.write(f"skipped {count} {mode} traces in {args.traces}\n")
     table = calibrate(pre_sample, grid, **kwargs)

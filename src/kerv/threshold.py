@@ -336,10 +336,10 @@ def calibrate(
     Each group's recorded misses are decoded once (``_judge_group``); every
     candidate then replays them, walking r with ``step_r`` on plain floats,
     so the scores equal those of a per-slice ``adjust`` replay bit for bit.
-    With ``r_max == r_min`` r never moves and every candidate scores the
-    same, so nothing is decoded or replayed and the grid's first candidate
-    is kept. The r bounds, the grid and each trace's mode (it must be
-    ``fixed_relaxed``) are checked before any replay.
+    With ``r_max == r_min`` r never moves, every candidate scores the same
+    and the grid's first one is kept. The r bounds, the grid and each
+    trace's mode (it must be ``fixed_relaxed``) are checked before any
+    replay.
     """
     _check_bounds(r_max, r_min)
     candidates = list(grid)
@@ -371,15 +371,15 @@ def calibrate(
                 "need a finite value > 0; pre-sample with relaxed acceptance "
                 "(fixed_relaxed mode)"
             )
-        best = candidates[0]
-        if r_max != r_min:  # else r never moves and every candidate scores the same
-            judged = _judge_group(traces, key)
-            best_score = -math.inf
-            for tau, phi in candidates:
-                score = _replay_objective(judged, tau, phi, r_max, r_min, kvar_ref)
-                if score > best_score:
-                    best_score = score
-                    best = (tau, phi)
+        judged = _judge_group(traces, key)
+        best = None
+        best_score = -math.inf
+        for tau, phi in candidates:
+            score = _replay_objective(judged, tau, phi, r_max, r_min, kvar_ref)
+            if score > best_score:
+                best_score = score
+                best = (tau, phi)
+        assert best is not None
         sr = sum(1.0 for t in traces if t.success) / len(traces)
         avg_steps = sum(t.steps for t in traces) / len(traces)
         table.put(

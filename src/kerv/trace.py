@@ -30,9 +30,10 @@ loads: an overflowing deviation is written as one); or when it holds a
 value outside its range: a negative trial, step, step count, event count
 or deviation, or a record value outside its bounds. A header mode outside
 ``MODES`` or kind outside ``simenv.KINDS`` is rejected after its fields.
-``load`` puts the file's path in front of the error. Traces and calibration
-tables are written atomically (a temporary file in the target directory,
-then ``os.replace``), so a reader sees the old file or the whole new one.
+``load`` puts the file's path in front of the error; ``header_mode`` reads
+a file's header line alone. Traces and calibration tables are written
+atomically (a temporary file in the target directory, then
+``os.replace``), so a reader sees the old file or the whole new one.
 """
 
 import json
@@ -110,8 +111,13 @@ def _line_encoder():
     and ``JSONEncoder.encode`` builds a C encoder for every call. This is
     the C encoder ``encode`` builds, with the same arguments except the
     circular-reference check: a trace line is built from scalars, tuples
-    and fresh dicts, none of which can hold itself."""
+    and fresh dicts, none of which can hold itself. It calls CPython's
+    private ``c_make_encoder`` with the signature ``JSONEncoder.iterencode``
+    uses; where the ``_json`` accelerator is missing that is None, and the
+    encoder's own ``encode``, which writes the same bytes, is used."""
     enc = json.JSONEncoder(sort_keys=True)
+    if c_make_encoder is None:
+        return enc.encode
     iterencode = c_make_encoder(
         None, enc.default, encode_basestring_ascii, enc.indent, enc.key_separator,
         enc.item_separator, enc.sort_keys, enc.skipkeys, enc.allow_nan,
@@ -332,6 +338,23 @@ def load(path: str | Path) -> EpisodeTrace:
         return loads(Path(path).read_text())
     except TraceError as exc:
         raise TraceError(f"{path}: {exc}") from None
+
+
+def header_mode(path: str | Path) -> str | None:
+    """The mode a trace file's header line names, read without its records;
+    None when its first non-blank line is not a header naming one of
+    ``MODES`` (``load`` then says what is wrong)."""
+    with open(path) as f:
+        for raw in f:
+            if raw.strip():
+                break
+        else:
+            return None
+    try:
+        mode = _DECODER.decode(raw)["episode"]["mode"]
+    except (ValueError, KeyError, TypeError):
+        return None
+    return mode if mode in MODES else None
 
 
 def load_dir(path: str | Path) -> list[EpisodeTrace]:

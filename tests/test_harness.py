@@ -431,6 +431,13 @@ def test_cli_calibrate_then_kerv_run(tmp_path, capsys):
     assert len(list(clean.iterdir())) == 3
     assert calibrate_cli(clean, tmp_path / "clean.csv") == 0
     assert (tmp_path / "clean.csv").read_text() == table_path.read_text()
+    # the skipped traces are chosen by their header line and not read further
+    naive = next(mixed.glob("*_naive_*.jsonl"))
+    naive.write_text(naive.read_text().splitlines(keepends=True)[0] + "not json\n")
+    capsys.readouterr()
+    assert calibrate_cli(mixed, tmp_path / "again.csv") == 0
+    assert f"skipped 3 naive traces in {mixed}\n" in capsys.readouterr().out
+    assert (tmp_path / "again.csv").read_text() == table_path.read_text()
     # a directory without a fixed_relaxed trace is refused
     capsys.readouterr()
     assert calibrate_cli(baseline, tmp_path / "none.csv") == 2

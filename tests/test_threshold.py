@@ -483,28 +483,6 @@ def test_calibrate_accepts_equal_bounds():
     assert (row.tau, row.phi) == DEFAULT_GRID[0]
 
 
-def test_calibrate_with_equal_bounds_replays_no_candidate(monkeypatch):
-    """Every candidate scores the same on equal bounds, so none is judged or
-    replayed: the row holds the grid's first candidate and the group's
-    kvar_ref, success rate and mean steps."""
-
-    def refuse(*args):
-        raise AssertionError("an equal-bounds calibration replayed a candidate")
-
-    monkeypatch.setattr(threshold, "_judge_group", refuse)
-    monkeypatch.setattr(threshold, "_replay_objective", refuse)
-    kvars = [0.1, 0.3, 0.2]
-    traces = [
-        _trace("t1", kvars, [(100, 103)]),
-        _trace("t1", kvars[:2], [(30, 37)], success=False),
-    ]
-    grid = DEFAULT_GRID[::-1]
-    table = calibrate(traces, grid, r_max=7.0, r_min=7.0)
-    tau, phi = grid[0]
-    kvar_ref = sum(kvars + kvars[:2]) / 5
-    assert table.rows == {("t1", "armX"): CalibrationRow(tau, phi, 7.0, 7.0, kvar_ref, 0.5, 2.5)}
-
-
 @pytest.mark.parametrize("mode", ["naive", "kerv"])
 def test_calibrate_refuses_a_trace_not_decoded_in_fixed_relaxed(monkeypatch, mode):
     calls = []

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kerv import config, specdec
+from kerv import config, specdec, trace as trace_mod
 from kerv.simenv import KINDS
-from kerv.trace import MODES, EpisodeTrace, SliceRecord, TraceError, load, loads
+from kerv.trace import MODES, EpisodeTrace, SliceRecord, TraceError, header_mode, load, loads
 from oracles import TRACE_RECORD_FIELDS, reference_trace_dumps, reference_trace_loads
 
 # r, the variabilities and the deviation are never negative; kvar_cum and
@@ -349,6 +349,30 @@ def test_load_names_the_file(tmp_path):
     path.write_text("".join(_episode_text().splitlines(keepends=True)[:-1]))
     with pytest.raises(TraceError, match=f"^{path}: trace stream ends without a summary line"):
         load(path)
+
+
+def test_header_mode_reads_the_header_line_alone(tmp_path):
+    path = tmp_path / "t.jsonl"
+    lines = _episode_text().splitlines(keepends=True)
+    # a record after the header is not read
+    path.write_text("\n" + lines[0] + "not json\n")
+    assert header_mode(path) == "naive"
+    # no header naming a known mode: None, and ``load`` says what is wrong
+    for text in ("", "not json\n", lines[1], _with(lines, 1, "episode", "mode", "bogus"), "[1]\n"):
+        path.write_text(text)
+        assert header_mode(path) is None
+
+
+def test_line_encoder_without_the_c_accelerator_writes_the_same_bytes(monkeypatch):
+    trace = EpisodeTrace(
+        suite="goal", kind="reach", mode="naive", robot="sim7dof", trial=0, seed=1,
+        slices=loads(_episode_text()).slices, steps=3, deviation=math.inf,
+    )
+    objs = [{"episode": trace.meta()}, {"summary": trace.summary()}]
+    objs += [rec._asdict() for rec in trace.slices]
+    monkeypatch.setattr(trace_mod, "c_make_encoder", None)
+    encode = trace_mod._line_encoder()
+    assert [encode(obj) for obj in objs] == [json.dumps(obj, sort_keys=True) for obj in objs]
 
 
 def test_integral_number_in_a_float_field_loads():
