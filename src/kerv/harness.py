@@ -112,12 +112,12 @@ def run_one_episode(
     env = SimEnv(spec, cfg.key, suite=suite_cfg.name, robot=cfg.robot, trial=trial)
     draft = NoisyDrafter(env, cfg.noise)
     verify = PlanVerifier(env)
-    tstate = None
+    row = None
     if mode == "kerv":
         if table is None:
             raise ConfigError("kerv mode needs a calibration table")
-        tstate = threshold_mod.lookup(table, suite_cfg.name, cfg.robot)
-    return run_episode(env, draft, verify, cfg, mode, tstate)
+        row = threshold_mod.lookup(table, suite_cfg.name, cfg.robot)
+    return run_episode(env, draft, verify, cfg, mode, row)
 
 
 def run_suite(

@@ -27,6 +27,7 @@ and reads its engine parameters straight from the run's ``RunConfig``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, Sequence
 
@@ -42,7 +43,7 @@ from .codec import (
     token_to_action,
 )
 from .kinematics import KfBank, accumulate_kvar
-from .threshold import ThresholdState
+from .threshold import CalibrationRow
 from .trace import (
     EXACT,
     MODES,
@@ -133,8 +134,8 @@ def decode_slice_sd(
     ``bank`` compensates a first-round rejection from ``bank.predict(kf_pl)``."""
     if not 1 <= depth <= N_DOF:
         raise EngineError(f"draft depth must be in [1, {N_DOF}], got {depth}")
-    if r < 0:
-        raise EngineError(f"acceptance threshold must be >= 0, got {r}")
+    if not 0 <= r < math.inf:  # refuses nan too
+        raise EngineError(f"acceptance threshold must be finite and >= 0, got {r}")
 
     vocab = key.vocab_size
     tokens: list[int] = []
@@ -237,18 +238,19 @@ def run_episode(
     verify: VerifyOracle,
     cfg: RunConfig,
     mode: str,
-    threshold_state: ThresholdState | None = None,
+    row: CalibrationRow | None = None,
 ) -> EpisodeTrace:
     """Decode slices in ``mode`` until the environment terminates; record
     everything.
 
     ``mode`` is one of ``MODES``: ``naive`` is strict speculative decoding
     (r = 0, no compensation), ``fixed_relaxed`` accepts within the static
-    ``cfg.fixed_r`` and resamples classically, ``kerv`` walks r from
-    ``threshold_state`` (required) with ``threshold.adjust`` after every
-    slice and compensates from a filter bank. A state whose bounds are
-    equal keeps r fixed, so ``kerv`` with such a table row is a fixed
-    threshold with compensation. The engine reads ``cfg.depth``,
+    ``cfg.fixed_r`` and resamples classically, ``kerv`` starts r at the
+    calibration ``row``'s r_max (a row is required), moves it with
+    ``threshold.adjust`` after every slice and compensates from a filter
+    bank. A row whose bounds are equal keeps r fixed, so ``kerv`` with such
+    a row is a fixed threshold with compensation. Each record holds the r
+    its slice was decoded under. The engine reads ``cfg.depth``,
     ``cfg.fixed_r``, ``cfg.comp_n`` (cooldown slices), ``cfg.pl``,
     ``cfg.ac``, ``cfg.kf_params`` and ``cfg.key``.
 
@@ -257,28 +259,26 @@ def run_episode(
     """
     if mode not in MODES:
         raise EngineError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if mode == "kerv" and threshold_state is None:
-        raise EngineError("kerv mode needs a threshold state (see threshold.lookup)")
+    kerv = mode == "kerv"
+    if kerv:
+        if row is None:
+            raise EngineError("kerv mode needs a calibration row (see threshold.lookup)")
+        r = float(row.r_max)
+    else:
+        r = 0.0 if mode == "naive" else float(cfg.fixed_r)
     # only kerv compensates, so only kerv feeds and reads a filter bank
-    bank = KfBank(cfg.kf_params, ac=cfg.ac) if mode == "kerv" else None
+    bank = KfBank(cfg.kf_params, ac=cfg.ac) if kerv else None
+    prev_kvar = 0.0
     kvar_cum = 0.0
-    tstate = threshold_state
     cooldown = 0
     comp_events = 0
     records: list[SliceRecord] = []
 
     while not env.done:
-        if mode == "naive":
-            r_now = 0.0
-        elif mode == "fixed_relaxed":
-            r_now = float(cfg.fixed_r)
-        else:
-            assert tstate is not None
-            r_now = tstate.r
         # the decoder compensates only from a bank it is handed
         comp_bank = bank if cooldown == 0 and bank is not None and bank.has_context else None
         result = decode_slice_sd(
-            draft, verify, r=r_now, depth=cfg.depth, key=cfg.key, bank=comp_bank, kf_pl=cfg.pl
+            draft, verify, r=r, depth=cfg.depth, key=cfg.key, bank=comp_bank, kf_pl=cfg.pl
         )
         actions = decode_slice(result.tokens, cfg.key)
         if bank is not None:
@@ -288,9 +288,6 @@ def run_episode(
 
         kstep = accepted_error_kvar(result, cfg.key)
         kvar_cum = accumulate_kvar(kvar_cum, kstep)
-        if mode == "kerv":
-            assert tstate is not None
-            tstate = threshold_mod.adjust(tstate, kstep)
 
         if result.comp_fired:
             comp_events += 1
@@ -307,7 +304,7 @@ def run_episode(
                 tokens=result.tokens,
                 sources=result.sources,
                 first_error_pos=result.first_error_pos,
-                r=r_now,
+                r=r,
                 kvar_step=kstep,
                 kvar_cum=kvar_cum,
                 verify_calls=result.rounds,
@@ -316,6 +313,9 @@ def run_episode(
                 cooldown_remaining=cooldown,
             )
         )
+        if kerv:
+            r = threshold_mod.adjust(row, r, prev_kvar, kstep)
+            prev_kvar = kstep
 
     return EpisodeTrace(
         suite=env.suite,

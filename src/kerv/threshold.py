@@ -17,15 +17,17 @@ apart from a fixed relaxed one.
 
 The update as printed in the paper, ``dr = (r_max - r_min) *
 exp((-dK / kvar_ref) ** phi)``, is not a run mode. Its delta is positive
-wherever it is defined, so from r_max, where ``lookup`` starts, the clamp
-holds r at r_max on every slice: it runs exactly what an equal-bounds row
+wherever it is defined, so from r_max, where a kerv episode starts, the
+clamp holds r at r_max on every slice: it runs exactly what an equal-bounds row
 runs (``tests/oracles.py`` keeps it as the reference that checks this).
 
-The rule lives in ``step_r``, which works on plain floats. ``adjust`` wraps
-it for the decoder's per-episode ``ThresholdState``; calibration calls it
-directly and keeps only r while it replays a candidate. Calibration decodes
-each recorded miss of a (task, robot) group once and re-judges those
-distances and action masses under every candidate's walk.
+The rule lives in ``step_r``, which works on plain floats. A kerv
+episode's controller is its ``CalibrationRow`` plus r and the previous
+slice's variability, two floats the decoder holds; ``adjust`` moves r one
+slice with the row's parameters. Calibration calls ``step_r`` directly
+while it replays a candidate: it decodes each recorded miss of a
+(task, robot) group once and re-judges those distances and action masses
+under every candidate's walk.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -57,32 +59,34 @@ class ThresholdConfigError(ValueError):
     """Raised for unknown table keys, bad bounds, or empty calibration input."""
 
 
-def _check_bounds(r_max: float, r_min: float) -> None:
-    if not (math.isfinite(r_max) and r_max >= r_min >= 0):
-        raise ThresholdConfigError(
-            f"need finite r_max >= r_min >= 0, got r_max={r_max}, r_min={r_min}"
-        )
-
-
 @dataclass(frozen=True)
-class ThresholdState:
-    """Controller state for one episode.
-
-    r is real-valued; token distances are ints, so one within r is within
-    floor(r). Equal bounds hold r fixed.
+class CalibrationRow:
+    """One (task, robot) row: a kerv episode's controller parameters and the
+    pre-sample statistics they were chosen from. A row is checked once,
+    here, wherever it is built. r is real-valued; token distances are ints,
+    so one within r is within floor(r). Equal bounds hold r fixed.
     """
 
-    r: float = DEFAULT_R_MAX
-    r_max: float = DEFAULT_R_MAX
-    r_min: float = DEFAULT_R_MIN
-    tau: float = 1.0
-    phi: float = 1.0
-    kvar_ref: float = 1.0
-    prev_kvar: float = 0.0
+    tau: float
+    phi: float
+    r_max: float
+    r_min: float
+    kvar_ref: float
+    success_rate: float
+    avg_steps: float
 
     def __post_init__(self) -> None:
-        _check_bounds(self.r_max, self.r_min)
-        if not (math.isfinite(self.kvar_ref) and self.kvar_ref > 0):
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ThresholdConfigError("every numeric field must be finite")
+        if not (self.r_max >= self.r_min >= 0):
+            raise ThresholdConfigError(
+                f"need r_max >= r_min >= 0, got r_max={self.r_max}, r_min={self.r_min}"
+            )
+        if not (self.tau > 0 and self.phi > 0):
+            raise ThresholdConfigError(
+                f"need tau > 0 and phi > 0, got tau={self.tau}, phi={self.phi}"
+            )
+        if not self.kvar_ref > 0:
             raise ThresholdConfigError(f"kvar_ref must be > 0, got {self.kvar_ref!r}")
 
 
@@ -112,38 +116,14 @@ def step_r(
     return new_r
 
 
-def adjust(state: ThresholdState, kvar_step: float) -> ThresholdState:
-    """Advance the controller one step given the step's kinematic variability."""
+def adjust(row: CalibrationRow, r: float, prev_kvar: float, kvar_step: float) -> float:
+    """Move r one kerv slice on: ``kvar_step`` is the slice's kinematic
+    variability, ``prev_kvar`` the previous slice's (0.0 before the first)."""
     if not (math.isfinite(kvar_step) and kvar_step >= 0):
         raise ThresholdConfigError(f"kvar_step must be finite and >= 0, got {kvar_step!r}")
-    return ThresholdState(
-        r=step_r(
-            state.r,
-            kvar_step - state.prev_kvar,
-            state.r_max,
-            state.r_min,
-            state.tau,
-            state.phi,
-            state.kvar_ref,
-        ),
-        r_max=state.r_max,
-        r_min=state.r_min,
-        tau=state.tau,
-        phi=state.phi,
-        kvar_ref=state.kvar_ref,
-        prev_kvar=kvar_step,
+    return step_r(
+        r, kvar_step - prev_kvar, row.r_max, row.r_min, row.tau, row.phi, row.kvar_ref
     )
-
-
-@dataclass(frozen=True)
-class CalibrationRow:
-    tau: float
-    phi: float
-    r_max: float
-    r_min: float
-    kvar_ref: float
-    success_rate: float
-    avg_steps: float
 
 
 class CalibrationTable:
@@ -154,30 +134,11 @@ class CalibrationTable:
     def __init__(self, rows: dict[tuple[str, str], CalibrationRow] | None = None) -> None:
         self.rows: dict[tuple[str, str], CalibrationRow] = dict(rows or {})
 
-    def put(self, task: str, robot: str, row: CalibrationRow) -> None:
-        if row.kvar_ref <= 0:
-            raise ThresholdConfigError("kvar_ref must be strictly positive")
-        self.rows[(task, robot)] = row
-
     def dumps(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.HEADER)
+        lines = [_csv_line(self.HEADER)]
         for (task, robot), row in sorted(self.rows.items()):
-            writer.writerow(
-                [
-                    task,
-                    robot,
-                    repr(row.tau),
-                    repr(row.phi),
-                    repr(row.r_max),
-                    repr(row.r_min),
-                    repr(row.kvar_ref),
-                    repr(row.success_rate),
-                    repr(row.avg_steps),
-                ]
-            )
-        return buf.getvalue()
+            lines.append(_csv_line([task, robot, *map(repr, vars(row).values())]))
+        return "".join(lines)
 
     def save(self, path: str | Path) -> None:
         write_text_atomic(path, self.dumps())
@@ -186,16 +147,19 @@ class CalibrationTable:
     def loads(cls, text: str) -> "CalibrationTable":
         reader = csv.reader(io.StringIO(text))
         try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise ThresholdConfigError("empty calibration table") from None
+            lines = [(reader.line_num, rec) for rec in reader]
+        except csv.Error as exc:
+            raise ThresholdConfigError(f"calibration table line {reader.line_num}: {exc}") from None
+        if not lines:
+            raise ThresholdConfigError("empty calibration table")
+        header = tuple(lines[0][1])
         if header != cls.HEADER:
             raise ThresholdConfigError(f"unexpected table header {header!r}")
         table = cls()
-        for rec in reader:
+        for line_num, rec in lines[1:]:
             if not rec:
                 continue
-            where = f"calibration table line {reader.line_num}"
+            where = f"calibration table line {line_num}"
             if len(rec) != len(cls.HEADER):
                 raise ThresholdConfigError(
                     f"{where}: expected {len(cls.HEADER)} fields, got {len(rec)}"
@@ -204,21 +168,10 @@ class CalibrationTable:
             if (task, robot) in table.rows:
                 raise ThresholdConfigError(f"{where}: second row for ({task!r}, {robot!r})")
             try:
-                values = [float(v) for v in rec[2:]]
-            except ValueError as exc:
+                row = CalibrationRow(*map(float, rec[2:]))
+            except ValueError as exc:  # a ThresholdConfigError is one too
                 raise ThresholdConfigError(f"{where}: {exc}") from None
-            if not all(map(math.isfinite, values)):
-                raise ThresholdConfigError(f"{where}: every numeric field must be finite")
-            row = CalibrationRow(*values)
-            if not (row.r_max >= row.r_min >= 0):
-                raise ThresholdConfigError(
-                    f"{where}: need r_max >= r_min >= 0, got r_max={row.r_max}, r_min={row.r_min}"
-                )
-            if not (row.tau > 0 and row.phi > 0):
-                raise ThresholdConfigError(
-                    f"{where}: need tau > 0 and phi > 0, got tau={row.tau}, phi={row.phi}"
-                )
-            table.put(task, robot, row)
+            table.rows[(task, robot)] = row
         return table
 
     @classmethod
@@ -226,27 +179,26 @@ class CalibrationTable:
         return cls.loads(Path(path).read_text())
 
 
-def lookup(table: CalibrationTable, task: str, robot: str) -> ThresholdState:
-    """Build the initial controller state for a (task, robot) pair.
+def _csv_line(fields: Iterable[str]) -> str:
+    """One table line, ending in LF. The writer quotes a field that holds a
+    character of its line terminator, so writing with CR LF (then cut to LF)
+    also quotes a field holding a CR, which the reader needs."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(fields)
+    return buf.getvalue()[:-2] + "\n"
 
-    The threshold starts wide open at r_max. Unknown keys are an error;
-    there is no silent default row.
+
+def lookup(table: CalibrationTable, task: str, robot: str) -> CalibrationRow:
+    """The row a kerv episode of (task, robot) runs from; r starts at its
+    r_max. Unknown keys are an error; there is no silent default row.
     """
     try:
-        row = table.rows[(task, robot)]
+        return table.rows[(task, robot)]
     except KeyError:
         known = sorted(table.rows)
         raise ThresholdConfigError(
             f"no calibration row for ({task!r}, {robot!r}); known keys: {known}"
         ) from None
-    return ThresholdState(
-        r=row.r_max,
-        r_max=row.r_max,
-        r_min=row.r_min,
-        tau=row.tau,
-        phi=row.phi,
-        kvar_ref=row.kvar_ref,
-    )
 
 
 # Per trace, per slice: (token distance, |true action - draft action|) for
@@ -337,17 +289,15 @@ def calibrate(
     candidate then replays them, walking r with ``step_r`` on plain floats,
     so the scores equal those of a per-slice ``adjust`` replay bit for bit.
     With ``r_max == r_min`` r never moves, every candidate scores the same
-    and the grid's first one is kept. The r bounds, the grid and each
-    trace's mode (it must be ``fixed_relaxed``) are checked before any
-    replay.
+    and the grid's first one is kept. Each candidate, with the r bounds, is
+    checked as the ``CalibrationRow`` it would become, and each trace's mode
+    (it must be ``fixed_relaxed``) is checked, before any trace is judged.
     """
-    _check_bounds(r_max, r_min)
     candidates = list(grid)
     if not candidates:
         raise ThresholdConfigError("calibration grid is empty")
-    bad = [c for c in candidates if not all(math.isfinite(v) and v > 0 for v in c)]
-    if bad:
-        raise ThresholdConfigError(f"grid tau and phi must be finite and > 0, got {bad}")
+    # kvar_ref and the statistics are placeholders until a group sets them
+    rows = [CalibrationRow(tau, phi, r_max, r_min, 1.0, 0.0, 0.0) for tau, phi in candidates]
     groups: dict[tuple[str, str], list[EpisodeTrace]] = {}
     for trace in pre_sample_traces:
         if trace.mode != "fixed_relaxed":
@@ -364,35 +314,25 @@ def calibrate(
         steps = [rec.kvar_step for t in traces for rec in t.slices]
         if not steps:
             raise ThresholdConfigError(f"traces for ({task}, {robot}) contain no slices")
-        kvar_ref = sum(steps) / len(steps)
-        if not (math.isfinite(kvar_ref) and kvar_ref > 0):
-            raise ThresholdConfigError(
-                f"pre-sample for ({task}, {robot}) has variability {kvar_ref!r}, "
-                "need a finite value > 0; pre-sample with relaxed acceptance "
-                "(fixed_relaxed mode)"
+        try:
+            stats = replace(
+                rows[0],
+                kvar_ref=sum(steps) / len(steps),
+                success_rate=sum(1.0 for t in traces if t.success) / len(traces),
+                avg_steps=sum(t.steps for t in traces) / len(traces),
             )
+        except ThresholdConfigError as exc:
+            raise ThresholdConfigError(
+                f"pre-sample for ({task}, {robot}): {exc}; pre-sample with relaxed "
+                "acceptance (fixed_relaxed mode)"
+            ) from None
         judged = _judge_group(traces, key)
-        best = None
-        best_score = -math.inf
-        for tau, phi in candidates:
-            score = _replay_objective(judged, tau, phi, r_max, r_min, kvar_ref)
-            if score > best_score:
-                best_score = score
-                best = (tau, phi)
-        assert best is not None
-        sr = sum(1.0 for t in traces if t.success) / len(traces)
-        avg_steps = sum(t.steps for t in traces) / len(traces)
-        table.put(
-            task,
-            robot,
-            CalibrationRow(
-                tau=best[0],
-                phi=best[1],
-                r_max=r_max,
-                r_min=r_min,
-                kvar_ref=kvar_ref,
-                success_rate=sr,
-                avg_steps=avg_steps,
+        # max keeps the first of equal scores
+        best = max(
+            rows,
+            key=lambda row: _replay_objective(
+                judged, row.tau, row.phi, r_max, r_min, stats.kvar_ref
             ),
         )
+        table.rows[(task, robot)] = replace(stats, tau=best.tau, phi=best.phi)
     return table

@@ -9,12 +9,12 @@ The plan, tracking, decoding, calibration, variability and trace
 references keep the original straightforward forms: the plan tracked one
 step and one DoF at a time, each tracked or decoded value sent through the
 checked scalar ``action_to_token``/``token_to_action`` (the library inlines
-their expressions), a ``ThresholdState`` advanced by
-``dataclasses.replace`` per slice, every token pair decoded again per
-candidate, zero-padded action slices compared over all seven positions,
-one ``json.dumps(..., sort_keys=True)`` per trace line, and the trace
-loader that checked slots, then scalar types, then ranges, in three
-passes (``reference_trace_loads``). The plan's target poses come from scipy's
+their expressions), r clamped with the builtin ``min`` and ``max`` per
+slice, every token pair decoded again per candidate, zero-padded action
+slices compared over all seven positions, one ``json.dumps(...,
+sort_keys=True)`` per trace line, and the trace loader that checked slots,
+then scalar types, then ranges, in three passes
+(``reference_trace_loads``). The plan's target poses come from scipy's
 own ``CubicSpline`` (``reference_targets``), which the library reproduces
 in-house; scipy stays a test-only dependency, imported here and by the
 spline tests alone. The threshold update as the paper prints it
@@ -26,7 +26,6 @@ the same as that rule's on equal bounds.
 import json
 import math
 import sys
-from dataclasses import replace
 from operator import itemgetter
 
 import numpy as np
@@ -34,7 +33,7 @@ from scipy.interpolate import CubicSpline
 
 from kerv.codec import GRIPPER_DOF, NormKey, action_to_token, token_to_action
 from kerv.simenv import KINDS, _advance, _segment_steps
-from kerv.threshold import ThresholdConfigError, ThresholdState
+from kerv.threshold import CalibrationRow, ThresholdConfigError
 from kerv.trace import MODES, EpisodeTrace, SliceRecord, TraceError
 
 
@@ -255,36 +254,36 @@ def printed_walk(kvar_steps, r_max, r_min, phi, kvar_ref):
     return seen
 
 
-def reference_adjust(state, kvar_step):
-    """One controller step, each outcome built with ``dataclasses.replace``."""
+def reference_adjust(row, r, prev_kvar, kvar_step):
+    """One controller step from ``row``'s parameters; returns the new r,
+    clamped with the builtin ``min`` and ``max``."""
     if not (math.isfinite(kvar_step) and kvar_step >= 0):
         raise ThresholdConfigError(f"kvar_step must be finite and >= 0, got {kvar_step!r}")
 
-    delta_k = kvar_step - state.prev_kvar
+    delta_k = kvar_step - prev_kvar
     if delta_k == 0.0:
-        return replace(state, prev_kvar=kvar_step)
+        return r
     magnitude = (
-        state.tau
-        * (state.r_max - state.r_min)
-        * (1.0 - math.exp(-abs(delta_k / state.kvar_ref) ** state.phi))
+        row.tau
+        * (row.r_max - row.r_min)
+        * (1.0 - math.exp(-abs(delta_k / row.kvar_ref) ** row.phi))
     )
     dr = -math.copysign(magnitude, delta_k)
-    new_r = min(max(state.r + dr, state.r_min), state.r_max)
-    return replace(state, r=new_r, prev_kvar=kvar_step)
+    return min(max(r + dr, row.r_min), row.r_max)
 
 
 def reference_replay_objective(traces, tau, phi, r_max, r_min, kvar_ref, key, step_penalty):
-    """Score one (tau, phi) candidate the direct way: a fresh state per
-    trace, every recorded token pair decoded and judged again per slice."""
+    """Score one (tau, phi) candidate the direct way: r walked afresh from
+    r_max per trace, every recorded token pair decoded and judged again per
+    slice."""
+    row = CalibrationRow(tau, phi, r_max, r_min, kvar_ref, 0.0, 0.0)
     total_mass = 0.0
     total_rejections = 0
     total_slices = 0
     for trace in traces:
-        state = ThresholdState(
-            r=r_max, r_max=r_max, r_min=r_min, tau=tau, phi=phi, kvar_ref=kvar_ref
-        )
+        r, prev_kvar = r_max, 0.0
         for rec in trace.slices:
-            applied = math.floor(state.r)
+            applied = math.floor(r)
             mass = 0.0
             for pos, (draft_id, true_id) in enumerate(zip(rec.draft_ids, rec.true_ids)):
                 if draft_id is None or true_id is None:
@@ -301,7 +300,7 @@ def reference_replay_objective(traces, tau, phi, r_max, r_min, kvar_ref, key, st
                     total_rejections += 1
             total_mass += mass
             total_slices += 1
-            state = reference_adjust(state, mass)
+            r, prev_kvar = reference_adjust(row, r, prev_kvar, mass), mass
     if total_slices == 0:
         raise ThresholdConfigError("calibration traces contain no slices")
     mean_mass = total_mass / total_slices

@@ -23,7 +23,7 @@ from kerv.harness import (
 from kerv.kinematics import KfBank, KfParams
 from kerv.simenv import KINDS, _quantize, _targets, make_task
 from kerv.specdec import SRC_KF, decode_slice_sd
-from kerv.threshold import ThresholdState, adjust
+from kerv.threshold import CalibrationRow, adjust
 
 from oracles import (
     expected_verify_calls,
@@ -230,11 +230,15 @@ def test_c05_compensation_verify_cost_bound(bench_cfg, calib_table):
 
 
 def test_c06_threshold_descends_to_floor_and_holds():
-    state = ThresholdState(kvar_ref=0.085)
+    row = CalibrationRow(
+        tau=1.0, phi=1.0, r_max=15.0, r_min=5.0, kvar_ref=0.085, success_rate=0.0, avg_steps=0.0
+    )
+    r, prev_kvar = row.r_max, 0.0
     seen = []
     for t in range(40):
-        state = adjust(state, 0.02 * (t + 1))
-        seen.append(state.r)
+        k = 0.02 * (t + 1)
+        r, prev_kvar = adjust(row, r, prev_kvar, k), k
+        seen.append(r)
     assert seen[0] <= 15.0
     assert all(a >= b for a, b in zip(seen, seen[1:])), "r must be non-increasing"
     assert min(seen) == 5.0, "r must reach the floor"
@@ -269,10 +273,11 @@ def test_c07_literal_update_matches_printed_formula():
         phi = float(rng.uniform(0.3, 2.5))
         ref = float(rng.uniform(0.05, 1.0))
         printed = printed_walk(steps, 15.0, 5.0, phi, ref)
-        state = ThresholdState(r=15.0, r_max=15.0, r_min=15.0, tau=1.0, phi=phi, kvar_ref=ref)
+        row = CalibrationRow(1.0, phi, 15.0, 15.0, ref, 0.0, 0.0)
+        r, prev_kvar = row.r_max, 0.0
         for k, want in zip(steps, printed):
-            state = adjust(state, k)
-            assert state.r.hex() == want.hex() == (15.0).hex()
+            r, prev_kvar = adjust(row, r, prev_kvar, k), k
+            assert r.hex() == want.hex() == (15.0).hex()
         walks += 1
     assert walks == 20
     _report(7, "printed delta is > 0 on 20 inputs; its walk from r_max equals adjust on "

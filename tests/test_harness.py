@@ -245,9 +245,7 @@ def test_run_suite_no_modes_is_error_before_any_episode(small_cfg, monkeypatch):
 
 
 def test_run_suite_report_shape(small_cfg, small_table):
-    table = CalibrationTable()
-    for name in ("goal",):
-        table.put(name, "sim7dof", small_table.rows[("goal", "sim7dof")])
+    table = CalibrationTable({("goal", "sim7dof"): small_table.rows[("goal", "sim7dof")]})
     report, _ = run_suite(small_cfg, suites=("goal",), trials=3, table=table)
     assert [r.mode for r in report.rows] == ["naive", "fixed_relaxed", "kerv"]
     naive_row = report.rows[0]

@@ -31,7 +31,7 @@ from kerv.simenv import (
 from kerv.config import RunConfig, SuiteConfig
 from kerv.harness import run_one_episode
 from kerv.specdec import MODES, run_episode
-from kerv.threshold import ThresholdState
+from kerv.threshold import CalibrationRow
 
 from oracles import (
     PLAN_KEYS,
@@ -579,11 +579,15 @@ def test_noise_model_rejects_non_finite_offset_weights(zipf_s):
 # --- work done once per step and per episode ----------------------------------
 
 
+_ROW = CalibrationRow(
+    tau=1.0, phi=0.7, r_max=15.0, r_min=5.0, kvar_ref=0.08, success_rate=0.0, avg_steps=0.0
+)
+
+
 def _episode(spec, mode):
     env = SimEnv(spec, suite="t")
-    tstate = ThresholdState(kvar_ref=0.08, tau=1.0, phi=0.7) if mode == "kerv" else None
     draft = NoisyDrafter(env, DraftNoiseModel(seed=9))
-    return run_episode(env, draft, PlanVerifier(env), RunConfig(), mode, tstate)
+    return run_episode(env, draft, PlanVerifier(env), RunConfig(), mode, _ROW)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -632,14 +636,13 @@ def test_episode_builds_no_generator_and_looks_up_no_plan(mode, monkeypatch):
     spec = make_task("pick_place", 5)
     env = SimEnv(spec, suite="t")
     draft = NoisyDrafter(env, DraftNoiseModel(seed=9))
-    tstate = ThresholdState(kvar_ref=0.08, tau=1.0, phi=0.7) if mode == "kerv" else None
     generators, lookups = [], []
     real_rng, real_plan = np.random.default_rng, simenv.build_plan
     monkeypatch.setattr(
         np.random, "default_rng", lambda *a, **kw: generators.append(a) or real_rng(*a, **kw)
     )
     monkeypatch.setattr(simenv, "build_plan", lambda *a: lookups.append(a) or real_plan(*a))
-    trace = run_episode(env, draft, PlanVerifier(env), RunConfig(), mode, tstate)
+    trace = run_episode(env, draft, PlanVerifier(env), RunConfig(), mode, _ROW)
     assert trace.steps > 0
     assert generators == [] and lookups == []
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kerv import specdec
+from kerv import specdec, threshold
 from kerv.codec import NormKey, decode_slice, token_to_action
 from kerv.config import RunConfig
 from kerv.kinematics import KfBank, KfParams, NoContextError
@@ -26,9 +26,9 @@ from kerv.specdec import (
     relaxed_accept,
     run_episode,
 )
-from kerv.threshold import ThresholdState
+from kerv.threshold import CalibrationRow
 from kerv.trace import loads
-from oracles import reference_accepted_error_kvar
+from oracles import reference_accepted_error_kvar, reference_adjust
 
 KEY = NormKey()
 
@@ -172,8 +172,9 @@ def test_parameter_validation():
     verify = ScriptedOracle((1,) * 7)
     with pytest.raises(EngineError):
         decode_slice_sd(draft, verify, r=0, depth=0, key=KEY)
-    with pytest.raises(EngineError):
-        decode_slice_sd(draft, verify, r=-1, depth=4, key=KEY)
+    for r in (-1, math.nan, math.inf):
+        with pytest.raises(EngineError, match="acceptance threshold must be finite and >= 0"):
+            decode_slice_sd(draft, verify, r=r, depth=4, key=KEY)
 
 
 @pytest.mark.parametrize("oracle", ["draft", "verify"])
@@ -271,13 +272,17 @@ def test_accepted_error_kvar_matches_reference_bit_for_bit(pairs, r, depth, comp
     assert got.hex() == reference_accepted_error_kvar(res, key).hex()
 
 
-def _episode(mode, seed=5, kind="pick_place", **cfg_kw):
+ROW = CalibrationRow(
+    tau=1.0, phi=0.7, r_max=15.0, r_min=5.0, kvar_ref=0.08, success_rate=0.0, avg_steps=0.0
+)
+
+
+def _episode(mode, seed=5, kind="pick_place", row=ROW, **cfg_kw):
     spec = make_task(kind, seed)
     env = SimEnv(spec, suite="t", trial=0)
     draft = NoisyDrafter(env, DraftNoiseModel(seed=9))
     verify = PlanVerifier(env)
-    tstate = ThresholdState(kvar_ref=0.08, tau=1.0, phi=0.7) if mode == "kerv" else None
-    return run_episode(env, draft, verify, RunConfig(**cfg_kw), mode, tstate)
+    return run_episode(env, draft, verify, RunConfig(**cfg_kw), mode, row)
 
 
 def test_cooldown_blocks_compensation_for_n_slices():
@@ -310,7 +315,7 @@ def test_fixed_mode_uses_static_threshold():
     assert not any(rec.comp_fired for rec in trace.slices)
 
 
-def test_kerv_requires_threshold_state():
+def test_kerv_requires_calibration_row():
     spec = make_task("reach", 5)
     env = SimEnv(spec, suite="t", trial=0)
     draft, verify = NoisyDrafter(env, DraftNoiseModel(seed=9)), PlanVerifier(env)
@@ -318,6 +323,38 @@ def test_kerv_requires_threshold_state():
         run_episode(env, draft, verify, RunConfig(), "kerv")
     with pytest.raises(EngineError):
         run_episode(env, draft, verify, RunConfig(), "greedy")
+
+
+# r_max == r_min: a fixed threshold with compensation
+EQUAL_BOUNDS_ROW = CalibrationRow(
+    tau=1.0, phi=0.7, r_max=9.0, r_min=9.0, kvar_ref=0.08, success_rate=0.0, avg_steps=0.0
+)
+
+
+@pytest.mark.parametrize("row", [ROW, EQUAL_BOUNDS_ROW], ids=["adaptive", "equal_bounds"])
+def test_recorded_r_walk_is_rebuilt_from_the_trace(row):
+    """Each record holds the r its slice was decoded under: the row's r_max
+    first, then the reference update over the kvar_step values recorded
+    before it."""
+    trace = loads(_episode("kerv", row=row).dumps())
+    r, prev_kvar = row.r_max, 0.0
+    for rec in trace.slices:
+        assert rec.r.hex() == r.hex()
+        r, prev_kvar = reference_adjust(row, r, prev_kvar, rec.kvar_step), rec.kvar_step
+    seen = {rec.r for rec in trace.slices}
+    if row.r_max == row.r_min:
+        assert seen == {row.r_max}
+    else:
+        assert len(seen) > 1
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_adjust_runs_once_per_kerv_slice_and_never_in_other_modes(mode, monkeypatch):
+    calls = []
+    real = threshold.adjust
+    monkeypatch.setattr(threshold, "adjust", lambda *a: calls.append(a) or real(*a))
+    trace = _episode(mode)
+    assert len(calls) == (len(trace.slices) if mode == "kerv" else 0)
 
 
 def test_episode_trace_is_deterministic():

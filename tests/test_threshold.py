@@ -13,7 +13,6 @@ from kerv.threshold import (
     CalibrationRow,
     CalibrationTable,
     ThresholdConfigError,
-    ThresholdState,
     adjust,
     calibrate,
     lookup,
@@ -22,14 +21,29 @@ from kerv.trace import EpisodeTrace, SliceRecord
 from oracles import reference_adjust, reference_replay_objective
 
 
-def make_state(**kw):
-    defaults = dict(r=15.0, r_max=15.0, r_min=5.0, tau=1.0, phi=1.0, kvar_ref=1.0)
+def make_row(**kw):
+    defaults = dict(
+        tau=1.0, phi=1.0, r_max=15.0, r_min=5.0, kvar_ref=1.0, success_rate=0.0, avg_steps=0.0
+    )
     defaults.update(kw)
-    return ThresholdState(**defaults)
+    return CalibrationRow(**defaults)
 
 
-def test_state_validation():
-    assert make_state(r=5.0, r_max=5.0, r_min=5.0).r_max == 5.0  # a fixed threshold
+def walk(row, steps, r=None):
+    """r after each step, from r_max unless ``r`` is given, as a kerv
+    episode walks it."""
+    r = row.r_max if r is None else r
+    prev_kvar = 0.0
+    seen = []
+    for k in steps:
+        r = adjust(row, r, prev_kvar, k)
+        prev_kvar = k
+        seen.append(r)
+    return seen
+
+
+def test_row_validation():
+    assert make_row(r_max=5.0, r_min=5.0).r_max == 5.0  # a fixed threshold
     for bad in (
         dict(r_max=4.0, r_min=5.0),
         dict(r_min=-1.0),
@@ -37,44 +51,40 @@ def test_state_validation():
         dict(r_max=math.inf),
         dict(r_max=math.inf, r_min=math.inf),
         dict(kvar_ref=0.0),
+        dict(tau=0.0),
+        dict(tau=-1.0),
+        dict(phi=0.0),
+        dict(phi=-0.7),
     ):
         with pytest.raises(ThresholdConfigError):
-            make_state(**bad)
+            make_row(**bad)
 
 
 def test_zero_delta_leaves_r_unchanged():
-    s = make_state(prev_kvar=0.3)
-    out = adjust(s, 0.3)
-    assert out.r == s.r
+    assert adjust(make_row(), 15.0, 0.3, 0.3) == 15.0
 
 
 @given(st.lists(st.floats(0, 5, allow_nan=False), min_size=1, max_size=60), st.floats(0, 15))
 @settings(max_examples=200)
 def test_equal_bounds_never_move_r(steps, r):
-    state = make_state(r=r, r_max=r, r_min=r, tau=4.0, phi=0.7, kvar_ref=0.05)
-    for k in steps:
-        state = adjust(state, k)
-        assert state.r.hex() == r.hex()
+    row = make_row(r_max=r, r_min=r, tau=4.0, phi=0.7, kvar_ref=0.05)
+    for got in walk(row, steps):
+        assert got.hex() == r.hex()
 
 
 def test_rectified_direction():
-    s = make_state(r=10.0)
-    up = adjust(s, 0.5)  # variability rose -> r drops
-    assert up.r < 10.0
-    down = adjust(make_state(r=10.0, prev_kvar=0.5), 0.0)
-    assert down.r > 10.0
+    row = make_row()
+    assert adjust(row, 10.0, 0.0, 0.5) < 10.0  # variability rose -> r drops
+    assert adjust(row, 10.0, 0.5, 0.0) > 10.0
 
 
 def test_rectified_monotone_response():
-    base = make_state(r=12.0)
-    a = adjust(base, 0.8)
-    b = adjust(base, 0.3)
-    assert a.r <= b.r
+    row = make_row()
+    assert adjust(row, 12.0, 0.0, 0.8) <= adjust(row, 12.0, 0.0, 0.3)
 
 
 def test_rectified_scripted_trace_matches_hand_recurrence():
     taus, phi, ref = 0.7, 1.3, 0.25
-    state = make_state(tau=taus, phi=phi, kvar_ref=ref)
     script = [0.1, 0.35, 0.2, 0.2, 0.9, 0.05, 0.6, 0.0]
     # spreadsheet-style recomputation of the same recurrence
     r, prev = 15.0, 0.0
@@ -88,30 +98,22 @@ def test_rectified_scripted_trace_matches_hand_recurrence():
             )
             r = min(max(r + dr, 5.0), 15.0)
         expected.append(r)
-    got = []
-    for k in script:
-        state = adjust(state, k)
-        got.append(state.r)
+    got = walk(make_row(tau=taus, phi=phi, kvar_ref=ref), script)
     assert got == pytest.approx(expected, abs=1e-12)
 
 
 @given(st.lists(st.floats(0, 5, allow_nan=False), min_size=1, max_size=60))
 @settings(max_examples=200)
 def test_rectified_clamp_safety(steps):
-    state = make_state()
-    for k in steps:
-        state = adjust(state, k)
-        assert 5.0 <= state.r <= 15.0
+    assert all(5.0 <= r <= 15.0 for r in walk(make_row(), steps))
 
 
 def test_rectified_power_past_the_float_range_moves_by_the_full_magnitude():
     # |dK / kvar_ref| ** phi overflows; 1 - exp(-x) is already 1.0 in float
     # well before that, so the update is tau * (r_max - r_min)
-    up = adjust(make_state(r=12.0, tau=0.5, phi=1000.0, kvar_ref=0.5), 2.0)
-    assert up.r == 7.0
-    s = make_state(r=6.0, tau=0.5, phi=1000.0, kvar_ref=0.5, prev_kvar=2.0)
-    down = adjust(s, 0.0)
-    assert down.r == 11.0
+    row = make_row(tau=0.5, phi=1000.0, kvar_ref=0.5)
+    assert adjust(row, 12.0, 0.0, 2.0) == 7.0
+    assert adjust(row, 6.0, 2.0, 0.0) == 11.0
 
 
 def test_calibrate_a_grid_whose_power_overflows(pre_sample):
@@ -120,25 +122,25 @@ def test_calibrate_a_grid_whose_power_overflows(pre_sample):
 
 
 def test_lookup_returns_row_verbatim():
-    table = CalibrationTable()
-    table.put("taskA", "armX", CalibrationRow(0.5, 2.0, 15.0, 5.0, 0.12, 0.9, 120.0))
-    state = lookup(table, "taskA", "armX")
-    assert state.r == 15.0
-    assert state.r_max == 15.0 and state.r_min == 5.0
-    assert state.tau == 0.5 and state.phi == 2.0 and state.kvar_ref == 0.12
+    row = CalibrationRow(0.5, 2.0, 15.0, 5.0, 0.12, 0.9, 120.0)
+    table = CalibrationTable({("taskA", "armX"): row})
+    assert lookup(table, "taskA", "armX") is row
 
 
 def test_lookup_unknown_key_is_error():
-    table = CalibrationTable()
-    table.put("taskA", "armX", CalibrationRow(1.0, 1.0, 15.0, 5.0, 0.1, 0.5, 80.0))
+    row = CalibrationRow(1.0, 1.0, 15.0, 5.0, 0.1, 0.5, 80.0)
+    table = CalibrationTable({("taskA", "armX"): row})
     with pytest.raises(ThresholdConfigError):
         lookup(table, "taskB", "armX")
 
 
 def test_table_roundtrip(tmp_path):
-    table = CalibrationTable()
-    table.put("a", "r1", CalibrationRow(1.0, 0.7, 15.0, 5.0, 0.0877, 0.75, 96.5))
-    table.put("b", "r1", CalibrationRow(2.0, 1.5, 12.0, 3.0, 0.21, 0.5, 150.0))
+    table = CalibrationTable(
+        {
+            ("a", "r1"): CalibrationRow(1.0, 0.7, 15.0, 5.0, 0.0877, 0.75, 96.5),
+            ("b", "r1"): CalibrationRow(2.0, 1.5, 12.0, 3.0, 0.21, 0.5, 150.0),
+        }
+    )
     path = tmp_path / "table.csv"
     table.save(path)
     text = path.read_text()
@@ -190,8 +192,8 @@ def test_table_rejects_bad_r_bounds(r_max, r_min):
 
 def test_table_accepts_equal_r_bounds():
     table = CalibrationTable.loads(_HEADER_LINE + _ROW.replace("15.0,5.0", "7.0,7.0"))
-    state = lookup(table, "goal", "sim7dof")
-    assert (state.r, state.r_max, state.r_min) == (7.0, 7.0, 7.0)
+    row = lookup(table, "goal", "sim7dof")
+    assert (row.r_max, row.r_min) == (7.0, 7.0)
 
 
 @pytest.mark.parametrize("tau, phi", [("0.0", "0.7"), ("-1.0", "0.7"), ("1.0", "0.0"), ("1.0", "-0.7")])
@@ -199,6 +201,76 @@ def test_table_rejects_non_positive_tau_phi(tau, phi):
     row = _ROW.replace("1.0,0.7", f"{tau},{phi}")
     with pytest.raises(ThresholdConfigError, match="line 2: need tau > 0 and phi > 0"):
         CalibrationTable.loads(_HEADER_LINE + row)
+
+
+# a row's numeric fields (tau, phi, r_max, r_min, kvar_ref, sr, steps) and
+# the one message both the row and the table loader refuse them with
+_BAD_FIELDS = {
+    "nan_tau": ("nan,0.7,15.0,5.0,0.08,0.75,96.5", "every numeric field must be finite"),
+    "inf_kvar_ref": ("1.0,0.7,15.0,5.0,inf,0.75,96.5", "every numeric field must be finite"),
+    "nan_kvar_ref": ("1.0,0.7,15.0,5.0,nan,0.75,96.5", "every numeric field must be finite"),
+    "inf_steps": ("1.0,0.7,15.0,5.0,0.08,0.75,-inf", "every numeric field must be finite"),
+    "r_max_below_r_min": (
+        "1.0,0.7,4.0,5.0,0.08,0.75,96.5",
+        "need r_max >= r_min >= 0, got r_max=4.0, r_min=5.0",
+    ),
+    "negative_r_min": (
+        "1.0,0.7,15.0,-1.0,0.08,0.75,96.5",
+        "need r_max >= r_min >= 0, got r_max=15.0, r_min=-1.0",
+    ),
+    "zero_tau": (
+        "0.0,0.7,15.0,5.0,0.08,0.75,96.5",
+        "need tau > 0 and phi > 0, got tau=0.0, phi=0.7",
+    ),
+    "negative_tau": (
+        "-1.0,0.7,15.0,5.0,0.08,0.75,96.5",
+        "need tau > 0 and phi > 0, got tau=-1.0, phi=0.7",
+    ),
+    "zero_phi": (
+        "1.0,0.0,15.0,5.0,0.08,0.75,96.5",
+        "need tau > 0 and phi > 0, got tau=1.0, phi=0.0",
+    ),
+    "negative_phi": (
+        "1.0,-0.7,15.0,5.0,0.08,0.75,96.5",
+        "need tau > 0 and phi > 0, got tau=1.0, phi=-0.7",
+    ),
+    "zero_kvar_ref": ("1.0,0.7,15.0,5.0,0.0,0.75,96.5", "kvar_ref must be > 0, got 0.0"),
+    "negative_kvar_ref": ("1.0,0.7,15.0,5.0,-0.08,0.75,96.5", "kvar_ref must be > 0, got -0.08"),
+}
+
+
+@pytest.mark.parametrize("fields, message", list(_BAD_FIELDS.values()), ids=list(_BAD_FIELDS))
+def test_a_row_built_in_code_is_refused_as_a_table_line_is(fields, message):
+    with pytest.raises(ThresholdConfigError) as built:
+        CalibrationRow(*map(float, fields.split(",")))
+    assert str(built.value) == message
+    with pytest.raises(ThresholdConfigError) as loaded:
+        CalibrationTable.loads(_HEADER_LINE + _ROW + f"long,sim7dof,{fields}\n")
+    assert str(loaded.value) == f"calibration table line 3: {message}"
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _rows(draw):
+    r_min = draw(st.floats(min_value=0.0, allow_infinity=False))
+    r_max = draw(st.floats(min_value=r_min, allow_infinity=False))
+    tau, phi, kvar_ref = draw(_positive), draw(_positive), draw(_positive)
+    return CalibrationRow(tau, phi, r_max, r_min, kvar_ref, draw(_finite), draw(_finite))
+
+
+@given(st.dictionaries(st.tuples(st.text(), st.text()), _rows(), max_size=4))
+@settings(max_examples=200)
+def test_table_dumps_loads_round_trip(rows):
+    table = CalibrationTable(rows)
+    assert CalibrationTable.loads(table.dumps()).rows == table.rows
+
+
+def test_table_rejects_an_unquoted_carriage_return():
+    with pytest.raises(ThresholdConfigError, match="line 3: new-line character seen"):
+        CalibrationTable.loads(_HEADER_LINE + _ROW + _ROW.replace("goal", "long\r"))
 
 
 def _trace(suite, kvar_steps, pairs, success=True, steps=None):
@@ -287,12 +359,9 @@ def test_calibrate_replay_keeps_r_bounded():
     kvars = [0.05, 0.3, 0.1, 0.5, 0.2, 0.0]
     traces = [_trace("t1", kvars, [(100, 108), (30, 27)])]
     table = calibrate(traces, DEFAULT_GRID)
-    state = lookup(table, "t1", "armX")
-    seen = []
-    for kv in kvars:
-        state = adjust(state, kv)
-        seen.append(state.r)
-    assert all(state.r_min <= r <= state.r_max for r in seen)
+    row = lookup(table, "t1", "armX")
+    seen = walk(row, kvars)
+    assert all(row.r_min <= r <= row.r_max for r in seen)
     assert any(r != 15.0 for r in seen)
 
 
@@ -385,15 +454,14 @@ def test_calibrate_table_matches_reference_argmax(traces, r_min):
     ]
     tau, phi = _GRID[scores.index(max(scores))]
     table = calibrate(traces, _GRID, r_min=r_min)
-    expected = CalibrationTable()
-    expected.put(
-        "t",
-        "armX",
-        CalibrationRow(
-            tau, phi, 15.0, r_min, kvar_ref,
-            sum(1.0 for t in traces if t.success) / len(traces),
-            sum(t.steps for t in traces) / len(traces),
-        ),
+    expected = CalibrationTable(
+        {
+            ("t", "armX"): CalibrationRow(
+                tau, phi, 15.0, r_min, kvar_ref,
+                sum(1.0 for t in traces if t.success) / len(traces),
+                sum(t.steps for t in traces) / len(traces),
+            )
+        }
     )
     assert table.dumps() == expected.dumps()
 
@@ -407,17 +475,19 @@ def test_calibrate_table_matches_reference_argmax(traces, r_min):
 @settings(max_examples=200)
 def test_adjust_matches_reference_state_for_state(steps, r_min, phi, r0):
     # r0 below r_min starts outside the bounds, so the clamp brings it in
-    state = want = make_state(r=r0, r_min=r_min, phi=phi, tau=2.0, kvar_ref=0.3)
+    row = make_row(r_min=r_min, phi=phi, tau=2.0, kvar_ref=0.3)
+    r = want = r0
+    prev_kvar = 0.0
     for k in steps:
-        state = adjust(state, k)
-        want = reference_adjust(want, k)
-        assert state == want
-        assert state.r.hex() == want.r.hex()
+        r = adjust(row, r, prev_kvar, k)
+        want = reference_adjust(row, want, prev_kvar, k)
+        prev_kvar = k
+        assert r.hex() == want.hex()
 
 
 def test_calibrate_judges_each_miss_once(monkeypatch):
     """token_to_action runs twice per verified miss, not once per candidate;
-    the replay builds no ThresholdState and calls no adjust."""
+    the replay calls no adjust."""
     pairs = [(100, 108), (30, 27), (None, 5), (7, 7), (200, 240)]
     kvars = [0.05, 0.3, 0.1, 0.5, 0.2, 0.0, 0.3]
     traces = [_trace("t1", kvars, pairs), _trace("t2", kvars[:4], pairs[:2])]
@@ -429,11 +499,6 @@ def test_calibrate_judges_each_miss_once(monkeypatch):
         threshold,
         "token_to_action",
         lambda tok, dof, key: decoded.append(tok) or real_decode(tok, dof, key),
-    )
-    built = []
-    real_post_init = ThresholdState.__post_init__
-    monkeypatch.setattr(
-        ThresholdState, "__post_init__", lambda self: built.append(self) or real_post_init(self)
     )
     adjusted = []
     monkeypatch.setattr(threshold, "adjust", lambda *a: adjusted.append(a))
@@ -447,7 +512,7 @@ def test_calibrate_judges_each_miss_once(monkeypatch):
     calibrate(traces, grid)
     assert len(replays) == 2 * len(grid)
     assert len(decoded) <= 2 * misses
-    assert built == [] and adjusted == []
+    assert adjusted == []
 
 
 @pytest.mark.parametrize(
@@ -499,8 +564,8 @@ def test_calibrate_refuses_a_trace_not_decoded_in_fixed_relaxed(monkeypatch, mod
 
 
 def test_table_save_is_atomic(tmp_path):
-    table = CalibrationTable()
-    table.put("a", "r1", CalibrationRow(1.0, 0.7, 15.0, 5.0, 0.0877, 0.75, 96.5))
+    row = CalibrationRow(1.0, 0.7, 15.0, 5.0, 0.0877, 0.75, 96.5)
+    table = CalibrationTable({("a", "r1"): row})
     path = tmp_path / "table.csv"
     path.write_text("stale\n")
     table.save(path)
