@@ -77,20 +77,30 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _grid_values(mapping: dict[str, str], key: str) -> list[float]:
+    if key not in mapping:
+        raise config_mod.ConfigError(f"grid file is missing {key}")
+    return config_mod.parse_value(
+        mapping, key, lambda text: [float(x) for x in text.split(",") if x.strip()]
+    )
+
+
 def _parse_grid(path: str) -> list[tuple[float, float]]:
     mapping = config_mod.parse_mapping(Path(path).read_text())
     bad = sorted(set(mapping) - {"grid.tau", "grid.phi"})
     if bad:
         raise config_mod.ConfigError(f"unknown grid keys: {bad}")
-    try:
-        taus = [float(x) for x in mapping["grid.tau"].split(",") if x.strip()]
-        phis = [float(x) for x in mapping["grid.phi"].split(",") if x.strip()]
-    except KeyError as exc:
-        raise config_mod.ConfigError(f"grid file is missing {exc.args[0]}") from None
+    taus, phis = (_grid_values(mapping, key) for key in ("grid.tau", "grid.phi"))
     return [(t, p) for t in taus for p in phis]
 
 
 def _cmd_calibrate(args) -> int:
+    # the grid and the config are checked before any trace is read
+    grid = _parse_grid(args.grid)
+    kwargs = {}
+    if args.config:
+        cfg = config_mod.load(args.config)
+        kwargs = {"r_max": cfg.r_max, "r_min": cfg.r_min, "key": cfg.key}
     # a run writes its naive baseline traces beside its fixed_relaxed ones:
     # calibrate from the fixed_relaxed ones, chosen by header line, and say
     # what else was skipped; a file without a well-formed header is loaded,
@@ -102,11 +112,6 @@ def _cmd_calibrate(args) -> int:
             pre_sample.append(trace.load(path))
         else:
             skipped[mode] += 1
-    grid = _parse_grid(args.grid)
-    kwargs = {}
-    if args.config:
-        cfg = config_mod.load(args.config)
-        kwargs = {"r_max": cfg.r_max, "r_min": cfg.r_min, "key": cfg.key}
     for mode, count in sorted(skipped.items()):
         sys.stdout.write(f"skipped {count} {mode} traces in {args.traces}\n")
     table = calibrate(pre_sample, grid, **kwargs)
@@ -128,7 +133,7 @@ def _cmd_sweep(args) -> int:
     rows = harness.sweep(cfg, args.param, values, suites=suites, trials=args.trials)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    text = harness.render_sweep(rows)
+    text = harness.render_sweep(args.param, rows)
     (out / f"sweep_{args.param}.txt").write_text(text)
     sys.stdout.write(text)
     return 0

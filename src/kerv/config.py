@@ -27,7 +27,7 @@ from pathlib import Path
 from .codec import N_DOF, CodecError, NormKey
 from .kinematics import DEFAULT_AC, KfParams, KinematicsError
 from .simenv import KINDS, DraftNoiseModel, TaskError
-from .threshold import DEFAULT_R_MAX, DEFAULT_R_MIN
+from .threshold import DEFAULT_R_MAX, DEFAULT_R_MIN, CalibrationRow, ThresholdConfigError
 from .trace import MODES
 
 
@@ -93,7 +93,7 @@ class SuiteConfig:
         if self.kind not in KINDS:
             raise ConfigError(f"suite {self.name!r}: unknown kind {self.kind!r}")
         if self.trials < 0:
-            raise ConfigError(f"suite {self.name!r}: trials must be >= 0")
+            raise ConfigError(f"suite {self.name!r}: trials must be >= 0, got {self.trials}")
 
 
 @dataclass(frozen=True)
@@ -139,16 +139,17 @@ class RunConfig:
             ("pl", self.pl >= 1, "must be >= 1"),
             ("comp_n", self.comp_n >= 0, "must be >= 0"),
             ("fixed_r", 0 <= self.fixed_r < math.inf, "must be finite and >= 0"),
-            ("r_max", self.r_max < math.inf, "must be finite"),
         )
         for name, ok, need in checks:
             if not ok:
                 raise ConfigError(f"{_KEY_OF[name]} {need}, got {getattr(self, name)!r}")
-        if not (self.r_max >= self.r_min >= 0):
+        # the bounds are checked as the calibration row they become
+        try:
+            CalibrationRow(1.0, 1.0, self.r_max, self.r_min, 1.0, 0.0, 0.0)
+        except ThresholdConfigError as exc:
             raise ConfigError(
-                f"need {_KEY_OF['r_max']} >= {_KEY_OF['r_min']} >= 0, "
-                f"got r_max={self.r_max}, r_min={self.r_min}"
-            )
+                f"{_KEY_OF['r_max']} = {self.r_max!r}, {_KEY_OF['r_min']} = {self.r_min!r}: {exc}"
+            ) from None
         if not self.modes:
             raise ConfigError(f"{_KEY_OF['modes']} names no mode; expected some of {MODES}")
         for m in self.modes:
@@ -186,7 +187,8 @@ def _validate_keys(mapping: dict[str, str]) -> None:
         raise ConfigError(f"unknown configuration keys: {sorted(bad)}")
 
 
-def _parse(mapping: dict[str, str], key: str, parse):
+def parse_value(mapping: dict[str, str], key: str, parse):
+    """``parse(mapping[key])``; text it cannot parse is a ``ConfigError`` naming the key."""
     try:
         return parse(mapping[key])
     except (TypeError, ValueError) as exc:
@@ -210,7 +212,7 @@ def from_mapping(mapping: dict[str, str]) -> RunConfig:
     for key, (path, parse) in SCHEMA.items():
         if key in mapping:
             section, _, name = path.rpartition(".")
-            value = _parse(mapping, key, parse)
+            value = parse_value(mapping, key, parse)
             if section:
                 set_section(key, section, **{name: value})
             else:
@@ -218,7 +220,7 @@ def from_mapping(mapping: dict[str, str]) -> RunConfig:
     for dof in range(N_DOF):
         key = f"dof{dof}"
         if key in mapping:
-            lo, hi = _parse(mapping, key, _range)
+            lo, hi = parse_value(mapping, key, _range)
             norm = sections.get("key", base.key)
             set_section(
                 key,
@@ -237,7 +239,7 @@ def from_mapping(mapping: dict[str, str]) -> RunConfig:
             SuiteConfig(
                 name=name,
                 **{
-                    f: _parse(mapping, prefix + f, parse)
+                    f: parse_value(mapping, prefix + f, parse)
                     for f, parse in _SUITE_FIELDS.items()
                     if prefix + f in mapping
                 },

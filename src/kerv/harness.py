@@ -8,7 +8,7 @@ threshold-adjustment charge. Every output is deterministic for fixed seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -75,29 +75,30 @@ class ReportRow:
     comp_events: int
 
 
+# ReportRow field -> its format spec in a table; any other field is written as str() writes it
+_FORMATS = {
+    "sr": ".4f", "modeled_speedup": ".4f", "afep": ".4f", "avg_steps": ".2f", "avg_r": ".3f",
+}
+
+
+def _cells(row: ReportRow, cols: Sequence[str]) -> list[str]:
+    return [format(getattr(row, c), _FORMATS.get(c, "")) for c in cols]
+
+
+def _table(cols: Sequence[str], rows: Iterable[Sequence[str]], width: int) -> str:
+    """A header line, then one line per row, every cell right-aligned to ``width``."""
+    lines = [" ".join(f"{v:>{width}}" for v in vals) for vals in (cols, *rows)]
+    return "\n".join(lines) + "\n"
+
+
 @dataclass
 class SuiteReport:
     rows: list[ReportRow]
 
     def render(self) -> str:
-        """Plain columnar text."""
-        cols = (
-            "suite", "mode", "sr", "modeled_speedup", "afep", "avg_steps", "avg_r", "comp_events",
-        )
-        lines = [" ".join(f"{c:>18}" for c in cols)]
-        for r in self.rows:
-            vals = [
-                r.suite,
-                r.mode,
-                f"{r.sr:.4f}",
-                f"{r.modeled_speedup:.4f}",
-                f"{r.afep:.4f}",
-                f"{r.avg_steps:.2f}",
-                f"{r.avg_r:.3f}",
-                str(r.comp_events),
-            ]
-            lines.append(" ".join(f"{v:>18}" for v in vals))
-        return "\n".join(lines) + "\n"
+        """Plain columnar text, one column per ``ReportRow`` field."""
+        cols = [f.name for f in fields(ReportRow)]
+        return _table(cols, (_cells(r, cols) for r in self.rows), 18)
 
 
 def run_one_episode(
@@ -130,27 +131,22 @@ def run_suite(
 ) -> tuple[SuiteReport, dict[tuple[str, str], list[EpisodeTrace]]]:
     """Run every (suite, mode, trial) episode and aggregate metrics.
 
-    The strict-acceptance baseline is always executed for each suite (even
-    when not among the requested modes) because speedups are defined
-    against it. Returns the report plus all traces keyed by (suite, mode).
+    ``modes``, ``suites`` and ``trials`` are set on the config (``suites``
+    keeps the configured order), so ``RunConfig`` and ``SuiteConfig`` check
+    them as they check a loaded file, before any episode runs. The
+    strict-acceptance baseline is always executed for each suite (even when
+    not among the requested modes) because speedups are defined against it.
+    Returns the report plus all traces keyed by (suite, mode).
     """
-    if trials is not None and trials < 0:
-        raise ConfigError(f"trials must be >= 0, got {trials}")
-    requested = tuple(modes) if modes is not None else cfg.modes
-    if not requested:
-        raise ConfigError(f"modes names no mode; expected some of {MODES}")
-    for m in requested:
-        if m not in MODES:
-            raise ConfigError(f"unknown mode {m!r}")
-    suite_cfgs = list(cfg.suites)
+    if modes is not None:
+        cfg = replace(cfg, modes=tuple(modes))
     if suites is not None:
-        names = {s.name for s in cfg.suites}
-        missing = [s for s in suites if s not in names]
-        if missing:
-            raise ConfigError(f"unknown suites requested: {missing}")
-        suite_cfgs = [s for s in cfg.suites if s.name in set(suites)]
+        names = {cfg.suite(name).name for name in suites}  # an unknown name raises
+        cfg = replace(cfg, suites=tuple(s for s in cfg.suites if s.name in names))
+    if trials is not None:
+        cfg = replace(cfg, suites=tuple(replace(s, trials=trials) for s in cfg.suites))
 
-    if "kerv" in requested:
+    if "kerv" in cfg.modes:
         if table is None:
             if not cfg.table_path:
                 raise ConfigError(
@@ -158,26 +154,26 @@ def run_suite(
                 )
             table = CalibrationTable.load(cfg.table_path)
         # every row kerv reads is looked up before the first episode runs
-        for suite_cfg in suite_cfgs:
+        for suite_cfg in cfg.suites:
             threshold_mod.lookup(table, suite_cfg.name, cfg.robot)
 
-    run_modes = tuple(m for m in MODES if m == "naive" or m in requested)
+    run_modes = tuple(m for m in MODES if m == "naive" or m in cfg.modes)
     all_traces: dict[tuple[str, str], list[EpisodeTrace]] = {}
-    for suite_cfg in suite_cfgs:
-        n = suite_cfg.trials if trials is None else trials
+    for suite_cfg in cfg.suites:
         for mode in run_modes:
             all_traces[(suite_cfg.name, mode)] = [
-                run_one_episode(cfg, suite_cfg, mode, trial, table) for trial in range(n)
+                run_one_episode(cfg, suite_cfg, mode, trial, table)
+                for trial in range(suite_cfg.trials)
             ]
 
     rows: list[ReportRow] = []
-    for suite_cfg in suite_cfgs:
+    for suite_cfg in cfg.suites:
         base = all_traces[(suite_cfg.name, "naive")]
         if not base:
             continue  # zero-trial suite contributes no rows
         base_latency = sum(modeled_latency(t, cfg.cost) for t in base)
         for mode in MODES:
-            if mode not in requested:
+            if mode not in cfg.modes:
                 continue
             traces = all_traces[(suite_cfg.name, mode)]
             latency = sum(modeled_latency(t, cfg.cost) for t in traces)
@@ -253,18 +249,6 @@ def emit_results(
 SWEEP_PARAMS = {"n": "comp_n", "ac": "ac", "pl": "pl", "r": "fixed_r"}
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    param: str
-    value: float
-    suite: str
-    sr: float
-    modeled_speedup: float
-    afep: float
-    avg_steps: float
-    comp_events: int
-
-
 def sweep(
     cfg: RunConfig,
     param: str,
@@ -273,9 +257,15 @@ def sweep(
     suites: Sequence[str] | None = None,
     trials: int | None = None,
     table: CalibrationTable | None = None,
-) -> list[SweepRow]:
+) -> list[tuple[float, ReportRow]]:
     """Hyperparameter sweep: n / ac / pl vary the adaptive mode, r varies the
-    static relaxed threshold."""
+    static relaxed threshold. Returns each swept value with a report row of
+    its run, one per suite.
+
+    The swept field and the mode are set on the config in one ``replace``,
+    so every value is checked by ``RunConfig`` before any episode runs;
+    ``suites`` and ``trials`` are set and checked as ``run_suite`` sets them.
+    """
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"sweep param must be one of {tuple(SWEEP_PARAMS)}, got {param!r}")
     if param == "r":
@@ -285,42 +275,18 @@ def sweep(
         bad = [v for v in values if not float(v).is_integer()]
         if bad:
             raise ConfigError(f"sweep {param} takes integer values, got {bad}")
-    # every value is checked by RunConfig before any episode runs
-    run_cfgs = [replace(cfg, **{SWEEP_PARAMS[param]: cast(v)}) for v in values]
-    rows: list[SweepRow] = []
+    run_cfgs = [replace(cfg, modes=(mode,), **{SWEEP_PARAMS[param]: cast(v)}) for v in values]
+    rows: list[tuple[float, ReportRow]] = []
     for value, run_cfg in zip(values, run_cfgs):
-        report, _ = run_suite(
-            run_cfg, modes=(mode,), suites=suites, trials=trials, table=table
-        )
-        for r in report.rows:
-            rows.append(
-                SweepRow(
-                    param=param,
-                    value=float(value),
-                    suite=r.suite,
-                    sr=r.sr,
-                    modeled_speedup=r.modeled_speedup,
-                    afep=r.afep,
-                    avg_steps=r.avg_steps,
-                    comp_events=r.comp_events,
-                )
-            )
+        report, _ = run_suite(run_cfg, suites=suites, trials=trials, table=table)
+        rows.extend((float(value), r) for r in report.rows)
     return rows
 
 
-def render_sweep(rows: Sequence[SweepRow]) -> str:
-    cols = ("param", "value", "suite", "sr", "modeled_speedup", "afep", "avg_steps", "comp_events")
-    lines = [" ".join(f"{c:>16}" for c in cols)]
-    for r in rows:
-        vals = (
-            r.param,
-            f"{r.value:g}",
-            r.suite,
-            f"{r.sr:.4f}",
-            f"{r.modeled_speedup:.4f}",
-            f"{r.afep:.4f}",
-            f"{r.avg_steps:.2f}",
-            str(r.comp_events),
-        )
-        lines.append(" ".join(f"{v:>16}" for v in vals))
-    return "\n".join(lines) + "\n"
+_SWEEP_COLS = ("suite", "sr", "modeled_speedup", "afep", "avg_steps", "comp_events")
+
+
+def render_sweep(param: str, rows: Sequence[tuple[float, ReportRow]]) -> str:
+    """The ``sweep_<param>.txt`` table of ``sweep``'s (value, row) pairs."""
+    cells = ([param, f"{value:g}", *_cells(r, _SWEEP_COLS)] for value, r in rows)
+    return _table(("param", "value", *_SWEEP_COLS), cells, 16)

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from kerv import cli, harness
+from kerv import trace as trace_mod
 from kerv.config import ConfigError, CostModel, default_config, default_config_text, load, loads
 from kerv.harness import (
     SuiteReport,
@@ -244,6 +245,29 @@ def test_run_suite_no_modes_is_error_before_any_episode(small_cfg, monkeypatch):
     assert ran == []
 
 
+@pytest.mark.parametrize(
+    "override, config_raises",
+    [
+        ({"trials": -2}, lambda cfg: replace(cfg.suites[0], trials=-2)),
+        ({"modes": ()}, lambda cfg: replace(cfg, modes=())),
+        ({"modes": ("greedy",)}, lambda cfg: replace(cfg, modes=("greedy",))),
+        ({"suites": ("mars",)}, lambda cfg: cfg.suite("mars")),
+    ],
+    ids=["negative_trials", "no_mode", "unknown_mode", "unknown_suite"],
+)
+def test_run_suite_override_fails_as_the_config_fails(
+    small_cfg, monkeypatch, override, config_raises
+):
+    with pytest.raises(ConfigError) as expected:
+        config_raises(small_cfg)
+    ran = []
+    monkeypatch.setattr(harness, "run_one_episode", lambda *a: ran.append(a))
+    with pytest.raises(ConfigError) as got:
+        run_suite(small_cfg, **override)
+    assert str(got.value) == str(expected.value)
+    assert ran == []
+
+
 def test_run_suite_report_shape(small_cfg, small_table):
     table = CalibrationTable({("goal", "sim7dof"): small_table.rows[("goal", "sim7dof")]})
     report, _ = run_suite(small_cfg, suites=("goal",), trials=3, table=table)
@@ -346,8 +370,8 @@ def test_emit_results_refuses_to_mix_runs(tmp_path, small_cfg, capsys):
 
 def test_sweep_r_uses_fixed_mode(small_cfg):
     rows = sweep(small_cfg, "r", [9, 15], suites=("goal",), trials=2)
-    assert [r.value for r in rows] == [9.0, 15.0]
-    assert all(r.param == "r" for r in rows)
+    assert [value for value, _ in rows] == [9.0, 15.0]
+    assert all(row.mode == "fixed_relaxed" for _, row in rows)
 
 
 def test_sweep_rejects_unknown_param(small_cfg):
@@ -536,6 +560,31 @@ def test_cli_calibrate_rejects_unknown_grid_keys(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_calibrate_checks_grid_and_config_before_reading_traces(
+    tmp_path, capsys, small_cfg, monkeypatch
+):
+    goal = small_cfg.suite("goal")
+    run_one_episode(replace(small_cfg, fixed_r=15.0), goal, "fixed_relaxed", 0, None).save(
+        tmp_path / "goal_0000.jsonl"
+    )
+    read = []
+    monkeypatch.setattr(trace_mod, "header_mode", lambda path: read.append(path))
+    monkeypatch.setattr(trace_mod, "load", lambda path: read.append(path))
+    grid = tmp_path / "grid.cfg"
+    out = tmp_path / "table.csv"
+    args = ["calibrate", "--traces", str(tmp_path), "--grid", str(grid), "--out", str(out)]
+    grid.write_text("grid.tau = 1.0, abc\ngrid.phi = 0.7\n")
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err.startswith("error: bad value for grid.tau: '1.0, abc' (")
+    grid.write_text("grid.tau = 1.0\ngrid.phi = 0.7\n")
+    cfg_path = tmp_path / "bounds.cfg"
+    cfg_path.write_text(default_config_text(trials=2) + "threshold.r_min = -1\n")
+    assert cli.main(args + ["--config", str(cfg_path)]) == 2
+    assert "threshold.r_min" in capsys.readouterr().err
+    assert read == []
+    assert not out.exists()
+
+
 def test_cli_calibrate_names_the_bad_trace_file(tmp_path, capsys, small_cfg):
     goal = small_cfg.suite("goal")
     for t in range(4):
@@ -553,17 +602,40 @@ def test_cli_calibrate_names_the_bad_trace_file(tmp_path, capsys, small_cfg):
     assert not out.exists()
 
 
-def test_cli_sweep_writes_table(tmp_path, capsys):
+SWEEP_R_TEXT = (
+    "           param            value            suite               sr  modeled_speedup"
+    "             afep        avg_steps      comp_events\n"
+    "               r                9             goal           1.0000           1.3503"
+    "           2.9180            70.50                0\n"
+    "               r               15             goal           0.0000           1.4696"
+    "           2.9712            70.50                0\n"
+)
+SWEEP_N_TEXT = (
+    "           param            value            suite               sr  modeled_speedup"
+    "             afep        avg_steps      comp_events\n"
+    "               n                2             goal           0.0000           1.7211"
+    "           2.9237            70.50               40\n"
+    "               n                4             goal           0.5000           1.5768"
+    "           2.9504            71.50               26\n"
+)
+
+
+def test_cli_sweep_writes_table(tmp_path, capsys, calib_table):
+    """The text ``kerv sweep`` prints and writes to ``sweep_<param>.txt``, pinned."""
+    table_path = tmp_path / "table.csv"
+    calib_table.save(table_path)
     cfg_path = _write_cfg(tmp_path)
+    cfg_path.write_text(cfg_path.read_text() + f"threshold.table = {table_path}\n")
     out = tmp_path / "sw"
-    rc = cli.main(
-        ["sweep", "--config", str(cfg_path), "--out", str(out), "--param", "r",
-         "--values", "9,15", "--suite", "goal", "--trials", "2"]
-    )
-    assert rc == 0
-    text = (out / "sweep_r.txt").read_text()
-    assert "fixed" not in text  # columnar data, not prose
-    assert len(text.splitlines()) == 3
+    for param, values, text in (("r", "9,15", SWEEP_R_TEXT), ("n", "2,4", SWEEP_N_TEXT)):
+        capsys.readouterr()
+        rc = cli.main(
+            ["sweep", "--config", str(cfg_path), "--out", str(out), "--param", param,
+             "--values", values, "--suite", "goal", "--trials", "2"]
+        )
+        assert rc == 0
+        assert (out / f"sweep_{param}.txt").read_text() == text
+        assert capsys.readouterr().out == text
 
 
 def test_cli_missing_required_args_exit_code():
