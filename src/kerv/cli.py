@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 from . import config as config_mod
-from . import harness, trace
+from . import harness
 from .specdec import MODES
 from .threshold import calibrate
 
@@ -42,20 +41,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict to one decoding mode (default: run.modes from config)",
     )
 
-    cal_p = sub.add_parser("calibrate", help="build a threshold calibration table")
+    cal_p = sub.add_parser(
+        "calibrate", help="decode a pre-sample and build a threshold calibration table from it"
+    )
     cal_p.add_argument(
-        "--traces",
+        "--config",
         required=True,
-        help="directory of pre-sample traces; its fixed_relaxed traces are read, others skipped",
+        help="the pre-sample (every suite's trials, fixed_relaxed at threshold.fixed_r), "
+        "the codec and the r bounds threshold.r_max/r_min; "
+        "equal bounds give a fixed threshold with compensation",
     )
     cal_p.add_argument("--grid", required=True, help="grid file: grid.tau / grid.phi CSV lines")
     cal_p.add_argument("--out", required=True, help="output table path")
-    cal_p.add_argument(
-        "--config",
-        default=None,
-        help="optional config for the codec and the r bounds threshold.r_max/r_min; "
-        "equal bounds give a fixed threshold with compensation",
-    )
 
     sweep_p = sub.add_parser("sweep", help="sweep one hyperparameter")
     _add_common(sweep_p)
@@ -77,12 +74,14 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _floats(text: str) -> list[float]:
+    return [float(x) for x in text.split(",") if x.strip()]
+
+
 def _grid_values(mapping: dict[str, str], key: str) -> list[float]:
     if key not in mapping:
         raise config_mod.ConfigError(f"grid file is missing {key}")
-    return config_mod.parse_value(
-        mapping, key, lambda text: [float(x) for x in text.split(",") if x.strip()]
-    )
+    return config_mod.parse_value(mapping, key, _floats)
 
 
 def _parse_grid(path: str) -> list[tuple[float, float]]:
@@ -95,26 +94,16 @@ def _parse_grid(path: str) -> list[tuple[float, float]]:
 
 
 def _cmd_calibrate(args) -> int:
-    # the grid and the config are checked before any trace is read
     grid = _parse_grid(args.grid)
-    kwargs = {}
-    if args.config:
-        cfg = config_mod.load(args.config)
-        kwargs = {"r_max": cfg.r_max, "r_min": cfg.r_min, "key": cfg.key}
-    # a run writes its naive baseline traces beside its fixed_relaxed ones:
-    # calibrate from the fixed_relaxed ones, chosen by header line, and say
-    # what else was skipped; a file without a well-formed header is loaded,
-    # so its fault is reported
-    pre_sample, skipped = [], Counter()
-    for path in sorted(Path(args.traces).glob("*.jsonl")):
-        mode = trace.header_mode(path)
-        if mode in (None, "fixed_relaxed"):
-            pre_sample.append(trace.load(path))
-        else:
-            skipped[mode] += 1
-    for mode, count in sorted(skipped.items()):
-        sys.stdout.write(f"skipped {count} {mode} traces in {args.traces}\n")
-    table = calibrate(pre_sample, grid, **kwargs)
+    cfg = config_mod.load(args.config)
+    # the pre-sample, decoded as calibrate draws it: calibrate checks the
+    # grid and the bounds before the first episode runs
+    pre_sample = (
+        harness.run_one_episode(cfg, suite, "fixed_relaxed", trial, None)
+        for suite in cfg.suites
+        for trial in range(suite.trials)
+    )
+    table = calibrate(pre_sample, grid, r_max=cfg.r_max, r_min=cfg.r_min, key=cfg.key)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     table.save(out)
@@ -126,7 +115,7 @@ def _cmd_sweep(args) -> int:
     cfg = config_mod.load(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed_offset=args.seed)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    values = config_mod.parse_value({"--values": args.values}, "--values", _floats)
     if not values:
         raise config_mod.ConfigError("sweep needs at least one value")
     suites = (args.suite,) if args.suite else None

@@ -10,10 +10,12 @@ dataclass default, and ``dumps`` writes any config back out through the
 same schema. Unknown keys are a startup error (all of them are listed), so
 typos fail loudly instead of silently running defaults.
 
-``threshold.r_max``/``r_min`` are read only by ``kerv calibrate --config``;
-``kerv run`` takes each suite's bounds from its calibration-table row. The
-threshold has one update rule, so no key picks one: equal bounds calibrate
-a table whose rows hold r fixed, with compensation.
+``kerv calibrate --config`` decodes its pre-sample from the config (every
+suite's trials, ``fixed_relaxed`` at ``threshold.fixed_r``) and judges it
+with the config's codec between ``threshold.r_max``/``r_min``, which
+nothing else reads: ``kerv run`` takes each suite's bounds from its table
+row. The threshold has one update rule, so no key picks one: equal bounds
+calibrate a table whose rows hold r fixed, with compensation.
 """
 
 from __future__ import annotations
@@ -45,9 +47,7 @@ def _range(text: str) -> tuple[float, float]:
 
 
 # key -> (RunConfig field, parser); "section.field" sets a field of the
-# value object held in the RunConfig field ``section``. threshold.r_max and
-# threshold.r_min only feed calibration (equal bounds fix r); a run reads
-# its table's bounds.
+# value object held in the RunConfig field ``section``.
 SCHEMA = {
     "codec.vocab_size": ("key.vocab_size", int),
     "kf.process_noise": ("kf_params.process_noise", float),

@@ -30,8 +30,8 @@ loads: an overflowing deviation is written as one); or when it holds a
 value outside its range: a negative trial, step, step count, event count
 or deviation, or a record value outside its bounds. A header mode outside
 ``MODES`` or kind outside ``simenv.KINDS`` is rejected after its fields.
-``load`` puts the file's path in front of the error; ``header_mode`` reads
-a file's header line alone. Traces and calibration tables are written
+``load`` puts the file's path in front of the error, as it does for a file
+that is not UTF-8 text. Traces and calibration tables are written
 atomically (a temporary file in the target directory, then
 ``os.replace``), so a reader sees the old file or the whole new one.
 """
@@ -335,26 +335,9 @@ def loads(text: str) -> EpisodeTrace:
 
 def load(path: str | Path) -> EpisodeTrace:
     try:
-        return loads(Path(path).read_text())
-    except TraceError as exc:
+        return loads(Path(path).read_text(encoding="utf-8"))
+    except (TraceError, UnicodeDecodeError) as exc:
         raise TraceError(f"{path}: {exc}") from None
-
-
-def header_mode(path: str | Path) -> str | None:
-    """The mode a trace file's header line names, read without its records;
-    None when its first non-blank line is not a header naming one of
-    ``MODES`` (``load`` then says what is wrong)."""
-    with open(path) as f:
-        for raw in f:
-            if raw.strip():
-                break
-        else:
-            return None
-    try:
-        mode = _DECODER.decode(raw)["episode"]["mode"]
-    except (ValueError, KeyError, TypeError):
-        return None
-    return mode if mode in MODES else None
 
 
 def load_dir(path: str | Path) -> list[EpisodeTrace]:

@@ -192,3 +192,21 @@ def test_cli_sweep_rejects_non_integer_values_before_running(param, tmp_path, ca
     assert f"sweep {param} takes integer values" in capsys.readouterr().err
     assert runs == []
     assert not out.exists()
+
+
+def test_cli_sweep_names_the_flag_of_a_value_that_does_not_parse(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(default_config_text(trials=1))
+    runs = []
+    monkeypatch.setattr(harness, "run_suite", lambda *a, **kw: runs.append(a))
+    out = tmp_path / "sw"
+    rc = cli.main(
+        ["sweep", "--config", str(cfg_path), "--out", str(out), "--param", "r",
+         "--values", "9,abc", "--suite", "goal", "--trials", "1"]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: bad value for --values: '9,abc' (could not convert string to float: 'abc')\n"
+    )
+    assert runs == []
+    assert not out.exists()

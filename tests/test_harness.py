@@ -1,13 +1,11 @@
 """Suite runner, cost model, emission, configuration, CLI."""
 
 import math
-import shutil
 from dataclasses import replace
 
 import pytest
 
 from kerv import cli, harness
-from kerv import trace as trace_mod
 from kerv.config import ConfigError, CostModel, default_config, default_config_text, load, loads
 from kerv.harness import (
     SuiteReport,
@@ -417,52 +415,21 @@ def test_cli_negative_trials_exits_nonzero(tmp_path, capsys):
     assert not out.exists()
 
 
-def _cli_pre_sample(tmp_path, cfg_path, *args):
-    """``kerv run --mode fixed_relaxed`` traces, beside the naive baseline
-    traces the run writes too; returns their directory."""
-    pre_out = tmp_path / "pre"
-    rc = cli.main(
-        ["run", "--config", str(cfg_path), "--out", str(pre_out), "--mode", "fixed_relaxed", *args]
-    )
-    assert rc == 0
-    return pre_out / "traces"
+def _calibrate_cli(cfg_path, grid, out):
+    return cli.main(["calibrate", "--config", str(cfg_path), "--grid", str(grid), "--out", str(out)])
 
 
 def test_cli_calibrate_then_kerv_run(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, trials=2)
     grid = tmp_path / "grid.cfg"
     grid.write_text("grid.tau = 1.0,2.0\ngrid.phi = 0.7,1.0\n")
-
-    def calibrate_cli(traces, out):
-        return cli.main(["calibrate", "--grid", str(grid), "--out", str(out),
-                         "--config", str(cfg_path), "--traces", str(traces)])
-
-    # the baseline traces a run writes beside its own are skipped and
-    # counted, so the mixed directory calibrates as its fixed_relaxed
-    # traces alone do
-    mixed = _cli_pre_sample(tmp_path, cfg_path, "--suite", "goal", "--trials", "3")
     table_path = tmp_path / "table.csv"
-    capsys.readouterr()
-    assert calibrate_cli(mixed, table_path) == 0
-    assert f"skipped 3 naive traces in {mixed}\n" in capsys.readouterr().out
-    clean, baseline = tmp_path / "clean", tmp_path / "baseline"
-    for directory, pattern in ((clean, "*_fixed_relaxed_*.jsonl"), (baseline, "*_naive_*.jsonl")):
-        directory.mkdir()
-        for path in mixed.glob(pattern):
-            shutil.copy(path, directory)
-    assert len(list(clean.iterdir())) == 3
-    assert calibrate_cli(clean, tmp_path / "clean.csv") == 0
-    assert (tmp_path / "clean.csv").read_text() == table_path.read_text()
-    # the skipped traces are chosen by their header line and not read further
-    naive = next(mixed.glob("*_naive_*.jsonl"))
-    naive.write_text(naive.read_text().splitlines(keepends=True)[0] + "not json\n")
-    capsys.readouterr()
-    assert calibrate_cli(mixed, tmp_path / "again.csv") == 0
-    assert f"skipped 3 naive traces in {mixed}\n" in capsys.readouterr().out
-    assert (tmp_path / "again.csv").read_text() == table_path.read_text()
-    # a directory without a fixed_relaxed trace is refused
-    capsys.readouterr()
-    assert calibrate_cli(baseline, tmp_path / "none.csv") == 2
+    assert _calibrate_cli(cfg_path, grid, table_path) == 0
+    assert capsys.readouterr().out == f"wrote 4 calibration rows to {table_path}\n"
+    # a config whose suites run no trial gives no pre-sample
+    empty_cfg = tmp_path / "empty.cfg"
+    empty_cfg.write_text(default_config_text(trials=0))
+    assert _calibrate_cli(empty_cfg, grid, tmp_path / "none.csv") == 2
     assert "no pre-sample traces supplied" in capsys.readouterr().err
     assert not (tmp_path / "none.csv").exists()
 
@@ -483,26 +450,35 @@ def test_cli_calibrate_then_kerv_run(tmp_path, capsys):
     assert "kerv" in report_text and "fixed_relaxed" not in report_text
 
 
-def test_cli_calibrate_passes_config_threshold_through(tmp_path, capsys, small_cfg):
-    goal = small_cfg.suite("goal")
-    pre = [
-        run_one_episode(replace(small_cfg, fixed_r=15.0), goal, "fixed_relaxed", t, None)
-        for t in range(2)
-    ]
-    for t in pre:
-        t.save(tmp_path / f"goal_{t.trial:04d}.jsonl")
+def test_cli_calibrate_writes_the_golden_table(tmp_path, calib_table):
+    """``kerv calibrate`` decodes the pre-sample the ``calib_table`` fixture is
+    calibrated from, and writes that table."""
+    cfg_path = tmp_path / "pre.cfg"
+    cfg_path.write_text(default_config_text(trials=8) + "threshold.fixed_r = 15\n")
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("grid.tau = 0.5,1.0,2.0,4.0\ngrid.phi = 0.7,1.0,1.5\n")
+    assert cli._parse_grid(grid) == list(DEFAULT_GRID)
+    out = tmp_path / "table.csv"
+    assert _calibrate_cli(cfg_path, grid, out) == 0
+    assert out.read_text() == calib_table.dumps()
+
+
+def test_cli_calibrate_passes_config_threshold_through(tmp_path, capsys):
     grid = tmp_path / "grid.cfg"
     grid.write_text("grid.tau = 0.5,2.0\ngrid.phi = 0.7,1.5\n")
     cfg_path = tmp_path / "bounds.cfg"
     cfg_path.write_text(
-        default_config_text(trials=2) + "threshold.r_max = 12\nthreshold.r_min = 0\n"
+        default_config_text(trials=2)
+        + "threshold.fixed_r = 15\nthreshold.r_max = 12\nthreshold.r_min = 0\n"
     )
     out = tmp_path / "table.csv"
-    rc = cli.main(
-        ["calibrate", "--traces", str(tmp_path), "--grid", str(grid), "--out", str(out),
-         "--config", str(cfg_path)]
-    )
-    assert rc == 0
+    assert _calibrate_cli(cfg_path, grid, out) == 0
+    pre_cfg = replace(default_config(trials=2), fixed_r=15.0)
+    pre = [
+        run_one_episode(pre_cfg, suite, "fixed_relaxed", t, None)
+        for suite in pre_cfg.suites
+        for t in range(2)
+    ]
     expected = calibrate(
         pre, [(0.5, 0.7), (0.5, 1.5), (2.0, 0.7), (2.0, 1.5)],
         r_max=12.0, r_min=0.0,
@@ -510,17 +486,12 @@ def test_cli_calibrate_passes_config_threshold_through(tmp_path, capsys, small_c
     assert out.read_text() == expected.dumps()
 
     cfg_path.write_text(default_config_text(trials=2) + "threshold.mode = bogus\n")
-    rc = cli.main(
-        ["calibrate", "--traces", str(tmp_path), "--grid", str(grid), "--out",
-         str(tmp_path / "bad.csv"), "--config", str(cfg_path)]
-    )
-    assert rc != 0
+    assert _calibrate_cli(cfg_path, grid, tmp_path / "bad.csv") != 0
     assert "threshold.mode" in capsys.readouterr().err
     assert not (tmp_path / "bad.csv").exists()
 
 
 def test_cli_equal_bounds_table_runs_a_fixed_threshold_with_compensation(tmp_path, capsys):
-    pre = _cli_pre_sample(tmp_path, _write_cfg(tmp_path, trials=2))
     grid = tmp_path / "grid.cfg"
     grid.write_text("grid.tau = 1.0,2.0\ngrid.phi = 0.7,1.0\n")
     bounds_cfg = tmp_path / "bounds.cfg"
@@ -528,11 +499,7 @@ def test_cli_equal_bounds_table_runs_a_fixed_threshold_with_compensation(tmp_pat
         default_config_text(trials=2) + "threshold.r_max = 7\nthreshold.r_min = 7\n"
     )
     table_path = tmp_path / "table.csv"
-    rc = cli.main(
-        ["calibrate", "--traces", str(pre), "--grid", str(grid),
-         "--out", str(table_path), "--config", str(bounds_cfg)]
-    )
-    assert rc == 0
+    assert _calibrate_cli(bounds_cfg, grid, table_path) == 0
 
     kerv_cfg = tmp_path / "kerv.cfg"
     kerv_cfg.write_text(default_config_text(trials=2) + f"threshold.table = {table_path}\n")
@@ -554,52 +521,31 @@ def test_cli_calibrate_rejects_unknown_grid_keys(tmp_path, capsys):
     grid = tmp_path / "grid.cfg"
     grid.write_text("grid.tau = 1.0\ngrid.phi = 0.7\ngrid.phii = 2\ngrid.tua = 9\n")
     out = tmp_path / "table.csv"
-    rc = cli.main(["calibrate", "--traces", str(tmp_path), "--grid", str(grid), "--out", str(out)])
-    assert rc == 2
+    assert _calibrate_cli(_write_cfg(tmp_path), grid, out) == 2
     assert "unknown grid keys: ['grid.phii', 'grid.tua']" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_cli_calibrate_checks_grid_and_config_before_reading_traces(
-    tmp_path, capsys, small_cfg, monkeypatch
-):
-    goal = small_cfg.suite("goal")
-    run_one_episode(replace(small_cfg, fixed_r=15.0), goal, "fixed_relaxed", 0, None).save(
-        tmp_path / "goal_0000.jsonl"
-    )
-    read = []
-    monkeypatch.setattr(trace_mod, "header_mode", lambda path: read.append(path))
-    monkeypatch.setattr(trace_mod, "load", lambda path: read.append(path))
+def test_cli_calibrate_checks_grid_and_config_before_any_episode(tmp_path, capsys, monkeypatch):
+    episodes = []
+    monkeypatch.setattr(harness, "run_one_episode", lambda *a: episodes.append(a))
     grid = tmp_path / "grid.cfg"
-    out = tmp_path / "table.csv"
-    args = ["calibrate", "--traces", str(tmp_path), "--grid", str(grid), "--out", str(out)]
-    grid.write_text("grid.tau = 1.0, abc\ngrid.phi = 0.7\n")
-    assert cli.main(args) == 2
-    assert capsys.readouterr().err.startswith("error: bad value for grid.tau: '1.0, abc' (")
-    grid.write_text("grid.tau = 1.0\ngrid.phi = 0.7\n")
     cfg_path = tmp_path / "bounds.cfg"
-    cfg_path.write_text(default_config_text(trials=2) + "threshold.r_min = -1\n")
-    assert cli.main(args + ["--config", str(cfg_path)]) == 2
-    assert "threshold.r_min" in capsys.readouterr().err
-    assert read == []
-    assert not out.exists()
-
-
-def test_cli_calibrate_names_the_bad_trace_file(tmp_path, capsys, small_cfg):
-    goal = small_cfg.suite("goal")
-    for t in range(4):
-        trace = run_one_episode(replace(small_cfg, fixed_r=15.0), goal, "fixed_relaxed", t, None)
-        trace.save(tmp_path / f"goal_{t:04d}.jsonl")
-    bad = tmp_path / "goal_0002.jsonl"
-    bad.write_text("".join(bad.read_text().splitlines(keepends=True)[:-1]))
-    grid = tmp_path / "grid.cfg"
-    grid.write_text("grid.tau = 1.0\ngrid.phi = 0.7\n")
     out = tmp_path / "table.csv"
-    rc = cli.main(["calibrate", "--traces", str(tmp_path), "--grid", str(grid), "--out", str(out)])
-    assert rc != 0
-    err = capsys.readouterr().err
-    assert err == f"error: {bad}: trace stream ends without a summary line (truncated?)\n"
-    assert not out.exists()
+    for grid_text, cfg_extra, message in (
+        ("grid.tau = 1.0, abc\ngrid.phi = 0.7\n", "",
+         "error: bad value for grid.tau: '1.0, abc' ("),
+        ("grid.tau = 1.0\ngrid.phi = 0.7\n", "threshold.r_min = -1\n",
+         "error: threshold.r_max = 15.0, threshold.r_min = -1.0: need r_max >= r_min >= 0"),
+        ("grid.tau = 1.0,-1\ngrid.phi = 0.7\n", "",
+         "error: need tau > 0 and phi > 0, got tau=-1.0, phi=0.7\n"),
+    ):
+        grid.write_text(grid_text)
+        cfg_path.write_text(default_config_text(trials=2) + cfg_extra)
+        assert _calibrate_cli(cfg_path, grid, out) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert episodes == []
+        assert not out.exists()
 
 
 SWEEP_R_TEXT = (

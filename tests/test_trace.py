@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from kerv import config, specdec, trace as trace_mod
 from kerv.simenv import KINDS
-from kerv.trace import MODES, EpisodeTrace, SliceRecord, TraceError, header_mode, load, loads
+from kerv.trace import MODES, EpisodeTrace, SliceRecord, TraceError, load, loads
 from oracles import TRACE_RECORD_FIELDS, reference_trace_dumps, reference_trace_loads
 
 # r, the variabilities and the deviation are never negative; kvar_cum and
@@ -349,18 +349,10 @@ def test_load_names_the_file(tmp_path):
     path.write_text("".join(_episode_text().splitlines(keepends=True)[:-1]))
     with pytest.raises(TraceError, match=f"^{path}: trace stream ends without a summary line"):
         load(path)
-
-
-def test_header_mode_reads_the_header_line_alone(tmp_path):
-    path = tmp_path / "t.jsonl"
-    lines = _episode_text().splitlines(keepends=True)
-    # a record after the header is not read
-    path.write_text("\n" + lines[0] + "not json\n")
-    assert header_mode(path) == "naive"
-    # no header naming a known mode: None, and ``load`` says what is wrong
-    for text in ("", "not json\n", lines[1], _with(lines, 1, "episode", "mode", "bogus"), "[1]\n"):
-        path.write_text(text)
-        assert header_mode(path) is None
+    # a file that is not UTF-8 text
+    path.write_bytes(b"\xff\xfe" + _episode_text().encode())
+    with pytest.raises(TraceError, match=f"^{path}: 'utf-8' codec can't decode byte 0xff"):
+        load(path)
 
 
 def test_line_encoder_without_the_c_accelerator_writes_the_same_bytes(monkeypatch):
