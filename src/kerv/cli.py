@@ -96,14 +96,10 @@ def _parse_grid(path: str) -> list[tuple[float, float]]:
 def _cmd_calibrate(args) -> int:
     grid = _parse_grid(args.grid)
     cfg = config_mod.load(args.config)
-    # the pre-sample, decoded as calibrate draws it: calibrate checks the
-    # grid and the bounds before the first episode runs
-    pre_sample = (
-        harness.run_one_episode(cfg, suite, "fixed_relaxed", trial, None)
-        for suite in cfg.suites
-        for trial in range(suite.trials)
+    # calibrate checks the grid and the bounds before it draws the first episode
+    table = calibrate(
+        harness.pre_sample(cfg), grid, r_max=cfg.r_max, r_min=cfg.r_min, key=cfg.key
     )
-    table = calibrate(pre_sample, grid, r_max=cfg.r_max, r_min=cfg.r_min, key=cfg.key)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     table.save(out)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import threshold as threshold_mod
 from .codec import N_DOF
@@ -119,6 +119,15 @@ def run_one_episode(
             raise ConfigError("kerv mode needs a calibration table")
         row = threshold_mod.lookup(table, suite_cfg.name, cfg.robot)
     return run_episode(env, draft, verify, cfg, mode, row)
+
+
+def pre_sample(cfg: RunConfig) -> Iterator[EpisodeTrace]:
+    """The episodes a calibration reads: every suite's trials of ``cfg``, in
+    config order, decoded ``fixed_relaxed`` at ``cfg.fixed_r``. Lazy, so a
+    caller can check its other inputs before the first episode runs."""
+    for suite_cfg in cfg.suites:
+        for trial in range(suite_cfg.trials):
+            yield run_one_episode(cfg, suite_cfg, "fixed_relaxed", trial, None)
 
 
 def run_suite(

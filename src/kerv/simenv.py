@@ -36,14 +36,9 @@ bit on the installed numpy (tested on 2.4.6); that rests on
 ``tests/oracles.py::reference_draft_ids`` is the guard.
 
 The spline is the clamped cubic (zero slope at both ends) through the
-waypoints' motion channels, computed in-house by ``_clamped_spline``: it
-builds the banded system scipy's ``CubicSpline`` builds, solves it as
-LAPACK's reference ``dgtsv`` does (the routine ``solve_banded`` calls), and
-forms and evaluates each interval's cubic as ``CubicHermiteSpline`` and
-``PPoly`` do, with the same float operations in the same order. It equals
-scipy 1.17.1's ``CubicSpline(..., bc_type="clamped")`` bit for bit on the
-installed build; ``tests/oracles.py::reference_targets`` fits with scipy
-itself and guards the match, so only the tests need scipy.
+waypoints' motion channels, fitted by ``_clamped_spline``'s own
+tridiagonal solve; the tests bound its distance from scipy's
+``CubicSpline`` (``tests/oracles.py::reference_targets``).
 
 The gripper channel is a three-level impulse: 0 holds the current state,
 +/-1 sets it. Offsets never reach half the action range, so draft noise
@@ -241,12 +236,7 @@ def build_plan(spec: TaskSpec, key: NormKey) -> Plan:
 def _targets(kind: str, seed: int, waypoints: tuple[tuple[float, ...], ...]) -> np.ndarray:
     """The pose a plan tracks at each time, (T+1, 7): the motion channels of
     the clamped cubic spline through the waypoints (``_clamped_spline``),
-    and the gripper state of the last waypoint reached.
-
-    The spline is computed in-house and equals scipy 1.17.1's
-    ``CubicSpline(t_way, motion, axis=0, bc_type="clamped")`` evaluated at
-    every step, bit for bit, on the installed build (numpy 2.4.6);
-    ``tests/oracles.py::reference_targets`` is the guard."""
+    and the gripper state of the last waypoint reached."""
     seg_steps = _segment_steps(kind, seed, len(waypoints))
     way = np.asarray(waypoints, dtype=float)
     t_way = np.concatenate([[0], np.cumsum(seg_steps)]).astype(float)
@@ -260,62 +250,38 @@ def _clamped_spline(x: np.ndarray, y: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Values at ``ts`` (in ``[x[0], x[-1]]``) of the cubic spline through
     the rows of ``y`` (n, k) at the increasing knots ``x`` (n >= 2) with
     zero slope at both ends (de Boor, *A Practical Guide to Splines*,
-    ch. IV), with scipy's float operations in scipy's order:
+    ch. IV).
 
-    - the knot slopes ``s`` solve the tridiagonal system ``CubicSpline``
-      builds: diagonal ``2 * (dx[:-1] + dx[1:])``, upper band ``dx[:-1]``,
-      lower band ``dx[1:]``, right-hand side ``3 * (dx[1:] * slope[:-1] +
-      dx[:-1] * slope[1:])``, and end rows 1 on the diagonal, 0 off it and
-      0 on the right;
-    - it is solved as LAPACK's reference ``dgtsv`` solves it for more than
-      two right-hand sides (what ``solve_banded((1, 1), ...)`` calls):
-      elimination with a row swap wherever the entry below the diagonal is
-      larger, then back substitution along the second superdiagonal that
-      the swaps fill in (``dl`` holds it, as in ``dgtsv``);
-    - the cubic coefficients of each interval are ``CubicHermiteSpline``'s;
-    - each value is PPoly's ``evaluate_poly1`` in the interval that
-      ``searchsorted(x, t, "right") - 1`` finds, clipped to the last one.
+    The knot slopes ``s`` solve the tridiagonal system whose interior row i
+    reads ``dx[i+1] s[i] + 2 (dx[i] + dx[i+1]) s[i+1] + dx[i] s[i+2] =
+    3 (dx[i+1] slope[i] + dx[i] slope[i+1])``, with ``s[0] = s[-1] = 0``.
+    Every row is strictly diagonally dominant for positive spacings, so
+    elimination without pivoting (Thomas) is stable. Each value is its
+    interval's Hermite cubic in Horner form, in the interval that
+    ``searchsorted(x, t, "right") - 1`` finds, clipped to the last one.
     """
     n = len(x)
     dx = np.diff(x)
     dxr = dx[:, None]
     slope = np.diff(y, axis=0) / dxr
-
-    d = [1.0, *(2 * (dx[:-1] + dx[1:])).tolist(), 1.0]
-    du = [0.0, *dx[:-1].tolist()]
-    dl = [*dx[1:].tolist(), 0.0]
-    b = np.zeros_like(y)
-    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-    rows = list(b)
-    # dgtsv's last step (i = n - 2) skips the band updates past the matrix;
-    # here the clamped end row puts 0 below it, so it keeps its pivot and
-    # zeroing dl[n - 2] again changes nothing
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            fact = dl[i] / d[i]
-            d[i + 1] = d[i + 1] - fact * du[i]
-            rows[i + 1] = rows[i + 1] - fact * rows[i]
-            dl[i] = 0.0
-        else:
-            fact = d[i] / dl[i]
-            d[i] = dl[i]
-            temp = d[i + 1]
-            d[i + 1] = du[i] - fact * temp
-            dl[i] = du[i + 1]
-            du[i + 1] = -fact * dl[i]
-            du[i] = temp
-            rows[i], rows[i + 1] = rows[i + 1], rows[i] - fact * rows[i + 1]
-    rows[n - 1] = rows[n - 1] / d[n - 1]
-    rows[n - 2] = (rows[n - 2] - du[n - 2] * rows[n - 1]) / d[n - 2]
-    for i in range(n - 3, -1, -1):
-        rows[i] = (rows[i] - du[i] * rows[i + 1] - dl[i] * rows[i + 2]) / d[i]
-    s = np.array(rows)
+    rhs = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    lower, upper = dx[1:].tolist(), dx[:-1].tolist()
+    diag = (2 * (dx[:-1] + dx[1:])).tolist()
+    # after the forward sweep, s[i] = ds[i] - cs[i] * s[i + 1] for 0 < i < n - 1
+    cs, ds = [0.0], [np.zeros(y.shape[1])]
+    for i in range(n - 2):
+        w = diag[i] - lower[i] * cs[-1]
+        cs.append(upper[i] / w)
+        ds.append((rhs[i] - lower[i] * ds[-1]) / w)
+    s = np.zeros_like(y)
+    for i in range(n - 2, 0, -1):
+        s[i] = ds[i] - cs[i] * s[i + 1]
 
     t = (s[:-1] + s[1:] - 2 * slope) / dxr
-    c0, c1, c2, c3 = t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]
+    c0, c1 = t / dxr, (slope - s[:-1]) / dxr - t
     idx = np.clip(np.searchsorted(x, ts, side="right") - 1, 0, n - 2)
     h = (ts - x[idx])[:, None]
-    return ((0.0 + c3[idx]) + c2[idx] * h) + c1[idx] * (h * h) + c0[idx] * ((h * h) * h)
+    return y[idx] + h * (s[idx] + h * (c1[idx] + h * c0[idx]))
 
 
 def _quantize(

@@ -176,7 +176,10 @@ class CalibrationTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "CalibrationTable":
-        return cls.loads(Path(path).read_text())
+        try:
+            return cls.loads(Path(path).read_text(encoding="utf-8"))
+        except (ThresholdConfigError, UnicodeDecodeError) as exc:
+            raise ThresholdConfigError(f"{path}: {exc}") from None
 
 
 def _csv_line(fields: Iterable[str]) -> str:

@@ -5,8 +5,8 @@ from dataclasses import replace
 
 import pytest
 
+from kerv import harness
 from kerv.config import default_config
-from kerv.harness import run_one_episode
 from kerv.threshold import DEFAULT_GRID, calibrate
 
 PRE_SAMPLE_TRIALS = 8
@@ -18,15 +18,8 @@ def bench_cfg():
 
 
 @pytest.fixture(scope="session")
-def pre_sample(bench_cfg):
-    pre_cfg = replace(bench_cfg, fixed_r=15.0)
-    traces = []
-    for suite in bench_cfg.suites:
-        traces.extend(
-            run_one_episode(pre_cfg, suite, "fixed_relaxed", trial, None)
-            for trial in range(PRE_SAMPLE_TRIALS)
-        )
-    return traces
+def pre_sample():
+    return list(harness.pre_sample(replace(default_config(PRE_SAMPLE_TRIALS), fixed_r=15.0)))
 
 
 @pytest.fixture(scope="session")

@@ -15,12 +15,12 @@ slices compared over all seven positions, one ``json.dumps(...,
 sort_keys=True)`` per trace line, and the trace loader that checked slots,
 then scalar types, then ranges, in three passes
 (``reference_trace_loads``). The plan's target poses come from scipy's
-own ``CubicSpline`` (``reference_targets``), which the library reproduces
-in-house; scipy stays a test-only dependency, imported here and by the
-spline tests alone. The threshold update as the paper prints it
-(``printed_delta``, ``printed_walk``) is kept here as a reference only:
-the library has one update rule, and the printed one's walk from r_max is
-the same as that rule's on equal bounds.
+own ``CubicSpline`` (``reference_targets``), which the library's own solve
+matches to within a stated bound; scipy stays a test-only dependency,
+imported here and by the spline tests alone. The threshold update as the
+paper prints it (``printed_delta``, ``printed_walk``) is kept here as a
+reference only: the library has one update rule, and the printed one's
+walk from r_max is the same as that rule's on equal bounds.
 """
 
 import json

@@ -221,6 +221,35 @@ def small_table(small_cfg):
     return calibrate(pre, DEFAULT_GRID)
 
 
+def _uneven_trials(cfg):
+    """``cfg`` with 2, 0, 1 and 2 trials in its four suites, at r = 12."""
+    suites = tuple(replace(s, trials=n) for s, n in zip(cfg.suites, (2, 0, 1, 2)))
+    return replace(cfg, suites=suites, fixed_r=12.0)
+
+
+def test_pre_sample_decodes_every_suites_trials_in_config_order(small_cfg):
+    cfg = _uneven_trials(small_cfg)
+    traces = list(harness.pre_sample(cfg))
+    assert [(t.suite, t.trial) for t in traces] == [
+        ("goal", 0), ("goal", 1), ("object", 0), ("spatial", 0), ("spatial", 1)
+    ]
+    for t in traces:
+        assert t.mode == "fixed_relaxed"
+        assert t.seed == cfg.suite(t.suite).seed_base + cfg.seed_offset + t.trial
+        assert t.slices and all(rec.r == cfg.fixed_r for rec in t.slices)
+
+
+def test_pre_sample_runs_no_episode_before_it_is_drawn(small_cfg, monkeypatch):
+    ran = []
+    monkeypatch.setattr(harness, "run_one_episode", lambda *a: ran.append(a) or len(ran))
+    cfg = _uneven_trials(small_cfg)
+    episodes = harness.pre_sample(cfg)
+    assert ran == []
+    assert next(episodes) == 1
+    assert ran == [(cfg, cfg.suites[0], "fixed_relaxed", 0, None)]
+    assert list(episodes) == [2, 3, 4, 5]
+
+
 def test_run_suite_zero_trials_is_empty_report(small_cfg):
     report, traces = run_suite(small_cfg, modes=("naive",), suites=("goal",), trials=0)
     assert report.rows == []

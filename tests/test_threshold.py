@@ -1,6 +1,7 @@
 """Acceptance-threshold controller and calibration table."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -147,6 +148,21 @@ def test_table_roundtrip(tmp_path):
     assert text.splitlines()[0] == "task,robot,tau,phi,r_max,r_min,kvar_ref,sr,steps"
     loaded = CalibrationTable.load(path)
     assert loaded.rows == table.rows
+
+
+def test_table_load_names_the_file(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("task,robot\n")
+    with pytest.raises(
+        ThresholdConfigError, match=f"^{re.escape(str(path))}: unexpected table header"
+    ):
+        CalibrationTable.load(path)
+    # a file that is not UTF-8 text
+    path.write_bytes(b"\xff\xfe" + _HEADER_LINE.encode())
+    with pytest.raises(
+        ThresholdConfigError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode byte 0xff"
+    ):
+        CalibrationTable.load(path)
 
 
 def test_table_rejects_bad_header():
