@@ -85,7 +85,7 @@ def _grid_values(mapping: dict[str, str], key: str) -> list[float]:
 
 
 def _parse_grid(path: str) -> list[tuple[float, float]]:
-    mapping = config_mod.parse_mapping(Path(path).read_text())
+    mapping = config_mod.parse_mapping(config_mod.read_text(path))
     bad = sorted(set(mapping) - {"grid.tau", "grid.phi"})
     if bad:
         raise config_mod.ConfigError(f"unknown grid keys: {bad}")

@@ -252,8 +252,17 @@ def loads(text: str) -> RunConfig:
     return from_mapping(parse_mapping(text))
 
 
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of a config or grid file; text that is not UTF-8 is a
+    ``ConfigError`` that starts with the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def load(path: str | Path) -> RunConfig:
-    return loads(Path(path).read_text())
+    return loads(read_text(path))
 
 
 def _format(value) -> str:

@@ -4,6 +4,14 @@ Episode latency is modeled, not measured: each slice contributes its verify
 and draft calls at configured per-call costs, plus a filter-predict and a
 host round-trip charge when compensation fired, plus the per-slice
 threshold-adjustment charge. Every output is deterministic for fixed seeds.
+
+Each episode is decoded with the simulator's own oracles. A naive episode
+is decoded open-loop from the plan and the drafter's noise rows
+(``specdec.run_strict_episode``): strict speculative decoding executes
+exactly the verifier's tokens, which track the plan, and ``build_plan``
+guarantees that the plan's tokens reproduce its poses bit for bit. The
+other modes run the draft/verify loop (``specdec.run_episode``), whose
+naive mode is the reference the open-loop decoder is tested against.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from . import threshold as threshold_mod
 from .codec import N_DOF
 from .config import ConfigError, CostModel, RunConfig, SuiteConfig
 from .simenv import NoisyDrafter, PlanVerifier, SimEnv, make_task
-from .specdec import MODES, run_episode
+from .specdec import MODES, run_episode, run_strict_episode
 from .threshold import CalibrationTable
 from .trace import EpisodeTrace
 
@@ -108,10 +116,21 @@ def run_one_episode(
     trial: int,
     table: CalibrationTable | None,
 ) -> EpisodeTrace:
+    """Decode trial ``trial`` of a suite in ``mode`` with the simulator's
+    oracles; ``kerv`` runs from the suite's row of ``table``.
+
+    A naive episode is decoded open-loop (``specdec.run_strict_episode``),
+    with no draft/verify round: strict decoding executes the verifier's
+    tokens, the verifier tracks the plan, and the plan's tokens reproduce
+    its poses bit for bit, so the trace equals what ``run_episode``'s naive
+    mode, the reference, records. The other modes run ``run_episode``.
+    """
     seed = suite_cfg.seed_base + cfg.seed_offset + trial
     spec = make_task(suite_cfg.kind, seed)
     env = SimEnv(spec, cfg.key, suite=suite_cfg.name, robot=cfg.robot, trial=trial)
     draft = NoisyDrafter(env, cfg.noise)
+    if mode == "naive":
+        return run_strict_episode(env, draft, cfg)
     verify = PlanVerifier(env)
     row = None
     if mode == "kerv":

@@ -23,7 +23,9 @@ deviation, termination flags), so no per-slice call looks the plan up
 again. Each step's work is done once: ``SimEnv.truth`` computes the
 oracle's tokens once per step, and ``NoisyDrafter`` corrupts them once per
 step, so every draft round and verify call of a slice reads the same two
-slices.
+slices. An episode that executes the plan, as strict decoding does, needs
+neither: ``NoisyDrafter.plan_slices`` gives the truth and draft of every
+plan step at once.
 
 The draft noise of step t is NumPy's own stream for the seed words (noise
 seed, task seed, t, 0x5EED). It does not depend on the trajectory (only the
@@ -676,6 +678,26 @@ class NoisyDrafter:
             self._t = t
         start = len(prefix)
         return self._ids[start : start + depth]
+
+    def plan_slices(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The oracle's and the drafter's tokens, (truth, draft), at every
+        step of an episode that executes the plan, as strict decoding does.
+
+        Step t starts from the plan's pose t, which replaying the plan's
+        tokens reproduces bit for bit (``build_plan``), so its truth is
+        ``_track`` of pose t + 1 from pose t, taken for every step at once
+        (``_track_rows``), and its draft is ``_corrupt`` of that truth with
+        row t. The rows are derived per call and never kept on the cached
+        plan.
+        """
+        env = self.env
+        poses = env.plan.poses
+        truths = _track_rows(poses[1:], poses[:-1], env.key).tolist()
+        vmax = self._vmax
+        return [
+            (tuple(truth), _corrupt(truth, errs, offsets, vmax))
+            for truth, (errs, offsets) in zip(truths, self._rows)
+        ]
 
     def _draw_rows(self, t1: int) -> None:
         """Append the rows of the steps from the first undrawn one up to ``t1``."""

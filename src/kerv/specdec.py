@@ -23,10 +23,21 @@ filter's inputs dominated by verified actions.
 ``run_episode`` decodes a whole episode in one of the three ``MODES``
 (strict ``naive``, static-threshold ``fixed_relaxed``, adaptive ``kerv``)
 and reads its engine parameters straight from the run's ``RunConfig``.
+
+``run_strict_episode`` decodes a naive episode of the simulator's own
+oracles open-loop, with no draft/verify loop. That is exact: strict
+speculative decoding returns the verifier's tokens (Leviathan, Kalman and
+Matias, ICML 2023), the verifier tracks the plan, and replaying the
+plan's tokens reproduces its poses bit for bit (``simenv.build_plan``), so
+every step's truth and draft are known before the first slice. Each
+slice's record then follows from where its draft misses, through a table
+that ``decode_slice_sd`` builds. ``run_episode``'s naive mode is the
+reference it is tested against, and serves any other oracles.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, Sequence
@@ -58,7 +69,7 @@ from .trace import (
 
 if TYPE_CHECKING:  # for annotations only
     from .config import RunConfig
-    from .simenv import SimEnv
+    from .simenv import NoisyDrafter, SimEnv
 
 
 class EngineError(RuntimeError):
@@ -330,4 +341,101 @@ def run_episode(
         deviation=env.deviation,
         plan_steps=env.plan.steps,
         comp_events=comp_events,
+    )
+
+
+class _FixedRow:
+    """A draft or verify oracle that answers from one fixed row of tokens."""
+
+    def __init__(self, tokens: Sequence[int]) -> None:
+        self.tokens = tuple(tokens)
+
+    def draft(self, prefix: Sequence[int], depth: int) -> Sequence[int]:
+        return self.tokens[len(prefix) : len(prefix) + depth]
+
+    def verify(self, prefix: Sequence[int], drafted: Sequence[int]) -> Sequence[int]:
+        return self.tokens[len(prefix) : len(prefix) + len(drafted)]
+
+
+@functools.lru_cache(maxsize=64)
+def _strict_slices(
+    depth: int, key: NormKey
+) -> tuple[tuple[tuple[str, ...], tuple[str, ...], int, int], ...]:
+    """What strict decoding records of a slice at ``depth``, for each set of
+    positions where the draft misses the truth: entry m holds the statuses,
+    sources, first error position and rounds of a slice whose draft misses
+    at the set bits of m.
+
+    Each entry is ``decode_slice_sd`` at r = 0 on a truth row of token 0
+    and a draft row holding token 1 at the misses. Both tokens are valid
+    in every vocabulary (``NormKey`` holds at least two), and under r = 0
+    only whether a draft token equals its truth matters, so the round rule
+    is written once.
+    """
+    table = []
+    for misses in range(1 << N_DOF):
+        drafted = _FixedRow((misses >> pos) & 1 for pos in range(N_DOF))
+        res = decode_slice_sd(drafted, _FixedRow((0,) * N_DOF), r=0.0, depth=depth, key=key)
+        table.append((res.statuses, res.sources, res.first_error_pos, res.rounds))
+    return tuple(table)
+
+
+def run_strict_episode(env: SimEnv, draft: NoisyDrafter, cfg: RunConfig) -> EpisodeTrace:
+    """The trace ``run_episode(env, draft, PlanVerifier(env), cfg, "naive")``
+    records, decoded open-loop from the plan and the drafter's noise rows.
+
+    Strict speculative decoding (r = 0, no compensation) executes exactly
+    the verifier's tokens, and the verifier tracks the plan, whose own
+    tokens reproduce its poses bit for bit (``simenv.build_plan``). So the
+    episode executes the plan: step t starts from the plan's pose t, the
+    truths and drafts of every step are known before the first slice
+    (``NoisyDrafter.plan_slices``), and the episode ends on the plan's last
+    step on its goal, with no deviation. With no compensation every
+    position is judged once, so a record holds the whole draft and truth
+    rows and executes the truth, and its statuses, sources, first error
+    position and rounds depend only on where the draft misses
+    (``_strict_slices``). ``run_episode``'s naive mode stays the reference,
+    and the one to use with other oracles. ``env`` must be fresh, and is
+    left as it is.
+    """
+    table = _strict_slices(cfg.depth, cfg.key)
+    records = []
+    for step, (truth, drafted) in enumerate(draft.plan_slices()):
+        misses = 0
+        for pos in range(N_DOF):
+            if drafted[pos] != truth[pos]:
+                misses |= 1 << pos
+        statuses, sources, first_error, rounds = table[misses]
+        records.append(
+            SliceRecord(
+                step=step,
+                draft_ids=drafted,
+                true_ids=truth,
+                statuses=statuses,
+                tokens=truth,
+                sources=sources,
+                first_error_pos=first_error,
+                r=0.0,
+                kvar_step=0.0,
+                kvar_cum=0.0,
+                verify_calls=rounds,
+                draft_calls=rounds,
+                comp_fired=False,
+                cooldown_remaining=0,
+            )
+        )
+    plan = env.plan
+    return EpisodeTrace(
+        suite=env.suite,
+        kind=env.spec.kind,
+        mode="naive",
+        robot=env.robot,
+        trial=env.trial,
+        seed=env.spec.seed,
+        slices=records,
+        success=True,
+        steps=plan.steps,
+        deviation=0.0,
+        plan_steps=plan.steps,
+        comp_events=0,
     )

@@ -16,6 +16,8 @@ from kerv.harness import (
     run_suite,
     sweep,
 )
+from kerv.simenv import NoisyDrafter, PlanVerifier, SimEnv, make_task
+from kerv.specdec import run_episode
 from kerv.threshold import (
     CalibrationRow,
     CalibrationTable,
@@ -213,12 +215,9 @@ def small_cfg():
 
 @pytest.fixture(scope="module")
 def small_table(small_cfg):
-    goal = small_cfg.suite("goal")
-    pre = [
-        run_one_episode(replace(small_cfg, fixed_r=15.0), goal, "fixed_relaxed", t, None)
-        for t in range(4)
-    ]
-    return calibrate(pre, DEFAULT_GRID)
+    goal = replace(small_cfg.suite("goal"), trials=4)
+    pre = harness.pre_sample(replace(small_cfg, fixed_r=15.0, suites=(goal,)))
+    return calibrate(list(pre), DEFAULT_GRID)
 
 
 def _uneven_trials(cfg):
@@ -293,6 +292,21 @@ def test_run_suite_override_fails_as_the_config_fails(
         run_suite(small_cfg, **override)
     assert str(got.value) == str(expected.value)
     assert ran == []
+
+
+def test_naive_episodes_are_decoded_open_loop(small_cfg, monkeypatch):
+    """``run_one_episode`` decodes a naive episode without the draft/verify
+    loop, to the trace the loop records; the other modes run the loop."""
+    suite = small_cfg.suite("object")
+    spec = make_task(suite.kind, suite.seed_base + small_cfg.seed_offset + 1)
+    env = SimEnv(spec, small_cfg.key, suite=suite.name, robot=small_cfg.robot, trial=1)
+    ref = run_episode(env, NoisyDrafter(env, small_cfg.noise), PlanVerifier(env), small_cfg, "naive")
+    loops = []
+    monkeypatch.setattr(harness, "run_episode", lambda *a: loops.append(a[4]))
+    same = run_one_episode(small_cfg, suite, "naive", 1, None).dumps() == ref.dumps()
+    assert same
+    run_one_episode(small_cfg, suite, "fixed_relaxed", 1, None)
+    assert loops == ["fixed_relaxed"]
 
 
 def test_run_suite_report_shape(small_cfg, small_table):
@@ -431,6 +445,20 @@ def test_cli_bad_config_exits_nonzero(tmp_path, capsys):
     assert rc != 0
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "calibrate"])
+def test_cli_names_a_config_or_grid_file_that_is_not_utf8(tmp_path, capsys, command):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xff\xfe" + default_config_text(trials=1).encode())
+    if command == "run":
+        rc = cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    else:
+        rc = _calibrate_cli(_write_cfg(tmp_path), bad, tmp_path / "table.csv")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
     assert len(err.strip().splitlines()) == 1
 
 

@@ -1,6 +1,8 @@
 """Draft/verify engine: acceptance, compensation, cooldown, traces."""
 
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from kerv import specdec, threshold
 from kerv.codec import NormKey, decode_slice, token_to_action
-from kerv.config import RunConfig
+from kerv.config import RunConfig, default_config
 from kerv.kinematics import KfBank, KfParams, NoContextError
 from kerv.simenv import DraftNoiseModel, NoisyDrafter, PlanVerifier, SimEnv, make_task
 from kerv.specdec import (
@@ -25,6 +27,7 @@ from kerv.specdec import (
     decode_slice_sd,
     relaxed_accept,
     run_episode,
+    run_strict_episode,
 )
 from kerv.threshold import CalibrationRow
 from kerv.trace import loads
@@ -441,3 +444,45 @@ def test_bank_window_holds_the_last_executed_slices(monkeypatch):
     assert trace.steps > bank.ac and trace.comp_events > 0
     executed = [decode_slice(rec.tokens, KEY) for rec in trace.slices[-bank.ac :]]
     assert list(bank.window) == executed
+
+
+# the default key, and keys at the clamp and mirror edges: two tokens, and
+# 16 bins over +-0.02, where most plan steps clamp
+STRICT_KEYS = {
+    "vocab256": KEY,
+    "vocab2": NormKey(vocab_size=2),
+    "vocab16": NormKey(lo=(-0.02,) * 7, hi=(0.02,) * 7, vocab_size=16),
+}
+# (q_err, max_offset): no error, the default noise, and every position
+# erring by one token or by offsets past every vocabulary above
+STRICT_NOISES = list(itertools.product((0.0, 0.48, 1.0), (1, 60, 5000)))
+
+
+def _first_different_line(text: str, ref: str) -> tuple[str, str] | None:
+    """The first line where ``text`` and ``ref`` differ, as (text's, ref's),
+    so a failure shows one record rather than a diff of two traces."""
+    if text == ref:
+        return None
+    pairs = itertools.zip_longest(text.splitlines(), ref.splitlines(), fillvalue="<none>")
+    return next(p for p in pairs if p[0] != p[1])
+
+
+@pytest.mark.parametrize("key", STRICT_KEYS.values(), ids=STRICT_KEYS)
+@pytest.mark.parametrize("depth", range(1, 8))
+def test_strict_episode_writes_the_closed_loop_naive_trace(depth, key):
+    """The open-loop decoder writes, byte for byte, the trace that
+    ``run_episode``'s naive mode records through the draft/verify loop:
+    every noise of ``STRICT_NOISES`` at each depth and key, cycling over
+    every suite."""
+    cfg = replace(default_config(1), depth=depth, key=key)
+    for i, (q_err, max_offset) in enumerate(STRICT_NOISES):
+        suite = cfg.suites[(depth + i) % len(cfg.suites)]
+        spec = make_task(suite.kind, suite.seed_base + i)
+        noise = DraftNoiseModel(q_err=q_err, max_offset=max_offset, seed=depth)
+        env = SimEnv(spec, key, suite=suite.name, trial=i)
+        ref = run_episode(env, NoisyDrafter(env, noise), PlanVerifier(env), cfg, "naive")
+        env = SimEnv(spec, key, suite=suite.name, trial=i)
+        got = run_strict_episode(env, NoisyDrafter(env, noise), cfg)
+        diff = _first_different_line(got.dumps(), ref.dumps())
+        assert diff is None, (suite.name, q_err, max_offset, diff)
+        assert got.success and got.steps == env.plan.steps
