@@ -20,22 +20,24 @@ seed and the waypoints. ``build_plan`` caches the plan on the spec and the
 codec key, so every episode and mode of a task shares one build, and
 ``SimEnv`` holds the plan and the episode's state (pose, step count,
 deviation, termination flags), so no per-slice call looks the plan up
-again. Each step's work is done once: ``SimEnv.truth`` computes the
-oracle's tokens once per step, and ``NoisyDrafter`` corrupts them once per
-step, so every draft round and verify call of a slice reads the same two
-slices. An episode that executes the plan, as strict decoding does, needs
-neither: ``NoisyDrafter.plan_slices`` gives the truth and draft of every
-plan step at once.
+again. In the closed loop each step's work is done once: ``SimEnv.truth``
+computes the oracle's tokens once per step, and ``NoisyDrafter`` corrupts
+them once per step (``_corrupt``), so every draft round and verify call of
+a slice reads the same two slices. An episode that executes the plan, as
+strict decoding does, needs neither: ``NoisyDrafter.plan_slices`` tracks
+and corrupts every plan step at once, as arrays (``_track_rows``,
+``_corrupt_rows``).
 
 The draft noise of step t is NumPy's own stream for the seed words (noise
 seed, task seed, t, 0x5EED). It does not depend on the trajectory (only the
 clamp at the vocabulary edge reads the truth token), so ``noise_rows``
 draws the error mask and signed offsets of a whole run of steps in one
-vectorised pass: ``NoisyDrafter`` draws the plan's rows when it is made
-and the rest when needed. The rows equal the per-step generator's bit for
-bit on the installed numpy (tested on 2.4.6); that rests on
-``Generator.random``/``integers``, which NEP 19 does not freeze, and
-``tests/oracles.py::reference_draft_ids`` is the guard.
+vectorised pass: ``NoisyDrafter`` draws the plan's rows as two arrays when
+it is made, and the closed loop makes per-step lists of them on its first
+draft and draws the rows past the plan when needed. The rows equal the
+per-step generator's bit for bit on the installed numpy (tested on
+2.4.6); that rests on ``Generator.random``/``integers``, which NEP 19 does
+not freeze, and ``tests/oracles.py::reference_draft_ids`` is the guard.
 
 The spline is the clamped cubic (zero slope at both ends) through the
 waypoints' motion channels, fitted by ``_clamped_spline``'s own
@@ -186,10 +188,7 @@ def make_task(kind: str, seed: int) -> TaskSpec:
             state = -state
             grip[i:] = state
 
-    waypoints = tuple(
-        tuple(map(float, np.concatenate([pos[i], rot[i], [grip[i]]])))
-        for i in range(n_way)
-    )
+    waypoints = tuple(map(tuple, np.column_stack([pos, rot, grip]).tolist()))
     return TaskSpec(kind=kind, seed=seed, waypoints=waypoints)
 
 
@@ -446,6 +445,23 @@ def _corrupt(truth_ids, errs, offsets, vmax: int) -> tuple[int, ...]:
     return tuple(ids)
 
 
+def _corrupt_rows(
+    truths: np.ndarray, errs: np.ndarray, offsets: np.ndarray, vmax: int
+) -> np.ndarray:
+    """``_corrupt`` of every row of ``truths`` at once, with the same rows of
+    ``errs`` and ``offsets``: an int array of the same shape.
+
+    Each cell takes ``_corrupt``'s rule on its own truth, flag and offset.
+    ``np.clip`` of an int is ``min(max(x, 0), vmax)``; the mirrored value
+    replaces the offset one wherever that equals the truth, and only
+    erring cells change. An offset is at most ``max_offset``, so the int64
+    sums cannot wrap.
+    """
+    shifted = np.clip(truths + offsets, 0, vmax)
+    mirrored = np.clip(truths - offsets, 0, vmax)
+    return np.where(errs, np.where(shifted == truths, mirrored, shifted), truths)
+
+
 # --- draft noise: NumPy's per-step stream, drawn for many steps at once ------
 #
 # Step t's noise is what default_rng([noise seed, task seed, t, 0x5EED])
@@ -648,21 +664,27 @@ class PlanVerifier:
         return self.env.truth()[start : start + len(drafted)]
 
 
+_POS_BITS = 1 << np.arange(N_DOF)  # bit p of a miss mask is position p
+
+
 class NoisyDrafter:
     """Draft oracle bound to a live environment: corrupted plan tokens,
     drawn once per env step.
 
     The noise rows (``noise_rows``) of the plan's steps are drawn when the
-    drafter is made, and those of the later steps below the plan's
-    ``max_steps`` in one more pass only if the episode runs past the plan.
-    Step t applies row t to the oracle's tokens (``_corrupt``).
+    drafter is made and kept as the two (steps, 7) arrays. Strict decoding
+    reads them whole (``plan_slices``). The closed loop applies row t to
+    the oracle's tokens at step t (``_corrupt``), from per-step lists that
+    its first ``draft`` call makes of the arrays; the rows of the later
+    steps below the plan's ``max_steps`` are drawn in one more pass only if
+    the episode runs past the plan.
     """
 
     def __init__(self, env: SimEnv, noise: DraftNoiseModel) -> None:
         self.env = env
         self.noise = noise
+        self._errs, self._offsets = noise_rows(noise, env.spec.seed, 0, env.plan.steps)
         self._rows: list[tuple[list[bool], list[int]]] = []  # (errs, offsets) per step
-        self._draw_rows(env.plan.steps)
         self._vmax = env.key.vocab_size - 1
         self._t: int | None = None
         self._ids: tuple[int, ...] = ()
@@ -673,33 +695,45 @@ class NoisyDrafter:
         if self._t != t:
             truth = env.truth()  # raises once the episode is done
             if t >= len(self._rows):
-                self._draw_rows(env.plan.max_steps)
+                self._extend_rows(t)
             self._ids = _corrupt(truth, *self._rows[t], self._vmax)
             self._t = t
         start = len(prefix)
         return self._ids[start : start + depth]
 
-    def plan_slices(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """The oracle's and the drafter's tokens, (truth, draft), at every
-        step of an episode that executes the plan, as strict decoding does.
+    def plan_slices(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
+        """The oracle's tokens, the drafter's tokens and the miss mask (bit p
+        set where the draft misses position p) at every step of an episode
+        that executes the plan, as strict decoding does.
 
         Step t starts from the plan's pose t, which replaying the plan's
         tokens reproduces bit for bit (``build_plan``), so its truth is
         ``_track`` of pose t + 1 from pose t, taken for every step at once
         (``_track_rows``), and its draft is ``_corrupt`` of that truth with
-        row t. The rows are derived per call and never kept on the cached
-        plan.
+        noise row t. ``_corrupt_rows`` applies that rule to every cell of
+        the plan at once: a cell's draft reads only its own truth, error
+        flag and offset, so the arrays give what the per-row calls give.
+        Nothing is kept on the cached plan.
         """
         env = self.env
         poses = env.plan.poses
-        truths = _track_rows(poses[1:], poses[:-1], env.key).tolist()
-        vmax = self._vmax
-        return [
-            (tuple(truth), _corrupt(truth, errs, offsets, vmax))
-            for truth, (errs, offsets) in zip(truths, self._rows)
-        ]
+        truths = _track_rows(poses[1:], poses[:-1], env.key)
+        drafts = _corrupt_rows(truths, self._errs, self._offsets, self._vmax)
+        misses = (drafts != truths) @ _POS_BITS
+        return (
+            list(map(tuple, truths.tolist())),
+            list(map(tuple, drafts.tolist())),
+            misses.tolist(),
+        )
 
-    def _draw_rows(self, t1: int) -> None:
-        """Append the rows of the steps from the first undrawn one up to ``t1``."""
-        errs, offsets = noise_rows(self.noise, self.env.spec.seed, len(self._rows), t1)
-        self._rows += zip(errs.tolist(), offsets.tolist())
+    def _extend_rows(self, t: int) -> None:
+        """Make the per-step lists of the plan's rows, if not yet made, and
+        draw the rows of the steps past the plan, up to its ``max_steps``,
+        if step ``t`` is one of them."""
+        if not self._rows:
+            self._rows = list(zip(self._errs.tolist(), self._offsets.tolist()))
+        if t >= len(self._rows):
+            errs, offsets = noise_rows(
+                self.noise, self.env.spec.seed, len(self._rows), self.env.plan.max_steps
+            )
+            self._rows += zip(errs.tolist(), offsets.tolist())

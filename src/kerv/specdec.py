@@ -243,6 +243,13 @@ def accepted_error_kvar(rec: SliceResult | SliceRecord, key: NormKey) -> float:
     return kvar
 
 
+def _require_fresh(env: SimEnv) -> None:
+    """Refuse an env that has stepped: the trace numbers its records from
+    step 0, and its summary's ``steps`` counts every step the env took."""
+    if env.t != 0:
+        raise EngineError(f"env must be fresh to decode an episode, but it is at step {env.t}")
+
+
 def run_episode(
     env: SimEnv,
     draft: DraftOracle,
@@ -265,11 +272,12 @@ def run_episode(
     ``cfg.fixed_r``, ``cfg.comp_n`` (cooldown slices), ``cfg.pl``,
     ``cfg.ac``, ``cfg.kf_params`` and ``cfg.key``.
 
-    ``env`` must be fresh (no step taken); the trace's header and summary
-    come from its spec, metadata and final state.
+    ``env`` must be fresh (no step taken; ``EngineError`` otherwise); the
+    trace's header and summary come from its spec, metadata and final state.
     """
     if mode not in MODES:
         raise EngineError(f"unknown mode {mode!r}; expected one of {MODES}")
+    _require_fresh(env)
     kerv = mode == "kerv"
     if kerv:
         if row is None:
@@ -395,33 +403,23 @@ def run_strict_episode(env: SimEnv, draft: NoisyDrafter, cfg: RunConfig) -> Epis
     rows and executes the truth, and its statuses, sources, first error
     position and rounds depend only on where the draft misses
     (``_strict_slices``). ``run_episode``'s naive mode stays the reference,
-    and the one to use with other oracles. ``env`` must be fresh, and is
-    left as it is.
+    and the one to use with other oracles. ``env`` must be fresh
+    (``EngineError`` otherwise), and is left as it is.
+
+    The drafter derives every step's truth, draft and miss mask as arrays
+    in one pass, so each record costs one table lookup and one
+    ``SliceRecord``, built positionally in its field order.
     """
+    _require_fresh(env)
     table = _strict_slices(cfg.depth, cfg.key)
+    truths, drafts, misses = draft.plan_slices()
     records = []
-    for step, (truth, drafted) in enumerate(draft.plan_slices()):
-        misses = 0
-        for pos in range(N_DOF):
-            if drafted[pos] != truth[pos]:
-                misses |= 1 << pos
-        statuses, sources, first_error, rounds = table[misses]
+    for step, (truth, drafted, missed) in enumerate(zip(truths, drafts, misses)):
+        statuses, sources, first_error, rounds = table[missed]
         records.append(
             SliceRecord(
-                step=step,
-                draft_ids=drafted,
-                true_ids=truth,
-                statuses=statuses,
-                tokens=truth,
-                sources=sources,
-                first_error_pos=first_error,
-                r=0.0,
-                kvar_step=0.0,
-                kvar_cum=0.0,
-                verify_calls=rounds,
-                draft_calls=rounds,
-                comp_fired=False,
-                cooldown_remaining=0,
+                step, drafted, truth, statuses, truth, sources, first_error,
+                0.0, 0.0, 0.0, rounds, rounds, False, 0,
             )
         )
     plan = env.plan

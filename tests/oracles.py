@@ -5,11 +5,12 @@ textbook 2x2 matrix arithmetic via numpy, the filter reference replays the
 scalar recursion over each window's observations (the library applies
 precomputed linear weights instead), and the first-error-position
 oracle is a direct Monte-Carlo simulation of per-position Bernoulli misses.
-The plan, tracking, decoding, calibration, variability and trace
-references keep the original straightforward forms: the plan tracked one
-step and one DoF at a time, each tracked or decoded value sent through the
-checked scalar ``action_to_token``/``token_to_action`` (the library inlines
-their expressions), r clamped with the builtin ``min`` and ``max`` per
+The task, plan, tracking, decoding, calibration, variability and trace
+references keep the original straightforward forms: each task waypoint
+assembled on its own, the plan tracked one step and one DoF at a time,
+each tracked or decoded value sent through the checked scalar
+``action_to_token``/``token_to_action`` (the library inlines their
+expressions), r clamped with the builtin ``min`` and ``max`` per
 slice, every token pair decoded again per candidate, zero-padded action
 slices compared over all seven positions, one ``json.dumps(...,
 sort_keys=True)`` per trace line, and the trace loader that checked slots,
@@ -32,7 +33,16 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from kerv.codec import GRIPPER_DOF, NormKey, action_to_token, token_to_action
-from kerv.simenv import KINDS, _advance, _segment_steps
+from kerv.simenv import (
+    _KIND_IDS,
+    _N_TOGGLES,
+    _N_WAYPOINTS,
+    _POS_RANGE,
+    _ROT_RANGE,
+    KINDS,
+    _advance,
+    _segment_steps,
+)
 from kerv.threshold import CalibrationRow, ThresholdConfigError
 from kerv.trace import MODES, EpisodeTrace, SliceRecord, TraceError
 
@@ -158,6 +168,32 @@ def reference_draft_ids(truth_ids, noise, task_seed, t, vocab_size):
             corrupted = min(max(tok - off, 0), vmax)
         ids.append(corrupted)
     return tuple(ids)
+
+
+def reference_task_waypoints(kind, seed):
+    """The waypoints ``make_task`` draws, drawn in the same order and
+    assembled the original way: one ``np.concatenate`` of a waypoint's
+    position, rotation and gripper state, then ``float`` of each value."""
+    rng = np.random.default_rng([_KIND_IDS[kind], seed & 0x7FFFFFFF])
+    lo_n, hi_n = _N_WAYPOINTS[kind]
+    n_way = int(rng.integers(lo_n, hi_n + 1))
+    pos = rng.uniform(-_POS_RANGE, _POS_RANGE, size=(n_way, 3))
+    rot = rng.uniform(-_ROT_RANGE, _ROT_RANGE, size=(n_way, 3))
+    pos[0] = rng.uniform(-0.1, 0.1, size=3)
+    rot[0] = 0.0
+    while np.linalg.norm(pos[-1] - pos[0]) < 0.5:
+        pos[-1] = rng.uniform(-_POS_RANGE, _POS_RANGE, size=3)
+    grip = np.full(n_way, -1.0)
+    if _N_TOGGLES[kind]:
+        idx = rng.choice(np.arange(1, n_way), size=_N_TOGGLES[kind], replace=False)
+        state = -1.0
+        for i in sorted(idx):
+            state = -state
+            grip[i:] = state
+    return tuple(
+        tuple(map(float, np.concatenate([pos[i], rot[i], [grip[i]]])))
+        for i in range(n_way)
+    )
 
 
 # norm keys for the bit-exact plan, tracking and decoding tests

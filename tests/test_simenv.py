@@ -16,6 +16,7 @@ from kerv import simenv
 from kerv.codec import GRIPPER_DOF, CodecError, NormKey, action_to_token, decode_slice
 from kerv.simenv import (
     DEFAULT_KEY,
+    KINDS,
     SUCCESS_TOLERANCE,
     DraftNoiseModel,
     EnvStateError,
@@ -38,6 +39,7 @@ from oracles import (
     reference_draft_ids,
     reference_plan,
     reference_targets,
+    reference_task_waypoints,
     reference_track,
 )
 
@@ -54,6 +56,17 @@ def test_make_task_deterministic():
     assert a == b
     c = make_task("pick_place", 8)
     assert c != a
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_make_task_waypoints_match_reference(kind):
+    """The waypoints, built from the draws in one call, equal the
+    per-waypoint assembly bit for bit, as Python floats."""
+    for seed in [*range(300), (1 << 31) + 3, (1 << 32) + 5]:
+        got = make_task(kind, seed).waypoints
+        expected = reference_task_waypoints(kind, seed)
+        assert all(type(v) is float for w in got for v in w)
+        assert [[v.hex() for v in w] for w in got] == [[v.hex() for v in w] for w in expected], seed
 
 
 def test_unknown_kind_rejected():
@@ -494,23 +507,58 @@ def test_plan_targets_must_be_finite():
 # --- draft noise against the reference stream --------------------------------
 
 
-@pytest.mark.parametrize(
-    "noise",
-    [
-        DraftNoiseModel(seed=0),
-        DraftNoiseModel(seed=9),
-        DraftNoiseModel(seed=(1 << 31) + 77),  # masked to 31 bits
-        DraftNoiseModel(q_err=0.0, seed=3),
-        DraftNoiseModel(q_err=1.0, seed=4),
-        DraftNoiseModel(q_err=1.0, max_offset=1, seed=5),
-        DraftNoiseModel(q_err=0.7, max_offset=3, zipf_s=2.5, seed=6),
-    ],
-)
+REFERENCE_NOISES = [
+    DraftNoiseModel(seed=0),
+    DraftNoiseModel(seed=9),
+    DraftNoiseModel(seed=(1 << 31) + 77),  # masked to 31 bits
+    DraftNoiseModel(q_err=0.0, seed=3),
+    DraftNoiseModel(q_err=1.0, seed=4),
+    DraftNoiseModel(q_err=1.0, max_offset=1, seed=5),
+    DraftNoiseModel(q_err=0.7, max_offset=3, zipf_s=2.5, seed=6),
+]
+REFERENCE_TASKS = (("reach", 0), ("pick_place", 41), ("long_horizon", 1 << 31))
+
+
+@pytest.mark.parametrize("noise", REFERENCE_NOISES)
 def test_draft_policy_matches_reference_stream(noise):
     vocab = NormKey().vocab_size
-    for kind, task_seed in (("reach", 0), ("pick_place", 41), ("long_horizon", 1 << 31)):
+    for kind, task_seed in REFERENCE_TASKS:
         for t, truth, drafted in _drafts_along_plan(kind, task_seed, noise, 30):
             assert drafted == reference_draft_ids(truth, noise, task_seed, t, vocab)
+
+
+@pytest.mark.parametrize("noise", REFERENCE_NOISES)
+def test_plan_slices_match_reference_stream(noise):
+    """The open-loop truths, drafts and miss masks at every plan step: the
+    oracle tracking pose t + 1 from pose t, the reference stream's
+    corruption of that truth, and the positions where the two differ."""
+    vocab = NormKey().vocab_size
+    for kind, task_seed in REFERENCE_TASKS:
+        env = SimEnv(make_task(kind, task_seed))
+        poses = env.plan.poses.tolist()
+        truths, drafts, misses = NoisyDrafter(env, noise).plan_slices()
+        assert len(truths) == len(drafts) == len(misses) == env.plan.steps
+        for t, (truth, drafted, missed) in enumerate(zip(truths, drafts, misses)):
+            assert list(truth) == reference_track(poses[t + 1], poses[t], env.key), t
+            assert drafted == reference_draft_ids(truth, noise, task_seed, t, vocab), t
+            assert missed == sum(1 << p for p in range(7) if drafted[p] != truth[p]), t
+
+
+@pytest.mark.parametrize("vocab", [2, 3, 16, 256])
+def test_corrupt_rows_match_corrupt_row_by_row(vocab):
+    """Every truth token, every offset +-1 .. +-(vocab + 1) and the error
+    flag on and off, seven cells to a row, through both corruptions."""
+    vmax = vocab - 1
+    magnitudes = np.arange(1, vocab + 2)
+    cells = np.meshgrid(
+        np.arange(vocab), np.concatenate([magnitudes, -magnitudes]), [False, True]
+    )
+    # repeat cells cyclically to fill whole rows of seven
+    n = -(-cells[0].size // 7) * 7
+    truths, offsets, errs = (np.resize(c.ravel(), n).reshape(-1, 7) for c in cells)
+    got = simenv._corrupt_rows(truths, errs, offsets, vmax).tolist()
+    rows = zip(truths.tolist(), errs.tolist(), offsets.tolist())
+    assert [tuple(r) for r in got] == [simenv._corrupt(*row, vmax) for row in rows]
 
 
 @pytest.mark.parametrize("max_offset", [1, 60])
@@ -694,3 +742,23 @@ def test_make_task_builds_no_plan_and_an_episode_builds_one():
     run_one_episode(RunConfig(suites=(suite,)), suite, "naive", 0, None)
     info = build_plan.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
+
+
+@pytest.mark.parametrize("mode", ["naive", "fixed_relaxed"])
+def test_naive_episode_corrupts_no_row_and_drafts_nothing(mode, monkeypatch):
+    """A naive episode is decoded open-loop from the drafter's noise arrays:
+    no per-row ``_corrupt`` call and no ``draft`` call. The closed loop of
+    the other modes still makes both."""
+    corrupts, drafts = [], []
+    real_corrupt, real_draft = simenv._corrupt, NoisyDrafter.draft
+    monkeypatch.setattr(simenv, "_corrupt", lambda *a: corrupts.append(a) or real_corrupt(*a))
+    monkeypatch.setattr(
+        NoisyDrafter, "draft", lambda self, *a: drafts.append(a) or real_draft(self, *a)
+    )
+    suite = SuiteConfig("t", "pick_place", trials=1, seed_base=5)
+    trace = run_one_episode(RunConfig(suites=(suite,)), suite, mode, 0, None)
+    assert trace.steps > 0
+    if mode == "naive":
+        assert corrupts == [] and drafts == []
+    else:
+        assert len(corrupts) == trace.steps and len(drafts) >= trace.steps

@@ -328,6 +328,22 @@ def test_kerv_requires_calibration_row():
         run_episode(env, draft, verify, RunConfig(), "greedy")
 
 
+@pytest.mark.parametrize("mode", ["open-loop", *MODES])
+def test_decoders_refuse_a_stepped_env(mode):
+    """An env that has stepped would start the trace past step 0 under a
+    summary that counts the earlier steps; both decoders refuse it."""
+    env = SimEnv(make_task("reach", 5), suite="t", trial=0)
+    draft, verify = NoisyDrafter(env, DraftNoiseModel(seed=9)), PlanVerifier(env)
+    for _ in range(5):
+        env.step(decode_slice(env.truth(), KEY))
+    with pytest.raises(EngineError, match="fresh.*step 5"):
+        if mode == "open-loop":
+            run_strict_episode(env, draft, RunConfig())
+        else:
+            run_episode(env, draft, verify, RunConfig(), mode, ROW)
+    assert env.t == 5
+
+
 # r_max == r_min: a fixed threshold with compensation
 EQUAL_BOUNDS_ROW = CalibrationRow(
     tau=1.0, phi=0.7, r_max=9.0, r_min=9.0, kvar_ref=0.08, success_rate=0.0, avg_steps=0.0
