@@ -24,9 +24,10 @@ Tokens the decoder fills from filter predictions come from
 ``action_to_token``/``snap_gripper_token``, which refuse a non-finite
 value and clamp to the vocabulary. The per-slice paths compute the
 codec's expressions inline on plain ints and floats instead of calling the
-checked scalar functions: ``decode_slice`` and ``simenv._track``
-(``action_to_token``'s expression on a gap already clamped to the action
-range).
+checked scalar functions: ``decode_slice``,
+``specdec.decode_slice_sd`` (``token_to_action``'s expression on each
+token it places) and ``simenv._track`` (``action_to_token``'s expression
+on a gap already clamped to the action range).
 """
 
 from __future__ import annotations

@@ -10,8 +10,10 @@ is decoded open-loop from the plan and the drafter's noise rows
 (``specdec.run_strict_episode``): strict speculative decoding executes
 exactly the verifier's tokens, which track the plan, and ``build_plan``
 guarantees that the plan's tokens reproduce its poses bit for bit. The
-other modes run the draft/verify loop (``specdec.run_episode``), whose
-naive mode is the reference the open-loop decoder is tested against.
+other modes run the closed loop (``specdec.run_episode``): each step asks
+the drafter for its draft row and the verifier for its truth row, once
+each, and the decoder walks the draft/verify rounds over the two rows.
+Its naive mode is the reference the open-loop decoder is tested against.
 """
 
 from __future__ import annotations

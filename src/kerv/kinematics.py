@@ -10,13 +10,15 @@ parameters and window length): pushing only appends to the window, and a
 read is one (2, n) x (n, 7) product.
 
 ``accumulate_kvar`` checks one slice's kinematic variability and folds it
-into an episode's running sum; ``specdec.accepted_error_kvar`` measures that
-per-slice value from the decoded slice.
+into an episode's running sum; ``specdec.decode_slice_sd`` measures that
+per-slice value as it decodes the slice, and ``specdec.accepted_error_kvar``
+rebuilds it from a trace record.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -131,8 +133,11 @@ class KfBank:
             raise KinematicsError(f"prediction length must be >= 1, got {pl}")
         if not self.window:
             raise NoContextError("no action context: push at least one slice first")
-        weights, _ = _weights(self.params, len(self.window))
-        pos, vel = (weights @ np.array(self.window)).tolist()
+        n = len(self.window)
+        weights, _ = _weights(self.params, n)
+        # the (n, 7) window, read straight from the floats of its tuples
+        window = np.fromiter(itertools.chain.from_iterable(self.window), float, n * 7)
+        pos, vel = (weights @ window.reshape(n, 7)).tolist()
         dt = self.params.dt
         return tuple(p + pl * dt * v for p, v in zip(pos, vel))
 

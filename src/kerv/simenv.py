@@ -20,12 +20,13 @@ seed and the waypoints. ``build_plan`` caches the plan on the spec and the
 codec key, so every episode and mode of a task shares one build, and
 ``SimEnv`` holds the plan and the episode's state (pose, step count,
 deviation, termination flags), so no per-slice call looks the plan up
-again. In the closed loop each step's work is done once: ``SimEnv.truth``
-computes the oracle's tokens once per step, and ``NoisyDrafter`` corrupts
-them once per step (``_corrupt``), so every draft round and verify call of
-a slice reads the same two slices. An episode that executes the plan, as
-strict decoding does, needs neither: ``NoisyDrafter.plan_slices`` tracks
-and corrupts every plan step at once, as arrays (``_track_rows``,
+again. In the closed loop each oracle answers once per step, with one
+whole row: ``PlanVerifier`` returns the oracle's tokens, which
+``SimEnv.truth`` computes once per step from the plan's poses as float
+rows (``SimEnv.pose_rows``, made once per episode), and ``NoisyDrafter``
+returns them corrupted (``_corrupt``). An episode that executes the plan,
+as strict decoding does, needs none of these: ``NoisyDrafter.plan_slices``
+tracks and corrupts every plan step at once, as arrays (``_track_rows``,
 ``_corrupt_rows``).
 
 The draft noise of step t is NumPy's own stream for the seed words (noise
@@ -315,7 +316,7 @@ def _quantize(
 
     n_steps = len(targets) - 1
     poses = targets.copy()
-    poses[:, GRIPPER_DOF] = _gripper_states(targets[:, GRIPPER_DOF].tolist(), key)
+    poses[:, GRIPPER_DOF] = _gripper_states(targets[:, GRIPPER_DOF], key)
     actions = np.empty((n_steps, N_DOF))
     tokens = np.empty((n_steps, N_DOF), dtype=int)
     start = 0  # poses[: start + 1] are exact
@@ -345,21 +346,37 @@ def _quantize(
     return poses, actions, tokens
 
 
-def _gripper_states(targets: list[float], key: NormKey) -> list[float]:
+def _gripper_states(targets: np.ndarray, key: NormKey) -> list[float]:
     """The gripper column of the plan's poses: ``_track``'s impulse toward
-    each target and ``_advance``'s latch, one step at a time. An impulse is
-    a target or 0.0, so each distinct one is encoded and decoded once."""
+    each target and ``_advance``'s latch, as one step at a time makes them.
+    An impulse is a target or 0.0, so each distinct one is encoded and
+    decoded once.
+
+    A step's state depends only on its target and the state before it, so
+    once a step leaves the state as it was, every step after it does too
+    until the target changes. Only the steps from each change of target up
+    to such a step are walked; the rest of the run repeats the state.
+    """
+    changes = (np.flatnonzero(targets[1:] != targets[:-1]) + 1).tolist()
+    targets = targets.tolist()
     state = targets[0]
     states = [state]
     commands: dict[float, float] = {}
-    for target in targets[1:]:
-        impulse = target if target != state else 0.0
-        command = commands.get(impulse)
-        if command is None:
-            tok = action_to_token(impulse, GRIPPER_DOF, key)
-            command = commands[impulse] = token_to_action(tok, GRIPPER_DOF, key)
-        state = _latch(state, command)
-        states.append(state)
+    for step, end in zip([1, *changes], [*changes, len(targets)]):
+        while step < end:
+            target = targets[step]
+            impulse = target if target != state else 0.0
+            command = commands.get(impulse)
+            if command is None:
+                tok = action_to_token(impulse, GRIPPER_DOF, key)
+                command = commands[impulse] = token_to_action(tok, GRIPPER_DOF, key)
+            latched = _latch(state, command)
+            if latched == state:
+                break
+            state = latched
+            states.append(state)
+            step += 1
+        states.extend([state] * (end - step))
     return states
 
 
@@ -424,10 +441,7 @@ def oracle_policy(env: SimEnv) -> tuple[int, ...]:
     the current pose, clamped to the action range."""
     if env.done:
         raise EnvStateError("environment is done; no further actions")
-    plan = env.plan
-    # one row as floats: element reads of the ndarray build numpy scalars
-    target = plan.poses[min(env.t + 1, plan.steps)].tolist()
-    return tuple(_track(target, env.pose, env.key))
+    return tuple(_track(env.pose_rows[min(env.t + 1, env.plan.steps)], env.pose, env.key))
 
 
 def _corrupt(truth_ids, errs, offsets, vmax: int) -> tuple[int, ...]:
@@ -618,6 +632,15 @@ class SimEnv:
         self._truth_t: int | None = None
         self._truth: tuple[int, ...] = ()
 
+    @functools.cached_property
+    def pose_rows(self) -> list[list[float]]:
+        """The plan's poses as rows of floats (element reads of the ndarray
+        would build numpy scalars), made on the episode's first ``truth`` or
+        ``step``. An episode decoded open-loop makes neither call, so it
+        never makes the rows, and the rows go with the env rather than
+        staying on the cached plan."""
+        return self.plan.poses.tolist()
+
     def step(self, actions: tuple[float, ...]) -> None:
         """Integrate one slice of action values (as ``decode_slice`` returns
         them) and update the termination flags."""
@@ -626,8 +649,8 @@ class SimEnv:
         plan = self.plan
         pose = _advance(self.pose, actions)
         t = self.t + 1
-        ref = plan.poses[min(t, plan.steps)].tolist()
-        gap = float(sum(abs(pose[d] - ref[d]) for d in range(GRIPPER_DOF)))
+        ref = self.pose_rows[min(t, plan.steps)]
+        gap = sum([abs(p - q) for p, q in zip(pose[:GRIPPER_DOF], ref)])
         if pose[GRIPPER_DOF] != ref[GRIPPER_DOF]:
             gap += 2.0
         self.pose = tuple(pose)
@@ -659,25 +682,25 @@ class PlanVerifier:
     def __init__(self, env: SimEnv) -> None:
         self.env = env
 
-    def verify(self, prefix, drafted):
-        start = len(prefix)
-        return self.env.truth()[start : start + len(drafted)]
+    def verify(self, drafted):
+        """The truth row of the env's current step, whatever was drafted."""
+        return self.env.truth()
 
 
 _POS_BITS = 1 << np.arange(N_DOF)  # bit p of a miss mask is position p
 
 
 class NoisyDrafter:
-    """Draft oracle bound to a live environment: corrupted plan tokens,
-    drawn once per env step.
+    """Draft oracle bound to a live environment: corrupted plan tokens, one
+    draft row per env step.
 
     The noise rows (``noise_rows``) of the plan's steps are drawn when the
     drafter is made and kept as the two (steps, 7) arrays. Strict decoding
-    reads them whole (``plan_slices``). The closed loop applies row t to
-    the oracle's tokens at step t (``_corrupt``), from per-step lists that
-    its first ``draft`` call makes of the arrays; the rows of the later
-    steps below the plan's ``max_steps`` are drawn in one more pass only if
-    the episode runs past the plan.
+    reads them whole (``plan_slices``). The closed loop asks ``draft`` once
+    per step, which applies row t to the oracle's tokens at step t
+    (``_corrupt``), from per-step lists that its first call makes of the
+    arrays; the rows of the later steps below the plan's ``max_steps`` are
+    drawn in one more pass only if the episode runs past the plan.
     """
 
     def __init__(self, env: SimEnv, noise: DraftNoiseModel) -> None:
@@ -686,20 +709,15 @@ class NoisyDrafter:
         self._errs, self._offsets = noise_rows(noise, env.spec.seed, 0, env.plan.steps)
         self._rows: list[tuple[list[bool], list[int]]] = []  # (errs, offsets) per step
         self._vmax = env.key.vocab_size - 1
-        self._t: int | None = None
-        self._ids: tuple[int, ...] = ()
 
-    def draft(self, prefix, depth):
+    def draft(self):
+        """The draft row of the env's current step."""
         env = self.env
         t = env.t
-        if self._t != t:
-            truth = env.truth()  # raises once the episode is done
-            if t >= len(self._rows):
-                self._extend_rows(t)
-            self._ids = _corrupt(truth, *self._rows[t], self._vmax)
-            self._t = t
-        start = len(prefix)
-        return self._ids[start : start + depth]
+        truth = env.truth()  # raises once the episode is done
+        if t >= len(self._rows):
+            self._extend_rows(t)
+        return _corrupt(truth, *self._rows[t], self._vmax)
 
     def plan_slices(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
         """The oracle's tokens, the drafter's tokens and the miss mask (bit p

@@ -1,24 +1,28 @@
 """Speculative decoding engine for 7-token action slices.
 
-Each step has a token-domain part and a kinematic-domain part. In the token
-domain, ``decode_slice_sd`` decides the slice's tokens: it chain-drafts up
-to ``depth`` tokens at a time and verifies each batch with one oracle
-call. Draft tokens within the acceptance threshold r of the verifier's
-token are kept; the first rejected position takes the verifier's token,
-and the engine then either
+Each step has a token-domain part and a kinematic-domain part. Every
+oracle answers from one fixed row per step, so the engine asks each
+oracle once per step: the draft oracle gives the step's draft row and the
+verify oracle its truth row. In the token domain, ``decode_slice_sd``
+decides the slice's tokens from the two rows in one pass, walking the
+rounds of chain drafting: a round drafts up to ``depth`` tokens and
+verifies them with one verify call. Draft tokens within the acceptance
+threshold r of the verifier's token are kept; the first rejected position
+takes the verifier's token, and the engine then either
 
 * fills the remaining positions from the Kalman-filter bank it was handed
   (compensation; only in the first draft round, so a compensated slice
   never pays more than one verify call), or
 * resamples classically: start a new draft round after the correction.
 
-In the kinematic domain, ``run_episode`` decodes the tokens to actions
-once, pushes them to the filter bank and steps the environment; the
-slice's variability (``accepted_error_kvar``, read from the draft ids,
-verified ids and statuses the trace records) moves the threshold. It hands
-the decoder the bank only when the bank holds context and no cooldown
-runs: a compensation starts n slices of classic resampling, keeping the
-filter's inputs dominated by verified actions.
+In the kinematic domain, the same pass decodes each placed token to its
+action and sums the slice's variability (the ``accepted_error_kvar`` of
+the draft ids, verified ids and statuses the trace records, so a trace
+rebuilds it). ``run_episode`` pushes the actions to the filter bank,
+steps the environment and moves the threshold by the variability. It
+hands the decoder the bank only when the bank holds context and no
+cooldown runs: a compensation starts n slices of classic resampling,
+keeping the filter's inputs dominated by verified actions.
 
 ``run_episode`` decodes a whole episode in one of the three ``MODES``
 (strict ``naive``, static-threshold ``fixed_relaxed``, adaptive ``kerv``)
@@ -48,7 +52,7 @@ from .codec import (
     N_DOF,
     NormKey,
     action_to_token,
-    decode_slice,
+    decode_slice,  # noqa: F401 (perfbench/spans.py traces the codec under this name)
     snap_gripper_token,
     token_distance,
     token_to_action,
@@ -77,24 +81,27 @@ class EngineError(RuntimeError):
 
 
 class DraftOracle(Protocol):
-    def draft(self, prefix: Sequence[int], depth: int) -> Sequence[int]:
-        """Propose ``depth`` tokens for the positions following ``prefix``.
+    def draft(self) -> Sequence[int]:
+        """Propose the current step's whole slice: its draft row.
 
-        The result is a sequence of exactly ``depth`` tokens, each an
-        ``int`` (not a ``bool``) in ``[0, vocab_size)``. The decoder reads it
-        without copying, refuses a wrong length, and refuses a bad token
-        with ``EngineError`` when it judges that position.
+        The decoder asks once per step. The row holds exactly ``N_DOF``
+        tokens, each an ``int`` (not a ``bool``) in ``[0, vocab_size)``. The
+        decoder reads it without copying, refuses a wrong length, and
+        refuses a bad token with ``EngineError`` when it judges that
+        position.
         """
         ...
 
 
 class VerifyOracle(Protocol):
-    def verify(self, prefix: Sequence[int], drafted: Sequence[int]) -> Sequence[int]:
-        """Return the true token at each drafted position, in one call.
+    def verify(self, drafted: Sequence[int]) -> Sequence[int]:
+        """Return the true token at every position of the step's slice, in
+        one call: its truth row.
 
-        The same contract as ``DraftOracle.draft``: exactly
-        ``len(drafted)`` tokens, each an ``int`` in ``[0, vocab_size)``,
-        checked by the decoder where it judges that position.
+        The decoder asks once per step, after ``draft``. The same contract
+        as ``DraftOracle.draft``: exactly ``N_DOF`` tokens, each an ``int``
+        in ``[0, vocab_size)``, checked by the decoder where it judges that
+        position.
         """
         ...
 
@@ -119,7 +126,8 @@ def relaxed_accept(draft_id: int, true_id: int, r: float) -> str:
 class SliceResult:
     """One decoded slice. ``draft_ids``, ``true_ids`` and ``statuses`` hold
     one slot per position, ``None`` where nothing was drafted, as the trace
-    records them."""
+    records them. ``actions`` are ``tokens`` decoded (``decode_slice``), and
+    ``kvar`` is the slice's ``accepted_error_kvar``."""
 
     tokens: tuple[int, ...]
     first_error_pos: int
@@ -129,11 +137,13 @@ class SliceResult:
     draft_ids: tuple[int | None, ...]
     true_ids: tuple[int | None, ...]
     statuses: tuple[str | None, ...]
+    actions: tuple[float, ...]
+    kvar: float
 
 
 def decode_slice_sd(
-    draft: DraftOracle,
-    verify: VerifyOracle,
+    drafted: Sequence[int],
+    truths: Sequence[int],
     *,
     r: float,
     depth: int,
@@ -141,73 +151,95 @@ def decode_slice_sd(
     bank: KfBank | None = None,
     kf_pl: int = 1,
 ) -> SliceResult:
-    """Decide one full 7-token slice through the draft/verify loop; a given
-    ``bank`` compensates a first-round rejection from ``bank.predict(kf_pl)``."""
+    """Decide one full 7-token slice from the step's draft row and truth row
+    in one pass; a given ``bank`` compensates a first-round rejection from
+    ``bank.predict(kf_pl)``.
+
+    The rows are walked in the rounds of the draft/verify loop: a round
+    judges up to ``depth`` positions and ends at the first rejection, and
+    ``rounds`` counts them, each one draft and one verify call. Every
+    position is judged as ``relaxed_accept`` judges it. Each placed token is
+    decoded with ``token_to_action``'s expression, so ``actions`` equals
+    ``decode_slice(tokens)``, and the action errors of the ``RELAXED``
+    positions are summed in position order, so ``kvar`` equals
+    ``accepted_error_kvar`` of the result, bit for bit.
+    """
     if not 1 <= depth <= N_DOF:
         raise EngineError(f"draft depth must be in [1, {N_DOF}], got {depth}")
     if not 0 <= r < math.inf:  # refuses nan too
         raise EngineError(f"acceptance threshold must be finite and >= 0, got {r}")
+    if len(drafted) != N_DOF:
+        raise EngineError(f"draft oracle returned {len(drafted)} tokens, wanted {N_DOF}")
+    if len(truths) != N_DOF:
+        raise EngineError(f"verify oracle returned {len(truths)} tokens, wanted {N_DOF}")
 
     vocab = key.vocab_size
+    lo, hi = key.lo, key.hi
     tokens: list[int] = []
+    actions: list[float] = []
     sources: list[str] = []
-    draft_ids: list[int | None] = [None] * N_DOF
-    true_ids: list[int | None] = [None] * N_DOF
-    statuses: list[str | None] = [None] * N_DOF
+    statuses: list[str] = []
     first_error = N_DOF
     rounds = 0
-    comp_fired = False
+    round_end = 0  # the positions before it are in rounds already counted
+    kvar = 0.0
 
-    base = 0  # positions decoded so far
-    while base < N_DOF:
-        want = min(depth, N_DOF - base)
-        prefix = tuple(tokens)
-        drafted = draft.draft(prefix, want)
-        if len(drafted) != want:
-            raise EngineError(f"draft oracle returned {len(drafted)} tokens, wanted {want}")
-        truths = verify.verify(prefix, drafted)
-        if len(truths) != want:
-            raise EngineError(f"verify oracle returned {len(truths)} tokens, wanted {want}")
-        rounds += 1
+    for pos in range(N_DOF):
+        if pos == round_end:
+            rounds += 1
+            round_end = pos + depth
+        d_tok = drafted[pos]
+        t_tok = truths[pos]
+        # the oracle boundary: each judged token is checked once, here
+        if type(d_tok) is not int or not 0 <= d_tok < vocab:
+            raise _bad_token("draft", pos, d_tok, vocab)
+        if type(t_tok) is not int or not 0 <= t_tok < vocab:
+            raise _bad_token("verify", pos, t_tok, vocab)
+        low = lo[pos]
+        span = hi[pos] - low
+        if d_tok == t_tok:
+            statuses.append(EXACT)
+            tokens.append(d_tok)
+            actions.append(low + span * (d_tok + 0.5) / vocab)
+            sources.append(SRC_DRAFT)
+            continue
+        if abs(d_tok - t_tok) <= r:
+            action = low + span * (d_tok + 0.5) / vocab
+            kvar += abs(low + span * (t_tok + 0.5) / vocab - action)
+            statuses.append(RELAXED)
+            tokens.append(d_tok)
+            actions.append(action)
+            sources.append(SRC_DRAFT)
+            continue
 
-        for pos, d_tok, t_tok in zip(range(base, N_DOF), drafted, truths):
-            # the oracle boundary: each judged token is checked once, here
-            if type(d_tok) is not int or not 0 <= d_tok < vocab:
-                raise _bad_token("draft", pos, d_tok, vocab)
-            if type(t_tok) is not int or not 0 <= t_tok < vocab:
-                raise _bad_token("verify", pos, t_tok, vocab)
-            draft_ids[pos] = d_tok
-            true_ids[pos] = t_tok
-            status = statuses[pos] = relaxed_accept(d_tok, t_tok, r)
-            if status != REJECTED:
-                tokens.append(d_tok)
-                sources.append(SRC_DRAFT)
-                continue
+        statuses.append(REJECTED)
+        if first_error == N_DOF:
+            first_error = pos
+        tokens.append(t_tok)
+        actions.append(low + span * (t_tok + 0.5) / vocab)
+        sources.append(SRC_VERIFY)
+        # compensation replaces re-inference only when the miss shows up
+        # in the first round; a compensated slice must cost one verify
+        if bank is not None and rounds == 1 and pos < N_DOF - 1:
+            predicted = bank.predict(kf_pl)
+            for dof in range(pos + 1, N_DOF):
+                tok = _tokenize_prediction(predicted[dof], dof, key)
+                tokens.append(tok)
+                actions.append(lo[dof] + (hi[dof] - lo[dof]) * (tok + 0.5) / vocab)
+                sources.append(SRC_KF)
+            # the filled positions were never drafted: their slots stay empty
+            empty = (None,) * (N_DOF - 1 - pos)
+            return SliceResult(
+                tuple(tokens), first_error, tuple(sources), rounds, True,
+                (*drafted[: pos + 1], *empty), (*truths[: pos + 1], *empty),
+                (*statuses, *empty), tuple(actions), kvar,
+            )
+        round_end = pos + 1  # the next round starts after the correction
 
-            if first_error == N_DOF:
-                first_error = pos
-            tokens.append(t_tok)
-            sources.append(SRC_VERIFY)
-            # compensation replaces re-inference only when the miss shows up
-            # in the first round; a compensated slice must cost one verify
-            if bank is not None and rounds == 1 and pos < N_DOF - 1:
-                predicted = bank.predict(kf_pl)
-                for dof in range(pos + 1, N_DOF):
-                    tokens.append(_tokenize_prediction(predicted[dof], dof, key))
-                    sources.append(SRC_KF)
-                comp_fired = True
-            break
-        base = len(tokens)  # a compensated slice is full
-
+    # every position was judged
     return SliceResult(
-        tokens=tuple(tokens),
-        first_error_pos=first_error,
-        sources=tuple(sources),
-        rounds=rounds,
-        comp_fired=comp_fired,
-        draft_ids=tuple(draft_ids),
-        true_ids=tuple(true_ids),
-        statuses=tuple(statuses),
+        tuple(tokens), first_error, tuple(sources), rounds, False,
+        tuple(drafted), tuple(truths), tuple(statuses), tuple(actions), kvar,
     )
 
 
@@ -250,6 +282,17 @@ def _require_fresh(env: SimEnv) -> None:
         raise EngineError(f"env must be fresh to decode an episode, but it is at step {env.t}")
 
 
+def _require_bound(env: SimEnv, *oracles: object) -> None:
+    """Refuse an oracle bound to another env (the simulator's oracles keep
+    theirs as ``env``): it would answer from that env's steps, not from
+    the steps of the episode decoded."""
+    for oracle in oracles:
+        if getattr(oracle, "env", env) is not env:
+            raise EngineError(
+                f"{type(oracle).__name__} is bound to another env than the one it decodes"
+            )
+
+
 def run_episode(
     env: SimEnv,
     draft: DraftOracle,
@@ -272,12 +315,20 @@ def run_episode(
     ``cfg.fixed_r``, ``cfg.comp_n`` (cooldown slices), ``cfg.pl``,
     ``cfg.ac``, ``cfg.kf_params`` and ``cfg.key``.
 
-    ``env`` must be fresh (no step taken; ``EngineError`` otherwise); the
-    trace's header and summary come from its spec, metadata and final state.
+    Each step asks each oracle once: ``draft.draft()`` gives the step's
+    draft row and ``verify.verify(drafted)`` its truth row, and
+    ``decode_slice_sd`` judges, decodes and measures the slice from the
+    two rows in one pass.
+
+    ``env`` must be fresh (no step taken), and an oracle bound to an env
+    (``NoisyDrafter``, ``PlanVerifier``) must be bound to this one;
+    ``EngineError`` otherwise. The trace's header and summary come from the
+    env's spec, metadata and final state.
     """
     if mode not in MODES:
         raise EngineError(f"unknown mode {mode!r}; expected one of {MODES}")
     _require_fresh(env)
+    _require_bound(env, draft, verify)
     kerv = mode == "kerv"
     if kerv:
         if row is None:
@@ -296,16 +347,17 @@ def run_episode(
     while not env.done:
         # the decoder compensates only from a bank it is handed
         comp_bank = bank if cooldown == 0 and bank is not None and bank.has_context else None
+        drafted = draft.draft()
         result = decode_slice_sd(
-            draft, verify, r=r, depth=cfg.depth, key=cfg.key, bank=comp_bank, kf_pl=cfg.pl
+            drafted, verify.verify(drafted), r=r, depth=cfg.depth, key=cfg.key,
+            bank=comp_bank, kf_pl=cfg.pl,
         )
-        actions = decode_slice(result.tokens, cfg.key)
         if bank is not None:
-            bank.push_slice(actions)
+            bank.push_slice(result.actions)
         step_index = env.t
-        env.step(actions)
+        env.step(result.actions)
 
-        kstep = accepted_error_kvar(result, cfg.key)
+        kstep = result.kvar
         kvar_cum = accumulate_kvar(kvar_cum, kstep)
 
         if result.comp_fired:
@@ -352,19 +404,6 @@ def run_episode(
     )
 
 
-class _FixedRow:
-    """A draft or verify oracle that answers from one fixed row of tokens."""
-
-    def __init__(self, tokens: Sequence[int]) -> None:
-        self.tokens = tuple(tokens)
-
-    def draft(self, prefix: Sequence[int], depth: int) -> Sequence[int]:
-        return self.tokens[len(prefix) : len(prefix) + depth]
-
-    def verify(self, prefix: Sequence[int], drafted: Sequence[int]) -> Sequence[int]:
-        return self.tokens[len(prefix) : len(prefix) + len(drafted)]
-
-
 @functools.lru_cache(maxsize=64)
 def _strict_slices(
     depth: int, key: NormKey
@@ -382,8 +421,8 @@ def _strict_slices(
     """
     table = []
     for misses in range(1 << N_DOF):
-        drafted = _FixedRow((misses >> pos) & 1 for pos in range(N_DOF))
-        res = decode_slice_sd(drafted, _FixedRow((0,) * N_DOF), r=0.0, depth=depth, key=key)
+        drafted = tuple((misses >> pos) & 1 for pos in range(N_DOF))
+        res = decode_slice_sd(drafted, (0,) * N_DOF, r=0.0, depth=depth, key=key)
         table.append((res.statuses, res.sources, res.first_error_pos, res.rounds))
     return tuple(table)
 
@@ -403,14 +442,16 @@ def run_strict_episode(env: SimEnv, draft: NoisyDrafter, cfg: RunConfig) -> Epis
     rows and executes the truth, and its statuses, sources, first error
     position and rounds depend only on where the draft misses
     (``_strict_slices``). ``run_episode``'s naive mode stays the reference,
-    and the one to use with other oracles. ``env`` must be fresh
-    (``EngineError`` otherwise), and is left as it is.
+    and the one to use with other oracles. ``env`` must be fresh and
+    ``draft`` bound to it (``EngineError`` otherwise); ``env`` is left as it
+    is.
 
     The drafter derives every step's truth, draft and miss mask as arrays
     in one pass, so each record costs one table lookup and one
     ``SliceRecord``, built positionally in its field order.
     """
     _require_fresh(env)
+    _require_bound(env, draft)
     table = _strict_slices(cfg.depth, cfg.key)
     truths, drafts, misses = draft.plan_slices()
     records = []

@@ -15,7 +15,9 @@ slice, every token pair decoded again per candidate, zero-padded action
 slices compared over all seven positions, one ``json.dumps(...,
 sort_keys=True)`` per trace line, and the trace loader that checked slots,
 then scalar types, then ranges, in three passes
-(``reference_trace_loads``). The plan's target poses come from scipy's
+(``reference_trace_loads``), a slice decided one draft/verify round at a
+time (``reference_decode_slice_sd``), and the plan's gripper column walked
+one step at a time (``reference_gripper_states``). The plan's target poses come from scipy's
 own ``CubicSpline`` (``reference_targets``), which the library's own solve
 matches to within a stated bound; scipy stays a test-only dependency,
 imported here and by the spline tests alone. The threshold update as the
@@ -32,7 +34,14 @@ from operator import itemgetter
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from kerv.codec import GRIPPER_DOF, NormKey, action_to_token, token_to_action
+from kerv.codec import (
+    GRIPPER_DOF,
+    N_DOF,
+    NormKey,
+    action_to_token,
+    snap_gripper_token,
+    token_to_action,
+)
 from kerv.simenv import (
     _KIND_IDS,
     _N_TOGGLES,
@@ -41,7 +50,16 @@ from kerv.simenv import (
     _ROT_RANGE,
     KINDS,
     _advance,
+    _latch,
     _segment_steps,
+)
+from kerv.specdec import (
+    REJECTED,
+    SRC_DRAFT,
+    SRC_KF,
+    SRC_VERIFY,
+    EngineError,
+    relaxed_accept,
 )
 from kerv.threshold import CalibrationRow, ThresholdConfigError
 from kerv.trace import MODES, EpisodeTrace, SliceRecord, TraceError
@@ -357,6 +375,106 @@ def reference_accepted_error_kvar(rec, key):
             correct[pos] = token_to_action(rec.true_ids[pos], pos, key)
             erroneous[pos] = token_to_action(rec.draft_ids[pos], pos, key)
     return sum(abs(c - e) for c, e in zip(correct, erroneous))
+
+
+def reference_decode_slice_sd(drafted, truths, r, depth, key, bank, kf_pl):
+    """A slice decided the way the per-round draft/verify loop decided it:
+    each round asks each row for the ``want`` tokens after the ones placed
+    so far, as an oracle answering from one fixed row per step did, then
+    judges them with ``relaxed_accept`` until the first rejection. Returns
+    the fields ``SliceResult`` had before it carried actions and kvar, as a
+    dict."""
+    if not 1 <= depth <= N_DOF:
+        raise EngineError(f"draft depth must be in [1, {N_DOF}], got {depth}")
+    if not 0 <= r < math.inf:  # refuses nan too
+        raise EngineError(f"acceptance threshold must be finite and >= 0, got {r}")
+
+    vocab = key.vocab_size
+    tokens = []
+    sources = []
+    draft_ids = [None] * N_DOF
+    true_ids = [None] * N_DOF
+    statuses = [None] * N_DOF
+    first_error = N_DOF
+    rounds = 0
+    comp_fired = False
+
+    base = 0  # positions decoded so far
+    while base < N_DOF:
+        want = min(depth, N_DOF - base)
+        prefix = tuple(tokens)
+        round_drafts = drafted[len(prefix) : len(prefix) + want]
+        if len(round_drafts) != want:
+            raise EngineError(f"draft oracle returned {len(round_drafts)} tokens, wanted {want}")
+        round_truths = truths[len(prefix) : len(prefix) + len(round_drafts)]
+        if len(round_truths) != want:
+            raise EngineError(f"verify oracle returned {len(round_truths)} tokens, wanted {want}")
+        rounds += 1
+
+        for pos, d_tok, t_tok in zip(range(base, N_DOF), round_drafts, round_truths):
+            if type(d_tok) is not int or not 0 <= d_tok < vocab:
+                raise _bad_token("draft", pos, d_tok, vocab)
+            if type(t_tok) is not int or not 0 <= t_tok < vocab:
+                raise _bad_token("verify", pos, t_tok, vocab)
+            draft_ids[pos] = d_tok
+            true_ids[pos] = t_tok
+            status = statuses[pos] = relaxed_accept(d_tok, t_tok, r)
+            if status != REJECTED:
+                tokens.append(d_tok)
+                sources.append(SRC_DRAFT)
+                continue
+
+            if first_error == N_DOF:
+                first_error = pos
+            tokens.append(t_tok)
+            sources.append(SRC_VERIFY)
+            if bank is not None and rounds == 1 and pos < N_DOF - 1:
+                predicted = bank.predict(kf_pl)
+                for dof in range(pos + 1, N_DOF):
+                    if dof == GRIPPER_DOF:
+                        tokens.append(snap_gripper_token(predicted[dof], key))
+                    else:
+                        tokens.append(action_to_token(predicted[dof], dof, key))
+                    sources.append(SRC_KF)
+                comp_fired = True
+            break
+        base = len(tokens)  # a compensated slice is full
+
+    return {
+        "tokens": tuple(tokens),
+        "first_error_pos": first_error,
+        "sources": tuple(sources),
+        "rounds": rounds,
+        "comp_fired": comp_fired,
+        "draft_ids": tuple(draft_ids),
+        "true_ids": tuple(true_ids),
+        "statuses": tuple(statuses),
+    }
+
+
+def _bad_token(oracle, pos, tok, vocab):
+    return EngineError(
+        f"{oracle} oracle returned {tok!r} at position {pos}; "
+        f"tokens must be ints in [0, {vocab - 1}]"
+    )
+
+
+def reference_gripper_states(targets, key):
+    """The gripper column of a plan's poses, one step at a time: the
+    impulse toward each target (a list of floats), encoded and decoded,
+    then latched."""
+    state = targets[0]
+    states = [state]
+    commands = {}
+    for target in targets[1:]:
+        impulse = target if target != state else 0.0
+        command = commands.get(impulse)
+        if command is None:
+            tok = action_to_token(impulse, GRIPPER_DOF, key)
+            command = commands[impulse] = token_to_action(tok, GRIPPER_DOF, key)
+        state = _latch(state, command)
+        states.append(state)
+    return states
 
 
 # a slice record's fields, written out here rather than read from the

@@ -128,18 +128,6 @@ def test_c03_prediction_error_trends():
 # --- 4. first-error-position oracle ------------------------------------------
 
 
-class _RowOracle:
-    def __init__(self, rows):
-        self.rows = rows
-        self.i = 0
-
-    def draft(self, prefix, depth):
-        return self.rows[self.i][len(prefix) : len(prefix) + depth]
-
-    def verify(self, prefix, drafted):
-        return self.rows[self.i][len(prefix) : len(prefix) + len(drafted)]
-
-
 def test_c04_afep_matches_monte_carlo_oracle():
     t0 = time.perf_counter()
     n_slices = 100_000
@@ -153,12 +141,9 @@ def test_c04_afep_matches_monte_carlo_oracle():
         draft[collided] = np.clip(true - miss * offs, 0, 255)[collided]
         assert not (miss & (draft == true)).any()
 
-        drafts = _RowOracle(draft.tolist())
-        truths = _RowOracle(true.tolist())
         firsts = []
-        for i in range(n_slices):
-            drafts.i = truths.i = i
-            res = decode_slice_sd(drafts, truths, r=0, depth=4, key=KEY)
+        for drafted, truths in zip(draft.tolist(), true.tolist()):
+            res = decode_slice_sd(drafted, truths, r=0, depth=4, key=KEY)
             if res.first_error_pos < 7:
                 firsts.append(res.first_error_pos + 1)
         measured = sum(firsts) / len(firsts)

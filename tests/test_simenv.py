@@ -31,12 +31,13 @@ from kerv.simenv import (
 )
 from kerv.config import RunConfig, SuiteConfig
 from kerv.harness import run_one_episode
-from kerv.specdec import MODES, run_episode
+from kerv.specdec import MODES, run_episode, run_strict_episode
 from kerv.threshold import CalibrationRow
 
 from oracles import (
     PLAN_KEYS,
     reference_draft_ids,
+    reference_gripper_states,
     reference_plan,
     reference_targets,
     reference_task_waypoints,
@@ -67,6 +68,29 @@ def test_make_task_waypoints_match_reference(kind):
         expected = reference_task_waypoints(kind, seed)
         assert all(type(v) is float for w in got for v in w)
         assert [[v.hex() for v in w] for w in got] == [[v.hex() for v in w] for w in expected], seed
+
+
+GRIPPER_KEYS = {
+    "default": DEFAULT_KEY,
+    # 16 bins over +-0.02: no gripper command passes the flip level
+    "vocab16": NormKey(lo=(-0.02,) * 7, hi=(0.02,) * 7, vocab_size=16),
+    # two gripper bins with centres -0.55 and 0.65: the hold command flips
+    # the state to -1 and the +1 impulse flips it back, so a +1 target
+    # makes the state alternate at every step
+    "alternating": NormKey(lo=(-1.0,) * 6 + (-1.15,), hi=(1.0,) * 6 + (1.25,), vocab_size=2),
+}
+
+
+@pytest.mark.parametrize("key", GRIPPER_KEYS.values(), ids=GRIPPER_KEYS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_gripper_states_match_the_step_by_step_walk(kind, key):
+    """The gripper column, walked only where the state can still change,
+    equals the walk over every step bit for bit, seeds 0-299."""
+    for seed in range(300):
+        column = simenv._targets(kind, seed, make_task(kind, seed).waypoints)[:, GRIPPER_DOF]
+        got = simenv._gripper_states(column, key)
+        expected = reference_gripper_states(column.tolist(), key)
+        assert [v.hex() for v in got] == [v.hex() for v in expected], seed
 
 
 def test_unknown_kind_rejected():
@@ -178,7 +202,7 @@ def _drafts_along_plan(kind, task_seed, noise, n):
     out = []
     while len(out) < n and not env.done:
         truth = env.truth()
-        out.append((env.t, truth, draft.draft((), 7)))
+        out.append((env.t, truth, draft.draft()))
         env.step(decode_slice(truth))
     return out
 
@@ -203,8 +227,7 @@ def test_draft_deterministic_per_step():
     assert _drafts_along_plan("reach", 23, noise, 15) == _drafts_along_plan("reach", 23, noise, 15)
     env = SimEnv(make_task("reach", 23))
     draft = NoisyDrafter(env, noise)
-    assert draft.draft((), 7) == draft.draft((), 7)
-    assert draft.draft((1, 2, 3), 4) == draft.draft((), 7)[3:]
+    assert draft.draft() == draft.draft()
 
 
 def test_draft_error_never_cancelled_by_clamping():
@@ -596,7 +619,7 @@ def test_drafter_rows_match_reference_at_every_step(kind, task_seed, noise):
     for t in range(env.plan.max_steps):
         env.pose, env.t = tuple(env.plan.poses[min(t, env.plan.steps)].tolist()), t
         expected = reference_draft_ids(env.truth(), noise, spec.seed, t, vocab)
-        assert draft.draft((), 7) == expected, t
+        assert draft.draft() == expected, t
 
 
 @settings(max_examples=60, deadline=None)
@@ -728,7 +751,7 @@ def test_drafter_draws_rows_past_the_plan_only_for_steps_past_it(monkeypatch):
     max_steps = env.plan.max_steps
     for t in (steps - 1, steps, max_steps - 1):
         env.pose, env.t = tuple(env.plan.poses[min(t, steps)].tolist()), t
-        draft.draft((), 7)
+        draft.draft()
     assert spans == [(0, steps), (steps, max_steps)]
 
 
@@ -762,3 +785,17 @@ def test_naive_episode_corrupts_no_row_and_drafts_nothing(mode, monkeypatch):
         assert corrupts == [] and drafts == []
     else:
         assert len(corrupts) == trace.steps and len(drafts) >= trace.steps
+
+
+@pytest.mark.parametrize("mode", ["open-loop", "fixed_relaxed"])
+def test_only_the_closed_loop_makes_the_pose_rows(mode):
+    """The closed loop reads the plan's poses as float rows made once per
+    episode; an episode decoded open-loop never makes them."""
+    env = SimEnv(make_task("pick_place", 5), suite="t")
+    draft = NoisyDrafter(env, DraftNoiseModel(seed=9))
+    if mode == "open-loop":
+        run_strict_episode(env, draft, RunConfig())
+        assert "pose_rows" not in vars(env)
+    else:
+        run_episode(env, draft, PlanVerifier(env), RunConfig(), mode)
+        assert vars(env)["pose_rows"] == env.plan.poses.tolist()

@@ -31,25 +31,9 @@ from kerv.specdec import (
 )
 from kerv.threshold import CalibrationRow
 from kerv.trace import loads
-from oracles import reference_accepted_error_kvar, reference_adjust
+from oracles import reference_accepted_error_kvar, reference_adjust, reference_decode_slice_sd
 
 KEY = NormKey()
-
-
-class ScriptedOracle:
-    """Draft or verify oracle backed by a fixed 7-token slice."""
-
-    def __init__(self, tokens):
-        self.tokens = tuple(tokens)
-        self.calls = 0
-
-    def draft(self, prefix, depth):
-        self.calls += 1
-        return self.tokens[len(prefix) : len(prefix) + depth]
-
-    def verify(self, prefix, drafted):
-        self.calls += 1
-        return self.tokens[len(prefix) : len(prefix) + len(drafted)]
 
 
 def primed_bank(values=(0.1,) * 7, n=5):
@@ -85,9 +69,7 @@ def test_a_float_threshold_accepts_what_its_floor_accepts(draft, true, r):
 def test_perfect_draft_needs_ceil_rounds():
     tokens = (10, 20, 30, 40, 50, 60, 70)
     for depth in (1, 2, 3, 4, 7):
-        res = decode_slice_sd(
-            ScriptedOracle(tokens), ScriptedOracle(tokens), r=0, depth=depth, key=KEY
-        )
+        res = decode_slice_sd(tokens, tokens, r=0, depth=depth, key=KEY)
         assert res.tokens == tokens
         assert res.first_error_pos == 7
         assert res.rounds == math.ceil(7 / depth)
@@ -97,8 +79,8 @@ def test_perfect_draft_needs_ceil_rounds():
 
 def test_first_round_rejection_triggers_compensation():
     # draft misses position 2 badly; accepted miss at position 1
-    draft = ScriptedOracle((140, 149, 183, 0, 0, 0, 0))
-    verify = ScriptedOracle((140, 151, 128, 5, 5, 5, 128))
+    draft = (140, 149, 183, 0, 0, 0, 0)
+    verify = (140, 151, 128, 5, 5, 5, 128)
     bank = primed_bank()
     res = decode_slice_sd(draft, verify, r=14, depth=4, key=KEY, bank=bank)
     assert res.comp_fired
@@ -120,8 +102,8 @@ def test_first_round_rejection_triggers_compensation():
 def test_second_round_rejection_resamples_instead_of_compensating():
     # round one (positions 0-3) is clean; the miss at position 4 lands in
     # round two, which must fall back to classic resampling
-    draft = ScriptedOracle((10, 20, 30, 40, 200, 60, 70))
-    verify = ScriptedOracle((10, 20, 30, 40, 50, 60, 70))
+    draft = (10, 20, 30, 40, 200, 60, 70)
+    verify = (10, 20, 30, 40, 50, 60, 70)
     res = decode_slice_sd(draft, verify, r=0, depth=4, key=KEY, bank=primed_bank())
     assert not res.comp_fired
     assert res.first_error_pos == 4
@@ -131,8 +113,8 @@ def test_second_round_rejection_resamples_instead_of_compensating():
 
 
 def test_resample_handles_multiple_rejections():
-    draft = ScriptedOracle((1, 2, 3, 4, 5, 6, 7))
-    verify = ScriptedOracle((100, 2, 120, 4, 140, 6, 160))
+    draft = (1, 2, 3, 4, 5, 6, 7)
+    verify = (100, 2, 120, 4, 140, 6, 160)
     res = decode_slice_sd(draft, verify, r=0, depth=4, key=KEY)
     assert res.tokens == (100, 2, 120, 4, 140, 6, 160)
     assert res.first_error_pos == 0
@@ -141,8 +123,8 @@ def test_resample_handles_multiple_rejections():
 
 
 def test_rejection_at_last_position_never_compensates():
-    draft = ScriptedOracle((10, 20, 30, 40, 50, 60, 200))
-    verify = ScriptedOracle((10, 20, 30, 40, 50, 60, 70))
+    draft = (10, 20, 30, 40, 50, 60, 200)
+    verify = (10, 20, 30, 40, 50, 60, 70)
     res = decode_slice_sd(draft, verify, r=0, depth=7, key=KEY, bank=primed_bank())
     assert not res.comp_fired
     assert res.tokens[6] == 70
@@ -154,25 +136,23 @@ def test_an_empty_bank_fails_only_where_it_would_compensate():
     with nothing rejected it is never read."""
     with pytest.raises(NoContextError):
         decode_slice_sd(
-            ScriptedOracle((1, 2, 3, 4, 5, 6, 7)),
-            ScriptedOracle((1, 90, 3, 4, 5, 6, 7)),
+            (1, 2, 3, 4, 5, 6, 7),
+            (1, 90, 3, 4, 5, 6, 7),
             r=0,
             depth=4,
             key=KEY,
             bank=KfBank(),
         )
     tokens = (10, 20, 30, 40, 50, 60, 70)
-    res = decode_slice_sd(
-        ScriptedOracle(tokens), ScriptedOracle(tokens), r=0, depth=4, key=KEY, bank=KfBank()
-    )
+    res = decode_slice_sd(tokens, tokens, r=0, depth=4, key=KEY, bank=KfBank())
     assert res.tokens == tokens
     assert res.sources == (SRC_DRAFT,) * 7
     assert not res.comp_fired
 
 
 def test_parameter_validation():
-    draft = ScriptedOracle((1,) * 7)
-    verify = ScriptedOracle((1,) * 7)
+    draft = (1,) * 7
+    verify = (1,) * 7
     with pytest.raises(EngineError):
         decode_slice_sd(draft, verify, r=0, depth=0, key=KEY)
     for r in (-1, math.nan, math.inf):
@@ -195,9 +175,7 @@ def test_a_bad_oracle_token_is_refused_where_it_is_judged(oracle, bad, pos):
     bad_row[pos] = bad
     draft_row, verify_row = (bad_row, good) if oracle == "draft" else (good, bad_row)
     with pytest.raises(EngineError) as err:
-        decode_slice_sd(
-            ScriptedOracle(draft_row), ScriptedOracle(verify_row), r=0, depth=4, key=KEY
-        )
+        decode_slice_sd(draft_row, verify_row, r=0, depth=4, key=KEY)
     assert str(err.value) == (
         f"{oracle} oracle returned {bad!r} at position {pos}; tokens must be ints in [0, 255]"
     )
@@ -213,9 +191,7 @@ def test_a_bad_oracle_token_is_refused_where_it_is_judged(oracle, bad, pos):
 )
 def test_slice_always_complete_and_attributed(draft_toks, true_toks, r, depth, comp):
     bank = primed_bank() if comp else None
-    res = decode_slice_sd(
-        ScriptedOracle(draft_toks), ScriptedOracle(true_toks), r=r, depth=depth, key=KEY, bank=bank
-    )
+    res = decode_slice_sd(draft_toks, true_toks, r=r, depth=depth, key=KEY, bank=bank)
     assert len(res.tokens) == 7
     assert len(res.sources) == 7
     assert set(res.sources) <= {SRC_DRAFT, SRC_VERIFY, SRC_KF}
@@ -238,9 +214,61 @@ def test_slice_always_complete_and_attributed(draft_toks, true_toks, r, depth, c
             assert status == expected
 
 
+@pytest.mark.parametrize("oracle", ["draft", "verify"])
+@pytest.mark.parametrize("n", [6, 8])
+def test_a_row_of_the_wrong_length_is_refused(oracle, n):
+    """A draft or truth row must hold one token per position."""
+    good = (140, 141, 142, 143, 144, 145, 146)
+    bad = (good * 2)[:n]
+    draft_row, verify_row = (bad, good) if oracle == "draft" else (good, bad)
+    with pytest.raises(EngineError) as err:
+        decode_slice_sd(draft_row, verify_row, r=0, depth=4, key=KEY)
+    assert str(err.value) == f"{oracle} oracle returned {n} tokens, wanted 7"
+
+
+# keys of vocabularies 256, 16 (over +-0.02) and 2
+SLICE_KEYS = (KEY, NormKey(lo=(-0.02,) * 7, hi=(0.02,) * 7, vocab_size=16), NormKey(vocab_size=2))
+
+
+@st.composite
+def _slice_rows(draw):
+    """A key, a draft row and a truth row: each truth token the draft's
+    offset by up to 25, clamped to the key's vocabulary."""
+    key = draw(st.sampled_from(SLICE_KEYS))
+    top = key.vocab_size - 1
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, top), st.integers(-25, 25)), min_size=7, max_size=7)
+    )
+    return key, [d for d, _ in pairs], [min(max(d + off, 0), top) for d, off in pairs]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    _slice_rows(),
+    st.one_of(st.integers(0, 20), st.floats(0, 20, allow_nan=False)),
+    st.integers(1, 7),
+    st.booleans(),
+)
+def test_one_pass_decoder_matches_the_round_by_round_reference(rows, r, depth, comp):
+    """Field for field, the one-pass decoder decides what the per-round
+    loop decided; its actions are ``decode_slice`` of its tokens and its
+    kvar ``accepted_error_kvar`` of the result, bit for bit, and each judged
+    status is ``relaxed_accept``'s."""
+    key, drafted, truths = rows
+    bank = primed_bank() if comp else None
+    res = decode_slice_sd(drafted, truths, r=r, depth=depth, key=key, bank=bank)
+    ref = reference_decode_slice_sd(drafted, truths, r, depth, key, bank, 1)
+    assert {name: getattr(res, name) for name in ref} == ref
+    assert [a.hex() for a in res.actions] == [a.hex() for a in decode_slice(res.tokens, key)]
+    assert res.kvar.hex() == accepted_error_kvar(res, key).hex()
+    for d, t, status in zip(res.draft_ids, res.true_ids, res.statuses):
+        if status is not None:
+            assert status == relaxed_accept(d, t, r)
+
+
 def test_accepted_error_kvar_counts_only_relaxed():
-    draft = ScriptedOracle((140, 149, 183, 0, 0, 0, 0))
-    verify = ScriptedOracle((140, 151, 128, 5, 5, 5, 128))
+    draft = (140, 149, 183, 0, 0, 0, 0)
+    verify = (140, 151, 128, 5, 5, 5, 128)
     res = decode_slice_sd(draft, verify, r=14, depth=4, key=KEY, bank=primed_bank())
     expected = abs(token_to_action(151, 1, KEY) - token_to_action(149, 1, KEY))
     assert accepted_error_kvar(res, KEY) == pytest.approx(expected)
@@ -263,8 +291,8 @@ ODD_KEY = NormKey(
 )
 def test_accepted_error_kvar_matches_reference_bit_for_bit(pairs, r, depth, comp, key):
     res = decode_slice_sd(
-        ScriptedOracle([d for d, _ in pairs]),
-        ScriptedOracle([min(max(d + off, 0), 255) for d, off in pairs]),
+        [d for d, _ in pairs],
+        [min(max(d + off, 0), 255) for d, off in pairs],
         r=r,
         depth=depth,
         key=key,
@@ -342,6 +370,26 @@ def test_decoders_refuse_a_stepped_env(mode):
         else:
             run_episode(env, draft, verify, RunConfig(), mode, ROW)
     assert env.t == 5
+
+
+@pytest.mark.parametrize(
+    "mode, stray",
+    [("open-loop", "draft"), *((m, s) for m in MODES for s in ("draft", "verify"))],
+)
+def test_decoders_refuse_an_oracle_bound_to_another_env(mode, stray):
+    """An oracle answers from the steps of the env it is bound to; bound to
+    another env (here a long-horizon task decoding a reach task), it would
+    write that env's rows into this episode's trace."""
+    env_a = SimEnv(make_task("reach", 5), suite="t", trial=0)
+    env_b = SimEnv(make_task("long_horizon", 5), suite="t", trial=0)
+    draft = NoisyDrafter(env_b if stray == "draft" else env_a, DraftNoiseModel(seed=9))
+    verify = PlanVerifier(env_b if stray == "verify" else env_a)
+    with pytest.raises(EngineError, match="bound to another env"):
+        if mode == "open-loop":
+            run_strict_episode(env_a, draft, RunConfig())
+        else:
+            run_episode(env_a, draft, verify, RunConfig(), mode, ROW)
+    assert env_a.t == env_b.t == 0
 
 
 # r_max == r_min: a fixed threshold with compensation
