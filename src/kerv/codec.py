@@ -26,8 +26,15 @@ value and clamp to the vocabulary. The per-slice paths compute the
 codec's expressions inline on plain ints and floats instead of calling the
 checked scalar functions: ``decode_slice``,
 ``specdec.decode_slice_sd`` (``token_to_action``'s expression on each
-token it places) and ``simenv._track`` (``action_to_token``'s expression
-on a gap already clamped to the action range).
+token it places), ``simenv._track`` (``action_to_token``'s expression
+on a gap already clamped to the action range), and the closed loop's
+fused step, ``specdec.run_episode``, which computes ``_track``'s truth
+token, ``simenv._corrupt``'s draft token, ``token_to_action``'s action and
+``simenv._advance``'s move of the pose per position, and ``SimEnv.step``'s
+gap per step. A token the simulator tracks or corrupts is an ``int`` in
+the vocabulary by construction, so the fused step does not check it
+again; the oracles' rows are checked where ``decode_slice_sd`` judges
+them.
 """
 
 from __future__ import annotations

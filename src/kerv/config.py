@@ -8,7 +8,10 @@ suites. ``SCHEMA`` is the schema: it names, once, every scalar key with the
 The dataclasses hold every default, so a key left out of a file keeps its
 dataclass default, and ``dumps`` writes any config back out through the
 same schema. Unknown keys are a startup error (all of them are listed), so
-typos fail loudly instead of silently running defaults.
+typos fail loudly instead of silently running defaults. Every value is
+checked when the config is made, before any episode runs, including the
+filter settings whose predictions could pass the float range mid-episode
+(``RunConfig._check_predictions``).
 
 ``kerv calibrate --config`` decodes its pre-sample from the config (every
 suite's trials, ``fixed_relaxed`` at ``threshold.fixed_r``) and judges it
@@ -22,13 +25,14 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from pathlib import Path
 
 from .codec import N_DOF, CodecError, NormKey
-from .kinematics import DEFAULT_AC, KfParams, KinematicsError
-from .simenv import KINDS, DraftNoiseModel, TaskError
+from .kinematics import DEFAULT_AC, KfParams, KinematicsError, weight_norms
+from .simenv import KINDS, MAX_EPISODE_STEPS, DraftNoiseModel, TaskError
 from .threshold import DEFAULT_R_MAX, DEFAULT_R_MIN, CalibrationRow, ThresholdConfigError
 from .trace import MODES
 
@@ -135,7 +139,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         checks = (
             ("depth", 1 <= self.depth <= N_DOF, f"must be in [1, {N_DOF}]"),
-            ("ac", self.ac >= 1, "must be >= 1"),
+            # the bank's window is a deque, whose bound is a C ssize_t
+            ("ac", 1 <= self.ac <= sys.maxsize, f"must be in [1, {sys.maxsize}]"),
             ("pl", self.pl >= 1, "must be >= 1"),
             ("comp_n", self.comp_n >= 0, "must be >= 0"),
             ("fixed_r", 0 <= self.fixed_r < math.inf, "must be finite and >= 0"),
@@ -143,6 +148,7 @@ class RunConfig:
         for name, ok, need in checks:
             if not ok:
                 raise ConfigError(f"{_KEY_OF[name]} {need}, got {getattr(self, name)!r}")
+        self._check_predictions()
         # the bounds are checked as the calibration row they become
         try:
             CalibrationRow(1.0, 1.0, self.r_max, self.r_min, 1.0, 0.0, 0.0)
@@ -155,6 +161,29 @@ class RunConfig:
         for m in self.modes:
             if m not in MODES:
                 raise ConfigError(f"unknown mode {m!r} in {_KEY_OF['modes']}")
+
+    def _check_predictions(self) -> None:
+        """Refuse a filter whose predictions could pass the float range.
+
+        A prediction is ``pos + pl * dt * vel``, each estimate a weighted sum
+        of a window of executed actions (``kinematics._weights``). The window
+        holds at most ``ac`` slices, and never more than an episode's steps,
+        and each action lies within the key's widest bound, so the weights'
+        largest norms (``weight_norms``) bound every prediction; twice that
+        bound must stay finite, which leaves room for rounding.
+        """
+        pos_norm, vel_norm = weight_norms(self.kf_params, min(self.ac, MAX_EPISODE_STEPS))
+        widest = max(map(abs, self.key.lo + self.key.hi))
+        try:
+            bound = 2.0 * widest * (pos_norm + self.pl * self.kf_params.dt * vel_norm)
+        except OverflowError:  # pl past the float range
+            bound = math.inf
+        if not bound < math.inf:  # refuses nan too
+            raise ConfigError(
+                f"{_KEY_OF['pl']} = {self.pl} with {_KEY_OF['kf_params.dt']} = "
+                f"{self.kf_params.dt!r}, on actions up to {widest!r}: a filter "
+                f"prediction that far ahead could pass the float range"
+            )
 
     def suite(self, name: str) -> SuiteConfig:
         for s in self.suites:

@@ -10,10 +10,10 @@ is decoded open-loop from the plan and the drafter's noise rows
 (``specdec.run_strict_episode``): strict speculative decoding executes
 exactly the verifier's tokens, which track the plan, and ``build_plan``
 guarantees that the plan's tokens reproduce its poses bit for bit. The
-other modes run the closed loop (``specdec.run_episode``): each step asks
-the drafter for its draft row and the verifier for its truth row, once
-each, and the decoder walks the draft/verify rounds over the two rows.
-Its naive mode is the reference the open-loop decoder is tested against.
+other modes run the closed loop (``specdec.run_episode``), one pass per
+step over the slice's positions: each position's truth, draft, judgement,
+action and move of the pose are made together, with no oracle call. Its
+naive mode is the reference the open-loop decoder is tested against.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 from . import threshold as threshold_mod
 from .codec import N_DOF
 from .config import ConfigError, CostModel, RunConfig, SuiteConfig
-from .simenv import NoisyDrafter, PlanVerifier, SimEnv, make_task
+from .simenv import NoisyDrafter, SimEnv, make_task
 from .specdec import MODES, run_episode, run_strict_episode
 from .threshold import CalibrationTable
 from .trace import EpisodeTrace
@@ -125,7 +125,8 @@ def run_one_episode(
     with no draft/verify round: strict decoding executes the verifier's
     tokens, the verifier tracks the plan, and the plan's tokens reproduce
     its poses bit for bit, so the trace equals what ``run_episode``'s naive
-    mode, the reference, records. The other modes run ``run_episode``.
+    mode, the reference, records. The other modes run ``run_episode``,
+    which reads the drafter's noise rows and the env's plan itself.
     """
     seed = suite_cfg.seed_base + cfg.seed_offset + trial
     spec = make_task(suite_cfg.kind, seed)
@@ -133,13 +134,12 @@ def run_one_episode(
     draft = NoisyDrafter(env, cfg.noise)
     if mode == "naive":
         return run_strict_episode(env, draft, cfg)
-    verify = PlanVerifier(env)
     row = None
     if mode == "kerv":
         if table is None:
             raise ConfigError("kerv mode needs a calibration table")
         row = threshold_mod.lookup(table, suite_cfg.name, cfg.robot)
-    return run_episode(env, draft, verify, cfg, mode, row)
+    return run_episode(env, draft, cfg, mode, row)
 
 
 def pre_sample(cfg: RunConfig) -> Iterator[EpisodeTrace]:

@@ -7,7 +7,9 @@ the predictor sees: prediction behaves like a sliding-window filter. The
 filter's covariance and gains do not depend on the observations, so its
 estimates are fixed linear weights on the window (``_weights``, cached per
 parameters and window length): pushing only appends to the window, and a
-read is one (2, n) x (n, 7) product.
+read is one (2, n) x (n, 7) product. The weights' largest norms over every
+window length (``weight_norms``) bound every prediction, so a config can
+refuse settings whose predictions could pass the float range.
 
 ``accumulate_kvar`` checks one slice's kinematic variability and folds it
 into an episode's running sum; ``specdec.decode_slice_sd`` measures that
@@ -55,31 +57,47 @@ class KfParams:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise KinematicsError(f"{name} must be finite and > 0, got {v!r}")
+        try:
+            terms = _process_noise(self)
+        except OverflowError:  # a power past the float range
+            terms = (math.inf,)
+        if not all(map(math.isfinite, terms)):
+            raise KinematicsError(
+                f"dt = {self.dt!r} with process_noise = {self.process_noise!r} puts the "
+                f"filter's process noise q * dt**4 / 4 past the float range"
+            )
 
 
-@functools.lru_cache(maxsize=256)
-def _weights(params: KfParams, n: int) -> tuple[np.ndarray, tuple[float, float, float]]:
-    """Fixed linear weights of the filter run over a window of ``n`` observations.
+def _process_noise(params: KfParams) -> tuple[float, float, float]:
+    """The (q00, q01, q11) process-noise covariance of one filter step."""
+    dt = params.dt
+    q = params.process_noise
+    return q * dt**4 / 4.0, q * dt**3 / 2.0, q * dt**2
+
+
+def _filter_runs(params: KfParams, n: int):
+    """The filter run over coefficient vectors of length ``n``: yields the
+    position and velocity weights (each an (n,) array, zero past the
+    observations taken) and the (p00, p01, p11) covariance after each of
+    the ``n`` observations.
 
     The first observation initializes position (velocity 0); each later one
     is a predict-then-correct cycle. The covariance and gains do not depend
     on the observations, so the recursion runs once over coefficient
-    vectors: row 0 of the returned (2, n) array weighs the window into the
-    position estimate and row 1 into the velocity. The second item is the
-    final (p00, p01, p11) covariance.
+    vectors. Entry i is untouched until observation i, so the weights after
+    m observations are, in their first m entries, those of a run over
+    vectors of length m.
     """
     dt = params.dt
-    q = params.process_noise
     r = params.measurement_noise
-    q00 = q * dt**4 / 4.0
-    q01 = q * dt**3 / 2.0
-    q11 = q * dt**2
+    q00, q01, q11 = _process_noise(params)
 
     pos = np.zeros(n)
     pos[0] = 1.0
     vel = np.zeros(n)
     p00 = p11 = params.initial_variance
     p01 = 0.0
+    yield pos, vel, (p00, p01, p11)
     for i in range(1, n):
         # predict
         pos = pos + dt * vel
@@ -95,9 +113,36 @@ def _weights(params: KfParams, n: int) -> tuple[np.ndarray, tuple[float, float, 
         pos = pos + k0 * innov
         vel = vel + k1 * innov
         p00, p01, p11 = (1.0 - k0) * p00, (1.0 - k0) * p01, p11 - k1 * p01
+        yield pos, vel, (p00, p01, p11)
+
+
+@functools.lru_cache(maxsize=256)
+def _weights(params: KfParams, n: int) -> tuple[np.ndarray, tuple[float, float, float]]:
+    """Fixed linear weights of the filter run over a window of ``n`` observations.
+
+    Row 0 of the returned (2, n) array weighs the window into the position
+    estimate and row 1 into the velocity (``_filter_runs`` after the last
+    observation). The second item is the final (p00, p01, p11) covariance.
+    """
+    for pos, vel, cov in _filter_runs(params, n):
+        pass
     weights = np.stack([pos, vel])
     weights.flags.writeable = False
-    return weights, (p00, p01, p11)
+    return weights, cov
+
+
+@functools.lru_cache(maxsize=64)
+def weight_norms(params: KfParams, n: int) -> tuple[float, float]:
+    """The largest L1 norm of the position weights and of the velocity
+    weights over windows of 1 to ``n`` observations; NaN if a weight is.
+
+    Each window's weights are the first entries of one run's
+    (``_filter_runs``), so their norms are read off that run as it goes.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        norms = [(np.abs(pos).sum(), np.abs(vel).sum()) for pos, vel, _ in _filter_runs(params, n)]
+    pos_norm, vel_norm = np.max(norms, axis=0).tolist()
+    return pos_norm, vel_norm
 
 
 class KfBank:

@@ -20,14 +20,18 @@ seed and the waypoints. ``build_plan`` caches the plan on the spec and the
 codec key, so every episode and mode of a task shares one build, and
 ``SimEnv`` holds the plan and the episode's state (pose, step count,
 deviation, termination flags), so no per-slice call looks the plan up
-again. In the closed loop each oracle answers once per step, with one
-whole row: ``PlanVerifier`` returns the oracle's tokens, which
-``SimEnv.truth`` computes once per step from the plan's poses as float
-rows (``SimEnv.pose_rows``, made once per episode), and ``NoisyDrafter``
-returns them corrupted (``_corrupt``). An episode that executes the plan,
-as strict decoding does, needs none of these: ``NoisyDrafter.plan_slices``
-tracks and corrupts every plan step at once, as arrays (``_track_rows``,
-``_corrupt_rows``).
+again. The closed loop (``specdec.run_episode``) makes each position's
+truth, draft and move inline, with ``_track``'s, ``_corrupt``'s and
+``_advance``'s expressions, from the plan's poses as float rows
+(``SimEnv.pose_rows``, made once per episode) and the drafter's noise row
+(``NoisyDrafter.noise_row``), and ends each step with ``SimEnv.arrive``.
+The oracles answer the same once per step, each with one whole row, and
+are its per-oracle reference: ``PlanVerifier`` returns the oracle's
+tokens (``SimEnv.truth``, from ``oracle_policy``), ``NoisyDrafter.draft``
+returns them corrupted (``_corrupt``), and ``SimEnv.step`` moves the env.
+An episode that executes the plan, as strict decoding does, needs none of
+these: ``NoisyDrafter.plan_slices`` tracks and corrupts every plan step at
+once, as arrays (``_track_rows``, ``_corrupt_rows``).
 
 The draft noise of step t is NumPy's own stream for the seed words (noise
 seed, task seed, t, 0x5EED). It does not depend on the trajectory (only the
@@ -35,8 +39,8 @@ clamp at the vocabulary edge reads the truth token), so ``noise_rows``
 draws the error mask and signed offsets of a whole run of steps in one
 vectorised pass: ``NoisyDrafter`` draws the plan's rows as two arrays when
 it is made, and the closed loop makes per-step lists of them on its first
-draft and draws the rows past the plan when needed. The rows equal the
-per-step generator's bit for bit on the installed numpy (tested on
+row and draws the rows past the plan when it reaches them. The rows equal
+the per-step generator's bit for bit on the installed numpy (tested on
 2.4.6); that rests on ``Generator.random``/``integers``, which NEP 19 does
 not freeze, and ``tests/oracles.py::reference_draft_ids`` is the guard.
 
@@ -78,6 +82,8 @@ _N_TOGGLES = {"reach": 0, "pick_place": 2, "long_horizon": 4}
 # long segments keep spline curvature low enough for accurate one-step
 # constant-velocity prediction; wide rotation hops keep per-step motion high
 _SEG_STEPS = (18, 24)
+# the most steps any episode takes: a plan's max_steps, for the longest plan
+MAX_EPISODE_STEPS = 2 * (max(hi for _, hi in _N_WAYPOINTS.values()) - 1) * _SEG_STEPS[1]
 _POS_RANGE = 0.75
 _ROT_RANGE = 3.75
 
@@ -438,7 +444,8 @@ def _latch(state: float, command: float) -> float:
 
 def oracle_policy(env: SimEnv) -> tuple[int, ...]:
     """True (greedy) tokens for the env's next slice: track the plan from
-    the current pose, clamped to the action range."""
+    the current pose, clamped to the action range. The per-oracle reference
+    of the truth token ``specdec.run_episode`` makes per position."""
     if env.done:
         raise EnvStateError("environment is done; no further actions")
     return tuple(_track(env.pose_rows[min(env.t + 1, env.plan.steps)], env.pose, env.key))
@@ -643,17 +650,24 @@ class SimEnv:
 
     def step(self, actions: tuple[float, ...]) -> None:
         """Integrate one slice of action values (as ``decode_slice`` returns
-        them) and update the termination flags."""
+        them) and update the termination flags; with ``truth``, the
+        per-oracle reference of ``specdec.run_episode``'s fused step."""
         if self.done:
             raise EnvStateError("environment is done; no further steps")
-        plan = self.plan
         pose = _advance(self.pose, actions)
-        t = self.t + 1
-        ref = self.pose_rows[min(t, plan.steps)]
+        ref = self.pose_rows[min(self.t + 1, self.plan.steps)]
         gap = sum([abs(p - q) for p, q in zip(pose[:GRIPPER_DOF], ref)])
         if pose[GRIPPER_DOF] != ref[GRIPPER_DOF]:
             gap += 2.0
-        self.pose = tuple(pose)
+        self.arrive(tuple(pose), gap)
+
+    def arrive(self, pose: tuple[float, ...], gap: float) -> None:
+        """Take one step to ``pose``, which lies ``gap`` from the plan's pose
+        at the new step (the L1 distance of the motion DoFs, plus 2.0 if the
+        gripper state differs), and update the termination flags."""
+        plan = self.plan
+        t = self.t + 1
+        self.pose = pose
         self.t = t
         self.deviation += gap
 
@@ -669,7 +683,8 @@ class SimEnv:
             self.done = True
 
     def truth(self) -> tuple[int, ...]:
-        """The oracle's tokens for the current step, computed once per step."""
+        """The oracle's tokens for the current step, computed once per step;
+        part of the per-oracle reference of ``specdec.run_episode``."""
         if self._truth_t != self.t:
             self._truth = oracle_policy(self)
             self._truth_t = self.t
@@ -677,7 +692,8 @@ class SimEnv:
 
 
 class PlanVerifier:
-    """Verify oracle bound to a live environment: plan-tracking truths."""
+    """Verify oracle bound to a live environment: plan-tracking truths; the
+    per-oracle reference of ``specdec.run_episode``'s truth tokens."""
 
     def __init__(self, env: SimEnv) -> None:
         self.env = env
@@ -696,11 +712,12 @@ class NoisyDrafter:
 
     The noise rows (``noise_rows``) of the plan's steps are drawn when the
     drafter is made and kept as the two (steps, 7) arrays. Strict decoding
-    reads them whole (``plan_slices``). The closed loop asks ``draft`` once
-    per step, which applies row t to the oracle's tokens at step t
-    (``_corrupt``), from per-step lists that its first call makes of the
+    reads them whole (``plan_slices``). The closed loop reads row t at step
+    t (``noise_row``), from per-step lists that its first read makes of the
     arrays; the rows of the later steps below the plan's ``max_steps`` are
     drawn in one more pass only if the episode runs past the plan.
+    ``draft`` applies row t to the oracle's tokens at step t (``_corrupt``),
+    as the per-oracle reference of the closed loop's draft tokens.
     """
 
     def __init__(self, env: SimEnv, noise: DraftNoiseModel) -> None:
@@ -711,13 +728,19 @@ class NoisyDrafter:
         self._vmax = env.key.vocab_size - 1
 
     def draft(self):
-        """The draft row of the env's current step."""
+        """The draft row of the env's current step: the per-oracle reference
+        of the draft token that ``specdec.run_episode`` makes per position."""
         env = self.env
         t = env.t
         truth = env.truth()  # raises once the episode is done
+        return _corrupt(truth, *self.noise_row(t), self._vmax)
+
+    def noise_row(self, t: int) -> tuple[list[bool], list[int]]:
+        """The error flags and signed offsets of step ``t``'s noise row, as
+        lists; ``t`` must be below the plan's ``max_steps``."""
         if t >= len(self._rows):
             self._extend_rows(t)
-        return _corrupt(truth, *self._rows[t], self._vmax)
+        return self._rows[t]
 
     def plan_slices(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
         """The oracle's tokens, the drafter's tokens and the miss mask (bit p

@@ -1,42 +1,47 @@
 """Speculative decoding engine for 7-token action slices.
 
-Each step has a token-domain part and a kinematic-domain part. Every
-oracle answers from one fixed row per step, so the engine asks each
-oracle once per step: the draft oracle gives the step's draft row and the
-verify oracle its truth row. In the token domain, ``decode_slice_sd``
-decides the slice's tokens from the two rows in one pass, walking the
-rounds of chain drafting: a round drafts up to ``depth`` tokens and
-verifies them with one verify call. Draft tokens within the acceptance
-threshold r of the verifier's token are kept; the first rejected position
-takes the verifier's token, and the engine then either
+Each step has a token-domain part and a kinematic-domain part. In the
+token domain, a slice is decided by the rounds of chain drafting: a round
+drafts up to ``depth`` tokens and verifies them with one verify call.
+Draft tokens within the acceptance threshold r of the verifier's token are
+kept; the first rejected position takes the verifier's token, and the
+engine then either
 
-* fills the remaining positions from the Kalman-filter bank it was handed
+* fills the remaining positions from its Kalman-filter bank
   (compensation; only in the first draft round, so a compensated slice
   never pays more than one verify call), or
 * resamples classically: start a new draft round after the correction.
 
-In the kinematic domain, the same pass decodes each placed token to its
-action and sums the slice's variability (the ``accepted_error_kvar`` of
-the draft ids, verified ids and statuses the trace records, so a trace
-rebuilds it). ``run_episode`` pushes the actions to the filter bank,
-steps the environment and moves the threshold by the variability. It
-hands the decoder the bank only when the bank holds context and no
-cooldown runs: a compensation starts n slices of classic resampling,
-keeping the filter's inputs dominated by verified actions.
+In the kinematic domain, each placed token is decoded to its action, and
+the slice's variability is summed (the ``accepted_error_kvar`` of the draft
+ids, verified ids and statuses the trace records, so a trace rebuilds it).
+The actions go to the filter bank and move the environment, and the
+variability moves the threshold. The bank compensates only when it holds
+context and no cooldown runs: a compensation starts n slices of classic
+resampling, keeping the filter's inputs dominated by verified actions.
 
-``run_episode`` decodes a whole episode in one of the three ``MODES``
-(strict ``naive``, static-threshold ``fixed_relaxed``, adaptive ``kerv``)
-and reads its engine parameters straight from the run's ``RunConfig``.
+``run_episode`` decodes a whole episode of the simulator's oracles in one
+of the three ``MODES`` (strict ``naive``, static-threshold
+``fixed_relaxed``, adaptive ``kerv``), reading its engine parameters
+straight from the run's ``RunConfig``. Each step is one pass over the
+seven positions: a position's truth token (the plan-tracking verifier's),
+its draft token (that truth corrupted by the drafter's noise row), its
+judgement, action and variability, and its move of the pose are made
+together, and the step ends as ``SimEnv.step`` ends one. The layers this
+pass fuses stay as the per-oracle reference it is tested against:
+``NoisyDrafter.draft`` and ``PlanVerifier.verify`` give a step's draft and
+truth rows, ``decode_slice_sd`` decides a slice from two rows, and
+``SimEnv.step`` moves the env (``tests/oracles.py::reference_run_episode``
+runs them once each per step).
 
-``run_strict_episode`` decodes a naive episode of the simulator's own
-oracles open-loop, with no draft/verify loop. That is exact: strict
-speculative decoding returns the verifier's tokens (Leviathan, Kalman and
-Matias, ICML 2023), the verifier tracks the plan, and replaying the
-plan's tokens reproduces its poses bit for bit (``simenv.build_plan``), so
-every step's truth and draft are known before the first slice. Each
-slice's record then follows from where its draft misses, through a table
-that ``decode_slice_sd`` builds. ``run_episode``'s naive mode is the
-reference it is tested against, and serves any other oracles.
+``run_strict_episode`` decodes a naive episode open-loop, with no
+draft/verify loop. That is exact: strict speculative decoding returns the
+verifier's tokens (Leviathan, Kalman and Matias, ICML 2023), the verifier
+tracks the plan, and replaying the plan's tokens reproduces its poses bit
+for bit (``simenv.build_plan``), so every step's truth and draft are known
+before the first slice. Each slice's record then follows from where its
+draft misses, through a table that ``decode_slice_sd`` builds.
+``run_episode``'s naive mode is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -44,12 +49,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import threshold as threshold_mod
 from .codec import (
     GRIPPER_DOF,
     N_DOF,
+    CodecError,
     NormKey,
     action_to_token,
     decode_slice,  # noqa: F401 (perfbench/spans.py traces the codec under this name)
@@ -58,6 +64,7 @@ from .codec import (
     token_to_action,
 )
 from .kinematics import KfBank, accumulate_kvar
+from .simenv import _latch
 from .threshold import CalibrationRow
 from .trace import (
     EXACT,
@@ -78,32 +85,6 @@ if TYPE_CHECKING:  # for annotations only
 
 class EngineError(RuntimeError):
     """Raised for oracle contract violations or invalid engine parameters."""
-
-
-class DraftOracle(Protocol):
-    def draft(self) -> Sequence[int]:
-        """Propose the current step's whole slice: its draft row.
-
-        The decoder asks once per step. The row holds exactly ``N_DOF``
-        tokens, each an ``int`` (not a ``bool``) in ``[0, vocab_size)``. The
-        decoder reads it without copying, refuses a wrong length, and
-        refuses a bad token with ``EngineError`` when it judges that
-        position.
-        """
-        ...
-
-
-class VerifyOracle(Protocol):
-    def verify(self, drafted: Sequence[int]) -> Sequence[int]:
-        """Return the true token at every position of the step's slice, in
-        one call: its truth row.
-
-        The decoder asks once per step, after ``draft``. The same contract
-        as ``DraftOracle.draft``: exactly ``N_DOF`` tokens, each an ``int``
-        in ``[0, vocab_size)``, checked by the decoder where it judges that
-        position.
-        """
-        ...
 
 
 def relaxed_accept(draft_id: int, true_id: int, r: float) -> str:
@@ -162,7 +143,9 @@ def decode_slice_sd(
     decoded with ``token_to_action``'s expression, so ``actions`` equals
     ``decode_slice(tokens)``, and the action errors of the ``RELAXED``
     positions are summed in position order, so ``kvar`` equals
-    ``accepted_error_kvar`` of the result, bit for bit.
+    ``accepted_error_kvar`` of the result, bit for bit. ``run_episode``
+    makes the same decision inline, position by position; this is its
+    per-oracle reference, and the judge of ``_strict_slices``' table.
     """
     if not 1 <= depth <= N_DOF:
         raise EngineError(f"draft depth must be in [1, {N_DOF}], got {depth}")
@@ -275,28 +258,23 @@ def accepted_error_kvar(rec: SliceResult | SliceRecord, key: NormKey) -> float:
     return kvar
 
 
-def _require_fresh(env: SimEnv) -> None:
-    """Refuse an env that has stepped: the trace numbers its records from
-    step 0, and its summary's ``steps`` counts every step the env took."""
+def _require_episode(env: SimEnv, cfg: RunConfig, draft: NoisyDrafter) -> None:
+    """Refuse an env that has stepped (the trace numbers its records from
+    step 0, and its summary's ``steps`` counts every step the env took), a
+    drafter bound to another env (it would answer from that env's steps),
+    and a config whose codec key is not the env's (its plan's tokens would
+    be decoded on another grid)."""
     if env.t != 0:
         raise EngineError(f"env must be fresh to decode an episode, but it is at step {env.t}")
-
-
-def _require_bound(env: SimEnv, *oracles: object) -> None:
-    """Refuse an oracle bound to another env (the simulator's oracles keep
-    theirs as ``env``): it would answer from that env's steps, not from
-    the steps of the episode decoded."""
-    for oracle in oracles:
-        if getattr(oracle, "env", env) is not env:
-            raise EngineError(
-                f"{type(oracle).__name__} is bound to another env than the one it decodes"
-            )
+    if draft.env is not env:
+        raise EngineError("NoisyDrafter is bound to another env than the one it decodes")
+    if cfg.key != env.key:
+        raise EngineError("the config's codec key is not the env's, which its plan is built on")
 
 
 def run_episode(
     env: SimEnv,
-    draft: DraftOracle,
-    verify: VerifyOracle,
+    draft: NoisyDrafter,
     cfg: RunConfig,
     mode: str,
     row: CalibrationRow | None = None,
@@ -315,20 +293,26 @@ def run_episode(
     ``cfg.fixed_r``, ``cfg.comp_n`` (cooldown slices), ``cfg.pl``,
     ``cfg.ac``, ``cfg.kf_params`` and ``cfg.key``.
 
-    Each step asks each oracle once: ``draft.draft()`` gives the step's
-    draft row and ``verify.verify(drafted)`` its truth row, and
-    ``decode_slice_sd`` judges, decodes and measures the slice from the
-    two rows in one pass.
+    Each step is one pass over the slice's seven positions. A position
+    takes its truth token (``simenv._track``'s expression, toward the
+    plan's pose t + 1 from the current pose), its draft token (``_corrupt``'s
+    rule on the drafter's noise row t), its judgement and action
+    (``decode_slice_sd``'s rule, filling the positions after a first-round
+    rejection from ``KfBank.predict`` when the bank is handed over), and
+    its move of the pose (``simenv._advance``); the step then records its
+    deviation from the plan and the termination flags as ``SimEnv.step``
+    does. The per-oracle loop (``NoisyDrafter.draft``,
+    ``PlanVerifier.verify``, ``decode_slice_sd`` and ``SimEnv.step`` once
+    each per step) is the reference this pass is tested against,
+    trace and final env alike (``tests/oracles.py::reference_run_episode``).
 
-    ``env`` must be fresh (no step taken), and an oracle bound to an env
-    (``NoisyDrafter``, ``PlanVerifier``) must be bound to this one;
-    ``EngineError`` otherwise. The trace's header and summary come from the
-    env's spec, metadata and final state.
+    ``env`` must be fresh (no step taken), and ``draft`` bound to it and
+    ``cfg.key`` equal to its key; ``EngineError`` otherwise. The trace's
+    header and summary come from the env's spec, metadata and final state.
     """
     if mode not in MODES:
         raise EngineError(f"unknown mode {mode!r}; expected one of {MODES}")
-    _require_fresh(env)
-    _require_bound(env, draft, verify)
+    _require_episode(env, cfg, draft)
     kerv = mode == "kerv"
     if kerv:
         if row is None:
@@ -344,49 +328,140 @@ def run_episode(
     comp_events = 0
     records: list[SliceRecord] = []
 
+    key = env.key
+    vocab = key.vocab_size
+    top = vocab - 1
+    los, his = key.lo, key.hi
+    spans = [hi - lo for lo, hi in zip(los, his)]
+    depth, pl = cfg.depth, cfg.pl
+    plan = env.plan
+    pose_rows = env.pose_rows
+    last = plan.steps
+    floor = math.floor
+
     while not env.done:
-        # the decoder compensates only from a bank it is handed
-        comp_bank = bank if cooldown == 0 and bank is not None and bank.has_context else None
-        drafted = draft.draft()
-        result = decode_slice_sd(
-            drafted, verify.verify(drafted), r=r, depth=cfg.depth, key=cfg.key,
-            bank=comp_bank, kf_pl=cfg.pl,
-        )
+        t = env.t
+        pose = env.pose
+        target = pose_rows[t + 1 if t < last else last]  # the plan's pose after this step
+        errs, offsets = draft.noise_row(t)
+        # the bank compensates only with context, and never in a cooldown
+        comp = cooldown == 0 and bank is not None and bank.has_context
+        predicted = None  # the bank's prediction, once the slice compensates
+        drafts: list[int | None] = []
+        truths: list[int | None] = []
+        statuses: list[str | None] = []
+        tokens: list[int] = []
+        sources: list[str] = []
+        actions: list[float] = []
+        moved: list[float] = []  # the pose after the step
+        first_error = N_DOF
+        rounds = 0
+        round_end = 0  # the positions before it are in rounds already counted
+        kvar = 0.0
+        gap = 0.0  # the moved pose's distance from the target, as SimEnv.step sums it
+
+        for pos in range(N_DOF):
+            low = los[pos]
+            span = spans[pos]
+            here = pose[pos]
+            there = target[pos]
+            if predicted is None:
+                if pos == round_end:
+                    rounds += 1
+                    round_end = pos + depth
+                # the truth: _track's expression
+                if pos == GRIPPER_DOF:
+                    desired = there if there != here else 0.0
+                else:
+                    desired = there - here
+                    high = his[pos]
+                    desired = low if low > desired else high if high < desired else desired
+                try:
+                    true_tok = floor((desired - low) / span * vocab)
+                except ValueError:  # a NaN gap, which only infinite poses make
+                    raise CodecError(f"action value must be finite, got {desired!r}") from None
+                true_tok = 0 if true_tok < 0 else top if true_tok > top else true_tok
+                # the draft: _corrupt's rule on the step's noise row
+                d_tok = true_tok
+                if errs[pos]:
+                    off = offsets[pos]
+                    d_tok = true_tok + off
+                    d_tok = 0 if d_tok < 0 else top if d_tok > top else d_tok
+                    if d_tok == true_tok:  # the clamp swallowed the offset; mirror it
+                        d_tok = true_tok - off
+                        d_tok = 0 if d_tok < 0 else top if d_tok > top else d_tok
+                drafts.append(d_tok)
+                truths.append(true_tok)
+                # the judgement and the action: decode_slice_sd's rule
+                if d_tok == true_tok:
+                    statuses.append(EXACT)
+                    tokens.append(d_tok)
+                    sources.append(SRC_DRAFT)
+                    action = low + span * (d_tok + 0.5) / vocab
+                elif abs(d_tok - true_tok) <= r:
+                    action = low + span * (d_tok + 0.5) / vocab
+                    kvar += abs(low + span * (true_tok + 0.5) / vocab - action)
+                    statuses.append(RELAXED)
+                    tokens.append(d_tok)
+                    sources.append(SRC_DRAFT)
+                else:
+                    statuses.append(REJECTED)
+                    if first_error == N_DOF:
+                        first_error = pos
+                    tokens.append(true_tok)
+                    sources.append(SRC_VERIFY)
+                    action = low + span * (true_tok + 0.5) / vocab
+                    # compensation replaces re-inference only when the miss
+                    # shows up in the first round, so it costs one verify
+                    if comp and rounds == 1 and pos < GRIPPER_DOF:
+                        # _track refuses a NaN gap at every position, filled or not
+                        for dof in range(pos + 1, GRIPPER_DOF):
+                            if math.isnan(target[dof] - pose[dof]):
+                                raise CodecError("action value must be finite, got nan")
+                        predicted = bank.predict(pl)
+                    else:
+                        round_end = pos + 1  # the next round starts after the correction
+            else:
+                # filled from the bank: never drafted, so its slots stay empty
+                tok = _tokenize_prediction(predicted[pos], pos, key)
+                drafts.append(None)
+                truths.append(None)
+                statuses.append(None)
+                tokens.append(tok)
+                sources.append(SRC_KF)
+                action = low + span * (tok + 0.5) / vocab
+            actions.append(action)
+            # the pose: _advance, and the step's gap from the target
+            if pos == GRIPPER_DOF:
+                state = _latch(here, action)
+                moved.append(state)
+                if state != there:
+                    gap += 2.0
+            else:
+                here += action
+                moved.append(here)
+                gap += abs(here - there)
+
+        comp_fired = predicted is not None
         if bank is not None:
-            bank.push_slice(result.actions)
-        step_index = env.t
-        env.step(result.actions)
+            bank.push_slice(tuple(actions))
+        env.arrive(tuple(moved), gap)
 
-        kstep = result.kvar
-        kvar_cum = accumulate_kvar(kvar_cum, kstep)
-
-        if result.comp_fired:
+        kvar_cum = accumulate_kvar(kvar_cum, kvar)
+        if comp_fired:
             comp_events += 1
             cooldown = cfg.comp_n
         elif cooldown > 0:
             cooldown -= 1
-
         records.append(
             SliceRecord(
-                step=step_index,
-                draft_ids=result.draft_ids,
-                true_ids=result.true_ids,
-                statuses=result.statuses,
-                tokens=result.tokens,
-                sources=result.sources,
-                first_error_pos=result.first_error_pos,
-                r=r,
-                kvar_step=kstep,
-                kvar_cum=kvar_cum,
-                verify_calls=result.rounds,
-                draft_calls=result.rounds,
-                comp_fired=result.comp_fired,
-                cooldown_remaining=cooldown,
+                t, tuple(drafts), tuple(truths), tuple(statuses), tuple(tokens), tuple(sources),
+                first_error, r, kvar, kvar_cum, rounds, rounds, comp_fired, cooldown,
             )
         )
         if kerv:
-            r = threshold_mod.adjust(row, r, prev_kvar, kstep)
-            prev_kvar = kstep
+            r = threshold_mod.adjust(row, r, prev_kvar, kvar)
+            prev_kvar = kvar
 
     return EpisodeTrace(
         suite=env.suite,
@@ -399,7 +474,7 @@ def run_episode(
         success=env.succeeded,
         steps=env.t,
         deviation=env.deviation,
-        plan_steps=env.plan.steps,
+        plan_steps=plan.steps,
         comp_events=comp_events,
     )
 
@@ -428,8 +503,8 @@ def _strict_slices(
 
 
 def run_strict_episode(env: SimEnv, draft: NoisyDrafter, cfg: RunConfig) -> EpisodeTrace:
-    """The trace ``run_episode(env, draft, PlanVerifier(env), cfg, "naive")``
-    records, decoded open-loop from the plan and the drafter's noise rows.
+    """The trace ``run_episode(env, draft, cfg, "naive")`` records, decoded
+    open-loop from the plan and the drafter's noise rows.
 
     Strict speculative decoding (r = 0, no compensation) executes exactly
     the verifier's tokens, and the verifier tracks the plan, whose own
@@ -441,17 +516,15 @@ def run_strict_episode(env: SimEnv, draft: NoisyDrafter, cfg: RunConfig) -> Epis
     position is judged once, so a record holds the whole draft and truth
     rows and executes the truth, and its statuses, sources, first error
     position and rounds depend only on where the draft misses
-    (``_strict_slices``). ``run_episode``'s naive mode stays the reference,
-    and the one to use with other oracles. ``env`` must be fresh and
-    ``draft`` bound to it (``EngineError`` otherwise); ``env`` is left as it
-    is.
+    (``_strict_slices``). ``run_episode``'s naive mode stays the
+    reference. ``env`` must be fresh, ``draft`` bound to it and ``cfg.key``
+    its key (``EngineError`` otherwise); ``env`` is left as it is.
 
     The drafter derives every step's truth, draft and miss mask as arrays
     in one pass, so each record costs one table lookup and one
     ``SliceRecord``, built positionally in its field order.
     """
-    _require_fresh(env)
-    _require_bound(env, draft)
+    _require_episode(env, cfg, draft)
     table = _strict_slices(cfg.depth, cfg.key)
     truths, drafts, misses = draft.plan_slices()
     records = []

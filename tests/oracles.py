@@ -16,7 +16,9 @@ slices compared over all seven positions, one ``json.dumps(...,
 sort_keys=True)`` per trace line, and the trace loader that checked slots,
 then scalar types, then ranges, in three passes
 (``reference_trace_loads``), a slice decided one draft/verify round at a
-time (``reference_decode_slice_sd``), and the plan's gripper column walked
+time (``reference_decode_slice_sd``), an episode decoded by asking each
+oracle for its row, then deciding the slice and stepping the env, per
+step (``reference_run_episode``), and the plan's gripper column walked
 one step at a time (``reference_gripper_states``). The plan's target poses come from scipy's
 own ``CubicSpline`` (``reference_targets``), which the library's own solve
 matches to within a stated bound; scipy stays a test-only dependency,
@@ -53,14 +55,17 @@ from kerv.simenv import (
     _latch,
     _segment_steps,
 )
+from kerv.kinematics import KfBank, accumulate_kvar
 from kerv.specdec import (
     REJECTED,
     SRC_DRAFT,
     SRC_KF,
     SRC_VERIFY,
     EngineError,
+    decode_slice_sd,
     relaxed_accept,
 )
+from kerv import threshold as threshold_mod
 from kerv.threshold import CalibrationRow, ThresholdConfigError
 from kerv.trace import MODES, EpisodeTrace, SliceRecord, TraceError
 
@@ -450,6 +455,98 @@ def reference_decode_slice_sd(drafted, truths, r, depth, key, bank, kf_pl):
         "true_ids": tuple(true_ids),
         "statuses": tuple(statuses),
     }
+
+
+def reference_run_episode(env, draft, verify, cfg, mode, row=None):
+    """An episode decoded the way ``run_episode`` decoded it before it fused
+    each step into one pass: per step, ``draft.draft()`` gives the draft
+    row and ``verify.verify(drafted)`` the truth row (``SimEnv.truth``, so
+    ``oracle_policy`` and ``_track``), ``decode_slice_sd`` judges and
+    decodes the slice, the bank takes its actions and ``env.step`` moves
+    the env (``_advance``). The loop is kept as it was, and serves any
+    oracles that answer with one row per step."""
+    if mode not in MODES:
+        raise EngineError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if env.t != 0:
+        raise EngineError(f"env must be fresh to decode an episode, but it is at step {env.t}")
+    for oracle in (draft, verify):
+        if getattr(oracle, "env", env) is not env:
+            raise EngineError(
+                f"{type(oracle).__name__} is bound to another env than the one it decodes"
+            )
+    kerv = mode == "kerv"
+    if kerv:
+        if row is None:
+            raise EngineError("kerv mode needs a calibration row (see threshold.lookup)")
+        r = float(row.r_max)
+    else:
+        r = 0.0 if mode == "naive" else float(cfg.fixed_r)
+    # only kerv compensates, so only kerv feeds and reads a filter bank
+    bank = KfBank(cfg.kf_params, ac=cfg.ac) if kerv else None
+    prev_kvar = 0.0
+    kvar_cum = 0.0
+    cooldown = 0
+    comp_events = 0
+    records = []
+
+    while not env.done:
+        # the decoder compensates only from a bank it is handed
+        comp_bank = bank if cooldown == 0 and bank is not None and bank.has_context else None
+        drafted = draft.draft()
+        result = decode_slice_sd(
+            drafted, verify.verify(drafted), r=r, depth=cfg.depth, key=cfg.key,
+            bank=comp_bank, kf_pl=cfg.pl,
+        )
+        if bank is not None:
+            bank.push_slice(result.actions)
+        step_index = env.t
+        env.step(result.actions)
+
+        kstep = result.kvar
+        kvar_cum = accumulate_kvar(kvar_cum, kstep)
+
+        if result.comp_fired:
+            comp_events += 1
+            cooldown = cfg.comp_n
+        elif cooldown > 0:
+            cooldown -= 1
+
+        records.append(
+            SliceRecord(
+                step=step_index,
+                draft_ids=result.draft_ids,
+                true_ids=result.true_ids,
+                statuses=result.statuses,
+                tokens=result.tokens,
+                sources=result.sources,
+                first_error_pos=result.first_error_pos,
+                r=r,
+                kvar_step=kstep,
+                kvar_cum=kvar_cum,
+                verify_calls=result.rounds,
+                draft_calls=result.rounds,
+                comp_fired=result.comp_fired,
+                cooldown_remaining=cooldown,
+            )
+        )
+        if kerv:
+            r = threshold_mod.adjust(row, r, prev_kvar, kstep)
+            prev_kvar = kstep
+
+    return EpisodeTrace(
+        suite=env.suite,
+        kind=env.spec.kind,
+        mode=mode,
+        robot=env.robot,
+        trial=env.trial,
+        seed=env.spec.seed,
+        slices=records,
+        success=env.succeeded,
+        steps=env.t,
+        deviation=env.deviation,
+        plan_steps=env.plan.steps,
+        comp_events=comp_events,
+    )
 
 
 def _bad_token(oracle, pos, tok, vocab):

@@ -133,6 +133,44 @@ def test_section_value_errors_name_the_key(line, key):
         loads(default_config_text() + line + "\n")
 
 
+# Each of these loaded, then failed in the first kerv episode that built or
+# read a filter bank: a window bound past a C ssize_t (the deque's), a
+# prediction length past the float range, a prediction pushed past it, and
+# the filter's process noise q * dt**4 / 4 past it.
+@pytest.mark.parametrize(
+    "lines, key",
+    [
+        ("kf.ac = 100000000000000000000", "kf.ac"),
+        ("kf.pl = 1" + "0" * 309, "kf.pl"),
+        ("kf.pl = 1" + "0" * 300 + "\nkf.dt = 1e10", "kf.pl"),
+        ("kf.dt = 2e77", "kf.dt"),
+    ],
+    ids=["ac_past_ssize_t", "pl_past_float", "prediction_past_float", "process_noise_past_float"],
+)
+def test_a_filter_that_fails_mid_run_is_refused_at_load(lines, key):
+    with pytest.raises(ConfigError, match=f"^(bad value for )?{key}"):
+        loads(default_config_text(1) + lines + "\n")
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        "kf.dt = 1e77",
+        "kf.ac = 3000",
+        "kf.pl = 1000000000000000000\nkf.dt = 1e10",
+        "kf.pl = 1" + "0" * 300,
+    ],
+)
+def test_a_filter_near_the_float_range_still_loads_and_runs(lines):
+    """Settings whose predictions stay finite load, and a kerv episode of
+    each runs to its end, its longest possible window included."""
+    cfg = loads(default_config_text(1) + lines + "\n")
+    row = threshold.CalibrationRow(1.0, 0.7, 15.0, 5.0, 0.08, 0.0, 0.0)
+    table = threshold.CalibrationTable({(s.name, cfg.robot): row for s in cfg.suites})
+    report, _ = harness.run_suite(cfg, modes=("kerv",), suites=("long",), table=table)
+    assert [r.mode for r in report.rows] == ["kerv"]
+
+
 def test_later_assignment_overrides_default_text():
     cfg = loads(default_config_text() + "threshold.table = t.csv\nrun.seed_offset = 5\n")
     assert cfg.table_path == "t.csv" and cfg.seed_offset == 5

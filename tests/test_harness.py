@@ -16,7 +16,7 @@ from kerv.harness import (
     run_suite,
     sweep,
 )
-from kerv.simenv import NoisyDrafter, PlanVerifier, SimEnv, make_task
+from kerv.simenv import NoisyDrafter, SimEnv, make_task
 from kerv.specdec import run_episode
 from kerv.threshold import (
     CalibrationRow,
@@ -300,9 +300,9 @@ def test_naive_episodes_are_decoded_open_loop(small_cfg, monkeypatch):
     suite = small_cfg.suite("object")
     spec = make_task(suite.kind, suite.seed_base + small_cfg.seed_offset + 1)
     env = SimEnv(spec, small_cfg.key, suite=suite.name, robot=small_cfg.robot, trial=1)
-    ref = run_episode(env, NoisyDrafter(env, small_cfg.noise), PlanVerifier(env), small_cfg, "naive")
+    ref = run_episode(env, NoisyDrafter(env, small_cfg.noise), small_cfg, "naive")
     loops = []
-    monkeypatch.setattr(harness, "run_episode", lambda *a: loops.append(a[4]))
+    monkeypatch.setattr(harness, "run_episode", lambda *a: loops.append(a[3]))
     same = run_one_episode(small_cfg, suite, "naive", 1, None).dumps() == ref.dumps()
     assert same
     run_one_episode(small_cfg, suite, "fixed_relaxed", 1, None)

@@ -12,6 +12,7 @@ from kerv.kinematics import (
     NoContextError,
     _weights,
     accumulate_kvar,
+    weight_norms,
 )
 from oracles import matrix_kf_predict, reference_kf_replay
 
@@ -30,6 +31,25 @@ def test_params_validated():
         KfParams(process_noise=0.0)
     with pytest.raises(KinematicsError):
         KfParams(dt=-1.0)
+
+
+def test_process_noise_past_the_float_range_is_refused():
+    with pytest.raises(KinematicsError, match="past the float range"):
+        KfParams(dt=2e77)
+    with pytest.raises(KinematicsError, match="past the float range"):
+        KfParams(process_noise=1e300, dt=1e3)
+    KfParams(dt=1e77)  # q * dt**4 / 4 is 2.5e304
+
+
+@pytest.mark.parametrize(
+    "params",
+    [KfParams(), KfParams(dt=1e10), KfParams(process_noise=2e-4, measurement_noise=0.05, dt=0.1)],
+)
+def test_weight_norms_are_the_largest_over_every_window(params):
+    """Read off one run, the norms equal the largest of each window's own
+    weights, up to the order of the sums."""
+    each = [np.abs(_weights(params, n)[0]).sum(axis=1) for n in range(1, 41)]
+    assert weight_norms(params, 40) == pytest.approx(np.max(each, axis=0).tolist(), rel=1e-12)
 
 
 def test_cache_eviction_oldest_first():

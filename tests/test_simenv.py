@@ -21,7 +21,6 @@ from kerv.simenv import (
     DraftNoiseModel,
     EnvStateError,
     NoisyDrafter,
-    PlanVerifier,
     SimEnv,
     TaskError,
     build_plan,
@@ -674,11 +673,14 @@ _ROW = CalibrationRow(
 def _episode(spec, mode):
     env = SimEnv(spec, suite="t")
     draft = NoisyDrafter(env, DraftNoiseModel(seed=9))
-    return run_episode(env, draft, PlanVerifier(env), RunConfig(), mode, _ROW)
+    return run_episode(env, draft, RunConfig(), mode, _ROW)
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_oracle_runs_at_most_once_per_env_step(mode, monkeypatch):
+    """The closed loop tracks the plan inline, once per position, so no
+    mode calls ``oracle_policy`` at all, as the open-loop naive decoder
+    never does."""
     calls = []
     real = simenv.oracle_policy
 
@@ -689,8 +691,7 @@ def test_oracle_runs_at_most_once_per_env_step(mode, monkeypatch):
     monkeypatch.setattr(simenv, "oracle_policy", counting)
     trace = _episode(make_task("pick_place", 5), mode)
     assert trace.steps > 0
-    assert sorted(calls) == sorted(set(calls))
-    assert len(calls) <= trace.steps
+    assert calls == []
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -729,7 +730,7 @@ def test_episode_builds_no_generator_and_looks_up_no_plan(mode, monkeypatch):
         np.random, "default_rng", lambda *a, **kw: generators.append(a) or real_rng(*a, **kw)
     )
     monkeypatch.setattr(simenv, "build_plan", lambda *a: lookups.append(a) or real_plan(*a))
-    trace = run_episode(env, draft, PlanVerifier(env), RunConfig(), mode, _ROW)
+    trace = run_episode(env, draft, RunConfig(), mode, _ROW)
     assert trace.steps > 0
     assert generators == [] and lookups == []
 
@@ -769,22 +770,22 @@ def test_make_task_builds_no_plan_and_an_episode_builds_one():
 
 @pytest.mark.parametrize("mode", ["naive", "fixed_relaxed"])
 def test_naive_episode_corrupts_no_row_and_drafts_nothing(mode, monkeypatch):
-    """A naive episode is decoded open-loop from the drafter's noise arrays:
-    no per-row ``_corrupt`` call and no ``draft`` call. The closed loop of
-    the other modes still makes both."""
-    corrupts, drafts = [], []
+    """A naive episode is decoded open-loop from the drafter's noise arrays,
+    and the closed loop of the other modes corrupts each truth token inline:
+    neither makes a per-row ``_corrupt``, ``draft`` or ``oracle_policy``
+    call."""
+    corrupts, drafts, policies = [], [], []
     real_corrupt, real_draft = simenv._corrupt, NoisyDrafter.draft
+    real_policy = simenv.oracle_policy
     monkeypatch.setattr(simenv, "_corrupt", lambda *a: corrupts.append(a) or real_corrupt(*a))
     monkeypatch.setattr(
         NoisyDrafter, "draft", lambda self, *a: drafts.append(a) or real_draft(self, *a)
     )
+    monkeypatch.setattr(simenv, "oracle_policy", lambda env: policies.append(1) or real_policy(env))
     suite = SuiteConfig("t", "pick_place", trials=1, seed_base=5)
     trace = run_one_episode(RunConfig(suites=(suite,)), suite, mode, 0, None)
     assert trace.steps > 0
-    if mode == "naive":
-        assert corrupts == [] and drafts == []
-    else:
-        assert len(corrupts) == trace.steps and len(drafts) >= trace.steps
+    assert corrupts == [] and drafts == [] and policies == []
 
 
 @pytest.mark.parametrize("mode", ["open-loop", "fixed_relaxed"])
@@ -797,5 +798,5 @@ def test_only_the_closed_loop_makes_the_pose_rows(mode):
         run_strict_episode(env, draft, RunConfig())
         assert "pose_rows" not in vars(env)
     else:
-        run_episode(env, draft, PlanVerifier(env), RunConfig(), mode)
+        run_episode(env, draft, RunConfig(), mode)
         assert vars(env)["pose_rows"] == env.plan.poses.tolist()

@@ -6,14 +6,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kerv import specdec, threshold
-from kerv.codec import NormKey, decode_slice, token_to_action
+from kerv.codec import CodecError, NormKey, decode_slice, token_to_action
 from kerv.config import RunConfig, default_config
 from kerv.kinematics import KfBank, KfParams, NoContextError
-from kerv.simenv import DraftNoiseModel, NoisyDrafter, PlanVerifier, SimEnv, make_task
+from kerv.simenv import KINDS, DraftNoiseModel, NoisyDrafter, PlanVerifier, SimEnv, make_task
 from kerv.specdec import (
     EXACT,
     REJECTED,
@@ -31,7 +31,12 @@ from kerv.specdec import (
 )
 from kerv.threshold import CalibrationRow
 from kerv.trace import loads
-from oracles import reference_accepted_error_kvar, reference_adjust, reference_decode_slice_sd
+from oracles import (
+    reference_accepted_error_kvar,
+    reference_adjust,
+    reference_decode_slice_sd,
+    reference_run_episode,
+)
 
 KEY = NormKey()
 
@@ -312,8 +317,7 @@ def _episode(mode, seed=5, kind="pick_place", row=ROW, **cfg_kw):
     spec = make_task(kind, seed)
     env = SimEnv(spec, suite="t", trial=0)
     draft = NoisyDrafter(env, DraftNoiseModel(seed=9))
-    verify = PlanVerifier(env)
-    return run_episode(env, draft, verify, RunConfig(**cfg_kw), mode, row)
+    return run_episode(env, draft, RunConfig(**cfg_kw), mode, row)
 
 
 def test_cooldown_blocks_compensation_for_n_slices():
@@ -349,11 +353,11 @@ def test_fixed_mode_uses_static_threshold():
 def test_kerv_requires_calibration_row():
     spec = make_task("reach", 5)
     env = SimEnv(spec, suite="t", trial=0)
-    draft, verify = NoisyDrafter(env, DraftNoiseModel(seed=9)), PlanVerifier(env)
+    draft = NoisyDrafter(env, DraftNoiseModel(seed=9))
     with pytest.raises(EngineError):
-        run_episode(env, draft, verify, RunConfig(), "kerv")
+        run_episode(env, draft, RunConfig(), "kerv")
     with pytest.raises(EngineError):
-        run_episode(env, draft, verify, RunConfig(), "greedy")
+        run_episode(env, draft, RunConfig(), "greedy")
 
 
 @pytest.mark.parametrize("mode", ["open-loop", *MODES])
@@ -361,20 +365,20 @@ def test_decoders_refuse_a_stepped_env(mode):
     """An env that has stepped would start the trace past step 0 under a
     summary that counts the earlier steps; both decoders refuse it."""
     env = SimEnv(make_task("reach", 5), suite="t", trial=0)
-    draft, verify = NoisyDrafter(env, DraftNoiseModel(seed=9)), PlanVerifier(env)
+    draft = NoisyDrafter(env, DraftNoiseModel(seed=9))
     for _ in range(5):
         env.step(decode_slice(env.truth(), KEY))
     with pytest.raises(EngineError, match="fresh.*step 5"):
         if mode == "open-loop":
             run_strict_episode(env, draft, RunConfig())
         else:
-            run_episode(env, draft, verify, RunConfig(), mode, ROW)
+            run_episode(env, draft, RunConfig(), mode, ROW)
     assert env.t == 5
 
 
 @pytest.mark.parametrize(
     "mode, stray",
-    [("open-loop", "draft"), *((m, s) for m in MODES for s in ("draft", "verify"))],
+    [("open-loop", "draft"), *((m, "draft") for m in MODES)],
 )
 def test_decoders_refuse_an_oracle_bound_to_another_env(mode, stray):
     """An oracle answers from the steps of the env it is bound to; bound to
@@ -383,12 +387,11 @@ def test_decoders_refuse_an_oracle_bound_to_another_env(mode, stray):
     env_a = SimEnv(make_task("reach", 5), suite="t", trial=0)
     env_b = SimEnv(make_task("long_horizon", 5), suite="t", trial=0)
     draft = NoisyDrafter(env_b if stray == "draft" else env_a, DraftNoiseModel(seed=9))
-    verify = PlanVerifier(env_b if stray == "verify" else env_a)
     with pytest.raises(EngineError, match="bound to another env"):
         if mode == "open-loop":
             run_strict_episode(env_a, draft, RunConfig())
         else:
-            run_episode(env_a, draft, verify, RunConfig(), mode, ROW)
+            run_episode(env_a, draft, RunConfig(), mode, ROW)
     assert env_a.t == env_b.t == 0
 
 
@@ -535,7 +538,7 @@ def _first_different_line(text: str, ref: str) -> tuple[str, str] | None:
 @pytest.mark.parametrize("depth", range(1, 8))
 def test_strict_episode_writes_the_closed_loop_naive_trace(depth, key):
     """The open-loop decoder writes, byte for byte, the trace that
-    ``run_episode``'s naive mode records through the draft/verify loop:
+    ``run_episode``'s naive mode records in the closed loop:
     every noise of ``STRICT_NOISES`` at each depth and key, cycling over
     every suite."""
     cfg = replace(default_config(1), depth=depth, key=key)
@@ -544,9 +547,86 @@ def test_strict_episode_writes_the_closed_loop_naive_trace(depth, key):
         spec = make_task(suite.kind, suite.seed_base + i)
         noise = DraftNoiseModel(q_err=q_err, max_offset=max_offset, seed=depth)
         env = SimEnv(spec, key, suite=suite.name, trial=i)
-        ref = run_episode(env, NoisyDrafter(env, noise), PlanVerifier(env), cfg, "naive")
+        ref = run_episode(env, NoisyDrafter(env, noise), cfg, "naive")
         env = SimEnv(spec, key, suite=suite.name, trial=i)
         got = run_strict_episode(env, NoisyDrafter(env, noise), cfg)
         diff = _first_different_line(got.dumps(), ref.dumps())
         assert diff is None, (suite.name, q_err, max_offset, diff)
         assert got.success and got.steps == env.plan.steps
+
+
+def _final_state(env):
+    return env.t, env.pose, env.deviation, env.done, env.succeeded
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mode=st.sampled_from(MODES),
+    depth=st.integers(1, 7),
+    key=st.sampled_from(list(STRICT_KEYS.values())),
+    fixed_r=st.one_of(st.sampled_from([0.0, 300.0]), st.floats(0, 20)),
+    comp_n=st.integers(0, 6),
+    ac=st.integers(1, 12),
+    pl=st.integers(1, 3),
+    row=st.sampled_from([ROW, EQUAL_BOUNDS_ROW]),
+    q_err=st.sampled_from([0.0, 0.48, 1.0]),
+    max_offset=st.sampled_from([1, 60, 5000]),
+    kind=st.sampled_from(KINDS),
+    task_seed=st.integers(0, 40),
+    past_plan=st.just(False),
+)
+# episodes that run past the plan, one per kind: every draft token off by
+# up to 5000 bins, accepted at any distance or compensated at once
+@example("fixed_relaxed", 4, KEY, 300.0, 4, 10, 1, ROW, 1.0, 5000, "reach", 3, True)
+@example("kerv", 2, KEY, 0.0, 0, 3, 2, EQUAL_BOUNDS_ROW, 1.0, 5000, "pick_place", 7, True)
+@example(
+    "fixed_relaxed", 7, STRICT_KEYS["vocab16"], 300.0, 0, 1, 1, ROW, 1.0, 5000, "long_horizon", 1,
+    True,
+)
+def test_closed_loop_matches_the_per_oracle_reference(
+    mode, depth, key, fixed_r, comp_n, ac, pl, row, q_err, max_offset, kind, task_seed, past_plan
+):
+    """The fused step writes, byte for byte, the trace of the per-oracle
+    loop (draft row, truth row, ``decode_slice_sd``, ``SimEnv.step``), and
+    leaves the env in the same final state, in every mode, at every depth,
+    on keys at the clamp and mirror edges, with thresholds of 0, fractions
+    and past the vocabulary, and with compensation, window, horizon and
+    noise settings spread over their ranges."""
+    cfg = RunConfig(key=key, depth=depth, fixed_r=fixed_r, comp_n=comp_n, ac=ac, pl=pl)
+    noise = DraftNoiseModel(q_err=q_err, max_offset=max_offset, seed=task_seed + 1)
+    spec = make_task(kind, task_seed)
+    ref_env = SimEnv(spec, key, suite="t", trial=task_seed)
+    ref = reference_run_episode(
+        ref_env, NoisyDrafter(ref_env, noise), PlanVerifier(ref_env), cfg, mode, row
+    )
+    env = SimEnv(spec, key, suite="t", trial=task_seed)
+    got = run_episode(env, NoisyDrafter(env, noise), cfg, mode, row)
+    diff = _first_different_line(got.dumps(), ref.dumps())
+    assert diff is None, diff
+    assert _final_state(env) == _final_state(ref_env)
+    if past_plan:
+        assert env.t > env.plan.steps
+
+
+@pytest.mark.parametrize("mode", ["fixed_relaxed", "kerv"])
+def test_closed_loop_refuses_a_nan_gap_where_the_reference_does(mode):
+    """A dof3 range wide enough that the plan's poses overflow to -inf makes
+    the gap to the plan NaN late in this task. Both loops refuse it
+    with the same ``CodecError`` and leave the env at the same step, also
+    where a first-round rejection at an earlier position compensates: the
+    reference tracks every position before it decides the slice."""
+    key = NormKey(lo=(-1.0,) * 3 + (-3e306,) + (-1.0,) * 3, vocab_size=2)
+    cfg = RunConfig(key=key, comp_n=0)
+    row = replace(EQUAL_BOUNDS_ROW, r_max=0.0, r_min=0.0)  # every miss rejected
+    noise = DraftNoiseModel(q_err=1.0, seed=3)  # a miss at every position
+    seen = []
+    with np.errstate(over="ignore", invalid="ignore"):  # the plan's own overflow
+        for decode in (reference_run_episode, run_episode):
+            env = SimEnv(make_task("long_horizon", 0), key)
+            draft = NoisyDrafter(env, noise)
+            args = (draft, PlanVerifier(env)) if decode is reference_run_episode else (draft,)
+            with pytest.raises(CodecError) as err:
+                decode(env, *args, cfg, mode, row)
+            seen.append((str(err.value), env.t, repr(env.pose), repr(env.deviation)))
+    assert seen[1] == seen[0]
+    assert seen[0][0] == "action value must be finite, got nan"
