@@ -11,9 +11,11 @@ Where values are checked: a slice flows as a plain tuple (seven ``int``
 token ids, or the seven ``float`` values ``decode_slice`` returns), and
 its values are checked at four boundaries:
 
-* the norm key when the config is loaded (``NormKey``): every range is
-  finite and narrow enough that ``(hi - lo) * vocab_size`` is too, so
-  every decoded value is finite;
+* the norm key when the config is loaded and when a plan is built
+  (``NormKey``, ``simenv.check_key``): every range is finite and narrow
+  enough that ``(hi - lo) * vocab_size`` is too, so every decoded value is
+  finite, and that an episode's longest run of actions is too, so every
+  pose is finite and every gap to the plan is a number;
 * every token an oracle returns, where the decoder judges it
   (``specdec.decode_slice_sd``);
 * every id ``decode_slice`` decodes: seven ids, each an ``int`` (not a
@@ -22,19 +24,19 @@ its values are checked at four boundaries:
 
 Tokens the decoder fills from filter predictions come from
 ``action_to_token``/``snap_gripper_token``, which refuse a non-finite
-value and clamp to the vocabulary. The per-slice paths compute the
-codec's expressions inline on plain ints and floats instead of calling the
-checked scalar functions: ``decode_slice``,
-``specdec.decode_slice_sd`` (``token_to_action``'s expression on each
-token it places), ``simenv._track`` (``action_to_token``'s expression
-on a gap already clamped to the action range), and the closed loop's
-fused step, ``specdec.run_episode``, which computes ``_track``'s truth
-token, ``simenv._corrupt``'s draft token, ``token_to_action``'s action and
-``simenv._advance``'s move of the pose per position, and ``SimEnv.step``'s
-gap per step. A token the simulator tracks or corrupts is an ``int`` in
-the vocabulary by construction, so the fused step does not check it
-again; the oracles' rows are checked where ``decode_slice_sd`` judges
-them.
+value and clamp to the vocabulary. Every other token is made on plain ints
+and floats, or numpy arrays, with the codec's expressions inline rather
+than through the checked scalar functions: the truth tokens of the plan,
+the open-loop decoder and ``simenv.oracle_policy`` (``simenv._track_rows``,
+``action_to_token``'s expression on a gap already clamped to the action
+range), and the closed loop's fused step, ``specdec.run_episode``, which
+computes the same truth token, the drafter's corruption of it, its action
+(``token_to_action``'s expression) and the move of the pose per position.
+A token the simulator tracks or corrupts is an ``int`` in the vocabulary
+by construction, so the fused step does not check it again; the rows of
+the per-oracle reference are checked where ``decode_slice_sd`` judges
+them. ``decode_slice`` serves the tests and stays a benchmark span target;
+no suite run calls it.
 """
 
 from __future__ import annotations
@@ -130,11 +132,6 @@ def decode_slice(ids, key: NormKey = DEFAULT_KEY) -> tuple[float, ...]:
         lo, hi = key.lo[dof], key.hi[dof]
         values.append(lo + (hi - lo) * (tok + 0.5) / vocab)
     return tuple(values)
-
-
-def token_distance(a: int, b: int) -> int:
-    """Absolute difference between two token ids."""
-    return abs(a - b)
 
 
 def gripper_tokens(key: NormKey = DEFAULT_KEY) -> tuple[int, int, int]:

@@ -10,7 +10,8 @@ dataclass default, and ``dumps`` writes any config back out through the
 same schema. Unknown keys are a startup error (all of them are listed), so
 typos fail loudly instead of silently running defaults. Every value is
 checked when the config is made, before any episode runs, including the
-filter settings whose predictions could pass the float range mid-episode
+codec ranges on which a pose could pass the float range
+(``simenv.check_key``) and the filter settings whose predictions could
 (``RunConfig._check_predictions``).
 
 ``kerv calibrate --config`` decodes its pre-sample from the config (every
@@ -32,7 +33,7 @@ from pathlib import Path
 
 from .codec import N_DOF, CodecError, NormKey
 from .kinematics import DEFAULT_AC, KfParams, KinematicsError, weight_norms
-from .simenv import KINDS, MAX_EPISODE_STEPS, DraftNoiseModel, TaskError
+from .simenv import KINDS, MAX_EPISODE_STEPS, DraftNoiseModel, TaskError, check_key
 from .threshold import DEFAULT_R_MAX, DEFAULT_R_MIN, CalibrationRow, ThresholdConfigError
 from .trace import MODES
 
@@ -148,6 +149,10 @@ class RunConfig:
         for name, ok, need in checks:
             if not ok:
                 raise ConfigError(f"{_KEY_OF[name]} {need}, got {getattr(self, name)!r}")
+        try:
+            check_key(self.key)  # its error names the DoF key
+        except CodecError as exc:
+            raise ConfigError(str(exc)) from None
         self._check_predictions()
         # the bounds are checked as the calibration row they become
         try:

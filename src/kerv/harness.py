@@ -5,15 +5,18 @@ and draft calls at configured per-call costs, plus a filter-predict and a
 host round-trip charge when compensation fired, plus the per-slice
 threshold-adjustment charge. Every output is deterministic for fixed seeds.
 
-Each episode is decoded with the simulator's own oracles. A naive episode
-is decoded open-loop from the plan and the drafter's noise rows
+Each mode has one engine, which reads the simulator's plan and the
+drafter's noise rows itself. A naive episode is decoded open-loop
 (``specdec.run_strict_episode``): strict speculative decoding executes
 exactly the verifier's tokens, which track the plan, and ``build_plan``
 guarantees that the plan's tokens reproduce its poses bit for bit. The
 other modes run the closed loop (``specdec.run_episode``), one pass per
 step over the slice's positions: each position's truth, draft, judgement,
-action and move of the pose are made together, with no oracle call. Its
-naive mode is the reference the open-loop decoder is tested against.
+action and move of the pose are made together, with no oracle call. The
+per-oracle names (``oracle_policy``, ``NoisyDrafter.draft``,
+``PlanVerifier.verify``, ``SimEnv.step``) stay as the layers of
+``tests/oracles.py::reference_run_episode``, which checks both engines,
+and as benchmark span targets; no suite run calls them.
 """
 
 from __future__ import annotations
@@ -124,9 +127,8 @@ def run_one_episode(
     A naive episode is decoded open-loop (``specdec.run_strict_episode``),
     with no draft/verify round: strict decoding executes the verifier's
     tokens, the verifier tracks the plan, and the plan's tokens reproduce
-    its poses bit for bit, so the trace equals what ``run_episode``'s naive
-    mode, the reference, records. The other modes run ``run_episode``,
-    which reads the drafter's noise rows and the env's plan itself.
+    its poses bit for bit. The other modes run the closed loop,
+    ``run_episode``.
     """
     seed = suite_cfg.seed_base + cfg.seed_offset + trial
     spec = make_task(suite_cfg.kind, seed)

@@ -12,9 +12,9 @@ window length (``weight_norms``) bound every prediction, so a config can
 refuse settings whose predictions could pass the float range.
 
 ``accumulate_kvar`` checks one slice's kinematic variability and folds it
-into an episode's running sum; ``specdec.decode_slice_sd`` measures that
-per-slice value as it decodes the slice, and ``specdec.accepted_error_kvar``
-rebuilds it from a trace record.
+into an episode's running sum; the closed loop (``specdec.run_episode``)
+measures that per-slice value as it decodes the slice, and
+``specdec.accepted_error_kvar`` rebuilds it from a trace record.
 """
 
 from __future__ import annotations

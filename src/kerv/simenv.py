@@ -1,37 +1,36 @@
 """Synthetic 7-DoF tasks and the token oracles that drive them.
 
 A task is a smooth spline trajectory through random waypoints; the plan is
-the token path that tracks it, one ``_track`` and one ``_advance`` per
-step. The plan is built for all steps at once by guess and confirm: every
-pose is guessed on the lattice its bin-centre steps can reach, and the
-guessed tokens are replayed with the same float operations and tracked
-again, which confirms them exactly up to the first miss; a miss starts
-another pass from there (``_quantize``). The verify oracle and the env
-step use the same ``_track`` and ``_advance``, one slice at a time, so
-replaying the plan's own tokens reproduces it exactly. The verify oracle is a
-plan-tracking feedback policy (it re-targets the plan from the current
-pose, so one-off action errors are corrected on the next slice); the draft
-oracle corrupts the verify oracle's tokens with per-position noise whose
-offset distribution is heavy-tailed, producing both small misses that a
-relaxed threshold accepts and occasional large ones.
+the token path that tracks it: each step's tokens move the pose toward the
+next target (``_track_rows``), and their bin centres move the pose
+(``_advance``). The plan is built for all steps at once by guess and
+confirm: every pose is guessed on the lattice its bin-centre steps can
+reach, and the guessed tokens are replayed with the same float operations
+and tracked again, which confirms them exactly up to the first miss; a
+miss starts another pass from there (``_quantize``). So replaying the
+plan's own tokens reproduces it exactly. The verifier is a plan-tracking
+feedback policy (it re-targets the plan from the current pose, so one-off
+action errors are corrected on the next slice); the drafter corrupts the
+verifier's tokens with per-position noise whose offset distribution is
+heavy-tailed (``_corrupt_rows``), producing both small misses that a
+relaxed threshold accepts and occasional large ones. ``check_key`` refuses
+a codec key on which a pose could leave the float range.
 
 A task (``TaskSpec``) holds what its plan is built from: the kind, the
 seed and the waypoints. ``build_plan`` caches the plan on the spec and the
 codec key, so every episode and mode of a task shares one build, and
 ``SimEnv`` holds the plan and the episode's state (pose, step count,
 deviation, termination flags), so no per-slice call looks the plan up
-again. The closed loop (``specdec.run_episode``) makes each position's
-truth, draft and move inline, with ``_track``'s, ``_corrupt``'s and
-``_advance``'s expressions, from the plan's poses as float rows
-(``SimEnv.pose_rows``, made once per episode) and the drafter's noise row
-(``NoisyDrafter.noise_row``), and ends each step with ``SimEnv.arrive``.
-The oracles answer the same once per step, each with one whole row, and
-are its per-oracle reference: ``PlanVerifier`` returns the oracle's
-tokens (``SimEnv.truth``, from ``oracle_policy``), ``NoisyDrafter.draft``
-returns them corrupted (``_corrupt``), and ``SimEnv.step`` moves the env.
-An episode that executes the plan, as strict decoding does, needs none of
-these: ``NoisyDrafter.plan_slices`` tracks and corrupts every plan step at
-once, as arrays (``_track_rows``, ``_corrupt_rows``).
+again. Each mode has one engine. A naive episode executes the plan, so
+``NoisyDrafter.plan_slices`` tracks and corrupts every plan step at once,
+as arrays. The closed loop of the other modes (``specdec.run_episode``)
+makes each position's truth, draft and move inline with the same rules,
+from the plan's poses as float rows (``SimEnv.pose_rows``) and the
+drafter's noise row (``NoisyDrafter.noise_row``), and ends each step with
+``SimEnv.arrive``. The per-oracle names stay as the layers of
+``tests/oracles.py::reference_run_episode`` and as benchmark span targets:
+``oracle_policy`` and ``PlanVerifier`` give one step's truth row,
+``NoisyDrafter.draft`` its draft row, and ``SimEnv.step`` moves the env.
 
 The draft noise of step t is NumPy's own stream for the seed words (noise
 seed, task seed, t, 0x5EED). It does not depend on the trajectory (only the
@@ -208,11 +207,31 @@ def _segment_steps(kind: str, seed: int, n_way: int) -> tuple[int, ...]:
     )
 
 
+def check_key(key: NormKey) -> None:
+    """Refuse a key on which an episode's poses could pass the float range.
+
+    Every pose an episode reaches, planned or executed, is the start pose
+    plus at most ``MAX_EPISODE_STEPS`` actions within the DoF's range, and
+    every gap to the plan is the difference of two such poses. Twice that
+    many steps of the DoF's widest bound must stay finite, so no pose is
+    infinite and no gap NaN. The error names the DoF key.
+    """
+    for dof in range(N_DOF):
+        widest = max(abs(key.lo[dof]), abs(key.hi[dof]))
+        if not math.isfinite(2 * MAX_EPISODE_STEPS * widest):
+            raise CodecError(
+                f"dof{dof} range [{key.lo[dof]!r}, {key.hi[dof]!r}] is too wide: "
+                f"{MAX_EPISODE_STEPS} steps of actions up to {widest!r} could pass "
+                f"the float range"
+            )
+
+
 @functools.lru_cache(maxsize=512)
 def build_plan(spec: TaskSpec, key: NormKey) -> Plan:
     """The quantized ground-truth plan of a task: the pose tracks a spline
-    through the waypoints, one ``_track`` and ``_advance`` per step,
-    computed for all steps at once by guess and confirm (``_quantize``).
+    through the waypoints, one ``_track_rows`` row and ``_advance`` per
+    step, computed for all steps at once by guess and confirm
+    (``_quantize``).
     The plan is cached on the spec and key (``build_plan.cache_clear()``
     empties the cache), and its poses are read-only, since the cache hands
     them to every episode and mode of the task.
@@ -221,14 +240,17 @@ def build_plan(spec: TaskSpec, key: NormKey) -> Plan:
     tokens with ``token_to_action``'s own expression and sums them onto the
     start pose with ``np.cumsum``, which makes the same float adds in the
     same order as ``_advance``; the gripper column comes from its own
-    scalar pass. It then tracks every step again (``_track_rows``, with
-    ``_track``'s float operations) from those replayed poses. The first
-    step starts from the exact start pose, so its re-tracked token is the
-    true one. If it equals the guess, the replayed pose after it is exact
-    too, and so on by induction: every step before the first mismatch is
-    the step-by-step loop's, bit for bit, and so is the pose the mismatched
-    step starts from. The next pass starts from that pose.
+    scalar pass. It then tracks every step again (``_track_rows``) from
+    those replayed poses. The first step starts from the exact start pose,
+    so its re-tracked token is the true one. If it equals the guess, the
+    replayed pose after it is exact too, and so on by induction: every step
+    before the first mismatch is the step-by-step loop's, bit for bit, and
+    so is the pose the mismatched step starts from. The next pass starts
+    from that pose.
+
+    A key that ``check_key`` refuses raises its ``CodecError``.
     """
+    check_key(key)
     poses, actions, _ = _quantize(_targets(spec.kind, spec.seed, spec.waypoints), key)
     poses.flags.writeable = False
 
@@ -296,8 +318,8 @@ def _quantize(
     targets: np.ndarray, key: NormKey
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Poses (T+1, 7), action values (T, 7) and tokens (T, 7) of tracking the
-    rows of ``targets`` from its first row, as ``_track``, ``token_to_action``
-    and ``_advance`` make them one step at a time.
+    rows of ``targets`` from its first row, as ``_track_rows``,
+    ``token_to_action`` and ``_advance`` make them one step at a time.
 
     The gripper column depends on nothing else, so ``_gripper_states`` runs
     it exactly first. A motion token k decodes to the bin centre
@@ -353,7 +375,7 @@ def _quantize(
 
 
 def _gripper_states(targets: np.ndarray, key: NormKey) -> list[float]:
-    """The gripper column of the plan's poses: ``_track``'s impulse toward
+    """The gripper column of the plan's poses: ``_track_rows``' impulse toward
     each target and ``_advance``'s latch, as one step at a time makes them.
     An impulse is a target or 0.0, so each distinct one is encoded and
     decoded once.
@@ -386,40 +408,14 @@ def _gripper_states(targets: np.ndarray, key: NormKey) -> list[float]:
     return states
 
 
-def _track(target, pose, key: NormKey) -> list[int]:
-    """Tokens that move ``pose`` toward ``target``: each motion DoF's gap,
-    clamped to the action range, and a gripper impulse to the target's state
-    when it differs from the pose's.
-
-    Each value is encoded with ``action_to_token``'s expression inline, and
-    each ``min(max(x, a), b)`` is written as the two comparisons that give
-    the same result. A non-finite value (a NaN gap, an infinite impulse)
-    makes ``math.floor`` raise, and is refused as ``action_to_token``
-    refuses it.
-    """
-    vocab = key.vocab_size
-    top = vocab - 1
-    ids = []
-    try:
-        for dof in range(N_DOF):
-            lo, hi = key.lo[dof], key.hi[dof]
-            if dof == GRIPPER_DOF:
-                desired = target[dof] if target[dof] != pose[dof] else 0.0
-            else:
-                gap = target[dof] - pose[dof]
-                desired = lo if lo > gap else hi if hi < gap else gap
-            idx = math.floor((desired - lo) / (hi - lo) * vocab)
-            ids.append(0 if idx < 0 else top if idx > top else idx)
-    except (ValueError, OverflowError):
-        if math.isfinite(desired):
-            raise
-        raise CodecError(f"action value must be finite, got {desired!r}") from None
-    return ids
-
-
 def _track_rows(targets: np.ndarray, poses: np.ndarray, key: NormKey) -> np.ndarray:
-    """``_track`` of each row of ``targets`` from the same row of ``poses``,
-    as an (n, 7) int array, with ``action_to_token``'s float operations."""
+    """Tokens that move each row of ``poses`` toward the same row of
+    ``targets``, as an (n, 7) int array: each motion DoF's gap, clamped to
+    the action range, and a gripper impulse to the target's state where it
+    differs from the pose's, each encoded with ``action_to_token``'s float
+    operations. The plan, the open-loop decoder and ``oracle_policy`` take
+    their truth tokens from here, and the closed loop computes the same
+    expressions inline per position."""
     lo, hi = np.array(key.lo), np.array(key.hi)
     desired = np.minimum(np.maximum(targets - poses, lo), hi)
     grip_target, grip_pose = targets[:, GRIPPER_DOF], poses[:, GRIPPER_DOF]
@@ -443,40 +439,27 @@ def _latch(state: float, command: float) -> float:
 
 
 def oracle_policy(env: SimEnv) -> tuple[int, ...]:
-    """True (greedy) tokens for the env's next slice: track the plan from
-    the current pose, clamped to the action range. The per-oracle reference
-    of the truth token ``specdec.run_episode`` makes per position."""
+    """True (greedy) tokens for the env's next slice: ``_track_rows`` of the
+    plan's next pose from the current pose. The per-oracle reference of the
+    truth token ``specdec.run_episode`` makes per position."""
     if env.done:
         raise EnvStateError("environment is done; no further actions")
-    return tuple(_track(env.pose_rows[min(env.t + 1, env.plan.steps)], env.pose, env.key))
-
-
-def _corrupt(truth_ids, errs, offsets, vmax: int) -> tuple[int, ...]:
-    """Each erring position offset and clamped to ``[0, vmax]``; an offset
-    the clamp would cancel is mirrored."""
-    ids = []
-    for tok, err, off in zip(truth_ids, errs, offsets):
-        if not err:
-            ids.append(tok)
-            continue
-        corrupted = min(max(tok + off, 0), vmax)
-        if corrupted == tok:  # clamp swallowed the offset; mirror it
-            corrupted = min(max(tok - off, 0), vmax)
-        ids.append(corrupted)
-    return tuple(ids)
+    target = env.plan.poses[min(env.t + 1, env.plan.steps)]
+    return tuple(_track_rows(target[None], np.array([env.pose]), env.key)[0].tolist())
 
 
 def _corrupt_rows(
     truths: np.ndarray, errs: np.ndarray, offsets: np.ndarray, vmax: int
 ) -> np.ndarray:
-    """``_corrupt`` of every row of ``truths`` at once, with the same rows of
-    ``errs`` and ``offsets``: an int array of the same shape.
+    """Draft tokens: each truth token whose ``errs`` flag is set, offset by
+    its ``offsets`` cell and clamped to ``[0, vmax]``, with an offset the
+    clamp would cancel mirrored; an int array of the shape of ``truths``.
 
-    Each cell takes ``_corrupt``'s rule on its own truth, flag and offset.
-    ``np.clip`` of an int is ``min(max(x, 0), vmax)``; the mirrored value
-    replaces the offset one wherever that equals the truth, and only
-    erring cells change. An offset is at most ``max_offset``, so the int64
-    sums cannot wrap.
+    A cell reads only its own truth, flag and offset, so any shape works:
+    the open-loop decoder corrupts a whole plan, ``NoisyDrafter.draft`` one
+    row, and the closed loop applies the same rule inline per position.
+    ``np.clip`` of an int is ``min(max(x, 0), vmax)``. An offset is at most
+    ``max_offset``, so the int64 sums cannot wrap.
     """
     shifted = np.clip(truths + offsets, 0, vmax)
     mirrored = np.clip(truths - offsets, 0, vmax)
@@ -614,7 +597,8 @@ def noise_rows(
 class SimEnv:
     """One episode of a task: the plan it tracks, its metadata, and the
     executed pose, step count, deviation from the plan and termination
-    flags, which ``step`` updates."""
+    flags, which ``arrive`` updates at the end of each closed-loop step
+    (``step`` is the per-oracle reference's move)."""
 
     def __init__(
         self,
@@ -636,21 +620,18 @@ class SimEnv:
         self.deviation = 0.0
         self.done = False
         self.succeeded = False
-        self._truth_t: int | None = None
-        self._truth: tuple[int, ...] = ()
 
     @functools.cached_property
     def pose_rows(self) -> list[list[float]]:
         """The plan's poses as rows of floats (element reads of the ndarray
-        would build numpy scalars), made on the episode's first ``truth`` or
-        ``step``. An episode decoded open-loop makes neither call, so it
-        never makes the rows, and the rows go with the env rather than
-        staying on the cached plan."""
+        would build numpy scalars), made on the first step of the closed
+        loop or of ``step``. An episode decoded open-loop never makes them, and the rows go with
+        the env rather than staying on the cached plan."""
         return self.plan.poses.tolist()
 
     def step(self, actions: tuple[float, ...]) -> None:
         """Integrate one slice of action values (as ``decode_slice`` returns
-        them) and update the termination flags; with ``truth``, the
+        them) and update the termination flags; with ``oracle_policy``, the
         per-oracle reference of ``specdec.run_episode``'s fused step."""
         if self.done:
             raise EnvStateError("environment is done; no further steps")
@@ -682,14 +663,6 @@ class SimEnv:
         if t >= plan.max_steps:
             self.done = True
 
-    def truth(self) -> tuple[int, ...]:
-        """The oracle's tokens for the current step, computed once per step;
-        part of the per-oracle reference of ``specdec.run_episode``."""
-        if self._truth_t != self.t:
-            self._truth = oracle_policy(self)
-            self._truth_t = self.t
-        return self._truth
-
 
 class PlanVerifier:
     """Verify oracle bound to a live environment: plan-tracking truths; the
@@ -700,7 +673,7 @@ class PlanVerifier:
 
     def verify(self, drafted):
         """The truth row of the env's current step, whatever was drafted."""
-        return self.env.truth()
+        return oracle_policy(self.env)
 
 
 _POS_BITS = 1 << np.arange(N_DOF)  # bit p of a miss mask is position p
@@ -716,8 +689,9 @@ class NoisyDrafter:
     t (``noise_row``), from per-step lists that its first read makes of the
     arrays; the rows of the later steps below the plan's ``max_steps`` are
     drawn in one more pass only if the episode runs past the plan.
-    ``draft`` applies row t to the oracle's tokens at step t (``_corrupt``),
-    as the per-oracle reference of the closed loop's draft tokens.
+    ``draft`` applies row t to the oracle's tokens at step t
+    (``_corrupt_rows``), as the per-oracle reference of the closed loop's
+    draft tokens.
     """
 
     def __init__(self, env: SimEnv, noise: DraftNoiseModel) -> None:
@@ -730,10 +704,9 @@ class NoisyDrafter:
     def draft(self):
         """The draft row of the env's current step: the per-oracle reference
         of the draft token that ``specdec.run_episode`` makes per position."""
-        env = self.env
-        t = env.t
-        truth = env.truth()  # raises once the episode is done
-        return _corrupt(truth, *self.noise_row(t), self._vmax)
+        truth = oracle_policy(self.env)  # raises once the episode is done
+        errs, offsets = self.noise_row(self.env.t)
+        return tuple(_corrupt_rows(np.array(truth), errs, offsets, self._vmax).tolist())
 
     def noise_row(self, t: int) -> tuple[list[bool], list[int]]:
         """The error flags and signed offsets of step ``t``'s noise row, as
@@ -748,13 +721,10 @@ class NoisyDrafter:
         that executes the plan, as strict decoding does.
 
         Step t starts from the plan's pose t, which replaying the plan's
-        tokens reproduces bit for bit (``build_plan``), so its truth is
-        ``_track`` of pose t + 1 from pose t, taken for every step at once
-        (``_track_rows``), and its draft is ``_corrupt`` of that truth with
-        noise row t. ``_corrupt_rows`` applies that rule to every cell of
-        the plan at once: a cell's draft reads only its own truth, error
-        flag and offset, so the arrays give what the per-row calls give.
-        Nothing is kept on the cached plan.
+        tokens reproduces bit for bit (``build_plan``), so its truth tracks
+        pose t + 1 from pose t and its draft is that truth corrupted by
+        noise row t, each taken for every step at once (``_track_rows``,
+        ``_corrupt_rows``). Nothing is kept on the cached plan.
         """
         env = self.env
         poses = env.plan.poses

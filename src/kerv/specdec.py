@@ -20,28 +20,29 @@ variability moves the threshold. The bank compensates only when it holds
 context and no cooldown runs: a compensation starts n slices of classic
 resampling, keeping the filter's inputs dominated by verified actions.
 
-``run_episode`` decodes a whole episode of the simulator's oracles in one
-of the three ``MODES`` (strict ``naive``, static-threshold
-``fixed_relaxed``, adaptive ``kerv``), reading its engine parameters
-straight from the run's ``RunConfig``. Each step is one pass over the
-seven positions: a position's truth token (the plan-tracking verifier's),
-its draft token (that truth corrupted by the drafter's noise row), its
-judgement, action and variability, and its move of the pose are made
-together, and the step ends as ``SimEnv.step`` ends one. The layers this
-pass fuses stay as the per-oracle reference it is tested against:
-``NoisyDrafter.draft`` and ``PlanVerifier.verify`` give a step's draft and
-truth rows, ``decode_slice_sd`` decides a slice from two rows, and
-``SimEnv.step`` moves the env (``tests/oracles.py::reference_run_episode``
-runs them once each per step).
+Each mode has one engine. ``run_strict_episode`` decodes a naive episode
+open-loop, with no draft/verify loop. That is exact: strict speculative
+decoding returns the verifier's tokens (Leviathan, Kalman and Matias, ICML
+2023), the verifier tracks the plan, and replaying the plan's tokens
+reproduces its poses bit for bit (``simenv.build_plan``), so every step's
+truth and draft are known before the first slice. Each slice's record then
+follows from where its draft misses, through a table that
+``decode_slice_sd`` builds.
 
-``run_strict_episode`` decodes a naive episode open-loop, with no
-draft/verify loop. That is exact: strict speculative decoding returns the
-verifier's tokens (Leviathan, Kalman and Matias, ICML 2023), the verifier
-tracks the plan, and replaying the plan's tokens reproduces its poses bit
-for bit (``simenv.build_plan``), so every step's truth and draft are known
-before the first slice. Each slice's record then follows from where its
-draft misses, through a table that ``decode_slice_sd`` builds.
-``run_episode``'s naive mode is the reference it is tested against.
+``run_episode`` decodes a ``fixed_relaxed`` or ``kerv`` episode in the
+closed loop, reading its engine parameters straight from the run's
+``RunConfig``. Each step is one pass over the seven positions: a
+position's truth token (the plan-tracking verifier's), its draft token
+(that truth corrupted by the drafter's noise row), its judgement, action
+and variability, and its move of the pose are made together, and the step
+ends as ``SimEnv.step`` ends one.
+
+The per-oracle names stay as the layers of
+``tests/oracles.py::reference_run_episode``, which checks both engines,
+and as benchmark span targets: ``NoisyDrafter.draft`` and
+``PlanVerifier.verify`` give a step's draft and truth rows,
+``decode_slice_sd`` decides a slice from two rows (``relaxed_accept``
+judges one position), and ``SimEnv.step`` moves the env.
 """
 
 from __future__ import annotations
@@ -55,12 +56,10 @@ from . import threshold as threshold_mod
 from .codec import (
     GRIPPER_DOF,
     N_DOF,
-    CodecError,
     NormKey,
     action_to_token,
     decode_slice,  # noqa: F401 (perfbench/spans.py traces the codec under this name)
     snap_gripper_token,
-    token_distance,
     token_to_action,
 )
 from .kinematics import KfBank, accumulate_kvar
@@ -68,7 +67,7 @@ from .simenv import _latch
 from .threshold import CalibrationRow
 from .trace import (
     EXACT,
-    MODES,
+    MODES,  # noqa: F401 (the harness and the tests import the mode list from here)
     REJECTED,
     RELAXED,
     SRC_DRAFT,
@@ -95,7 +94,7 @@ def relaxed_accept(draft_id: int, true_id: int, r: float) -> str:
     distance stays within r, and anything farther is rejected. Distances are
     ints, so a float r accepts exactly what floor(r) does.
     """
-    dist = token_distance(draft_id, true_id)
+    dist = abs(draft_id - true_id)
     if dist == 0:
         return EXACT
     if dist <= r:
@@ -282,8 +281,8 @@ def run_episode(
     """Decode slices in ``mode`` until the environment terminates; record
     everything.
 
-    ``mode`` is one of ``MODES``: ``naive`` is strict speculative decoding
-    (r = 0, no compensation), ``fixed_relaxed`` accepts within the static
+    ``mode`` is ``fixed_relaxed`` or ``kerv``; a naive episode is decoded
+    by ``run_strict_episode``. ``fixed_relaxed`` accepts within the static
     ``cfg.fixed_r`` and resamples classically, ``kerv`` starts r at the
     calibration ``row``'s r_max (a row is required), moves it with
     ``threshold.adjust`` after every slice and compensates from a filter
@@ -294,24 +293,28 @@ def run_episode(
     ``cfg.ac``, ``cfg.kf_params`` and ``cfg.key``.
 
     Each step is one pass over the slice's seven positions. A position
-    takes its truth token (``simenv._track``'s expression, toward the
-    plan's pose t + 1 from the current pose), its draft token (``_corrupt``'s
-    rule on the drafter's noise row t), its judgement and action
-    (``decode_slice_sd``'s rule, filling the positions after a first-round
-    rejection from ``KfBank.predict`` when the bank is handed over), and
-    its move of the pose (``simenv._advance``); the step then records its
-    deviation from the plan and the termination flags as ``SimEnv.step``
-    does. The per-oracle loop (``NoisyDrafter.draft``,
-    ``PlanVerifier.verify``, ``decode_slice_sd`` and ``SimEnv.step`` once
-    each per step) is the reference this pass is tested against,
-    trace and final env alike (``tests/oracles.py::reference_run_episode``).
+    takes its truth token (``simenv._track_rows``' expression, toward the
+    plan's pose t + 1 from the current pose), its draft token
+    (``simenv._corrupt_rows``' rule on the drafter's noise row t), its
+    judgement and action (``decode_slice_sd``'s rule, filling the positions
+    after a first-round rejection from ``KfBank.predict`` when the bank is
+    handed over), and its move of the pose (``simenv._advance``); the step
+    then records its deviation from the plan and the termination flags as
+    ``SimEnv.step`` does. The per-oracle loop
+    (``tests/oracles.py::reference_run_episode``) is the reference this
+    pass is tested against, trace and final env alike. The config's key
+    passed ``simenv.check_key`` when the env's plan was built, so every
+    pose is finite and no gap is NaN.
 
     ``env`` must be fresh (no step taken), and ``draft`` bound to it and
     ``cfg.key`` equal to its key; ``EngineError`` otherwise. The trace's
     header and summary come from the env's spec, metadata and final state.
     """
-    if mode not in MODES:
-        raise EngineError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if mode not in ("fixed_relaxed", "kerv"):
+        raise EngineError(
+            f"run_episode decodes fixed_relaxed or kerv, got {mode!r}; "
+            "a naive episode is decoded open-loop by run_strict_episode"
+        )
     _require_episode(env, cfg, draft)
     kerv = mode == "kerv"
     if kerv:
@@ -319,7 +322,7 @@ def run_episode(
             raise EngineError("kerv mode needs a calibration row (see threshold.lookup)")
         r = float(row.r_max)
     else:
-        r = 0.0 if mode == "naive" else float(cfg.fixed_r)
+        r = float(cfg.fixed_r)
     # only kerv compensates, so only kerv feeds and reads a filter bank
     bank = KfBank(cfg.kf_params, ac=cfg.ac) if kerv else None
     prev_kvar = 0.0
@@ -369,19 +372,16 @@ def run_episode(
                 if pos == round_end:
                     rounds += 1
                     round_end = pos + depth
-                # the truth: _track's expression
+                # the truth: _track_rows' expression
                 if pos == GRIPPER_DOF:
                     desired = there if there != here else 0.0
                 else:
                     desired = there - here
                     high = his[pos]
                     desired = low if low > desired else high if high < desired else desired
-                try:
-                    true_tok = floor((desired - low) / span * vocab)
-                except ValueError:  # a NaN gap, which only infinite poses make
-                    raise CodecError(f"action value must be finite, got {desired!r}") from None
+                true_tok = floor((desired - low) / span * vocab)
                 true_tok = 0 if true_tok < 0 else top if true_tok > top else true_tok
-                # the draft: _corrupt's rule on the step's noise row
+                # the draft: _corrupt_rows' rule on the step's noise row
                 d_tok = true_tok
                 if errs[pos]:
                     off = offsets[pos]
@@ -414,10 +414,6 @@ def run_episode(
                     # compensation replaces re-inference only when the miss
                     # shows up in the first round, so it costs one verify
                     if comp and rounds == 1 and pos < GRIPPER_DOF:
-                        # _track refuses a NaN gap at every position, filled or not
-                        for dof in range(pos + 1, GRIPPER_DOF):
-                            if math.isnan(target[dof] - pose[dof]):
-                                raise CodecError("action value must be finite, got nan")
                         predicted = bank.predict(pl)
                     else:
                         round_end = pos + 1  # the next round starts after the correction
@@ -503,8 +499,8 @@ def _strict_slices(
 
 
 def run_strict_episode(env: SimEnv, draft: NoisyDrafter, cfg: RunConfig) -> EpisodeTrace:
-    """The trace ``run_episode(env, draft, cfg, "naive")`` records, decoded
-    open-loop from the plan and the drafter's noise rows.
+    """A naive episode's trace, decoded open-loop from the plan and the
+    drafter's noise rows.
 
     Strict speculative decoding (r = 0, no compensation) executes exactly
     the verifier's tokens, and the verifier tracks the plan, whose own
@@ -516,9 +512,11 @@ def run_strict_episode(env: SimEnv, draft: NoisyDrafter, cfg: RunConfig) -> Epis
     position is judged once, so a record holds the whole draft and truth
     rows and executes the truth, and its statuses, sources, first error
     position and rounds depend only on where the draft misses
-    (``_strict_slices``). ``run_episode``'s naive mode stays the
-    reference. ``env`` must be fresh, ``draft`` bound to it and ``cfg.key``
-    its key (``EngineError`` otherwise); ``env`` is left as it is.
+    (``_strict_slices``). The per-oracle loop in naive mode,
+    ``tests/oracles.py::reference_run_episode``, is the reference it is
+    tested against. ``env`` must be fresh, ``draft`` bound to it and
+    ``cfg.key`` its key (``EngineError`` otherwise); ``env`` is left as it
+    is.
 
     The drafter derives every step's truth, draft and miss mask as arrays
     in one pass, so each record costs one table lookup and one

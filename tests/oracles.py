@@ -179,13 +179,18 @@ def reference_draft_ids(truth_ids, noise, task_seed, t, vocab_size):
         np.arange(1, noise.max_offset + 1), size=n, p=noise.offset_probs
     )
     signs = rng.choice(np.array([-1, 1]), size=n)
-    vmax = vocab_size - 1
+    offsets = [int(sign * magnitude) for sign, magnitude in zip(signs, magnitudes)]
+    return reference_corrupt(truth_ids, errs, offsets, vocab_size - 1)
+
+
+def reference_corrupt(truth_ids, errs, offsets, vmax):
+    """Each erring position offset and clamped to ``[0, vmax]``, one token
+    at a time; an offset the clamp would cancel is mirrored."""
     ids = []
-    for dof, tok in enumerate(truth_ids):
-        if not errs[dof]:
+    for tok, err, off in zip(truth_ids, errs, offsets):
+        if not err:
             ids.append(tok)
             continue
-        off = int(signs[dof] * magnitudes[dof])
         corrupted = min(max(tok + off, 0), vmax)
         if corrupted == tok:
             corrupted = min(max(tok - off, 0), vmax)
@@ -460,11 +465,12 @@ def reference_decode_slice_sd(drafted, truths, r, depth, key, bank, kf_pl):
 def reference_run_episode(env, draft, verify, cfg, mode, row=None):
     """An episode decoded the way ``run_episode`` decoded it before it fused
     each step into one pass: per step, ``draft.draft()`` gives the draft
-    row and ``verify.verify(drafted)`` the truth row (``SimEnv.truth``, so
-    ``oracle_policy`` and ``_track``), ``decode_slice_sd`` judges and
-    decodes the slice, the bank takes its actions and ``env.step`` moves
-    the env (``_advance``). The loop is kept as it was, and serves any
-    oracles that answer with one row per step."""
+    row and ``verify.verify(drafted)`` the truth row (``oracle_policy``),
+    ``decode_slice_sd`` judges and decodes the slice, the bank takes its
+    actions and ``env.step`` moves the env (``_advance``). The loop is kept
+    as it was, and serves any oracles that answer with one row per step. In
+    naive mode it is the reference of ``run_strict_episode``, in the other
+    modes that of ``run_episode``."""
     if mode not in MODES:
         raise EngineError(f"unknown mode {mode!r}; expected one of {MODES}")
     if env.t != 0:

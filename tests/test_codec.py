@@ -16,7 +16,6 @@ from kerv.codec import (
     decode_slice,
     gripper_tokens,
     snap_gripper_token,
-    token_distance,
     token_to_action,
 )
 
@@ -63,12 +62,6 @@ def test_encode_clamps_out_of_range():
 
 def test_encode_inverse_of_bin_center():
     assert action_to_token(0.00390625, 0, DEFAULT_KEY) == 128
-
-
-def test_token_distance_values():
-    assert token_distance(149, 151) == 2
-    assert token_distance(183, 128) == 55
-    assert token_distance(42, 42) == 0
 
 
 def test_token_to_action_domain_errors():
@@ -148,18 +141,6 @@ def test_monotonicity(vocab):
     key = NormKey(vocab_size=vocab)
     vals = [token_to_action(t, 1, key) for t in range(vocab)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
-
-
-@settings(max_examples=50)
-@given(st.data())
-def test_distance_is_metric(data):
-    vocab = 12  # exhaustive triangle check on a small vocabulary
-    a = data.draw(st.integers(0, vocab - 1))
-    b = data.draw(st.integers(0, vocab - 1))
-    assert token_distance(a, b) == token_distance(b, a)
-    assert (token_distance(a, b) == 0) == (a == b)
-    for c in range(vocab):
-        assert token_distance(a, b) <= token_distance(a, c) + token_distance(c, b)
 
 
 @settings(max_examples=300, deadline=None)

@@ -3,6 +3,7 @@ the hand-written reference text, and the names the benchmark reads."""
 
 import ast
 import importlib
+import warnings
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -169,6 +170,24 @@ def test_a_filter_near_the_float_range_still_loads_and_runs(lines):
     table = threshold.CalibrationTable({(s.name, cfg.robot): row for s in cfg.suites})
     report, _ = harness.run_suite(cfg, modes=("kerv",), suites=("long",), table=table)
     assert [r.mode for r in report.rows] == ["kerv"]
+
+
+def test_a_codec_range_whose_poses_could_pass_the_float_range_is_refused_at_load():
+    """This key used to load; its long_horizon plans then overflowed with
+    numpy warnings only, and a naive run reported a successful episode."""
+    with pytest.raises(ConfigError, match="^dof0 range"):
+        loads(default_config_text(1) + "dof0 = -3e306,1\ncodec.vocab_size = 2\n")
+
+
+def test_a_codec_range_near_the_float_range_still_loads_and_runs():
+    """A range whose longest episode stays finite loads, and every suite
+    runs in naive and ``fixed_relaxed`` without a numpy overflow or
+    invalid-value warning."""
+    cfg = loads(default_config_text(1) + "dof0 = -1e305,1e305\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report, _ = harness.run_suite(cfg, modes=("naive", "fixed_relaxed"))
+    assert len(report.rows) == 2 * len(cfg.suites)
 
 
 def test_later_assignment_overrides_default_text():

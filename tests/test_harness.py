@@ -16,8 +16,7 @@ from kerv.harness import (
     run_suite,
     sweep,
 )
-from kerv.simenv import NoisyDrafter, SimEnv, make_task
-from kerv.specdec import run_episode
+from kerv.simenv import NoisyDrafter, PlanVerifier, SimEnv, make_task
 from kerv.threshold import (
     CalibrationRow,
     CalibrationTable,
@@ -26,6 +25,7 @@ from kerv.threshold import (
     DEFAULT_GRID,
 )
 from kerv.trace import EpisodeTrace, SliceRecord, load as load_trace, load_dir
+from oracles import reference_run_episode
 
 
 def make_record(step, verify=1, draft=1, comp=False, fep=7, r=0.0, kv=0.0, cum=0.0):
@@ -296,11 +296,13 @@ def test_run_suite_override_fails_as_the_config_fails(
 
 def test_naive_episodes_are_decoded_open_loop(small_cfg, monkeypatch):
     """``run_one_episode`` decodes a naive episode without the draft/verify
-    loop, to the trace the loop records; the other modes run the loop."""
+    loop, to the trace the per-oracle loop records; the other modes run the
+    closed loop."""
     suite = small_cfg.suite("object")
     spec = make_task(suite.kind, suite.seed_base + small_cfg.seed_offset + 1)
     env = SimEnv(spec, small_cfg.key, suite=suite.name, robot=small_cfg.robot, trial=1)
-    ref = run_episode(env, NoisyDrafter(env, small_cfg.noise), small_cfg, "naive")
+    draft = NoisyDrafter(env, small_cfg.noise)
+    ref = reference_run_episode(env, draft, PlanVerifier(env), small_cfg, "naive")
     loops = []
     monkeypatch.setattr(harness, "run_episode", lambda *a: loops.append(a[3]))
     same = run_one_episode(small_cfg, suite, "naive", 1, None).dumps() == ref.dumps()

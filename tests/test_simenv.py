@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
-from kerv import simenv
+from kerv import codec, simenv, specdec
 from kerv.codec import GRIPPER_DOF, CodecError, NormKey, action_to_token, decode_slice
 from kerv.simenv import (
     DEFAULT_KEY,
@@ -21,6 +21,7 @@ from kerv.simenv import (
     DraftNoiseModel,
     EnvStateError,
     NoisyDrafter,
+    PlanVerifier,
     SimEnv,
     TaskError,
     build_plan,
@@ -28,13 +29,14 @@ from kerv.simenv import (
     noise_rows,
     oracle_policy,
 )
-from kerv.config import RunConfig, SuiteConfig
-from kerv.harness import run_one_episode
+from kerv.config import ConfigError, RunConfig, SuiteConfig
+from kerv.harness import run_one_episode, run_suite
 from kerv.specdec import MODES, run_episode, run_strict_episode
-from kerv.threshold import CalibrationRow
+from kerv.threshold import CalibrationRow, CalibrationTable
 
 from oracles import (
     PLAN_KEYS,
+    reference_corrupt,
     reference_draft_ids,
     reference_gripper_states,
     reference_plan,
@@ -187,7 +189,7 @@ def test_oracle_refuses_done_env():
     with pytest.raises(EnvStateError):
         oracle_policy(env)
     with pytest.raises(EnvStateError):
-        env.truth()
+        NoisyDrafter(env, DraftNoiseModel()).draft()
     with pytest.raises(EnvStateError):
         env.step((0.0,) * 7)
     assert _state(env) == finished
@@ -200,7 +202,7 @@ def _drafts_along_plan(kind, task_seed, noise, n):
     draft = NoisyDrafter(env, noise)
     out = []
     while len(out) < n and not env.done:
-        truth = env.truth()
+        truth = oracle_policy(env)
         out.append((env.t, truth, draft.draft()))
         env.step(decode_slice(truth))
     return out
@@ -366,15 +368,7 @@ def test_track_rows_equals_track_row_by_row(key, rows):
         targets.append([p + gap(d, g) for d, (p, g) in enumerate(zip(pose, gaps))] + [grip_target])
     got = simenv._track_rows(np.array(targets), np.array(poses), key)
     assert got.dtype == np.dtype(int)
-    assert got.tolist() == [simenv._track(t, p, key) for t, p in zip(targets, poses)]
-
-
-def _outcome(fn, *args):
-    """What a call returns, or the type and message of what it raises."""
-    try:
-        return fn(*args)
-    except (ValueError, OverflowError) as exc:  # CodecError is a ValueError
-        return type(exc), str(exc)
+    assert got.tolist() == [reference_track(t, p, key) for t, p in zip(targets, poses)]
 
 
 def _edges(key, dof):
@@ -389,7 +383,7 @@ def _edges(key, dof):
     return st.builds(edge, st.integers(-1, key.vocab_size + 1), st.integers(-2, 2))
 
 
-_SPECIAL_GAPS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1e300, -1e300])
+_SPECIAL_GAPS = st.sampled_from([0.0, -0.0, 1e300, -1e300])
 
 
 @settings(max_examples=300, deadline=None)
@@ -397,7 +391,7 @@ _SPECIAL_GAPS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1e300, -1e300])
 def test_track_equals_the_checked_encoder_per_dof(key, data):
     """The inlined encoder against ``action_to_token`` per DoF: gaps on and
     next to bin edges, +/-0.0, and past both clamps; a pose of 0.0 keeps the
-    drawn gap exact. Infinite gripper impulses are refused by both alike."""
+    drawn gap exact."""
     target, pose = [], []
     for dof in range(7):
         p = data.draw(st.one_of(st.sampled_from([0.0, -0.0]), _FLOATS, _GRIPPER_VALUES))
@@ -406,25 +400,23 @@ def test_track_equals_the_checked_encoder_per_dof(key, data):
             g = 0.0  # the gripper holds: a zero impulse
         pose.append(p)
         target.append(g if p == 0.0 else p + g)
-    got = _outcome(simenv._track, target, pose, key)
-    assert got == _outcome(reference_track, target, pose, key)
-    if isinstance(got, list):
-        assert all(type(tok) is int for tok in got)
+    got = simenv._track_rows(np.array([target]), np.array([pose]), key)[0].tolist()
+    assert got == reference_track(target, pose, key)
+    assert all(type(tok) is int for tok in got)
 
 
 @pytest.mark.parametrize("dof", range(7))
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_track_refuses_a_non_finite_value_as_the_encoder_does(dof, value):
-    """A NaN gap, or a non-finite gripper impulse, raises the encoder's
-    ``CodecError``; an infinite motion gap is clamped like any other."""
-    key = NormKey()
+    """A non-finite target at any DoF is refused with the encoder's
+    ``CodecError`` before the plan tracks it; a codec key that
+    ``check_key`` accepts keeps every later pose, and so every gap,
+    finite."""
     pose = [0.1] * 7
     target = [0.2] * 7
     target[dof] = value
-    expected = _outcome(reference_track, target, pose, key)
-    assert _outcome(simenv._track, target, pose, key) == expected
-    if math.isnan(value) or dof == 6:
-        assert expected == (CodecError, f"action value must be finite, got {value!r}")
+    with pytest.raises(CodecError, match="plan targets must be finite"):
+        simenv._quantize(np.array([pose, target]), NormKey())
 
 
 def test_default_plans_are_built_in_one_guess_pass(monkeypatch):
@@ -439,6 +431,30 @@ def test_default_plans_are_built_in_one_guess_pass(monkeypatch):
             calls.clear()
             build_plan(make_task(kind, seed), DEFAULT_KEY)
             assert len(calls) == 2, (kind, seed)
+
+
+@pytest.mark.parametrize(
+    "dof, key",
+    [
+        # loaded from a config, its long_horizon plans overflowed with
+        # numpy warnings only, and naive then wrote a successful trace
+        (0, NormKey(lo=(-3e306,) + (-1.0,) * 6, vocab_size=2)),
+        # its long_horizon seed 0 plan overflowed to a NaN gap, which the
+        # closed loop and the per-oracle loop refused mid-episode
+        (3, NormKey(lo=(-1.0,) * 3 + (-3e306,) + (-1.0,) * 3, vocab_size=2)),
+    ],
+    ids=["dof0", "dof3"],
+)
+def test_a_key_whose_poses_could_pass_the_float_range_is_refused_before_any_decode(dof, key):
+    """``check_key`` refuses the key where the plan is built, so making the
+    env raises, names the DoF and caches no plan; ``RunConfig`` refuses it
+    as ``ConfigError`` under the same name."""
+    build_plan.cache_clear()
+    with pytest.raises(CodecError, match=f"^dof{dof} range"):
+        SimEnv(make_task("long_horizon", 0), key)
+    assert build_plan.cache_info().currsize == 0
+    with pytest.raises(ConfigError, match=f"^dof{dof} range"):
+        RunConfig(key=key)
 
 
 def test_plan_arrays_are_read_only():
@@ -580,7 +596,7 @@ def test_corrupt_rows_match_corrupt_row_by_row(vocab):
     truths, offsets, errs = (np.resize(c.ravel(), n).reshape(-1, 7) for c in cells)
     got = simenv._corrupt_rows(truths, errs, offsets, vmax).tolist()
     rows = zip(truths.tolist(), errs.tolist(), offsets.tolist())
-    assert [tuple(r) for r in got] == [simenv._corrupt(*row, vmax) for row in rows]
+    assert [tuple(r) for r in got] == [reference_corrupt(*row, vmax) for row in rows]
 
 
 @pytest.mark.parametrize("max_offset", [1, 60])
@@ -594,8 +610,10 @@ def test_corruption_at_vocabulary_edges_matches_reference(q_err, max_offset):
             noise = DraftNoiseModel(q_err=q_err, max_offset=max_offset, seed=seed)
             for t in (0, 1, 57, 1000):
                 errs, offsets = noise_rows(noise, 11, t, t + 1)
-                got = simenv._corrupt(truth, errs[0].tolist(), offsets[0].tolist(), vmax)
-                assert got == reference_draft_ids(truth, noise, 11, t, key.vocab_size)
+                got = simenv._corrupt_rows(np.array(truth), errs[0], offsets[0], vmax)
+                assert tuple(got.tolist()) == reference_draft_ids(
+                    truth, noise, 11, t, key.vocab_size
+                )
 
 
 @pytest.mark.parametrize(
@@ -617,7 +635,7 @@ def test_drafter_rows_match_reference_at_every_step(kind, task_seed, noise):
     vocab = env.key.vocab_size
     for t in range(env.plan.max_steps):
         env.pose, env.t = tuple(env.plan.poses[min(t, env.plan.steps)].tolist()), t
-        expected = reference_draft_ids(env.truth(), noise, spec.seed, t, vocab)
+        expected = reference_draft_ids(oracle_policy(env), noise, spec.seed, t, vocab)
         assert draft.draft() == expected, t
 
 
@@ -670,17 +688,23 @@ _ROW = CalibrationRow(
 )
 
 
+def _decode(env, draft, mode):
+    """The episode ``mode``'s engine decodes: naive ones open-loop."""
+    if mode == "naive":
+        return run_strict_episode(env, draft, RunConfig())
+    return run_episode(env, draft, RunConfig(), mode, _ROW)
+
+
 def _episode(spec, mode):
     env = SimEnv(spec, suite="t")
-    draft = NoisyDrafter(env, DraftNoiseModel(seed=9))
-    return run_episode(env, draft, RunConfig(), mode, _ROW)
+    return _decode(env, NoisyDrafter(env, DraftNoiseModel(seed=9)), mode)
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_oracle_runs_at_most_once_per_env_step(mode, monkeypatch):
-    """The closed loop tracks the plan inline, once per position, so no
-    mode calls ``oracle_policy`` at all, as the open-loop naive decoder
-    never does."""
+    """The closed loop tracks the plan inline, once per position, and the
+    open-loop naive decoder tracks it as arrays, so no mode calls
+    ``oracle_policy`` at all."""
     calls = []
     real = simenv.oracle_policy
 
@@ -730,7 +754,7 @@ def test_episode_builds_no_generator_and_looks_up_no_plan(mode, monkeypatch):
         np.random, "default_rng", lambda *a, **kw: generators.append(a) or real_rng(*a, **kw)
     )
     monkeypatch.setattr(simenv, "build_plan", lambda *a: lookups.append(a) or real_plan(*a))
-    trace = run_episode(env, draft, RunConfig(), mode, _ROW)
+    trace = _decode(env, draft, mode)
     assert trace.steps > 0
     assert generators == [] and lookups == []
 
@@ -768,24 +792,54 @@ def test_make_task_builds_no_plan_and_an_episode_builds_one():
     assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
 
 
-@pytest.mark.parametrize("mode", ["naive", "fixed_relaxed"])
+@pytest.mark.parametrize("mode", ["naive", "fixed_relaxed", "run_suite"])
 def test_naive_episode_corrupts_no_row_and_drafts_nothing(mode, monkeypatch):
-    """A naive episode is decoded open-loop from the drafter's noise arrays,
-    and the closed loop of the other modes corrupts each truth token inline:
-    neither makes a per-row ``_corrupt``, ``draft`` or ``oracle_policy``
-    call."""
-    corrupts, drafts, policies = [], [], []
-    real_corrupt, real_draft = simenv._corrupt, NoisyDrafter.draft
-    real_policy = simenv.oracle_policy
-    monkeypatch.setattr(simenv, "_corrupt", lambda *a: corrupts.append(a) or real_corrupt(*a))
-    monkeypatch.setattr(
-        NoisyDrafter, "draft", lambda self, *a: drafts.append(a) or real_draft(self, *a)
-    )
-    monkeypatch.setattr(simenv, "oracle_policy", lambda env: policies.append(1) or real_policy(env))
+    """A naive episode is decoded open-loop from the plan's arrays, and the
+    closed loop of the other modes makes each truth and draft token inline,
+    so neither calls a per-oracle layer, and neither does a suite run in
+    all three modes (``run_suite``): the layers serve only the reference.
+    ``decode_slice_sd`` runs only while ``_strict_slices`` fills its table."""
+    calls, filling = [], []
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append((name, bool(filling)))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    for owner, name in [
+        (simenv, "oracle_policy"),
+        (NoisyDrafter, "draft"),
+        (PlanVerifier, "verify"),
+        (SimEnv, "step"),
+        (specdec, "relaxed_accept"),
+        (specdec, "decode_slice_sd"),
+        (specdec, "decode_slice"),
+        (codec, "decode_slice"),
+    ]:
+        spy(owner, name)
+    fill_table = specdec._strict_slices.__wrapped__
+
+    def strict_slices(*args):  # not cached, so every naive episode fills it
+        filling.append(True)
+        try:
+            return fill_table(*args)
+        finally:
+            filling.pop()
+
+    monkeypatch.setattr(specdec, "_strict_slices", strict_slices)
     suite = SuiteConfig("t", "pick_place", trials=1, seed_base=5)
-    trace = run_one_episode(RunConfig(suites=(suite,)), suite, mode, 0, None)
-    assert trace.steps > 0
-    assert corrupts == [] and drafts == [] and policies == []
+    cfg = RunConfig(suites=(suite,))
+    if mode == "run_suite":
+        _, traces = run_suite(cfg, table=CalibrationTable({("t", cfg.robot): _ROW}))
+        assert sorted(m for _, m in traces) == sorted(MODES)
+    else:
+        assert run_one_episode(cfg, suite, mode, 0, None).steps > 0
+    assert [call for call in calls if call != ("decode_slice_sd", True)] == []
+    assert (("decode_slice_sd", True) in calls) == (mode != "fixed_relaxed")
 
 
 @pytest.mark.parametrize("mode", ["open-loop", "fixed_relaxed"])
