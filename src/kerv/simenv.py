@@ -32,16 +32,17 @@ drafter's noise row (``NoisyDrafter.noise_row``), and ends each step with
 ``oracle_policy`` and ``PlanVerifier`` give one step's truth row,
 ``NoisyDrafter.draft`` its draft row, and ``SimEnv.step`` moves the env.
 
-The draft noise of step t is NumPy's own stream for the seed words (noise
-seed, task seed, t, 0x5EED). It does not depend on the trajectory (only the
-clamp at the vocabulary edge reads the truth token), so ``noise_rows``
-draws the error mask and signed offsets of a whole run of steps in one
-vectorised pass: ``NoisyDrafter`` draws the plan's rows as two arrays when
-it is made, and the closed loop makes per-step lists of them on its first
-row and draws the rows past the plan when it reaches them. The rows equal
-the per-step generator's bit for bit on the installed numpy (tested on
-2.4.6); that rests on ``Generator.random``/``integers``, which NEP 19 does
-not freeze, and ``tests/oracles.py::reference_draft_ids`` is the guard.
+The draft noise of step t is a fixed run of draws from a SplitMix64
+counter stream keyed by (noise seed, task seed), so it depends on nothing
+but (noise seed, task seed, t): every arm of a trial sees the same rows,
+and any run of rows can be drawn on its own. It does not depend on the
+trajectory (only the clamp at the vocabulary edge reads the truth token),
+so ``noise_rows`` draws the error mask and signed offsets of a whole run of
+steps in one vectorised pass: ``NoisyDrafter`` draws the plan's rows as two
+arrays when it is made, and the closed loop makes per-step lists of them on
+its first row and draws the rows past the plan when it reaches them.
+``tests/oracles.py::reference_noise_row`` replays the stream one draw at a
+time with Python ints and guards the match bit for bit.
 
 The spline is the clamped cubic (zero slope at both ends) through the
 waypoints' motion channels, fitted by ``_clamped_spline``'s own
@@ -92,6 +93,8 @@ SUCCESS_TOLERANCE = 0.05
 # sized so the relaxed-threshold operating points of interest straddle it
 DEVIATION_BUDGET_FRAC = 0.15
 GRIPPER_FLIP_LEVEL = 0.5
+# the largest draft offset a noise model may draw (see DraftNoiseModel)
+MAX_OFFSET = 2**20
 
 
 class TaskError(ValueError):
@@ -121,9 +124,15 @@ class DraftNoiseModel:
     ``zipf_s`` must be finite and give finite weights). A drawn error
     always lands on a token different from the truth: if clamping at the
     vocabulary edge would cancel it, the offset is mirrored. The draws of
-    step t come from the (noise seed, task seed, t) stream; ``noise_rows``
-    draws the rows of many steps at once, and an episode's drafter draws
-    the rows of the plan's steps up front.
+    step t are a fixed run of the (noise seed, task seed) counter stream;
+    ``noise_rows`` draws the rows of many steps at once, and an episode's
+    drafter draws the rows of the plan's steps up front.
+
+    ``max_offset`` is at most ``MAX_OFFSET`` (2**20). The offset weights
+    are one float table of ``max_offset`` entries, built when the model is
+    made, so the bound keeps that table at 8 MiB; and with any vocabulary
+    the codec accepts (below 2**52 tokens), a truth token plus or minus an
+    offset stays far inside int64.
     """
 
     q_err: float = 0.48
@@ -134,8 +143,8 @@ class DraftNoiseModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.q_err <= 1.0:
             raise TaskError(f"q_err must be in [0, 1], got {self.q_err}")
-        if self.max_offset < 1:
-            raise TaskError(f"max_offset must be >= 1, got {self.max_offset}")
+        if not 1 <= self.max_offset <= MAX_OFFSET:
+            raise TaskError(f"max_offset must be in [1, {MAX_OFFSET}], got {self.max_offset}")
         with np.errstate(over="ignore", invalid="ignore"):
             weights_ok = math.isfinite(self.zipf_s) and np.isfinite(self.offset_cdf).all()
         if not weights_ok:
@@ -148,7 +157,8 @@ class DraftNoiseModel:
 
     @functools.cached_property
     def offset_cdf(self) -> np.ndarray:
-        """Cumulative offset weights, normalized as ``Generator.choice`` does."""
+        """Cumulative offset weights, scaled so the last is exactly 1.0: a
+        uniform in [0, 1) finds its magnitude with ``searchsorted(side="right")``."""
         cdf = self.offset_probs.cumsum()
         cdf /= cdf[-1]
         return cdf
@@ -458,140 +468,54 @@ def _corrupt_rows(
     A cell reads only its own truth, flag and offset, so any shape works:
     the open-loop decoder corrupts a whole plan, ``NoisyDrafter.draft`` one
     row, and the closed loop applies the same rule inline per position.
-    ``np.clip`` of an int is ``min(max(x, 0), vmax)``. An offset is at most
-    ``max_offset``, so the int64 sums cannot wrap.
+    ``np.clip`` of an int is ``min(max(x, 0), vmax)``. A truth token is
+    below 2**52 and an offset at most ``MAX_OFFSET``, so the int64 sums
+    cannot wrap.
     """
     shifted = np.clip(truths + offsets, 0, vmax)
     mirrored = np.clip(truths - offsets, 0, vmax)
     return np.where(errs, np.where(shifted == truths, mirrored, shifted), truths)
 
 
-# --- draft noise: NumPy's per-step stream, drawn for many steps at once ------
-#
-# Step t's noise is what default_rng([noise seed, task seed, t, 0x5EED])
-# gives for random(7) (error mask), random(7) (offset magnitudes, as
-# Generator.choice draws them) and integers(0, 2, 7) (signs). That is
-# SeedSequence (four uint32 entropy words, pool of four) -> PCG64 seeding
-# -> 18 XSL-RR outputs, each recomputed below over one numpy lane per step.
+# --- draft noise: a SplitMix64 counter stream, drawn for many steps at once ---
 
-_MASK32 = 0xFFFFFFFF
-_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
-_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
-_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_OUTPUTS_PER_STEP = 2 * N_DOF + 4  # two random(7), then 7 buffered uint32 halves
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's golden gamma
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_DRAWS_PER_STEP = 3 * N_DOF  # error, offset and sign draws of each position
 
 
-def _split128(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        np.array([v >> 64 for v in values], dtype=np.uint64),
-        np.array([v & (2**64 - 1) for v in values], dtype=np.uint64),
-    )
-
-
-# k PCG64 steps take a state s to M**k * s + sum(M**i for i < k) * inc; a
-# step's outputs read the states k = 2 .. 19 steps on from the seeding's
-# ``state += initstate``
-_JUMPS = range(2, _OUTPUTS_PER_STEP + 2)
-_JUMP_MUL_HI, _JUMP_MUL_LO = _split128([pow(_PCG_MULT, k, 2**128) for k in _JUMPS])
-_JUMP_ADD_HI, _JUMP_ADD_LO = _split128(
-    [sum(pow(_PCG_MULT, i, 2**128) for i in range(k)) % 2**128 for k in _JUMPS]
-)
-
-
-def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
-    """SeedSequence's running hash multipliers ``init * mult**k`` mod 2**32,
-    k < n, as a column that broadcasts over lanes."""
-    return np.array([init * pow(mult, k, 2**32) % 2**32 for k in range(n)], np.uint32)[:, None]
-
-
-_HASH_A = _hash_consts(_SS_INIT_A, _SS_MULT_A, 17)  # 4 + 12 hashmix calls, plus one
-_HASH_B = _hash_consts(_SS_INIT_B, _SS_MULT_B, 9)  # 8 state words, plus one
-
-
-def _hashmix(values: np.ndarray, consts: np.ndarray, k0: int, k1: int) -> np.ndarray:
-    """SeedSequence's hashmix calls k0 .. k1 - 1, one per row of the result."""
-    values = (values ^ consts[k0:k1]) * consts[k0 + 1 : k1 + 1]
-    return values ^ (values >> 16)
-
-
-def _seed_state(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(entropy).generate_state(4, np.uint64)`` per lane, for
-    (4, lanes) uint32 entropy words (the pool size, so none are left over).
-    The hash constants do not depend on the data, so all lanes share them,
-    and the three mixes from one pool word into the others run as one."""
-    pool = _hashmix(entropy, _HASH_A, 0, 4)
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        k = 4 + 3 * src
-        mixed = _SS_MIX_L * pool[dst] - _SS_MIX_R * _hashmix(pool[src], _HASH_A, k, k + 3)
-        pool[dst] = mixed ^ (mixed >> 16)
-    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B, 0, 8).astype(np.uint64)
-    return words[0::2] | (words[1::2] << 32)
-
-
-def _mul64(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full 128-bit products of uint64 arrays as (hi, lo), from 32-bit
-    partial products."""
-    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = ((a0 * b0) >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32), a * b
-
-
-def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
-    hi, lo = _mul64(a_lo, b_lo)
-    return hi + a_hi * b_lo + a_lo * b_hi, lo
-
-
-def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < a_lo), lo
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finaliser of each uint64 (Steele, Lea and Flood, OOPSLA
+    2014); uint64 array arithmetic wraps mod 2**64 without a warning."""
+    z = (z ^ (z >> 30)) * _MIX1
+    z = (z ^ (z >> 27)) * _MIX2
+    return z ^ (z >> 31)
 
 
 def noise_rows(
     noise: DraftNoiseModel, task_seed: int, t0: int, t1: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Error mask ``errs`` (bool) and signed ``offsets`` (int), each of shape
-    (t1 - t0, 7), of the steps ``t0 <= t < t1``: row ``t - t0`` equals what
-    ``default_rng([noise.seed & 0x7FFFFFFF, task_seed & 0x7FFFFFFF, t,
-    0x5EED])`` followed by ``random(7)``, ``random(7)`` and
-    ``integers(0, 2, 7)`` gives, bit for bit.
+    (t1 - t0, 7), of the steps ``t0 <= t < t1``.
 
-    The rows rest on the installed numpy's ``Generator.random`` and
-    ``integers`` algorithms, which NEP 19 does not freeze (it does freeze
-    ``SeedSequence`` and ``PCG64``); ``tests/oracles.py::reference_draft_ids``
-    draws the stream through numpy itself and guards the match.
+    The stream key is ``_mix64`` of the seed word ``(noise.seed &
+    0x7FFFFFFF) << 32 | task_seed & 0x7FFFFFFF``, and draw c is SplitMix64's
+    c-th output from that key, ``_mix64(key + (c + 1) * gamma)``. Step t
+    reads draws ``21 t + j``: j = p gives position p's error uniform, 7 + p
+    its offset uniform and 14 + p its sign (top bit set: positive). A
+    uniform is the top 53 bits times 2**-53. Any run of rows is addressable
+    on its own: rows ``[t0, t1)`` equal rows ``[0, t1)[t0:]``.
     """
     if not 0 <= t0 <= t1 <= 2**32:
         raise TaskError(f"noise steps must lie in [0, 2**32), got [{t0}, {t1})")
-    n = t1 - t0
-    entropy = np.empty((4, n), dtype=np.uint32)
-    entropy[0] = noise.seed & 0x7FFFFFFF
-    entropy[1] = task_seed & 0x7FFFFFFF
-    entropy[2] = np.arange(t0, t1, dtype=np.uint64)  # every t < 2**32 fits one word
-    entropy[3] = 0x5EED
-    seed_hi, seed_lo, seq_hi, seq_lo = _seed_state(entropy)[:, :, None]
-    # PCG64 seeding: state = 0, inc = initseq << 1 | 1, step, add initstate;
-    # output j then reads the state 1 + j steps further on
-    inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
-    base_hi, base_lo = _add128(inc_hi, inc_lo, seed_hi, seed_lo)
-    hi, lo = _add128(
-        *_mul128(base_hi, base_lo, _JUMP_MUL_HI, _JUMP_MUL_LO),
-        *_mul128(inc_hi, inc_lo, _JUMP_ADD_HI, _JUMP_ADD_LO),
-    )
-    # XSL-RR output: the xor of the halves rotated right by the top six bits
-    xored, rot = hi ^ lo, hi >> 58
-    out = (xored >> rot) | (xored << ((64 - rot) & 63))
-
-    uniform = (out[:, : 2 * N_DOF] >> 11) * 2.0**-53  # Generator.random
+    seed_word = (noise.seed & 0x7FFFFFFF) << 32 | task_seed & 0x7FFFFFFF
+    key = _mix64(np.array([seed_word], dtype=np.uint64))
+    draws = np.arange(_DRAWS_PER_STEP * t0 + 1, _DRAWS_PER_STEP * t1 + 1, dtype=np.uint64)
+    out = _mix64(key + draws * _GAMMA).reshape(t1 - t0, _DRAWS_PER_STEP)
+    uniform = (out[:, : 2 * N_DOF] >> 11) * 2.0**-53
     errs = uniform[:, :N_DOF] < noise.q_err
     magnitudes = noise.offset_cdf.searchsorted(uniform[:, N_DOF:], side="right") + 1
-    # integers(0, 2) takes uint32 halves, low first; Lemire's method for a
-    # range of two never rejects and returns bit 31 of each
-    halves = out[:, 2 * N_DOF :]
-    sign_bits = np.stack([(halves >> 31) & 1, halves >> 63], axis=2).reshape(n, 8)[:, :N_DOF]
-    return errs, np.where(sign_bits == 1, magnitudes, -magnitudes)
+    return errs, np.where(out[:, 2 * N_DOF :] >> 63 == 1, magnitudes, -magnitudes)
 
 
 class SimEnv:

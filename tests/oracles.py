@@ -5,6 +5,10 @@ textbook 2x2 matrix arithmetic via numpy, the filter reference replays the
 scalar recursion over each window's observations (the library applies
 precomputed linear weights instead), and the first-error-position
 oracle is a direct Monte-Carlo simulation of per-position Bernoulli misses.
+The draft-noise reference runs SplitMix64 as a stateful generator on Python
+ints, one draw at a time (``reference_noise_row``; the library finalises a
+whole array of counters at once), and the relaxed rejection probability
+sums the offset weights past the threshold (``relaxed_reject_prob``).
 The task, plan, tracking, decoding, calibration, variability and trace
 references keep the original straightforward forms: each task waypoint
 assembled on its own, the plan tracked one step and one DoF at a time,
@@ -148,6 +152,15 @@ def expected_verify_calls(q, depth, n=7):
     return f[n]
 
 
+def relaxed_reject_prob(noise, r):
+    """Probability that relaxed acceptance at threshold r rejects a draft
+    position: it errs (``q_err``) and its offset magnitude passes floor(r),
+    summed over the offset weights one at a time. A clamp at the vocabulary
+    edge can shorten an offset; this ignores it, which is exact for a truth
+    token at least ``max_offset`` from both edges."""
+    return noise.q_err * sum(noise.offset_probs.tolist()[math.floor(r) :])
+
+
 def mc_first_error_position(q_err, n_positions=7, samples=1_000_000, seed=0):
     """Monte-Carlo expectation of the 1-based first-miss position.
 
@@ -162,25 +175,56 @@ def mc_first_error_position(q_err, n_positions=7, samples=1_000_000, seed=0):
     return float(firsts.mean())
 
 
-def reference_draft_ids(truth_ids, noise, task_seed, t, vocab_size):
-    """Draft-noise corruption of one truth slice, drawn the original way.
+_MASK64 = 2**64 - 1
 
-    One ``default_rng`` per (noise seed, task seed, step), then the error
-    mask, ``choice`` over offset magnitudes weighted by ``offset_probs``,
-    and ``choice`` over the signs; an offset that clamping at the
-    vocabulary edge would cancel is mirrored.
+
+def reference_mix64(z):
+    """SplitMix64's finaliser of a 64-bit int, on Python ints."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def reference_splitmix64(state):
+    """SplitMix64 as Steele, Lea and Flood print it: each output adds the
+    golden gamma to the state and returns the state's finaliser. Yields
+    outputs without end."""
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        yield reference_mix64(state)
+
+
+def reference_noise_row(noise, task_seed, t):
+    """Step t's error flags and signed offsets, drawn one output at a time.
+
+    The stream is SplitMix64 seeded with the finaliser of the seed word
+    ``(noise seed << 32) | task seed`` (each masked to 31 bits); step t
+    starts 21 t outputs in, which the state reaches by adding 21 t gammas.
+    The step's 21 outputs are seven error uniforms, seven offset uniforms
+    and seven signs (top bit); a uniform is the top 53 bits over 2**53, and
+    an offset magnitude is one more than the number of cumulative weights,
+    summed one at a time, that do not exceed its uniform.
     """
-    n = len(truth_ids)
-    rng = np.random.default_rng(
-        [noise.seed & 0x7FFFFFFF, task_seed & 0x7FFFFFFF, t, 0x5EED]
-    )
-    errs = rng.random(n) < noise.q_err
-    magnitudes = rng.choice(
-        np.arange(1, noise.max_offset + 1), size=n, p=noise.offset_probs
-    )
-    signs = rng.choice(np.array([-1, 1]), size=n)
-    offsets = [int(sign * magnitude) for sign, magnitude in zip(signs, magnitudes)]
-    return reference_corrupt(truth_ids, errs, offsets, vocab_size - 1)
+    seed_word = ((noise.seed & 0x7FFFFFFF) << 32) | (task_seed & 0x7FFFFFFF)
+    key = reference_mix64(seed_word)
+    draws = reference_splitmix64((key + 21 * t * 0x9E3779B97F4A7C15) & _MASK64)
+    out = [next(draws) for _ in range(21)]
+    uniforms = [(z >> 11) / 2**53 for z in out[:14]]
+    cdf, acc = [], 0.0
+    for p in noise.offset_probs.tolist():
+        acc += p
+        cdf.append(acc)
+    cdf = [c / acc for c in cdf]
+    errs = [u < noise.q_err for u in uniforms[:7]]
+    magnitudes = [1 + sum(c <= u for c in cdf) for u in uniforms[7:]]
+    offsets = [m if z >> 63 else -m for m, z in zip(magnitudes, out[14:])]
+    return errs, offsets
+
+
+def reference_draft_ids(truth_ids, noise, task_seed, t, vocab_size):
+    """Draft-noise corruption of one truth slice: ``reference_noise_row``
+    applied with ``reference_corrupt``."""
+    return reference_corrupt(truth_ids, *reference_noise_row(noise, task_seed, t), vocab_size - 1)
 
 
 def reference_corrupt(truth_ids, errs, offsets, vmax):

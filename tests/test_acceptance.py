@@ -31,6 +31,7 @@ from oracles import (
     mc_first_error_position,
     printed_delta,
     printed_walk,
+    relaxed_reject_prob,
 )
 
 KEY = NormKey()
@@ -187,6 +188,37 @@ def test_c04_strict_verify_calls_match_closed_form(bench_cfg):
     dt = time.perf_counter() - t0
     assert dt < 60.0
     _report(4, f"strict verify calls/slice within 4 SE of closed form ({'; '.join(checked)}) ({dt:.1f}s)")
+
+
+def test_c04_relaxed_verify_calls_match_closed_form(bench_cfg):
+    # relaxed acceptance rejects a position with probability p(r) =
+    # q_err * P(|offset| > floor(r)), and a round's calls follow the strict
+    # recursion with p(r) in place of q_err
+    assert relaxed_reject_prob(bench_cfg.noise, 0) == pytest.approx(bench_cfg.noise.q_err)
+    t0 = time.perf_counter()
+    checked = []
+    for suite_name in ("goal", "long"):
+        suite = bench_cfg.suite(suite_name)
+        for r in (5.0, 9.0, 15.0):
+            cfg = replace(bench_cfg, depth=4, fixed_r=r)
+            calls = np.array(
+                [
+                    rec.verify_calls
+                    for trial in range(40)
+                    for rec in run_one_episode(cfg, suite, "fixed_relaxed", trial, None).slices
+                ],
+                dtype=float,
+            )
+            expected = expected_verify_calls(relaxed_reject_prob(cfg.noise, r), 4)
+            se = calls.std(ddof=1) / math.sqrt(len(calls))
+            assert abs(calls.mean() - expected) <= 4 * se, (
+                f"{suite_name} r={r}: mean {calls.mean():.4f} over {len(calls)} slices, "
+                f"closed form {expected:.4f}, se {se:.4f}"
+            )
+            checked.append(f"{suite_name}/r={r:g}: {calls.mean():.3f} vs {expected:.3f}")
+    dt = time.perf_counter() - t0
+    assert dt < 60.0
+    _report(4, f"relaxed verify calls/slice within 4 SE of closed form ({'; '.join(checked)}) ({dt:.1f}s)")
 
 
 # --- 5. compensation cost bound ----------------------------------------------

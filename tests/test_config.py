@@ -190,6 +190,20 @@ def test_a_codec_range_near_the_float_range_still_loads_and_runs():
     assert len(report.rows) == 2 * len(cfg.suites)
 
 
+@pytest.mark.parametrize("value", [simenv.MAX_OFFSET + 1, 10**12, 2**63])
+def test_a_draft_offset_past_the_bound_is_refused_at_load(value):
+    """These loaded or failed without naming the key: 2**20 + 1 loaded, 2**63
+    raised a bare IndexError and 10**12 a MemoryError, both from building
+    the offset table."""
+    with pytest.raises(ConfigError, match="^bad value for noise.max_offset: "):
+        loads(default_config_text(1) + f"noise.max_offset = {value}\n")
+
+
+@pytest.mark.parametrize("value", [1, 3, 40, 60, 5000, simenv.MAX_OFFSET])
+def test_a_draft_offset_up_to_the_bound_loads(value):
+    assert loads(default_config_text(1) + f"noise.max_offset = {value}\n").noise.max_offset == value
+
+
 def test_later_assignment_overrides_default_text():
     cfg = loads(default_config_text() + "threshold.table = t.csv\nrun.seed_offset = 5\n")
     assert cfg.table_path == "t.csv" and cfg.seed_offset == 5

@@ -5,9 +5,12 @@ from an equal-bounds table (r_max = r_min = 9) is pinned to the traces the
 paper's printed threshold update gives from a [9, 5] table, whose walk
 never leaves r_max.
 
-The pins were computed once and are never regenerated to make a change
-pass: a refactor or speed-up that moves any of them has changed what the
-simulator decodes. Every file a run emits is pinned.
+The pins are never regenerated to make a change pass: a refactor or
+speed-up that moves any of them has changed what the simulator decodes.
+Every file a run emits is pinned. They were re-pinned once, on purpose,
+when the draft noise moved from NumPy's SeedSequence/PCG64 stream to the
+SplitMix64 counter stream of ``simenv.noise_rows``; every pin moved with
+the noise rows, and the old and new values are listed in CHANGES.md.
 """
 
 import hashlib
@@ -19,19 +22,19 @@ from kerv.threshold import DEFAULT_GRID, calibrate
 GOLDEN_TRIALS = 2
 
 PINNED = {
-    "report": "c33c3ec2b8a2a8ef5bbf6f6f61aee84eee771264f240a1c382c84ba5613712a2",
-    "traces": "dcb142443a86fe5a3fd04ab0a245970cee7822bf304a2d45c7c2cad7f4513fdf",
-    "plotdata": "356aa1ab87a332587e41f449e3181d164e6e3eb374b6f076ae82e06a0772d793",
+    "report": "a8c7c786437cedaee8c541c8b03d51fc5c7d60ad5db892f5a3ea4dd9bc8e4d86",
+    "traces": "4166b28d13819f25e264f5bda4f834405c89e95127ebe945ae2a02c0ccf13b56",
+    "plotdata": "2013ff075d4e962e75c9bddd5113aad6d082d1797676904bc617d8d7df1ee18c",
 }
 
 # sha256 of ``calibrate(pre_sample, DEFAULT_GRID).dumps()``
 PINNED_TABLES = {
-    "rectified": "6d71e1fde647749ff178b81ac8f3fed9906d2236ca049b02cccb576512289971",
+    "rectified": "f934e92a60ed37a20818da0d19e9bad87d7cea181329e688773cd8d939353d64",
 }
 
 # sha256 of the kerv traces of a GOLDEN_TRIALS run from an equal-bounds
 # table, joined in (suite, mode) order
-PINNED_FIXED_R = "66751b4e2bb9ed8eb8210d9f8f66ca0b4961df8f9f6160f2f22a89160e1f7685"
+PINNED_FIXED_R = "0b5d250f17164cbfc95c9193e0daaa515f6b11a0e70f0735eaa8396f2611b0be"
 
 
 def _tree_digest(root):

@@ -610,18 +610,18 @@ def test_cli_calibrate_checks_grid_and_config_before_any_episode(tmp_path, capsy
 SWEEP_R_TEXT = (
     "           param            value            suite               sr  modeled_speedup"
     "             afep        avg_steps      comp_events\n"
-    "               r                9             goal           1.0000           1.3503"
-    "           2.9180            70.50                0\n"
-    "               r               15             goal           0.0000           1.4696"
-    "           2.9712            70.50                0\n"
+    "               r                9             goal           1.0000           1.3985"
+    "           3.0161            70.50                0\n"
+    "               r               15             goal           0.0000           1.5102"
+    "           3.3211            70.50                0\n"
 )
 SWEEP_N_TEXT = (
     "           param            value            suite               sr  modeled_speedup"
     "             afep        avg_steps      comp_events\n"
-    "               n                2             goal           0.0000           1.7211"
-    "           2.9237            70.50               40\n"
-    "               n                4             goal           0.5000           1.5768"
-    "           2.9504            71.50               26\n"
+    "               n                2             goal           0.0000           1.8247"
+    "           3.1083            70.50               39\n"
+    "               n                4             goal           0.5000           1.6050"
+    "           3.0000            70.50               26\n"
 )
 
 

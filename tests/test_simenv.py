@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
+from scipy.stats import chisquare
 
 from kerv import codec, simenv, specdec
 from kerv.codec import GRIPPER_DOF, CodecError, NormKey, action_to_token, decode_slice
@@ -39,6 +40,7 @@ from oracles import (
     reference_corrupt,
     reference_draft_ids,
     reference_gripper_states,
+    reference_noise_row,
     reference_plan,
     reference_targets,
     reference_task_waypoints,
@@ -655,12 +657,9 @@ def test_noise_rows_match_reference_stream(
     noise = DraftNoiseModel(q_err=q_err, max_offset=max_offset, zipf_s=zipf_s, seed=noise_seed)
     errs, offsets = noise_rows(noise, task_seed, t0, t0 + steps)
     assert errs.shape == offsets.shape == (steps, 7)
-    # a mid-vocabulary truth is never clamped, so the reference's ids give
-    # the offset of every erring position
-    mid = (128,) * 7
     for row, t in enumerate(range(t0, t0 + steps)):
-        expected = np.array(reference_draft_ids(mid, noise, task_seed, t, 256)) - 128
-        assert np.where(errs[row], offsets[row], 0).tolist() == expected.tolist()
+        expected = reference_noise_row(noise, task_seed, t)
+        assert (errs[row].tolist(), offsets[row].tolist()) == expected
         assert (np.abs(offsets[row]) >= 1).all() and (np.abs(offsets[row]) <= max_offset).all()
 
 
@@ -670,14 +669,76 @@ def test_noise_rows_reject_steps_outside_uint32():
         with pytest.raises(TaskError):
             noise_rows(noise, 7, t0, t1)
     errs, offsets = noise_rows(noise, 7, 2**32 - 1, 2**32)
-    expected = np.array(reference_draft_ids((128,) * 7, noise, 7, 2**32 - 1, 256)) - 128
-    assert np.where(errs[0], offsets[0], 0).tolist() == expected.tolist()
+    assert (errs[0].tolist(), offsets[0].tolist()) == reference_noise_row(noise, 7, 2**32 - 1)
 
 
 @pytest.mark.parametrize("zipf_s", [math.nan, -math.inf, math.inf, -1000.0])
 def test_noise_model_rejects_non_finite_offset_weights(zipf_s):
     with pytest.raises(TaskError, match="zipf_s"):
         DraftNoiseModel(zipf_s=zipf_s)
+
+
+@pytest.mark.parametrize("max_offset", [0, -1, simenv.MAX_OFFSET + 1, 10**12, 2**63])
+def test_noise_model_refuses_offsets_outside_the_bound(max_offset):
+    with pytest.raises(TaskError, match="max_offset"):
+        DraftNoiseModel(max_offset=max_offset)
+
+
+# --- statistics of the noise stream -------------------------------------------
+#
+# One call draws STAT_ROWS rows (7 cells each) per stream key. The bounds were
+# set before the tests first ran: every z score, and every lag-1 correlation
+# times sqrt(pairs), within 4; the offset chi-square's p-value at least 1e-4.
+
+STAT_ROWS = 100_000
+STAT_KEYS = [(0, 3), ((1 << 31) - 1, (1 << 32) + 5)]  # (noise seed, task seed)
+
+
+@pytest.fixture(scope="module", params=STAT_KEYS, ids=["seed0", "masked"])
+def stat_rows(request):
+    noise_seed, task_seed = request.param
+    noise = DraftNoiseModel(seed=noise_seed)
+    return noise, task_seed, noise_rows(noise, task_seed, 0, STAT_ROWS)
+
+
+def _z(hits, n, p):
+    return (hits - n * p) / math.sqrt(n * p * (1 - p))
+
+
+def test_noise_error_rate_matches_q_err(stat_rows):
+    noise, _, (errs, _) = stat_rows
+    assert abs(_z(int(errs.sum()), errs.size, noise.q_err)) <= 4
+
+
+def test_noise_offset_pmf_matches_the_model(stat_rows):
+    noise, _, (_, offsets) = stat_rows
+    counts = np.bincount(np.abs(offsets).ravel(), minlength=noise.max_offset + 1)
+    assert counts[0] == 0 and len(counts) == noise.max_offset + 1
+    assert chisquare(counts[1:], offsets.size * noise.offset_probs).pvalue >= 1e-4
+
+
+def test_noise_sign_share_is_one_half(stat_rows):
+    _, _, (_, offsets) = stat_rows
+    assert abs(_z(int((offsets > 0).sum()), offsets.size, 0.5)) <= 4
+
+
+@pytest.mark.parametrize("axis", [0, 1], ids=["steps", "positions"])
+def test_noise_draws_are_uncorrelated_at_lag_one(stat_rows, axis):
+    """The error flags, and the signed offsets, of neighbouring steps (at
+    each position) and of neighbouring positions (within each step)."""
+    _, _, (errs, offsets) = stat_rows
+    for cells in (errs.astype(float), offsets.astype(float)):
+        a = np.delete(cells, -1, axis=axis).ravel()
+        b = np.delete(cells, 0, axis=axis).ravel()
+        assert abs(np.corrcoef(a, b)[0, 1]) * math.sqrt(a.size) <= 4
+
+
+@pytest.mark.parametrize("t0, t1", [(20, 50), (0, 0), (0, 7), (999, 1000), (12_345, STAT_ROWS)])
+def test_noise_rows_of_a_span_equal_that_span_of_the_rows_from_zero(stat_rows, t0, t1):
+    noise, task_seed, _ = stat_rows
+    errs, offsets = noise_rows(noise, task_seed, t0, t1)
+    from_zero = noise_rows(noise, task_seed, 0, t1)
+    assert np.array_equal(errs, from_zero[0][t0:]) and np.array_equal(offsets, from_zero[1][t0:])
 
 
 # --- work done once per step and per episode ----------------------------------
