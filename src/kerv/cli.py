@@ -13,8 +13,8 @@ from pathlib import Path
 
 from . import config as config_mod
 from . import harness
-from .specdec import MODES
 from .threshold import calibrate
+from .trace import MODES
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

@@ -29,17 +29,17 @@ from . import threshold as threshold_mod
 from .codec import N_DOF
 from .config import ConfigError, CostModel, RunConfig, SuiteConfig
 from .simenv import NoisyDrafter, SimEnv, make_task
-from .specdec import MODES, run_episode, run_strict_episode
+from .specdec import run_episode, run_strict_episode
 from .threshold import CalibrationTable
-from .trace import EpisodeTrace
+from .trace import MODES, EpisodeTrace
 
 
 def modeled_latency(trace: EpisodeTrace, cm: CostModel) -> float:
-    """Total modeled time units for one episode."""
+    """Total modeled time units for one episode; a round is one draft and one verify call."""
     total = 0.0
     for rec in trace.slices:
         total += rec.verify_calls * cm.verify_cost
-        total += rec.draft_calls * cm.draft_cost
+        total += rec.verify_calls * cm.draft_cost
         if rec.comp_fired:
             total += cm.kf_cost + cm.transfer_cost
         total += cm.adjust_cost
@@ -49,10 +49,7 @@ def modeled_latency(trace: EpisodeTrace, cm: CostModel) -> float:
 def afep(traces: Iterable[EpisodeTrace]) -> float:
     """Average first error position, 1-based, over slices with a rejection."""
     firsts = [
-        rec.first_error_pos + 1
-        for t in traces
-        for rec in t.slices
-        if rec.first_error_pos < N_DOF
+        pos + 1 for t in traces for rec in t.slices if (pos := rec.first_error_pos) < N_DOF
     ]
     if not firsts:
         return 0.0
@@ -248,11 +245,12 @@ def emit_results(
         k_lines = ["trial step kvar_step kvar_cum"]
         hist = [0] * N_DOF
         for t in ts:
-            for rec in t.slices:
-                r_lines.append(f"{t.trial} {rec.step} {rec.r!r}")
-                k_lines.append(f"{t.trial} {rec.step} {rec.kvar_step!r} {rec.kvar_cum!r}")
-                if rec.first_error_pos < N_DOF:
-                    hist[rec.first_error_pos] += 1
+            for step, rec in enumerate(t.slices):
+                r_lines.append(f"{t.trial} {step} {rec.r!r}")
+                k_lines.append(f"{t.trial} {step} {rec.kvar_step!r} {rec.kvar_cum!r}")
+                pos = rec.first_error_pos
+                if pos < N_DOF:
+                    hist[pos] += 1
         h_lines = ["first_error_pos count"]
         h_lines += [f"{pos + 1} {count}" for pos, count in enumerate(hist)]
         stem = f"{suite}_{mode}"

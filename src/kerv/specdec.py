@@ -65,21 +65,15 @@ from .codec import (
 from .kinematics import KfBank, accumulate_kvar
 from .simenv import _latch
 from .threshold import CalibrationRow
-from .trace import (
-    EXACT,
-    MODES,  # noqa: F401 (the harness and the tests import the mode list from here)
-    REJECTED,
-    RELAXED,
-    SRC_DRAFT,
-    SRC_KF,
-    SRC_VERIFY,
-    EpisodeTrace,
-    SliceRecord,
-)
+from .trace import EXACT, REJECTED, RELAXED, EpisodeTrace, SliceRecord
 
 if TYPE_CHECKING:  # for annotations only
     from .config import RunConfig
     from .simenv import NoisyDrafter, SimEnv
+
+
+# where a decoded slice's final token came from
+SRC_DRAFT, SRC_VERIFY, SRC_KF = "draft", "verify_corrected", "kf"
 
 
 class EngineError(RuntimeError):
@@ -107,7 +101,8 @@ class SliceResult:
     """One decoded slice. ``draft_ids``, ``true_ids`` and ``statuses`` hold
     one slot per position, ``None`` where nothing was drafted, as the trace
     records them. ``actions`` are ``tokens`` decoded (``decode_slice``), and
-    ``kvar`` is the slice's ``accepted_error_kvar``."""
+    ``kvar`` is the slice's ``accepted_error_kvar``. ``first_error_pos``,
+    ``sources`` and ``comp_fired`` are tracked apart from the statuses."""
 
     tokens: tuple[int, ...]
     first_error_pos: int
@@ -328,7 +323,6 @@ def run_episode(
     prev_kvar = 0.0
     kvar_cum = 0.0
     cooldown = 0
-    comp_events = 0
     records: list[SliceRecord] = []
 
     key = env.key
@@ -354,10 +348,8 @@ def run_episode(
         truths: list[int | None] = []
         statuses: list[str | None] = []
         tokens: list[int] = []
-        sources: list[str] = []
         actions: list[float] = []
         moved: list[float] = []  # the pose after the step
-        first_error = N_DOF
         rounds = 0
         round_end = 0  # the positions before it are in rounds already counted
         kvar = 0.0
@@ -396,20 +388,15 @@ def run_episode(
                 if d_tok == true_tok:
                     statuses.append(EXACT)
                     tokens.append(d_tok)
-                    sources.append(SRC_DRAFT)
                     action = low + span * (d_tok + 0.5) / vocab
                 elif abs(d_tok - true_tok) <= r:
                     action = low + span * (d_tok + 0.5) / vocab
                     kvar += abs(low + span * (true_tok + 0.5) / vocab - action)
                     statuses.append(RELAXED)
                     tokens.append(d_tok)
-                    sources.append(SRC_DRAFT)
                 else:
                     statuses.append(REJECTED)
-                    if first_error == N_DOF:
-                        first_error = pos
                     tokens.append(true_tok)
-                    sources.append(SRC_VERIFY)
                     action = low + span * (true_tok + 0.5) / vocab
                     # compensation replaces re-inference only when the miss
                     # shows up in the first round, so it costs one verify
@@ -424,7 +411,6 @@ def run_episode(
                 truths.append(None)
                 statuses.append(None)
                 tokens.append(tok)
-                sources.append(SRC_KF)
                 action = low + span * (tok + 0.5) / vocab
             actions.append(action)
             # the pose: _advance, and the step's gap from the target
@@ -438,21 +424,19 @@ def run_episode(
                 moved.append(here)
                 gap += abs(here - there)
 
-        comp_fired = predicted is not None
         if bank is not None:
             bank.push_slice(tuple(actions))
         env.arrive(tuple(moved), gap)
 
         kvar_cum = accumulate_kvar(kvar_cum, kvar)
-        if comp_fired:
-            comp_events += 1
+        if predicted is not None:  # compensated
             cooldown = cfg.comp_n
         elif cooldown > 0:
             cooldown -= 1
         records.append(
             SliceRecord(
-                t, tuple(drafts), tuple(truths), tuple(statuses), tuple(tokens), tuple(sources),
-                first_error, r, kvar, kvar_cum, rounds, rounds, comp_fired, cooldown,
+                tuple(drafts), tuple(truths), tuple(statuses), tuple(tokens),
+                r, kvar, kvar_cum, rounds, cooldown,
             )
         )
         if kerv:
@@ -471,18 +455,16 @@ def run_episode(
         steps=env.t,
         deviation=env.deviation,
         plan_steps=plan.steps,
-        comp_events=comp_events,
     )
 
 
 @functools.lru_cache(maxsize=64)
-def _strict_slices(
-    depth: int, key: NormKey
-) -> tuple[tuple[tuple[str, ...], tuple[str, ...], int, int], ...]:
+def _strict_slices(depth: int, key: NormKey) -> tuple[tuple[tuple[str, ...], int], ...]:
     """What strict decoding records of a slice at ``depth``, for each set of
-    positions where the draft misses the truth: entry m holds the statuses,
-    sources, first error position and rounds of a slice whose draft misses
-    at the set bits of m.
+    positions where the draft misses the truth: entry m holds the statuses
+    and rounds of a slice whose draft misses at the set bits of m. Nothing
+    else is kept: the record's first error position and compensation flag
+    are read from its statuses (``SliceRecord``).
 
     Each entry is ``decode_slice_sd`` at r = 0 on a truth row of token 0
     and a draft row holding token 1 at the misses. Both tokens are valid
@@ -494,7 +476,7 @@ def _strict_slices(
     for misses in range(1 << N_DOF):
         drafted = tuple((misses >> pos) & 1 for pos in range(N_DOF))
         res = decode_slice_sd(drafted, (0,) * N_DOF, r=0.0, depth=depth, key=key)
-        table.append((res.statuses, res.sources, res.first_error_pos, res.rounds))
+        table.append((res.statuses, res.rounds))
     return tuple(table)
 
 
@@ -510,13 +492,12 @@ def run_strict_episode(env: SimEnv, draft: NoisyDrafter, cfg: RunConfig) -> Epis
     (``NoisyDrafter.plan_slices``), and the episode ends on the plan's last
     step on its goal, with no deviation. With no compensation every
     position is judged once, so a record holds the whole draft and truth
-    rows and executes the truth, and its statuses, sources, first error
-    position and rounds depend only on where the draft misses
-    (``_strict_slices``). The per-oracle loop in naive mode,
-    ``tests/oracles.py::reference_run_episode``, is the reference it is
-    tested against. ``env`` must be fresh, ``draft`` bound to it and
-    ``cfg.key`` its key (``EngineError`` otherwise); ``env`` is left as it
-    is.
+    rows and executes the truth, and its statuses and rounds depend only on
+    where the draft misses (``_strict_slices``). The per-oracle loop in
+    naive mode, ``tests/oracles.py::reference_run_episode``, is the
+    reference it is tested against. ``env`` must be fresh, ``draft`` bound
+    to it and ``cfg.key`` its key (``EngineError`` otherwise); ``env`` is
+    left as it is.
 
     The drafter derives every step's truth, draft and miss mask as arrays
     in one pass, so each record costs one table lookup and one
@@ -526,14 +507,9 @@ def run_strict_episode(env: SimEnv, draft: NoisyDrafter, cfg: RunConfig) -> Epis
     table = _strict_slices(cfg.depth, cfg.key)
     truths, drafts, misses = draft.plan_slices()
     records = []
-    for step, (truth, drafted, missed) in enumerate(zip(truths, drafts, misses)):
-        statuses, sources, first_error, rounds = table[missed]
-        records.append(
-            SliceRecord(
-                step, drafted, truth, statuses, truth, sources, first_error,
-                0.0, 0.0, 0.0, rounds, rounds, False, 0,
-            )
-        )
+    for truth, drafted, missed in zip(truths, drafts, misses):
+        statuses, rounds = table[missed]
+        records.append(SliceRecord(drafted, truth, statuses, truth, 0.0, 0.0, 0.0, rounds, 0))
     plan = env.plan
     return EpisodeTrace(
         suite=env.suite,
@@ -547,5 +523,4 @@ def run_strict_episode(env: SimEnv, draft: NoisyDrafter, cfg: RunConfig) -> Epis
         steps=plan.steps,
         deviation=0.0,
         plan_steps=plan.steps,
-        comp_events=0,
     )

@@ -2,12 +2,13 @@
 
 A trace file starts with an ``episode`` metadata line, carries one slice
 record per line, and ends with a ``summary`` line. Slice records hold
-everything needed to replay acceptance decisions and cost accounting
-offline: per-position draft/true ids (null where a position was never
-drafted or verified), acceptance statuses, final tokens, value sources,
-and the step's threshold, variability, and call counters.
+per-position draft/true ids and acceptance statuses (null where the Kalman
+filter filled a position, which was never drafted or verified), final
+tokens, and the step's threshold, variability, verify calls and cooldown.
+The statuses are the one record of what a slice did: its first error
+position and whether it was compensated are derived from them, not stored.
 
-A record is a ``SliceRecord``: an immutable named tuple of 14 fields, which
+A record is a ``SliceRecord``: an immutable named tuple of 9 fields, which
 costs a tuple to build and is written as a JSON object with sorted keys.
 Every line of every trace is written by ``_ENCODE``, one JSON encoder built
 at import (``_line_encoder``), and read by ``_DECODER``, one decoder built
@@ -25,10 +26,11 @@ fault when it is missing or holds a value of the wrong JSON type: a scalar
 of another type (an int field refuses ``true``/``false`` and ``1.0``; a
 float field takes an integer), a per-position field that is not a list of
 7 slots, an id that is not an int or ``null`` (a token that is not an int),
-a status or source outside its set, or the constant ``NaN`` (``Infinity``
-loads: an overflowing deviation is written as one); or when it holds a
-value outside its range: a negative trial, step, step count, event count
-or deviation, or a record value outside its bounds. A header mode outside
+a status outside its set, or the constant ``NaN`` (``Infinity`` loads: an
+overflowing deviation is written as one); or when it holds a value outside
+its range: a negative trial, step count or deviation, or a record value
+outside its bounds. A record is then refused where a status is null but an
+id is not, or the reverse (``_judged_mismatch``). A header mode outside
 ``MODES`` or kind outside ``simenv.KINDS`` is rejected after its fields.
 ``load`` puts the file's path in front of the error, as it does for a file
 that is not UTF-8 text. Traces and calibration tables are written
@@ -51,15 +53,13 @@ from .simenv import KINDS
 # the decoding policies, in report order
 MODES = ("naive", "fixed_relaxed", "kerv")
 
-# a drafted position's acceptance status, and where a final token came from
+# a drafted position's acceptance status
 EXACT, RELAXED, REJECTED = "exact", "relaxed", "rejected"
-SRC_DRAFT, SRC_VERIFY, SRC_KF = "draft", "verify_corrected", "kf"
 
 # the fields of the header and summary lines
 _HEADER_FIELDS = ("suite", "kind", "mode", "robot", "trial", "seed")
-_SUMMARY_FIELDS = ("success", "steps", "deviation", "plan_steps", "comp_events")
+_SUMMARY_FIELDS = ("success", "steps", "deviation", "plan_steps")
 _STATUSES = {EXACT, RELAXED, REJECTED, None}
-_SOURCES = {SRC_DRAFT, SRC_VERIFY, SRC_KF}
 # the types ``loads`` accepts for each scalar annotation, as ``json.loads``
 # builds them: a float field also takes an integer, and ``bool`` is a type
 # of its own, so an int field refuses true/false
@@ -71,10 +71,7 @@ _TYPE_NAMES = {int: "an int", float: "a float", str: "a string", bool: "a bool"}
 _RANGES = {
     "episode": (("trial", 0, math.inf, ">= 0"),),
     "record": (
-        ("step", 0, math.inf, ">= 0"),
-        ("first_error_pos", 0, N_DOF, f"in [0, {N_DOF}]"),
         ("verify_calls", 1, math.inf, ">= 1"),
-        ("draft_calls", 1, math.inf, ">= 1"),
         ("cooldown_remaining", 0, math.inf, ">= 0"),
         ("r", 0, sys.float_info.max, "finite and >= 0"),
         ("kvar_step", 0, sys.float_info.max, "finite and >= 0"),
@@ -84,7 +81,6 @@ _RANGES = {
         ("steps", 0, math.inf, ">= 0"),
         ("deviation", 0, math.inf, ">= 0"),
         ("plan_steps", 0, math.inf, ">= 0"),
-        ("comp_events", 0, math.inf, ">= 0"),
     ),
 }
 
@@ -130,22 +126,29 @@ _ENCODE = _line_encoder()
 
 class SliceRecord(NamedTuple):
     """One decoded slice as its trace line records it; a tuple, so no field
-    can be assigned."""
+    can be assigned. A record's step is its index in the trace, and each of
+    its ``verify_calls`` rounds is one draft call and one verify call."""
 
-    step: int
     draft_ids: tuple[int | None, ...]
     true_ids: tuple[int | None, ...]
     statuses: tuple[str | None, ...]
     tokens: tuple[int, ...]
-    sources: tuple[str, ...]
-    first_error_pos: int
     r: float
     kvar_step: float
     kvar_cum: float
     verify_calls: int
-    draft_calls: int
-    comp_fired: bool
     cooldown_remaining: int
+
+    @property
+    def first_error_pos(self) -> int:
+        """The position of the first ``REJECTED`` status, or 7 if none."""
+        statuses = self.statuses
+        return statuses.index(REJECTED) if REJECTED in statuses else N_DOF
+
+    @property
+    def comp_fired(self) -> bool:
+        """Whether the filter filled positions, the only ones left unjudged."""
+        return None in self.statuses
 
 
 @dataclass
@@ -161,7 +164,11 @@ class EpisodeTrace:
     steps: int = 0
     deviation: float = 0.0
     plan_steps: int = 0
-    comp_events: int = 0
+
+    @property
+    def comp_events(self) -> int:
+        """How many of the episode's slices were compensated."""
+        return sum(rec.comp_fired for rec in self.slices)
 
     def meta(self) -> dict:
         return {name: getattr(self, name) for name in _HEADER_FIELDS}
@@ -197,7 +204,7 @@ def _typed_slots(types: set, what: str):
     """The slot check of a per-position field whose slots are each of a type
     in ``types``: it returns what is wrong with the slots, or None."""
 
-    def fault(slots: list, obj: dict) -> str | None:
+    def fault(slots: list) -> str | None:
         if types.issuperset(map(type, slots)):
             return None
         bad = next(slot for slot in slots if type(slot) not in types)
@@ -206,30 +213,35 @@ def _typed_slots(types: set, what: str):
     return fault
 
 
-def _labelled_slots(known: set):
-    """The slot check of a per-position field whose slots are each in
-    ``known``; the fault names the record's statuses and sources."""
-
-    def fault(slots: list, obj: dict) -> str | None:
-        try:
-            if known.issuperset(slots):
-                return None
-        except TypeError:  # a list or object slot, which no set holds
-            pass
-        return f"unknown status or source in {obj['statuses']!r}, {obj['sources']!r}"
-
-    return fault
+def _status_slots(slots: list) -> str | None:
+    """The slot check of ``statuses``: each slot in ``_STATUSES``."""
+    try:
+        if _STATUSES.issuperset(slots):
+            return None
+    except TypeError:  # a list or object slot, which no set holds
+        pass
+    return f"unknown status in {slots!r}"
 
 
 # the slot check of each per-position field of a record, which holds one slot
-# per DoF: ids ints or null, tokens ints, statuses and sources in their sets
+# per DoF: ids ints or null, tokens ints, statuses in their set
 _SLOT_CHECKS = {
     "draft_ids": _typed_slots({int, type(None)}, "ids must be ints or null"),
     "true_ids": _typed_slots({int, type(None)}, "ids must be ints or null"),
-    "statuses": _labelled_slots(_STATUSES),
+    "statuses": _status_slots,
     "tokens": _typed_slots({int}, "tokens must be ints"),
-    "sources": _labelled_slots(_SOURCES),
 }
+
+
+def _judged_mismatch(draft_ids: tuple, true_ids: tuple, statuses: tuple) -> bool:
+    """Whether a slot's ids and status disagree on whether it was judged (a
+    filled slot has none of them); three counts settle a record with no null."""
+    unjudged = statuses.count(None)
+    if draft_ids.count(None) != unjudged or true_ids.count(None) != unjudged:
+        return True
+    return unjudged > 0 and any(
+        (d, t) != (None, None) for d, t, s in zip(draft_ids, true_ids, statuses) if s is None
+    )
 
 
 def _checks(cls, part: str, names) -> tuple:
@@ -267,7 +279,7 @@ def _checked(obj, part: str, checks: tuple, lineno: int) -> list:
                 raise TraceError(
                     f"line {lineno}: {name} must be a list of {N_DOF} items, got {value!r}"
                 )
-            fault = slot_fault(value, obj)
+            fault = slot_fault(value)
             if fault is not None:
                 raise TraceError(f"line {lineno}: {fault}")
             value = tuple(value)
@@ -316,9 +328,13 @@ def loads(text: str) -> EpisodeTrace:
             else:
                 if trace is None:
                     raise TraceError(f"line {lineno}: slice record before episode header")
-                trace.slices.append(
-                    SliceRecord._make(_checked(obj, "record", _RECORD_CHECKS, lineno))
-                )
+                values = _checked(obj, "record", _RECORD_CHECKS, lineno)
+                if _judged_mismatch(*values[:3]):  # draft_ids, true_ids, statuses
+                    raise TraceError(
+                        f"line {lineno}: statuses must be null exactly where the ids are, got "
+                        f"draft_ids {values[0]!r}, true_ids {values[1]!r}, statuses {values[2]!r}"
+                    )
+                trace.slices.append(SliceRecord._make(values))
         except KeyError as exc:
             raise TraceError(f"line {lineno}: record has no {exc.args[0]!r} field") from None
     if trace is None:

@@ -506,7 +506,7 @@ def reference_decode_slice_sd(drafted, truths, r, depth, key, bank, kf_pl):
     }
 
 
-def reference_run_episode(env, draft, verify, cfg, mode, row=None):
+def reference_run_episode(env, draft, verify, cfg, mode, row=None, *, outcomes=None):
     """An episode decoded the way ``run_episode`` decoded it before it fused
     each step into one pass: per step, ``draft.draft()`` gives the draft
     row and ``verify.verify(drafted)`` the truth row (``oracle_policy``),
@@ -514,7 +514,11 @@ def reference_run_episode(env, draft, verify, cfg, mode, row=None):
     actions and ``env.step`` moves the env (``_advance``). The loop is kept
     as it was, and serves any oracles that answer with one row per step. In
     naive mode it is the reference of ``run_strict_episode``, in the other
-    modes that of ``run_episode``."""
+    modes that of ``run_episode``.
+
+    A given ``outcomes`` list gets each slice's (first error position,
+    compensation flag) as ``decode_slice_sd`` tracked them while deciding
+    it, apart from the statuses a record derives them from."""
     if mode not in MODES:
         raise EngineError(f"unknown mode {mode!r}; expected one of {MODES}")
     if env.t != 0:
@@ -536,7 +540,6 @@ def reference_run_episode(env, draft, verify, cfg, mode, row=None):
     prev_kvar = 0.0
     kvar_cum = 0.0
     cooldown = 0
-    comp_events = 0
     records = []
 
     while not env.done:
@@ -549,33 +552,28 @@ def reference_run_episode(env, draft, verify, cfg, mode, row=None):
         )
         if bank is not None:
             bank.push_slice(result.actions)
-        step_index = env.t
         env.step(result.actions)
 
         kstep = result.kvar
         kvar_cum = accumulate_kvar(kvar_cum, kstep)
 
         if result.comp_fired:
-            comp_events += 1
             cooldown = cfg.comp_n
         elif cooldown > 0:
             cooldown -= 1
+        if outcomes is not None:
+            outcomes.append((result.first_error_pos, result.comp_fired))
 
         records.append(
             SliceRecord(
-                step=step_index,
                 draft_ids=result.draft_ids,
                 true_ids=result.true_ids,
                 statuses=result.statuses,
                 tokens=result.tokens,
-                sources=result.sources,
-                first_error_pos=result.first_error_pos,
                 r=r,
                 kvar_step=kstep,
                 kvar_cum=kvar_cum,
                 verify_calls=result.rounds,
-                draft_calls=result.rounds,
-                comp_fired=result.comp_fired,
                 cooldown_remaining=cooldown,
             )
         )
@@ -595,7 +593,6 @@ def reference_run_episode(env, draft, verify, cfg, mode, row=None):
         steps=env.t,
         deviation=env.deviation,
         plan_steps=env.plan.steps,
-        comp_events=comp_events,
     )
 
 
@@ -627,8 +624,8 @@ def reference_gripper_states(targets, key):
 # a slice record's fields, written out here rather than read from the
 # record type
 TRACE_RECORD_FIELDS = (
-    "step", "draft_ids", "true_ids", "statuses", "tokens", "sources", "first_error_pos", "r",
-    "kvar_step", "kvar_cum", "verify_calls", "draft_calls", "comp_fired", "cooldown_remaining",
+    "draft_ids", "true_ids", "statuses", "tokens", "r", "kvar_step", "kvar_cum", "verify_calls",
+    "cooldown_remaining",
 )
 
 
@@ -647,21 +644,18 @@ def reference_trace_dumps(trace):
 # ``reference_trace_loads`` and its helpers are kept as they were written,
 # with their tables copied here. The scalar type tables are written out, as
 # the loader read them from string annotations the record type no longer
-# has.
+# has. The tables follow the 9-field record, and ``_check_judged`` walks the
+# slots one at a time where the library counts nulls.
 _HEADER_FIELDS = ("suite", "kind", "mode", "robot", "trial", "seed")
-_SUMMARY_FIELDS = ("success", "steps", "deviation", "plan_steps", "comp_events")
-_SLOT_FIELDS = ("draft_ids", "true_ids", "statuses", "tokens", "sources")
+_SUMMARY_FIELDS = ("success", "steps", "deviation", "plan_steps")
+_SLOT_FIELDS = ("draft_ids", "true_ids", "statuses", "tokens")
 _SLOTS = itemgetter(*_SLOT_FIELDS)
 _STATUSES = {"exact", "relaxed", "rejected", None}
-_SOURCES = {"draft", "verify_corrected", "kf"}
 _TYPE_NAMES = {int: "an int", float: "a float", str: "a string", bool: "a bool"}
 _RANGES = {
     "episode": (("trial", 0, math.inf, ">= 0"),),
     "record": (
-        ("step", 0, math.inf, ">= 0"),
-        ("first_error_pos", 0, 7, "in [0, 7]"),
         ("verify_calls", 1, math.inf, ">= 1"),
-        ("draft_calls", 1, math.inf, ">= 1"),
         ("cooldown_remaining", 0, math.inf, ">= 0"),
         ("r", 0, sys.float_info.max, "finite and >= 0"),
         ("kvar_step", 0, sys.float_info.max, "finite and >= 0"),
@@ -671,7 +665,6 @@ _RANGES = {
         ("steps", 0, math.inf, ">= 0"),
         ("deviation", 0, math.inf, ">= 0"),
         ("plan_steps", 0, math.inf, ">= 0"),
-        ("comp_events", 0, math.inf, ">= 0"),
     ),
 }
 _INT, _FLOAT, _STR, _BOOL = {int}, {int, float}, {str}, {bool}
@@ -681,11 +674,9 @@ _HEADER_TYPES = (
 )
 _SUMMARY_TYPES = (
     ("success", _BOOL), ("steps", _INT), ("deviation", _FLOAT), ("plan_steps", _INT),
-    ("comp_events", _INT),
 )
 _RECORD_TYPES = (
-    ("step", _INT), ("first_error_pos", _INT), ("r", _FLOAT), ("kvar_step", _FLOAT),
-    ("kvar_cum", _FLOAT), ("verify_calls", _INT), ("draft_calls", _INT), ("comp_fired", _BOOL),
+    ("r", _FLOAT), ("kvar_step", _FLOAT), ("kvar_cum", _FLOAT), ("verify_calls", _INT),
     ("cooldown_remaining", _INT),
 )
 
@@ -702,19 +693,14 @@ _DECODER = json.JSONDecoder(parse_constant=_parse_constant)
 
 def _record_from_dict(d: dict) -> SliceRecord:
     return SliceRecord(
-        step=d["step"],
         draft_ids=tuple(d["draft_ids"]),
         true_ids=tuple(d["true_ids"]),
         statuses=tuple(d["statuses"]),
         tokens=tuple(d["tokens"]),
-        sources=tuple(d["sources"]),
-        first_error_pos=d["first_error_pos"],
         r=d["r"],
         kvar_step=d["kvar_step"],
         kvar_cum=d["kvar_cum"],
         verify_calls=d["verify_calls"],
-        draft_calls=d["draft_calls"],
-        comp_fired=d["comp_fired"],
         cooldown_remaining=d["cooldown_remaining"],
     )
 
@@ -737,12 +723,12 @@ def _check_scalars(obj, part: str, types: tuple, lineno: int) -> None:
 
 def _check_slots(obj: dict, lineno: int) -> None:
     """Each per-position field a list of 7 slots: ids ints or null, tokens
-    ints, statuses and sources in their sets."""
+    ints, statuses in their set."""
     lists = _SLOTS(obj)
     for name, slots in zip(_SLOT_FIELDS, lists):
         if type(slots) is not list or len(slots) != 7:
             raise TraceError(f"line {lineno}: {name} must be a list of 7 items, got {slots!r}")
-    draft_ids, true_ids, statuses, tokens, sources = lists
+    draft_ids, true_ids, statuses, tokens = lists
     for tok in draft_ids + true_ids:
         if type(tok) is not int and tok is not None:
             raise TraceError(f"line {lineno}: ids must be ints or null, got {tok!r}")
@@ -750,11 +736,24 @@ def _check_slots(obj: dict, lineno: int) -> None:
         if type(tok) is not int:
             raise TraceError(f"line {lineno}: tokens must be ints, got {tok!r}")
     try:
-        known = _STATUSES.issuperset(statuses) and _SOURCES.issuperset(sources)
+        known = _STATUSES.issuperset(statuses)
     except TypeError:  # a list or object slot, which no set holds
         known = False
     if not known:
-        raise TraceError(f"line {lineno}: unknown status or source in {statuses!r}, {sources!r}")
+        raise TraceError(f"line {lineno}: unknown status in {statuses!r}")
+
+
+def _check_judged(obj: dict, lineno: int) -> None:
+    """Each slot judged (both ids and a status) or filled (none of them),
+    one slot at a time."""
+    draft_ids, true_ids, statuses = obj["draft_ids"], obj["true_ids"], obj["statuses"]
+    for d, t, status in zip(draft_ids, true_ids, statuses):
+        if (status is None) != (d is None) or (status is None) != (t is None):
+            raise TraceError(
+                f"line {lineno}: statuses must be null exactly where the ids are, got "
+                f"draft_ids {tuple(draft_ids)!r}, true_ids {tuple(true_ids)!r}, "
+                f"statuses {tuple(statuses)!r}"
+            )
 
 
 def reference_trace_loads(text: str) -> EpisodeTrace:
@@ -796,6 +795,7 @@ def reference_trace_loads(text: str) -> EpisodeTrace:
                     raise TraceError(f"line {lineno}: slice record before episode header")
                 _check_slots(obj, lineno)
                 _check_scalars(obj, "record", _RECORD_TYPES, lineno)
+                _check_judged(obj, lineno)
                 trace.slices.append(_record_from_dict(obj))
         except KeyError as exc:
             raise TraceError(f"line {lineno}: record has no {exc.args[0]!r} field") from None

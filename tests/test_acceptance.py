@@ -22,7 +22,7 @@ from kerv.harness import (
 )
 from kerv.kinematics import KfBank, KfParams
 from kerv.simenv import KINDS, _quantize, _targets, make_task
-from kerv.specdec import SRC_KF, decode_slice_sd
+from kerv.specdec import decode_slice_sd
 from kerv.threshold import CalibrationRow, adjust
 
 from oracles import (
@@ -380,7 +380,7 @@ def test_c10_cooldown_disables_filter_fills(bench_cfg, calib_table):
                     comp_events += 1
                     for follow in trace.slices[i + 1 : i + 5]:
                         assert not follow.comp_fired
-                        assert SRC_KF not in follow.sources
+                        assert None not in follow.statuses
     assert comp_events > 0
     _report(10, f"all {comp_events} compensation events were followed by 4 slices "
                 "with zero filter-sourced positions")

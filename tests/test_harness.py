@@ -28,21 +28,24 @@ from kerv.trace import EpisodeTrace, SliceRecord, load as load_trace, load_dir
 from oracles import reference_run_episode
 
 
-def make_record(step, verify=1, draft=1, comp=False, fep=7, r=0.0, kv=0.0, cum=0.0):
+def make_record(verify=1, comp=False, fep=7, r=0.0, kv=0.0, cum=0.0):
+    """A record whose first rejection is at ``fep`` (none at 7), after which
+    the filter filled the slice when ``comp``."""
+    statuses = ["exact"] * 7
+    if fep < 7:
+        statuses[fep] = "rejected"
+    if comp:
+        statuses[fep + 1 :] = [None] * (6 - fep)
+    ids = tuple(None if s is None else 0 for s in statuses)
     return SliceRecord(
-        step=step,
-        draft_ids=(None,) * 7,
-        true_ids=(None,) * 7,
-        statuses=(None,) * 7,
+        draft_ids=ids,
+        true_ids=ids,
+        statuses=tuple(statuses),
         tokens=(0,) * 7,
-        sources=("draft",) * 7,
-        first_error_pos=fep,
         r=r,
         kvar_step=kv,
         kvar_cum=cum,
         verify_calls=verify,
-        draft_calls=draft,
-        comp_fired=comp,
         cooldown_remaining=0,
     )
 
@@ -58,14 +61,14 @@ def make_trace(records, **kw):
 
 def test_modeled_latency_linear_accumulation():
     cm = CostModel()
-    trace = make_trace([make_record(i) for i in range(10)])
+    trace = make_trace([make_record() for _ in range(10)])
     expected = 10 * (cm.verify_cost + cm.draft_cost + cm.adjust_cost)
     assert modeled_latency(trace, cm) == pytest.approx(expected)
 
 
 def test_modeled_latency_counts_compensation_round_trip():
     cm = CostModel()
-    trace = make_trace([make_record(0, comp=True)])
+    trace = make_trace([make_record(comp=True, fep=2)])
     expected = cm.verify_cost + cm.draft_cost + cm.kf_cost + cm.transfer_cost + cm.adjust_cost
     assert modeled_latency(trace, cm) == pytest.approx(expected)
 
@@ -80,15 +83,15 @@ def test_modeled_latency_homogeneous_in_costs():
         transfer_cost=2 * cm.transfer_cost,
     )
     trace = make_trace(
-        [make_record(i, verify=2, draft=2, comp=(i % 3 == 0)) for i in range(9)]
+        [make_record(verify=2, comp=(i % 3 == 0), fep=2) for i in range(9)]
     )
     assert modeled_latency(trace, doubled) == pytest.approx(2 * modeled_latency(trace, cm))
 
 
 def test_afep_is_one_based_mean_over_rejection_slices():
-    trace = make_trace([make_record(0, fep=0), make_record(1, fep=3), make_record(2)])
+    trace = make_trace([make_record(fep=0), make_record(fep=3), make_record()])
     assert afep([trace]) == pytest.approx((1 + 4) / 2)
-    assert afep([make_trace([make_record(0)])]) == 0.0
+    assert afep([make_trace([make_record()])]) == 0.0
 
 
 def test_default_cost_ordering():

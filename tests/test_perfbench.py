@@ -2,16 +2,19 @@
 
 ``perfbench/spans.py`` wraps each traced name as ``owner.__dict__[attr]``
 and builds its target list at import, and ``perfbench/run.py`` opens probe
-windows at ``harness.run_one_episode`` and ``threshold._replay_objective``.
-A name moved or renamed in ``kerv`` breaks every benchmark run, at import
-or under ``--trace 1``; these tests catch that without running one.
+windows at ``harness.run_one_episode`` and ``threshold._replay_objective``
+and reads trace records, ``harness.modeled_latency`` and the acceptance
+statuses. A name moved or renamed in ``kerv`` breaks every benchmark run,
+at import, under ``--trace 1`` or at its quality figures; these tests
+catch that without running one.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
-from kerv import harness, threshold
+from kerv import harness, specdec, threshold
+from kerv.trace import EpisodeTrace, SliceRecord
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -37,3 +40,22 @@ def test_every_traced_name_is_where_the_tracer_wraps_it(monkeypatch):
 def test_the_benchmark_probe_points_exist():
     assert callable(harness.run_one_episode)
     assert callable(threshold._replay_objective)
+
+
+def test_what_the_benchmark_reads_of_a_trace_exists():
+    """``perfbench/run.py`` checks and counts every trace it gets through
+    these names."""
+    ids = (1, 2, None, None, None, None, None)
+    rec = SliceRecord(
+        draft_ids=ids, true_ids=ids, statuses=(specdec.EXACT, specdec.RELAXED) + (None,) * 5,
+        tokens=(0,) * 7, r=0.0, kvar_step=0.0, kvar_cum=0.0, verify_calls=1,
+        cooldown_remaining=0,
+    )
+    t = EpisodeTrace(
+        suite="goal", kind="reach", mode="kerv", robot="sim7dof", trial=0, seed=0,
+        slices=[rec], steps=1,
+    )
+    assert (rec.comp_fired, rec.verify_calls, rec.draft_ids) == (True, 1, ids)
+    assert rec.statuses[:2] == ("exact", "relaxed")
+    assert (t.steps, t.slices) == (1, [rec])
+    assert callable(harness.modeled_latency)

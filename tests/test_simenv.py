@@ -32,8 +32,9 @@ from kerv.simenv import (
 )
 from kerv.config import ConfigError, RunConfig, SuiteConfig
 from kerv.harness import run_one_episode, run_suite
-from kerv.specdec import MODES, run_episode, run_strict_episode
+from kerv.specdec import run_episode, run_strict_episode
 from kerv.threshold import CalibrationRow, CalibrationTable
+from kerv.trace import MODES
 
 from oracles import (
     PLAN_KEYS,

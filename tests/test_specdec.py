@@ -28,7 +28,6 @@ from kerv.specdec import (
     SRC_DRAFT,
     SRC_KF,
     SRC_VERIFY,
-    MODES,
     EngineError,
     accepted_error_kvar,
     decode_slice_sd,
@@ -37,7 +36,7 @@ from kerv.specdec import (
     run_strict_episode,
 )
 from kerv.threshold import CalibrationRow
-from kerv.trace import loads
+from kerv.trace import MODES, loads
 from oracles import (
     reference_accepted_error_kvar,
     reference_adjust,
@@ -343,7 +342,7 @@ def test_cooldown_blocks_compensation_for_n_slices():
             assert rec.cooldown_remaining == 4
             for follow in trace.slices[i + 1 : i + 5]:
                 assert not follow.comp_fired
-                assert SRC_KF not in follow.sources
+                assert None not in follow.statuses
                 blocked += 1
     assert trace.comp_events > 0
     assert blocked > 0
@@ -354,7 +353,7 @@ def test_naive_mode_never_relaxes_or_compensates():
     for rec in trace.slices:
         assert rec.r == 0.0
         assert not rec.comp_fired
-        assert SRC_KF not in rec.sources
+        assert None not in rec.statuses
         assert RELAXED not in [s for s in rec.statuses if s]
     assert trace.success
 
@@ -560,12 +559,24 @@ def test_strict_episode_writes_the_closed_loop_naive_trace(depth, key):
         noise = DraftNoiseModel(q_err=q_err, max_offset=max_offset, seed=depth)
         env = SimEnv(spec, key, suite=suite.name, trial=i)
         draft = NoisyDrafter(env, noise)
-        ref = reference_run_episode(env, draft, PlanVerifier(env), cfg, "naive")
+        outcomes = []
+        ref = reference_run_episode(
+            env, draft, PlanVerifier(env), cfg, "naive", outcomes=outcomes
+        )
         env = SimEnv(spec, key, suite=suite.name, trial=i)
         got = run_strict_episode(env, NoisyDrafter(env, noise), cfg)
         diff = _first_different_line(got.dumps(), ref.dumps())
         assert diff is None, (suite.name, q_err, max_offset, diff)
         assert got.success and got.steps == env.plan.steps
+        _assert_derived_outcomes(got, outcomes)
+
+
+def _assert_derived_outcomes(trace, outcomes):
+    """What each record derives from its statuses is what ``decode_slice_sd``
+    tracked while deciding the slice, and the trace's compensation count is
+    the count of its compensated slices."""
+    assert [(rec.first_error_pos, rec.comp_fired) for rec in trace.slices] == outcomes
+    assert trace.comp_events == sum(fired for _, fired in outcomes)
 
 
 def _final_state(env):
@@ -609,13 +620,16 @@ def test_closed_loop_matches_the_per_oracle_reference(
     noise = DraftNoiseModel(q_err=q_err, max_offset=max_offset, seed=task_seed + 1)
     spec = make_task(kind, task_seed)
     ref_env = SimEnv(spec, key, suite="t", trial=task_seed)
+    outcomes = []
     ref = reference_run_episode(
-        ref_env, NoisyDrafter(ref_env, noise), PlanVerifier(ref_env), cfg, mode, row
+        ref_env, NoisyDrafter(ref_env, noise), PlanVerifier(ref_env), cfg, mode, row,
+        outcomes=outcomes,
     )
     env = SimEnv(spec, key, suite="t", trial=task_seed)
     got = run_episode(env, NoisyDrafter(env, noise), cfg, mode, row)
     diff = _first_different_line(got.dumps(), ref.dumps())
     assert diff is None, diff
     assert _final_state(env) == _final_state(ref_env)
+    _assert_derived_outcomes(got, outcomes)
     if past_plan:
         assert env.t > env.plan.steps

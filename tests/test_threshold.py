@@ -293,7 +293,7 @@ def _trace(suite, kvar_steps, pairs, success=True, steps=None):
     """Minimal trace: one slice per kvar value, with given (draft, true) pairs."""
     slices = []
     cum = 0.0
-    for i, kv in enumerate(kvar_steps):
+    for kv in kvar_steps:
         cum += kv
         draft_ids = [None] * 7
         true_ids = [None] * 7
@@ -302,19 +302,14 @@ def _trace(suite, kvar_steps, pairs, success=True, steps=None):
             true_ids[pos] = t
         slices.append(
             SliceRecord(
-                step=i,
                 draft_ids=tuple(draft_ids),
                 true_ids=tuple(true_ids),
                 statuses=(None,) * 7,
                 tokens=(0,) * 7,
-                sources=("draft",) * 7,
-                first_error_pos=7,
                 r=15.0,
                 kvar_step=kv,
                 kvar_cum=cum,
                 verify_calls=1,
-                draft_calls=1,
-                comp_fired=False,
                 cooldown_remaining=0,
             )
         )
@@ -410,19 +405,14 @@ def _traces(draw):
             pairs = templates[i]
             slices.append(
                 SliceRecord(
-                    step=step,
                     draft_ids=tuple(d for d, _ in pairs),
                     true_ids=tuple(t for _, t in pairs),
                     statuses=(None,) * 7,
                     tokens=(0,) * 7,
-                    sources=("draft",) * 7,
-                    first_error_pos=7,
                     r=15.0,
                     kvar_step=kvars[step % len(kvars)],
                     kvar_cum=0.0,
                     verify_calls=1,
-                    draft_calls=1,
-                    comp_fired=False,
                     cooldown_remaining=0,
                 )
             )

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kerv import config, specdec, trace as trace_mod
+from kerv import config, trace as trace_mod
 from kerv.simenv import KINDS
 from kerv.trace import MODES, EpisodeTrace, SliceRecord, TraceError, load, loads
 from oracles import TRACE_RECORD_FIELDS, reference_trace_dumps, reference_trace_loads
@@ -19,37 +19,37 @@ from oracles import TRACE_RECORD_FIELDS, reference_trace_dumps, reference_trace_
 _nonneg = st.floats(0.0, allow_infinity=False) | st.sampled_from(
     [0.0, -0.0, 1.0, 3.0, 1e-300, 2.5e16, 0.1 + 0.2]
 )
-_opt_id = st.none() | st.integers(0, 255)
+_id = st.integers(0, 255)
 _seven = lambda elem: st.lists(elem, min_size=7, max_size=7).map(tuple)  # noqa: E731
 
-_records = st.builds(
-    SliceRecord,
-    step=st.integers(0, 10_000),
-    draft_ids=_seven(_opt_id),
-    true_ids=_seven(_opt_id),
-    statuses=_seven(st.none() | st.sampled_from(["exact", "relaxed", "rejected"])),
-    tokens=_seven(st.integers(0, 255)),
-    sources=_seven(st.sampled_from(["draft", "verify_corrected", "kf"])),
-    first_error_pos=st.integers(0, 7),
-    r=_nonneg,
-    kvar_step=_nonneg,
-    kvar_cum=_nonneg | st.just(math.inf),
-    verify_calls=st.integers(1, 9),
-    draft_calls=st.integers(1, 9),
-    comp_fired=st.booleans(),
-    cooldown_remaining=st.integers(0, 5),
-)
+
+
+@st.composite
+def _records(draw):
+    """A record whose ids are null exactly where its statuses are."""
+    statuses = draw(_seven(st.none() | st.sampled_from(["exact", "relaxed", "rejected"])))
+    judged = [status is not None for status in statuses]
+    return SliceRecord(
+        draft_ids=tuple(draw(_id) if j else None for j in judged),
+        true_ids=tuple(draw(_id) if j else None for j in judged),
+        statuses=statuses,
+        tokens=draw(_seven(_id)),
+        r=draw(_nonneg),
+        kvar_step=draw(_nonneg),
+        kvar_cum=draw(_nonneg | st.just(math.inf)),
+        verify_calls=draw(st.integers(1, 9)),
+        cooldown_remaining=draw(st.integers(0, 5)),
+    )
 
 
 @st.composite
 def _episodes(draw):
-    slices = draw(st.lists(_records, max_size=6))
+    slices = draw(st.lists(_records(), max_size=6))
     return EpisodeTrace(
         suite="goal", kind="reach", mode=draw(st.sampled_from(["naive", "kerv"])),
         robot="sim7dof", trial=draw(st.integers(0, 99)), seed=draw(st.integers(0, 2**40)),
         slices=slices, success=draw(st.booleans()), steps=len(slices),
         deviation=draw(_nonneg | st.just(math.inf)), plan_steps=draw(st.integers(0, 500)),
-        comp_events=draw(st.integers(0, 9)),
     )
 
 
@@ -138,10 +138,10 @@ def test_record_fields_keep_their_order_and_cannot_be_assigned():
 
 def _episode_text(n=3):
     rec = SliceRecord(
-        step=0, draft_ids=(1, None, 3, 4, 5, 6, 7), true_ids=(1,) * 7,
-        statuses=("exact",) + (None,) * 6, tokens=(1,) * 7, sources=("draft",) * 7,
-        first_error_pos=7, r=9.0, kvar_step=0.1, kvar_cum=0.1, verify_calls=1,
-        draft_calls=1, comp_fired=False, cooldown_remaining=0,
+        draft_ids=(1, 2, None, None, None, None, None),
+        true_ids=(1, 20, None, None, None, None, None),
+        statuses=("exact", "rejected", None, None, None, None, None), tokens=(1,) * 7,
+        r=9.0, kvar_step=0.1, kvar_cum=0.1, verify_calls=1, cooldown_remaining=4,
     )
     return EpisodeTrace(
         suite="goal", kind="reach", mode="naive", robot="sim7dof", trial=0, seed=1,
@@ -190,10 +190,10 @@ def test_malformed_line_is_trace_error():
 def test_record_missing_a_field_is_trace_error():
     lines = _episode_text().splitlines(keepends=True)
     with pytest.raises(TraceError, match="line 2: record has no 'draft_ids' field"):
-        loads(lines[0] + '{"step": 0}\n' + "".join(lines[2:]))
-    summary = lines[-1].replace('"comp_events": 0, ', "")
+        loads(lines[0] + '{"r": 0}\n' + "".join(lines[2:]))
+    summary = lines[-1].replace('"plan_steps": 3, ', "")
     assert summary != lines[-1]
-    with pytest.raises(TraceError, match="line 5: record has no 'comp_events' field"):
+    with pytest.raises(TraceError, match="line 5: record has no 'plan_steps' field"):
         loads("".join(lines[:-1]) + summary)
 
 
@@ -205,7 +205,6 @@ def test_record_missing_a_field_is_trace_error():
         ("true_ids", None),
         ("statuses", "relaxed"),  # seven characters, but not a list
         ("tokens", [1] * 8),
-        ("sources", {"draft": 7}),
     ],
 )
 def test_record_whose_slot_field_is_not_seven_items_is_trace_error(field, value):
@@ -239,16 +238,12 @@ def _with(lines, lineno, part, field, value):
         (1, "episode", "suite", 3, "a string"),
         (1, "episode", "trial", "0", "an int"),
         (1, "episode", "seed", True, "an int"),
-        (3, None, "step", 1.0, "an int"),
-        (3, None, "first_error_pos", False, "an int"),
         (3, None, "r", "9", "a float or an int"),
         (3, None, "kvar_step", "0.1", "a float or an int"),
         (3, None, "kvar_cum", None, "a float or an int"),
         (3, None, "verify_calls", True, "an int"),
-        (3, None, "comp_fired", 0, "a bool"),
         (5, "summary", "success", 1, "a bool"),
         (5, "summary", "deviation", "0.0", "a float or an int"),
-        (5, "summary", "comp_events", [0], "an int"),
     ],
 )
 def test_scalar_field_of_the_wrong_json_type_is_trace_error(lineno, part, field, value, what):
@@ -287,11 +282,7 @@ def test_infinite_deviation_loads(value):
 @pytest.mark.parametrize(
     "field, value, need",
     [
-        ("first_error_pos", 42, "in [0, 7]"),
-        ("first_error_pos", 8, "in [0, 7]"),
-        ("first_error_pos", -1, "in [0, 7]"),
         ("verify_calls", 0, ">= 1"),
-        ("draft_calls", 0, ">= 1"),
         ("cooldown_remaining", -1, ">= 0"),
         ("r", -1.0, "finite and >= 0"),
         ("r", math.inf, "finite and >= 0"),
@@ -299,7 +290,6 @@ def test_infinite_deviation_loads(value):
         ("kvar_step", math.inf, "finite and >= 0"),
         ("kvar_cum", -1e-300, ">= 0"),
         ("kvar_cum", -math.inf, ">= 0"),
-        ("step", -7, ">= 0"),
     ],
 )
 def test_record_value_out_of_range_is_trace_error(field, value, need):
@@ -315,14 +305,12 @@ def test_record_value_out_of_range_is_trace_error(field, value, need):
         (1, "episode", "trial", -1),
         (5, "summary", "steps", -3),
         (5, "summary", "plan_steps", -3),
-        (5, "summary", "comp_events", -4),
         (5, "summary", "deviation", -1e-300),
         (5, "summary", "deviation", -math.inf),
     ],
 )
 def test_negative_header_or_summary_value_is_trace_error(lineno, part, field, value):
-    """A run writes no negative count, trial or deviation; the summary's
-    ``comp_events`` feeds the report's column."""
+    """A run writes no negative count, trial or deviation."""
     lines = _episode_text().splitlines(keepends=True)
     message = re.escape(f"line {lineno}: {part} {field} must be >= 0, got {value!r}")
     with pytest.raises(TraceError, match=f"^{message}$"):
@@ -330,7 +318,7 @@ def test_negative_header_or_summary_value_is_trace_error(lineno, part, field, va
 
 
 def test_one_mode_list():
-    assert specdec.MODES is config.MODES is MODES
+    assert config.MODES is MODES
 
 
 @pytest.mark.parametrize(
@@ -380,10 +368,9 @@ def test_integral_number_in_a_float_field_loads():
         ("draft_ids", 1.0, "ids must be ints or null, got 1.0"),
         ("tokens", None, "tokens must be ints, got None"),
         ("tokens", False, "tokens must be ints, got False"),
-        ("statuses", "accept", "unknown status or source in"),
-        ("statuses", 1, "unknown status or source in"),
-        ("sources", ["draft"], "unknown status or source in"),  # a slot no set can hold
-        ("sources", None, "unknown status or source in"),
+        ("statuses", "accept", "unknown status in"),
+        ("statuses", 1, "unknown status in"),
+        ("statuses", ["exact"], "unknown status in"),  # a slot no set can hold
     ],
 )
 def test_slot_outside_its_type_or_set_is_trace_error(field, slot, message):
@@ -392,6 +379,43 @@ def test_slot_outside_its_type_or_set_is_trace_error(field, slot, message):
     slots[4] = slot
     with pytest.raises(TraceError, match="^line 3: " + message.replace("(", r"\(")):
         loads(_with(lines, 3, None, field, slots))
+
+
+@pytest.mark.parametrize(
+    "slots",
+    [
+        {"statuses": (1, "relaxed"), "draft_ids": (1, None)},  # a relaxed slot, no draft id
+        {"statuses": (4, "exact")},  # judged, with neither id
+        {"draft_ids": (0, None)},  # an exact slot with no draft id
+        {"true_ids": (1, None)},  # a rejected slot with no verified id
+        {"statuses": (0, None)},  # both ids, with no status
+        {"draft_ids": (5, 3)},  # a filled slot with a draft id
+    ],
+)
+def test_a_status_null_where_an_id_is_not_or_not_null_where_one_is_is_trace_error(slots):
+    """Only a slot the filter filled has a null status, and it has no ids:
+    a record that says otherwise is refused with its line, so no metric
+    reads a judged slot without its ids or counts a fill that has them."""
+    lines = _episode_text().splitlines(keepends=True)
+    rec = json.loads(lines[2])
+    for field, (pos, value) in slots.items():
+        rec[field][pos] = value
+    text = "".join(lines[:2]) + json.dumps(rec) + "\n" + "".join(lines[3:])
+    message = "line 3: statuses must be null exactly where the ids are, got draft_ids "
+    with pytest.raises(TraceError, match="^" + re.escape(message)):
+        loads(text)
+    with pytest.raises(TraceError, match="^" + re.escape(message)):
+        reference_trace_loads(text)
+
+
+def test_what_a_record_derives_from_its_statuses():
+    trace = loads(_episode_text())
+    rec = trace.slices[0]
+    assert (rec.first_error_pos, rec.comp_fired, trace.comp_events) == (1, True, 3)
+    judged = rec._replace(statuses=("exact", "relaxed") + ("rejected",) * 5)
+    assert (judged.first_error_pos, judged.comp_fired) == (2, False)
+    clean = rec._replace(statuses=("exact",) * 7)
+    assert (clean.first_error_pos, clean.comp_fired) == (7, False)
 
 
 def test_non_object_line_is_trace_error():
