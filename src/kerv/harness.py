@@ -150,6 +150,85 @@ def pre_sample(cfg: RunConfig) -> Iterator[EpisodeTrace]:
             yield run_one_episode(cfg, suite_cfg, "fixed_relaxed", trial, None)
 
 
+def _selected(
+    cfg: RunConfig,
+    modes: Sequence[str] | None,
+    suites: Sequence[str] | None,
+    trials: int | None,
+) -> RunConfig:
+    """``cfg`` with ``modes``, ``suites`` (in the configured order) and
+    ``trials`` set where given, each checked by ``RunConfig`` and
+    ``SuiteConfig`` as a loaded file is."""
+    if modes is not None:
+        cfg = replace(cfg, modes=tuple(modes))
+    if suites is not None:
+        names = {cfg.suite(name).name for name in suites}  # an unknown name raises
+        cfg = replace(cfg, suites=tuple(s for s in cfg.suites if s.name in names))
+    if trials is not None:
+        cfg = replace(cfg, suites=tuple(replace(s, trials=trials) for s in cfg.suites))
+    return cfg
+
+
+def _kerv_table(cfg: RunConfig, table: CalibrationTable | None) -> CalibrationTable | None:
+    """The table kerv mode reads, loaded from ``cfg.table_path`` if none is
+    given, with every suite's row looked up; None where kerv does not run."""
+    if "kerv" not in cfg.modes:
+        return table
+    if table is None:
+        if not cfg.table_path:
+            raise ConfigError(
+                "kerv mode needs a calibration table: set threshold.table or pass one"
+            )
+        table = CalibrationTable.load(cfg.table_path)
+    for suite_cfg in cfg.suites:
+        threshold_mod.lookup(table, suite_cfg.name, cfg.robot)
+    return table
+
+
+def _decode_tasks(
+    suite_cfg: SuiteConfig,
+    arms: Sequence[tuple[RunConfig, str]],
+    table: CalibrationTable | None,
+) -> list[list[EpisodeTrace]]:
+    """Each (config, mode) arm's episodes of the suite's trials, in trial
+    order. A trial's arms are decoded back to back, so they all read the
+    plan the first one built, which is the last ``build_plan`` cached."""
+    decoded: list[list[EpisodeTrace]] = [[] for _ in arms]
+    for trial in range(suite_cfg.trials):
+        for (arm_cfg, mode), traces in zip(arms, decoded):
+            traces.append(run_one_episode(arm_cfg, suite_cfg, mode, trial, table))
+    return decoded
+
+
+def _suite_rows(
+    suite: str,
+    cm: CostModel,
+    naive: list[EpisodeTrace],
+    runs: Iterable[tuple[str, list[EpisodeTrace]]],
+) -> list[ReportRow]:
+    """A report row for each (mode, traces) run of a suite, its speedup
+    taken against the suite's ``naive`` episodes; none for zero trials."""
+    if not naive:
+        return []
+    base_latency = sum(modeled_latency(t, cm) for t in naive)
+    rows = []
+    for mode, traces in runs:
+        latency = sum(modeled_latency(t, cm) for t in traces)
+        rows.append(
+            ReportRow(
+                suite=suite,
+                mode=mode,
+                sr=success_rate(traces),
+                modeled_speedup=base_latency / latency if latency else 0.0,
+                afep=afep(traces),
+                avg_steps=mean_steps(traces),
+                avg_r=mean_r(traces),
+                comp_events=sum(t.comp_events for t in traces),
+            )
+        )
+    return rows
+
+
 def run_suite(
     cfg: RunConfig,
     *,
@@ -165,59 +244,25 @@ def run_suite(
     them as they check a loaded file, before any episode runs. The
     strict-acceptance baseline is always executed for each suite (even when
     not among the requested modes) because speedups are defined against it.
+
+    Suites run in config order, and within a suite task by task: each
+    trial's modes are decoded back to back (``_decode_tasks``), so a task's
+    plan is built once and read by no later task, and the one plan
+    ``build_plan`` caches is all a run needs.
+
     Returns the report plus all traces keyed by (suite, mode).
     """
-    if modes is not None:
-        cfg = replace(cfg, modes=tuple(modes))
-    if suites is not None:
-        names = {cfg.suite(name).name for name in suites}  # an unknown name raises
-        cfg = replace(cfg, suites=tuple(s for s in cfg.suites if s.name in names))
-    if trials is not None:
-        cfg = replace(cfg, suites=tuple(replace(s, trials=trials) for s in cfg.suites))
-
-    if "kerv" in cfg.modes:
-        if table is None:
-            if not cfg.table_path:
-                raise ConfigError(
-                    "kerv mode needs a calibration table: set threshold.table or pass one"
-                )
-            table = CalibrationTable.load(cfg.table_path)
-        # every row kerv reads is looked up before the first episode runs
-        for suite_cfg in cfg.suites:
-            threshold_mod.lookup(table, suite_cfg.name, cfg.robot)
-
+    cfg = _selected(cfg, modes, suites, trials)
+    table = _kerv_table(cfg, table)
     run_modes = tuple(m for m in MODES if m == "naive" or m in cfg.modes)
     all_traces: dict[tuple[str, str], list[EpisodeTrace]] = {}
-    for suite_cfg in cfg.suites:
-        for mode in run_modes:
-            all_traces[(suite_cfg.name, mode)] = [
-                run_one_episode(cfg, suite_cfg, mode, trial, table)
-                for trial in range(suite_cfg.trials)
-            ]
-
     rows: list[ReportRow] = []
     for suite_cfg in cfg.suites:
-        base = all_traces[(suite_cfg.name, "naive")]
-        if not base:
-            continue  # zero-trial suite contributes no rows
-        base_latency = sum(modeled_latency(t, cfg.cost) for t in base)
-        for mode in MODES:
-            if mode not in cfg.modes:
-                continue
-            traces = all_traces[(suite_cfg.name, mode)]
-            latency = sum(modeled_latency(t, cfg.cost) for t in traces)
-            rows.append(
-                ReportRow(
-                    suite=suite_cfg.name,
-                    mode=mode,
-                    sr=success_rate(traces),
-                    modeled_speedup=base_latency / latency if latency else 0.0,
-                    afep=afep(traces),
-                    avg_steps=mean_steps(traces),
-                    avg_r=mean_r(traces),
-                    comp_events=sum(t.comp_events for t in traces),
-                )
-            )
+        decoded = _decode_tasks(suite_cfg, [(cfg, mode) for mode in run_modes], table)
+        runs = list(zip(run_modes, decoded))
+        all_traces.update(((suite_cfg.name, mode), traces) for mode, traces in runs)
+        asked = [(mode, traces) for mode, traces in runs if mode in cfg.modes]
+        rows += _suite_rows(suite_cfg.name, cfg.cost, decoded[0], asked)
     return SuiteReport(rows=rows), all_traces
 
 
@@ -290,11 +335,18 @@ def sweep(
 ) -> list[tuple[float, ReportRow]]:
     """Hyperparameter sweep: n / ac / pl vary the adaptive mode, r varies the
     static relaxed threshold. Returns each swept value with a report row of
-    its run, one per suite.
+    its run, one per suite, in value order and then config order.
 
-    The swept field and the mode are set on the config in one ``replace``,
-    so every value is checked by ``RunConfig`` before any episode runs;
-    ``suites`` and ``trials`` are set and checked as ``run_suite`` sets them.
+    The mode, ``suites`` and ``trials`` are set on the config as
+    ``run_suite`` sets them, and each swept value on a copy of it, so
+    every value is checked by ``RunConfig`` before any episode runs.
+
+    Each task is decoded as ``run_suite`` decodes it, back to back
+    (``_decode_tasks``): its naive episode once, then one episode per swept
+    value. A naive episode reads none of the swept fields (``comp.n``,
+    ``kf.ac``, ``kf.pl``, ``threshold.fixed_r``), so one baseline serves
+    every value's speedup, and a task's episodes all read the one plan
+    ``build_plan`` caches. The rows are ``run_suite``'s (``_suite_rows``).
     """
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"sweep param must be one of {tuple(SWEEP_PARAMS)}, got {param!r}")
@@ -305,12 +357,17 @@ def sweep(
         bad = [v for v in values if not float(v).is_integer()]
         if bad:
             raise ConfigError(f"sweep {param} takes integer values, got {bad}")
-    run_cfgs = [replace(cfg, modes=(mode,), **{SWEEP_PARAMS[param]: cast(v)}) for v in values]
-    rows: list[tuple[float, ReportRow]] = []
-    for value, run_cfg in zip(values, run_cfgs):
-        report, _ = run_suite(run_cfg, suites=suites, trials=trials, table=table)
-        rows.extend((float(value), r) for r in report.rows)
-    return rows
+    base = _selected(cfg, (mode,), suites, trials)
+    arms = [(base, "naive")]
+    arms += [(replace(base, **{SWEEP_PARAMS[param]: cast(v)}), mode) for v in values]
+    table = _kerv_table(base, table)
+    rows: list[list[ReportRow]] = [[] for _ in values]
+    for suite_cfg in base.suites:
+        naive, *value_traces = _decode_tasks(suite_cfg, arms, table)
+        runs = [(mode, traces) for traces in value_traces]
+        for value_rows, row in zip(rows, _suite_rows(suite_cfg.name, base.cost, naive, runs)):
+            value_rows.append(row)
+    return [(float(value), row) for value, value_rows in zip(values, rows) for row in value_rows]
 
 
 _SWEEP_COLS = ("suite", "sr", "modeled_speedup", "afep", "avg_steps", "comp_events")

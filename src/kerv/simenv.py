@@ -17,16 +17,18 @@ relaxed threshold accepts and occasional large ones. ``check_key`` refuses
 a codec key on which a pose could leave the float range.
 
 A task (``TaskSpec``) holds what its plan is built from: the kind, the
-seed and the waypoints. ``build_plan`` caches the plan on the spec and the
-codec key, so every episode and mode of a task shares one build, and
-``SimEnv`` holds the plan and the episode's state (pose, step count,
-deviation, termination flags), so no per-slice call looks the plan up
-again. Each mode has one engine. A naive episode executes the plan, so
-``NoisyDrafter.plan_slices`` tracks and corrupts every plan step at once,
-as arrays. The closed loop of the other modes (``specdec.run_episode``)
-makes each position's truth, draft and move inline with the same rules,
-from the plan's poses as float rows (``SimEnv.pose_rows``) and the
-drafter's noise row (``NoisyDrafter.noise_row``), and ends each step with
+seed and the waypoints. ``build_plan`` caches the last plan it built, on
+the spec and the codec key; a run decodes a task's episodes back to back
+(``harness.run_suite`` and ``harness.sweep``), so they all share one build
+and no plan is kept past its task. ``SimEnv`` holds the plan and the
+episode's state (pose, step count, deviation, termination flags), so no
+per-slice call looks the plan up again. Each mode has one engine. A naive
+episode executes the plan, so ``NoisyDrafter.plan_slices`` tracks and
+corrupts every plan step at once, as arrays. The closed loop of the other
+modes (``specdec.run_episode``) makes each position's truth, draft and
+move inline with the same rules, from the plan's poses as float rows
+(``SimEnv.pose_rows``) and the drafter's noise row
+(``NoisyDrafter.noise_row``), and ends each step with
 ``SimEnv.arrive``. The per-oracle names stay as the layers of
 ``tests/oracles.py::reference_run_episode`` and as benchmark span targets:
 ``oracle_policy`` and ``PlanVerifier`` give one step's truth row,
@@ -236,15 +238,19 @@ def check_key(key: NormKey) -> None:
             )
 
 
-@functools.lru_cache(maxsize=512)
+@functools.lru_cache(maxsize=1)
 def build_plan(spec: TaskSpec, key: NormKey) -> Plan:
     """The quantized ground-truth plan of a task: the pose tracks a spline
     through the waypoints, one ``_track_rows`` row and ``_advance`` per
     step, computed for all steps at once by guess and confirm
     (``_quantize``).
-    The plan is cached on the spec and key (``build_plan.cache_clear()``
-    empties the cache), and its poses are read-only, since the cache hands
-    them to every episode and mode of the task.
+    The last plan built is cached on the spec and key
+    (``build_plan.cache_clear()`` empties the cache), and its poses are
+    read-only, since the cache hands them to every episode and mode of the
+    task. One plan is enough: ``harness.run_suite`` decodes each task's
+    modes back to back, and ``harness.sweep`` a task's naive episode and
+    then each swept value's, so no caller comes back to a task once it has
+    moved on, and a larger cache would only hold plans nothing reads again.
 
     The confirmation is exact whatever the guess. It decodes the guessed
     tokens with ``token_to_action``'s own expression and sums them onto the

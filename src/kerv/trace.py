@@ -29,13 +29,18 @@ float field takes an integer), a per-position field that is not a list of
 a status outside its set, or the constant ``NaN`` (``Infinity`` loads: an
 overflowing deviation is written as one); or when it holds a value outside
 its range: a negative trial, step count or deviation, or a record value
-outside its bounds. A record is then refused where a status is null but an
-id is not, or the reverse (``_judged_mismatch``). A header mode outside
-``MODES`` or kind outside ``simenv.KINDS`` is rejected after its fields.
-``load`` puts the file's path in front of the error, as it does for a file
-that is not UTF-8 text. Traces and calibration tables are written
-atomically (a temporary file in the target directory, then
-``os.replace``), so a reader sees the old file or the whole new one.
+outside its bounds. A header, record or summary that holds a key it does
+not define is refused once its fields pass, with the unknown keys sorted;
+so is a header or summary line with a key besides ``episode`` or
+``summary``, before the object it holds is read. So a record of an older
+format, which also stored what its statuses give, never loads. A record
+is then refused where a status is null but an id is not, or the reverse
+(``_judged_mismatch``). A header mode outside ``MODES`` or kind outside
+``simenv.KINDS`` is rejected after its fields. ``load`` puts the file's
+path in front of the error, as it does for a file that is not UTF-8 text.
+Traces and calibration tables are written atomically (a temporary file in
+the target directory, then ``os.replace``), so a reader sees the old file
+or the whole new one.
 """
 
 import json
@@ -289,7 +294,15 @@ def _checked(obj, part: str, checks: tuple, lineno: int) -> list:
         elif bounds is not None and not bounds[0] <= value <= bounds[1]:
             raise TraceError(f"line {lineno}: {part} {name} must be {bounds[2]}, got {value!r}")
         values.append(value)
+    if len(obj) != len(checks):  # every field was found, so the rest are unknown
+        raise _unknown_keys(obj, [check[0] for check in checks], part, lineno)
     return values
+
+
+def _unknown_keys(obj: dict, names, part: str, lineno: int) -> TraceError:
+    """The error that names, sorted, the keys of ``obj`` outside ``names``."""
+    unknown = sorted(set(obj).difference(names))
+    return TraceError(f"line {lineno}: {part} has unknown keys {unknown}")
 
 
 def loads(text: str) -> EpisodeTrace:
@@ -310,6 +323,8 @@ def loads(text: str) -> EpisodeTrace:
             if "episode" in obj:
                 if trace is not None:
                     raise TraceError(f"line {lineno}: second episode header")
+                if len(obj) != 1:
+                    raise _unknown_keys(obj, ("episode",), "episode line", lineno)
                 values = _checked(obj["episode"], "episode", _HEADER_CHECKS, lineno)
                 m = dict(zip(_HEADER_FIELDS, values))
                 for name, known in (("mode", MODES), ("kind", KINDS)):
@@ -321,6 +336,8 @@ def loads(text: str) -> EpisodeTrace:
             elif "summary" in obj:
                 if trace is None:
                     raise TraceError(f"line {lineno}: summary before episode header")
+                if len(obj) != 1:
+                    raise _unknown_keys(obj, ("summary",), "summary line", lineno)
                 values = _checked(obj["summary"], "summary", _SUMMARY_CHECKS, lineno)
                 for name, value in zip(_SUMMARY_FIELDS, values):
                     setattr(trace, name, value)

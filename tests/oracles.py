@@ -645,7 +645,9 @@ def reference_trace_dumps(trace):
 # with their tables copied here. The scalar type tables are written out, as
 # the loader read them from string annotations the record type no longer
 # has. The tables follow the 9-field record, and ``_check_judged`` walks the
-# slots one at a time where the library counts nulls.
+# slots one at a time where the library counts nulls. ``_check_known`` was
+# added later, with the library's rule that a line names no key it does not
+# define; it lists the keys one at a time where the library compares counts.
 _HEADER_FIELDS = ("suite", "kind", "mode", "robot", "trial", "seed")
 _SUMMARY_FIELDS = ("success", "steps", "deviation", "plan_steps")
 _SLOT_FIELDS = ("draft_ids", "true_ids", "statuses", "tokens")
@@ -743,6 +745,13 @@ def _check_slots(obj: dict, lineno: int) -> None:
         raise TraceError(f"line {lineno}: unknown status in {statuses!r}")
 
 
+def _check_known(obj: dict, names: tuple, part: str, lineno: int) -> None:
+    """No key of a line's ``part`` outside ``names``; the others are named, sorted."""
+    unknown = sorted(key for key in obj if key not in names)
+    if unknown:
+        raise TraceError(f"line {lineno}: {part} has unknown keys {unknown}")
+
+
 def _check_judged(obj: dict, lineno: int) -> None:
     """Each slot judged (both ids and a status) or filled (none of them),
     one slot at a time."""
@@ -774,8 +783,10 @@ def reference_trace_loads(text: str) -> EpisodeTrace:
             if "episode" in obj:
                 if trace is not None:
                     raise TraceError(f"line {lineno}: second episode header")
+                _check_known(obj, ("episode",), "episode line", lineno)
                 m = obj["episode"]
                 _check_scalars(m, "episode", _HEADER_TYPES, lineno)
+                _check_known(m, _HEADER_FIELDS, "episode", lineno)
                 for name, known in (("mode", MODES), ("kind", KINDS)):
                     if m[name] not in known:
                         raise TraceError(
@@ -785,8 +796,10 @@ def reference_trace_loads(text: str) -> EpisodeTrace:
             elif "summary" in obj:
                 if trace is None:
                     raise TraceError(f"line {lineno}: summary before episode header")
+                _check_known(obj, ("summary",), "summary line", lineno)
                 s = obj["summary"]
                 _check_scalars(s, "summary", _SUMMARY_TYPES, lineno)
+                _check_known(s, _SUMMARY_FIELDS, "summary", lineno)
                 for name in _SUMMARY_FIELDS:
                     setattr(trace, name, s[name])
                 summarized = True
@@ -795,6 +808,7 @@ def reference_trace_loads(text: str) -> EpisodeTrace:
                     raise TraceError(f"line {lineno}: slice record before episode header")
                 _check_slots(obj, lineno)
                 _check_scalars(obj, "record", _RECORD_TYPES, lineno)
+                _check_known(obj, TRACE_RECORD_FIELDS, "record", lineno)
                 _check_judged(obj, lineno)
                 trace.slices.append(_record_from_dict(obj))
         except KeyError as exc:

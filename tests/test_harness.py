@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from kerv import cli, harness
+from kerv import cli, harness, simenv
 from kerv.config import ConfigError, CostModel, default_config, default_config_text, load, loads
 from kerv.harness import (
     SuiteReport,
@@ -418,6 +418,40 @@ def test_sweep_r_uses_fixed_mode(small_cfg):
     rows = sweep(small_cfg, "r", [9, 15], suites=("goal",), trials=2)
     assert [value for value, _ in rows] == [9.0, 15.0]
     assert all(row.mode == "fixed_relaxed" for _, row in rows)
+
+
+def test_run_suite_builds_each_tasks_plan_once_and_keeps_one(small_cfg, small_table, monkeypatch):
+    """A task's modes are decoded back to back, so its plan is built once
+    (one spline fit) and only the last task's plan stays cached."""
+    fits = []
+    real = simenv._clamped_spline
+    monkeypatch.setattr(simenv, "_clamped_spline", lambda *a: fits.append(a) or real(*a))
+    row = small_table.rows[("goal", "sim7dof")]
+    table = CalibrationTable({(name, "sim7dof"): row for name in ("goal", "object")})
+    simenv.build_plan.cache_clear()
+    report, traces = run_suite(small_cfg, suites=("goal", "object"), trials=3, table=table)
+    assert [(r.suite, r.mode) for r in report.rows] == [
+        (suite, mode) for suite in ("goal", "object") for mode in ("naive", "fixed_relaxed", "kerv")
+    ]
+    assert sum(map(len, traces.values())) == 18
+    assert len(fits) == 6
+    assert simenv.build_plan.cache_info().currsize <= 1
+
+
+def test_sweep_decodes_each_tasks_naive_episode_once(small_cfg, monkeypatch):
+    """The naive baseline of a task is decoded once for all swept values,
+    and each value's rows are those ``run_suite`` gives at that value."""
+    naive = []
+    real = harness.run_strict_episode
+    monkeypatch.setattr(harness, "run_strict_episode", lambda *a: naive.append(a) or real(*a))
+    rows = sweep(small_cfg, "r", [5, 9, 15], trials=2)
+    assert len(naive) == 8  # 4 suites x 2 trials
+    monkeypatch.undo()
+    for r in (5, 9, 15):
+        report, _ = run_suite(
+            replace(small_cfg, fixed_r=float(r)), modes=("fixed_relaxed",), trials=2
+        )
+        assert [row for value, row in rows if value == r] == report.rows
 
 
 def test_sweep_rejects_unknown_param(small_cfg):

@@ -74,6 +74,8 @@ _FIELD_MUTATIONS = {
     "6 or 8 slots": ((list,), [6, 8]),
     "an unknown or mistyped slot": ((list,), ["bogus", "kf", None, True, 1.0, "1", [1], {}]),
     "an unknown header string": ((str,), ["bogus", "literal", "teleport"]),
+    # fields that records and summaries once stored, and misspelled ones
+    "an unknown key": (None, ["first_error_pos", "comp_fired", "comp_events", "sucess", "Mode"]),
 }
 _LINE_MUTATIONS = ["a non-object line", "a second header"]
 
@@ -83,9 +85,9 @@ _LINE_MUTATIONS = ["a non-object line", "a second header"]
 @settings(max_examples=25, deadline=None)
 def test_loads_agrees_with_the_reference_loader_on_a_mutated_line(how, trace, data):
     """One line of a valid trace is mutated: one field as ``_FIELD_MUTATIONS``
-    says, the line replaced by a non-object, or a second header inserted
-    after it. Both loaders return equal traces, or both raise ``TraceError``
-    with the same message."""
+    says (or a key added beside it), the line replaced by a non-object, or a
+    second header inserted after it. Both loaders return equal traces, or
+    both raise ``TraceError`` with the same message."""
     lines = trace.dumps().splitlines(keepends=True)
     if how in _LINE_MUTATIONS:
         i = data.draw(st.integers(0, len(lines) - 1), label="line")
@@ -112,6 +114,9 @@ def test_loads_agrees_with_the_reference_loader_on_a_mutated_line(how, trace, da
             part[name] = (part[name] * 2)[:value]
         elif how == "an unknown or mistyped slot":
             part[name][data.draw(st.integers(0, 6), label="slot")] = value
+        elif how == "an unknown key":
+            # on the header or summary object, or on the line that holds it
+            data.draw(st.sampled_from([part, objs[i]]), label="object")[value] = 0
         else:
             part[name] = value
         lines[i] = json.dumps(objs[i]) + "\n"
@@ -195,6 +200,48 @@ def test_record_missing_a_field_is_trace_error():
     assert summary != lines[-1]
     with pytest.raises(TraceError, match="line 5: record has no 'plan_steps' field"):
         loads("".join(lines[:-1]) + summary)
+
+
+def test_record_of_the_fourteen_field_format_is_refused():
+    """A record that also stores what its statuses give (``first_error_pos``,
+    ``sources``, ``comp_fired``), its index (``step``) and a copy of its verify
+    calls (``draft_calls``), as records once did, is refused by name, as is a
+    summary that stores its ``comp_events``; without them the stream loads."""
+    lines = _episode_text().splitlines(keepends=True)
+    old_fields = {
+        "step": 0, "first_error_pos": 1, "sources": ["draft", "verify_corrected"] + ["kf"] * 5,
+        "comp_fired": True, "draft_calls": 1,
+    }
+    old_record = json.dumps({**json.loads(lines[1]), **old_fields}, sort_keys=True) + "\n"
+    old_summary = json.dumps({"summary": {**json.loads(lines[-1])["summary"], "comp_events": 3}})
+    record_message = (
+        "line 3: record has unknown keys "
+        "['comp_fired', 'draft_calls', 'first_error_pos', 'sources', 'step']"
+    )
+    summary_message = "line 5: summary has unknown keys ['comp_events']"
+    for load_text in (loads, reference_trace_loads):
+        with pytest.raises(TraceError, match=re.escape(record_message)):
+            load_text("".join(lines[:2] + [old_record] + lines[3:]))
+        with pytest.raises(TraceError, match=re.escape(summary_message)):
+            load_text("".join(lines[:-1]) + old_summary + "\n")
+        assert load_text("".join(lines)).steps == 3
+
+
+@pytest.mark.parametrize(
+    "lineno, edit, message",
+    [
+        (1, lambda obj: obj["episode"].update(robto=""), "episode has unknown keys ['robto']"),
+        (1, lambda obj: obj.update(sumary={}), "episode line has unknown keys ['sumary']"),
+        (5, lambda obj: obj.update(z=0, x=1), "summary line has unknown keys ['x', 'z']"),
+    ],
+)
+def test_header_or_summary_with_a_key_it_does_not_define_is_trace_error(lineno, edit, message):
+    lines = _episode_text().splitlines(keepends=True)
+    obj = json.loads(lines[lineno - 1])
+    edit(obj)
+    lines[lineno - 1] = json.dumps(obj) + "\n"
+    with pytest.raises(TraceError, match=re.escape(f"line {lineno}: {message}")):
+        loads("".join(lines))
 
 
 @pytest.mark.parametrize(
