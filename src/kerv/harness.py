@@ -171,7 +171,8 @@ def _selected(
 
 def _kerv_table(cfg: RunConfig, table: CalibrationTable | None) -> CalibrationTable | None:
     """The table kerv mode reads, loaded from ``cfg.table_path`` if none is
-    given, with every suite's row looked up; None where kerv does not run."""
+    given, with every suite's row looked up before any episode runs; where
+    kerv does not run, ``table`` as given."""
     if "kerv" not in cfg.modes:
         return table
     if table is None:
