@@ -3,7 +3,9 @@
 Episode latency is modeled, not measured: each slice contributes its verify
 and draft calls at configured per-call costs, plus a filter-predict and a
 host round-trip charge when compensation fired, plus the per-slice
-threshold-adjustment charge. Every output is deterministic for fixed seeds.
+threshold-adjustment charge. Every output is deterministic for fixed seeds,
+and float totals and means are added left to right (``_fold``), so they do
+not depend on the interpreter either.
 
 Each mode has one engine, which reads the simulator's plan and the
 drafter's noise rows itself. A naive episode is decoded open-loop
@@ -12,7 +14,10 @@ exactly the verifier's tokens, which track the plan, and ``build_plan``
 guarantees that the plan's tokens reproduce its poses bit for bit. The
 other modes run the closed loop (``specdec.run_episode``), one pass per
 step over the slice's positions: each position's truth, draft, judgement,
-action and move of the pose are made together, with no oracle call. The
+action and move of the pose are made together, with no oracle call. A
+``fixed_relaxed`` episode (the calibration pre-sample's mode) first
+decodes its plan steps in one array pass, and the loop takes over at the
+pass's first wrong guess, at the latest past the plan. The
 per-oracle names (``oracle_policy``, ``NoisyDrafter.draft``,
 ``PlanVerifier.verify``, ``SimEnv.step``) stay as the layers of
 ``tests/oracles.py::reference_run_episode``, which checks both engines,
@@ -56,9 +61,18 @@ def afep(traces: Iterable[EpisodeTrace]) -> float:
     return sum(firsts) / len(firsts)
 
 
+def _fold(values: Iterable[float]) -> float:
+    """The sum of ``values`` added left to right, as on every interpreter:
+    ``sum()`` of floats is compensated from Python 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def mean_r(traces: Sequence[EpisodeTrace]) -> float:
     rs = [rec.r for t in traces for rec in t.slices]
-    return sum(rs) / len(rs) if rs else 0.0
+    return _fold(rs) / len(rs) if rs else 0.0
 
 
 def success_rate(traces: Sequence[EpisodeTrace]) -> float:
@@ -211,10 +225,10 @@ def _suite_rows(
     taken against the suite's ``naive`` episodes; none for zero trials."""
     if not naive:
         return []
-    base_latency = sum(modeled_latency(t, cm) for t in naive)
+    base_latency = _fold(modeled_latency(t, cm) for t in naive)
     rows = []
     for mode, traces in runs:
-        latency = sum(modeled_latency(t, cm) for t in traces)
+        latency = _fold(modeled_latency(t, cm) for t in traces)
         rows.append(
             ReportRow(
                 suite=suite,

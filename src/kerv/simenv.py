@@ -29,10 +29,16 @@ modes (``specdec.run_episode``) makes each position's truth, draft and
 move inline with the same rules, from the plan's poses as float rows
 (``SimEnv.pose_rows``) and the drafter's noise row
 (``NoisyDrafter.noise_row``), and ends each step with
-``SimEnv.arrive``. The per-oracle names stay as the layers of
-``tests/oracles.py::reference_run_episode`` and as benchmark span targets:
-``oracle_policy`` and ``PlanVerifier`` give one step's truth row,
-``NoisyDrafter.draft`` its draft row, and ``SimEnv.step`` moves the env.
+``SimEnv.arrive``. Before the loop, a ``fixed_relaxed`` episode's array
+pass guesses its plan steps from the plan's tokens (``Plan.tokens``) and
+the drafter's plan rows, and takes the steps it confirms with
+``SimEnv.arrive_steps``. The env adds every float sum left to right, as
+the array pass's ``np.cumsum`` does, on every interpreter (``sum()`` of
+floats is compensated from Python 3.12). The per-oracle names stay as the
+layers of ``tests/oracles.py::reference_run_episode`` and as benchmark
+span targets: ``oracle_policy`` and ``PlanVerifier`` give one step's truth
+row, ``NoisyDrafter.draft`` its draft row, and ``SimEnv.step`` moves the
+env.
 
 The draft noise of step t is a fixed run of draws from a SplitMix64
 counter stream keyed by (noise seed, task seed), so it depends on nothing
@@ -41,8 +47,9 @@ and any run of rows can be drawn on its own. It does not depend on the
 trajectory (only the clamp at the vocabulary edge reads the truth token),
 so ``noise_rows`` draws the error mask and signed offsets of a whole run of
 steps in one vectorised pass: ``NoisyDrafter`` draws the plan's rows as two
-arrays when it is made, and the closed loop makes per-step lists of them on
-its first row and draws the rows past the plan when it reaches them.
+arrays when it is made, which the open-loop decoder and the array pass
+read whole, and the closed loop makes per-step lists of them on its first
+row and draws the rows past the plan when it reaches them.
 ``tests/oracles.py::reference_noise_row`` replays the stream one draw at a
 time with Python ints and guards the match bit for bit.
 
@@ -169,9 +176,10 @@ class DraftNoiseModel:
 @dataclass(frozen=True)
 class Plan:
     """Token-quantized ground-truth trajectory derived from a TaskSpec; its
-    poses are read-only."""
+    poses and tokens are read-only."""
 
     poses: np.ndarray  # (T+1, 7); gripper channel holds the latched state
+    tokens: np.ndarray  # (T, 7) ints: step t's tokens, which move pose t to pose t + 1
     deviation_budget: float  # a share of the motion channels' L1 arc length
     goal: tuple[float, float, float]  # the position of the last pose
     max_steps: int  # the step at which an unfinished episode ends
@@ -245,12 +253,13 @@ def build_plan(spec: TaskSpec, key: NormKey) -> Plan:
     step, computed for all steps at once by guess and confirm
     (``_quantize``).
     The last plan built is cached on the spec and key
-    (``build_plan.cache_clear()`` empties the cache), and its poses are
-    read-only, since the cache hands them to every episode and mode of the
-    task. One plan is enough: ``harness.run_suite`` decodes each task's
-    modes back to back, and ``harness.sweep`` a task's naive episode and
-    then each swept value's, so no caller comes back to a task once it has
-    moved on, and a larger cache would only hold plans nothing reads again.
+    (``build_plan.cache_clear()`` empties the cache), and its poses and
+    tokens are read-only, since the cache hands them to every episode and
+    mode of the task. One plan is enough: ``harness.run_suite`` decodes
+    each task's modes back to back, and ``harness.sweep`` a task's naive
+    episode and then each swept value's, so no caller comes back to a task
+    once it has moved on, and a larger cache would only hold plans nothing
+    reads again.
 
     The confirmation is exact whatever the guess. It decodes the guessed
     tokens with ``token_to_action``'s own expression and sums them onto the
@@ -267,12 +276,14 @@ def build_plan(spec: TaskSpec, key: NormKey) -> Plan:
     A key that ``check_key`` refuses raises its ``CodecError``.
     """
     check_key(key)
-    poses, actions, _ = _quantize(_targets(spec.kind, spec.seed, spec.waypoints), key)
+    poses, actions, tokens = _quantize(_targets(spec.kind, spec.seed, spec.waypoints), key)
     poses.flags.writeable = False
+    tokens.flags.writeable = False
 
     path_length = float(np.abs(actions[:, :GRIPPER_DOF]).sum())
     return Plan(
         poses=poses,
+        tokens=tokens,
         deviation_budget=DEVIATION_BUDGET_FRAC * path_length,
         goal=tuple(poses[-1, :3].tolist()),
         max_steps=2 * (len(poses) - 1),
@@ -567,7 +578,9 @@ class SimEnv:
             raise EnvStateError("environment is done; no further steps")
         pose = _advance(self.pose, actions)
         ref = self.pose_rows[min(self.t + 1, self.plan.steps)]
-        gap = sum([abs(p - q) for p, q in zip(pose[:GRIPPER_DOF], ref)])
+        gap = 0.0  # summed left to right: sum() of floats is compensated from Python 3.12
+        for p, q in zip(pose[:GRIPPER_DOF], ref):
+            gap += abs(p - q)
         if pose[GRIPPER_DOF] != ref[GRIPPER_DOF]:
             gap += 2.0
         self.arrive(tuple(pose), gap)
@@ -583,8 +596,13 @@ class SimEnv:
         self.deviation += gap
 
         if t >= plan.steps:
+            goal = plan.goal
             try:
-                dist = math.sqrt(sum((pose[d] - plan.goal[d]) ** 2 for d in range(3)))
+                # left to right, as on every interpreter: not sum(), which
+                # is compensated from Python 3.12
+                dist = math.sqrt(
+                    (pose[0] - goal[0]) ** 2 + (pose[1] - goal[1]) ** 2 + (pose[2] - goal[2]) ** 2
+                )
             except OverflowError:  # a square past the float range: far off the goal
                 dist = math.inf
             if dist <= SUCCESS_TOLERANCE:
@@ -592,6 +610,24 @@ class SimEnv:
                 self.succeeded = self.deviation <= plan.deviation_budget
         if t >= plan.max_steps:
             self.done = True
+
+    def arrive_steps(self, pose: tuple[float, ...], gaps: list[float]) -> None:
+        """Take one step per gap, as ``arrive`` takes them, the last to
+        ``pose``: the steps ``specdec.run_episode``'s array pass confirms.
+        Every step but the last must end before the plan's last step, where
+        ``arrive`` adds the gap and nothing else, so the deviation is folded
+        in step order and only the last step's termination is checked."""
+        if self.done or not 0 < len(gaps) <= self.plan.steps - self.t:
+            raise EnvStateError(
+                f"{len(gaps)} steps from step {self.t} do not end inside the "
+                f"{self.plan.steps}-step plan"
+            )
+        deviation = self.deviation
+        for gap in gaps[:-1]:
+            deviation += gap
+        self.deviation = deviation
+        self.t += len(gaps) - 1
+        self.arrive(pose, gaps[-1])
 
 
 class PlanVerifier:
@@ -614,11 +650,13 @@ class NoisyDrafter:
     draft row per env step.
 
     The noise rows (``noise_rows``) of the plan's steps are drawn when the
-    drafter is made and kept as the two (steps, 7) arrays. Strict decoding
-    reads them whole (``plan_slices``). The closed loop reads row t at step
-    t (``noise_row``), from per-step lists that its first read makes of the
-    arrays; the rows of the later steps below the plan's ``max_steps`` are
-    drawn in one more pass only if the episode runs past the plan.
+    drafter is made and kept as the two (steps, 7) arrays ``plan_errs`` and
+    ``plan_offsets``. Strict decoding (``plan_slices``) and the array pass
+    of ``specdec.run_episode`` read them whole. The closed loop reads row t
+    at step t (``noise_row``), from per-step lists that its first read
+    makes of the arrays; the rows of the later steps below the plan's
+    ``max_steps`` are drawn in one more pass only if the episode runs past
+    the plan.
     ``draft`` applies row t to the oracle's tokens at step t
     (``_corrupt_rows``), as the per-oracle reference of the closed loop's
     draft tokens.
@@ -627,7 +665,8 @@ class NoisyDrafter:
     def __init__(self, env: SimEnv, noise: DraftNoiseModel) -> None:
         self.env = env
         self.noise = noise
-        self._errs, self._offsets = noise_rows(noise, env.spec.seed, 0, env.plan.steps)
+        # the noise rows of the plan's steps, (steps, 7) each
+        self.plan_errs, self.plan_offsets = noise_rows(noise, env.spec.seed, 0, env.plan.steps)
         self._rows: list[tuple[list[bool], list[int]]] = []  # (errs, offsets) per step
         self._vmax = env.key.vocab_size - 1
 
@@ -659,7 +698,7 @@ class NoisyDrafter:
         env = self.env
         poses = env.plan.poses
         truths = _track_rows(poses[1:], poses[:-1], env.key)
-        drafts = _corrupt_rows(truths, self._errs, self._offsets, self._vmax)
+        drafts = _corrupt_rows(truths, self.plan_errs, self.plan_offsets, self._vmax)
         misses = (drafts != truths) @ _POS_BITS
         return (
             list(map(tuple, truths.tolist())),
@@ -672,7 +711,7 @@ class NoisyDrafter:
         draw the rows of the steps past the plan, up to its ``max_steps``,
         if step ``t`` is one of them."""
         if not self._rows:
-            self._rows = list(zip(self._errs.tolist(), self._offsets.tolist()))
+            self._rows = list(zip(self.plan_errs.tolist(), self.plan_offsets.tolist()))
         if t >= len(self._rows):
             errs, offsets = noise_rows(
                 self.noise, self.env.spec.seed, len(self._rows), self.env.plan.max_steps

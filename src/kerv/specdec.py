@@ -31,11 +31,19 @@ follows from where its draft misses, through a table that
 
 ``run_episode`` decodes a ``fixed_relaxed`` or ``kerv`` episode in the
 closed loop, reading its engine parameters straight from the run's
-``RunConfig``. Each step is one pass over the seven positions: a
-position's truth token (the plan-tracking verifier's), its draft token
+``RunConfig``. Each step of the loop is one pass over the seven positions:
+a position's truth token (the plan-tracking verifier's), its draft token
 (that truth corrupted by the drafter's noise row), its judgement, action
 and variability, and its move of the pose are made together, and the step
-ends as ``SimEnv.step`` ends one.
+ends as ``SimEnv.step`` ends one. A ``fixed_relaxed`` episode, whose
+threshold never moves and which never compensates, first decodes its plan
+steps in one array pass (``_plan_pass``), by guess and confirm as
+``simenv.build_plan`` builds a plan: every step's truth row is guessed
+from the plan's tokens and the offsets the step before executed, every
+draft, judgement, action and pose follows at once, and tracking the
+replayed poses again confirms the steps up to the first wrong guess. The
+loop decodes every step from there, which covers every step past the
+plan; a ``kerv`` episode runs the loop alone.
 
 The per-oracle names stay as the layers of
 ``tests/oracles.py::reference_run_episode``, which checks both engines,
@@ -52,6 +60,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
 from . import threshold as threshold_mod
 from .codec import (
     GRIPPER_DOF,
@@ -63,7 +73,7 @@ from .codec import (
     token_to_action,
 )
 from .kinematics import KfBank, accumulate_kvar
-from .simenv import _latch
+from .simenv import _POS_BITS, GRIPPER_FLIP_LEVEL, _corrupt_rows, _latch, _track_rows
 from .threshold import CalibrationRow
 from .trace import EXACT, REJECTED, RELAXED, EpisodeTrace, SliceRecord
 
@@ -287,19 +297,27 @@ def run_episode(
     ``cfg.fixed_r``, ``cfg.comp_n`` (cooldown slices), ``cfg.pl``,
     ``cfg.ac``, ``cfg.kf_params`` and ``cfg.key``.
 
-    Each step is one pass over the slice's seven positions. A position
-    takes its truth token (``simenv._track_rows``' expression, toward the
-    plan's pose t + 1 from the current pose), its draft token
+    A ``fixed_relaxed`` episode first decodes its plan steps in one array
+    pass (``_plan_pass``), which guesses every step's truth row, derives
+    the rest of each step from it with the loop's own float operations,
+    and keeps the steps up to its first wrong guess, which tracking the
+    replayed poses again finds; ``SimEnv.arrive_steps`` takes them. The
+    loop decodes every later step, so a guess that misses inside the plan
+    costs one pass, never more.
+
+    Each step of the loop is one pass over the slice's seven positions. A
+    position takes its truth token (``simenv._track_rows``' expression,
+    toward the plan's pose t + 1 from the current pose), its draft token
     (``simenv._corrupt_rows``' rule on the drafter's noise row t), its
     judgement and action (``decode_slice_sd``'s rule, filling the positions
     after a first-round rejection from ``KfBank.predict`` when the bank is
     handed over), and its move of the pose (``simenv._advance``); the step
     then records its deviation from the plan and the termination flags as
     ``SimEnv.step`` does. The per-oracle loop
-    (``tests/oracles.py::reference_run_episode``) is the reference this
-    pass is tested against, trace and final env alike. The config's key
-    passed ``simenv.check_key`` when the env's plan was built, so every
-    pose is finite and no gap is NaN.
+    (``tests/oracles.py::reference_run_episode``) is the reference the
+    array pass and the loop are tested against, trace and final env alike.
+    The config's key passed ``simenv.check_key`` when the env's plan was
+    built, so every pose is finite and no gap is NaN.
 
     ``env`` must be fresh (no step taken), and ``draft`` bound to it and
     ``cfg.key`` equal to its key; ``EngineError`` otherwise. The trace's
@@ -324,6 +342,9 @@ def run_episode(
     kvar_cum = 0.0
     cooldown = 0
     records: list[SliceRecord] = []
+
+    if not kerv:
+        records, kvar_cum = _plan_pass(env, draft, r, cfg.depth)
 
     key = env.key
     vocab = key.vocab_size
@@ -456,6 +477,133 @@ def run_episode(
         deviation=env.deviation,
         plan_steps=plan.steps,
     )
+
+
+# a judged position's status is digit p, in base 3, of its step's status code
+_STATUS_NAMES = (EXACT, RELAXED, REJECTED)
+_STATUS_DIGITS = 3 ** np.arange(N_DOF)
+# status code -> the statuses it stands for, filled as codes appear (at most 3**7)
+_STATUS_ROWS: dict[int, tuple[str, ...]] = {}
+
+
+def _status_row(code: int) -> tuple[str, ...]:
+    """The statuses of a status code, cached."""
+    row = _STATUS_ROWS[code] = tuple(_STATUS_NAMES[code // 3**p % 3] for p in range(N_DOF))
+    return row
+
+
+def _plan_pass(
+    env: SimEnv, draft: NoisyDrafter, r: float, depth: int
+) -> tuple[list[SliceRecord], float]:
+    """The records of a ``fixed_relaxed`` episode's plan steps that one
+    array pass confirms, and their summed variability; ``env`` is left
+    after the last of them, and the loop decodes the rest.
+
+    The pass guesses every step's truth row, as ``simenv._quantize``
+    guesses a plan. The verifier re-targets the plan on every step, so a
+    step starts from the plan's pose moved by the offsets the step before
+    executed, and a motion truth is the plan's token less that offset; the
+    gripper's state is latched, not summed, so its truth is the plan's. An
+    executed offset is guessed as the drafter's offset wherever the
+    threshold accepts it. Step 0 has no step before it and starts from the
+    plan's start pose. The drafts (``_corrupt_rows``), judgements, actions
+    and kinematic variability of every step then follow at once, each with
+    the loop's float operations, and the poses are the start pose plus the
+    running sum of the actions (``np.cumsum``, which makes the loop's adds
+    in the loop's order), with the gripper latched at each flip.
+
+    Tracking each replayed pose again (``_track_rows``) confirms the guess
+    up to its first miss, as ``simenv.build_plan`` describes: step 0
+    starts from the exact pose, and a step whose guessed truth is the
+    tracked one leaves the exact pose for the next. Past the plan the
+    target stands still while the reachable lattice moves half a bin per
+    step, so no guess holds there, and the pass stops at the plan's end.
+    """
+    plan = env.plan
+    key = env.key
+    n = plan.steps
+    vocab = key.vocab_size
+    top = vocab - 1
+    lo, hi = np.array(key.lo), np.array(key.hi)
+    span = hi - lo
+    motion = slice(None, GRIPPER_DOF)
+    errs, offsets = draft.plan_errs, draft.plan_offsets
+
+    truths = plan.tokens.copy()
+    executed = np.where(errs & (np.abs(offsets) <= r), offsets, 0)
+    truths[1:, motion] -= executed[:-1, motion]
+    np.clip(truths, 0, top, out=truths)
+    drafts = _corrupt_rows(truths, errs, offsets, top)
+    dist = np.abs(drafts - truths)
+    rejected = dist > r
+    relaxed = (dist != 0) & ~rejected
+    tokens = np.where(rejected, truths, drafts)
+    actions = lo + span * (tokens + 0.5) / vocab  # token_to_action's expression
+    masses = np.where(relaxed, np.abs(lo + span * (truths + 0.5) / vocab - actions), 0.0)
+
+    poses = np.empty((n + 1, N_DOF))
+    poses[0] = env.pose
+    moves = actions[:, motion].copy()
+    moves[0] += poses[0, motion]
+    np.cumsum(moves, axis=0, out=poses[1:, motion])
+    # _latch: the gripper holds the sign of the last command past the flip level
+    commands = actions[:, GRIPPER_DOF]
+    flips = np.where(np.abs(commands) > GRIPPER_FLIP_LEVEL, np.arange(n), -1)
+    last_flip = np.maximum.accumulate(flips)
+    poses[1:, GRIPPER_DOF] = np.where(
+        last_flip >= 0, np.copysign(1.0, commands[last_flip]), poses[0, GRIPPER_DOF]
+    )
+
+    targets = plan.poses[1:]
+    wrong = (_track_rows(targets, poses[:-1], key) != truths).any(axis=1)
+    confirmed = int(wrong.argmax()) if wrong.any() else n
+    if confirmed == 0:
+        return [], 0.0
+
+    kept = slice(None, confirmed)
+    with np.errstate(over="ignore"):  # a gap past the float range is infinite, as in the loop
+        gaps = np.abs(poses[1 : confirmed + 1, motion] - targets[kept, motion]).cumsum(axis=1)[:, -1]
+        gaps += np.where(poses[1 : confirmed + 1, GRIPPER_DOF] != targets[kept, GRIPPER_DOF], 2.0, 0.0)
+    round_counts = _round_counts(depth)
+    rows = _STATUS_ROWS
+    records = []
+    kvar_cum = 0.0
+    for drafted, truth, code, executed_row, kvar, missed in zip(
+        map(tuple, drafts[kept].tolist()),
+        map(tuple, truths[kept].tolist()),
+        ((relaxed[kept] + 2 * rejected[kept]) @ _STATUS_DIGITS).tolist(),
+        map(tuple, tokens[kept].tolist()),
+        masses[kept].cumsum(axis=1)[:, -1].tolist(),
+        (rejected[kept] @ _POS_BITS).tolist(),
+    ):
+        kvar_cum += kvar
+        statuses = rows.get(code) or _status_row(code)
+        records.append(
+            SliceRecord(
+                drafted, truth, statuses, executed_row, r, kvar, kvar_cum, round_counts[missed], 0
+            )
+        )
+    env.arrive_steps(tuple(poses[confirmed].tolist()), gaps.tolist())
+    return records, kvar_cum
+
+
+@functools.lru_cache(maxsize=8)
+def _round_counts(depth: int) -> tuple[int, ...]:
+    """Entry m: the rounds of a slice at ``depth`` whose rejections are at
+    the set bits of m, with no position compensated. A round judges up to
+    ``depth`` positions and ends at a rejection, as in ``decode_slice_sd``;
+    the array pass reads them here, as it decides no slice one by one."""
+    counts = []
+    for rejected in range(1 << N_DOF):
+        rounds = round_end = 0
+        for pos in range(N_DOF):
+            if pos == round_end:
+                rounds += 1
+                round_end = pos + depth
+            if rejected >> pos & 1:
+                round_end = pos + 1
+        counts.append(rounds)
+    return tuple(counts)
 
 
 @functools.lru_cache(maxsize=64)

@@ -317,10 +317,14 @@ def calibrate(
         steps = [rec.kvar_step for t in traces for rec in t.slices]
         if not steps:
             raise ThresholdConfigError(f"traces for ({task}, {robot}) contain no slices")
+        # summed left to right: sum() of floats is compensated from Python 3.12
+        total = 0.0
+        for kvar_step in steps:
+            total += kvar_step
         try:
             stats = replace(
                 rows[0],
-                kvar_ref=sum(steps) / len(steps),
+                kvar_ref=total / len(steps),
                 success_rate=sum(1.0 for t in traces if t.success) / len(traces),
                 avg_steps=sum(t.steps for t in traces) / len(traces),
             )

@@ -10,9 +10,13 @@ position and whether it was compensated are derived from them, not stored.
 
 A record is a ``SliceRecord``: an immutable named tuple of 9 fields, which
 costs a tuple to build and is written as a JSON object with sorted keys.
-Every line of every trace is written by ``_ENCODE``, one JSON encoder built
-at import (``_line_encoder``), and read by ``_DECODER``, one decoder built
-there.
+A record line is written from one ``%`` template (``_RECORD_TEMPLATE``):
+ids and counts as ``%d``, floats as ``%r`` (``float.__repr__``, as the JSON
+encoder writes them), and the statuses from a cache of their JSON text by
+tuple. ``_ENCODE``, one JSON encoder built at import (``_line_encoder``),
+writes the header and summary lines, and a record with a null slot or a
+non-finite float; both write the bytes ``json.dumps(..., sort_keys=True)``
+writes. Every line is read by ``_DECODER``, one decoder built at import.
 
 The summary line is required: ``loads`` rejects a stream without one, with
 a second header, with a record after the summary, or whose slice count
@@ -64,7 +68,8 @@ EXACT, RELAXED, REJECTED = "exact", "relaxed", "rejected"
 # the fields of the header and summary lines
 _HEADER_FIELDS = ("suite", "kind", "mode", "robot", "trial", "seed")
 _SUMMARY_FIELDS = ("success", "steps", "deviation", "plan_steps")
-_STATUSES = {EXACT, RELAXED, REJECTED, None}
+_JUDGED = {EXACT, RELAXED, REJECTED}
+_STATUSES = _JUDGED | {None}
 # the types ``loads`` accepts for each scalar annotation, as ``json.loads``
 # builds them: a float field also takes an integer, and ``bool`` is a type
 # of its own, so an int field refuses true/false
@@ -128,6 +133,43 @@ def _line_encoder():
 
 _ENCODE = _line_encoder()
 
+# a record's line as ``_ENCODE`` writes its field dict: keys sorted, ids and
+# counts as ``int.__repr__`` writes them, floats as ``float.__repr__``
+_IDS = "[" + ", ".join(["%d"] * N_DOF) + "]"
+_RECORD_TEMPLATE = (
+    '{"cooldown_remaining": %d, "draft_ids": ' + _IDS + ', "kvar_cum": %r, "kvar_step": %r, '
+    '"r": %r, "statuses": %s, "tokens": ' + _IDS + ', "true_ids": ' + _IDS + ', "verify_calls": %d}'
+)
+# judged statuses -> their JSON list, filled as they appear (at most 3**7)
+_STATUS_TEXT: dict[tuple, str] = {}
+
+
+def _status_text(statuses: tuple) -> str | None:
+    """The JSON list of statuses that are all judged, cached; None for any
+    others, such as a null slot."""
+    if not _JUDGED.issuperset(statuses):
+        return None
+    text = _STATUS_TEXT[statuses] = _ENCODE(statuses)
+    return text
+
+
+def _record_lines(records) -> list[str]:
+    """Each record's line, from ``_RECORD_TEMPLATE``. ``_ENCODE`` writes the
+    field dict of a record whose statuses are not all judged (a null slot
+    holds null ids) or whose floats are not all finite (it writes
+    ``Infinity`` where ``%r`` writes ``inf``)."""
+    template, texts, finite = _RECORD_TEMPLATE, _STATUS_TEXT, math.isfinite
+    lines = []
+    for rec in records:
+        drafted, truth, statuses, tokens, r, kvar_step, kvar_cum, calls, cooldown = rec
+        status_text = texts.get(statuses) or _status_text(statuses)
+        if status_text is None or not (finite(r) and finite(kvar_step) and finite(kvar_cum)):
+            lines.append(_ENCODE(rec._asdict()))
+            continue
+        fields = (cooldown, *drafted, kvar_cum, kvar_step, r, status_text, *tokens, *truth, calls)
+        lines.append(template % fields)
+    return lines
+
 
 class SliceRecord(NamedTuple):
     """One decoded slice as its trace line records it; a tuple, so no field
@@ -185,7 +227,7 @@ class EpisodeTrace:
         # records hold only JSON scalars and tuples of them, which encode as
         # lists
         lines = [_ENCODE({"episode": self.meta()})]
-        lines += [_ENCODE(rec._asdict()) for rec in self.slices]
+        lines += _record_lines(self.slices)
         lines.append(_ENCODE({"summary": self.summary()}))
         return "\n".join(lines) + "\n"
 

@@ -14,6 +14,7 @@ import pytest
 from kerv.codec import NormKey, action_to_token, token_to_action
 from kerv.config import default_config
 from kerv.harness import (
+    _decode_tasks,
     afep,
     emit_results,
     modeled_latency,
@@ -164,27 +165,27 @@ def test_c04_strict_verify_calls_match_closed_form(bench_cfg):
     assert expected_verify_calls(1.0, 4) == 7.0  # one call per position
     assert expected_verify_calls(0.48, 4) == pytest.approx(4.0233, abs=1e-4)
     t0 = time.perf_counter()
-    goal = bench_cfg.suite("goal")
+    goal = replace(bench_cfg.suite("goal"), trials=40)
+    arms = [(q, depth) for q in (0.2, 0.48) for depth in (1, 4, 7)]
+    cfgs = [
+        replace(bench_cfg, depth=depth, noise=replace(bench_cfg.noise, q_err=q))
+        for q, depth in arms
+    ]
+    # a task's arms decoded back to back read the one plan build_plan caches
+    decoded = _decode_tasks(goal, [(cfg, "naive") for cfg in cfgs], None)
     checked = []
-    for q in (0.2, 0.48):
-        for depth in (1, 4, 7):
-            cfg = replace(bench_cfg, depth=depth, noise=replace(bench_cfg.noise, q_err=q))
-            calls = np.array(
-                [
-                    rec.verify_calls
-                    for trial in range(40)
-                    for rec in run_one_episode(cfg, goal, "naive", trial, None).slices
-                ],
-                dtype=float,
-            )
-            expected = expected_verify_calls(q, depth)
-            se = calls.std(ddof=1) / math.sqrt(len(calls))
-            # depth 1 always takes 7 calls: se is 0 and only rounding remains
-            assert calls.mean() == pytest.approx(expected, rel=1e-12, abs=4 * se), (
-                f"q={q} depth={depth}: mean {calls.mean():.4f} over {len(calls)} slices, "
-                f"closed form {expected:.4f}, se {se:.4f}"
-            )
-            checked.append(f"q={q}/d={depth}: {calls.mean():.3f} vs {expected:.3f}")
+    for (q, depth), traces in zip(arms, decoded):
+        calls = np.array(
+            [rec.verify_calls for trace in traces for rec in trace.slices], dtype=float
+        )
+        expected = expected_verify_calls(q, depth)
+        se = calls.std(ddof=1) / math.sqrt(len(calls))
+        # depth 1 always takes 7 calls: se is 0 and only rounding remains
+        assert calls.mean() == pytest.approx(expected, rel=1e-12, abs=4 * se), (
+            f"q={q} depth={depth}: mean {calls.mean():.4f} over {len(calls)} slices, "
+            f"closed form {expected:.4f}, se {se:.4f}"
+        )
+        checked.append(f"q={q}/d={depth}: {calls.mean():.3f} vs {expected:.3f}")
     dt = time.perf_counter() - t0
     assert dt < 60.0
     _report(4, f"strict verify calls/slice within 4 SE of closed form ({'; '.join(checked)}) ({dt:.1f}s)")
@@ -198,16 +199,13 @@ def test_c04_relaxed_verify_calls_match_closed_form(bench_cfg):
     t0 = time.perf_counter()
     checked = []
     for suite_name in ("goal", "long"):
-        suite = bench_cfg.suite(suite_name)
-        for r in (5.0, 9.0, 15.0):
-            cfg = replace(bench_cfg, depth=4, fixed_r=r)
+        suite = replace(bench_cfg.suite(suite_name), trials=40)
+        cfgs = [replace(bench_cfg, depth=4, fixed_r=r) for r in (5.0, 9.0, 15.0)]
+        decoded = _decode_tasks(suite, [(cfg, "fixed_relaxed") for cfg in cfgs], None)
+        for cfg, traces in zip(cfgs, decoded):
+            r = cfg.fixed_r
             calls = np.array(
-                [
-                    rec.verify_calls
-                    for trial in range(40)
-                    for rec in run_one_episode(cfg, suite, "fixed_relaxed", trial, None).slices
-                ],
-                dtype=float,
+                [rec.verify_calls for trace in traces for rec in trace.slices], dtype=float
             )
             expected = expected_verify_calls(relaxed_reject_prob(cfg.noise, r), 4)
             se = calls.std(ddof=1) / math.sqrt(len(calls))
@@ -337,18 +335,17 @@ def _sr_margin(p1, p2, n):
 def test_c09_success_rate_orderings(bench_cfg, calib_table):
     t0 = time.perf_counter()
     n = 500
-    suite = bench_cfg.suite("goal")
-    runs = {}
-    for label, mode, r in (
-        ("naive", "naive", None),
-        ("fx9", "fixed_relaxed", 9.0),
-        ("fx15", "fixed_relaxed", 15.0),
-        ("fx20", "fixed_relaxed", 20.0),
-        ("kerv", "kerv", None),
-    ):
-        cfg = replace(bench_cfg, fixed_r=r) if r is not None else bench_cfg
-        table = calib_table if mode == "kerv" else None
-        runs[label] = [run_one_episode(cfg, suite, mode, t, table) for t in range(n)]
+    suite = replace(bench_cfg.suite("goal"), trials=n)
+    arms = {
+        "naive": (bench_cfg, "naive"),
+        "fx9": (replace(bench_cfg, fixed_r=9.0), "fixed_relaxed"),
+        "fx15": (replace(bench_cfg, fixed_r=15.0), "fixed_relaxed"),
+        "fx20": (replace(bench_cfg, fixed_r=20.0), "fixed_relaxed"),
+        "kerv": (bench_cfg, "kerv"),
+    }
+    # a task's arms decoded back to back read the one plan build_plan caches;
+    # only the kerv arm reads the table
+    runs = dict(zip(arms, _decode_tasks(suite, list(arms.values()), calib_table)))
     sr = {k: sum(t.success for t in v) / n for k, v in runs.items()}
     lat = {k: sum(modeled_latency(t, bench_cfg.cost) for t in v) for k, v in runs.items()}
     speedup = {k: lat["naive"] / lat[k] for k in runs}

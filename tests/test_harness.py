@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from kerv import cli, harness, simenv
+from kerv.codec import NormKey
 from kerv.config import ConfigError, CostModel, default_config, default_config_text, load, loads
 from kerv.harness import (
     SuiteReport,
@@ -693,3 +694,52 @@ def test_widest_range_the_config_accepts_runs_to_the_end():
     trace = run_one_episode(cfg, suite, "fixed_relaxed", 0, None)
     assert not trace.success
     assert trace.steps == len(trace.slices) > 0
+
+
+def _compensated(real_sum):
+    """A ``sum`` that adds floats exactly rounded (``math.fsum``), as
+    Python 3.12's compensated ``sum`` comes closer to; other items are
+    summed as before."""
+
+    def compensated(iterable, start=0):
+        items = list(iterable)
+        if any(type(item) is float for item in items):
+            return math.fsum([start, *items])
+        return real_sum(items, start)
+
+    return compensated
+
+
+def test_outputs_do_not_depend_on_a_compensated_sum(monkeypatch):
+    """Python 3.12 made ``sum()`` of floats compensated; a calibration
+    table, the deviation ``SimEnv.step`` adds up (the per-oracle
+    reference's, which the engine's must equal) and the mean r of a report
+    add their floats left to right, and so do not move when ``sum`` does.
+    The table's bins are 1/100 wide, as on the default key's 1/128 its
+    variabilities would add without rounding; the step's gap is 1.0 and
+    three gaps of 0.4 ulp(1.0), which a fold leaves at 1.0 and an exact sum
+    does not."""
+    import builtins
+
+    key = NormKey(vocab_size=200)
+    pre_sample = list(harness.pre_sample(replace(default_config(2), fixed_r=15.0, key=key)))
+    table = calibrate(pre_sample, DEFAULT_GRID, key=key).dumps()
+    traces = [make_trace([make_record(r=0.1), make_record(r=0.2), make_record(r=0.3)])]
+    r_mean = harness.mean_r(traces)
+
+    env = SimEnv(make_task("reach", 12))
+    pose, target = env.pose, env.pose_rows[1]
+    moves = [target[dof] - pose[dof] for dof in range(6)]
+    moves[0] += 1.0
+    for dof in (3, 4, 5):  # a task's start pose has no rotation
+        moves[dof] += 0.4 * math.ulp(1.0)
+    gap = 0.0
+    for dof in range(6):
+        gap += abs((pose[dof] + moves[dof]) - target[dof])
+
+    monkeypatch.setattr(builtins, "sum", _compensated(builtins.sum))
+    assert sum([0.1, 0.2, 0.3]) != 0.1 + 0.2 + 0.3  # the swap is in force
+    assert calibrate(pre_sample, DEFAULT_GRID, key=key).dumps() == table
+    assert harness.mean_r(traces) == r_mean
+    env.step((*moves, 0.0))  # the gripper holds
+    assert gap == 1.0 and env.deviation == gap

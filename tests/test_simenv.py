@@ -461,10 +461,12 @@ def test_a_key_whose_poses_could_pass_the_float_range_is_refused_before_any_deco
 
 
 def test_plan_arrays_are_read_only():
-    """The plan cache hands the same poses to every episode of a task."""
+    """The plan cache hands the same poses and tokens to every episode of a task."""
     plan = build_plan(make_task("reach", 4), DEFAULT_KEY)
     with pytest.raises(ValueError):
         plan.poses[0, 0] = 0
+    with pytest.raises(ValueError):
+        plan.tokens[0, 0] = 0
 
 
 # --- the plan's spline against scipy -------------------------------------------
@@ -916,3 +918,30 @@ def test_only_the_closed_loop_makes_the_pose_rows(mode):
     else:
         run_episode(env, draft, RunConfig(), mode)
         assert vars(env)["pose_rows"] == env.plan.poses.tolist()
+
+
+def test_arrive_steps_takes_the_steps_arrive_takes_one_by_one():
+    """A run of steps inside the plan, taken at once, leaves the env as
+    ``arrive`` leaves it one step at a time: the deviation folded in step
+    order, bit for bit, and the termination checked on the last step; a run
+    that would end past the plan, or an empty one, is refused."""
+    spec = make_task("reach", 12)
+    one_by_one, at_once = SimEnv(spec), SimEnv(spec)
+    poses = [tuple(row) for row in one_by_one.plan.poses.tolist()]
+    steps = one_by_one.plan.steps
+    gaps = np.random.default_rng(3).random(steps).tolist()
+    for pose, gap in zip(poses[1:], gaps):
+        one_by_one.arrive(pose, gap)
+    at_once.arrive_steps(poses[steps], gaps)
+
+    def state(env):
+        return env.t, env.pose, env.deviation.hex(), env.done, env.succeeded
+
+    assert state(at_once) == state(one_by_one)
+    assert at_once.done and not at_once.succeeded  # the gaps overrun the budget
+
+    fresh = SimEnv(spec)
+    for gaps in ([0.0] * (steps + 1), []):
+        with pytest.raises(EnvStateError, match="inside the"):
+            fresh.arrive_steps(poses[-1], gaps)
+    assert fresh.t == 0

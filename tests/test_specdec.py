@@ -633,3 +633,125 @@ def test_closed_loop_matches_the_per_oracle_reference(
     _assert_derived_outcomes(got, outcomes)
     if past_plan:
         assert env.t > env.plan.steps
+
+
+def _narrow_key(vocab, half_widths):
+    """A key of ``vocab`` bins over +-w for each DoF's half-width w."""
+    return NormKey(
+        lo=tuple(-w for w in half_widths), hi=tuple(half_widths), vocab_size=vocab
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    vocab=st.sampled_from([2, 3, 16, 256]),
+    half_widths=st.lists(st.sampled_from([0.01, 0.05, 1.0]), min_size=6, max_size=6),
+    gripper=st.sampled_from([1.0, 0.5]),  # 0.5: the gripper never latches
+    depth=st.integers(1, 7),
+    fixed_r=st.one_of(st.sampled_from([0.0, 128.0, 300.0]), st.floats(0, 20)),
+    q_err=st.sampled_from([0.0, 0.48, 1.0]),
+    max_offset=st.sampled_from([1, 60, 5000]),
+    kind=st.sampled_from(KINDS),
+    task_seed=st.integers(0, 40),
+)
+# a gripper draft 5000 bins off, accepted under r >= 128, flips the gripper
+@example(256, [1.0] * 6, 1.0, 4, 200.0, 1.0, 5000, "pick_place", 3)
+# 16 bins over +-0.02 on every DoF: the plan clamps, and the episode runs past it
+@example(16, [0.02] * 6, 1.0, 7, 9.0, 0.48, 60, "reach", 4)
+def test_array_pass_matches_the_per_oracle_reference(
+    vocab, half_widths, gripper, depth, fixed_r, q_err, max_offset, kind, task_seed
+):
+    """A ``fixed_relaxed`` episode, whose plan steps the array pass decodes
+    up to its first miss and the loop decodes from there, writes the trace
+    of the per-oracle loop byte for byte and leaves the env in the same
+    final state: on 2, 3, 16 and 256 bins, narrow motion ranges, a gripper
+    that never latches, thresholds of 0, fractions and past the vocabulary,
+    and drafts up to 5000 bins off."""
+    key = _narrow_key(vocab, [*half_widths, gripper])
+    cfg = RunConfig(key=key, depth=depth, fixed_r=fixed_r)
+    noise = DraftNoiseModel(q_err=q_err, max_offset=max_offset, seed=task_seed + 1)
+    spec = make_task(kind, task_seed)
+    ref_env = SimEnv(spec, key, suite="t", trial=task_seed)
+    outcomes = []
+    ref = reference_run_episode(
+        ref_env, NoisyDrafter(ref_env, noise), PlanVerifier(ref_env), cfg, "fixed_relaxed",
+        outcomes=outcomes,
+    )
+    env = SimEnv(spec, key, suite="t", trial=task_seed)
+    got = run_episode(env, NoisyDrafter(env, noise), cfg, "fixed_relaxed")
+    diff = _first_different_line(got.dumps(), ref.dumps())
+    assert diff is None, diff
+    assert _final_state(env) == _final_state(ref_env)
+    _assert_derived_outcomes(got, outcomes)
+
+
+def test_array_pass_of_the_narrow_example_runs_past_the_plan():
+    """The narrow example above is an episode that the loop carries past the plan."""
+    key = _narrow_key(16, [0.02] * 6 + [1.0])
+    env = SimEnv(make_task("reach", 4), key, suite="t", trial=4)
+    noise = DraftNoiseModel(q_err=0.48, max_offset=60, seed=5)
+    run_episode(env, NoisyDrafter(env, noise), RunConfig(key=key, depth=7), "fixed_relaxed")
+    assert env.t > env.plan.steps
+
+
+def _count_pass_and_loop_steps(monkeypatch):
+    """Spy on the array pass (how many records each call confirms) and on
+    the loop (the step of each noise row it reads)."""
+    passes, loop_steps = [], []
+    real_pass, real_row = specdec._plan_pass, NoisyDrafter.noise_row
+
+    def counting_pass(*args):
+        records, kvar_cum = real_pass(*args)
+        passes.append(len(records))
+        return records, kvar_cum
+
+    def counting_row(self, t):
+        loop_steps.append(t)
+        return real_row(self, t)
+
+    monkeypatch.setattr(specdec, "_plan_pass", counting_pass)
+    monkeypatch.setattr(NoisyDrafter, "noise_row", counting_row)
+    return passes, loop_steps
+
+
+@pytest.mark.parametrize("suite", default_config(1).suites, ids=lambda s: s.name)
+def test_array_pass_confirms_every_plan_step_of_the_default_config(suite, monkeypatch):
+    """On the default config, one pass confirms every plan step of a
+    ``fixed_relaxed`` episode, and the loop decodes only the steps past the
+    plan; a kerv episode runs the loop alone."""
+    passes, loop_steps = _count_pass_and_loop_steps(monkeypatch)
+    cfg = replace(default_config(1), fixed_r=15.0)
+    for trial in range(6):
+        passes.clear()
+        loop_steps.clear()
+        seed = suite.seed_base + trial
+        env = SimEnv(make_task(suite.kind, seed), suite=suite.name, trial=trial)
+        trace = run_episode(env, NoisyDrafter(env, cfg.noise), cfg, "fixed_relaxed")
+        assert passes == [env.plan.steps]
+        assert loop_steps == list(range(env.plan.steps, trace.steps))
+    passes.clear()
+    env = SimEnv(make_task(suite.kind, suite.seed_base), suite=suite.name)
+    run_episode(env, NoisyDrafter(env, cfg.noise), cfg, "kerv", ROW)
+    assert passes == []
+
+
+def test_a_guess_that_misses_inside_the_plan_gets_one_pass_then_the_loop(monkeypatch):
+    """Drafts up to 5000 bins off on 3 bins over narrow ranges: the guess
+    misses early in the plan, the loop decodes every step from the miss,
+    and no second pass runs."""
+    passes, loop_steps = _count_pass_and_loop_steps(monkeypatch)
+    key = _narrow_key(3, [0.05] * 6 + [1.0])
+    cfg = RunConfig(key=key, fixed_r=1.0, noise=DraftNoiseModel(max_offset=5000))
+    env = SimEnv(make_task("pick_place", 5), key, suite="t")
+    trace = run_episode(env, NoisyDrafter(env, cfg.noise), cfg, "fixed_relaxed")
+    (confirmed,) = passes
+    assert 0 < confirmed < env.plan.steps
+    assert loop_steps == list(range(confirmed, trace.steps))
+
+
+@pytest.mark.parametrize("depth", range(1, 8))
+def test_round_counts_are_the_strict_table_rounds(depth):
+    """The array pass's rounds per rejection mask are those that
+    ``decode_slice_sd`` counts, as ``_strict_slices`` holds them."""
+    table = specdec._strict_slices(depth, KEY)
+    assert specdec._round_counts(depth) == tuple(rounds for _, rounds in table)

@@ -488,3 +488,38 @@ def test_failed_save_leaves_no_temporary(tmp_path):
     with pytest.raises(OSError):
         loads(_episode_text()).save(target)
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+_NEAR_2_52 = (2**52 - 1, 2**52 - 2, 0, 1, 2**51, 3, 2**52 - 7)
+
+
+@pytest.mark.parametrize(
+    "rec",
+    [
+        # ids near 2**52, a negative zero and a float that repr writes in 17 digits
+        SliceRecord(
+            _NEAR_2_52, _NEAR_2_52[::-1], ("exact", "relaxed", "rejected") * 2 + ("exact",),
+            _NEAR_2_52, -0.0, 0.1 + 0.2, 1e-300, 2**52 - 1, 0,
+        ),
+        # null slots: the filter filled the positions after a rejection
+        SliceRecord(
+            (4, 9, None, None, None, None, None), (4, 7, None, None, None, None, None),
+            ("exact", "rejected", None, None, None, None, None), (4, 7, 1, 2, 3, 4, 5),
+            9.0, 0.0, 2.5e16, 1, 4,
+        ),
+        # an infinite kvar_cum, as a run whose variability overflows writes it
+        SliceRecord((1,) * 7, (1,) * 7, ("exact",) * 7, (1,) * 7, 15.0, 0.0, math.inf, 2, 0),
+        # ints where floats go, as a hand-written trace loads them
+        SliceRecord((2,) * 7, (3,) * 7, ("relaxed",) * 7, (2,) * 7, 15, 0, 0, 2, 0),
+    ],
+    ids=["big_ids", "null_slots", "infinite_kvar_cum", "int_floats"],
+)
+def test_record_line_is_the_sorted_json_of_its_fields(rec):
+    """Whether a record's line comes from the template or from the JSON
+    encoder, it is ``json.dumps`` of its field dict with sorted keys."""
+    trace = EpisodeTrace(
+        suite="goal", kind="reach", mode="kerv", robot="sim7dof", trial=0, seed=1,
+        slices=[rec, rec], steps=2,
+    )
+    lines = trace.dumps().splitlines()
+    assert lines[1:3] == [json.dumps(rec._asdict(), sort_keys=True)] * 2
