@@ -27,9 +27,9 @@ Tokens the decoder fills from filter predictions come from
 value and clamp to the vocabulary. Every other token is made on plain ints
 and floats, or numpy arrays, with the codec's expressions inline rather
 than through the checked scalar functions: the truth tokens of the plan,
-the open-loop decoder, the array pass of ``specdec.run_episode`` and
-``simenv.oracle_policy`` (``simenv._track_rows``, ``action_to_token``'s
-expression on a gap already clamped to the action range), and the closed
+the array pass of ``specdec.run_episode`` and ``simenv.oracle_policy``
+(``simenv._track_rows``, ``action_to_token``'s expression on a gap
+already clamped to the action range), and the closed
 loop's fused step, ``specdec.run_episode``, which computes the same truth
 token, the drafter's corruption of it, its action (``token_to_action``'s
 expression) and the move of the pose per position.

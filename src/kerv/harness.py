@@ -7,21 +7,19 @@ threshold-adjustment charge. Every output is deterministic for fixed seeds,
 and float totals and means are added left to right (``_fold``), so they do
 not depend on the interpreter either.
 
-Each mode has one engine, which reads the simulator's plan and the
-drafter's noise rows itself. A naive episode is decoded open-loop
-(``specdec.run_strict_episode``): strict speculative decoding executes
-exactly the verifier's tokens, which track the plan, and ``build_plan``
-guarantees that the plan's tokens reproduce its poses bit for bit. The
-other modes run the closed loop (``specdec.run_episode``), one pass per
-step over the slice's positions: each position's truth, draft, judgement,
-action and move of the pose are made together, with no oracle call. A
-``fixed_relaxed`` episode (the calibration pre-sample's mode) first
-decodes its plan steps in one array pass, and the loop takes over at the
-pass's first wrong guess, at the latest past the plan. The
-per-oracle names (``oracle_policy``, ``NoisyDrafter.draft``,
-``PlanVerifier.verify``, ``SimEnv.step``) stay as the layers of
-``tests/oracles.py::reference_run_episode``, which checks both engines,
-and as benchmark span targets; no suite run calls them.
+Every mode has one engine, ``specdec.run_episode``, which reads the
+simulator's plan and the drafter's noise rows itself, with no oracle call.
+It first decodes the plan steps of a ``naive`` or ``fixed_relaxed``
+episode (the baseline and the calibration pre-sample's mode) in one array
+pass, and its closed loop takes over at the pass's first wrong guess, at
+the latest past the plan; a naive episode, at r = 0, executes the plan and
+ends inside the pass. A ``kerv`` episode runs the closed loop alone, one
+pass per step over the slice's positions: each position's truth, draft,
+judgement, action and move of the pose are made together. The per-oracle
+names (``oracle_policy``, ``NoisyDrafter.draft``, ``PlanVerifier.verify``,
+``SimEnv.step``) stay as the layers of
+``tests/oracles.py::reference_run_episode``, which checks the engine in
+every mode, and as benchmark span targets; no suite run calls them.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from . import threshold as threshold_mod
 from .codec import N_DOF
 from .config import ConfigError, CostModel, RunConfig, SuiteConfig
 from .simenv import NoisyDrafter, SimEnv, make_task
-from .specdec import run_episode, run_strict_episode
+from .specdec import run_episode
 from .threshold import CalibrationTable
 from .trace import MODES, EpisodeTrace
 
@@ -133,20 +131,12 @@ def run_one_episode(
     table: CalibrationTable | None,
 ) -> EpisodeTrace:
     """Decode trial ``trial`` of a suite in ``mode`` with the simulator's
-    oracles; ``kerv`` runs from the suite's row of ``table``.
-
-    A naive episode is decoded open-loop (``specdec.run_strict_episode``),
-    with no draft/verify round: strict decoding executes the verifier's
-    tokens, the verifier tracks the plan, and the plan's tokens reproduce
-    its poses bit for bit. The other modes run the closed loop,
-    ``run_episode``.
-    """
+    oracles and ``run_episode``; ``kerv`` runs from the suite's row of
+    ``table``."""
     seed = suite_cfg.seed_base + cfg.seed_offset + trial
     spec = make_task(suite_cfg.kind, seed)
     env = SimEnv(spec, cfg.key, suite=suite_cfg.name, robot=cfg.robot, trial=trial)
     draft = NoisyDrafter(env, cfg.noise)
-    if mode == "naive":
-        return run_strict_episode(env, draft, cfg)
     row = None
     if mode == "kerv":
         if table is None:

@@ -22,17 +22,15 @@ the spec and the codec key; a run decodes a task's episodes back to back
 (``harness.run_suite`` and ``harness.sweep``), so they all share one build
 and no plan is kept past its task. ``SimEnv`` holds the plan and the
 episode's state (pose, step count, deviation, termination flags), so no
-per-slice call looks the plan up again. Each mode has one engine. A naive
-episode executes the plan, so ``NoisyDrafter.plan_slices`` tracks and
-corrupts every plan step at once, as arrays. The closed loop of the other
-modes (``specdec.run_episode``) makes each position's truth, draft and
-move inline with the same rules, from the plan's poses as float rows
-(``SimEnv.pose_rows``) and the drafter's noise row
-(``NoisyDrafter.noise_row``), and ends each step with
-``SimEnv.arrive``. Before the loop, a ``fixed_relaxed`` episode's array
-pass guesses its plan steps from the plan's tokens (``Plan.tokens``) and
-the drafter's plan rows, and takes the steps it confirms with
-``SimEnv.arrive_steps``. The env adds every float sum left to right, as
+per-slice call looks the plan up again. Every mode has one engine,
+``specdec.run_episode``. Its array pass guesses the plan steps of an
+episode from the plan's tokens (``Plan.tokens``, the verifier's truths
+along the plan) and the drafter's plan rows, and takes the steps it
+confirms with ``SimEnv.arrive_steps``; a naive episode ends there. Its
+closed loop makes each position's truth, draft and move inline with the
+same rules, from the plan's poses as float rows (``SimEnv.pose_rows``) and
+the drafter's noise row (``NoisyDrafter.noise_row``), and ends each step
+with ``SimEnv.arrive``. The env adds every float sum left to right, as
 the array pass's ``np.cumsum`` does, on every interpreter (``sum()`` of
 floats is compensated from Python 3.12). The per-oracle names stay as the
 layers of ``tests/oracles.py::reference_run_episode`` and as benchmark
@@ -47,9 +45,9 @@ and any run of rows can be drawn on its own. It does not depend on the
 trajectory (only the clamp at the vocabulary edge reads the truth token),
 so ``noise_rows`` draws the error mask and signed offsets of a whole run of
 steps in one vectorised pass: ``NoisyDrafter`` draws the plan's rows as two
-arrays when it is made, which the open-loop decoder and the array pass
-read whole, and the closed loop makes per-step lists of them on its first
-row and draws the rows past the plan when it reaches them.
+arrays when it is made, which the array pass reads whole, and the closed
+loop makes per-step lists of them on its first row and draws the rows
+past the plan when it reaches them.
 ``tests/oracles.py::reference_noise_row`` replays the stream one draw at a
 time with Python ints and guards the match bit for bit.
 
@@ -179,7 +177,9 @@ class Plan:
     poses and tokens are read-only."""
 
     poses: np.ndarray  # (T+1, 7); gripper channel holds the latched state
-    tokens: np.ndarray  # (T, 7) ints: step t's tokens, which move pose t to pose t + 1
+    # (T, 7) ints: step t's tokens, which move pose t to pose t + 1; the
+    # verifier's truth from pose t, the gripper's toward pose t + 1's state
+    tokens: np.ndarray
     deviation_budget: float  # a share of the motion channels' L1 arc length
     goal: tuple[float, float, float]  # the position of the last pose
     max_steps: int  # the step at which an unfinished episode ends
@@ -273,10 +273,22 @@ def build_plan(spec: TaskSpec, key: NormKey) -> Plan:
     so is the pose the mismatched step starts from. The next pass starts
     from that pose.
 
+    The plan's gripper tokens are then the verifier's along the plan
+    (``_gripper_truths``) rather than ``_quantize``'s, which track the
+    waypoint's state even where the gripper cannot latch to it. Replaying
+    them still makes the plan's states: a change of state is the impulse to
+    the new state, at least as large as the one the plan took, and a hold
+    is the 0.0 impulse, which cannot flip a state that a waypoint of the
+    other state did not flip (``make_task`` draws every waypoint's state at
+    +/-1). So the plan's tokens are the truths of an episode that executes
+    the plan wherever tracking a pose toward the next gives back its motion
+    tokens, which the array pass of ``specdec.run_episode`` checks.
+
     A key that ``check_key`` refuses raises its ``CodecError``.
     """
     check_key(key)
     poses, actions, tokens = _quantize(_targets(spec.kind, spec.seed, spec.waypoints), key)
+    tokens[:, GRIPPER_DOF] = _gripper_truths(poses[:, GRIPPER_DOF], key)
     poses.flags.writeable = False
     tokens.flags.writeable = False
 
@@ -435,12 +447,22 @@ def _gripper_states(targets: np.ndarray, key: NormKey) -> list[float]:
     return states
 
 
+def _gripper_truths(states: np.ndarray, key: NormKey) -> np.ndarray:
+    """The verifier's gripper token at each step along a plan's gripper
+    states: ``_track_rows``' impulse from state t toward state t + 1, which
+    is the next state where it changes and 0.0 where it holds."""
+    impulses = np.where(states[1:] != states[:-1], states[1:], 0.0)
+    lo, hi = key.lo[GRIPPER_DOF], key.hi[GRIPPER_DOF]
+    ids = np.floor((impulses - lo) / (hi - lo) * key.vocab_size)
+    return np.clip(ids, 0, key.vocab_size - 1).astype(int)
+
+
 def _track_rows(targets: np.ndarray, poses: np.ndarray, key: NormKey) -> np.ndarray:
     """Tokens that move each row of ``poses`` toward the same row of
     ``targets``, as an (n, 7) int array: each motion DoF's gap, clamped to
     the action range, and a gripper impulse to the target's state where it
     differs from the pose's, each encoded with ``action_to_token``'s float
-    operations. The plan, the open-loop decoder and ``oracle_policy`` take
+    operations. The plan, the array pass's check and ``oracle_policy`` take
     their truth tokens from here, and the closed loop computes the same
     expressions inline per position."""
     lo, hi = np.array(key.lo), np.array(key.hi)
@@ -483,8 +505,8 @@ def _corrupt_rows(
     clamp would cancel mirrored; an int array of the shape of ``truths``.
 
     A cell reads only its own truth, flag and offset, so any shape works:
-    the open-loop decoder corrupts a whole plan, ``NoisyDrafter.draft`` one
-    row, and the closed loop applies the same rule inline per position.
+    the array pass corrupts a whole plan, ``NoisyDrafter.draft`` one row,
+    and the closed loop applies the same rule inline per position.
     ``np.clip`` of an int is ``min(max(x, 0), vmax)``. A truth token is
     below 2**52 and an offset at most ``MAX_OFFSET``, so the int64 sums
     cannot wrap.
@@ -566,8 +588,9 @@ class SimEnv:
     def pose_rows(self) -> list[list[float]]:
         """The plan's poses as rows of floats (element reads of the ndarray
         would build numpy scalars), made on the first step of the closed
-        loop or of ``step``. An episode decoded open-loop never makes them, and the rows go with
-        the env rather than staying on the cached plan."""
+        loop or of ``step``. An episode that ends inside the array pass
+        never makes them, and the rows go with the env rather than staying
+        on the cached plan."""
         return self.plan.poses.tolist()
 
     def step(self, actions: tuple[float, ...]) -> None:
@@ -642,21 +665,17 @@ class PlanVerifier:
         return oracle_policy(self.env)
 
 
-_POS_BITS = 1 << np.arange(N_DOF)  # bit p of a miss mask is position p
-
-
 class NoisyDrafter:
     """Draft oracle bound to a live environment: corrupted plan tokens, one
     draft row per env step.
 
     The noise rows (``noise_rows``) of the plan's steps are drawn when the
     drafter is made and kept as the two (steps, 7) arrays ``plan_errs`` and
-    ``plan_offsets``. Strict decoding (``plan_slices``) and the array pass
-    of ``specdec.run_episode`` read them whole. The closed loop reads row t
-    at step t (``noise_row``), from per-step lists that its first read
-    makes of the arrays; the rows of the later steps below the plan's
-    ``max_steps`` are drawn in one more pass only if the episode runs past
-    the plan.
+    ``plan_offsets``. The array pass of ``specdec.run_episode`` reads them
+    whole. The closed loop reads row t at step t (``noise_row``), from
+    per-step lists that its first read makes of the arrays; the rows of the
+    later steps below the plan's ``max_steps`` are drawn in one more pass
+    only if the episode runs past the plan.
     ``draft`` applies row t to the oracle's tokens at step t
     (``_corrupt_rows``), as the per-oracle reference of the closed loop's
     draft tokens.
@@ -683,28 +702,6 @@ class NoisyDrafter:
         if t >= len(self._rows):
             self._extend_rows(t)
         return self._rows[t]
-
-    def plan_slices(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
-        """The oracle's tokens, the drafter's tokens and the miss mask (bit p
-        set where the draft misses position p) at every step of an episode
-        that executes the plan, as strict decoding does.
-
-        Step t starts from the plan's pose t, which replaying the plan's
-        tokens reproduces bit for bit (``build_plan``), so its truth tracks
-        pose t + 1 from pose t and its draft is that truth corrupted by
-        noise row t, each taken for every step at once (``_track_rows``,
-        ``_corrupt_rows``). Nothing is kept on the cached plan.
-        """
-        env = self.env
-        poses = env.plan.poses
-        truths = _track_rows(poses[1:], poses[:-1], env.key)
-        drafts = _corrupt_rows(truths, self.plan_errs, self.plan_offsets, self._vmax)
-        misses = (drafts != truths) @ _POS_BITS
-        return (
-            list(map(tuple, truths.tolist())),
-            list(map(tuple, drafts.tolist())),
-            misses.tolist(),
-        )
 
     def _extend_rows(self, t: int) -> None:
         """Make the per-step lists of the plan's rows, if not yet made, and

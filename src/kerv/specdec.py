@@ -20,34 +20,31 @@ variability moves the threshold. The bank compensates only when it holds
 context and no cooldown runs: a compensation starts n slices of classic
 resampling, keeping the filter's inputs dominated by verified actions.
 
-Each mode has one engine. ``run_strict_episode`` decodes a naive episode
-open-loop, with no draft/verify loop. That is exact: strict speculative
-decoding returns the verifier's tokens (Leviathan, Kalman and Matias, ICML
-2023), the verifier tracks the plan, and replaying the plan's tokens
-reproduces its poses bit for bit (``simenv.build_plan``), so every step's
-truth and draft are known before the first slice. Each slice's record then
-follows from where its draft misses, through a table that
-``decode_slice_sd`` builds.
-
-``run_episode`` decodes a ``fixed_relaxed`` or ``kerv`` episode in the
-closed loop, reading its engine parameters straight from the run's
-``RunConfig``. Each step of the loop is one pass over the seven positions:
-a position's truth token (the plan-tracking verifier's), its draft token
-(that truth corrupted by the drafter's noise row), its judgement, action
-and variability, and its move of the pose are made together, and the step
-ends as ``SimEnv.step`` ends one. A ``fixed_relaxed`` episode, whose
-threshold never moves and which never compensates, first decodes its plan
+Every mode has one engine, ``run_episode``, which reads its parameters
+straight from the run's ``RunConfig``: strict speculative decoding
+(``naive``) is relaxed decoding at r = 0 with no compensation (Leviathan,
+Kalman and Matias, ICML 2023), ``fixed_relaxed`` accepts within a static
+r, and ``kerv`` moves r and compensates. Each step of its closed loop is
+one pass over the seven positions: a position's truth token (the
+plan-tracking verifier's), its draft token (that truth corrupted by the
+drafter's noise row), its judgement, action and variability, and its
+move of the pose are made together, and the step ends as ``SimEnv.step``
+ends one. An episode whose threshold never moves and which never
+compensates (``naive`` and ``fixed_relaxed``) first decodes its plan
 steps in one array pass (``_plan_pass``), by guess and confirm as
 ``simenv.build_plan`` builds a plan: every step's truth row is guessed
 from the plan's tokens and the offsets the step before executed, every
 draft, judgement, action and pose follows at once, and tracking the
 replayed poses again confirms the steps up to the first wrong guess. The
 loop decodes every step from there, which covers every step past the
-plan; a ``kerv`` episode runs the loop alone.
+plan; a ``kerv`` episode runs the loop alone. At r = 0 no offset is
+executed, so the guess is the plan's own tokens, which are the verifier's
+truths along the plan (``simenv.build_plan``): the pass confirms every
+plan step, and a naive episode ends on the plan's last step.
 
 The per-oracle names stay as the layers of
-``tests/oracles.py::reference_run_episode``, which checks both engines,
-and as benchmark span targets: ``NoisyDrafter.draft`` and
+``tests/oracles.py::reference_run_episode``, which checks the engine in
+every mode, and as benchmark span targets: ``NoisyDrafter.draft`` and
 ``PlanVerifier.verify`` give a step's draft and truth rows,
 ``decode_slice_sd`` decides a slice from two rows (``relaxed_accept``
 judges one position), and ``SimEnv.step`` moves the env.
@@ -56,9 +53,10 @@ judges one position), and ``SimEnv.step`` moves the env.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -73,9 +71,9 @@ from .codec import (
     token_to_action,
 )
 from .kinematics import KfBank, accumulate_kvar
-from .simenv import _POS_BITS, GRIPPER_FLIP_LEVEL, _corrupt_rows, _latch, _track_rows
+from .simenv import GRIPPER_FLIP_LEVEL, _corrupt_rows, _latch, _track_rows
 from .threshold import CalibrationRow
-from .trace import EXACT, REJECTED, RELAXED, EpisodeTrace, SliceRecord
+from .trace import EXACT, MODES, REJECTED, RELAXED, EpisodeTrace, SliceRecord
 
 if TYPE_CHECKING:  # for annotations only
     from .config import RunConfig
@@ -148,8 +146,9 @@ def decode_slice_sd(
     ``decode_slice(tokens)``, and the action errors of the ``RELAXED``
     positions are summed in position order, so ``kvar`` equals
     ``accepted_error_kvar`` of the result, bit for bit. ``run_episode``
-    makes the same decision inline, position by position; this is its
-    per-oracle reference, and the judge of ``_strict_slices``' table.
+    makes the same decision inline, position by position, or for every
+    plan step at once in its array pass; this is its per-oracle
+    reference.
     """
     if not 1 <= depth <= N_DOF:
         raise EngineError(f"draft depth must be in [1, {N_DOF}], got {depth}")
@@ -286,24 +285,24 @@ def run_episode(
     """Decode slices in ``mode`` until the environment terminates; record
     everything.
 
-    ``mode`` is ``fixed_relaxed`` or ``kerv``; a naive episode is decoded
-    by ``run_strict_episode``. ``fixed_relaxed`` accepts within the static
-    ``cfg.fixed_r`` and resamples classically, ``kerv`` starts r at the
-    calibration ``row``'s r_max (a row is required), moves it with
-    ``threshold.adjust`` after every slice and compensates from a filter
-    bank. A row whose bounds are equal keeps r fixed, so ``kerv`` with such
-    a row is a fixed threshold with compensation. Each record holds the r
-    its slice was decoded under. The engine reads ``cfg.depth``,
-    ``cfg.fixed_r``, ``cfg.comp_n`` (cooldown slices), ``cfg.pl``,
-    ``cfg.ac``, ``cfg.kf_params`` and ``cfg.key``.
+    ``naive`` decodes strictly (r = 0, no compensation), and
+    ``fixed_relaxed`` accepts within the static ``cfg.fixed_r`` and
+    resamples classically; ``kerv`` starts r at the calibration ``row``'s
+    r_max (a row is required), moves it with ``threshold.adjust`` after
+    every slice and compensates from a filter bank. A row whose bounds are
+    equal keeps r fixed, so ``kerv`` with such a row is a fixed threshold
+    with compensation. Each record holds the r its slice was decoded under.
+    The engine reads ``cfg.depth``, ``cfg.fixed_r``, ``cfg.comp_n``
+    (cooldown slices), ``cfg.pl``, ``cfg.ac``, ``cfg.kf_params`` and
+    ``cfg.key``.
 
-    A ``fixed_relaxed`` episode first decodes its plan steps in one array
-    pass (``_plan_pass``), which guesses every step's truth row, derives
-    the rest of each step from it with the loop's own float operations,
-    and keeps the steps up to its first wrong guess, which tracking the
-    replayed poses again finds; ``SimEnv.arrive_steps`` takes them. The
-    loop decodes every later step, so a guess that misses inside the plan
-    costs one pass, never more.
+    A ``naive`` or ``fixed_relaxed`` episode first decodes its plan steps
+    in one array pass (``_plan_pass``), which guesses every step's truth
+    row, derives the rest of each step from it with the loop's own float
+    operations, and keeps the steps up to its first wrong guess, which
+    tracking the replayed poses again finds; ``SimEnv.arrive_steps`` takes
+    them. The loop decodes every later step, so a guess that misses inside
+    the plan costs one pass, never more.
 
     Each step of the loop is one pass over the slice's seven positions. A
     position takes its truth token (``simenv._track_rows``' expression,
@@ -323,28 +322,23 @@ def run_episode(
     ``cfg.key`` equal to its key; ``EngineError`` otherwise. The trace's
     header and summary come from the env's spec, metadata and final state.
     """
-    if mode not in ("fixed_relaxed", "kerv"):
-        raise EngineError(
-            f"run_episode decodes fixed_relaxed or kerv, got {mode!r}; "
-            "a naive episode is decoded open-loop by run_strict_episode"
-        )
+    if mode not in MODES:
+        raise EngineError(f"unknown mode {mode!r}; expected one of {MODES}")
     _require_episode(env, cfg, draft)
     kerv = mode == "kerv"
+    bank = None
     if kerv:
         if row is None:
             raise EngineError("kerv mode needs a calibration row (see threshold.lookup)")
         r = float(row.r_max)
+        # only kerv compensates, so only kerv feeds and reads a filter bank
+        bank = KfBank(cfg.kf_params, ac=cfg.ac)
+        records, kvar_cum = [], 0.0
     else:
-        r = float(cfg.fixed_r)
-    # only kerv compensates, so only kerv feeds and reads a filter bank
-    bank = KfBank(cfg.kf_params, ac=cfg.ac) if kerv else None
-    prev_kvar = 0.0
-    kvar_cum = 0.0
-    cooldown = 0
-    records: list[SliceRecord] = []
-
-    if not kerv:
+        r = 0.0 if mode == "naive" else float(cfg.fixed_r)
         records, kvar_cum = _plan_pass(env, draft, r, cfg.depth)
+    prev_kvar = 0.0
+    cooldown = 0
 
     key = env.key
     vocab = key.vocab_size
@@ -353,14 +347,13 @@ def run_episode(
     spans = [hi - lo for lo, hi in zip(los, his)]
     depth, pl = cfg.depth, cfg.pl
     plan = env.plan
-    pose_rows = env.pose_rows
     last = plan.steps
     floor = math.floor
 
     while not env.done:
         t = env.t
         pose = env.pose
-        target = pose_rows[t + 1 if t < last else last]  # the plan's pose after this step
+        target = env.pose_rows[t + 1 if t < last else last]  # the plan's pose after this step
         errs, offsets = draft.noise_row(t)
         # the bank compensates only with context, and never in a cooldown
         comp = cooldown == 0 and bank is not None and bank.has_context
@@ -482,22 +475,28 @@ def run_episode(
 # a judged position's status is digit p, in base 3, of its step's status code
 _STATUS_NAMES = (EXACT, RELAXED, REJECTED)
 _STATUS_DIGITS = 3 ** np.arange(N_DOF)
+_POS_BITS = 1 << np.arange(N_DOF)  # bit p of a rejection mask is position p
+# a record from the tuple of its fields, made in C (``SliceRecord(*fields)``
+# would run the named tuple's Python-level ``__new__`` once per record)
+_RECORD = functools.partial(tuple.__new__, SliceRecord)
 # status code -> the statuses it stands for, filled as codes appear (at most 3**7)
 _STATUS_ROWS: dict[int, tuple[str, ...]] = {}
 
 
-def _status_row(code: int) -> tuple[str, ...]:
-    """The statuses of a status code, cached."""
-    row = _STATUS_ROWS[code] = tuple(_STATUS_NAMES[code // 3**p % 3] for p in range(N_DOF))
-    return row
+def _statuses(codes: list[int]) -> Iterator[tuple[str, ...]]:
+    """The statuses of each status code, from a cache filled as codes appear."""
+    rows = _STATUS_ROWS
+    for code in set(codes).difference(rows):
+        rows[code] = tuple(_STATUS_NAMES[code // 3**p % 3] for p in range(N_DOF))
+    return map(rows.__getitem__, codes)
 
 
 def _plan_pass(
     env: SimEnv, draft: NoisyDrafter, r: float, depth: int
 ) -> tuple[list[SliceRecord], float]:
-    """The records of a ``fixed_relaxed`` episode's plan steps that one
-    array pass confirms, and their summed variability; ``env`` is left
-    after the last of them, and the loop decodes the rest.
+    """The records of a ``naive`` or ``fixed_relaxed`` episode's plan steps
+    that one array pass confirms, and their summed variability; ``env`` is
+    left after the last of them, and the loop decodes the rest.
 
     The pass guesses every step's truth row, as ``simenv._quantize``
     guesses a plan. The verifier re-targets the plan on every step, so a
@@ -511,6 +510,12 @@ def _plan_pass(
     the loop's float operations, and the poses are the start pose plus the
     running sum of the actions (``np.cumsum``, which makes the loop's adds
     in the loop's order), with the gripper latched at each flip.
+
+    Where no position is relaxed, as always at r < 1, every executed token
+    is its truth and no offset moved a truth off the plan's tokens: the
+    steps execute the plan, whose poses replaying its tokens makes
+    (``simenv.build_plan``), so the pass takes the plan's poses, each
+    record executes its truth row, and no step has variability or a gap.
 
     Tracking each replayed pose again (``_track_rows``) confirms the guess
     up to its first miss, as ``simenv.build_plan`` describes: step 0
@@ -529,30 +534,34 @@ def _plan_pass(
     motion = slice(None, GRIPPER_DOF)
     errs, offsets = draft.plan_errs, draft.plan_offsets
 
-    truths = plan.tokens.copy()
-    executed = np.where(errs & (np.abs(offsets) <= r), offsets, 0)
-    truths[1:, motion] -= executed[:-1, motion]
-    np.clip(truths, 0, top, out=truths)
+    truths = plan.tokens
+    executed = errs & (np.abs(offsets) <= r)
+    if executed.any():
+        truths = truths.copy()
+        truths[1:, motion] -= np.where(executed, offsets, 0)[:-1, motion]
+        np.clip(truths, 0, top, out=truths)
     drafts = _corrupt_rows(truths, errs, offsets, top)
     dist = np.abs(drafts - truths)
     rejected = dist > r
     relaxed = (dist != 0) & ~rejected
-    tokens = np.where(rejected, truths, drafts)
-    actions = lo + span * (tokens + 0.5) / vocab  # token_to_action's expression
-    masses = np.where(relaxed, np.abs(lo + span * (truths + 0.5) / vocab - actions), 0.0)
-
-    poses = np.empty((n + 1, N_DOF))
-    poses[0] = env.pose
-    moves = actions[:, motion].copy()
-    moves[0] += poses[0, motion]
-    np.cumsum(moves, axis=0, out=poses[1:, motion])
-    # _latch: the gripper holds the sign of the last command past the flip level
-    commands = actions[:, GRIPPER_DOF]
-    flips = np.where(np.abs(commands) > GRIPPER_FLIP_LEVEL, np.arange(n), -1)
-    last_flip = np.maximum.accumulate(flips)
-    poses[1:, GRIPPER_DOF] = np.where(
-        last_flip >= 0, np.copysign(1.0, commands[last_flip]), poses[0, GRIPPER_DOF]
-    )
+    replayed = relaxed.any()
+    if replayed:
+        tokens = np.where(rejected, truths, drafts)
+        actions = lo + span * (tokens + 0.5) / vocab  # token_to_action's expression
+        poses = np.empty((n + 1, N_DOF))
+        poses[0] = env.pose
+        moves = actions[:, motion].copy()
+        moves[0] += poses[0, motion]
+        np.cumsum(moves, axis=0, out=poses[1:, motion])
+        # _latch: the gripper holds the sign of the last command past the flip level
+        commands = actions[:, GRIPPER_DOF]
+        flips = np.where(np.abs(commands) > GRIPPER_FLIP_LEVEL, np.arange(n), -1)
+        last_flip = np.maximum.accumulate(flips)
+        poses[1:, GRIPPER_DOF] = np.where(
+            last_flip >= 0, np.copysign(1.0, commands[last_flip]), poses[0, GRIPPER_DOF]
+        )
+    else:
+        poses = plan.poses
 
     targets = plan.poses[1:]
     wrong = (_track_rows(targets, poses[:-1], key) != truths).any(axis=1)
@@ -561,29 +570,34 @@ def _plan_pass(
         return [], 0.0
 
     kept = slice(None, confirmed)
-    with np.errstate(over="ignore"):  # a gap past the float range is infinite, as in the loop
-        gaps = np.abs(poses[1 : confirmed + 1, motion] - targets[kept, motion]).cumsum(axis=1)[:, -1]
-        gaps += np.where(poses[1 : confirmed + 1, GRIPPER_DOF] != targets[kept, GRIPPER_DOF], 2.0, 0.0)
-    round_counts = _round_counts(depth)
-    rows = _STATUS_ROWS
-    records = []
-    kvar_cum = 0.0
-    for drafted, truth, code, executed_row, kvar, missed in zip(
+    truth_rows = list(map(tuple, truths[kept].tolist()))
+    if replayed:
+        masses = np.abs(lo + span * (truths[kept] + 0.5) / vocab - actions[kept])
+        reached = poses[1 : confirmed + 1]
+        with np.errstate(over="ignore"):  # a sum past the float range is infinite, as in the loop
+            kvars = np.where(relaxed[kept], masses, 0.0).cumsum(axis=1)[:, -1]
+            cums = kvars.cumsum()  # left to right, as the loop adds
+            gaps = np.abs(reached[:, motion] - targets[kept, motion]).cumsum(axis=1)[:, -1]
+            gaps += np.where(reached[:, GRIPPER_DOF] != targets[kept, GRIPPER_DOF], 2.0, 0.0)
+        token_rows = map(tuple, tokens[kept].tolist())
+        kvar_steps, kvar_cums, gaps = kvars.tolist(), cums.tolist(), gaps.tolist()
+        kvar_cum = kvar_cums[-1]
+    else:  # the plan's steps: each executes its truth row, with no variability and no gap
+        token_rows, gaps, kvar_cum = truth_rows, [0.0] * confirmed, 0.0
+        kvar_steps = kvar_cums = itertools.repeat(0.0)
+    fields = zip(
         map(tuple, drafts[kept].tolist()),
-        map(tuple, truths[kept].tolist()),
-        ((relaxed[kept] + 2 * rejected[kept]) @ _STATUS_DIGITS).tolist(),
-        map(tuple, tokens[kept].tolist()),
-        masses[kept].cumsum(axis=1)[:, -1].tolist(),
-        (rejected[kept] @ _POS_BITS).tolist(),
-    ):
-        kvar_cum += kvar
-        statuses = rows.get(code) or _status_row(code)
-        records.append(
-            SliceRecord(
-                drafted, truth, statuses, executed_row, r, kvar, kvar_cum, round_counts[missed], 0
-            )
-        )
-    env.arrive_steps(tuple(poses[confirmed].tolist()), gaps.tolist())
+        truth_rows,
+        _statuses(((relaxed[kept] + 2 * rejected[kept]) @ _STATUS_DIGITS).tolist()),
+        token_rows,
+        itertools.repeat(r),
+        kvar_steps,
+        kvar_cums,
+        map(_round_counts(depth).__getitem__, (rejected[kept] @ _POS_BITS).tolist()),
+        itertools.repeat(0),
+    )
+    records = list(map(_RECORD, fields))
+    env.arrive_steps(tuple(poses[confirmed].tolist()), gaps)
     return records, kvar_cum
 
 
@@ -604,71 +618,3 @@ def _round_counts(depth: int) -> tuple[int, ...]:
                 round_end = pos + 1
         counts.append(rounds)
     return tuple(counts)
-
-
-@functools.lru_cache(maxsize=64)
-def _strict_slices(depth: int, key: NormKey) -> tuple[tuple[tuple[str, ...], int], ...]:
-    """What strict decoding records of a slice at ``depth``, for each set of
-    positions where the draft misses the truth: entry m holds the statuses
-    and rounds of a slice whose draft misses at the set bits of m. Nothing
-    else is kept: the record's first error position and compensation flag
-    are read from its statuses (``SliceRecord``).
-
-    Each entry is ``decode_slice_sd`` at r = 0 on a truth row of token 0
-    and a draft row holding token 1 at the misses. Both tokens are valid
-    in every vocabulary (``NormKey`` holds at least two), and under r = 0
-    only whether a draft token equals its truth matters, so the round rule
-    is written once.
-    """
-    table = []
-    for misses in range(1 << N_DOF):
-        drafted = tuple((misses >> pos) & 1 for pos in range(N_DOF))
-        res = decode_slice_sd(drafted, (0,) * N_DOF, r=0.0, depth=depth, key=key)
-        table.append((res.statuses, res.rounds))
-    return tuple(table)
-
-
-def run_strict_episode(env: SimEnv, draft: NoisyDrafter, cfg: RunConfig) -> EpisodeTrace:
-    """A naive episode's trace, decoded open-loop from the plan and the
-    drafter's noise rows.
-
-    Strict speculative decoding (r = 0, no compensation) executes exactly
-    the verifier's tokens, and the verifier tracks the plan, whose own
-    tokens reproduce its poses bit for bit (``simenv.build_plan``). So the
-    episode executes the plan: step t starts from the plan's pose t, the
-    truths and drafts of every step are known before the first slice
-    (``NoisyDrafter.plan_slices``), and the episode ends on the plan's last
-    step on its goal, with no deviation. With no compensation every
-    position is judged once, so a record holds the whole draft and truth
-    rows and executes the truth, and its statuses and rounds depend only on
-    where the draft misses (``_strict_slices``). The per-oracle loop in
-    naive mode, ``tests/oracles.py::reference_run_episode``, is the
-    reference it is tested against. ``env`` must be fresh, ``draft`` bound
-    to it and ``cfg.key`` its key (``EngineError`` otherwise); ``env`` is
-    left as it is.
-
-    The drafter derives every step's truth, draft and miss mask as arrays
-    in one pass, so each record costs one table lookup and one
-    ``SliceRecord``, built positionally in its field order.
-    """
-    _require_episode(env, cfg, draft)
-    table = _strict_slices(cfg.depth, cfg.key)
-    truths, drafts, misses = draft.plan_slices()
-    records = []
-    for truth, drafted, missed in zip(truths, drafts, misses):
-        statuses, rounds = table[missed]
-        records.append(SliceRecord(drafted, truth, statuses, truth, 0.0, 0.0, 0.0, rounds, 0))
-    plan = env.plan
-    return EpisodeTrace(
-        suite=env.suite,
-        kind=env.spec.kind,
-        mode="naive",
-        robot=env.robot,
-        trial=env.trial,
-        seed=env.spec.seed,
-        slices=records,
-        success=True,
-        steps=plan.steps,
-        deviation=0.0,
-        plan_steps=plan.steps,
-    )

@@ -512,9 +512,8 @@ def reference_run_episode(env, draft, verify, cfg, mode, row=None, *, outcomes=N
     row and ``verify.verify(drafted)`` the truth row (``oracle_policy``),
     ``decode_slice_sd`` judges and decodes the slice, the bank takes its
     actions and ``env.step`` moves the env (``_advance``). The loop is kept
-    as it was, and serves any oracles that answer with one row per step. In
-    naive mode it is the reference of ``run_strict_episode``, in the other
-    modes that of ``run_episode``.
+    as it was, and serves any oracles that answer with one row per step. It
+    is the reference of ``run_episode`` in every mode.
 
     A given ``outcomes`` list gets each slice's (first error position,
     compensation flag) as ``decode_slice_sd`` tracked them while deciding

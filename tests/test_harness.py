@@ -299,20 +299,21 @@ def test_run_suite_override_fails_as_the_config_fails(
 
 
 def test_naive_episodes_are_decoded_open_loop(small_cfg, monkeypatch):
-    """``run_one_episode`` decodes a naive episode without the draft/verify
-    loop, to the trace the per-oracle loop records; the other modes run the
-    closed loop."""
+    """``run_one_episode`` decodes every mode with ``run_episode``, a naive
+    episode in its array pass, with no draft/verify round, to the trace
+    the per-oracle loop records."""
     suite = small_cfg.suite("object")
     spec = make_task(suite.kind, suite.seed_base + small_cfg.seed_offset + 1)
     env = SimEnv(spec, small_cfg.key, suite=suite.name, robot=small_cfg.robot, trial=1)
     draft = NoisyDrafter(env, small_cfg.noise)
     ref = reference_run_episode(env, draft, PlanVerifier(env), small_cfg, "naive")
     loops = []
-    monkeypatch.setattr(harness, "run_episode", lambda *a: loops.append(a[3]))
+    real = harness.run_episode
+    monkeypatch.setattr(harness, "run_episode", lambda *a: loops.append(a[3]) or real(*a))
     same = run_one_episode(small_cfg, suite, "naive", 1, None).dumps() == ref.dumps()
     assert same
     run_one_episode(small_cfg, suite, "fixed_relaxed", 1, None)
-    assert loops == ["fixed_relaxed"]
+    assert loops == ["naive", "fixed_relaxed"]
 
 
 def test_run_suite_report_shape(small_cfg, small_table):
@@ -443,8 +444,10 @@ def test_sweep_decodes_each_tasks_naive_episode_once(small_cfg, monkeypatch):
     """The naive baseline of a task is decoded once for all swept values,
     and each value's rows are those ``run_suite`` gives at that value."""
     naive = []
-    real = harness.run_strict_episode
-    monkeypatch.setattr(harness, "run_strict_episode", lambda *a: naive.append(a) or real(*a))
+    real = harness.run_episode
+    monkeypatch.setattr(
+        harness, "run_episode", lambda *a: a[3] == "naive" and naive.append(a) or real(*a)
+    )
     rows = sweep(small_cfg, "r", [5, 9, 15], trials=2)
     assert len(naive) == 8  # 4 suites x 2 trials
     monkeypatch.undo()

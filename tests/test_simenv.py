@@ -32,7 +32,7 @@ from kerv.simenv import (
 )
 from kerv.config import ConfigError, RunConfig, SuiteConfig
 from kerv.harness import run_one_episode, run_suite
-from kerv.specdec import run_episode, run_strict_episode
+from kerv.specdec import run_episode
 from kerv.threshold import CalibrationRow, CalibrationTable
 from kerv.trace import MODES
 
@@ -127,6 +127,21 @@ def test_plan_replay_reproduces_every_pose(grip_range):
     for t in range(plan.steps):
         env.step(decode_slice(tokens[t].tolist(), key))
         assert env.pose == tuple(plan.poses[t + 1])
+
+
+@pytest.mark.parametrize("key", GRIPPER_KEYS.values(), ids=GRIPPER_KEYS)
+def test_replaying_the_plans_tokens_makes_its_poses(key):
+    """The plan's tokens, whose gripper column is the verifier's along the
+    plan rather than the waypoints', still replay to the plan's poses bit
+    for bit, on a gripper that never latches and one that alternates:
+    seeds 0-9 of every kind."""
+    for kind in KINDS:
+        for seed in range(10):
+            env = SimEnv(make_task(kind, seed), key)
+            plan = env.plan
+            for t in range(plan.steps):
+                env.step(decode_slice(plan.tokens[t].tolist(), key))
+                assert env.pose == tuple(plan.poses[t + 1].tolist()), (kind, seed, t)
 
 
 def test_zero_actions_fail_at_max_steps():
@@ -572,19 +587,27 @@ def test_draft_policy_matches_reference_stream(noise):
 
 @pytest.mark.parametrize("noise", REFERENCE_NOISES)
 def test_plan_slices_match_reference_stream(noise):
-    """The open-loop truths, drafts and miss masks at every plan step: the
-    oracle tracking pose t + 1 from pose t, the reference stream's
-    corruption of that truth, and the positions where the two differ."""
+    """The truths, drafts and misses at every plan step: the plan's tokens
+    are the oracle tracking pose t + 1 from pose t, ``_corrupt_rows`` of
+    them with the drafter's plan rows is the reference stream's corruption,
+    and a naive episode records both and rejects exactly where they differ."""
     vocab = NormKey().vocab_size
     for kind, task_seed in REFERENCE_TASKS:
         env = SimEnv(make_task(kind, task_seed))
         poses = env.plan.poses.tolist()
-        truths, drafts, misses = NoisyDrafter(env, noise).plan_slices()
-        assert len(truths) == len(drafts) == len(misses) == env.plan.steps
-        for t, (truth, drafted, missed) in enumerate(zip(truths, drafts, misses)):
-            assert list(truth) == reference_track(poses[t + 1], poses[t], env.key), t
-            assert drafted == reference_draft_ids(truth, noise, task_seed, t, vocab), t
-            assert missed == sum(1 << p for p in range(7) if drafted[p] != truth[p]), t
+        draft = NoisyDrafter(env, noise)
+        truths = env.plan.tokens.tolist()
+        drafts = simenv._corrupt_rows(
+            env.plan.tokens, draft.plan_errs, draft.plan_offsets, vocab - 1
+        )
+        records = run_episode(env, draft, RunConfig(), "naive").slices
+        assert len(truths) == len(drafts) == len(records) == env.plan.steps
+        for t, (truth, drafted, rec) in enumerate(zip(truths, drafts.tolist(), records)):
+            assert truth == reference_track(poses[t + 1], poses[t], env.key), t
+            assert tuple(drafted) == reference_draft_ids(truth, noise, task_seed, t, vocab), t
+            assert (rec.true_ids, rec.draft_ids) == (tuple(truth), tuple(drafted)), t
+            missed = [p for p in range(7) if rec.statuses[p] == specdec.REJECTED]
+            assert missed == [p for p in range(7) if drafted[p] != truth[p]], t
 
 
 @pytest.mark.parametrize("vocab", [2, 3, 16, 256])
@@ -753,9 +776,6 @@ _ROW = CalibrationRow(
 
 
 def _decode(env, draft, mode):
-    """The episode ``mode``'s engine decodes: naive ones open-loop."""
-    if mode == "naive":
-        return run_strict_episode(env, draft, RunConfig())
     return run_episode(env, draft, RunConfig(), mode, _ROW)
 
 
@@ -767,8 +787,8 @@ def _episode(spec, mode):
 @pytest.mark.parametrize("mode", MODES)
 def test_oracle_runs_at_most_once_per_env_step(mode, monkeypatch):
     """The closed loop tracks the plan inline, once per position, and the
-    open-loop naive decoder tracks it as arrays, so no mode calls
-    ``oracle_policy`` at all."""
+    array pass tracks it as arrays, so no mode calls ``oracle_policy`` at
+    all."""
     calls = []
     real = simenv.oracle_policy
 
@@ -858,21 +878,15 @@ def test_make_task_builds_no_plan_and_an_episode_builds_one():
 
 @pytest.mark.parametrize("mode", ["naive", "fixed_relaxed", "run_suite"])
 def test_naive_episode_corrupts_no_row_and_drafts_nothing(mode, monkeypatch):
-    """A naive episode is decoded open-loop from the plan's arrays, and the
-    closed loop of the other modes makes each truth and draft token inline,
-    so neither calls a per-oracle layer, and neither does a suite run in
-    all three modes (``run_suite``): the layers serve only the reference.
-    ``decode_slice_sd`` runs only while ``_strict_slices`` fills its table."""
-    calls, filling = [], []
+    """Every mode makes each truth and draft token in the array pass or
+    inline in the closed loop, so no episode calls a per-oracle layer,
+    ``decode_slice_sd`` included, and neither does a suite run in all three
+    modes (``run_suite``): the layers serve only the reference."""
+    calls = []
 
     def spy(owner, name):
         real = getattr(owner, name)
-
-        def counting(*args, **kwargs):
-            calls.append((name, bool(filling)))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counting)
+        monkeypatch.setattr(owner, name, lambda *a, **kw: calls.append(name) or real(*a, **kw))
 
     for owner, name in [
         (simenv, "oracle_policy"),
@@ -885,16 +899,6 @@ def test_naive_episode_corrupts_no_row_and_drafts_nothing(mode, monkeypatch):
         (codec, "decode_slice"),
     ]:
         spy(owner, name)
-    fill_table = specdec._strict_slices.__wrapped__
-
-    def strict_slices(*args):  # not cached, so every naive episode fills it
-        filling.append(True)
-        try:
-            return fill_table(*args)
-        finally:
-            filling.pop()
-
-    monkeypatch.setattr(specdec, "_strict_slices", strict_slices)
     suite = SuiteConfig("t", "pick_place", trials=1, seed_base=5)
     cfg = RunConfig(suites=(suite,))
     if mode == "run_suite":
@@ -902,22 +906,22 @@ def test_naive_episode_corrupts_no_row_and_drafts_nothing(mode, monkeypatch):
         assert sorted(m for _, m in traces) == sorted(MODES)
     else:
         assert run_one_episode(cfg, suite, mode, 0, None).steps > 0
-    assert [call for call in calls if call != ("decode_slice_sd", True)] == []
-    assert (("decode_slice_sd", True) in calls) == (mode != "fixed_relaxed")
+    assert calls == []
 
 
-@pytest.mark.parametrize("mode", ["open-loop", "fixed_relaxed"])
+@pytest.mark.parametrize("mode", MODES)
 def test_only_the_closed_loop_makes_the_pose_rows(mode):
     """The closed loop reads the plan's poses as float rows made once per
-    episode; an episode decoded open-loop never makes them."""
+    episode; an episode that ends inside the array pass never makes them.
+    Pick-and-place seed 5 ends on plan step 166 under naive and
+    ``fixed_relaxed``, so only kerv, which runs the loop alone, makes them."""
     env = SimEnv(make_task("pick_place", 5), suite="t")
-    draft = NoisyDrafter(env, DraftNoiseModel(seed=9))
-    if mode == "open-loop":
-        run_strict_episode(env, draft, RunConfig())
-        assert "pose_rows" not in vars(env)
-    else:
-        run_episode(env, draft, RunConfig(), mode)
+    trace = run_episode(env, NoisyDrafter(env, DraftNoiseModel(seed=9)), RunConfig(), mode, _ROW)
+    if mode == "kerv":
         assert vars(env)["pose_rows"] == env.plan.poses.tolist()
+    else:
+        assert trace.steps == env.plan.steps == 166
+        assert "pose_rows" not in vars(env)
 
 
 def test_arrive_steps_takes_the_steps_arrive_takes_one_by_one():

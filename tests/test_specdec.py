@@ -4,11 +4,12 @@ import itertools
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kerv import specdec, threshold
+from kerv import simenv, specdec, threshold
 from kerv.codec import NormKey, decode_slice, token_to_action
 from kerv.config import RunConfig, default_config
 from kerv.kinematics import KfBank, KfParams, NoContextError
@@ -33,7 +34,6 @@ from kerv.specdec import (
     decode_slice_sd,
     relaxed_accept,
     run_episode,
-    run_strict_episode,
 )
 from kerv.threshold import CalibrationRow
 from kerv.trace import MODES, loads
@@ -319,19 +319,11 @@ ROW = CalibrationRow(
 )
 
 
-def _decode(env, draft, cfg, mode, row=ROW):
-    """The episode ``mode``'s engine decodes: naive ones open-loop (the
-    ``open-loop`` cases of the refusal tests name it so too)."""
-    if mode in ("naive", "open-loop"):
-        return run_strict_episode(env, draft, cfg)
-    return run_episode(env, draft, cfg, mode, row)
-
-
 def _episode(mode, seed=5, kind="pick_place", row=ROW, **cfg_kw):
     spec = make_task(kind, seed)
     env = SimEnv(spec, suite="t", trial=0)
     draft = NoisyDrafter(env, DraftNoiseModel(seed=9))
-    return _decode(env, draft, RunConfig(**cfg_kw), mode, row)
+    return run_episode(env, draft, RunConfig(**cfg_kw), mode, row)
 
 
 def test_cooldown_blocks_compensation_for_n_slices():
@@ -372,27 +364,26 @@ def test_kerv_requires_calibration_row():
         run_episode(env, draft, RunConfig(), "kerv")
     with pytest.raises(EngineError):
         run_episode(env, draft, RunConfig(), "greedy")
-    # naive has one engine, the open-loop one
-    with pytest.raises(EngineError, match="run_strict_episode"):
-        run_episode(env, draft, RunConfig(), "naive")
+    # naive decodes through the same engine, and reads no row
+    assert run_episode(env, draft, RunConfig(), "naive").mode == "naive"
 
 
-@pytest.mark.parametrize("mode", ["open-loop", *MODES])
+@pytest.mark.parametrize("mode", MODES)
 def test_decoders_refuse_a_stepped_env(mode):
     """An env that has stepped would start the trace past step 0 under a
-    summary that counts the earlier steps; both decoders refuse it."""
+    summary that counts the earlier steps; every mode refuses it."""
     env = SimEnv(make_task("reach", 5), suite="t", trial=0)
     draft = NoisyDrafter(env, DraftNoiseModel(seed=9))
     for _ in range(5):
         env.step(decode_slice(oracle_policy(env), KEY))
     with pytest.raises(EngineError, match="fresh.*step 5"):
-        _decode(env, draft, RunConfig(), mode)
+        run_episode(env, draft, RunConfig(), mode, ROW)
     assert env.t == 5
 
 
 @pytest.mark.parametrize(
     "mode, stray",
-    [("open-loop", "draft"), *((m, "draft") for m in MODES)],
+    [(m, "draft") for m in MODES],
 )
 def test_decoders_refuse_an_oracle_bound_to_another_env(mode, stray):
     """An oracle answers from the steps of the env it is bound to; bound to
@@ -402,7 +393,7 @@ def test_decoders_refuse_an_oracle_bound_to_another_env(mode, stray):
     env_b = SimEnv(make_task("long_horizon", 5), suite="t", trial=0)
     draft = NoisyDrafter(env_b if stray == "draft" else env_a, DraftNoiseModel(seed=9))
     with pytest.raises(EngineError, match="bound to another env"):
-        _decode(env_a, draft, RunConfig(), mode)
+        run_episode(env_a, draft, RunConfig(), mode, ROW)
     assert env_a.t == env_b.t == 0
 
 
@@ -548,7 +539,7 @@ def _first_different_line(text: str, ref: str) -> tuple[str, str] | None:
 @pytest.mark.parametrize("key", STRICT_KEYS.values(), ids=STRICT_KEYS)
 @pytest.mark.parametrize("depth", range(1, 8))
 def test_strict_episode_writes_the_closed_loop_naive_trace(depth, key):
-    """The open-loop decoder writes, byte for byte, the trace that the
+    """A naive episode writes, byte for byte, the trace that the
     per-oracle closed loop records in naive mode:
     every noise of ``STRICT_NOISES`` at each depth and key, cycling over
     every suite."""
@@ -564,7 +555,7 @@ def test_strict_episode_writes_the_closed_loop_naive_trace(depth, key):
             env, draft, PlanVerifier(env), cfg, "naive", outcomes=outcomes
         )
         env = SimEnv(spec, key, suite=suite.name, trial=i)
-        got = run_strict_episode(env, NoisyDrafter(env, noise), cfg)
+        got = run_episode(env, NoisyDrafter(env, noise), cfg, "naive")
         diff = _first_different_line(got.dumps(), ref.dumps())
         assert diff is None, (suite.name, q_err, max_offset, diff)
         assert got.success and got.steps == env.plan.steps
@@ -735,6 +726,27 @@ def test_array_pass_confirms_every_plan_step_of_the_default_config(suite, monkey
     assert passes == []
 
 
+@pytest.mark.parametrize("key", STRICT_KEYS.values(), ids=STRICT_KEYS)
+def test_plan_tokens_are_the_truths_and_naive_ends_in_the_pass(key, monkeypatch):
+    """A plan's tokens are the verifier's truths along it, the gripper
+    column included (on 16 bins over +-0.02 the gripper never latches, so
+    its truth is the hold impulse, not the waypoint's state), and so the
+    r = 0 pass confirms every plan step of a naive episode and the loop
+    decodes none: 10 seeds of every kind."""
+    passes, loop_steps = _count_pass_and_loop_steps(monkeypatch)
+    cfg = RunConfig(key=key)
+    for kind in KINDS:
+        for seed in range(10):
+            passes.clear()
+            env = SimEnv(make_task(kind, seed), key, suite="t", trial=seed)
+            poses = env.plan.poses
+            truths = simenv._track_rows(poses[1:], poses[:-1], key)
+            assert np.array_equal(env.plan.tokens, truths), (kind, seed)
+            trace = run_episode(env, NoisyDrafter(env, cfg.noise), cfg, "naive")
+            assert passes == [env.plan.steps] and trace.steps == env.plan.steps, (kind, seed)
+    assert loop_steps == []
+
+
 def test_a_guess_that_misses_inside_the_plan_gets_one_pass_then_the_loop(monkeypatch):
     """Drafts up to 5000 bins off on 3 bins over narrow ranges: the guess
     misses early in the plan, the loop decodes every step from the miss,
@@ -752,6 +764,12 @@ def test_a_guess_that_misses_inside_the_plan_gets_one_pass_then_the_loop(monkeyp
 @pytest.mark.parametrize("depth", range(1, 8))
 def test_round_counts_are_the_strict_table_rounds(depth):
     """The array pass's rounds per rejection mask are those that
-    ``decode_slice_sd`` counts, as ``_strict_slices`` holds them."""
-    table = specdec._strict_slices(depth, KEY)
-    assert specdec._round_counts(depth) == tuple(rounds for _, rounds in table)
+    ``decode_slice_sd`` counts at r = 0 on a truth row of token 0 and a
+    draft row holding token 1 at the mask's set bits."""
+    table = [
+        decode_slice_sd(
+            [(mask >> pos) & 1 for pos in range(7)], [0] * 7, r=0.0, depth=depth, key=KEY
+        ).rounds
+        for mask in range(1 << 7)
+    ]
+    assert specdec._round_counts(depth) == tuple(table)
