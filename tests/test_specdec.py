@@ -368,7 +368,16 @@ def test_kerv_requires_calibration_row():
     assert run_episode(env, draft, RunConfig(), "naive").mode == "naive"
 
 
-@pytest.mark.parametrize("mode", MODES)
+def _decode(env, draft, mode):
+    """The episode ``mode`` decodes; ``open-loop`` is a naive episode as
+    ``run_one_episode`` starts it, with no calibration row, which its
+    array pass decodes with no draft/verify round."""
+    if mode == "open-loop":
+        return run_episode(env, draft, RunConfig(), "naive")
+    return run_episode(env, draft, RunConfig(), mode, ROW)
+
+
+@pytest.mark.parametrize("mode", ["open-loop", *MODES])
 def test_decoders_refuse_a_stepped_env(mode):
     """An env that has stepped would start the trace past step 0 under a
     summary that counts the earlier steps; every mode refuses it."""
@@ -377,13 +386,13 @@ def test_decoders_refuse_a_stepped_env(mode):
     for _ in range(5):
         env.step(decode_slice(oracle_policy(env), KEY))
     with pytest.raises(EngineError, match="fresh.*step 5"):
-        run_episode(env, draft, RunConfig(), mode, ROW)
+        _decode(env, draft, mode)
     assert env.t == 5
 
 
 @pytest.mark.parametrize(
     "mode, stray",
-    [(m, "draft") for m in MODES],
+    [("open-loop", "draft"), *((m, "draft") for m in MODES)],
 )
 def test_decoders_refuse_an_oracle_bound_to_another_env(mode, stray):
     """An oracle answers from the steps of the env it is bound to; bound to
@@ -393,7 +402,7 @@ def test_decoders_refuse_an_oracle_bound_to_another_env(mode, stray):
     env_b = SimEnv(make_task("long_horizon", 5), suite="t", trial=0)
     draft = NoisyDrafter(env_b if stray == "draft" else env_a, DraftNoiseModel(seed=9))
     with pytest.raises(EngineError, match="bound to another env"):
-        run_episode(env_a, draft, RunConfig(), mode, ROW)
+        _decode(env_a, draft, mode)
     assert env_a.t == env_b.t == 0
 
 
