@@ -19,7 +19,7 @@ its values are checked at four boundaries:
 * every token an oracle returns, where the decoder judges it
   (``specdec.decode_slice_sd``);
 * every id ``decode_slice`` decodes: seven ids, each an ``int`` (not a
-  ``bool``) in ``[0, vocab)``;
+  ``bool``), which ``token_to_action`` decodes in ``[0, vocab)``;
 * every record read back from a trace (``trace.loads``).
 
 Tokens the decoder fills from filter predictions come from
@@ -36,8 +36,9 @@ expression) and the move of the pose per position.
 A token the simulator tracks or corrupts is an ``int`` in the vocabulary
 by construction, so the fused step does not check it again; the rows of
 the per-oracle reference are checked where ``decode_slice_sd`` judges
-them. ``decode_slice`` serves the tests and stays a benchmark span target;
-no suite run calls it.
+them, and its actions are ``decode_slice`` of its tokens, each through
+``token_to_action``. ``decode_slice`` serves that reference and the tests
+and stays a benchmark span target; no suite run calls it.
 """
 
 from __future__ import annotations
@@ -115,23 +116,19 @@ def action_to_token(value: float, dof: int, key: NormKey = DEFAULT_KEY) -> int:
 
 
 def decode_slice(ids, key: NormKey = DEFAULT_KEY) -> tuple[float, ...]:
-    """Decode the seven token ids of a slice to continuous actions, with
-    ``token_to_action``'s expression inline per DoF.
+    """Decode the seven token ids of a slice to continuous actions with
+    ``token_to_action``.
 
     Each id must be an ``int`` (not a ``bool``) in ``[0, vocab)``, the rule
     ``specdec.decode_slice_sd`` applies to oracle tokens.
     """
     if len(ids) != N_DOF:
         raise CodecError(f"token slice needs {N_DOF} ids, got {len(ids)}")
-    vocab = key.vocab_size
     values = []
     for dof, tok in enumerate(ids):
         if type(tok) is not int:
             raise CodecError(f"token id must be an int, got {tok!r} for dof{dof}")
-        if not 0 <= tok < vocab:
-            raise CodecError(f"token id {tok} outside [0, {vocab - 1}] for dof{dof}")
-        lo, hi = key.lo[dof], key.hi[dof]
-        values.append(lo + (hi - lo) * (tok + 0.5) / vocab)
+        values.append(token_to_action(tok, dof, key))
     return tuple(values)
 
 

@@ -4,8 +4,8 @@ Episode latency is modeled, not measured: each slice contributes its verify
 and draft calls at configured per-call costs, plus a filter-predict and a
 host round-trip charge when compensation fired, plus the per-slice
 threshold-adjustment charge. Every output is deterministic for fixed seeds,
-and float totals and means are added left to right (``_fold``), so they do
-not depend on the interpreter either.
+and float totals and means are added left to right (``trace._fold``), so
+they do not depend on the interpreter either.
 
 Every mode has one engine, ``specdec.run_episode``, which reads the
 simulator's plan and the drafter's noise rows itself, with no oracle call.
@@ -34,7 +34,7 @@ from .config import ConfigError, CostModel, RunConfig, SuiteConfig
 from .simenv import NoisyDrafter, SimEnv, make_task
 from .specdec import run_episode
 from .threshold import CalibrationTable
-from .trace import MODES, EpisodeTrace
+from .trace import MODES, EpisodeTrace, _fold, mean_steps, success_rate
 
 
 def modeled_latency(trace: EpisodeTrace, cm: CostModel) -> float:
@@ -59,30 +59,9 @@ def afep(traces: Iterable[EpisodeTrace]) -> float:
     return sum(firsts) / len(firsts)
 
 
-def _fold(values: Iterable[float]) -> float:
-    """The sum of ``values`` added left to right, as on every interpreter:
-    ``sum()`` of floats is compensated from Python 3.12."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
 def mean_r(traces: Sequence[EpisodeTrace]) -> float:
     rs = [rec.r for t in traces for rec in t.slices]
     return _fold(rs) / len(rs) if rs else 0.0
-
-
-def success_rate(traces: Sequence[EpisodeTrace]) -> float:
-    if not traces:
-        return 0.0
-    return sum(1.0 for t in traces if t.success) / len(traces)
-
-
-def mean_steps(traces: Sequence[EpisodeTrace]) -> float:
-    if not traces:
-        return 0.0
-    return sum(t.steps for t in traces) / len(traces)
 
 
 @dataclass(frozen=True)

@@ -44,10 +44,12 @@ plan step, and a naive episode ends on the plan's last step.
 
 The per-oracle names stay as the layers of
 ``tests/oracles.py::reference_run_episode``, which checks the engine in
-every mode, and as benchmark span targets: ``NoisyDrafter.draft`` and
-``PlanVerifier.verify`` give a step's draft and truth rows,
-``decode_slice_sd`` decides a slice from two rows (``relaxed_accept``
-judges one position), and ``SimEnv.step`` moves the env.
+every mode, and as benchmark span targets; no suite run calls them.
+``NoisyDrafter.draft`` and ``PlanVerifier.verify`` give a step's draft and
+truth rows, and ``SimEnv.step`` moves the env. ``decode_slice_sd`` decides
+a slice from two rows as the plain composition of the rules the engine
+inlines: ``relaxed_accept`` judges each position, ``codec.decode_slice``
+gives the actions and ``accepted_error_kvar`` the variability.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from .codec import (
     N_DOF,
     NormKey,
     action_to_token,
-    decode_slice,  # noqa: F401 (perfbench/spans.py traces the codec under this name)
+    decode_slice,
     snap_gripper_token,
     token_to_action,
 )
@@ -78,10 +80,6 @@ from .trace import EXACT, MODES, REJECTED, RELAXED, EpisodeTrace, SliceRecord
 if TYPE_CHECKING:  # for annotations only
     from .config import RunConfig
     from .simenv import NoisyDrafter, SimEnv
-
-
-# where a decoded slice's final token came from
-SRC_DRAFT, SRC_VERIFY, SRC_KF = "draft", "verify_corrected", "kf"
 
 
 class EngineError(RuntimeError):
@@ -109,19 +107,19 @@ class SliceResult:
     """One decoded slice. ``draft_ids``, ``true_ids`` and ``statuses`` hold
     one slot per position, ``None`` where nothing was drafted, as the trace
     records them. ``actions`` are ``tokens`` decoded (``decode_slice``), and
-    ``kvar`` is the slice's ``accepted_error_kvar``. ``first_error_pos``,
-    ``sources`` and ``comp_fired`` are tracked apart from the statuses."""
+    ``kvar`` is the slice's ``accepted_error_kvar``. ``first_error_pos`` and
+    ``comp_fired`` are derived from the statuses, as a record derives them."""
 
     tokens: tuple[int, ...]
-    first_error_pos: int
-    sources: tuple[str, ...]
     rounds: int  # one draft call and one verify call each
-    comp_fired: bool
     draft_ids: tuple[int | None, ...]
     true_ids: tuple[int | None, ...]
     statuses: tuple[str | None, ...]
     actions: tuple[float, ...]
     kvar: float
+
+    first_error_pos = SliceRecord.first_error_pos
+    comp_fired = SliceRecord.comp_fired
 
 
 def decode_slice_sd(
@@ -134,21 +132,18 @@ def decode_slice_sd(
     bank: KfBank | None = None,
     kf_pl: int = 1,
 ) -> SliceResult:
-    """Decide one full 7-token slice from the step's draft row and truth row
-    in one pass; a given ``bank`` compensates a first-round rejection from
+    """Decide one full 7-token slice from the step's draft row and truth row;
+    a given ``bank`` compensates a first-round rejection from
     ``bank.predict(kf_pl)``.
 
     The rows are walked in the rounds of the draft/verify loop: a round
-    judges up to ``depth`` positions and ends at the first rejection, and
-    ``rounds`` counts them, each one draft and one verify call. Every
-    position is judged as ``relaxed_accept`` judges it. Each placed token is
-    decoded with ``token_to_action``'s expression, so ``actions`` equals
-    ``decode_slice(tokens)``, and the action errors of the ``RELAXED``
-    positions are summed in position order, so ``kvar`` equals
-    ``accepted_error_kvar`` of the result, bit for bit. ``run_episode``
-    makes the same decision inline, position by position, or for every
-    plan step at once in its array pass; this is its per-oracle
-    reference.
+    judges up to ``depth`` positions with ``relaxed_accept`` and ends at the
+    first rejection, and ``rounds`` counts them, each one draft and one
+    verify call. Each token is checked where it is judged. The slice's
+    ``actions`` are ``decode_slice`` of its tokens, and its ``kvar`` is
+    ``accepted_error_kvar`` of the result. ``run_episode`` makes the same
+    decision inline, position by position, or for every plan step at once
+    in its array pass; this is its per-oracle reference.
     """
     if not 1 <= depth <= N_DOF:
         raise EngineError(f"draft depth must be in [1, {N_DOF}], got {depth}")
@@ -160,16 +155,10 @@ def decode_slice_sd(
         raise EngineError(f"verify oracle returned {len(truths)} tokens, wanted {N_DOF}")
 
     vocab = key.vocab_size
-    lo, hi = key.lo, key.hi
     tokens: list[int] = []
-    actions: list[float] = []
-    sources: list[str] = []
     statuses: list[str] = []
-    first_error = N_DOF
     rounds = 0
     round_end = 0  # the positions before it are in rounds already counted
-    kvar = 0.0
-
     for pos in range(N_DOF):
         if pos == round_end:
             rounds += 1
@@ -181,52 +170,31 @@ def decode_slice_sd(
             raise _bad_token("draft", pos, d_tok, vocab)
         if type(t_tok) is not int or not 0 <= t_tok < vocab:
             raise _bad_token("verify", pos, t_tok, vocab)
-        low = lo[pos]
-        span = hi[pos] - low
-        if d_tok == t_tok:
-            statuses.append(EXACT)
+        status = relaxed_accept(d_tok, t_tok, r)
+        statuses.append(status)
+        if status != REJECTED:
             tokens.append(d_tok)
-            actions.append(low + span * (d_tok + 0.5) / vocab)
-            sources.append(SRC_DRAFT)
             continue
-        if abs(d_tok - t_tok) <= r:
-            action = low + span * (d_tok + 0.5) / vocab
-            kvar += abs(low + span * (t_tok + 0.5) / vocab - action)
-            statuses.append(RELAXED)
-            tokens.append(d_tok)
-            actions.append(action)
-            sources.append(SRC_DRAFT)
-            continue
-
-        statuses.append(REJECTED)
-        if first_error == N_DOF:
-            first_error = pos
         tokens.append(t_tok)
-        actions.append(low + span * (t_tok + 0.5) / vocab)
-        sources.append(SRC_VERIFY)
         # compensation replaces re-inference only when the miss shows up
         # in the first round; a compensated slice must cost one verify
         if bank is not None and rounds == 1 and pos < N_DOF - 1:
             predicted = bank.predict(kf_pl)
-            for dof in range(pos + 1, N_DOF):
-                tok = _tokenize_prediction(predicted[dof], dof, key)
-                tokens.append(tok)
-                actions.append(lo[dof] + (hi[dof] - lo[dof]) * (tok + 0.5) / vocab)
-                sources.append(SRC_KF)
-            # the filled positions were never drafted: their slots stay empty
-            empty = (None,) * (N_DOF - 1 - pos)
-            return SliceResult(
-                tuple(tokens), first_error, tuple(sources), rounds, True,
-                (*drafted[: pos + 1], *empty), (*truths[: pos + 1], *empty),
-                (*statuses, *empty), tuple(actions), kvar,
+            tokens += (
+                _tokenize_prediction(predicted[dof], dof, key) for dof in range(pos + 1, N_DOF)
             )
+            break
         round_end = pos + 1  # the next round starts after the correction
 
-    # every position was judged
-    return SliceResult(
-        tuple(tokens), first_error, tuple(sources), rounds, False,
-        tuple(drafted), tuple(truths), tuple(statuses), tuple(actions), kvar,
+    # the filled positions were never drafted: their slots stay empty
+    judged = len(statuses)
+    empty = (None,) * (N_DOF - judged)
+    result = SliceResult(
+        tuple(tokens), rounds, (*drafted[:judged], *empty), (*truths[:judged], *empty),
+        (*statuses, *empty), decode_slice(tokens, key), kvar=0.0,
     )
+    result.kvar = accepted_error_kvar(result, key)
+    return result
 
 
 def _bad_token(oracle: str, pos: int, tok, vocab: int) -> EngineError:

@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .codec import DEFAULT_KEY, NormKey, token_to_action
-from .trace import EpisodeTrace, write_text_atomic
+from .trace import EpisodeTrace, _fold, mean_steps, success_rate, write_text_atomic
 
 DEFAULT_R_MAX = 15.0
 DEFAULT_R_MIN = 5.0
@@ -317,16 +317,12 @@ def calibrate(
         steps = [rec.kvar_step for t in traces for rec in t.slices]
         if not steps:
             raise ThresholdConfigError(f"traces for ({task}, {robot}) contain no slices")
-        # summed left to right: sum() of floats is compensated from Python 3.12
-        total = 0.0
-        for kvar_step in steps:
-            total += kvar_step
         try:
             stats = replace(
                 rows[0],
-                kvar_ref=total / len(steps),
-                success_rate=sum(1.0 for t in traces if t.success) / len(traces),
-                avg_steps=sum(t.steps for t in traces) / len(traces),
+                kvar_ref=_fold(steps) / len(steps),
+                success_rate=success_rate(traces),
+                avg_steps=mean_steps(traces),
             )
         except ThresholdConfigError as exc:
             raise ThresholdConfigError(

@@ -13,10 +13,16 @@ costs a tuple to build and is written as a JSON object with sorted keys.
 A record line is written from one ``%`` template (``_RECORD_TEMPLATE``):
 ids and counts as ``%d``, floats as ``%r`` (``float.__repr__``, as the JSON
 encoder writes them), and the statuses from a cache of their JSON text by
-tuple. ``_ENCODE``, one JSON encoder built at import (``_line_encoder``),
-writes the header and summary lines, and a record with a null slot or a
-non-finite float; both write the bytes ``json.dumps(..., sort_keys=True)``
-writes. Every line is read by ``_DECODER``, one decoder built at import.
+tuple. ``_ENCODE``, the ``encode`` of one ``json.JSONEncoder(sort_keys=True)``
+built at import, writes the header and summary lines, and a record with a
+null slot or a non-finite float; both write the bytes ``json.dumps(...,
+sort_keys=True)`` writes. Every line is read by ``_DECODER``, one decoder
+built at import.
+
+The episode statistics that a report and a calibration table share live
+here, once: ``success_rate``, ``mean_steps`` and ``_fold``, which adds
+floats left to right, so a total does not move with the interpreter's
+``sum``.
 
 The summary line is required: ``loads`` rejects a stream without one, with
 a second header, with a record after the summary, or whose slice count
@@ -52,9 +58,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .codec import N_DOF
 from .simenv import KINDS
@@ -110,28 +115,9 @@ def _parse_constant(name: str) -> float:
 _DECODER = json.JSONDecoder(parse_constant=_parse_constant)
 
 
-def _line_encoder():
-    """``json.dumps(obj, sort_keys=True)`` with its encoder built once.
-
-    ``json.dumps`` with an option builds a ``JSONEncoder`` for every call,
-    and ``JSONEncoder.encode`` builds a C encoder for every call. This is
-    the C encoder ``encode`` builds, with the same arguments except the
-    circular-reference check: a trace line is built from scalars, tuples
-    and fresh dicts, none of which can hold itself. It calls CPython's
-    private ``c_make_encoder`` with the signature ``JSONEncoder.iterencode``
-    uses; where the ``_json`` accelerator is missing that is None, and the
-    encoder's own ``encode``, which writes the same bytes, is used."""
-    enc = json.JSONEncoder(sort_keys=True)
-    if c_make_encoder is None:
-        return enc.encode
-    iterencode = c_make_encoder(
-        None, enc.default, encode_basestring_ascii, enc.indent, enc.key_separator,
-        enc.item_separator, enc.sort_keys, enc.skipkeys, enc.allow_nan,
-    )
-    return lambda obj: "".join(iterencode(obj, 0))
-
-
-_ENCODE = _line_encoder()
+# ``json.dumps(obj, sort_keys=True)`` with its encoder built once:
+# ``json.dumps`` with an option builds a ``JSONEncoder`` for every call
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
 
 # a record's line as ``_ENCODE`` writes its field dict: keys sorted, ids and
 # counts as ``int.__repr__`` writes them, floats as ``float.__repr__``
@@ -233,6 +219,27 @@ class EpisodeTrace:
 
     def save(self, path: str | Path) -> None:
         write_text_atomic(path, self.dumps())
+
+
+def _fold(values: Iterable[float]) -> float:
+    """The sum of ``values`` added left to right, as on every interpreter:
+    ``sum()`` of floats is compensated from Python 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def success_rate(traces: Sequence[EpisodeTrace]) -> float:
+    if not traces:
+        return 0.0
+    return sum(1.0 for t in traces if t.success) / len(traces)
+
+
+def mean_steps(traces: Sequence[EpisodeTrace]) -> float:
+    if not traces:
+        return 0.0
+    return sum(t.steps for t in traces) / len(traces)
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

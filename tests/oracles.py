@@ -17,19 +17,26 @@ each tracked or decoded value sent through the checked scalar
 expressions), r clamped with the builtin ``min`` and ``max`` per
 slice, every token pair decoded again per candidate, zero-padded action
 slices compared over all seven positions, one ``json.dumps(...,
-sort_keys=True)`` per trace line, and the trace loader that checked slots,
-then scalar types, then ranges, in three passes
+sort_keys=True)`` per trace line (the library writes records from a
+template and the other lines with one encoder), and the trace loader that
+checked slots, then scalar types, then ranges, in three passes
 (``reference_trace_loads``), a slice decided one draft/verify round at a
-time (``reference_decode_slice_sd``), an episode decoded by asking each
-oracle for its row, then deciding the slice and stepping the env, per
+time, with its first error position and compensation flag tracked as it
+is decided (``reference_decode_slice_sd``; the library derives both from
+the statuses), an episode decoded by asking each oracle for its row, then
+deciding the slice with ``decode_slice_sd`` and stepping the env, per
 step (``reference_run_episode``), and the plan's gripper column walked
-one step at a time (``reference_gripper_states``). The plan's target poses come from scipy's
-own ``CubicSpline`` (``reference_targets``), which the library's own solve
-matches to within a stated bound; scipy stays a test-only dependency,
-imported here and by the spline tests alone. The threshold update as the
-paper prints it (``printed_delta``, ``printed_walk``) is kept here as a
-reference only: the library has one update rule, and the printed one's
-walk from r_max is the same as that rule's on equal bounds.
+one step at a time (``reference_gripper_states``). The library's
+``decode_slice_sd`` is itself the composition of ``relaxed_accept``,
+``decode_slice`` and ``accepted_error_kvar``, so the per-oracle loop
+checks the engine's fused step against the rules it inlines. The plan's
+target poses come from scipy's own ``CubicSpline`` (``reference_targets``),
+which the library's own solve matches to within a stated bound; scipy
+stays a test-only dependency, imported here and by the spline tests
+alone. The threshold update as the paper prints it (``printed_delta``,
+``printed_walk``) is kept here as a reference only: the library has one
+update rule, and the printed one's walk from r_max is the same as that
+rule's on equal bounds.
 """
 
 import json
@@ -62,9 +69,6 @@ from kerv.simenv import (
 from kerv.kinematics import KfBank, accumulate_kvar
 from kerv.specdec import (
     REJECTED,
-    SRC_DRAFT,
-    SRC_KF,
-    SRC_VERIFY,
     EngineError,
     decode_slice_sd,
     relaxed_accept,
@@ -436,8 +440,9 @@ def reference_decode_slice_sd(drafted, truths, r, depth, key, bank, kf_pl):
     each round asks each row for the ``want`` tokens after the ones placed
     so far, as an oracle answering from one fixed row per step did, then
     judges them with ``relaxed_accept`` until the first rejection. Returns
-    the fields ``SliceResult`` had before it carried actions and kvar, as a
-    dict."""
+    the tokens, rounds, ids and statuses, with the first error position
+    and the compensation flag tracked while deciding, apart from the
+    statuses that ``SliceResult`` derives them from, as a dict."""
     if not 1 <= depth <= N_DOF:
         raise EngineError(f"draft depth must be in [1, {N_DOF}], got {depth}")
     if not 0 <= r < math.inf:  # refuses nan too
@@ -445,7 +450,6 @@ def reference_decode_slice_sd(drafted, truths, r, depth, key, bank, kf_pl):
 
     vocab = key.vocab_size
     tokens = []
-    sources = []
     draft_ids = [None] * N_DOF
     true_ids = [None] * N_DOF
     statuses = [None] * N_DOF
@@ -475,13 +479,11 @@ def reference_decode_slice_sd(drafted, truths, r, depth, key, bank, kf_pl):
             status = statuses[pos] = relaxed_accept(d_tok, t_tok, r)
             if status != REJECTED:
                 tokens.append(d_tok)
-                sources.append(SRC_DRAFT)
                 continue
 
             if first_error == N_DOF:
                 first_error = pos
             tokens.append(t_tok)
-            sources.append(SRC_VERIFY)
             if bank is not None and rounds == 1 and pos < N_DOF - 1:
                 predicted = bank.predict(kf_pl)
                 for dof in range(pos + 1, N_DOF):
@@ -489,7 +491,6 @@ def reference_decode_slice_sd(drafted, truths, r, depth, key, bank, kf_pl):
                         tokens.append(snap_gripper_token(predicted[dof], key))
                     else:
                         tokens.append(action_to_token(predicted[dof], dof, key))
-                    sources.append(SRC_KF)
                 comp_fired = True
             break
         base = len(tokens)  # a compensated slice is full
@@ -497,7 +498,6 @@ def reference_decode_slice_sd(drafted, truths, r, depth, key, bank, kf_pl):
     return {
         "tokens": tuple(tokens),
         "first_error_pos": first_error,
-        "sources": tuple(sources),
         "rounds": rounds,
         "comp_fired": comp_fired,
         "draft_ids": tuple(draft_ids),
@@ -516,8 +516,8 @@ def reference_run_episode(env, draft, verify, cfg, mode, row=None, *, outcomes=N
     is the reference of ``run_episode`` in every mode.
 
     A given ``outcomes`` list gets each slice's (first error position,
-    compensation flag) as ``decode_slice_sd`` tracked them while deciding
-    it, apart from the statuses a record derives them from."""
+    compensation flag) as ``reference_decode_slice_sd`` tracks them while
+    deciding it, apart from the statuses a record derives them from."""
     if mode not in MODES:
         raise EngineError(f"unknown mode {mode!r}; expected one of {MODES}")
     if env.t != 0:
@@ -545,10 +545,15 @@ def reference_run_episode(env, draft, verify, cfg, mode, row=None, *, outcomes=N
         # the decoder compensates only from a bank it is handed
         comp_bank = bank if cooldown == 0 and bank is not None and bank.has_context else None
         drafted = draft.draft()
+        truths = verify.verify(drafted)
         result = decode_slice_sd(
-            drafted, verify.verify(drafted), r=r, depth=cfg.depth, key=cfg.key,
-            bank=comp_bank, kf_pl=cfg.pl,
+            drafted, truths, r=r, depth=cfg.depth, key=cfg.key, bank=comp_bank, kf_pl=cfg.pl
         )
+        if outcomes is not None:  # before the bank takes this slice
+            ref = reference_decode_slice_sd(
+                drafted, truths, r, cfg.depth, cfg.key, comp_bank, cfg.pl
+            )
+            outcomes.append((ref["first_error_pos"], ref["comp_fired"]))
         if bank is not None:
             bank.push_slice(result.actions)
         env.step(result.actions)
@@ -560,8 +565,6 @@ def reference_run_episode(env, draft, verify, cfg, mode, row=None, *, outcomes=N
             cooldown = cfg.comp_n
         elif cooldown > 0:
             cooldown -= 1
-        if outcomes is not None:
-            outcomes.append((result.first_error_pos, result.comp_fired))
 
         records.append(
             SliceRecord(

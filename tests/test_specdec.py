@@ -26,9 +26,6 @@ from kerv.specdec import (
     EXACT,
     REJECTED,
     RELAXED,
-    SRC_DRAFT,
-    SRC_KF,
-    SRC_VERIFY,
     EngineError,
     accepted_error_kvar,
     decode_slice_sd,
@@ -84,7 +81,7 @@ def test_perfect_draft_needs_ceil_rounds():
         assert res.tokens == tokens
         assert res.first_error_pos == 7
         assert res.rounds == math.ceil(7 / depth)
-        assert all(s == SRC_DRAFT for s in res.sources)
+        assert res.statuses == (EXACT,) * 7
         assert not res.comp_fired
 
 
@@ -98,8 +95,7 @@ def test_first_round_rejection_triggers_compensation():
     assert res.rounds == 1
     assert res.first_error_pos == 2
     assert res.tokens[:3] == (140, 149, 128)  # corrected token at the miss
-    assert res.sources[:3] == (SRC_DRAFT, SRC_DRAFT, SRC_VERIFY)
-    assert all(s == SRC_KF for s in res.sources[3:])
+    # two drafts kept, the verifier's token at the miss, and the rest filled
     assert res.statuses == (EXACT, RELAXED, REJECTED, None, None, None, None)
     # filled positions tokenize the one-step filter prediction; the gripper
     # channel snaps to its three-level command instead
@@ -119,7 +115,7 @@ def test_second_round_rejection_resamples_instead_of_compensating():
     assert not res.comp_fired
     assert res.first_error_pos == 4
     assert res.tokens == (10, 20, 30, 40, 50, 60, 70)
-    assert res.sources[4] == SRC_VERIFY
+    assert res.statuses[4] == REJECTED
     assert res.rounds == 3  # clean round, rejected round, resumed round
 
 
@@ -129,7 +125,7 @@ def test_resample_handles_multiple_rejections():
     res = decode_slice_sd(draft, verify, r=0, depth=4, key=KEY)
     assert res.tokens == (100, 2, 120, 4, 140, 6, 160)
     assert res.first_error_pos == 0
-    assert res.sources.count(SRC_VERIFY) == 4
+    assert res.statuses.count(REJECTED) == 4
     assert not res.comp_fired
 
 
@@ -139,7 +135,7 @@ def test_rejection_at_last_position_never_compensates():
     res = decode_slice_sd(draft, verify, r=0, depth=7, key=KEY, bank=primed_bank())
     assert not res.comp_fired
     assert res.tokens[6] == 70
-    assert res.sources[6] == SRC_VERIFY
+    assert res.statuses[6] == REJECTED
 
 
 def test_an_empty_bank_fails_only_where_it_would_compensate():
@@ -157,7 +153,7 @@ def test_an_empty_bank_fails_only_where_it_would_compensate():
     tokens = (10, 20, 30, 40, 50, 60, 70)
     res = decode_slice_sd(tokens, tokens, r=0, depth=4, key=KEY, bank=KfBank())
     assert res.tokens == tokens
-    assert res.sources == (SRC_DRAFT,) * 7
+    assert res.statuses == (EXACT,) * 7
     assert not res.comp_fired
 
 
@@ -204,17 +200,17 @@ def test_slice_always_complete_and_attributed(draft_toks, true_toks, r, depth, c
     bank = primed_bank() if comp else None
     res = decode_slice_sd(draft_toks, true_toks, r=r, depth=depth, key=KEY, bank=bank)
     assert len(res.tokens) == 7
-    assert len(res.sources) == 7
-    assert set(res.sources) <= {SRC_DRAFT, SRC_VERIFY, SRC_KF}
+    assert len(res.statuses) == 7
+    assert set(res.statuses) <= {EXACT, RELAXED, REJECTED, None}
     assert len(decode_slice(res.tokens, KEY)) == 7  # every token in the vocabulary
     if res.comp_fired:
         assert res.rounds == 1
     first = res.first_error_pos
     if first < 7:
-        assert all(s == SRC_DRAFT for s in res.sources[:first])
-        assert res.sources[first] == SRC_VERIFY
+        assert all(s in (EXACT, RELAXED) for s in res.statuses[:first])
+        assert res.statuses[first] == REJECTED
     else:
-        assert all(s == SRC_DRAFT for s in res.sources)
+        assert all(s in (EXACT, RELAXED) for s in res.statuses)
     # statuses are mutually exclusive and exhaustive, and a slot is empty
     # exactly where nothing was drafted
     for d, t, status in zip(res.draft_ids, res.true_ids, res.statuses):
@@ -572,9 +568,9 @@ def test_strict_episode_writes_the_closed_loop_naive_trace(depth, key):
 
 
 def _assert_derived_outcomes(trace, outcomes):
-    """What each record derives from its statuses is what ``decode_slice_sd``
-    tracked while deciding the slice, and the trace's compensation count is
-    the count of its compensated slices."""
+    """What each record derives from its statuses is what
+    ``reference_decode_slice_sd`` tracked while deciding the slice, and the
+    trace's compensation count is the count of its compensated slices."""
     assert [(rec.first_error_pos, rec.comp_fired) for rec in trace.slices] == outcomes
     assert trace.comp_events == sum(fired for _, fired in outcomes)
 

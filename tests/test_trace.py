@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kerv import config, trace as trace_mod
+from kerv import config
 from kerv.simenv import KINDS
 from kerv.trace import MODES, EpisodeTrace, SliceRecord, TraceError, load, loads
 from oracles import TRACE_RECORD_FIELDS, reference_trace_dumps, reference_trace_loads
@@ -388,18 +388,6 @@ def test_load_names_the_file(tmp_path):
     path.write_bytes(b"\xff\xfe" + _episode_text().encode())
     with pytest.raises(TraceError, match=f"^{path}: 'utf-8' codec can't decode byte 0xff"):
         load(path)
-
-
-def test_line_encoder_without_the_c_accelerator_writes_the_same_bytes(monkeypatch):
-    trace = EpisodeTrace(
-        suite="goal", kind="reach", mode="naive", robot="sim7dof", trial=0, seed=1,
-        slices=loads(_episode_text()).slices, steps=3, deviation=math.inf,
-    )
-    objs = [{"episode": trace.meta()}, {"summary": trace.summary()}]
-    objs += [rec._asdict() for rec in trace.slices]
-    monkeypatch.setattr(trace_mod, "c_make_encoder", None)
-    encode = trace_mod._line_encoder()
-    assert [encode(obj) for obj in objs] == [json.dumps(obj, sort_keys=True) for obj in objs]
 
 
 def test_integral_number_in_a_float_field_loads():
