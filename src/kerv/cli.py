@@ -62,12 +62,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
+def _run_args(args) -> tuple[config_mod.RunConfig, tuple[str, ...] | None]:
+    """The config of ``--config`` with ``--seed`` as its seed offset, and the
+    ``--suite`` filter, as ``run`` and ``sweep`` read them."""
     cfg = config_mod.load(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed_offset=args.seed)
+    return cfg, (args.suite,) if args.suite else None
+
+
+def _cmd_run(args) -> int:
+    cfg, suites = _run_args(args)
     modes = (args.mode,) if args.mode else None
-    suites = (args.suite,) if args.suite else None
     report, traces = harness.run_suite(cfg, modes=modes, suites=suites, trials=args.trials)
     harness.emit_results(report, traces, args.out)
     sys.stdout.write(report.render())
@@ -108,18 +114,15 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = config_mod.load(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed_offset=args.seed)
+    cfg, suites = _run_args(args)
     values = config_mod.parse_value({"--values": args.values}, "--values", _floats)
     if not values:
         raise config_mod.ConfigError("sweep needs at least one value")
-    suites = (args.suite,) if args.suite else None
     rows = harness.sweep(cfg, args.param, values, suites=suites, trials=args.trials)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     text = harness.render_sweep(args.param, rows)
-    (out / f"sweep_{args.param}.txt").write_text(text)
+    (out / f"sweep_{args.param}.txt").write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     return 0
 

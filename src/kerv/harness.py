@@ -297,11 +297,11 @@ def emit_results(
     except OSError as exc:
         raise OSError(f"cannot write results under {out}: {exc}") from exc
 
-    (out / "report.txt").write_text(report.render())
+    (out / "report.txt").write_text(report.render(), encoding="utf-8")
     for path, t in trace_paths.items():
         t.save(path)
     for path, lines in plots.items():
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # sweep parameter -> the RunConfig field it sets

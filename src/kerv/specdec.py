@@ -12,6 +12,11 @@ engine then either
   never pays more than one verify call), or
 * resamples classically: start a new draft round after the correction.
 
+The decoders never walk the rounds: a rejection is in the first round
+when no position before it was rejected and it lies before ``depth``, and
+an uncompensated slice's rounds are its rejection mask's entry in
+``_round_counts``, the engine's one round walk.
+
 In the kinematic domain, each placed token is decoded to its action, and
 the slice's variability is summed (the ``accepted_error_kvar`` of the draft
 ids, verified ids and statuses the trace records, so a trace rebuilds it).
@@ -122,6 +127,26 @@ class SliceResult:
     comp_fired = SliceRecord.comp_fired
 
 
+@functools.lru_cache(maxsize=8)
+def _round_counts(depth: int) -> tuple[int, ...]:
+    """Entry m: the rounds of an uncompensated slice at ``depth`` whose
+    rejections are at the set bits of m. A round judges up to ``depth``
+    positions and ends at a rejection, and the next round starts after it.
+    This is the one round walk of the engine: ``decode_slice_sd``, the
+    loop and the array pass read their rounds here, and
+    ``tests/oracles.py::reference_decode_slice_sd``, which decides a slice
+    one round at a time, is its reference."""
+    counts = []
+    for rejected in range(1 << N_DOF):
+        rounds = start = 0  # start: the first position of the next round
+        while start < N_DOF:
+            rounds += 1
+            judged = range(start, min(start + depth, N_DOF))
+            start = next((pos + 1 for pos in judged if rejected >> pos & 1), judged.stop)
+        counts.append(rounds)
+    return tuple(counts)
+
+
 def decode_slice_sd(
     drafted: Sequence[int],
     truths: Sequence[int],
@@ -136,14 +161,16 @@ def decode_slice_sd(
     a given ``bank`` compensates a first-round rejection from
     ``bank.predict(kf_pl)``.
 
-    The rows are walked in the rounds of the draft/verify loop: a round
-    judges up to ``depth`` positions with ``relaxed_accept`` and ends at the
-    first rejection, and ``rounds`` counts them, each one draft and one
-    verify call. Each token is checked where it is judged. The slice's
-    ``actions`` are ``decode_slice`` of its tokens, and its ``kvar`` is
-    ``accepted_error_kvar`` of the result. ``run_episode`` makes the same
-    decision inline, position by position, or for every plan step at once
-    in its array pass; this is its per-oracle reference.
+    Each position is judged with ``relaxed_accept`` and its tokens are
+    checked there. A rejection compensates only when no position before it
+    was rejected, it lies in the first round (before ``depth``) and a
+    position is left to fill; a compensated slice is one round, and any
+    other has the rounds of its rejection mask (``_round_counts``), each one
+    draft and one verify call.
+    The slice's ``actions`` are ``decode_slice`` of its tokens, and its
+    ``kvar`` is ``accepted_error_kvar`` of the result. ``run_episode`` makes
+    the same decision inline, position by position, or for every plan step
+    at once in its array pass; this is its per-oracle reference.
     """
     if not 1 <= depth <= N_DOF:
         raise EngineError(f"draft depth must be in [1, {N_DOF}], got {depth}")
@@ -157,12 +184,8 @@ def decode_slice_sd(
     vocab = key.vocab_size
     tokens: list[int] = []
     statuses: list[str] = []
-    rounds = 0
-    round_end = 0  # the positions before it are in rounds already counted
+    rejected = 0  # bit p is set when position p is rejected
     for pos in range(N_DOF):
-        if pos == round_end:
-            rounds += 1
-            round_end = pos + depth
         d_tok = drafted[pos]
         t_tok = truths[pos]
         # the oracle boundary: each judged token is checked once, here
@@ -176,19 +199,20 @@ def decode_slice_sd(
             tokens.append(d_tok)
             continue
         tokens.append(t_tok)
-        # compensation replaces re-inference only when the miss shows up
-        # in the first round; a compensated slice must cost one verify
-        if bank is not None and rounds == 1 and pos < N_DOF - 1:
+        # compensation replaces re-inference only when the first rejection
+        # is in the first round, so a compensated slice costs one verify
+        if bank is not None and not rejected and pos < depth and pos < GRIPPER_DOF:
             predicted = bank.predict(kf_pl)
             tokens += (
                 _tokenize_prediction(predicted[dof], dof, key) for dof in range(pos + 1, N_DOF)
             )
             break
-        round_end = pos + 1  # the next round starts after the correction
+        rejected |= 1 << pos
 
     # the filled positions were never drafted: their slots stay empty
     judged = len(statuses)
     empty = (None,) * (N_DOF - judged)
+    rounds = _round_counts(depth)[rejected] if judged == N_DOF else 1
     result = SliceResult(
         tuple(tokens), rounds, (*drafted[:judged], *empty), (*truths[:judged], *empty),
         (*statuses, *empty), decode_slice(tokens, key), kvar=0.0,
@@ -276,11 +300,13 @@ def run_episode(
     position takes its truth token (``simenv._track_rows``' expression,
     toward the plan's pose t + 1 from the current pose), its draft token
     (``simenv._corrupt_rows``' rule on the drafter's noise row t), its
-    judgement and action (``decode_slice_sd``'s rule, filling the positions
-    after a first-round rejection from ``KfBank.predict`` when the bank is
-    handed over), and its move of the pose (``simenv._advance``); the step
-    then records its deviation from the plan and the termination flags as
-    ``SimEnv.step`` does. The per-oracle loop
+    judgement and executed token (``decode_slice_sd``'s rule, filling the
+    positions after a first-round rejection from ``KfBank.predict`` while
+    compensation is on), its action and variability, and its move of the
+    pose (``simenv._advance``). The step takes its rounds from its
+    rejection mask as ``decode_slice_sd`` does, then records its deviation
+    from the plan and the termination flags as ``SimEnv.step`` does. The
+    per-oracle loop
     (``tests/oracles.py::reference_run_episode``) is the reference the
     array pass and the loop are tested against, trace and final env alike.
     The config's key passed ``simenv.check_key`` when the env's plan was
@@ -314,6 +340,7 @@ def run_episode(
     los, his = key.lo, key.hi
     spans = [hi - lo for lo, hi in zip(los, his)]
     depth, pl = cfg.depth, cfg.pl
+    round_counts = _round_counts(depth)
     plan = env.plan
     last = plan.steps
     floor = math.floor
@@ -332,8 +359,7 @@ def run_episode(
         tokens: list[int] = []
         actions: list[float] = []
         moved: list[float] = []  # the pose after the step
-        rounds = 0
-        round_end = 0  # the positions before it are in rounds already counted
+        rejected = 0  # bit p is set when position p is rejected
         kvar = 0.0
         gap = 0.0  # the moved pose's distance from the target, as SimEnv.step sums it
 
@@ -343,9 +369,6 @@ def run_episode(
             here = pose[pos]
             there = target[pos]
             if predicted is None:
-                if pos == round_end:
-                    rounds += 1
-                    round_end = pos + depth
                 # the truth: _track_rows' expression
                 if pos == GRIPPER_DOF:
                     desired = there if there != here else 0.0
@@ -364,36 +387,29 @@ def run_episode(
                     if d_tok == true_tok:  # the clamp swallowed the offset; mirror it
                         d_tok = true_tok - off
                         d_tok = 0 if d_tok < 0 else top if d_tok > top else d_tok
-                drafts.append(d_tok)
-                truths.append(true_tok)
-                # the judgement and the action: decode_slice_sd's rule
+                # the judgement and the executed token: decode_slice_sd's rule
                 if d_tok == true_tok:
-                    statuses.append(EXACT)
-                    tokens.append(d_tok)
-                    action = low + span * (d_tok + 0.5) / vocab
+                    status, tok = EXACT, d_tok
                 elif abs(d_tok - true_tok) <= r:
-                    action = low + span * (d_tok + 0.5) / vocab
-                    kvar += abs(low + span * (true_tok + 0.5) / vocab - action)
-                    statuses.append(RELAXED)
-                    tokens.append(d_tok)
+                    status, tok = RELAXED, d_tok
                 else:
-                    statuses.append(REJECTED)
-                    tokens.append(true_tok)
-                    action = low + span * (true_tok + 0.5) / vocab
-                    # compensation replaces re-inference only when the miss
-                    # shows up in the first round, so it costs one verify
-                    if comp and rounds == 1 and pos < GRIPPER_DOF:
+                    status, tok = REJECTED, true_tok
+                    # compensation replaces re-inference only when the first
+                    # rejection is in the first round, so it costs one verify
+                    if comp and not rejected and pos < depth and pos < GRIPPER_DOF:
                         predicted = bank.predict(pl)
-                    else:
-                        round_end = pos + 1  # the next round starts after the correction
+                    rejected |= 1 << pos
             else:
                 # filled from the bank: never drafted, so its slots stay empty
                 tok = _tokenize_prediction(predicted[pos], pos, key)
-                drafts.append(None)
-                truths.append(None)
-                statuses.append(None)
-                tokens.append(tok)
-                action = low + span * (tok + 0.5) / vocab
+                d_tok = true_tok = status = None
+            drafts.append(d_tok)
+            truths.append(true_tok)
+            statuses.append(status)
+            tokens.append(tok)
+            action = low + span * (tok + 0.5) / vocab  # token_to_action's expression
+            if status is RELAXED:
+                kvar += abs(low + span * (true_tok + 0.5) / vocab - action)
             actions.append(action)
             # the pose: _advance, and the step's gap from the target
             if pos == GRIPPER_DOF:
@@ -411,7 +427,8 @@ def run_episode(
         env.arrive(tuple(moved), gap)
 
         kvar_cum = accumulate_kvar(kvar_cum, kvar)
-        if predicted is not None:  # compensated
+        rounds = 1 if predicted is not None else round_counts[rejected]
+        if predicted is not None:
             cooldown = cfg.comp_n
         elif cooldown > 0:
             cooldown -= 1
@@ -567,22 +584,3 @@ def _plan_pass(
     records = list(map(_RECORD, fields))
     env.arrive_steps(tuple(poses[confirmed].tolist()), gaps)
     return records, kvar_cum
-
-
-@functools.lru_cache(maxsize=8)
-def _round_counts(depth: int) -> tuple[int, ...]:
-    """Entry m: the rounds of a slice at ``depth`` whose rejections are at
-    the set bits of m, with no position compensated. A round judges up to
-    ``depth`` positions and ends at a rejection, as in ``decode_slice_sd``;
-    the array pass reads them here, as it decides no slice one by one."""
-    counts = []
-    for rejected in range(1 << N_DOF):
-        rounds = round_end = 0
-        for pos in range(N_DOF):
-            if pos == round_end:
-                rounds += 1
-                round_end = pos + depth
-            if rejected >> pos & 1:
-                round_end = pos + 1
-        counts.append(rounds)
-    return tuple(counts)

@@ -21,8 +21,9 @@ sort_keys=True)`` per trace line (the library writes records from a
 template and the other lines with one encoder), and the trace loader that
 checked slots, then scalar types, then ranges, in three passes
 (``reference_trace_loads``), a slice decided one draft/verify round at a
-time, with its first error position and compensation flag tracked as it
-is decided (``reference_decode_slice_sd``; the library derives both from
+time, with its rounds, first error position and compensation flag
+tracked as it is decided (``reference_decode_slice_sd``; the library
+reads the rounds from its rejection mask and derives the other two from
 the statuses), an episode decoded by asking each oracle for its row, then
 deciding the slice with ``decode_slice_sd`` and stepping the env, per
 step (``reference_run_episode``), and the plan's gripper column walked
@@ -516,8 +517,10 @@ def reference_run_episode(env, draft, verify, cfg, mode, row=None, *, outcomes=N
     is the reference of ``run_episode`` in every mode.
 
     A given ``outcomes`` list gets each slice's (first error position,
-    compensation flag) as ``reference_decode_slice_sd`` tracks them while
-    deciding it, apart from the statuses a record derives them from."""
+    compensation flag, rounds) as ``reference_decode_slice_sd`` tracks them
+    while deciding it one round at a time, apart from the statuses a record
+    derives the first two from and the rejection mask the engine reads its
+    rounds from."""
     if mode not in MODES:
         raise EngineError(f"unknown mode {mode!r}; expected one of {MODES}")
     if env.t != 0:
@@ -553,7 +556,7 @@ def reference_run_episode(env, draft, verify, cfg, mode, row=None, *, outcomes=N
             ref = reference_decode_slice_sd(
                 drafted, truths, r, cfg.depth, cfg.key, comp_bank, cfg.pl
             )
-            outcomes.append((ref["first_error_pos"], ref["comp_fired"]))
+            outcomes.append((ref["first_error_pos"], ref["comp_fired"], ref["rounds"]))
         if bank is not None:
             bank.push_slice(result.actions)
         env.step(result.actions)

@@ -265,6 +265,38 @@ def test_every_source_file_parses_as_python_3_10():
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
 
 
+def test_every_file_call_in_src_names_its_encoding():
+    """Every reader in ``src/kerv`` reads UTF-8, so each ``write_text``,
+    ``read_text`` and ``open`` call there names its encoding: one that does
+    not takes the locale's, and a name that is not ASCII then fails under
+    the C locale. A call through a kerv module (``config_mod.read_text``)
+    is the package's own reader, which names the encoding inside."""
+    calls = []
+    for path in sorted((ROOT / "src" / "kerv").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute):
+                if func.attr not in ("write_text", "read_text", "open"):
+                    continue
+                if isinstance(func.value, ast.Name) and func.value.id in modules:
+                    continue
+            elif not (isinstance(func, ast.Name) and func.id == "open"):
+                continue
+            named = any(kw.arg == "encoding" for kw in node.keywords)
+            calls.append((f"{path.name}:{node.lineno}", named))
+    assert len(calls) >= 7  # the walk sees the package's file calls, so it cannot pass empty
+    assert [where for where, named in calls if not named] == []
+
+
 @pytest.mark.parametrize("param", ["n", "ac", "pl"])
 def test_cli_sweep_rejects_non_integer_values_before_running(param, tmp_path, capsys, monkeypatch):
     cfg_path = tmp_path / "run.cfg"

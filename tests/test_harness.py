@@ -1,7 +1,11 @@
 """Suite runner, cost model, emission, configuration, CLI."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -624,6 +628,30 @@ def test_cli_calibrate_rejects_unknown_grid_keys(tmp_path, capsys):
     assert _calibrate_cli(_write_cfg(tmp_path), grid, out) == 2
     assert "unknown grid keys: ['grid.phii', 'grid.tua']" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_calibrate_writes_utf8_under_an_ascii_locale(tmp_path):
+    """Every reader reads UTF-8, so every writer writes it: under the C
+    locale, with UTF-8 mode and locale coercion off, a config whose robot
+    name is not ASCII loads, calibrates and writes a table that loads back
+    with the name. Written in the locale's encoding, the table failed with
+    an 'ascii' codec error after the whole pre-sample was decoded."""
+    cfg_path = tmp_path / "pre.cfg"
+    cfg_path.write_text(default_config_text(trials=1) + "robot = bras-\u00e9\n", encoding="utf-8")
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("grid.tau = 1.0\ngrid.phi = 1.0\n")
+    out = tmp_path / "table.csv"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {
+        **os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+        "PYTHONPATH": src,
+    }
+    argv = ["calibrate", "--config", str(cfg_path), "--grid", str(grid), "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "kerv.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert {robot for _, robot in CalibrationTable.load(out).rows} == {"bras-\u00e9"}
 
 
 def test_cli_calibrate_checks_grid_and_config_before_any_episode(tmp_path, capsys, monkeypatch):

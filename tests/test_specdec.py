@@ -568,11 +568,13 @@ def test_strict_episode_writes_the_closed_loop_naive_trace(depth, key):
 
 
 def _assert_derived_outcomes(trace, outcomes):
-    """What each record derives from its statuses is what
-    ``reference_decode_slice_sd`` tracked while deciding the slice, and the
-    trace's compensation count is the count of its compensated slices."""
-    assert [(rec.first_error_pos, rec.comp_fired) for rec in trace.slices] == outcomes
-    assert trace.comp_events == sum(fired for _, fired in outcomes)
+    """What each record derives from its statuses, and its verify calls, are
+    what ``reference_decode_slice_sd`` tracked while deciding the slice one
+    round at a time, and the trace's compensation count is the count of its
+    compensated slices."""
+    got = [(rec.first_error_pos, rec.comp_fired, rec.verify_calls) for rec in trace.slices]
+    assert got == outcomes
+    assert trace.comp_events == sum(fired for _, fired, _ in outcomes)
 
 
 def _final_state(env):
@@ -768,13 +770,13 @@ def test_a_guess_that_misses_inside_the_plan_gets_one_pass_then_the_loop(monkeyp
 
 @pytest.mark.parametrize("depth", range(1, 8))
 def test_round_counts_are_the_strict_table_rounds(depth):
-    """The array pass's rounds per rejection mask are those that
-    ``decode_slice_sd`` counts at r = 0 on a truth row of token 0 and a
+    """The engine's rounds per rejection mask are those that the round by
+    round reference decoder counts at r = 0 on a truth row of token 0 and a
     draft row holding token 1 at the mask's set bits."""
     table = [
-        decode_slice_sd(
-            [(mask >> pos) & 1 for pos in range(7)], [0] * 7, r=0.0, depth=depth, key=KEY
-        ).rounds
+        reference_decode_slice_sd(
+            [(mask >> pos) & 1 for pos in range(7)], [0] * 7, 0.0, depth, KEY, None, 1
+        )["rounds"]
         for mask in range(1 << 7)
     ]
     assert specdec._round_counts(depth) == tuple(table)
