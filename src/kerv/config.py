@@ -95,6 +95,8 @@ class SuiteConfig:
     seed_base: int = 0
 
     def __post_init__(self) -> None:
+        if not _SUITE_RE.match(f"suite.{self.name}.kind"):
+            raise ConfigError(f"suite {self.name!r}: a name is letters, digits and underscores")
         if self.kind not in KINDS:
             raise ConfigError(f"suite {self.name!r}: unknown kind {self.kind!r}")
         if self.trials < 0:
@@ -166,6 +168,11 @@ class RunConfig:
         for m in self.modes:
             if m not in MODES:
                 raise ConfigError(f"unknown mode {m!r} in {_KEY_OF['modes']}")
+        # a text value must read back from the line that dumps writes for it
+        for name in ("robot", "table_path"):
+            value = getattr(self, name)
+            if len(value.splitlines()) > 1 or parse_mapping(f"k = {value}") != {"k": value}:
+                raise ConfigError(f"{_KEY_OF[name]} = {value!r} does not read back from a line")
 
     def _check_predictions(self) -> None:
         """Refuse a filter whose predictions could pass the float range.

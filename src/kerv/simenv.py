@@ -4,17 +4,21 @@ A task is a smooth spline trajectory through random waypoints; the plan is
 the token path that tracks it: each step's tokens move the pose toward the
 next target (``_track_rows``), and their bin centres move the pose
 (``_advance``). The plan is built for all steps at once by guess and
-confirm: every pose is guessed on the lattice its bin-centre steps can
-reach, and the guessed tokens are replayed with the same float operations
-and tracked again, which confirms them exactly up to the first miss; a
-miss starts another pass from there (``_quantize``). So replaying the
-plan's own tokens reproduces it exactly. The verifier is a plan-tracking
-feedback policy (it re-targets the plan from the current pose, so one-off
-action errors are corrected on the next slice); the drafter corrupts the
-verifier's tokens with per-position noise whose offset distribution is
-heavy-tailed (``_corrupt_rows``), producing both small misses that a
-relaxed threshold accepts and occasional large ones. ``check_key`` refuses
-a codec key on which a pose could leave the float range.
+confirm: every motion DoF of a pose is guessed on the lattice its
+bin-centre steps can reach and the gripper at its target's state, and the
+guessed tokens are replayed with ``_advance``'s float operations
+(``_replay``) and tracked again, which confirms them exactly up to the
+first miss (``_first_miss``); a miss starts another pass from there
+(``_quantize``). So replaying the plan's own tokens reproduces it exactly.
+The array pass of ``specdec.run_episode`` replays and confirms an
+episode's plan steps with the same two functions. The verifier is a
+plan-tracking feedback policy (it re-targets the plan from the current
+pose, so one-off action errors are corrected on the next slice); the
+drafter corrupts the verifier's tokens with per-position noise whose
+offset distribution is heavy-tailed (``_corrupt_rows``), producing both
+small misses that a relaxed threshold accepts and occasional large ones.
+``check_key`` refuses a codec key on which a pose could leave the float
+range.
 
 A task (``TaskSpec``) holds what its plan is built from: the kind, the
 seed and the waypoints. ``build_plan`` caches the last plan it built, on
@@ -31,7 +35,7 @@ closed loop makes each position's truth, draft and move inline with the
 same rules, from the plan's poses as float rows (``SimEnv.pose_rows``) and
 the drafter's noise row (``NoisyDrafter.noise_row``), and ends each step
 with ``SimEnv.arrive``. The env adds every float sum left to right, as
-the array pass's ``np.cumsum`` does, on every interpreter (``sum()`` of
+``_replay``'s ``np.cumsum`` does, on every interpreter (``sum()`` of
 floats is compensated from Python 3.12). The per-oracle names stay as the
 layers of ``tests/oracles.py::reference_run_episode`` and as benchmark
 span targets: ``oracle_policy`` and ``PlanVerifier`` give one step's truth
@@ -75,8 +79,6 @@ from .codec import (
     N_DOF,
     CodecError,
     NormKey,
-    action_to_token,
-    token_to_action,
 )
 
 KINDS = ("reach", "pick_place", "long_horizon")
@@ -262,16 +264,15 @@ def build_plan(spec: TaskSpec, key: NormKey) -> Plan:
     reads again.
 
     The confirmation is exact whatever the guess. It decodes the guessed
-    tokens with ``token_to_action``'s own expression and sums them onto the
-    start pose with ``np.cumsum``, which makes the same float adds in the
-    same order as ``_advance``; the gripper column comes from its own
-    scalar pass. It then tracks every step again (``_track_rows``) from
-    those replayed poses. The first step starts from the exact start pose,
-    so its re-tracked token is the true one. If it equals the guess, the
-    replayed pose after it is exact too, and so on by induction: every step
-    before the first mismatch is the step-by-step loop's, bit for bit, and
-    so is the pose the mismatched step starts from. The next pass starts
-    from that pose.
+    tokens with ``token_to_action``'s own expression and replays them from
+    the start pose (``_replay``), which makes the same float operations in
+    the same order as ``_advance``, gripper latch included. It then tracks
+    every step again from those replayed poses (``_first_miss``). The
+    first step starts from the exact start pose, so its re-tracked tokens
+    are the true ones. If they equal the guess, the replayed pose after it
+    is exact too, and so on by induction: every step before the first
+    mismatch is the step-by-step loop's, bit for bit, and so is the pose
+    the mismatched step starts from. The next pass starts from that pose.
 
     The plan's gripper tokens are then the verifier's along the plan
     (``_gripper_truths``) rather than ``_quantize``'s, which track the
@@ -360,12 +361,19 @@ def _quantize(
     rows of ``targets`` from its first row, as ``_track_rows``,
     ``token_to_action`` and ``_advance`` make them one step at a time.
 
-    The gripper column depends on nothing else, so ``_gripper_states`` runs
-    it exactly first. A motion token k decodes to the bin centre
-    ``lo + b * (k + 1/2)``, so j steps after a start pose a motion DoF lies
-    on the lattice ``start + j * (lo + b/2) + b * n``, where each step adds
-    0 to vocab - 1 to n. An unclamped step lands on the lattice point
-    nearest its target. Each pass guesses every remaining pose that way and
+    The gripper of each remaining pose is guessed at the state the pass
+    before replayed there, and in the first pass at its target's state.
+    Where the gripper latches to each waypoint's state, as on the default
+    key, that guess holds. Where it cannot, on a key whose commands never
+    pass the flip level or whose hold command flips the state, a pass can
+    end at the gripper's first miss, and a flip at every step costs a
+    pass for every step or two.
+
+    A motion token k decodes to the bin centre ``lo + b * (k + 1/2)``, so
+    j steps after a start pose a motion DoF lies on the lattice
+    ``start + j * (lo + b/2) + b * n``, where each step adds 0 to
+    vocab - 1 to n. An unclamped step lands on the lattice point nearest
+    its target. Each pass guesses every remaining pose that way and
     then applies the two clamps in turn, each to all steps at once as a
     running extreme: n rises by at most vocab - 1 per step (a running
     minimum) and never falls (a running maximum). The guess can miss where
@@ -383,7 +391,6 @@ def _quantize(
 
     n_steps = len(targets) - 1
     poses = targets.copy()
-    poses[:, GRIPPER_DOF] = _gripper_states(targets[:, GRIPPER_DOF], key)
     actions = np.empty((n_steps, N_DOF))
     tokens = np.empty((n_steps, N_DOF), dtype=int)
     start = 0  # poses[: start + 1] are exact
@@ -400,51 +407,11 @@ def _quantize(
 
         ids = _track_rows(ahead, guessed, key)
         values = lo + (hi - lo) * (ids + 0.5) / vocab  # token_to_action's expression
-        steps = values[:, motion].copy()
-        steps[0] += poses[start, motion]
-        poses[start + 1 :, motion] = np.cumsum(steps, axis=0)
+        poses[start:] = _replay(poses[start], values)
         tokens[start:], actions[start:] = ids, values
-
-        wrong = _track_rows(ahead, poses[start:-1], key) != ids
-        if not wrong.any():
-            break
         # >= 1, since a pass's first step starts from an exact pose
-        start += int(wrong.argmax()) // N_DOF
+        start += _first_miss(ahead, poses[start:], ids, key)
     return poses, actions, tokens
-
-
-def _gripper_states(targets: np.ndarray, key: NormKey) -> list[float]:
-    """The gripper column of the plan's poses: ``_track_rows``' impulse toward
-    each target and ``_advance``'s latch, as one step at a time makes them.
-    An impulse is a target or 0.0, so each distinct one is encoded and
-    decoded once.
-
-    A step's state depends only on its target and the state before it, so
-    once a step leaves the state as it was, every step after it does too
-    until the target changes. Only the steps from each change of target up
-    to such a step are walked; the rest of the run repeats the state.
-    """
-    changes = (np.flatnonzero(targets[1:] != targets[:-1]) + 1).tolist()
-    targets = targets.tolist()
-    state = targets[0]
-    states = [state]
-    commands: dict[float, float] = {}
-    for step, end in zip([1, *changes], [*changes, len(targets)]):
-        while step < end:
-            target = targets[step]
-            impulse = target if target != state else 0.0
-            command = commands.get(impulse)
-            if command is None:
-                tok = action_to_token(impulse, GRIPPER_DOF, key)
-                command = commands[impulse] = token_to_action(tok, GRIPPER_DOF, key)
-            latched = _latch(state, command)
-            if latched == state:
-                break
-            state = latched
-            states.append(state)
-            step += 1
-        states.extend([state] * (end - step))
-    return states
 
 
 def _gripper_truths(states: np.ndarray, key: NormKey) -> np.ndarray:
@@ -485,6 +452,41 @@ def _latch(state: float, command: float) -> float:
     """The gripper state after a command: the command's sign once it passes
     ``GRIPPER_FLIP_LEVEL``, else the state held."""
     return math.copysign(1.0, command) if abs(command) > GRIPPER_FLIP_LEVEL else state
+
+
+def _replay(start: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The (n + 1, 7) poses from ``start`` through n rows of action values,
+    as ``_advance`` makes them one step at a time: each motion DoF is the
+    start plus the running sum of its values (``np.cumsum``, which makes
+    ``_advance``'s adds in its order), and the gripper holds the sign of
+    the last command past ``GRIPPER_FLIP_LEVEL``, or the start's state
+    before the first (``_latch``)."""
+    n = len(values)
+    poses = np.empty((n + 1, N_DOF))
+    poses[0] = start
+    poses[1:] = values
+    motion = poses[:, :GRIPPER_DOF]
+    np.cumsum(motion, axis=0, out=motion)
+    commands = values[:, GRIPPER_DOF]
+    flips = np.where(np.abs(commands) > GRIPPER_FLIP_LEVEL, np.arange(n), -1)
+    last_flip = np.maximum.accumulate(flips)
+    poses[1:, GRIPPER_DOF] = np.where(
+        last_flip >= 0, np.copysign(1.0, commands[last_flip]), poses[0, GRIPPER_DOF]
+    )
+    return poses
+
+
+def _first_miss(targets: np.ndarray, poses: np.ndarray, truths: np.ndarray, key: NormKey) -> int:
+    """The first step t whose truth row is not ``_track_rows`` of its pose,
+    ``poses[t]`` toward ``targets[t]``, or the step count n if none is;
+    ``poses`` are the n + 1 poses a replay of the steps makes.
+
+    This is the check of guess and confirm (``build_plan``): if the
+    replay's first pose is exact, so is every pose up to the first miss,
+    and the truths before it are the ones tracking the exact poses gives.
+    """
+    wrong = (_track_rows(targets, poses[:-1], key) != truths).any(axis=1)
+    return int(wrong.argmax()) if wrong.any() else len(wrong)
 
 
 def oracle_policy(env: SimEnv) -> tuple[int, ...]:

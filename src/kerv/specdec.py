@@ -39,8 +39,10 @@ compensates (``naive`` and ``fixed_relaxed``) first decodes its plan
 steps in one array pass (``_plan_pass``), by guess and confirm as
 ``simenv.build_plan`` builds a plan: every step's truth row is guessed
 from the plan's tokens and the offsets the step before executed, every
-draft, judgement, action and pose follows at once, and tracking the
-replayed poses again confirms the steps up to the first wrong guess. The
+draft, judgement and action follows at once, the poses are the actions
+replayed from the plan's start (``simenv._replay``), and tracking them
+again confirms the steps up to the first wrong guess
+(``simenv._first_miss``), with the two functions the plan build uses. The
 loop decodes every step from there, which covers every step past the
 plan; a ``kerv`` episode runs the loop alone. At r = 0 no offset is
 executed, so the guess is the plan's own tokens, which are the verifier's
@@ -78,7 +80,7 @@ from .codec import (
     token_to_action,
 )
 from .kinematics import KfBank, accumulate_kvar
-from .simenv import GRIPPER_FLIP_LEVEL, _corrupt_rows, _latch, _track_rows
+from .simenv import _corrupt_rows, _first_miss, _latch, _replay
 from .threshold import CalibrationRow
 from .trace import EXACT, MODES, REJECTED, RELAXED, EpisodeTrace, SliceRecord
 
@@ -492,9 +494,9 @@ def _plan_pass(
     threshold accepts it. Step 0 has no step before it and starts from the
     plan's start pose. The drafts (``_corrupt_rows``), judgements, actions
     and kinematic variability of every step then follow at once, each with
-    the loop's float operations, and the poses are the start pose plus the
-    running sum of the actions (``np.cumsum``, which makes the loop's adds
-    in the loop's order), with the gripper latched at each flip.
+    the loop's float operations, and the poses are the actions replayed
+    from the plan's start pose (``simenv._replay``, which makes the loop's
+    adds in the loop's order and latches the gripper as it does).
 
     Where no position is relaxed, as always at r < 1, every executed token
     is its truth and no offset moved a truth off the plan's tokens: the
@@ -502,16 +504,15 @@ def _plan_pass(
     (``simenv.build_plan``), so the pass takes the plan's poses, each
     record executes its truth row, and no step has variability or a gap.
 
-    Tracking each replayed pose again (``_track_rows``) confirms the guess
-    up to its first miss, as ``simenv.build_plan`` describes: step 0
-    starts from the exact pose, and a step whose guessed truth is the
-    tracked one leaves the exact pose for the next. Past the plan the
+    Tracking each replayed pose again (``simenv._first_miss``) confirms
+    the guess up to its first miss, as ``simenv.build_plan`` describes:
+    step 0 starts from the exact pose, and a step whose guessed truth is
+    the tracked one leaves the exact pose for the next. Past the plan the
     target stands still while the reachable lattice moves half a bin per
     step, so no guess holds there, and the pass stops at the plan's end.
     """
     plan = env.plan
     key = env.key
-    n = plan.steps
     vocab = key.vocab_size
     top = vocab - 1
     lo, hi = np.array(key.lo), np.array(key.hi)
@@ -533,24 +534,12 @@ def _plan_pass(
     if replayed:
         tokens = np.where(rejected, truths, drafts)
         actions = lo + span * (tokens + 0.5) / vocab  # token_to_action's expression
-        poses = np.empty((n + 1, N_DOF))
-        poses[0] = env.pose
-        moves = actions[:, motion].copy()
-        moves[0] += poses[0, motion]
-        np.cumsum(moves, axis=0, out=poses[1:, motion])
-        # _latch: the gripper holds the sign of the last command past the flip level
-        commands = actions[:, GRIPPER_DOF]
-        flips = np.where(np.abs(commands) > GRIPPER_FLIP_LEVEL, np.arange(n), -1)
-        last_flip = np.maximum.accumulate(flips)
-        poses[1:, GRIPPER_DOF] = np.where(
-            last_flip >= 0, np.copysign(1.0, commands[last_flip]), poses[0, GRIPPER_DOF]
-        )
+        poses = _replay(plan.poses[0], actions)
     else:
         poses = plan.poses
 
     targets = plan.poses[1:]
-    wrong = (_track_rows(targets, poses[:-1], key) != truths).any(axis=1)
-    confirmed = int(wrong.argmax()) if wrong.any() else n
+    confirmed = _first_miss(targets, poses, truths, key)
     if confirmed == 0:
         return [], 0.0
 

@@ -27,7 +27,10 @@ reads the rounds from its rejection mask and derives the other two from
 the statuses), an episode decoded by asking each oracle for its row, then
 deciding the slice with ``decode_slice_sd`` and stepping the env, per
 step (``reference_run_episode``), and the plan's gripper column walked
-one step at a time (``reference_gripper_states``). The library's
+one step at a time (``reference_gripper_states``; the library guesses it
+and confirms it with the motion DoFs, replaying each pass's commands at
+once with ``simenv._replay``, whose latch the tests also check against
+``_advance`` folded one row at a time). The library's
 ``decode_slice_sd`` is itself the composition of ``relaxed_accept``,
 ``decode_slice`` and ``accepted_error_kvar``, so the per-oracle loop
 checks the engine's fused step against the rules it inlines. The plan's

@@ -3,6 +3,7 @@ the hand-written reference text, and the names the benchmark reads."""
 
 import ast
 import importlib
+import re
 import warnings
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -112,6 +113,35 @@ def test_hash_inside_a_value_is_kept():
     assert loads(dumps(cfg)) == cfg
     text = "# heading\nthreshold.table = runs/#3/t.csv  # trailing note\n\t# indented\n"
     assert loads(text).table_path == "runs/#3/t.csv"
+
+
+@pytest.mark.parametrize(
+    "field, value, key",
+    [
+        ("robot", "arm\nnoise.q_err = 1.0", "robot"),
+        ("robot", "arm #2", "robot"),
+        ("robot", " arm", "robot"),
+        ("table_path", "my runs #3/t.csv", "threshold.table"),
+    ],
+    ids=["second-line", "comment", "leading-space", "table-comment"],
+)
+def test_a_text_value_that_would_not_read_back_is_refused(field, value, key):
+    """``dumps`` writes a text value on its own line, so a value that the
+    line parser would read back differently (another key, a comment, lost
+    spaces) is refused when the config is made, naming its key."""
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} = "):
+        replace(default_config(), **{field: value})
+
+
+def test_a_suite_name_that_no_key_can_hold_is_refused():
+    with pytest.raises(ConfigError, match="suite 'bad name'"):
+        SuiteConfig("bad name", "reach")
+
+
+@pytest.mark.parametrize("robot", ["a=b", "bras-é", ""])
+def test_text_values_round_trip(robot):
+    cfg = replace(default_config(), robot=robot)
+    assert loads(dumps(cfg)) == cfg
 
 
 @pytest.mark.parametrize(

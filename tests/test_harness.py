@@ -1,7 +1,9 @@
 """Suite runner, cost model, emission, configuration, CLI."""
 
+import ast
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -652,6 +654,37 @@ def test_cli_calibrate_writes_utf8_under_an_ascii_locale(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert {robot for _, robot in CalibrationTable.load(out).rows} == {"bras-\u00e9"}
+
+
+def test_a_run_loads_only_numpy_and_the_standard_library(tmp_path):
+    """numpy is the one runtime dependency that ``pyproject.toml`` lists;
+    scipy, hypothesis and pytest serve the tests alone. A 1-trial ``kerv
+    calibrate`` and ``kerv run`` in every mode load, past what the
+    interpreter loaded at startup (its ``site`` hooks), only top-level
+    modules of numpy, kerv and the standard library, and the Cython
+    runtime modules that numpy's compiled extensions register."""
+    (tmp_path / "run.cfg").write_text(
+        default_config_text(trials=1) + "threshold.table = table.csv\n", encoding="utf-8"
+    )
+    (tmp_path / "grid.cfg").write_text("grid.tau = 1.0\ngrid.phi = 1.0\n")
+    code = (
+        "import sys\n"
+        "startup = set(sys.modules)\n"
+        "from kerv import cli\n"
+        "assert cli.main(['calibrate', '--config', 'run.cfg', '--grid', 'grid.cfg',"
+        " '--out', 'table.csv']) == 0\n"
+        "assert cli.main(['run', '--config', 'run.cfg', '--out', 'out']) == 0\n"
+        "print(sorted({name.partition('.')[0] for name in set(sys.modules) - startup}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "report.txt").exists()
+    loaded = set(ast.literal_eval(proc.stdout.splitlines()[-1])) - set(sys.stdlib_module_names)
+    cython = {name for name in loaded if re.fullmatch(r"cython_runtime|_cython_[0-9_]+", name)}
+    assert loaded - cython == {"numpy", "kerv"}
 
 
 def test_cli_calibrate_checks_grid_and_config_before_any_episode(tmp_path, capsys, monkeypatch):

@@ -88,13 +88,55 @@ GRIPPER_KEYS = {
 @pytest.mark.parametrize("key", GRIPPER_KEYS.values(), ids=GRIPPER_KEYS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_gripper_states_match_the_step_by_step_walk(kind, key):
-    """The gripper column, walked only where the state can still change,
-    equals the walk over every step bit for bit, seeds 0-299."""
+    """The plan's gripper column, guessed and confirmed with the motion
+    DoFs, equals the walk over every step of its targets bit for bit,
+    seeds 0-299."""
     for seed in range(300):
-        column = simenv._targets(kind, seed, make_task(kind, seed).waypoints)[:, GRIPPER_DOF]
-        got = simenv._gripper_states(column, key)
+        spec = make_task(kind, seed)
+        column = simenv._targets(kind, seed, spec.waypoints)[:, GRIPPER_DOF]
+        got = build_plan(spec, key).poses[:, GRIPPER_DOF].tolist()
         expected = reference_gripper_states(column.tolist(), key)
         assert [v.hex() for v in got] == [v.hex() for v in expected], seed
+
+
+_FLIP = simenv.GRIPPER_FLIP_LEVEL
+# exactly at the flip level, one ulp past it, signed zeros, or anywhere
+_PAST_FLIP = math.nextafter(_FLIP, 1.0)
+_COMMANDS = st.one_of(
+    st.sampled_from([_FLIP, -_FLIP, _PAST_FLIP, -_PAST_FLIP, 0.0, -0.0]), st.floats(-2.0, 2.0)
+)
+# mixed magnitudes, so that a sum in another order would round differently
+_MOTIONS = st.one_of(st.floats(-1e-9, 1e-9), st.floats(-1.0, 1.0), st.floats(-1e12, 1e12))
+_ROWS = st.tuples(*[_MOTIONS] * GRIPPER_DOF, _COMMANDS)
+_HOLD_ROWS = st.tuples(*[_MOTIONS] * GRIPPER_DOF, st.floats(-_FLIP, _FLIP))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    start=st.tuples(
+        *[_MOTIONS] * GRIPPER_DOF,
+        st.one_of(st.sampled_from([1.0, -1.0, 0.0, -0.0]), st.floats(-3.0, 3.0)),
+    ),
+    runs=st.lists(
+        st.one_of(
+            st.lists(_ROWS, min_size=1, max_size=4),
+            # a long run with no flip
+            st.builds(lambda row, n: [row] * n, _HOLD_ROWS, st.integers(10, 60)),
+        ),
+        max_size=5,
+    ),
+)
+def test_replay_equals_advance_one_step_at_a_time(start, runs):
+    """``_replay``'s array sums and latch equal ``_advance`` folded over the
+    rows one at a time, bit for bit, from any start state."""
+    rows = [row for run in runs for row in run]
+    expected = [list(start)]
+    for row in rows:
+        expected.append(simenv._advance(expected[-1], row))
+    got = simenv._replay(np.array(start), np.array(rows, dtype=float).reshape(-1, 7))
+    assert [[v.hex() for v in p] for p in got.tolist()] == [
+        [v.hex() for v in p] for p in expected
+    ]
 
 
 def test_unknown_kind_rejected():
