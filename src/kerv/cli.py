@@ -14,7 +14,7 @@ from pathlib import Path
 from . import config as config_mod
 from . import harness
 from .threshold import calibrate
-from .trace import MODES
+from .trace import MODES, write_text_atomic
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -122,7 +122,7 @@ def _cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     text = harness.render_sweep(args.param, rows)
-    (out / f"sweep_{args.param}.txt").write_text(text, encoding="utf-8")
+    write_text_atomic(out / f"sweep_{args.param}.txt", text)
     sys.stdout.write(text)
     return 0
 

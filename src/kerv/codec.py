@@ -31,7 +31,7 @@ the array pass of ``specdec.run_episode`` and ``simenv.oracle_policy``
 (``simenv._track_rows``, ``action_to_token``'s expression on a gap
 already clamped to the action range), and the closed
 loop's fused step, ``specdec.run_episode``, which computes the same truth
-token, the drafter's corruption of it, its action (``token_to_action``'s
+token, its corruption by the step's noise row, its action (``token_to_action``'s
 expression) and the move of the pose per position.
 A token the simulator tracks or corrupts is an ``int`` in the vocabulary
 by construction, so the fused step does not check it again; the rows of

@@ -168,6 +168,10 @@ class RunConfig:
         for m in self.modes:
             if m not in MODES:
                 raise ConfigError(f"unknown mode {m!r} in {_KEY_OF['modes']}")
+        names = [s.name for s in self.suites]
+        for name in names:
+            if names.count(name) > 1:  # its keys would merge, and its rows collide
+                raise ConfigError(f"suite {name!r} is configured more than once")
         # a text value must read back from the line that dumps writes for it
         for name in ("robot", "table_path"):
             value = getattr(self, name)

@@ -8,7 +8,8 @@ and float totals and means are added left to right (``trace._fold``), so
 they do not depend on the interpreter either.
 
 Every mode has one engine, ``specdec.run_episode``, which reads the
-simulator's plan and the drafter's noise rows itself, with no oracle call.
+simulator's plan and draws its noise rows from the run's config itself,
+with no oracle call.
 It first decodes the plan steps of a ``naive`` or ``fixed_relaxed``
 episode (the baseline and the calibration pre-sample's mode) in one array
 pass, and its closed loop takes over at the pass's first wrong guess, at
@@ -31,10 +32,10 @@ from typing import Iterable, Iterator, Sequence
 from . import threshold as threshold_mod
 from .codec import N_DOF
 from .config import ConfigError, CostModel, RunConfig, SuiteConfig
-from .simenv import NoisyDrafter, SimEnv, make_task
+from .simenv import SimEnv, make_task
 from .specdec import run_episode
 from .threshold import CalibrationTable
-from .trace import MODES, EpisodeTrace, _fold, mean_steps, success_rate
+from .trace import MODES, EpisodeTrace, _fold, mean_steps, success_rate, write_text_atomic
 
 
 def modeled_latency(trace: EpisodeTrace, cm: CostModel) -> float:
@@ -109,19 +110,18 @@ def run_one_episode(
     trial: int,
     table: CalibrationTable | None,
 ) -> EpisodeTrace:
-    """Decode trial ``trial`` of a suite in ``mode`` with the simulator's
-    oracles and ``run_episode``; ``kerv`` runs from the suite's row of
+    """Decode trial ``trial`` of a suite in ``mode`` with ``run_episode`` on
+    a fresh env of the trial's task; ``kerv`` runs from the suite's row of
     ``table``."""
     seed = suite_cfg.seed_base + cfg.seed_offset + trial
     spec = make_task(suite_cfg.kind, seed)
-    env = SimEnv(spec, cfg.key, suite=suite_cfg.name, robot=cfg.robot, trial=trial)
-    draft = NoisyDrafter(env, cfg.noise)
+    env = SimEnv(spec, cfg.key, suite=suite_cfg.name, trial=trial)
     row = None
     if mode == "kerv":
         if table is None:
             raise ConfigError("kerv mode needs a calibration table")
         row = threshold_mod.lookup(table, suite_cfg.name, cfg.robot)
-    return run_episode(env, draft, cfg, mode, row)
+    return run_episode(env, cfg, mode, row)
 
 
 def pre_sample(cfg: RunConfig) -> Iterator[EpisodeTrace]:
@@ -297,11 +297,11 @@ def emit_results(
     except OSError as exc:
         raise OSError(f"cannot write results under {out}: {exc}") from exc
 
-    (out / "report.txt").write_text(report.render(), encoding="utf-8")
+    write_text_atomic(out / "report.txt", report.render())
     for path, t in trace_paths.items():
         t.save(path)
     for path, lines in plots.items():
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 # sweep parameter -> the RunConfig field it sets

@@ -26,21 +26,22 @@ the spec and the codec key; a run decodes a task's episodes back to back
 (``harness.run_suite`` and ``harness.sweep``), so they all share one build
 and no plan is kept past its task. ``SimEnv`` holds the plan and the
 episode's state (pose, step count, deviation, termination flags), so no
-per-slice call looks the plan up again. Every mode has one engine,
-``specdec.run_episode``. Its array pass guesses the plan steps of an
-episode from the plan's tokens (``Plan.tokens``, the verifier's truths
-along the plan) and the drafter's plan rows, and takes the steps it
-confirms with ``SimEnv.arrive_steps``; a naive episode ends there. Its
-closed loop makes each position's truth, draft and move inline with the
-same rules, from the plan's poses as float rows (``SimEnv.pose_rows``) and
-the drafter's noise row (``NoisyDrafter.noise_row``), and ends each step
-with ``SimEnv.arrive``. The env adds every float sum left to right, as
-``_replay``'s ``np.cumsum`` does, on every interpreter (``sum()`` of
-floats is compensated from Python 3.12). The per-oracle names stay as the
-layers of ``tests/oracles.py::reference_run_episode`` and as benchmark
-span targets: ``oracle_policy`` and ``PlanVerifier`` give one step's truth
-row, ``NoisyDrafter.draft`` its draft row, and ``SimEnv.step`` moves the
-env.
+per-slice call looks the plan up again; the robot a trace names is the
+run's (``RunConfig.robot``), not the env's. Every mode has one engine,
+``specdec.run_episode``, which draws the episode's noise rows itself. Its
+array pass guesses the plan steps of an episode from the plan's tokens
+(``Plan.tokens``, the verifier's truths along the plan) and the noise rows
+of the plan's steps, and takes the steps it confirms with
+``SimEnv.arrive_steps``; a naive episode ends there. Its closed loop makes
+each position's truth, draft and move inline with the same rules, from the
+plan's poses as float rows (``SimEnv.pose_rows``) and the step's noise
+row, and ends each step with ``SimEnv.arrive``. The env adds every float
+sum left to right, as ``_replay``'s ``np.cumsum`` does, on every
+interpreter (``sum()`` of floats is compensated from Python 3.12). The
+per-oracle names stay as the layers of
+``tests/oracles.py::reference_run_episode`` and as benchmark span targets:
+``oracle_policy`` and ``PlanVerifier`` give one step's truth row,
+``NoisyDrafter.draft`` its draft row, and ``SimEnv.step`` moves the env.
 
 The draft noise of step t is a fixed run of draws from a SplitMix64
 counter stream keyed by (noise seed, task seed), so it depends on nothing
@@ -48,10 +49,11 @@ but (noise seed, task seed, t): every arm of a trial sees the same rows,
 and any run of rows can be drawn on its own. It does not depend on the
 trajectory (only the clamp at the vocabulary edge reads the truth token),
 so ``noise_rows`` draws the error mask and signed offsets of a whole run of
-steps in one vectorised pass: ``NoisyDrafter`` draws the plan's rows as two
-arrays when it is made, which the array pass reads whole, and the closed
-loop makes per-step lists of them on its first row and draws the rows
-past the plan when it reaches them.
+steps in one vectorised pass: ``specdec.run_episode`` draws the plan's rows
+as two arrays when an episode starts, which the array pass reads whole,
+and the closed loop makes per-step lists of them and draws the rows past
+the plan once, when it reaches them. ``NoisyDrafter.draft``, the
+per-oracle reference, draws its step's row alone.
 ``tests/oracles.py::reference_noise_row`` replays the stream one draw at a
 time with Python ints and guards the match bit for bit.
 
@@ -134,8 +136,8 @@ class DraftNoiseModel:
     always lands on a token different from the truth: if clamping at the
     vocabulary edge would cancel it, the offset is mirrored. The draws of
     step t are a fixed run of the (noise seed, task seed) counter stream;
-    ``noise_rows`` draws the rows of many steps at once, and an episode's
-    drafter draws the rows of the plan's steps up front.
+    ``noise_rows`` draws the rows of many steps at once, and
+    ``specdec.run_episode`` draws the rows of the plan's steps up front.
 
     ``max_offset`` is at most ``MAX_OFFSET`` (2**20). The offset weights
     are one float table of ``max_offset`` entries, built when the model is
@@ -560,10 +562,11 @@ def noise_rows(
 
 
 class SimEnv:
-    """One episode of a task: the plan it tracks, its metadata, and the
-    executed pose, step count, deviation from the plan and termination
+    """One episode of a task: the plan it tracks, its suite and trial, and
+    the executed pose, step count, deviation from the plan and termination
     flags, which ``arrive`` updates at the end of each closed-loop step
-    (``step`` is the per-oracle reference's move)."""
+    (``step`` is the per-oracle reference's move). The noise and the robot
+    are the run's, which ``specdec.run_episode`` reads from its config."""
 
     def __init__(
         self,
@@ -571,13 +574,11 @@ class SimEnv:
         key: NormKey = DEFAULT_KEY,
         *,
         suite: str = "",
-        robot: str = "sim7dof",
         trial: int = 0,
     ) -> None:
         self.spec = spec
         self.key = key
         self.suite = suite or spec.kind
-        self.robot = robot
         self.trial = trial
         self.plan = build_plan(spec, key)
         self.pose = tuple(self.plan.poses[0].tolist())
@@ -669,50 +670,19 @@ class PlanVerifier:
 
 class NoisyDrafter:
     """Draft oracle bound to a live environment: corrupted plan tokens, one
-    draft row per env step.
-
-    The noise rows (``noise_rows``) of the plan's steps are drawn when the
-    drafter is made and kept as the two (steps, 7) arrays ``plan_errs`` and
-    ``plan_offsets``. The array pass of ``specdec.run_episode`` reads them
-    whole. The closed loop reads row t at step t (``noise_row``), from
-    per-step lists that its first read makes of the arrays; the rows of the
-    later steps below the plan's ``max_steps`` are drawn in one more pass
-    only if the episode runs past the plan.
-    ``draft`` applies row t to the oracle's tokens at step t
-    (``_corrupt_rows``), as the per-oracle reference of the closed loop's
-    draft tokens.
-    """
+    draft row per env step; the per-oracle reference of the draft tokens
+    that ``specdec.run_episode`` makes from its own noise rows."""
 
     def __init__(self, env: SimEnv, noise: DraftNoiseModel) -> None:
         self.env = env
         self.noise = noise
-        # the noise rows of the plan's steps, (steps, 7) each
-        self.plan_errs, self.plan_offsets = noise_rows(noise, env.spec.seed, 0, env.plan.steps)
-        self._rows: list[tuple[list[bool], list[int]]] = []  # (errs, offsets) per step
-        self._vmax = env.key.vocab_size - 1
 
     def draft(self):
-        """The draft row of the env's current step: the per-oracle reference
-        of the draft token that ``specdec.run_episode`` makes per position."""
-        truth = oracle_policy(self.env)  # raises once the episode is done
-        errs, offsets = self.noise_row(self.env.t)
-        return tuple(_corrupt_rows(np.array(truth), errs, offsets, self._vmax).tolist())
-
-    def noise_row(self, t: int) -> tuple[list[bool], list[int]]:
-        """The error flags and signed offsets of step ``t``'s noise row, as
-        lists; ``t`` must be below the plan's ``max_steps``."""
-        if t >= len(self._rows):
-            self._extend_rows(t)
-        return self._rows[t]
-
-    def _extend_rows(self, t: int) -> None:
-        """Make the per-step lists of the plan's rows, if not yet made, and
-        draw the rows of the steps past the plan, up to its ``max_steps``,
-        if step ``t`` is one of them."""
-        if not self._rows:
-            self._rows = list(zip(self.plan_errs.tolist(), self.plan_offsets.tolist()))
-        if t >= len(self._rows):
-            errs, offsets = noise_rows(
-                self.noise, self.env.spec.seed, len(self._rows), self.env.plan.max_steps
-            )
-            self._rows += zip(errs.tolist(), offsets.tolist())
+        """The draft row of the env's current step t: the oracle's tokens
+        corrupted (``_corrupt_rows``) by noise row t, which it draws alone
+        (``noise_rows``)."""
+        env = self.env
+        truth = oracle_policy(env)  # raises once the episode is done
+        errs, offsets = noise_rows(self.noise, env.spec.seed, env.t, env.t + 1)
+        vmax = env.key.vocab_size - 1
+        return tuple(_corrupt_rows(np.array(truth), errs[0], offsets[0], vmax).tolist())

@@ -29,19 +29,22 @@ Every mode has one engine, ``run_episode``, which reads its parameters
 straight from the run's ``RunConfig``: strict speculative decoding
 (``naive``) is relaxed decoding at r = 0 with no compensation (Leviathan,
 Kalman and Matias, ICML 2023), ``fixed_relaxed`` accepts within a static
-r, and ``kerv`` moves r and compensates. Each step of its closed loop is
-one pass over the seven positions: a position's truth token (the
-plan-tracking verifier's), its draft token (that truth corrupted by the
-drafter's noise row), its judgement, action and variability, and its
-move of the pose are made together, and the step ends as ``SimEnv.step``
-ends one. An episode whose threshold never moves and which never
-compensates (``naive`` and ``fixed_relaxed``) first decodes its plan
-steps in one array pass (``_plan_pass``), by guess and confirm as
-``simenv.build_plan`` builds a plan: every step's truth row is guessed
-from the plan's tokens and the offsets the step before executed, every
-draft, judgement and action follows at once, the poses are the actions
-replayed from the plan's start (``simenv._replay``), and tracking them
-again confirms the steps up to the first wrong guess
+r, and ``kerv`` moves r and compensates. The engine draws the episode's
+draft noise itself, from ``cfg.noise`` keyed by the task's seed
+(``simenv.noise_rows``): the rows of the plan's steps when it starts, and
+the rows of the later steps once, only if it decodes a step past the plan.
+Each step of its closed loop is one pass over the seven positions: a
+position's truth token (the plan-tracking verifier's), its draft token
+(that truth corrupted by the step's noise row), its judgement, action and
+variability, and its move of the pose are made together, and the step
+ends as ``SimEnv.step`` ends one. An episode whose threshold never moves
+and which never compensates (``naive`` and ``fixed_relaxed``) first
+decodes its plan steps in one array pass (``_plan_pass``), by guess and
+confirm as ``simenv.build_plan`` builds a plan: every step's truth row is
+guessed from the plan's tokens and the offsets the step before executed,
+every draft, judgement and action follows at once, the poses are the
+actions replayed from the plan's start (``simenv._replay``), and tracking
+them again confirms the steps up to the first wrong guess
 (``simenv._first_miss``), with the two functions the plan build uses. The
 loop decodes every step from there, which covers every step past the
 plan; a ``kerv`` episode runs the loop alone. At r = 0 no offset is
@@ -53,10 +56,11 @@ The per-oracle names stay as the layers of
 ``tests/oracles.py::reference_run_episode``, which checks the engine in
 every mode, and as benchmark span targets; no suite run calls them.
 ``NoisyDrafter.draft`` and ``PlanVerifier.verify`` give a step's draft and
-truth rows, and ``SimEnv.step`` moves the env. ``decode_slice_sd`` decides
-a slice from two rows as the plain composition of the rules the engine
-inlines: ``relaxed_accept`` judges each position, ``codec.decode_slice``
-gives the actions and ``accepted_error_kvar`` the variability.
+truth rows (the drafter draws its step's noise row alone), and
+``SimEnv.step`` moves the env. ``decode_slice_sd`` decides a slice from
+two rows as the plain composition of the rules the engine inlines:
+``relaxed_accept`` judges each position, ``codec.decode_slice`` gives the
+actions and ``accepted_error_kvar`` the variability.
 """
 
 from __future__ import annotations
@@ -80,13 +84,13 @@ from .codec import (
     token_to_action,
 )
 from .kinematics import KfBank, accumulate_kvar
-from .simenv import _corrupt_rows, _first_miss, _latch, _replay
+from .simenv import _corrupt_rows, _first_miss, _latch, _replay, noise_rows
 from .threshold import CalibrationRow
 from .trace import EXACT, MODES, REJECTED, RELAXED, EpisodeTrace, SliceRecord
 
 if TYPE_CHECKING:  # for annotations only
     from .config import RunConfig
-    from .simenv import NoisyDrafter, SimEnv
+    from .simenv import SimEnv
 
 
 class EngineError(RuntimeError):
@@ -255,26 +259,19 @@ def accepted_error_kvar(rec: SliceResult | SliceRecord, key: NormKey) -> float:
     return kvar
 
 
-def _require_episode(env: SimEnv, cfg: RunConfig, draft: NoisyDrafter) -> None:
+def _require_episode(env: SimEnv, cfg: RunConfig) -> None:
     """Refuse an env that has stepped (the trace numbers its records from
-    step 0, and its summary's ``steps`` counts every step the env took), a
-    drafter bound to another env (it would answer from that env's steps),
+    step 0, and its summary's ``steps`` counts every step the env took),
     and a config whose codec key is not the env's (its plan's tokens would
     be decoded on another grid)."""
     if env.t != 0:
         raise EngineError(f"env must be fresh to decode an episode, but it is at step {env.t}")
-    if draft.env is not env:
-        raise EngineError("NoisyDrafter is bound to another env than the one it decodes")
     if cfg.key != env.key:
         raise EngineError("the config's codec key is not the env's, which its plan is built on")
 
 
 def run_episode(
-    env: SimEnv,
-    draft: NoisyDrafter,
-    cfg: RunConfig,
-    mode: str,
-    row: CalibrationRow | None = None,
+    env: SimEnv, cfg: RunConfig, mode: str, row: CalibrationRow | None = None
 ) -> EpisodeTrace:
     """Decode slices in ``mode`` until the environment terminates; record
     everything.
@@ -287,8 +284,15 @@ def run_episode(
     equal keeps r fixed, so ``kerv`` with such a row is a fixed threshold
     with compensation. Each record holds the r its slice was decoded under.
     The engine reads ``cfg.depth``, ``cfg.fixed_r``, ``cfg.comp_n``
-    (cooldown slices), ``cfg.pl``, ``cfg.ac``, ``cfg.kf_params`` and
-    ``cfg.key``.
+    (cooldown slices), ``cfg.pl``, ``cfg.ac``, ``cfg.kf_params``,
+    ``cfg.key``, ``cfg.noise`` (the draft noise) and ``cfg.robot`` (written
+    into the trace).
+
+    The noise rows of the plan's steps are drawn when the episode starts
+    (``simenv.noise_rows`` of ``cfg.noise`` and the task's seed), as two
+    (steps, 7) arrays; the loop makes per-step lists of them, and draws the
+    rows of the steps past the plan, up to its ``max_steps``, in one more
+    pass only if it reaches the first of them.
 
     A ``naive`` or ``fixed_relaxed`` episode first decodes its plan steps
     in one array pass (``_plan_pass``), which guesses every step's truth
@@ -301,7 +305,7 @@ def run_episode(
     Each step of the loop is one pass over the slice's seven positions. A
     position takes its truth token (``simenv._track_rows``' expression,
     toward the plan's pose t + 1 from the current pose), its draft token
-    (``simenv._corrupt_rows``' rule on the drafter's noise row t), its
+    (``simenv._corrupt_rows``' rule on noise row t), its
     judgement and executed token (``decode_slice_sd``'s rule, filling the
     positions after a first-round rejection from ``KfBank.predict`` while
     compensation is on), its action and variability, and its move of the
@@ -314,13 +318,16 @@ def run_episode(
     The config's key passed ``simenv.check_key`` when the env's plan was
     built, so every pose is finite and no gap is NaN.
 
-    ``env`` must be fresh (no step taken), and ``draft`` bound to it and
-    ``cfg.key`` equal to its key; ``EngineError`` otherwise. The trace's
-    header and summary come from the env's spec, metadata and final state.
+    ``env`` must be fresh (no step taken) and ``cfg.key`` equal to its key;
+    ``EngineError`` otherwise. The trace's header and summary come from the
+    env's spec, metadata and final state, and its robot from ``cfg.robot``.
     """
     if mode not in MODES:
         raise EngineError(f"unknown mode {mode!r}; expected one of {MODES}")
-    _require_episode(env, cfg, draft)
+    _require_episode(env, cfg)
+    plan = env.plan
+    seed = env.spec.seed
+    errs, offsets = noise_rows(cfg.noise, seed, 0, plan.steps)  # (steps, 7) each
     kerv = mode == "kerv"
     bank = None
     if kerv:
@@ -332,7 +339,7 @@ def run_episode(
         records, kvar_cum = [], 0.0
     else:
         r = 0.0 if mode == "naive" else float(cfg.fixed_r)
-        records, kvar_cum = _plan_pass(env, draft, r, cfg.depth)
+        records, kvar_cum = _plan_pass(env, errs, offsets, r, cfg.depth)
     prev_kvar = 0.0
     cooldown = 0
 
@@ -343,15 +350,19 @@ def run_episode(
     spans = [hi - lo for lo, hi in zip(los, his)]
     depth, pl = cfg.depth, cfg.pl
     round_counts = _round_counts(depth)
-    plan = env.plan
     last = plan.steps
     floor = math.floor
+    # each step's (error flags, offsets) as lists, made only if the loop runs
+    rows = [] if env.done else list(zip(errs.tolist(), offsets.tolist()))
 
     while not env.done:
         t = env.t
+        if t == last:  # the first step past the plan: draw the rows of the rest
+            more = noise_rows(cfg.noise, seed, last, plan.max_steps)
+            rows += zip(more[0].tolist(), more[1].tolist())
+        step_errs, step_offsets = rows[t]
         pose = env.pose
         target = env.pose_rows[t + 1 if t < last else last]  # the plan's pose after this step
-        errs, offsets = draft.noise_row(t)
         # the bank compensates only with context, and never in a cooldown
         comp = cooldown == 0 and bank is not None and bank.has_context
         predicted = None  # the bank's prediction, once the slice compensates
@@ -382,8 +393,8 @@ def run_episode(
                 true_tok = 0 if true_tok < 0 else top if true_tok > top else true_tok
                 # the draft: _corrupt_rows' rule on the step's noise row
                 d_tok = true_tok
-                if errs[pos]:
-                    off = offsets[pos]
+                if step_errs[pos]:
+                    off = step_offsets[pos]
                     d_tok = true_tok + off
                     d_tok = 0 if d_tok < 0 else top if d_tok > top else d_tok
                     if d_tok == true_tok:  # the clamp swallowed the offset; mirror it
@@ -448,9 +459,9 @@ def run_episode(
         suite=env.suite,
         kind=env.spec.kind,
         mode=mode,
-        robot=env.robot,
+        robot=cfg.robot,
         trial=env.trial,
-        seed=env.spec.seed,
+        seed=seed,
         slices=records,
         success=env.succeeded,
         steps=env.t,
@@ -479,18 +490,20 @@ def _statuses(codes: list[int]) -> Iterator[tuple[str, ...]]:
 
 
 def _plan_pass(
-    env: SimEnv, draft: NoisyDrafter, r: float, depth: int
+    env: SimEnv, errs: np.ndarray, offsets: np.ndarray, r: float, depth: int
 ) -> tuple[list[SliceRecord], float]:
     """The records of a ``naive`` or ``fixed_relaxed`` episode's plan steps
-    that one array pass confirms, and their summed variability; ``env`` is
-    left after the last of them, and the loop decodes the rest.
+    that one array pass confirms, and their summed variability; ``errs``
+    and ``offsets`` are the (steps, 7) noise rows of the plan's steps, and
+    ``env`` is left after the last confirmed step, for the loop to decode
+    the rest.
 
     The pass guesses every step's truth row, as ``simenv._quantize``
     guesses a plan. The verifier re-targets the plan on every step, so a
     step starts from the plan's pose moved by the offsets the step before
     executed, and a motion truth is the plan's token less that offset; the
     gripper's state is latched, not summed, so its truth is the plan's. An
-    executed offset is guessed as the drafter's offset wherever the
+    executed offset is guessed as the noise row's offset wherever the
     threshold accepts it. Step 0 has no step before it and starts from the
     plan's start pose. The drafts (``_corrupt_rows``), judgements, actions
     and kinematic variability of every step then follow at once, each with
@@ -518,7 +531,6 @@ def _plan_pass(
     lo, hi = np.array(key.lo), np.array(key.hi)
     span = hi - lo
     motion = slice(None, GRIPPER_DOF)
-    errs, offsets = draft.plan_errs, draft.plan_offsets
 
     truths = plan.tokens
     executed = errs & (np.abs(offsets) <= r)

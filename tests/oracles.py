@@ -26,11 +26,13 @@ tracked as it is decided (``reference_decode_slice_sd``; the library
 reads the rounds from its rejection mask and derives the other two from
 the statuses), an episode decoded by asking each oracle for its row, then
 deciding the slice with ``decode_slice_sd`` and stepping the env, per
-step (``reference_run_episode``), and the plan's gripper column walked
-one step at a time (``reference_gripper_states``; the library guesses it
-and confirms it with the motion DoFs, replaying each pass's commands at
-once with ``simenv._replay``, whose latch the tests also check against
-``_advance`` folded one row at a time). The library's
+step (``reference_run_episode``; its drafter draws each step's noise row
+alone, where the engine draws an episode's rows from ``cfg.noise`` in one
+or two passes, and both write ``cfg.robot``), and the plan's gripper
+column walked one step at a time (``reference_gripper_states``; the
+library guesses it and confirms it with the motion DoFs, replaying each
+pass's commands at once with ``simenv._replay``, whose latch the tests
+also check against ``_advance`` folded one row at a time). The library's
 ``decode_slice_sd`` is itself the composition of ``relaxed_accept``,
 ``decode_slice`` and ``accepted_error_kvar``, so the per-oracle loop
 checks the engine's fused step against the rules it inlines. The plan's
@@ -593,7 +595,7 @@ def reference_run_episode(env, draft, verify, cfg, mode, row=None, *, outcomes=N
         suite=env.suite,
         kind=env.spec.kind,
         mode=mode,
-        robot=env.robot,
+        robot=cfg.robot,
         trial=env.trial,
         seed=env.spec.seed,
         slices=records,

@@ -138,6 +138,17 @@ def test_a_suite_name_that_no_key_can_hold_is_refused():
         SuiteConfig("bad name", "reach")
 
 
+def test_a_suite_name_given_twice_is_refused():
+    """Two suites of one name would share their ``suite.<name>.*`` keys,
+    so ``dumps`` would write text that loads back as one of them, and a
+    run would key both suites' traces and report rows under one name."""
+    reach, long = SuiteConfig("a", "reach", 2, 0), SuiteConfig("a", "long_horizon", 2, 4000)
+    with pytest.raises(ConfigError, match="suite 'a' is configured more than once"):
+        RunConfig(suites=(reach, long))
+    with pytest.raises(ConfigError, match="suite 'a'"):
+        replace(default_config(), suites=(*default_config().suites, reach, reach))
+
+
 @pytest.mark.parametrize("robot", ["a=b", "bras-é", ""])
 def test_text_values_round_trip(robot):
     cfg = replace(default_config(), robot=robot)
@@ -323,8 +334,31 @@ def test_every_file_call_in_src_names_its_encoding():
                 continue
             named = any(kw.arg == "encoding" for kw in node.keywords)
             calls.append((f"{path.name}:{node.lineno}", named))
-    assert len(calls) >= 7  # the walk sees the package's file calls, so it cannot pass empty
+    assert len(calls) >= 4  # the walk sees the package's file calls, so it cannot pass empty
     assert [where for where, named in calls if not named] == []
+
+
+def test_every_text_file_in_src_is_written_atomically():
+    """An output file is written whole or not at all: the one
+    ``write_text`` call in ``src/kerv`` is the one inside
+    ``trace.write_text_atomic``, which writes a temporary file beside the
+    target and renames it over, so an interrupted run leaves no truncated
+    report, plot file, trace, table or sweep table."""
+    inside, stray = [], []
+    for path in sorted((ROOT / "src" / "kerv").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        atomic = [
+            range(node.lineno, node.end_lineno + 1)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "write_text_atomic"
+        ]
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if isinstance(func, ast.Attribute) and func.attr == "write_text":
+                where = f"{path.name}:{node.lineno}"
+                (inside if any(node.lineno in lines for lines in atomic) else stray).append(where)
+    assert len(inside) == 1 and inside[0].startswith("trace.py:")
+    assert stray == []
 
 
 @pytest.mark.parametrize("param", ["n", "ac", "pl"])

@@ -310,12 +310,12 @@ def test_naive_episodes_are_decoded_open_loop(small_cfg, monkeypatch):
     the per-oracle loop records."""
     suite = small_cfg.suite("object")
     spec = make_task(suite.kind, suite.seed_base + small_cfg.seed_offset + 1)
-    env = SimEnv(spec, small_cfg.key, suite=suite.name, robot=small_cfg.robot, trial=1)
+    env = SimEnv(spec, small_cfg.key, suite=suite.name, trial=1)
     draft = NoisyDrafter(env, small_cfg.noise)
     ref = reference_run_episode(env, draft, PlanVerifier(env), small_cfg, "naive")
     loops = []
     real = harness.run_episode
-    monkeypatch.setattr(harness, "run_episode", lambda *a: loops.append(a[3]) or real(*a))
+    monkeypatch.setattr(harness, "run_episode", lambda *a: loops.append(a[2]) or real(*a))
     same = run_one_episode(small_cfg, suite, "naive", 1, None).dumps() == ref.dumps()
     assert same
     run_one_episode(small_cfg, suite, "fixed_relaxed", 1, None)
@@ -452,7 +452,7 @@ def test_sweep_decodes_each_tasks_naive_episode_once(small_cfg, monkeypatch):
     naive = []
     real = harness.run_episode
     monkeypatch.setattr(
-        harness, "run_episode", lambda *a: a[3] == "naive" and naive.append(a) or real(*a)
+        harness, "run_episode", lambda *a: a[2] == "naive" and naive.append(a) or real(*a)
     )
     rows = sweep(small_cfg, "r", [5, 9, 15], trials=2)
     assert len(naive) == 8  # 4 suites x 2 trials

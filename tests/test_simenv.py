@@ -631,18 +631,16 @@ def test_draft_policy_matches_reference_stream(noise):
 def test_plan_slices_match_reference_stream(noise):
     """The truths, drafts and misses at every plan step: the plan's tokens
     are the oracle tracking pose t + 1 from pose t, ``_corrupt_rows`` of
-    them with the drafter's plan rows is the reference stream's corruption,
+    them with the plan's noise rows is the reference stream's corruption,
     and a naive episode records both and rejects exactly where they differ."""
     vocab = NormKey().vocab_size
     for kind, task_seed in REFERENCE_TASKS:
         env = SimEnv(make_task(kind, task_seed))
         poses = env.plan.poses.tolist()
-        draft = NoisyDrafter(env, noise)
         truths = env.plan.tokens.tolist()
-        drafts = simenv._corrupt_rows(
-            env.plan.tokens, draft.plan_errs, draft.plan_offsets, vocab - 1
-        )
-        records = run_episode(env, draft, RunConfig(), "naive").slices
+        errs, offsets = noise_rows(noise, task_seed, 0, env.plan.steps)
+        drafts = simenv._corrupt_rows(env.plan.tokens, errs, offsets, vocab - 1)
+        records = run_episode(env, RunConfig(noise=noise), "naive").slices
         assert len(truths) == len(drafts) == len(records) == env.plan.steps
         for t, (truth, drafted, rec) in enumerate(zip(truths, drafts.tolist(), records)):
             assert truth == reference_track(poses[t + 1], poses[t], env.key), t
@@ -817,13 +815,12 @@ _ROW = CalibrationRow(
 )
 
 
-def _decode(env, draft, mode):
-    return run_episode(env, draft, RunConfig(), mode, _ROW)
+def _decode(env, mode):
+    return run_episode(env, RunConfig(noise=DraftNoiseModel(seed=9)), mode, _ROW)
 
 
 def _episode(spec, mode):
-    env = SimEnv(spec, suite="t")
-    return _decode(env, NoisyDrafter(env, DraftNoiseModel(seed=9)), mode)
+    return _decode(SimEnv(spec, suite="t"), mode)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -868,42 +865,50 @@ def test_plan_built_once_per_episode(mode, monkeypatch):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_episode_builds_no_generator_and_looks_up_no_plan(mode, monkeypatch):
-    """Once the env and drafter exist, an episode seeds no generator (the
-    drafter holds its noise rows) and fetches no plan (the oracle and the
-    env step read the plan the env holds)."""
+    """Once the env exists, an episode seeds no generator (its noise rows
+    are draws of a counter stream, ``noise_rows``) and fetches no plan (the
+    engine reads the plan the env holds)."""
     spec = make_task("pick_place", 5)
     env = SimEnv(spec, suite="t")
-    draft = NoisyDrafter(env, DraftNoiseModel(seed=9))
     generators, lookups = [], []
     real_rng, real_plan = np.random.default_rng, simenv.build_plan
     monkeypatch.setattr(
         np.random, "default_rng", lambda *a, **kw: generators.append(a) or real_rng(*a, **kw)
     )
     monkeypatch.setattr(simenv, "build_plan", lambda *a: lookups.append(a) or real_plan(*a))
-    trace = _decode(env, draft, mode)
+    trace = _decode(env, mode)
     assert trace.steps > 0
     assert generators == [] and lookups == []
 
 
 def test_drafter_draws_rows_past_the_plan_only_for_steps_past_it(monkeypatch):
+    """The engine draws the plan's noise rows once, and the rows of the
+    steps past the plan, up to its ``max_steps``, once more only if the
+    loop reaches them."""
     spans = []
-    real = simenv.noise_rows
-    monkeypatch.setattr(simenv, "noise_rows", lambda *a: spans.append(a[2:]) or real(*a))
+    real = specdec.noise_rows
+    monkeypatch.setattr(specdec, "noise_rows", lambda *a: spans.append(a[2:]) or real(*a))
     spec = make_task("reach", 12)
-    steps = build_plan(spec, DEFAULT_KEY).steps
+    plan = build_plan(spec, DEFAULT_KEY)
+    steps = plan.steps
     # strict decoding tracks the plan and reaches the goal on its last step
     trace = _episode(spec, "naive")
     assert trace.success and trace.steps == steps
     assert spans == [(0, steps)]
 
+    # every draft off and accepted at any distance: the loop runs past the plan
     spans.clear()
-    env = SimEnv(spec)
-    draft = NoisyDrafter(env, DraftNoiseModel(seed=9))
-    max_steps = env.plan.max_steps
-    for t in (steps - 1, steps, max_steps - 1):
-        env.pose, env.t = tuple(env.plan.poses[min(t, steps)].tolist()), t
-        draft.draft()
-    assert spans == [(0, steps), (steps, max_steps)]
+    noise = DraftNoiseModel(q_err=1.0, max_offset=60, seed=9)
+    cfg = RunConfig(fixed_r=300.0, noise=noise)
+    trace = run_episode(SimEnv(spec, suite="t"), cfg, "fixed_relaxed")
+    assert steps < trace.steps < plan.max_steps
+    assert spans == [(0, steps), (steps, plan.max_steps)]
+
+    # a kerv episode that ends on the plan's last step
+    spans.clear()
+    trace = _episode(spec, "kerv")
+    assert trace.steps == steps
+    assert spans == [(0, steps)]
 
 
 def test_make_task_builds_no_plan_and_an_episode_builds_one():
@@ -958,7 +963,7 @@ def test_only_the_closed_loop_makes_the_pose_rows(mode):
     Pick-and-place seed 5 ends on plan step 166 under naive and
     ``fixed_relaxed``, so only kerv, which runs the loop alone, makes them."""
     env = SimEnv(make_task("pick_place", 5), suite="t")
-    trace = run_episode(env, NoisyDrafter(env, DraftNoiseModel(seed=9)), RunConfig(), mode, _ROW)
+    trace = _decode(env, mode)
     if mode == "kerv":
         assert vars(env)["pose_rows"] == env.plan.poses.tolist()
     else:

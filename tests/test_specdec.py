@@ -315,11 +315,14 @@ ROW = CalibrationRow(
 )
 
 
+# the noise of the episodes below
+NOISE = DraftNoiseModel(seed=9)
+
+
 def _episode(mode, seed=5, kind="pick_place", row=ROW, **cfg_kw):
     spec = make_task(kind, seed)
     env = SimEnv(spec, suite="t", trial=0)
-    draft = NoisyDrafter(env, DraftNoiseModel(seed=9))
-    return run_episode(env, draft, RunConfig(**cfg_kw), mode, row)
+    return run_episode(env, RunConfig(noise=NOISE, **cfg_kw), mode, row)
 
 
 def test_cooldown_blocks_compensation_for_n_slices():
@@ -355,22 +358,22 @@ def test_fixed_mode_uses_static_threshold():
 def test_kerv_requires_calibration_row():
     spec = make_task("reach", 5)
     env = SimEnv(spec, suite="t", trial=0)
-    draft = NoisyDrafter(env, DraftNoiseModel(seed=9))
+    cfg = RunConfig(noise=NOISE)
     with pytest.raises(EngineError):
-        run_episode(env, draft, RunConfig(), "kerv")
+        run_episode(env, cfg, "kerv")
     with pytest.raises(EngineError):
-        run_episode(env, draft, RunConfig(), "greedy")
+        run_episode(env, cfg, "greedy")
     # naive decodes through the same engine, and reads no row
-    assert run_episode(env, draft, RunConfig(), "naive").mode == "naive"
+    assert run_episode(env, cfg, "naive").mode == "naive"
 
 
-def _decode(env, draft, mode):
+def _decode(env, mode):
     """The episode ``mode`` decodes; ``open-loop`` is a naive episode as
     ``run_one_episode`` starts it, with no calibration row, which its
     array pass decodes with no draft/verify round."""
     if mode == "open-loop":
-        return run_episode(env, draft, RunConfig(), "naive")
-    return run_episode(env, draft, RunConfig(), mode, ROW)
+        return run_episode(env, RunConfig(noise=NOISE), "naive")
+    return run_episode(env, RunConfig(noise=NOISE), mode, ROW)
 
 
 @pytest.mark.parametrize("mode", ["open-loop", *MODES])
@@ -378,28 +381,11 @@ def test_decoders_refuse_a_stepped_env(mode):
     """An env that has stepped would start the trace past step 0 under a
     summary that counts the earlier steps; every mode refuses it."""
     env = SimEnv(make_task("reach", 5), suite="t", trial=0)
-    draft = NoisyDrafter(env, DraftNoiseModel(seed=9))
     for _ in range(5):
         env.step(decode_slice(oracle_policy(env), KEY))
     with pytest.raises(EngineError, match="fresh.*step 5"):
-        _decode(env, draft, mode)
+        _decode(env, mode)
     assert env.t == 5
-
-
-@pytest.mark.parametrize(
-    "mode, stray",
-    [("open-loop", "draft"), *((m, "draft") for m in MODES)],
-)
-def test_decoders_refuse_an_oracle_bound_to_another_env(mode, stray):
-    """An oracle answers from the steps of the env it is bound to; bound to
-    another env (here a long-horizon task decoding a reach task), it would
-    write that env's rows into this episode's trace."""
-    env_a = SimEnv(make_task("reach", 5), suite="t", trial=0)
-    env_b = SimEnv(make_task("long_horizon", 5), suite="t", trial=0)
-    draft = NoisyDrafter(env_b if stray == "draft" else env_a, DraftNoiseModel(seed=9))
-    with pytest.raises(EngineError, match="bound to another env"):
-        _decode(env_a, draft, mode)
-    assert env_a.t == env_b.t == 0
 
 
 # r_max == r_min: a fixed threshold with compensation
@@ -548,19 +534,19 @@ def test_strict_episode_writes_the_closed_loop_naive_trace(depth, key):
     per-oracle closed loop records in naive mode:
     every noise of ``STRICT_NOISES`` at each depth and key, cycling over
     every suite."""
-    cfg = replace(default_config(1), depth=depth, key=key)
+    base = replace(default_config(1), depth=depth, key=key)
     for i, (q_err, max_offset) in enumerate(STRICT_NOISES):
-        suite = cfg.suites[(depth + i) % len(cfg.suites)]
+        suite = base.suites[(depth + i) % len(base.suites)]
         spec = make_task(suite.kind, suite.seed_base + i)
-        noise = DraftNoiseModel(q_err=q_err, max_offset=max_offset, seed=depth)
+        cfg = replace(base, noise=DraftNoiseModel(q_err=q_err, max_offset=max_offset, seed=depth))
         env = SimEnv(spec, key, suite=suite.name, trial=i)
-        draft = NoisyDrafter(env, noise)
+        draft = NoisyDrafter(env, cfg.noise)
         outcomes = []
         ref = reference_run_episode(
             env, draft, PlanVerifier(env), cfg, "naive", outcomes=outcomes
         )
         env = SimEnv(spec, key, suite=suite.name, trial=i)
-        got = run_episode(env, NoisyDrafter(env, noise), cfg, "naive")
+        got = run_episode(env, cfg, "naive")
         diff = _first_different_line(got.dumps(), ref.dumps())
         assert diff is None, (suite.name, q_err, max_offset, diff)
         assert got.success and got.steps == env.plan.steps
@@ -614,8 +600,10 @@ def test_closed_loop_matches_the_per_oracle_reference(
     on keys at the clamp and mirror edges, with thresholds of 0, fractions
     and past the vocabulary, and with compensation, window, horizon and
     noise settings spread over their ranges."""
-    cfg = RunConfig(key=key, depth=depth, fixed_r=fixed_r, comp_n=comp_n, ac=ac, pl=pl)
     noise = DraftNoiseModel(q_err=q_err, max_offset=max_offset, seed=task_seed + 1)
+    cfg = RunConfig(
+        key=key, depth=depth, fixed_r=fixed_r, comp_n=comp_n, ac=ac, pl=pl, noise=noise
+    )
     spec = make_task(kind, task_seed)
     ref_env = SimEnv(spec, key, suite="t", trial=task_seed)
     outcomes = []
@@ -624,13 +612,35 @@ def test_closed_loop_matches_the_per_oracle_reference(
         outcomes=outcomes,
     )
     env = SimEnv(spec, key, suite="t", trial=task_seed)
-    got = run_episode(env, NoisyDrafter(env, noise), cfg, mode, row)
+    got = run_episode(env, cfg, mode, row)
     diff = _first_different_line(got.dumps(), ref.dumps())
     assert diff is None, diff
     assert _final_state(env) == _final_state(ref_env)
     _assert_derived_outcomes(got, outcomes)
     if past_plan:
         assert env.t > env.plan.steps
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_the_engine_takes_its_noise_and_robot_from_the_config(mode):
+    """The engine draws its noise rows from ``cfg.noise`` and writes
+    ``cfg.robot`` into the trace: at a robot and a noise seed off their
+    defaults, it writes the trace of the per-oracle loop whose drafter
+    holds ``cfg.noise``, and leaves the env in the same final state."""
+    cfg = RunConfig(robot="arm2", noise=DraftNoiseModel(seed=31))
+    spec = make_task("pick_place", 5)
+    ref_env = SimEnv(spec, suite="t", trial=3)
+    ref = reference_run_episode(
+        ref_env, NoisyDrafter(ref_env, cfg.noise), PlanVerifier(ref_env), cfg, mode, ROW
+    )
+    env = SimEnv(spec, suite="t", trial=3)
+    got = run_episode(env, cfg, mode, ROW)
+    assert got.robot == ref.robot == cfg.robot
+    assert _first_different_line(got.dumps(), ref.dumps()) is None
+    assert _final_state(env) == _final_state(ref_env)
+    # the default noise seed writes another trace, so the one above is cfg.noise's
+    other = run_episode(SimEnv(spec, suite="t", trial=3), RunConfig(robot="arm2"), mode, ROW)
+    assert other.dumps() != got.dumps()
 
 
 def _narrow_key(vocab, half_widths):
@@ -666,8 +676,8 @@ def test_array_pass_matches_the_per_oracle_reference(
     that never latches, thresholds of 0, fractions and past the vocabulary,
     and drafts up to 5000 bins off."""
     key = _narrow_key(vocab, [*half_widths, gripper])
-    cfg = RunConfig(key=key, depth=depth, fixed_r=fixed_r)
     noise = DraftNoiseModel(q_err=q_err, max_offset=max_offset, seed=task_seed + 1)
+    cfg = RunConfig(key=key, depth=depth, fixed_r=fixed_r, noise=noise)
     spec = make_task(kind, task_seed)
     ref_env = SimEnv(spec, key, suite="t", trial=task_seed)
     outcomes = []
@@ -676,7 +686,7 @@ def test_array_pass_matches_the_per_oracle_reference(
         outcomes=outcomes,
     )
     env = SimEnv(spec, key, suite="t", trial=task_seed)
-    got = run_episode(env, NoisyDrafter(env, noise), cfg, "fixed_relaxed")
+    got = run_episode(env, cfg, "fixed_relaxed")
     diff = _first_different_line(got.dumps(), ref.dumps())
     assert diff is None, diff
     assert _final_state(env) == _final_state(ref_env)
@@ -688,28 +698,35 @@ def test_array_pass_of_the_narrow_example_runs_past_the_plan():
     key = _narrow_key(16, [0.02] * 6 + [1.0])
     env = SimEnv(make_task("reach", 4), key, suite="t", trial=4)
     noise = DraftNoiseModel(q_err=0.48, max_offset=60, seed=5)
-    run_episode(env, NoisyDrafter(env, noise), RunConfig(key=key, depth=7), "fixed_relaxed")
+    run_episode(env, RunConfig(key=key, depth=7, noise=noise), "fixed_relaxed")
     assert env.t > env.plan.steps
 
 
-def _count_pass_and_loop_steps(monkeypatch):
+def _count_pass_and_row_draws(monkeypatch):
     """Spy on the array pass (how many records each call confirms) and on
-    the loop (the step of each noise row it reads)."""
-    passes, loop_steps = [], []
-    real_pass, real_row = specdec._plan_pass, NoisyDrafter.noise_row
+    the engine's noise draws (the steps ``(t0, t1)`` of each)."""
+    passes, draws = [], []
+    real_pass, real_rows = specdec._plan_pass, specdec.noise_rows
 
     def counting_pass(*args):
         records, kvar_cum = real_pass(*args)
         passes.append(len(records))
         return records, kvar_cum
 
-    def counting_row(self, t):
-        loop_steps.append(t)
-        return real_row(self, t)
+    def counting_rows(noise, task_seed, t0, t1):
+        draws.append((t0, t1))
+        return real_rows(noise, task_seed, t0, t1)
 
     monkeypatch.setattr(specdec, "_plan_pass", counting_pass)
-    monkeypatch.setattr(NoisyDrafter, "noise_row", counting_row)
-    return passes, loop_steps
+    monkeypatch.setattr(specdec, "noise_rows", counting_rows)
+    return passes, draws
+
+
+def _row_draws(env, trace):
+    """The noise draws of an episode: the plan's rows, and the rows of the
+    later steps once, if the loop decodes a step past the plan."""
+    steps = env.plan.steps
+    return [(0, steps)] + ([(steps, env.plan.max_steps)] if trace.steps > steps else [])
 
 
 @pytest.mark.parametrize("suite", default_config(1).suites, ids=lambda s: s.name)
@@ -717,20 +734,21 @@ def test_array_pass_confirms_every_plan_step_of_the_default_config(suite, monkey
     """On the default config, one pass confirms every plan step of a
     ``fixed_relaxed`` episode, and the loop decodes only the steps past the
     plan; a kerv episode runs the loop alone."""
-    passes, loop_steps = _count_pass_and_loop_steps(monkeypatch)
+    passes, draws = _count_pass_and_row_draws(monkeypatch)
     cfg = replace(default_config(1), fixed_r=15.0)
     for trial in range(6):
         passes.clear()
-        loop_steps.clear()
+        draws.clear()
         seed = suite.seed_base + trial
         env = SimEnv(make_task(suite.kind, seed), suite=suite.name, trial=trial)
-        trace = run_episode(env, NoisyDrafter(env, cfg.noise), cfg, "fixed_relaxed")
+        trace = run_episode(env, cfg, "fixed_relaxed")
         assert passes == [env.plan.steps]
-        assert loop_steps == list(range(env.plan.steps, trace.steps))
+        assert len(trace.slices) == trace.steps and draws == _row_draws(env, trace)
     passes.clear()
+    draws.clear()
     env = SimEnv(make_task(suite.kind, suite.seed_base), suite=suite.name)
-    run_episode(env, NoisyDrafter(env, cfg.noise), cfg, "kerv", ROW)
-    assert passes == []
+    trace = run_episode(env, cfg, "kerv", ROW)
+    assert passes == [] and draws == _row_draws(env, trace)
 
 
 @pytest.mark.parametrize("key", STRICT_KEYS.values(), ids=STRICT_KEYS)
@@ -740,32 +758,33 @@ def test_plan_tokens_are_the_truths_and_naive_ends_in_the_pass(key, monkeypatch)
     its truth is the hold impulse, not the waypoint's state), and so the
     r = 0 pass confirms every plan step of a naive episode and the loop
     decodes none: 10 seeds of every kind."""
-    passes, loop_steps = _count_pass_and_loop_steps(monkeypatch)
+    passes, draws = _count_pass_and_row_draws(monkeypatch)
     cfg = RunConfig(key=key)
     for kind in KINDS:
         for seed in range(10):
             passes.clear()
+            draws.clear()
             env = SimEnv(make_task(kind, seed), key, suite="t", trial=seed)
             poses = env.plan.poses
             truths = simenv._track_rows(poses[1:], poses[:-1], key)
             assert np.array_equal(env.plan.tokens, truths), (kind, seed)
-            trace = run_episode(env, NoisyDrafter(env, cfg.noise), cfg, "naive")
+            trace = run_episode(env, cfg, "naive")
             assert passes == [env.plan.steps] and trace.steps == env.plan.steps, (kind, seed)
-    assert loop_steps == []
+            assert draws == [(0, env.plan.steps)], (kind, seed)
 
 
 def test_a_guess_that_misses_inside_the_plan_gets_one_pass_then_the_loop(monkeypatch):
     """Drafts up to 5000 bins off on 3 bins over narrow ranges: the guess
     misses early in the plan, the loop decodes every step from the miss,
     and no second pass runs."""
-    passes, loop_steps = _count_pass_and_loop_steps(monkeypatch)
+    passes, draws = _count_pass_and_row_draws(monkeypatch)
     key = _narrow_key(3, [0.05] * 6 + [1.0])
     cfg = RunConfig(key=key, fixed_r=1.0, noise=DraftNoiseModel(max_offset=5000))
     env = SimEnv(make_task("pick_place", 5), key, suite="t")
-    trace = run_episode(env, NoisyDrafter(env, cfg.noise), cfg, "fixed_relaxed")
+    trace = run_episode(env, cfg, "fixed_relaxed")
     (confirmed,) = passes
     assert 0 < confirmed < env.plan.steps
-    assert loop_steps == list(range(confirmed, trace.steps))
+    assert len(trace.slices) == trace.steps and draws == _row_draws(env, trace)
 
 
 @pytest.mark.parametrize("depth", range(1, 8))
