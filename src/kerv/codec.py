@@ -20,7 +20,11 @@ its values are checked at four boundaries:
   (``specdec.decode_slice_sd``);
 * every id ``decode_slice`` decodes: seven ids, each an ``int`` (not a
   ``bool``), which ``token_to_action`` decodes in ``[0, vocab)``;
-* every record read back from a trace (``trace.loads``).
+* every record read back from a trace (``trace.loads``): each field of
+  its type and in its range, and nothing in it contradicting the rest of
+  it or the record before it (every token is what its ids give at its r,
+  its null slots follow its only rejection, and its ``kvar_cum`` adds its
+  ``kvar_step`` to the previous one).
 
 Tokens the decoder fills from filter predictions come from
 ``action_to_token``/``snap_gripper_token``, which refuse a non-finite

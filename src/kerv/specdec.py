@@ -19,7 +19,8 @@ an uncompensated slice's rounds are its rejection mask's entry in
 
 In the kinematic domain, each placed token is decoded to its action, and
 the slice's variability is summed (the ``accepted_error_kvar`` of the draft
-ids, verified ids and statuses the trace records, so a trace rebuilds it).
+and verified ids the trace records, judged at the r it records, so a trace
+rebuilds it).
 The actions go to the filter bank and move the environment, and the
 variability moves the threshold. The bank compensates only when it holds
 context and no cooldown runs: a compensation starts n slices of classic
@@ -60,7 +61,12 @@ truth rows (the drafter draws its step's noise row alone), and
 ``SimEnv.step`` moves the env. ``decode_slice_sd`` decides a slice from
 two rows as the plain composition of the rules the engine inlines:
 ``relaxed_accept`` judges each position, ``codec.decode_slice`` gives the
-actions and ``accepted_error_kvar`` the variability.
+actions and ``accepted_error_kvar`` the variability. ``relaxed_accept``
+lives in ``trace``, where a record judges its own ids with it, and is
+imported here by name. The engine's records store no statuses: the loop
+and the array pass judge each position for its executed token, its
+variability and the slice's rejection mask, and a record judges its ids
+again when its statuses are read.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -86,7 +92,7 @@ from .codec import (
 from .kinematics import KfBank, accumulate_kvar
 from .simenv import _corrupt_rows, _first_miss, _latch, _replay, noise_rows
 from .threshold import CalibrationRow
-from .trace import EXACT, MODES, REJECTED, RELAXED, EpisodeTrace, SliceRecord
+from .trace import EXACT, MODES, REJECTED, RELAXED, EpisodeTrace, SliceRecord, relaxed_accept
 
 if TYPE_CHECKING:  # for annotations only
     from .config import RunConfig
@@ -97,29 +103,15 @@ class EngineError(RuntimeError):
     """Raised for oracle contract violations or invalid engine parameters."""
 
 
-def relaxed_accept(draft_id: int, true_id: int, r: float) -> str:
-    """Judge one draft token against the verifier's token: ``EXACT``,
-    ``RELAXED`` or ``REJECTED``.
-
-    Exact match always accepts; a nonzero miss is accepted while the token
-    distance stays within r, and anything farther is rejected. Distances are
-    ints, so a float r accepts exactly what floor(r) does.
-    """
-    dist = abs(draft_id - true_id)
-    if dist == 0:
-        return EXACT
-    if dist <= r:
-        return RELAXED
-    return REJECTED
-
-
 @dataclass
 class SliceResult:
     """One decoded slice. ``draft_ids``, ``true_ids`` and ``statuses`` hold
-    one slot per position, ``None`` where nothing was drafted, as the trace
-    records them. ``actions`` are ``tokens`` decoded (``decode_slice``), and
-    ``kvar`` is the slice's ``accepted_error_kvar``. ``first_error_pos`` and
-    ``comp_fired`` are derived from the statuses, as a record derives them."""
+    one slot per position, ``None`` where nothing was drafted; the trace
+    records the ids, and a record derives the same statuses from them.
+    ``actions`` are ``tokens`` decoded (``decode_slice``), and ``kvar`` is
+    the slice's ``accepted_error_kvar``. ``first_error_pos`` is derived
+    from the statuses, which ``decode_slice_sd`` judged, and ``comp_fired``
+    from the ids, as a record derives it."""
 
     tokens: tuple[int, ...]
     rounds: int  # one draft call and one verify call each
@@ -129,8 +121,13 @@ class SliceResult:
     actions: tuple[float, ...]
     kvar: float
 
-    first_error_pos = SliceRecord.first_error_pos
     comp_fired = SliceRecord.comp_fired
+
+    @property
+    def first_error_pos(self) -> int:
+        """The position of the first ``REJECTED`` status, or 7 if none."""
+        statuses = self.statuses
+        return statuses.index(REJECTED) if REJECTED in statuses else N_DOF
 
 
 @functools.lru_cache(maxsize=8)
@@ -246,8 +243,9 @@ def accepted_error_kvar(rec: SliceResult | SliceRecord, key: NormKey) -> float:
 
     Rejected tokens were replaced and exact tokens carry no error, so only
     ``RELAXED`` slots contribute, summed in position order. ``rec`` is a
-    decoded slice or a trace record, so a trace's ``kvar_step`` can be
-    rebuilt from the trace alone.
+    decoded slice, whose statuses ``decode_slice_sd`` judged, or a trace
+    record, which derives its statuses from its ids and r, so a trace's
+    ``kvar_step`` can be rebuilt from the trace and the codec key alone.
     """
     kvar = 0.0
     for pos, status in enumerate(rec.statuses):
@@ -368,7 +366,6 @@ def run_episode(
         predicted = None  # the bank's prediction, once the slice compensates
         drafts: list[int | None] = []
         truths: list[int | None] = []
-        statuses: list[str | None] = []
         tokens: list[int] = []
         actions: list[float] = []
         moved: list[float] = []  # the pose after the step
@@ -418,7 +415,6 @@ def run_episode(
                 d_tok = true_tok = status = None
             drafts.append(d_tok)
             truths.append(true_tok)
-            statuses.append(status)
             tokens.append(tok)
             action = low + span * (tok + 0.5) / vocab  # token_to_action's expression
             if status is RELAXED:
@@ -445,12 +441,8 @@ def run_episode(
             cooldown = cfg.comp_n
         elif cooldown > 0:
             cooldown -= 1
-        records.append(
-            SliceRecord(
-                tuple(drafts), tuple(truths), tuple(statuses), tuple(tokens),
-                r, kvar, kvar_cum, rounds, cooldown,
-            )
-        )
+        fields = (tuple(drafts), tuple(truths), tuple(tokens), r, kvar, kvar_cum, rounds, cooldown)
+        records.append(_RECORD(fields))
         if kerv:
             r = threshold_mod.adjust(row, r, prev_kvar, kvar)
             prev_kvar = kvar
@@ -470,23 +462,10 @@ def run_episode(
     )
 
 
-# a judged position's status is digit p, in base 3, of its step's status code
-_STATUS_NAMES = (EXACT, RELAXED, REJECTED)
-_STATUS_DIGITS = 3 ** np.arange(N_DOF)
 _POS_BITS = 1 << np.arange(N_DOF)  # bit p of a rejection mask is position p
 # a record from the tuple of its fields, made in C (``SliceRecord(*fields)``
 # would run the named tuple's Python-level ``__new__`` once per record)
 _RECORD = functools.partial(tuple.__new__, SliceRecord)
-# status code -> the statuses it stands for, filled as codes appear (at most 3**7)
-_STATUS_ROWS: dict[int, tuple[str, ...]] = {}
-
-
-def _statuses(codes: list[int]) -> Iterator[tuple[str, ...]]:
-    """The statuses of each status code, from a cache filled as codes appear."""
-    rows = _STATUS_ROWS
-    for code in set(codes).difference(rows):
-        rows[code] = tuple(_STATUS_NAMES[code // 3**p % 3] for p in range(N_DOF))
-    return map(rows.__getitem__, codes)
 
 
 def _plan_pass(
@@ -509,7 +488,9 @@ def _plan_pass(
     and kinematic variability of every step then follow at once, each with
     the loop's float operations, and the poses are the actions replayed
     from the plan's start pose (``simenv._replay``, which makes the loop's
-    adds in the loop's order and latches the gripper as it does).
+    adds in the loop's order and latches the gripper as it does). The
+    judgements give each record its tokens, variability and rounds; a
+    record stores no statuses, as it derives them from its ids and r.
 
     Where no position is relaxed, as always at r < 1, every executed token
     is its truth and no offset moved a truth off the plan's tokens: the
@@ -574,7 +555,6 @@ def _plan_pass(
     fields = zip(
         map(tuple, drafts[kept].tolist()),
         truth_rows,
-        _statuses(((relaxed[kept] + 2 * rejected[kept]) @ _STATUS_DIGITS).tolist()),
         token_rows,
         itertools.repeat(r),
         kvar_steps,

@@ -1,23 +1,24 @@
 """Episode traces: one record per decoded slice, serialized as JSON lines.
 
 A trace file starts with an ``episode`` metadata line, carries one slice
-record per line, and ends with a ``summary`` line. Slice records hold
-per-position draft/true ids and acceptance statuses (null where the Kalman
-filter filled a position, which was never drafted or verified), final
-tokens, and the step's threshold, variability, verify calls and cooldown.
-The statuses are the one record of what a slice did: its first error
-position and whether it was compensated are derived from them, not stored.
+record per line, and ends with a ``summary`` line. A slice record stores
+per-position draft and true ids (null where the Kalman filter filled a
+position, which was never drafted or verified), the final tokens, and the
+step's threshold r, variability, verify calls and cooldown. What a record
+can rebuild from itself is not stored: each drafted slot's status is
+``relaxed_accept`` of its ids and r (``SliceRecord.statuses``), and its
+first error position and whether it was compensated follow from the ids
+and r too. The acceptance rule lives here, once, beside its statuses.
 
-A record is a ``SliceRecord``: an immutable named tuple of 9 fields, which
+A record is a ``SliceRecord``: an immutable named tuple of 8 fields, which
 costs a tuple to build and is written as a JSON object with sorted keys.
 A record line is written from one ``%`` template (``_RECORD_TEMPLATE``):
-ids and counts as ``%d``, floats as ``%r`` (``float.__repr__``, as the JSON
-encoder writes them), and the statuses from a cache of their JSON text by
-tuple. ``_ENCODE``, the ``encode`` of one ``json.JSONEncoder(sort_keys=True)``
-built at import, writes the header and summary lines, and a record with a
-null slot or a non-finite float; both write the bytes ``json.dumps(...,
-sort_keys=True)`` writes. Every line is read by ``_DECODER``, one decoder
-built at import.
+ids and counts as ``%d`` and floats as ``%r`` (``float.__repr__``, as the
+JSON encoder writes them). ``_ENCODE``, the ``encode`` of one
+``json.JSONEncoder(sort_keys=True)`` built at import, writes the header and
+summary lines, and a record with a null id or a non-finite float; both
+write the bytes ``json.dumps(..., sort_keys=True)`` writes. Every line is
+read by ``_DECODER``, one decoder built at import.
 
 The episode statistics that a report and a calibration table share live
 here, once: ``success_rate``, ``mean_steps`` and ``_fold``, which adds
@@ -35,24 +36,32 @@ field's JSON types from its annotation (``_JSON_TYPES``) and its range from
 fault when it is missing or holds a value of the wrong JSON type: a scalar
 of another type (an int field refuses ``true``/``false`` and ``1.0``; a
 float field takes an integer), a per-position field that is not a list of
-7 slots, an id that is not an int or ``null`` (a token that is not an int),
-a status outside its set, or the constant ``NaN`` (``Infinity`` loads: an
-overflowing deviation is written as one); or when it holds a value outside
-its range: a negative trial, step count or deviation, or a record value
-outside its bounds. A header, record or summary that holds a key it does
-not define is refused once its fields pass, with the unknown keys sorted;
-so is a header or summary line with a key besides ``episode`` or
-``summary``, before the object it holds is read. So a record of an older
-format, which also stored what its statuses give, never loads. A record
-is then refused where a status is null but an id is not, or the reverse
-(``_judged_mismatch``). A header mode outside ``MODES`` or kind outside
-``simenv.KINDS`` is rejected after its fields. ``load`` puts the file's
-path in front of the error, as it does for a file that is not UTF-8 text.
-Traces and calibration tables are written atomically (a temporary file in
-the target directory, then ``os.replace``), so a reader sees the old file
-or the whole new one.
-"""
+7 slots, an id that is not an int or ``null``, a token that is not an int,
+or the constant ``NaN`` (``Infinity`` loads: an overflowing deviation is
+written as one); or when it holds a value outside its range: a negative
+trial, step count or deviation, or a record value outside its bounds
+(``verify_calls`` in [1, 7]: depth 1 with every position rejected is 7
+rounds). A header, record or summary that holds a key it does not define
+is refused once its fields pass, with the unknown keys sorted; so is a
+header or summary line with a key besides ``episode`` or ``summary``,
+before the object it holds is read. So a record of an older format, which
+also stored statuses or what they give, never loads. A header mode
+outside ``MODES`` or kind outside ``simenv.KINDS`` is rejected after its
+fields.
 
+A record whose fields pass is then refused where it contradicts itself or
+the record before it (``_contradiction``), by the first of these rules:
+its two id lists are not null at the same slots; its null slots are not
+one run to the end that starts right after its only rejection; it has
+null slots and ``verify_calls`` is not 1 (a compensated slice is one
+round); a drafted position's token is not its draft id within r or its
+true id past r; or its ``kvar_cum`` is not the previous record's (0.0
+before the first) plus its ``kvar_step``, exactly, as both decoders add
+them. ``load`` puts the file's path in front of the error, as it does for
+a file that is not UTF-8 text. Traces and calibration tables are written
+atomically (a temporary file in the target directory, then
+``os.replace``), so a reader sees the old file or the whole new one.
+"""
 import json
 import math
 import os
@@ -70,11 +79,26 @@ MODES = ("naive", "fixed_relaxed", "kerv")
 # a drafted position's acceptance status
 EXACT, RELAXED, REJECTED = "exact", "relaxed", "rejected"
 
+
+def relaxed_accept(draft_id: int, true_id: int, r: float) -> str:
+    """Judge one draft token against the verifier's token: ``EXACT``,
+    ``RELAXED`` or ``REJECTED``.
+
+    Exact match always accepts; a nonzero miss is accepted while the token
+    distance stays within r, and anything farther is rejected. Distances are
+    ints, so a float r accepts exactly what floor(r) does.
+    """
+    dist = abs(draft_id - true_id)
+    if dist == 0:
+        return EXACT
+    if dist <= r:
+        return RELAXED
+    return REJECTED
+
+
 # the fields of the header and summary lines
 _HEADER_FIELDS = ("suite", "kind", "mode", "robot", "trial", "seed")
 _SUMMARY_FIELDS = ("success", "steps", "deviation", "plan_steps")
-_JUDGED = {EXACT, RELAXED, REJECTED}
-_STATUSES = _JUDGED | {None}
 # the types ``loads`` accepts for each scalar annotation, as ``json.loads``
 # builds them: a float field also takes an integer, and ``bool`` is a type
 # of its own, so an int field refuses true/false
@@ -86,7 +110,7 @@ _TYPE_NAMES = {int: "an int", float: "a float", str: "a string", bool: "a bool"}
 _RANGES = {
     "episode": (("trial", 0, math.inf, ">= 0"),),
     "record": (
-        ("verify_calls", 1, math.inf, ">= 1"),
+        ("verify_calls", 1, N_DOF, f"in [1, {N_DOF}]"),
         ("cooldown_remaining", 0, math.inf, ">= 0"),
         ("r", 0, sys.float_info.max, "finite and >= 0"),
         ("kvar_step", 0, sys.float_info.max, "finite and >= 0"),
@@ -124,35 +148,23 @@ _ENCODE = json.JSONEncoder(sort_keys=True).encode
 _IDS = "[" + ", ".join(["%d"] * N_DOF) + "]"
 _RECORD_TEMPLATE = (
     '{"cooldown_remaining": %d, "draft_ids": ' + _IDS + ', "kvar_cum": %r, "kvar_step": %r, '
-    '"r": %r, "statuses": %s, "tokens": ' + _IDS + ', "true_ids": ' + _IDS + ', "verify_calls": %d}'
+    '"r": %r, "tokens": ' + _IDS + ', "true_ids": ' + _IDS + ', "verify_calls": %d}'
 )
-# judged statuses -> their JSON list, filled as they appear (at most 3**7)
-_STATUS_TEXT: dict[tuple, str] = {}
-
-
-def _status_text(statuses: tuple) -> str | None:
-    """The JSON list of statuses that are all judged, cached; None for any
-    others, such as a null slot."""
-    if not _JUDGED.issuperset(statuses):
-        return None
-    text = _STATUS_TEXT[statuses] = _ENCODE(statuses)
-    return text
 
 
 def _record_lines(records) -> list[str]:
     """Each record's line, from ``_RECORD_TEMPLATE``. ``_ENCODE`` writes the
-    field dict of a record whose statuses are not all judged (a null slot
-    holds null ids) or whose floats are not all finite (it writes
-    ``Infinity`` where ``%r`` writes ``inf``)."""
-    template, texts, finite = _RECORD_TEMPLATE, _STATUS_TEXT, math.isfinite
+    field dict of a record with a null id (a slot the filter filled, which
+    holds a null in both id lists) or whose floats are not all finite (it
+    writes ``Infinity`` where ``%r`` writes ``inf``)."""
+    template, finite = _RECORD_TEMPLATE, math.isfinite
     lines = []
     for rec in records:
-        drafted, truth, statuses, tokens, r, kvar_step, kvar_cum, calls, cooldown = rec
-        status_text = texts.get(statuses) or _status_text(statuses)
-        if status_text is None or not (finite(r) and finite(kvar_step) and finite(kvar_cum)):
+        drafted, truth, tokens, r, kvar_step, kvar_cum, calls, cooldown = rec
+        if None in drafted or not (finite(r) and finite(kvar_step) and finite(kvar_cum)):
             lines.append(_ENCODE(rec._asdict()))
             continue
-        fields = (cooldown, *drafted, kvar_cum, kvar_step, r, status_text, *tokens, *truth, calls)
+        fields = (cooldown, *drafted, kvar_cum, kvar_step, r, *tokens, *truth, calls)
         lines.append(template % fields)
     return lines
 
@@ -160,11 +172,12 @@ def _record_lines(records) -> list[str]:
 class SliceRecord(NamedTuple):
     """One decoded slice as its trace line records it; a tuple, so no field
     can be assigned. A record's step is its index in the trace, and each of
-    its ``verify_calls`` rounds is one draft call and one verify call."""
+    its ``verify_calls`` rounds is one draft call and one verify call. Its
+    statuses, first error position and compensation flag are derived from
+    its ids and r, never stored."""
 
     draft_ids: tuple[int | None, ...]
     true_ids: tuple[int | None, ...]
-    statuses: tuple[str | None, ...]
     tokens: tuple[int, ...]
     r: float
     kvar_step: float
@@ -173,15 +186,34 @@ class SliceRecord(NamedTuple):
     cooldown_remaining: int
 
     @property
+    def statuses(self) -> tuple[str | None, ...]:
+        """Each drafted position's ``relaxed_accept`` of its ids at r, and
+        None where the filter filled the position."""
+        r = self.r
+        return tuple(
+            None if d is None else relaxed_accept(d, t, r)
+            for d, t in zip(self.draft_ids, self.true_ids)
+        )
+
+    @property
     def first_error_pos(self) -> int:
-        """The position of the first ``REJECTED`` status, or 7 if none."""
-        statuses = self.statuses
-        return statuses.index(REJECTED) if REJECTED in statuses else N_DOF
+        """The first position whose ids are more than r apart, which is
+        ``relaxed_accept``'s ``REJECTED`` case, or 7 if none. It reads the
+        ids, not ``statuses``: the report and the plot data read it for
+        every record. A filled position holds two nulls, which are equal."""
+        true_ids, r = self.true_ids, self.r
+        pos = 0
+        for d in self.draft_ids:
+            t = true_ids[pos]
+            if d != t and abs(d - t) > r:
+                return pos
+            pos += 1
+        return N_DOF
 
     @property
     def comp_fired(self) -> bool:
-        """Whether the filter filled positions, the only ones left unjudged."""
-        return None in self.statuses
+        """Whether the filter filled positions, the only ones never drafted."""
+        return None in self.draft_ids
 
 
 @dataclass
@@ -267,35 +299,39 @@ def _typed_slots(types: set, what: str):
     return fault
 
 
-def _status_slots(slots: list) -> str | None:
-    """The slot check of ``statuses``: each slot in ``_STATUSES``."""
-    try:
-        if _STATUSES.issuperset(slots):
-            return None
-    except TypeError:  # a list or object slot, which no set holds
-        pass
-    return f"unknown status in {slots!r}"
-
-
 # the slot check of each per-position field of a record, which holds one slot
-# per DoF: ids ints or null, tokens ints, statuses in their set
+# per DoF: ids ints or null, tokens ints
 _SLOT_CHECKS = {
     "draft_ids": _typed_slots({int, type(None)}, "ids must be ints or null"),
     "true_ids": _typed_slots({int, type(None)}, "ids must be ints or null"),
-    "statuses": _status_slots,
     "tokens": _typed_slots({int}, "tokens must be ints"),
 }
 
 
-def _judged_mismatch(draft_ids: tuple, true_ids: tuple, statuses: tuple) -> bool:
-    """Whether a slot's ids and status disagree on whether it was judged (a
-    filled slot has none of them); three counts settle a record with no null."""
-    unjudged = statuses.count(None)
-    if draft_ids.count(None) != unjudged or true_ids.count(None) != unjudged:
-        return True
-    return unjudged > 0 and any(
-        (d, t) != (None, None) for d, t, s in zip(draft_ids, true_ids, statuses) if s is None
-    )
+def _contradiction(values: list, prev: float) -> str | None:
+    """What contradicts the rest of a record whose fields passed
+    (``values``, in field order), or the record before it, whose
+    ``kvar_cum`` is ``prev``; None if nothing does. The module
+    docstring lists the rules in the order they are checked."""
+    draft_ids, true_ids, tokens, r, kvar_step, kvar_cum, calls, _ = values
+    judged = N_DOF  # the drafted positions, which come first
+    if None in draft_ids or None in true_ids:
+        ids = f"draft_ids {draft_ids!r}, true_ids {true_ids!r}"
+        if any((d is None) is not (t is None) for d, t in zip(draft_ids, true_ids)):
+            return f"draft_ids and true_ids must be null at the same slots, got {ids}"
+        judged = draft_ids.index(None)
+        rejected = [pos for pos in range(judged) if abs(draft_ids[pos] - true_ids[pos]) > r]
+        if rejected != [judged - 1] or draft_ids.count(None) != N_DOF - judged:
+            return f"null slots must follow the only rejection to the end, got {ids} at r {r!r}"
+        if calls != 1:
+            return f"a compensated record must have verify_calls 1, got {calls}"
+    for pos, d, t, tok in zip(range(judged), draft_ids, true_ids, tokens):
+        want = d if abs(d - t) <= r else t
+        if tok != want:
+            return f"token {pos} must be {want} (ids {d} and {t} at r {r!r}), got {tok}"
+    if kvar_cum != prev + kvar_step:
+        return f"record kvar_cum must be the previous {prev!r} plus {kvar_step!r}, got {kvar_cum!r}"
+    return None
 
 
 def _checks(cls, part: str, names) -> tuple:
@@ -357,6 +393,7 @@ def _unknown_keys(obj: dict, names, part: str, lineno: int) -> TraceError:
 def loads(text: str) -> EpisodeTrace:
     trace: EpisodeTrace | None = None
     summarized = False
+    kvar_cum = 0.0  # the previous record's
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
@@ -395,12 +432,12 @@ def loads(text: str) -> EpisodeTrace:
                 if trace is None:
                     raise TraceError(f"line {lineno}: slice record before episode header")
                 values = _checked(obj, "record", _RECORD_CHECKS, lineno)
-                if _judged_mismatch(*values[:3]):  # draft_ids, true_ids, statuses
-                    raise TraceError(
-                        f"line {lineno}: statuses must be null exactly where the ids are, got "
-                        f"draft_ids {values[0]!r}, true_ids {values[1]!r}, statuses {values[2]!r}"
-                    )
-                trace.slices.append(SliceRecord._make(values))
+                fault = _contradiction(values, kvar_cum)
+                if fault is not None:
+                    raise TraceError(f"line {lineno}: {fault}")
+                rec = SliceRecord._make(values)
+                trace.slices.append(rec)
+                kvar_cum = rec.kvar_cum
         except KeyError as exc:
             raise TraceError(f"line {lineno}: record has no {exc.args[0]!r} field") from None
     if trace is None:

@@ -19,8 +19,11 @@ slice, every token pair decoded again per candidate, zero-padded action
 slices compared over all seven positions, one ``json.dumps(...,
 sort_keys=True)`` per trace line (the library writes records from a
 template and the other lines with one encoder), and the trace loader that
-checked slots, then scalar types, then ranges, in three passes
-(``reference_trace_loads``), a slice decided one draft/verify round at a
+checked slots, then scalar types, then ranges, in three passes, then walks
+each record's slots one at a time for what contradicts the rest of it
+(``reference_trace_loads``; the library counts and compares whole id
+lists, and judges a token at r where this loader judges it at floor(r)),
+a slice decided one draft/verify round at a
 time, with its rounds, first error position and compensation flag
 tracked as it is decided (``reference_decode_slice_sd``; the library
 reads the rounds from its rejection mask and derives the other two from
@@ -523,9 +526,11 @@ def reference_run_episode(env, draft, verify, cfg, mode, row=None, *, outcomes=N
 
     A given ``outcomes`` list gets each slice's (first error position,
     compensation flag, rounds) as ``reference_decode_slice_sd`` tracks them
-    while deciding it one round at a time, apart from the statuses a record
+    while deciding it one round at a time, apart from the ids and r a record
     derives the first two from and the rejection mask the engine reads its
-    rounds from."""
+    rounds from. A record stores no statuses, so each slice's statuses, as
+    ``decode_slice_sd`` judged them, are checked against the ones its record
+    derives from its ids and r."""
     if mode not in MODES:
         raise EngineError(f"unknown mode {mode!r}; expected one of {MODES}")
     if env.t != 0:
@@ -574,19 +579,18 @@ def reference_run_episode(env, draft, verify, cfg, mode, row=None, *, outcomes=N
         elif cooldown > 0:
             cooldown -= 1
 
-        records.append(
-            SliceRecord(
-                draft_ids=result.draft_ids,
-                true_ids=result.true_ids,
-                statuses=result.statuses,
-                tokens=result.tokens,
-                r=r,
-                kvar_step=kstep,
-                kvar_cum=kvar_cum,
-                verify_calls=result.rounds,
-                cooldown_remaining=cooldown,
-            )
+        record = SliceRecord(
+            draft_ids=result.draft_ids,
+            true_ids=result.true_ids,
+            tokens=result.tokens,
+            r=r,
+            kvar_step=kstep,
+            kvar_cum=kvar_cum,
+            verify_calls=result.rounds,
+            cooldown_remaining=cooldown,
         )
+        assert record.statuses == result.statuses, (env.t, record.statuses, result.statuses)
+        records.append(record)
         if kerv:
             r = threshold_mod.adjust(row, r, prev_kvar, kstep)
             prev_kvar = kstep
@@ -634,7 +638,7 @@ def reference_gripper_states(targets, key):
 # a slice record's fields, written out here rather than read from the
 # record type
 TRACE_RECORD_FIELDS = (
-    "draft_ids", "true_ids", "statuses", "tokens", "r", "kvar_step", "kvar_cum", "verify_calls",
+    "draft_ids", "true_ids", "tokens", "r", "kvar_step", "kvar_cum", "verify_calls",
     "cooldown_remaining",
 )
 
@@ -654,20 +658,22 @@ def reference_trace_dumps(trace):
 # ``reference_trace_loads`` and its helpers are kept as they were written,
 # with their tables copied here. The scalar type tables are written out, as
 # the loader read them from string annotations the record type no longer
-# has. The tables follow the 9-field record, and ``_check_judged`` walks the
+# has. The tables follow the 8-field record, and ``_check_judged`` walks the
 # slots one at a time where the library counts nulls. ``_check_known`` was
 # added later, with the library's rule that a line names no key it does not
 # define; it lists the keys one at a time where the library compares counts.
+# ``_check_compensated``, ``_check_tokens`` and ``_check_kvar_cum`` were
+# added with the library's rules that a record does not contradict itself
+# or the record before it, written from the rules themselves.
 _HEADER_FIELDS = ("suite", "kind", "mode", "robot", "trial", "seed")
 _SUMMARY_FIELDS = ("success", "steps", "deviation", "plan_steps")
-_SLOT_FIELDS = ("draft_ids", "true_ids", "statuses", "tokens")
+_SLOT_FIELDS = ("draft_ids", "true_ids", "tokens")
 _SLOTS = itemgetter(*_SLOT_FIELDS)
-_STATUSES = {"exact", "relaxed", "rejected", None}
 _TYPE_NAMES = {int: "an int", float: "a float", str: "a string", bool: "a bool"}
 _RANGES = {
     "episode": (("trial", 0, math.inf, ">= 0"),),
     "record": (
-        ("verify_calls", 1, math.inf, ">= 1"),
+        ("verify_calls", 1, 7, "in [1, 7]"),
         ("cooldown_remaining", 0, math.inf, ">= 0"),
         ("r", 0, sys.float_info.max, "finite and >= 0"),
         ("kvar_step", 0, sys.float_info.max, "finite and >= 0"),
@@ -707,7 +713,6 @@ def _record_from_dict(d: dict) -> SliceRecord:
     return SliceRecord(
         draft_ids=tuple(d["draft_ids"]),
         true_ids=tuple(d["true_ids"]),
-        statuses=tuple(d["statuses"]),
         tokens=tuple(d["tokens"]),
         r=d["r"],
         kvar_step=d["kvar_step"],
@@ -735,24 +740,18 @@ def _check_scalars(obj, part: str, types: tuple, lineno: int) -> None:
 
 def _check_slots(obj: dict, lineno: int) -> None:
     """Each per-position field a list of 7 slots: ids ints or null, tokens
-    ints, statuses in their set."""
+    ints."""
     lists = _SLOTS(obj)
     for name, slots in zip(_SLOT_FIELDS, lists):
         if type(slots) is not list or len(slots) != 7:
             raise TraceError(f"line {lineno}: {name} must be a list of 7 items, got {slots!r}")
-    draft_ids, true_ids, statuses, tokens = lists
+    draft_ids, true_ids, tokens = lists
     for tok in draft_ids + true_ids:
         if type(tok) is not int and tok is not None:
             raise TraceError(f"line {lineno}: ids must be ints or null, got {tok!r}")
     for tok in tokens:
         if type(tok) is not int:
             raise TraceError(f"line {lineno}: tokens must be ints, got {tok!r}")
-    try:
-        known = _STATUSES.issuperset(statuses)
-    except TypeError:  # a list or object slot, which no set holds
-        known = False
-    if not known:
-        raise TraceError(f"line {lineno}: unknown status in {statuses!r}")
 
 
 def _check_known(obj: dict, names: tuple, part: str, lineno: int) -> None:
@@ -763,16 +762,67 @@ def _check_known(obj: dict, names: tuple, part: str, lineno: int) -> None:
 
 
 def _check_judged(obj: dict, lineno: int) -> None:
-    """Each slot judged (both ids and a status) or filled (none of them),
-    one slot at a time."""
-    draft_ids, true_ids, statuses = obj["draft_ids"], obj["true_ids"], obj["statuses"]
-    for d, t, status in zip(draft_ids, true_ids, statuses):
-        if (status is None) != (d is None) or (status is None) != (t is None):
+    """Each slot judged (both ids) or filled (neither), one slot at a time."""
+    draft_ids, true_ids = obj["draft_ids"], obj["true_ids"]
+    for d, t in zip(draft_ids, true_ids):
+        if (d is None) != (t is None):
             raise TraceError(
-                f"line {lineno}: statuses must be null exactly where the ids are, got "
-                f"draft_ids {tuple(draft_ids)!r}, true_ids {tuple(true_ids)!r}, "
-                f"statuses {tuple(statuses)!r}"
+                f"line {lineno}: draft_ids and true_ids must be null at the same slots, got "
+                f"draft_ids {tuple(draft_ids)!r}, true_ids {tuple(true_ids)!r}"
             )
+
+
+def _check_compensated(obj: dict, lineno: int) -> None:
+    """A record with a null slot was compensated: walking its slots, every
+    drafted one comes before every null, exactly one drafted slot is
+    rejected and it is the last, and the slice took one verify call."""
+    draft_ids, true_ids, r = obj["draft_ids"], obj["true_ids"], obj["r"]
+    if all(d is not None for d in draft_ids):
+        return
+    nulls = rejections = 0
+    drafted_after_a_null = last_rejected = False
+    for d, t in zip(draft_ids, true_ids):
+        if d is None:
+            nulls += 1
+            continue
+        drafted_after_a_null |= nulls > 0
+        last_rejected = abs(d - t) > math.floor(r)
+        rejections += last_rejected
+    if drafted_after_a_null or rejections != 1 or not last_rejected:
+        raise TraceError(
+            f"line {lineno}: null slots must follow the only rejection to the end, got "
+            f"draft_ids {tuple(draft_ids)!r}, true_ids {tuple(true_ids)!r} at r {r!r}"
+        )
+    if obj["verify_calls"] != 1:
+        raise TraceError(
+            f"line {lineno}: a compensated record must have verify_calls 1, "
+            f"got {obj['verify_calls']}"
+        )
+
+
+def _check_tokens(obj: dict, lineno: int) -> None:
+    """Each drafted slot's token is its draft id when the ids are at most
+    floor(r) apart (distances are ints), and its true id otherwise."""
+    r = obj["r"]
+    for pos in range(7):
+        d, t, tok = obj["draft_ids"][pos], obj["true_ids"][pos], obj["tokens"][pos]
+        if d is None:
+            continue
+        want = t if abs(d - t) > math.floor(r) else d
+        if tok != want:
+            raise TraceError(
+                f"line {lineno}: token {pos} must be {want} (ids {d} and {t} at r {r!r}), "
+                f"got {tok}"
+            )
+
+
+def _check_kvar_cum(obj: dict, previous: float, lineno: int) -> None:
+    """A record's ``kvar_cum`` is the previous record's plus its ``kvar_step``."""
+    if obj["kvar_cum"] != previous + obj["kvar_step"]:
+        raise TraceError(
+            f"line {lineno}: record kvar_cum must be the previous {previous!r} plus "
+            f"{obj['kvar_step']!r}, got {obj['kvar_cum']!r}"
+        )
 
 
 def reference_trace_loads(text: str) -> EpisodeTrace:
@@ -820,6 +870,10 @@ def reference_trace_loads(text: str) -> EpisodeTrace:
                 _check_scalars(obj, "record", _RECORD_TYPES, lineno)
                 _check_known(obj, TRACE_RECORD_FIELDS, "record", lineno)
                 _check_judged(obj, lineno)
+                _check_compensated(obj, lineno)
+                _check_tokens(obj, lineno)
+                previous = trace.slices[-1].kvar_cum if trace.slices else 0.0
+                _check_kvar_cum(obj, previous, lineno)
                 trace.slices.append(_record_from_dict(obj))
         except KeyError as exc:
             raise TraceError(f"line {lineno}: record has no {exc.args[0]!r} field") from None

@@ -338,6 +338,29 @@ def test_every_file_call_in_src_names_its_encoding():
     assert [where for where, named in calls if not named] == []
 
 
+def test_no_module_in_src_imports_a_name_it_does_not_use():
+    """Every name a module in ``src/kerv`` imports is read somewhere in it,
+    as a name or as the base of an attribute (``np.array``), so an import
+    that a change leaves behind fails here. ``from __future__`` imports
+    bind no name; a name imported only for annotations is read in them."""
+    imported, unused = 0, []
+    for path in sorted((ROOT / "src" / "kerv").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]  # ``import a.b`` binds ``a``
+                imported += 1
+                if name not in read:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert imported >= 50  # the walk sees the package's imports, so it cannot pass empty
+    assert unused == []
+
+
 def test_every_text_file_in_src_is_written_atomically():
     """An output file is written whole or not at all: the one
     ``write_text`` call in ``src/kerv`` is the one inside

@@ -15,20 +15,25 @@ two trace pins moved once more when records stopped storing what their
 statuses give (``step``, ``draft_calls``, ``sources``, ``first_error_pos``,
 ``comp_fired``, and the summary's ``comp_events``): each new pin is the
 digest of the old traces with those keys removed from every line, and the
-report, plot data and table pins did not move.
+report, plot data and table pins did not move. They moved once more when
+records stopped storing their ``statuses``, which each record derives from
+its ids and r: writing every record's derived statuses back into its line
+gives the previous pins (``PINNED_WITH_STATUSES``), and the report, plot
+data and table pins did not move.
 """
 
 import hashlib
+import json
 
 from kerv.harness import emit_results, run_suite
 from kerv.threshold import DEFAULT_GRID, calibrate
-from kerv.trace import MODES
+from kerv.trace import MODES, loads
 
 GOLDEN_TRIALS = 2
 
 PINNED = {
     "report": "a8c7c786437cedaee8c541c8b03d51fc5c7d60ad5db892f5a3ea4dd9bc8e4d86",
-    "traces": "a1f5d166b17ccfe7e2317d18c6f0bdc10bb4021729be38384e40aad48566ac1d",
+    "traces": "e4f8155763db56b5bb15668b0e9ece33cbc40421552e091296b34679bdb0d11c",
     "plotdata": "2013ff075d4e962e75c9bddd5113aad6d082d1797676904bc617d8d7df1ee18c",
 }
 
@@ -39,7 +44,13 @@ PINNED_TABLES = {
 
 # sha256 of the kerv traces of a GOLDEN_TRIALS run from an equal-bounds
 # table, joined in (suite, mode) order
-PINNED_FIXED_R = "91da666167a398d6e2ff077cb5873c1299488537cefdc2cae25fbe7d592ef92c"
+PINNED_FIXED_R = "f19d98aaecfdc222affe65e8264a7bd637d0a9845c3795e84c55dc2299a8e181"
+
+# the two trace pins when each record also stored its statuses
+PINNED_WITH_STATUSES = {
+    "traces": "a1f5d166b17ccfe7e2317d18c6f0bdc10bb4021729be38384e40aad48566ac1d",
+    "fixed_r": "91da666167a398d6e2ff077cb5873c1299488537cefdc2cae25fbe7d592ef92c",
+}
 
 
 def _tree_digest(root):
@@ -68,8 +79,43 @@ def test_golden_calibration_tables(pre_sample):
     assert {"rectified": got} == PINNED_TABLES
 
 
-def test_golden_equal_bounds_traces(bench_cfg, pre_sample):
+def _equal_bounds_texts(bench_cfg, pre_sample):
+    """The kerv traces of a GOLDEN_TRIALS run from an equal-bounds table,
+    dumped in (suite, mode) order."""
     table = calibrate(pre_sample, DEFAULT_GRID, r_max=9.0, r_min=9.0)
     _, traces = run_suite(bench_cfg, modes=("kerv",), trials=GOLDEN_TRIALS, table=table)
-    text = "".join(t.dumps() for k in sorted(traces) if k[1] == "kerv" for t in traces[k])
+    return [t.dumps() for k in sorted(traces) if k[1] == "kerv" for t in traces[k]]
+
+
+def test_golden_equal_bounds_traces(bench_cfg, pre_sample):
+    text = "".join(_equal_bounds_texts(bench_cfg, pre_sample))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_FIXED_R
+
+
+def _with_statuses(text):
+    """A trace's text with each record's derived statuses written back into
+    its line, as ``json.dumps(..., sort_keys=True)`` wrote the record."""
+    records = iter(loads(text).slices)
+    lines = []
+    for line in text.splitlines():
+        obj = json.loads(line)
+        if "episode" not in obj and "summary" not in obj:
+            line = json.dumps({**obj, "statuses": next(records).statuses}, sort_keys=True)
+        lines.append(line + "\n")
+    return "".join(lines)
+
+
+def test_the_trace_pins_moved_only_by_the_statuses(bench_cfg, calib_table, pre_sample, tmp_path):
+    """The golden traces with every record's statuses written back are the
+    traces that stored them, byte for byte: removing that one key is all
+    that moved the pins."""
+    report, traces = run_suite(bench_cfg, modes=MODES, trials=GOLDEN_TRIALS, table=calib_table)
+    emit_results(report, traces, tmp_path)
+    for path in (tmp_path / "traces").iterdir():
+        path.write_text(_with_statuses(path.read_text()))
+    text = "".join(map(_with_statuses, _equal_bounds_texts(bench_cfg, pre_sample)))
+    got = {
+        "traces": _tree_digest(tmp_path / "traces"),
+        "fixed_r": hashlib.sha256(text.encode()).hexdigest(),
+    }
+    assert got == PINNED_WITH_STATUSES

@@ -31,39 +31,40 @@ from kerv.threshold import (
     calibrate,
     DEFAULT_GRID,
 )
-from kerv.trace import EpisodeTrace, SliceRecord, load as load_trace, load_dir
+from kerv.trace import EpisodeTrace, SliceRecord, load as load_trace, load_dir, loads as trace_loads
 from oracles import reference_run_episode
 
 
-def make_record(verify=1, comp=False, fep=7, r=0.0, kv=0.0, cum=0.0):
-    """A record whose first rejection is at ``fep`` (none at 7), after which
-    the filter filled the slice when ``comp``."""
-    statuses = ["exact"] * 7
+def make_record(verify=1, comp=False, fep=7, r=0.0):
+    """A record at r whose only rejection is at ``fep`` (none at 7), its true
+    id one past r from its draft id, after which the filter filled the slice
+    when ``comp``; every other drafted slot is exact."""
+    true_ids = [0] * 7
     if fep < 7:
-        statuses[fep] = "rejected"
-    if comp:
-        statuses[fep + 1 :] = [None] * (6 - fep)
-    ids = tuple(None if s is None else 0 for s in statuses)
+        true_ids[fep] = math.floor(r) + 1
+    drafted = fep + 1 if comp else 7
+    filled = (None,) * (7 - drafted)
     return SliceRecord(
-        draft_ids=ids,
-        true_ids=ids,
-        statuses=tuple(statuses),
-        tokens=(0,) * 7,
+        draft_ids=(0,) * drafted + filled,
+        true_ids=tuple(true_ids[:drafted]) + filled,
+        tokens=tuple(true_ids),
         r=r,
-        kvar_step=kv,
-        kvar_cum=cum,
+        kvar_step=0.0,
+        kvar_cum=0.0,
         verify_calls=verify,
         cooldown_remaining=0,
     )
 
 
 def make_trace(records, **kw):
+    """A trace of ``records``, read back through the trace loader, so every
+    trace a test builds here is one the loader takes."""
     base = dict(
         suite="s", kind="reach", mode="naive", robot="arm", trial=0, seed=0,
         success=True, steps=len(records), deviation=0.0, plan_steps=len(records),
     )
     base.update(kw)
-    return EpisodeTrace(slices=list(records), **base)
+    return trace_loads(EpisodeTrace(slices=list(records), **base).dumps())
 
 
 def test_modeled_latency_linear_accumulation():
@@ -90,7 +91,7 @@ def test_modeled_latency_homogeneous_in_costs():
         transfer_cost=2 * cm.transfer_cost,
     )
     trace = make_trace(
-        [make_record(verify=2, comp=(i % 3 == 0), fep=2) for i in range(9)]
+        [make_record(verify=2 - (i % 3 == 0), comp=(i % 3 == 0), fep=2) for i in range(9)]
     )
     assert modeled_latency(trace, doubled) == pytest.approx(2 * modeled_latency(trace, cm))
 

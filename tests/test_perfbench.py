@@ -45,17 +45,16 @@ def test_the_benchmark_probe_points_exist():
 def test_what_the_benchmark_reads_of_a_trace_exists():
     """``perfbench/run.py`` checks and counts every trace it gets through
     these names."""
-    ids = (1, 2, None, None, None, None, None)
+    ids = (1, 2, 5, None, None, None, None)
     rec = SliceRecord(
-        draft_ids=ids, true_ids=ids, statuses=(specdec.EXACT, specdec.RELAXED) + (None,) * 5,
-        tokens=(0,) * 7, r=0.0, kvar_step=0.0, kvar_cum=0.0, verify_calls=1,
-        cooldown_remaining=0,
+        draft_ids=ids, true_ids=(1, 3, 9, None, None, None, None), tokens=(1, 2, 9, 0, 0, 0, 0),
+        r=1.0, kvar_step=0.0, kvar_cum=0.0, verify_calls=1, cooldown_remaining=0,
     )
     t = EpisodeTrace(
         suite="goal", kind="reach", mode="kerv", robot="sim7dof", trial=0, seed=0,
         slices=[rec], steps=1,
     )
     assert (rec.comp_fired, rec.verify_calls, rec.draft_ids) == (True, 1, ids)
-    assert rec.statuses[:2] == ("exact", "relaxed")
+    assert rec.statuses[:2] == (specdec.EXACT, specdec.RELAXED) == ("exact", "relaxed")
     assert (t.steps, t.slices) == (1, [rec])
     assert callable(harness.modeled_latency)

@@ -18,7 +18,7 @@ from kerv.threshold import (
     calibrate,
     lookup,
 )
-from kerv.trace import EpisodeTrace, SliceRecord
+from kerv.trace import EpisodeTrace, SliceRecord, loads
 from oracles import reference_adjust, reference_replay_objective
 
 
@@ -289,44 +289,40 @@ def test_table_rejects_an_unquoted_carriage_return():
         CalibrationTable.loads(_HEADER_LINE + _ROW + _ROW.replace("goal", "long\r"))
 
 
-def _trace(suite, kvar_steps, pairs, success=True, steps=None):
-    """Minimal trace: one slice per kvar value, with given (draft, true) pairs."""
+def _record(pairs, kvar_step, kvar_cum):
+    """A record at r = 15 of the (draft, true) ``pairs`` from position 0,
+    each token judged from its ids. The positions after the pairs were
+    filled by the filter when the last pair is rejected (more than 15
+    apart), and hold exact (0, 0) pairs otherwise."""
+    pairs = list(pairs)
+    if not pairs or abs(pairs[-1][0] - pairs[-1][1]) <= 15:
+        pairs += [(0, 0)] * (7 - len(pairs))
+    pairs += [(None, None)] * (7 - len(pairs))
+    return SliceRecord(
+        draft_ids=tuple(d for d, _ in pairs),
+        true_ids=tuple(t for _, t in pairs),
+        tokens=tuple(0 if d is None else d if abs(d - t) <= 15 else t for d, t in pairs),
+        r=15.0,
+        kvar_step=kvar_step,
+        kvar_cum=kvar_cum,
+        verify_calls=1,
+        cooldown_remaining=0,
+    )
+
+
+def _trace(suite, kvar_steps, pairs):
+    """Minimal trace: one slice per kvar value, with given (draft, true)
+    pairs, read back through the trace loader, which takes it."""
     slices = []
     cum = 0.0
     for kv in kvar_steps:
         cum += kv
-        draft_ids = [None] * 7
-        true_ids = [None] * 7
-        for pos, (d, t) in enumerate(pairs):
-            draft_ids[pos] = d
-            true_ids[pos] = t
-        slices.append(
-            SliceRecord(
-                draft_ids=tuple(draft_ids),
-                true_ids=tuple(true_ids),
-                statuses=(None,) * 7,
-                tokens=(0,) * 7,
-                r=15.0,
-                kvar_step=kv,
-                kvar_cum=cum,
-                verify_calls=1,
-                cooldown_remaining=0,
-            )
-        )
-    n = steps if steps is not None else len(slices)
-    return EpisodeTrace(
-        suite=suite,
-        kind="reach",
-        mode="fixed_relaxed",
-        robot="armX",
-        trial=0,
-        seed=0,
-        slices=slices,
-        success=success,
-        steps=n,
-        deviation=0.0,
-        plan_steps=n,
+        slices.append(_record(pairs, kv, cum))
+    trace = EpisodeTrace(
+        suite=suite, kind="reach", mode="fixed_relaxed", robot="armX", trial=0, seed=0,
+        slices=slices, success=True, steps=len(slices), plan_steps=len(slices),
     )
+    return loads(trace.dumps())
 
 
 def test_calibrate_single_candidate():
@@ -378,51 +374,50 @@ def test_calibrate_replay_keeps_r_bounded():
 
 # --- calibration replay against the direct per-slice reference ---------------
 
-# one (draft, true) pair per position: never verified, a hit, or a miss by
-# 1..30 ids, which lands on both sides of floor(r) for r in [0, 15]
+# one (draft, true) pair per position: a hit, or a miss by 1..30 ids, which
+# lands on both sides of floor(r) for r in [0, 15]
 _position = st.one_of(
-    st.just((None, None)),
-    st.tuples(st.integers(0, 255), st.just(None)),
     st.integers(0, 255).map(lambda t: (t, t)),
     st.tuples(st.integers(0, 225), st.integers(1, 30), st.booleans()).map(
         lambda x: (x[0], x[0] + x[1]) if x[2] else (x[0] + x[1], x[0])
     ),
 )
-_slice_pairs = st.lists(_position, min_size=7, max_size=7)
+
+
+def _compensated(pairs):
+    """``pairs`` up to their first rejection at r = 15, when it comes before
+    the gripper: ``_record`` leaves the positions after it to the filter."""
+    first = next((pos for pos, (d, t) in enumerate(pairs) if abs(d - t) > 15), 6)
+    return pairs[: first + 1]
+
+
+# seven pairs, or a compensated slice's drafted pairs
+_slice_pairs = st.lists(_position, min_size=7, max_size=7).flatmap(
+    lambda pairs: st.sampled_from([pairs, _compensated(pairs)])
+)
 
 
 @st.composite
 def _traces(draw):
     """Traces built from a few slice templates, so equal slices (zero-delta
-    updates) and runs of equal ``kvar_step`` recur."""
+    updates) and runs of equal ``kvar_step`` recur; each is read back
+    through the trace loader, which takes it."""
     templates = draw(st.lists(_slice_pairs, min_size=1, max_size=4))
     kvars = draw(st.lists(st.sampled_from([0.0, 0.05, 0.2, 0.7]), min_size=1, max_size=3))
     traces = []
     for trial in range(draw(st.integers(1, 3))):
         order = draw(st.lists(st.integers(0, len(templates) - 1), min_size=1, max_size=25))
         slices = []
+        cum = 0.0
         for step, i in enumerate(order):
-            pairs = templates[i]
-            slices.append(
-                SliceRecord(
-                    draft_ids=tuple(d for d, _ in pairs),
-                    true_ids=tuple(t for _, t in pairs),
-                    statuses=(None,) * 7,
-                    tokens=(0,) * 7,
-                    r=15.0,
-                    kvar_step=kvars[step % len(kvars)],
-                    kvar_cum=0.0,
-                    verify_calls=1,
-                    cooldown_remaining=0,
-                )
-            )
-        traces.append(
-            EpisodeTrace(
-                suite="t", kind="reach", mode="fixed_relaxed", robot="armX",
-                trial=trial, seed=0, slices=slices, success=trial % 2 == 0,
-                steps=len(slices),
-            )
+            kvar_step = kvars[step % len(kvars)]
+            cum += kvar_step
+            slices.append(_record(templates[i], kvar_step, cum))
+        trace = EpisodeTrace(
+            suite="t", kind="reach", mode="fixed_relaxed", robot="armX", trial=trial, seed=0,
+            slices=slices, success=trial % 2 == 0, steps=len(slices),
         )
+        traces.append(loads(trace.dumps()))
     return traces
 
 
@@ -494,7 +489,8 @@ def test_adjust_matches_reference_state_for_state(steps, r_min, phi, r0):
 def test_calibrate_judges_each_miss_once(monkeypatch):
     """token_to_action runs twice per verified miss, not once per candidate;
     the replay calls no adjust."""
-    pairs = [(100, 108), (30, 27), (None, 5), (7, 7), (200, 240)]
+    # the last pair is rejected, so the filter filled the positions after it
+    pairs = [(100, 108), (30, 27), (7, 7), (200, 240)]
     kvars = [0.05, 0.3, 0.1, 0.5, 0.2, 0.0, 0.3]
     traces = [_trace("t1", kvars, pairs), _trace("t2", kvars[:4], pairs[:2])]
     misses = 3 * len(kvars) + 2 * 4

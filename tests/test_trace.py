@@ -4,6 +4,7 @@ mutated streams, partial streams, atomic saves."""
 import json
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,28 +24,41 @@ _id = st.integers(0, 255)
 _seven = lambda elem: st.lists(elem, min_size=7, max_size=7).map(tuple)  # noqa: E731
 
 
-
 @st.composite
-def _records(draw):
-    """A record whose ids are null exactly where its statuses are."""
-    statuses = draw(_seven(st.none() | st.sampled_from(["exact", "relaxed", "rejected"])))
-    judged = [status is not None for status in statuses]
+def _records(draw, kvar_cum=0.0):
+    """A record after one whose ``kvar_cum`` is ``kvar_cum``, which the
+    loader takes: each token its draft id within r and its true id past r,
+    and, when a rejection before the gripper comes first, the slots after
+    it may be filled (null ids, any token, one verify call). Two largest
+    variabilities in a row overflow ``kvar_cum``."""
+    draft_ids, true_ids = list(draw(_seven(_id))), list(draw(_seven(_id)))
+    r = draw(_nonneg)
+    tokens = [d if abs(d - t) <= r else t for d, t in zip(draft_ids, true_ids)]
+    verify_calls = draw(st.integers(1, 7))
+    rejected = [pos for pos, (d, t) in enumerate(zip(draft_ids, true_ids)) if abs(d - t) > r]
+    if rejected and rejected[0] < 6 and draw(st.booleans(), label="compensated"):
+        filled = rejected[0] + 1
+        draft_ids[filled:] = true_ids[filled:] = [None] * (7 - filled)
+        tokens[filled:] = draw(st.lists(_id, min_size=7 - filled, max_size=7 - filled))
+        verify_calls = 1
+    kvar_step = draw(_nonneg | st.just(sys.float_info.max))
     return SliceRecord(
-        draft_ids=tuple(draw(_id) if j else None for j in judged),
-        true_ids=tuple(draw(_id) if j else None for j in judged),
-        statuses=statuses,
-        tokens=draw(_seven(_id)),
-        r=draw(_nonneg),
-        kvar_step=draw(_nonneg),
-        kvar_cum=draw(_nonneg | st.just(math.inf)),
-        verify_calls=draw(st.integers(1, 9)),
+        draft_ids=tuple(draft_ids),
+        true_ids=tuple(true_ids),
+        tokens=tuple(tokens),
+        r=r,
+        kvar_step=kvar_step,
+        kvar_cum=kvar_cum + kvar_step,
+        verify_calls=verify_calls,
         cooldown_remaining=draw(st.integers(0, 5)),
     )
 
 
 @st.composite
 def _episodes(draw):
-    slices = draw(st.lists(_records(), max_size=6))
+    slices = []
+    for _ in range(draw(st.integers(0, 6), label="records")):
+        slices.append(draw(_records(slices[-1].kvar_cum if slices else 0.0)))
     return EpisodeTrace(
         suite="goal", kind="reach", mode=draw(st.sampled_from(["naive", "kerv"])),
         robot="sim7dof", trial=draw(st.integers(0, 99)), seed=draw(st.integers(0, 2**40)),
@@ -141,16 +155,22 @@ def test_record_fields_keep_their_order_and_cannot_be_assigned():
             setattr(rec, name, getattr(rec, name))
 
 
-def _episode_text(n=3):
-    rec = SliceRecord(
-        draft_ids=(1, 2, None, None, None, None, None),
-        true_ids=(1, 20, None, None, None, None, None),
-        statuses=("exact", "rejected", None, None, None, None, None), tokens=(1,) * 7,
-        r=9.0, kvar_step=0.1, kvar_cum=0.1, verify_calls=1, cooldown_remaining=4,
-    )
+# a compensated record: slot 0 exact, slot 1 rejected at r = 9, the rest filled
+_COMPENSATED = SliceRecord(
+    draft_ids=(1, 2, None, None, None, None, None),
+    true_ids=(1, 20, None, None, None, None, None),
+    tokens=(1, 20, 1, 1, 1, 1, 1), r=9.0, kvar_step=0.0, kvar_cum=0.0, verify_calls=1,
+    cooldown_remaining=4,
+)
+
+
+def _episode_text(n=3, slices=None):
+    """A trace of ``slices``, or of ``n`` copies of ``_COMPENSATED``, which
+    has no variability, so its lines can be dropped or repeated."""
+    slices = [_COMPENSATED] * n if slices is None else slices
     return EpisodeTrace(
         suite="goal", kind="reach", mode="naive", robot="sim7dof", trial=0, seed=1,
-        slices=[rec] * n, success=True, steps=n, plan_steps=n,
+        slices=slices, success=True, steps=len(slices), plan_steps=len(slices),
     ).dumps()
 
 
@@ -203,25 +223,31 @@ def test_record_missing_a_field_is_trace_error():
 
 
 def test_record_of_the_fourteen_field_format_is_refused():
-    """A record that also stores what its statuses give (``first_error_pos``,
-    ``sources``, ``comp_fired``), its index (``step``) and a copy of its verify
-    calls (``draft_calls``), as records once did, is refused by name, as is a
-    summary that stores its ``comp_events``; without them the stream loads."""
+    """A record that also stores its ``statuses`` and what they give
+    (``first_error_pos``, ``sources``, ``comp_fired``), its index (``step``)
+    and a copy of its verify calls (``draft_calls``), as records once did, is
+    refused by name, and so is one of the nine-field format, which stored
+    only its statuses beside today's fields; so is a summary that stores its
+    ``comp_events``. Without them the stream loads."""
     lines = _episode_text().splitlines(keepends=True)
+    statuses = {"statuses": ["exact", "rejected"] + [None] * 5}
     old_fields = {
-        "step": 0, "first_error_pos": 1, "sources": ["draft", "verify_corrected"] + ["kf"] * 5,
-        "comp_fired": True, "draft_calls": 1,
+        **statuses, "step": 0, "first_error_pos": 1, "comp_fired": True, "draft_calls": 1,
+        "sources": ["draft", "verify_corrected"] + ["kf"] * 5,
     }
-    old_record = json.dumps({**json.loads(lines[1]), **old_fields}, sort_keys=True) + "\n"
-    old_summary = json.dumps({"summary": {**json.loads(lines[-1])["summary"], "comp_events": 3}})
-    record_message = (
+    old_records = {
         "line 3: record has unknown keys "
-        "['comp_fired', 'draft_calls', 'first_error_pos', 'sources', 'step']"
-    )
+        "['comp_fired', 'draft_calls', 'first_error_pos', 'sources', 'statuses', 'step']":
+            old_fields,
+        "line 3: record has unknown keys ['statuses']": statuses,
+    }
+    old_summary = json.dumps({"summary": {**json.loads(lines[-1])["summary"], "comp_events": 3}})
     summary_message = "line 5: summary has unknown keys ['comp_events']"
     for load_text in (loads, reference_trace_loads):
-        with pytest.raises(TraceError, match=re.escape(record_message)):
-            load_text("".join(lines[:2] + [old_record] + lines[3:]))
+        for record_message, fields in old_records.items():
+            old_record = json.dumps({**json.loads(lines[2]), **fields}, sort_keys=True) + "\n"
+            with pytest.raises(TraceError, match=re.escape(record_message)):
+                load_text("".join(lines[:2] + [old_record] + lines[3:]))
         with pytest.raises(TraceError, match=re.escape(summary_message)):
             load_text("".join(lines[:-1]) + old_summary + "\n")
         assert load_text("".join(lines)).steps == 3
@@ -250,7 +276,7 @@ def test_header_or_summary_with_a_key_it_does_not_define_is_trace_error(lineno, 
         ("draft_ids", 5),
         ("draft_ids", [1, 2]),
         ("true_ids", None),
-        ("statuses", "relaxed"),  # seven characters, but not a list
+        ("draft_ids", "relaxed"),  # seven characters, but not a list
         ("tokens", [1] * 8),
     ],
 )
@@ -329,7 +355,9 @@ def test_infinite_deviation_loads(value):
 @pytest.mark.parametrize(
     "field, value, need",
     [
-        ("verify_calls", 0, ">= 1"),
+        ("verify_calls", 0, "in [1, 7]"),
+        ("verify_calls", 8, "in [1, 7]"),
+        ("verify_calls", 50, "in [1, 7]"),
         ("cooldown_remaining", -1, ">= 0"),
         ("r", -1.0, "finite and >= 0"),
         ("r", math.inf, "finite and >= 0"),
@@ -403,53 +431,153 @@ def test_integral_number_in_a_float_field_loads():
         ("draft_ids", 1.0, "ids must be ints or null, got 1.0"),
         ("tokens", None, "tokens must be ints, got None"),
         ("tokens", False, "tokens must be ints, got False"),
-        ("statuses", "accept", "unknown status in"),
-        ("statuses", 1, "unknown status in"),
-        ("statuses", ["exact"], "unknown status in"),  # a slot no set can hold
+        ("true_ids", "exact", "ids must be ints or null, got 'exact'"),  # a status, not an id
+        ("draft_ids", [2], "ids must be ints or null, got [2]"),
     ],
 )
 def test_slot_outside_its_type_or_set_is_trace_error(field, slot, message):
     lines = _episode_text().splitlines(keepends=True)
     slots = json.loads(lines[2])[field]
     slots[4] = slot
-    with pytest.raises(TraceError, match="^line 3: " + message.replace("(", r"\(")):
+    with pytest.raises(TraceError, match="^line 3: " + re.escape(message)):
         loads(_with(lines, 3, None, field, slots))
 
 
+def _record(draft_ids, true_ids, tokens=None, *, r=0.0, kvar_step=0.0, kvar_cum=None):
+    """A one-round record of the given ids at r, its tokens judged from them
+    unless given, first in its trace unless ``kvar_cum`` is given."""
+    if tokens is None:
+        tokens = tuple(
+            0 if d is None else d if abs(d - t) <= r else t for d, t in zip(draft_ids, true_ids)
+        )
+    kvar_cum = kvar_step if kvar_cum is None else kvar_cum
+    return SliceRecord(draft_ids, true_ids, tokens, r, kvar_step, kvar_cum, 1, 0)
+
+
+def _refusal(slices):
+    """The ``TraceError`` message that both loaders give for a trace of
+    ``slices``; the two must agree."""
+    text = _episode_text(slices=slices)
+    with pytest.raises(TraceError) as got:
+        loads(text)
+    with pytest.raises(TraceError) as reference:
+        reference_trace_loads(text)
+    assert str(got.value) == str(reference.value)
+    return str(got.value)
+
+
+_N = (None,)
+_FILLED = _N * 5  # the slots a rejection at slot 1 leaves to the filter
+
+
 @pytest.mark.parametrize(
-    "slots",
+    "draft_ids, true_ids",
     [
-        {"statuses": (1, "relaxed"), "draft_ids": (1, None)},  # a relaxed slot, no draft id
-        {"statuses": (4, "exact")},  # judged, with neither id
-        {"draft_ids": (0, None)},  # an exact slot with no draft id
-        {"true_ids": (1, None)},  # a rejected slot with no verified id
-        {"statuses": (0, None)},  # both ids, with no status
-        {"draft_ids": (5, 3)},  # a filled slot with a draft id
+        ((1, 2) + _FILLED, (1, 20, 0) + _N * 4),  # a filled slot with a true id
+        ((1, 2, 3) + _N * 4, (1, 20) + _FILLED),  # a filled slot with a draft id
+        ((None,) + (1,) * 6, (1,) * 7),  # a judged slot with no draft id
     ],
 )
-def test_a_status_null_where_an_id_is_not_or_not_null_where_one_is_is_trace_error(slots):
-    """Only a slot the filter filled has a null status, and it has no ids:
-    a record that says otherwise is refused with its line, so no metric
-    reads a judged slot without its ids or counts a fill that has them."""
-    lines = _episode_text().splitlines(keepends=True)
-    rec = json.loads(lines[2])
-    for field, (pos, value) in slots.items():
-        rec[field][pos] = value
-    text = "".join(lines[:2]) + json.dumps(rec) + "\n" + "".join(lines[3:])
-    message = "line 3: statuses must be null exactly where the ids are, got draft_ids "
-    with pytest.raises(TraceError, match="^" + re.escape(message)):
-        loads(text)
-    with pytest.raises(TraceError, match="^" + re.escape(message)):
-        reference_trace_loads(text)
+def test_ids_null_at_different_slots_is_trace_error(draft_ids, true_ids):
+    """Only a slot the filter filled has null ids, and it has both: a record
+    that says otherwise is refused with its line, so no metric reads a
+    drafted slot without its ids or counts a fill that has one."""
+    rec = _record(draft_ids, true_ids, (0,) * 7, r=9.0)
+    message = "line 2: draft_ids and true_ids must be null at the same slots, got draft_ids "
+    assert _refusal([rec]).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "draft_ids, true_ids, r, tokens, want",
+    [
+        # the status the record once stored said exact: d = 5, t = 9 at r = 0
+        ((5,) + (1,) * 6, (9,) + (1,) * 6, 0.0, (5,) + (1,) * 6, "token 0 must be 9"),
+        # within r the draft id stands, and past r the true id
+        ((1, 5) + (1,) * 5, (1, 9) + (1,) * 5, 4.0, (1, 9) + (1,) * 5, "token 1 must be 5"),
+        ((1, 5) + (1,) * 5, (1, 9) + (1,) * 5, 3.9, (1, 5) + (1,) * 5, "token 1 must be 9"),
+        # a compensated slice's rejected slot holds the true id
+        ((1, 2) + _FILLED, (1, 20) + _FILLED, 9.0, (1, 2) + (0,) * 5, "token 1 must be 20"),
+    ],
+)
+def test_a_token_that_is_not_its_draft_id_within_r_or_its_true_id_past_it_is_trace_error(
+    draft_ids, true_ids, r, tokens, want
+):
+    message = _refusal([_record(draft_ids, true_ids, tokens, r=r)])
+    assert message.startswith(f"line 2: {want} (ids ")
+
+
+@pytest.mark.parametrize(
+    "draft_ids, true_ids",
+    [
+        ((None,) + (1,) * 6, (None,) + (1,) * 6),  # a null slot 0, six exact slots after it
+        (_N * 7, _N * 7),  # nothing drafted
+        ((1, 5) + _FILLED, (1, 9) + _FILLED),  # no rejection: slot 1 is relaxed at r = 9
+        ((30, 2) + _FILLED, (1, 20) + _FILLED),  # a second rejection, at slot 0
+        ((1, 2, None, 1) + _N * 3, (1, 20, None, 1) + _N * 3),  # a drafted slot after a null
+    ],
+)
+def test_null_slots_that_are_not_one_run_after_the_only_rejection_are_trace_error(
+    draft_ids, true_ids
+):
+    """The filter fills the slots after a first-round rejection and no
+    other: a record whose null slots do not follow its one rejection, or do
+    not run to its end, is refused."""
+    message = _refusal([_record(draft_ids, true_ids, r=9.0)])
+    assert message.startswith("line 2: null slots must follow the only rejection to the end, got ")
+
+
+@pytest.mark.parametrize("calls", [2, 3, 7])
+def test_compensated_record_with_more_than_one_verify_call_is_trace_error(calls):
+    rec = _COMPENSATED._replace(verify_calls=calls)
+    assert _refusal([_COMPENSATED, rec]) == (
+        f"line 3: a compensated record must have verify_calls 1, got {calls}"
+    )
+
+
+@pytest.mark.parametrize(
+    "steps, cums, lineno",
+    [
+        ([0.0], [7.5], 2),  # the first record adds to 0.0
+        ([0.1, 0.2], [0.1, 0.3], 3),  # 0.1 + 0.2 is 0.30000000000000004
+        ([0.5, 0.25, 0.0], [0.5, 0.75, 0.5], 4),
+    ],
+)
+def test_kvar_cum_that_is_not_the_previous_plus_kvar_step_is_trace_error(steps, cums, lineno):
+    exact = (1,) * 7
+    slices = [_record(exact, exact, kvar_step=s, kvar_cum=c) for s, c in zip(steps, cums)]
+    previous = cums[-2] if len(cums) > 1 else 0.0
+    assert _refusal(slices) == (
+        f"line {lineno}: record kvar_cum must be the previous {previous!r} plus {steps[-1]!r}, "
+        f"got {cums[-1]!r}"
+    )
+
+
+def test_kvar_cum_that_overflows_loads():
+    top = sys.float_info.max
+    exact = (1,) * 7
+    first = _record(exact, exact, kvar_step=top)
+    slices = [first, _record(exact, exact, kvar_step=top, kvar_cum=math.inf)]
+    assert loads(_episode_text(slices=slices)).slices[1].kvar_cum == math.inf
 
 
 def test_what_a_record_derives_from_its_statuses():
+    """A record's statuses are ``relaxed_accept`` of its ids at its r, null
+    where the filter filled; its first error position and compensation flag
+    follow from its ids and r as from those statuses."""
     trace = loads(_episode_text())
     rec = trace.slices[0]
+    assert rec.statuses == ("exact", "rejected") + (None,) * 5
     assert (rec.first_error_pos, rec.comp_fired, trace.comp_events) == (1, True, 3)
-    judged = rec._replace(statuses=("exact", "relaxed") + ("rejected",) * 5)
+    ids = (1, 2, 3, 4, 5, 6, 7)
+    judged = rec._replace(draft_ids=ids, true_ids=(1, 3, 13, 14, 15, 16, 17), r=1.0)
+    assert judged.statuses == ("exact", "relaxed") + ("rejected",) * 5
     assert (judged.first_error_pos, judged.comp_fired) == (2, False)
-    clean = rec._replace(statuses=("exact",) * 7)
+    # r = 9.99 accepts what floor(r) = 9 does: distance 10 is rejected, 9 is not
+    wider = judged._replace(true_ids=(1, 3, 3, 4, 5, 6, 17), r=9.99)
+    assert wider.statuses == ("exact", "relaxed") + ("exact",) * 4 + ("rejected",)
+    assert wider.first_error_pos == 6
+    clean = rec._replace(draft_ids=ids, true_ids=ids)
+    assert clean.statuses == ("exact",) * 7
     assert (clean.first_error_pos, clean.comp_fired) == (7, False)
 
 
@@ -485,20 +613,16 @@ _NEAR_2_52 = (2**52 - 1, 2**52 - 2, 0, 1, 2**51, 3, 2**52 - 7)
     "rec",
     [
         # ids near 2**52, a negative zero and a float that repr writes in 17 digits
-        SliceRecord(
-            _NEAR_2_52, _NEAR_2_52[::-1], ("exact", "relaxed", "rejected") * 2 + ("exact",),
-            _NEAR_2_52, -0.0, 0.1 + 0.2, 1e-300, 2**52 - 1, 0,
-        ),
+        SliceRecord(_NEAR_2_52, _NEAR_2_52[::-1], _NEAR_2_52, -0.0, 0.1 + 0.2, 1e-300, 7, 0),
         # null slots: the filter filled the positions after a rejection
         SliceRecord(
             (4, 9, None, None, None, None, None), (4, 7, None, None, None, None, None),
-            ("exact", "rejected", None, None, None, None, None), (4, 7, 1, 2, 3, 4, 5),
-            9.0, 0.0, 2.5e16, 1, 4,
+            (4, 7, 1, 2, 3, 4, 5), 1.0, 0.0, 2.5e16, 1, 4,
         ),
         # an infinite kvar_cum, as a run whose variability overflows writes it
-        SliceRecord((1,) * 7, (1,) * 7, ("exact",) * 7, (1,) * 7, 15.0, 0.0, math.inf, 2, 0),
+        SliceRecord((1,) * 7, (1,) * 7, (1,) * 7, 15.0, 0.0, math.inf, 2, 0),
         # ints where floats go, as a hand-written trace loads them
-        SliceRecord((2,) * 7, (3,) * 7, ("relaxed",) * 7, (2,) * 7, 15, 0, 0, 2, 0),
+        SliceRecord((2,) * 7, (3,) * 7, (2,) * 7, 15, 0, 0, 2, 0),
     ],
     ids=["big_ids", "null_slots", "infinite_kvar_cum", "int_floats"],
 )
