@@ -25,9 +25,12 @@ The rule lives in ``step_r``, which works on plain floats. A kerv
 episode's controller is its ``CalibrationRow`` plus r and the previous
 slice's variability, two floats the decoder holds; ``adjust`` moves r one
 slice with the row's parameters. Calibration calls ``step_r`` directly
-while it replays a candidate: it decodes each recorded miss of a
-(task, robot) group once and re-judges those distances and action masses
-under every candidate's walk.
+while it replays a candidate. It judges each (task, robot) group once, in
+one numpy pass (``_judge_group``): per slice, its miss distances sorted
+and the accepted action mass for each count of them within r. Each
+candidate's walk then reads a slice's mass and rejections by a lookup at
+its r, and the walk itself stays on plain floats, since numpy's ``exp``
+and ``power`` do not round as ``math.exp`` and ``**`` do.
 """
 
 from __future__ import annotations
@@ -35,12 +38,16 @@ from __future__ import annotations
 import csv
 import io
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .codec import DEFAULT_KEY, NormKey, token_to_action
-from .trace import EpisodeTrace, _fold, mean_steps, success_rate, write_text_atomic
+import numpy as np
+
+from .codec import DEFAULT_KEY, N_DOF, NormKey, token_to_action
+from .trace import EpisodeTrace, SliceRecord, _fold, mean_steps, success_rate, write_text_atomic
 
 DEFAULT_R_MAX = 15.0
 DEFAULT_R_MIN = 5.0
@@ -204,33 +211,78 @@ def lookup(table: CalibrationTable, task: str, robot: str) -> CalibrationRow:
         ) from None
 
 
-# Per trace, per slice: (token distance, |true action - draft action|) for
-# each verified position whose draft missed, in position order.
-JudgedSlices = list[list[list[tuple[int, float]]]]
+# Per trace, per slice: (its miss distances in ascending order, padded with
+# inf to 7; its accepted action mass for each count k = 0..7 of those
+# distances within r, summed in position order; its miss count). A miss is a
+# verified position whose draft id is not its true id.
+JudgedSlices = list[list[tuple[list[float], list[float], int]]]
+
+
+def _id_arrays(records: Sequence[SliceRecord], key: NormKey) -> tuple[np.ndarray, np.ndarray]:
+    """The draft and true ids of ``records`` as two (slices, 7) float arrays,
+    nan where the filter filled a slot, once every miss is found inside the
+    vocabulary.
+
+    A float holds every id in ``[0, vocab)`` exactly, and orders every id it
+    can hold against those bounds. When an id cannot be held or lies
+    outside, each miss is decoded in (record, position) order, true id
+    first, so the first one outside raises ``token_to_action``'s
+    ``CodecError``. If none does, the ids outside lie in slots whose ids are
+    equal, which are never misses; those slots are blanked, since a float
+    may not hold them or may round two of them to one value.
+    """
+    draft = [rec.draft_ids for rec in records]
+    true = [rec.true_ids for rec in records]
+    try:
+        arrays = [np.array(ids, dtype=float).reshape(-1, N_DOF) for ids in (draft, true)]
+        if not any(((ids < 0) | (ids >= key.vocab_size)).any() for ids in arrays):
+            return arrays[0], arrays[1]
+    except OverflowError:  # an int past the float range
+        pass
+    pairs = []
+    for rec in records:
+        for pos, (draft_id, true_id) in enumerate(zip(rec.draft_ids, rec.true_ids)):
+            if draft_id is None or true_id is None or draft_id == true_id:
+                pairs.append((None, None))
+            else:
+                token_to_action(true_id, pos, key)
+                token_to_action(draft_id, pos, key)
+                pairs.append((draft_id, true_id))
+    ids = np.array(pairs, dtype=float).reshape(-1, N_DOF, 2)
+    return ids[:, :, 0], ids[:, :, 1]
 
 
 def _judge_group(traces: Sequence[EpisodeTrace], key: NormKey) -> JudgedSlices:
-    """Decode each recorded miss of a group once, for every candidate to reuse."""
-    judged = []
-    for trace in traces:
-        slices = []
-        for rec in trace.slices:
-            pairs = []
-            for pos, (draft_id, true_id) in enumerate(zip(rec.draft_ids, rec.true_ids)):
-                if draft_id is None or true_id is None or draft_id == true_id:
-                    continue
-                pairs.append(
-                    (
-                        abs(draft_id - true_id),
-                        abs(
-                            token_to_action(true_id, pos, key)
-                            - token_to_action(draft_id, pos, key)
-                        ),
-                    )
-                )
-            slices.append(pairs)
-        judged.append(slices)
-    return judged
+    """Judge a group's recorded misses once, as arrays, for every candidate
+    to read by lookup.
+
+    Each miss's action mass is ``token_to_action``'s expression, elementwise.
+    The mass accepted with the k nearest misses adds, left to right over the
+    positions, the mass of each miss at most the k-th distance away and 0.0
+    for every other slot, so it equals a walk that adds each accepted miss
+    bit for bit. A count k that splits equal distances is never looked up.
+    """
+    records = [rec for trace in traces for rec in trace.slices]
+    draft, true = _id_arrays(records, key)
+    lo = np.array(key.lo)
+    span = np.array(key.hi) - lo
+    vocab = key.vocab_size
+    dist = np.abs(draft - true)
+    missed = dist > 0  # a filled slot's nan is never a miss
+    miss_mass = np.where(
+        missed,
+        np.abs((lo + span * (true + 0.5) / vocab) - (lo + span * (draft + 0.5) / vocab)),
+        0.0,
+    )
+    miss_dist = np.where(missed, dist, np.inf)
+    thresholds = np.sort(miss_dist, axis=1)
+    # the k-th distance cuts the accepted misses; no miss is at distance 0
+    cuts = np.concatenate([np.zeros((len(records), 1)), thresholds], axis=1)
+    masses = np.zeros_like(cuts)
+    for pos in range(N_DOF):
+        masses += np.where(miss_dist[:, pos, None] <= cuts, miss_mass[:, pos, None], 0.0)
+    rows = zip(thresholds.tolist(), masses.tolist(), missed.sum(axis=1).tolist())
+    return [list(islice(rows, len(trace.slices))) for trace in traces]
 
 
 def _replay_objective(
@@ -243,13 +295,14 @@ def _replay_objective(
 ) -> float:
     """Score one (tau, phi) candidate by replaying recorded draft/true pairs.
 
-    The candidate controller walks r over each trace; at every slice the
-    recorded misses are re-judged under r (an int distance is within r
-    exactly when it is within floor(r)): a miss within it adds its action
-    mass, one beyond it counts as a rejection, and the slice's mass feeds
-    the next update. The score trades accepted-error action mass (a proxy
-    for task success) against re-inference pressure (rejections per slice,
-    a proxy for extra decode rounds, each charged ``STEP_PENALTY``).
+    The candidate controller walks r over each trace. At every slice the
+    misses within r are the first k of its ascending distances, found by
+    bisection (an int distance is within r exactly when it is at most r, so
+    no floor is taken); k reads the slice's accepted mass, its other misses
+    count as rejections, and the mass feeds the next update. The score trades accepted-error action
+    mass (a proxy for task success) against re-inference pressure
+    (rejections per slice, a proxy for extra decode rounds, each charged
+    ``STEP_PENALTY``).
     """
     total_mass = 0.0
     total_rejections = 0
@@ -257,17 +310,14 @@ def _replay_objective(
     for slices in judged:
         r = r_max
         prev_mass = 0.0
-        for pairs in slices:
-            mass = 0.0
-            for dist, miss_mass in pairs:
-                if dist <= r:
-                    mass += miss_mass
-                else:
-                    total_rejections += 1
+        for thresholds, masses, misses in slices:
+            k = bisect_right(thresholds, r)
+            mass = masses[k]
             total_mass += mass
-            total_slices += 1
+            total_rejections += misses - k
             r = step_r(r, mass - prev_mass, r_max, r_min, tau, phi, kvar_ref)
             prev_mass = mass
+        total_slices += len(slices)
     mean_mass = total_mass / total_slices
     mean_rounds = 1.0 + total_rejections / total_slices
     success_proxy = 1.0 / (1.0 + mean_mass)
@@ -288,9 +338,12 @@ def calibrate(
     observed in its traces and must be strictly positive: pre-sampling has
     to run with relaxed acceptance so that accepted errors actually occur.
 
-    Each group's recorded misses are decoded once (``_judge_group``); every
-    candidate then replays them, walking r with ``step_r`` on plain floats,
-    so the scores equal those of a per-slice ``adjust`` replay bit for bit.
+    Each group is judged once (``_judge_group``), which refuses a miss with
+    an id outside the key's vocabulary; every candidate then replays the
+    judgement once (``_replay_objective``), walking r with ``step_r`` on
+    plain floats and reading each slice's mass and rejections at its r, so
+    the scores equal those of a per-slice ``adjust`` replay that decodes
+    every miss, bit for bit. The judgement does not depend on the r bounds.
     With ``r_max == r_min`` r never moves, every candidate scores the same
     and the grid's first one is kept. Each candidate, with the r bounds, is
     checked as the ``CalibrationRow`` it would become, and each trace's mode

@@ -55,12 +55,16 @@ its two id lists are not null at the same slots; its null slots are not
 one run to the end that starts right after its only rejection; it has
 null slots and ``verify_calls`` is not 1 (a compensated slice is one
 round); a drafted position's token is not its draft id within r or its
-true id past r; or its ``kvar_cum`` is not the previous record's (0.0
-before the first) plus its ``kvar_step``, exactly, as both decoders add
-them. ``load`` puts the file's path in front of the error, as it does for
-a file that is not UTF-8 text. Traces and calibration tables are written
-atomically (a temporary file in the target directory, then
-``os.replace``), so a reader sees the old file or the whole new one.
+true id past r; it has no null slots and ``verify_calls`` is below its
+rejections plus one, where the one is dropped if the last rejection is at
+slot 6 (each rejection ends a round, and one more round follows the last
+rejection unless no slot is left; depth 7 takes the fewest rounds); or its
+``kvar_cum`` is not the previous record's (0.0 before the first) plus its
+``kvar_step``, exactly, as both decoders add them. ``load`` puts the
+file's path in front of the error, as it does for a file that is not
+UTF-8 text. Traces and calibration tables are written atomically (a
+temporary file in the target directory, then ``os.replace``), so a reader
+sees the old file or the whole new one.
 """
 import json
 import math
@@ -325,10 +329,23 @@ def _contradiction(values: list, prev: float) -> str | None:
             return f"null slots must follow the only rejection to the end, got {ids} at r {r!r}"
         if calls != 1:
             return f"a compensated record must have verify_calls 1, got {calls}"
+    rejections, last = 0, -1
     for pos, d, t, tok in zip(range(judged), draft_ids, true_ids, tokens):
-        want = d if abs(d - t) <= r else t
+        if abs(d - t) <= r:
+            want = d
+        else:
+            want = t
+            rejections += 1
+            last = pos
         if tok != want:
             return f"token {pos} must be {want} (ids {d} and {t} at r {r!r}), got {tok}"
+    # each rejection ends a round, and one more follows the last unless it is at slot 6
+    need = rejections + (last != N_DOF - 1)
+    if judged == N_DOF and calls < need:
+        return (
+            f"a record with {rejections} rejections, the last at slot {last}, must have "
+            f"verify_calls >= {need}, got {calls}"
+        )
     if kvar_cum != prev + kvar_step:
         return f"record kvar_cum must be the previous {prev!r} plus {kvar_step!r}, got {kvar_cum!r}"
     return None

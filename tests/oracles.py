@@ -816,6 +816,24 @@ def _check_tokens(obj: dict, lineno: int) -> None:
             )
 
 
+def _check_verify_calls(obj: dict, lineno: int) -> None:
+    """A record with no null slot took at least a round per rejection, and
+    one more unless its last rejection is at slot 6."""
+    draft_ids, true_ids, r = obj["draft_ids"], obj["true_ids"], obj["r"]
+    if None in draft_ids:
+        return
+    rejected = [pos for pos in range(7) if abs(draft_ids[pos] - true_ids[pos]) > math.floor(r)]
+    rounds = len(rejected)
+    if not rejected or rejected[-1] != 6:
+        rounds += 1
+    if obj["verify_calls"] < rounds:
+        last = rejected[-1] if rejected else -1
+        raise TraceError(
+            f"line {lineno}: a record with {len(rejected)} rejections, the last at slot "
+            f"{last}, must have verify_calls >= {rounds}, got {obj['verify_calls']}"
+        )
+
+
 def _check_kvar_cum(obj: dict, previous: float, lineno: int) -> None:
     """A record's ``kvar_cum`` is the previous record's plus its ``kvar_step``."""
     if obj["kvar_cum"] != previous + obj["kvar_step"]:
@@ -872,6 +890,7 @@ def reference_trace_loads(text: str) -> EpisodeTrace:
                 _check_judged(obj, lineno)
                 _check_compensated(obj, lineno)
                 _check_tokens(obj, lineno)
+                _check_verify_calls(obj, lineno)
                 previous = trace.slices[-1].kvar_cum if trace.slices else 0.0
                 _check_kvar_cum(obj, previous, lineno)
                 trace.slices.append(_record_from_dict(obj))

@@ -35,10 +35,14 @@ from kerv.trace import EpisodeTrace, SliceRecord, load as load_trace, load_dir, 
 from oracles import reference_run_episode
 
 
-def make_record(verify=1, comp=False, fep=7, r=0.0):
+def make_record(verify=None, comp=False, fep=7, r=0.0):
     """A record at r whose only rejection is at ``fep`` (none at 7), its true
     id one past r from its draft id, after which the filter filled the slice
-    when ``comp``; every other drafted slot is exact."""
+    when ``comp``; every other drafted slot is exact. It takes ``verify``
+    rounds, by default the fewest its slots allow: one, or two when a
+    rejection before slot 6 is not compensated."""
+    if verify is None:
+        verify = 2 if fep < 6 and not comp else 1
     true_ids = [0] * 7
     if fep < 7:
         true_ids[fep] = math.floor(r) + 1

@@ -1,14 +1,15 @@
 """Acceptance-threshold controller and calibration table."""
 
+import bisect
 import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kerv import threshold
-from kerv.codec import DEFAULT_KEY
+from kerv.codec import DEFAULT_KEY, CodecError, NormKey, token_to_action
 from kerv.threshold import (
     DEFAULT_GRID,
     CalibrationRow,
@@ -289,23 +290,28 @@ def test_table_rejects_an_unquoted_carriage_return():
         CalibrationTable.loads(_HEADER_LINE + _ROW + _ROW.replace("goal", "long\r"))
 
 
-def _record(pairs, kvar_step, kvar_cum):
-    """A record at r = 15 of the (draft, true) ``pairs`` from position 0,
-    each token judged from its ids. The positions after the pairs were
-    filled by the filter when the last pair is rejected (more than 15
-    apart), and hold exact (0, 0) pairs otherwise."""
+def _record(pairs, kvar_step, kvar_cum, r=15.0):
+    """A record at r of the (draft, true) ``pairs`` from position 0, each
+    token judged from its ids, in the fewest verify calls its rejections
+    allow. The positions after the pairs were filled by the filter when the
+    last pair is rejected (more than r apart), and hold exact (0, 0) pairs
+    otherwise."""
     pairs = list(pairs)
-    if not pairs or abs(pairs[-1][0] - pairs[-1][1]) <= 15:
+    if not pairs or abs(pairs[-1][0] - pairs[-1][1]) <= r:
         pairs += [(0, 0)] * (7 - len(pairs))
+    compensated = len(pairs) < 7
     pairs += [(None, None)] * (7 - len(pairs))
+    rejected = [pos for pos, (d, t) in enumerate(pairs) if d is not None and abs(d - t) > r]
+    # a round per rejection, and one more unless the last is at slot 6
+    calls = 1 if compensated else len(rejected) + (not rejected or rejected[-1] != 6)
     return SliceRecord(
         draft_ids=tuple(d for d, _ in pairs),
         true_ids=tuple(t for _, t in pairs),
-        tokens=tuple(0 if d is None else d if abs(d - t) <= 15 else t for d, t in pairs),
-        r=15.0,
+        tokens=tuple(0 if d is None else d if abs(d - t) <= r else t for d, t in pairs),
+        r=r,
         kvar_step=kvar_step,
         kvar_cum=kvar_cum,
-        verify_calls=1,
+        verify_calls=calls,
         cooldown_remaining=0,
     )
 
@@ -374,35 +380,52 @@ def test_calibrate_replay_keeps_r_bounded():
 
 # --- calibration replay against the direct per-slice reference ---------------
 
-# one (draft, true) pair per position: a hit, or a miss by 1..30 ids, which
-# lands on both sides of floor(r) for r in [0, 15]
-_position = st.one_of(
-    st.integers(0, 255).map(lambda t: (t, t)),
-    st.tuples(st.integers(0, 225), st.integers(1, 30), st.booleans()).map(
-        lambda x: (x[0], x[0] + x[1]) if x[2] else (x[0] + x[1], x[0])
-    ),
-)
+# (norm key, widest miss, the r its records were judged at) of each key the
+# replay is checked on: the default key; 16 bins over +-0.02, whose bin
+# widths are not dyadic, and whose records are judged at r = 4 so that
+# slices may be filled; and 2**40 ids over ranges that differ per DoF. The
+# misses land on both sides of floor(r) as r walks down from 15.
+_WIDE_LO = (-0.5, -1.0, -0.25, -3.0, -3.0, -3.0, -1.0)
+_WIDE_HI = (0.5, 1.0, 0.75, 3.0, 3.0, 3.0, 1.0)
+_KEY_CASES = {
+    "default": (DEFAULT_KEY, 30, 15.0),
+    "16 bins": (NormKey((-0.02,) * 7, (0.02,) * 7, 16), 8, 4.0),
+    "2**40 ids": (NormKey(_WIDE_LO, _WIDE_HI, 2**40), 30, 15.0),
+}
 
 
-def _compensated(pairs):
-    """``pairs`` up to their first rejection at r = 15, when it comes before
-    the gripper: ``_record`` leaves the positions after it to the filter."""
-    first = next((pos for pos, (d, t) in enumerate(pairs) if abs(d - t) > 15), 6)
+def _position(vocab, widest):
+    """One (draft, true) pair inside the vocabulary: a hit, or a miss by
+    1..``widest`` ids."""
+    return st.one_of(
+        st.integers(0, vocab - 1).map(lambda t: (t, t)),
+        st.tuples(st.integers(0, vocab - 1 - widest), st.integers(1, widest), st.booleans()).map(
+            lambda x: (x[0], x[0] + x[1]) if x[2] else (x[0] + x[1], x[0])
+        ),
+    )
+
+
+def _compensated(pairs, r):
+    """``pairs`` up to their first rejection at r, when it comes before the
+    gripper: ``_record`` leaves the positions after it to the filter."""
+    first = next((pos for pos, (d, t) in enumerate(pairs) if abs(d - t) > r), 6)
     return pairs[: first + 1]
 
 
-# seven pairs, or a compensated slice's drafted pairs
-_slice_pairs = st.lists(_position, min_size=7, max_size=7).flatmap(
-    lambda pairs: st.sampled_from([pairs, _compensated(pairs)])
-)
+def _slice_pairs(vocab, widest, r):
+    """Seven pairs, or a compensated slice's drafted pairs."""
+    return st.lists(_position(vocab, widest), min_size=7, max_size=7).flatmap(
+        lambda pairs: st.sampled_from([pairs, _compensated(pairs, r)])
+    )
 
 
 @st.composite
-def _traces(draw):
-    """Traces built from a few slice templates, so equal slices (zero-delta
-    updates) and runs of equal ``kvar_step`` recur; each is read back
-    through the trace loader, which takes it."""
-    templates = draw(st.lists(_slice_pairs, min_size=1, max_size=4))
+def _traces(draw, case=_KEY_CASES["default"]):
+    """Traces of one key case built from a few slice templates, so equal
+    slices (zero-delta updates) and runs of equal ``kvar_step`` recur; each
+    is read back through the trace loader, which takes it."""
+    key, widest, r = case
+    templates = draw(st.lists(_slice_pairs(key.vocab_size, widest, r), min_size=1, max_size=4))
     kvars = draw(st.lists(st.sampled_from([0.0, 0.05, 0.2, 0.7]), min_size=1, max_size=3))
     traces = []
     for trial in range(draw(st.integers(1, 3))):
@@ -412,7 +435,7 @@ def _traces(draw):
         for step, i in enumerate(order):
             kvar_step = kvars[step % len(kvars)]
             cum += kvar_step
-            slices.append(_record(templates[i], kvar_step, cum))
+            slices.append(_record(templates[i], kvar_step, cum, r))
         trace = EpisodeTrace(
             suite="t", kind="reach", mode="fixed_relaxed", robot="armX", trial=trial, seed=0,
             slices=slices, success=trial % 2 == 0, steps=len(slices),
@@ -421,6 +444,11 @@ def _traces(draw):
     return traces
 
 
+# a key case's key with traces drawn inside its vocabulary
+_keyed_traces = st.sampled_from(list(_KEY_CASES.values())).flatmap(
+    lambda case: st.tuples(st.just(case[0]), _traces(case))
+)
+
 _GRID = [(tau, phi) for tau in (0.5, 1.0, 4.0) for phi in (0.5, 0.7, 1.0, 1.5, 2.0)]
 
 
@@ -428,43 +456,85 @@ _GRID = [(tau, phi) for tau in (0.5, 1.0, 4.0) for phi in (0.5, 0.7, 1.0, 1.5, 2
 _R_MINS = [0.0, 5.0, 15.0]
 
 
-@given(_traces(), st.sampled_from(_R_MINS), st.floats(0.01, 2.0))
-@settings(max_examples=150, deadline=None)
-def test_replay_scores_match_reference_bit_for_bit(traces, r_min, kvar_ref):
-    judged = threshold._judge_group(traces, DEFAULT_KEY)
+@given(_keyed_traces, st.sampled_from(_R_MINS), st.floats(0.01, 2.0))
+@settings(max_examples=300, deadline=None)
+def test_replay_scores_match_reference_bit_for_bit(keyed, r_min, kvar_ref):
+    key, traces = keyed
+    judged = threshold._judge_group(traces, key)
     for tau, phi in _GRID:
         got = threshold._replay_objective(judged, tau, phi, 15.0, r_min, kvar_ref)
-        want = reference_replay_objective(
-            traces, tau, phi, 15.0, r_min, kvar_ref, DEFAULT_KEY, 0.01
-        )
+        want = reference_replay_objective(traces, tau, phi, 15.0, r_min, kvar_ref, key, 0.01)
         assert got.hex() == want.hex()
 
 
-@given(_traces(), st.sampled_from(_R_MINS))
-@settings(max_examples=60, deadline=None)
-def test_calibrate_table_matches_reference_argmax(traces, r_min):
+@given(_keyed_traces)
+@settings(max_examples=150, deadline=None)
+def test_judged_masses_match_a_walk_that_adds_each_accepted_miss(keyed):
+    """At each cut that an r can make, a slice's judged mass is the sum, in
+    position order, of the action mass of each miss within r, bit for bit:
+    a score can absorb a slice mass that is one ulp off."""
+    key, traces = keyed
+    judged = threshold._judge_group(traces, key)
+    assert [len(slices) for slices in judged] == [len(t.slices) for t in traces]
+    for trace, slices in zip(traces, judged):
+        for rec, (thresholds, masses, misses) in zip(trace.slices, slices):
+            pairs = [
+                (pos, d, t)
+                for pos, (d, t) in enumerate(zip(rec.draft_ids, rec.true_ids))
+                if d is not None and d != t
+            ]
+            assert misses == len(pairs)
+            assert thresholds == sorted(abs(d - t) for _, d, t in pairs) + [math.inf] * (7 - misses)
+            # r = 0 accepts no miss, and r at each distinct distance the misses up to it
+            for r in [0.0] + sorted(set(thresholds[:misses])):
+                want = 0.0
+                for pos, d, t in pairs:
+                    if abs(d - t) <= r:
+                        want += abs(token_to_action(t, pos, key) - token_to_action(d, pos, key))
+                got = masses[bisect.bisect_right(thresholds, r)]
+                assert got.hex() == want.hex()
+
+
+def _check_table_against_reference_argmax(traces, r_max, r_min, key=DEFAULT_KEY):
+    """``calibrate`` picks the candidate of the best reference score, the
+    first of equal ones, and states the group's statistics."""
     steps = [rec.kvar_step for t in traces for rec in t.slices]
     kvar_ref = sum(steps) / len(steps)
     if kvar_ref <= 0:
         with pytest.raises(ThresholdConfigError):
-            calibrate(traces, _GRID, r_min=r_min)
+            calibrate(traces, _GRID, r_max=r_max, r_min=r_min, key=key)
         return
     scores = [
-        reference_replay_objective(traces, tau, phi, 15.0, r_min, kvar_ref, DEFAULT_KEY, 0.01)
+        reference_replay_objective(traces, tau, phi, r_max, r_min, kvar_ref, key, 0.01)
         for tau, phi in _GRID
     ]
     tau, phi = _GRID[scores.index(max(scores))]
-    table = calibrate(traces, _GRID, r_min=r_min)
+    table = calibrate(traces, _GRID, r_max=r_max, r_min=r_min, key=key)
     expected = CalibrationTable(
         {
             ("t", "armX"): CalibrationRow(
-                tau, phi, 15.0, r_min, kvar_ref,
+                tau, phi, r_max, r_min, kvar_ref,
                 sum(1.0 for t in traces if t.success) / len(traces),
                 sum(t.steps for t in traces) / len(traces),
             )
         }
     )
     assert table.dumps() == expected.dumps()
+
+
+@given(_traces(), st.sampled_from(_R_MINS))
+@settings(max_examples=60, deadline=None)
+def test_calibrate_table_matches_reference_argmax(traces, r_min):
+    _check_table_against_reference_argmax(traces, 15.0, r_min)
+
+
+@given(_keyed_traces, st.sampled_from(_R_MINS))
+@settings(max_examples=60, deadline=None)
+def test_calibrate_table_with_a_far_r_max_matches_reference_argmax(keyed, r_min):
+    """r walks from 1e12, past every distance, and a step moves it by up to
+    tau * (1e12 - r_min): the judged lookup does not depend on the bounds."""
+    key, traces = keyed
+    _check_table_against_reference_argmax(traces, 1e12, r_min, key)
 
 
 @given(
@@ -487,34 +557,119 @@ def test_adjust_matches_reference_state_for_state(steps, r_min, phi, r0):
 
 
 def test_calibrate_judges_each_miss_once(monkeypatch):
-    """token_to_action runs twice per verified miss, not once per candidate;
-    the replay calls no adjust."""
+    """Each (task, robot) group is judged once, however many traces it has,
+    and each candidate replays that judgement once; the replay moves r
+    without ``adjust``."""
     # the last pair is rejected, so the filter filled the positions after it
     pairs = [(100, 108), (30, 27), (7, 7), (200, 240)]
     kvars = [0.05, 0.3, 0.1, 0.5, 0.2, 0.0, 0.3]
-    traces = [_trace("t1", kvars, pairs), _trace("t2", kvars[:4], pairs[:2])]
-    misses = 3 * len(kvars) + 2 * 4
+    traces = [
+        _trace("t1", kvars, pairs),
+        _trace("t2", kvars[:4], pairs[:2]),
+        _trace("t1", kvars[:3], pairs[1:]),
+    ]
 
-    decoded = []
-    real_decode = threshold.token_to_action
+    judged = []
+    real_judge = threshold._judge_group
     monkeypatch.setattr(
         threshold,
-        "token_to_action",
-        lambda tok, dof, key: decoded.append(tok) or real_decode(tok, dof, key),
+        "_judge_group",
+        lambda group, key: judged.append((group, real_judge(group, key))) or judged[-1][1],
     )
-    adjusted = []
-    monkeypatch.setattr(threshold, "adjust", lambda *a: adjusted.append(a))
     replays = []
     real_replay = threshold._replay_objective
     monkeypatch.setattr(
         threshold, "_replay_objective", lambda *a: replays.append(a) or real_replay(*a)
     )
+    adjusted = []
+    monkeypatch.setattr(threshold, "adjust", lambda *a: adjusted.append(a))
 
-    grid = DEFAULT_GRID
-    calibrate(traces, grid)
-    assert len(replays) == 2 * len(grid)
-    assert len(decoded) <= 2 * misses
+    calibrate(traces, DEFAULT_GRID)
+    assert [group for group, _ in judged] == [[traces[0], traces[2]], [traces[1]]]
+    assert [(id(a[0]), a[1:3]) for a in replays] == [
+        (id(result), candidate) for _, result in judged for candidate in DEFAULT_GRID
+    ]
     assert adjusted == []
+
+
+def _first_miss_outside(traces, vocab):
+    """The message ``token_to_action`` refuses the first miss with an id
+    outside ``[0, vocab)`` with, walking (trace, slice, position) and the
+    true id before the draft id; None if every miss is inside."""
+    for trace in traces:
+        for rec in trace.slices:
+            for pos, (d, t) in enumerate(zip(rec.draft_ids, rec.true_ids)):
+                if d is None or d == t:
+                    continue
+                for tok in (t, d):
+                    if not 0 <= tok < vocab:
+                        return f"token id {tok} outside [0, {vocab - 1}] for dof{pos}"
+    return None
+
+
+_KEY_16 = NormKey(vocab_size=16)
+
+
+@given(_traces())
+@settings(max_examples=60, deadline=None)
+def test_calibrate_refuses_a_miss_outside_the_vocabulary(traces):
+    """Default-key ids calibrated under a 16-id key: the first miss outside
+    it is refused with ``token_to_action``'s message; a trace whose misses
+    are all inside calibrates."""
+    assume(sum(rec.kvar_step for t in traces for rec in t.slices) > 0)
+    message = _first_miss_outside(traces, 16)
+    if message is None:
+        calibrate(traces, _GRID, key=_KEY_16)
+        return
+    with pytest.raises(CodecError) as refused:
+        calibrate(traces, _GRID, key=_KEY_16)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        # the draft id of slot 1 comes before the true id of slot 2
+        ([(3, 3), (20, 9), (1, 30), (0, 0)], "token id 20 outside [0, 15] for dof1"),
+        # of one slot, the true id is refused first
+        ([(3, 3), (40, 30)], "token id 30 outside [0, 15] for dof1"),
+        # an exact slot outside is passed over
+        ([(99, 99), (1, 3), (2, 17)], "token id 17 outside [0, 15] for dof2"),
+    ],
+)
+def test_calibrate_refuses_the_first_id_outside_the_vocabulary(pairs, message):
+    traces = [_trace("t1", [0.1, 0.3], [(1, 2)]), _trace("t1", [0.1, 0.3], pairs)]
+    with pytest.raises(CodecError) as refused:
+        calibrate(traces, DEFAULT_GRID, key=_KEY_16)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [(2**60, 2**60 + 1), (2**60 + 1, 2**60), (10**400, 3), (3, 10**400), (-(10**400), 7)],
+    ids=["2**60 then 2**60 + 1", "2**60 + 1 then 2**60", "10**400 draft", "10**400 true", "-10**400"],
+)
+def test_calibrate_refuses_a_miss_whose_ids_a_float_cannot_tell_apart_or_hold(pair):
+    """A float rounds 2**60 and 2**60 + 1 to one value and cannot hold
+    10**400; each miss is still refused, with its true id named first
+    when both are outside."""
+    traces = [_trace("t1", [0.1, 0.3], [(1, 2), pair])]
+    d, t = pair
+    bad = t if not 0 <= t < 256 else d
+    with pytest.raises(CodecError) as refused:
+        calibrate(traces, DEFAULT_GRID)
+    assert str(refused.value) == f"token id {bad} outside [0, 255] for dof1"
+
+
+def test_calibrate_passes_over_ids_outside_the_vocabulary_where_draft_equals_truth():
+    """A slot whose ids are equal is never a miss, so its ids are not
+    checked, whatever they are: the table is the reference argmax's."""
+    outside = [(300, 300), (10**400, 10**400), (2**60, 2**60), (-(2**70), -(2**70))]
+    traces = [
+        _trace("t", [0.1, 0.3, 0.2], outside + [(100, 103)]),
+        _trace("t", [0.4, 0.0], [(5, 13), (2**60 + 1, 2**60 + 1), (1, 40)]),
+    ]
+    _check_table_against_reference_argmax(traces, 15.0, 5.0)
 
 
 @pytest.mark.parametrize(

@@ -28,14 +28,17 @@ _seven = lambda elem: st.lists(elem, min_size=7, max_size=7).map(tuple)  # noqa:
 def _records(draw, kvar_cum=0.0):
     """A record after one whose ``kvar_cum`` is ``kvar_cum``, which the
     loader takes: each token its draft id within r and its true id past r,
-    and, when a rejection before the gripper comes first, the slots after
-    it may be filled (null ids, any token, one verify call). Two largest
+    at least as many verify calls as its rejections need, and, when a
+    rejection before the gripper comes first, the slots after it may be
+    filled (null ids, any token, one verify call). Two largest
     variabilities in a row overflow ``kvar_cum``."""
     draft_ids, true_ids = list(draw(_seven(_id))), list(draw(_seven(_id)))
     r = draw(_nonneg)
     tokens = [d if abs(d - t) <= r else t for d, t in zip(draft_ids, true_ids)]
-    verify_calls = draw(st.integers(1, 7))
     rejected = [pos for pos, (d, t) in enumerate(zip(draft_ids, true_ids)) if abs(d - t) > r]
+    # a round per rejection, and one more unless the last is at slot 6
+    fewest = len(rejected) + (not rejected or rejected[-1] != 6)
+    verify_calls = draw(st.integers(fewest, 7))
     if rejected and rejected[0] < 6 and draw(st.booleans(), label="compensated"):
         filled = rejected[0] + 1
         draft_ids[filled:] = true_ids[filled:] = [None] * (7 - filled)
@@ -532,6 +535,38 @@ def test_compensated_record_with_more_than_one_verify_call_is_trace_error(calls)
     assert _refusal([_COMPENSATED, rec]) == (
         f"line 3: a compensated record must have verify_calls 1, got {calls}"
     )
+
+
+def _rejected_at(slots, calls):
+    """A record at r = 0 whose ids are 5 against 9 at ``slots`` and equal
+    elsewhere, which took ``calls`` verify calls."""
+    draft_ids = tuple(5 if pos in slots else 1 for pos in range(7))
+    true_ids = tuple(9 if pos in slots else 1 for pos in range(7))
+    return _record(draft_ids, true_ids)._replace(verify_calls=calls)
+
+
+@pytest.mark.parametrize(
+    "slots, calls, need",
+    [((0, 2, 4), 1, 4), ((0, 2, 4), 3, 4), ((4, 6), 1, 2), ((0,), 1, 2), (tuple(range(7)), 6, 7)],
+)
+def test_record_with_fewer_verify_calls_than_its_rejections_need_is_trace_error(
+    slots, calls, need
+):
+    """Each rejection ends a round, and a round follows the last one unless
+    it is at slot 6, so no depth decodes the slice in fewer calls."""
+    assert _refusal([_rejected_at(slots, calls)]) == (
+        f"line 2: a record with {len(slots)} rejections, the last at slot {slots[-1]}, "
+        f"must have verify_calls >= {need}, got {calls}"
+    )
+
+
+@pytest.mark.parametrize(
+    "slots, calls", [((0, 2, 4), 4), ((4, 6), 2), ((6,), 1), ((), 1), (tuple(range(7)), 7)]
+)
+def test_record_with_the_verify_calls_its_rejections_need_loads(slots, calls):
+    text = _episode_text(slices=[_rejected_at(slots, calls)])
+    assert loads(text) == reference_trace_loads(text)
+    assert loads(text).slices[0].verify_calls == calls
 
 
 @pytest.mark.parametrize(
