@@ -21,10 +21,14 @@ its values are checked at four boundaries:
 * every id ``decode_slice`` decodes: seven ids, each an ``int`` (not a
   ``bool``), which ``token_to_action`` decodes in ``[0, vocab)``;
 * every record read back from a trace (``trace.loads``): each field of
-  its type and in its range, and nothing in it contradicting the rest of
-  it or the record before it (every token is what its ids give at its r,
-  its null slots follow its only rejection, and its ``kvar_cum`` adds its
-  ``kvar_step`` to the previous one).
+  its type and in its range, nothing in it contradicting the rest of it or
+  the record before it (its null slots follow its only rejection, its fill
+  holds a token for each of them, and its ``kvar_cum`` adds its
+  ``kvar_step`` to the previous one), and nothing its header's run could
+  not have decoded (only kerv compensates, never on the first record or
+  while the cooldown rebuilt from the header's ``comp_n`` runs; naive
+  decodes at r = 0, and fixed_relaxed at one r). A record's tokens are
+  derived from its ids and fill, each checked there as an int.
 
 Tokens the decoder fills from filter predictions come from
 ``action_to_token``/``snap_gripper_token``, which refuse a non-finite

@@ -63,10 +63,12 @@ two rows as the plain composition of the rules the engine inlines:
 ``relaxed_accept`` judges each position, ``codec.decode_slice`` gives the
 actions and ``accepted_error_kvar`` the variability. ``relaxed_accept``
 lives in ``trace``, where a record judges its own ids with it, and is
-imported here by name. The engine's records store no statuses: the loop
-and the array pass judge each position for its executed token, its
-variability and the slice's rejection mask, and a record judges its ids
-again when its statuses are read.
+imported here by name. The engine's records store no statuses and, of
+their tokens, only the filter's fills: the loop and the array pass judge
+each position for its executed token, its variability and the slice's
+rejection mask, and a record judges its ids again when its statuses or
+tokens are read. Nor do they store the cooldown: the trace's header holds
+``cfg.comp_n``, from which and the compensated records it is rebuilt.
 """
 
 from __future__ import annotations
@@ -282,9 +284,10 @@ def run_episode(
     equal keeps r fixed, so ``kerv`` with such a row is a fixed threshold
     with compensation. Each record holds the r its slice was decoded under.
     The engine reads ``cfg.depth``, ``cfg.fixed_r``, ``cfg.comp_n``
-    (cooldown slices), ``cfg.pl``, ``cfg.ac``, ``cfg.kf_params``,
-    ``cfg.key``, ``cfg.noise`` (the draft noise) and ``cfg.robot`` (written
-    into the trace).
+    (cooldown slices, written into the trace's header, from which and the
+    compensated records the cooldown is rebuilt), ``cfg.pl``, ``cfg.ac``,
+    ``cfg.kf_params``, ``cfg.key``, ``cfg.noise`` (the draft noise) and
+    ``cfg.robot`` (written into the trace).
 
     The noise rows of the plan's steps are drawn when the episode starts
     (``simenv.noise_rows`` of ``cfg.noise`` and the task's seed), as two
@@ -366,7 +369,7 @@ def run_episode(
         predicted = None  # the bank's prediction, once the slice compensates
         drafts: list[int | None] = []
         truths: list[int | None] = []
-        tokens: list[int] = []
+        fill: list[int] = []  # the tokens the bank writes into the null slots
         actions: list[float] = []
         moved: list[float] = []  # the pose after the step
         rejected = 0  # bit p is set when position p is rejected
@@ -412,10 +415,10 @@ def run_episode(
             else:
                 # filled from the bank: never drafted, so its slots stay empty
                 tok = _tokenize_prediction(predicted[pos], pos, key)
+                fill.append(tok)
                 d_tok = true_tok = status = None
             drafts.append(d_tok)
             truths.append(true_tok)
-            tokens.append(tok)
             action = low + span * (tok + 0.5) / vocab  # token_to_action's expression
             if status is RELAXED:
                 kvar += abs(low + span * (true_tok + 0.5) / vocab - action)
@@ -441,7 +444,7 @@ def run_episode(
             cooldown = cfg.comp_n
         elif cooldown > 0:
             cooldown -= 1
-        fields = (tuple(drafts), tuple(truths), tuple(tokens), r, kvar, kvar_cum, rounds, cooldown)
+        fields = (tuple(drafts), tuple(truths), tuple(fill), r, kvar, kvar_cum, rounds)
         records.append(_RECORD(fields))
         if kerv:
             r = threshold_mod.adjust(row, r, prev_kvar, kvar)
@@ -454,6 +457,7 @@ def run_episode(
         robot=cfg.robot,
         trial=env.trial,
         seed=seed,
+        comp_n=cfg.comp_n,
         slices=records,
         success=env.succeeded,
         steps=env.t,
@@ -489,8 +493,9 @@ def _plan_pass(
     the loop's float operations, and the poses are the actions replayed
     from the plan's start pose (``simenv._replay``, which makes the loop's
     adds in the loop's order and latches the gripper as it does). The
-    judgements give each record its tokens, variability and rounds; a
-    record stores no statuses, as it derives them from its ids and r.
+    judgements give each record its variability and rounds; a record stores
+    no statuses or tokens, as it derives them from its ids and r, and no
+    fill, as the pass never compensates.
 
     Where no position is relaxed, as always at r < 1, every executed token
     is its truth and no offset moved a truth off the plan's tokens: the
@@ -537,7 +542,6 @@ def _plan_pass(
         return [], 0.0
 
     kept = slice(None, confirmed)
-    truth_rows = list(map(tuple, truths[kept].tolist()))
     if replayed:
         masses = np.abs(lo + span * (truths[kept] + 0.5) / vocab - actions[kept])
         reached = poses[1 : confirmed + 1]
@@ -546,21 +550,21 @@ def _plan_pass(
             cums = kvars.cumsum()  # left to right, as the loop adds
             gaps = np.abs(reached[:, motion] - targets[kept, motion]).cumsum(axis=1)[:, -1]
             gaps += np.where(reached[:, GRIPPER_DOF] != targets[kept, GRIPPER_DOF], 2.0, 0.0)
-        token_rows = map(tuple, tokens[kept].tolist())
         kvar_steps, kvar_cums, gaps = kvars.tolist(), cums.tolist(), gaps.tolist()
         kvar_cum = kvar_cums[-1]
     else:  # the plan's steps: each executes its truth row, with no variability and no gap
-        token_rows, gaps, kvar_cum = truth_rows, [0.0] * confirmed, 0.0
+        gaps, kvar_cum = [0.0] * confirmed, 0.0
         kvar_steps = kvar_cums = itertools.repeat(0.0)
     fields = zip(
         map(tuple, drafts[kept].tolist()),
-        truth_rows,
-        token_rows,
+        # a list first: made inside the zip, the truth rows cost the pass about
+        # a fifth more in cyclic garbage collection (timed with gc on and off)
+        list(map(tuple, truths[kept].tolist())),
+        itertools.repeat(()),  # nothing is filled
         itertools.repeat(r),
         kvar_steps,
         kvar_cums,
         map(_round_counts(depth).__getitem__, (rejected[kept] @ _POS_BITS).tolist()),
-        itertools.repeat(0),
     )
     records = list(map(_RECORD, fields))
     env.arrive_steps(tuple(poses[confirmed].tolist()), gaps)

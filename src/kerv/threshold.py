@@ -211,10 +211,10 @@ def lookup(table: CalibrationTable, task: str, robot: str) -> CalibrationRow:
         ) from None
 
 
-# Per trace, per slice: (its miss distances in ascending order, padded with
-# inf to 7; its accepted action mass for each count k = 0..7 of those
-# distances within r, summed in position order; its miss count). A miss is a
-# verified position whose draft id is not its true id.
+# Per trace, per slice: (its m miss distances in ascending order; its
+# accepted action mass for each count k = 0..m of those distances within r,
+# summed in position order; m, its miss count). A miss is a verified
+# position whose draft id is not its true id.
 JudgedSlices = list[list[tuple[list[float], list[float], int]]]
 
 
@@ -261,6 +261,8 @@ def _judge_group(traces: Sequence[EpisodeTrace], key: NormKey) -> JudgedSlices:
     positions, the mass of each miss at most the k-th distance away and 0.0
     for every other slot, so it equals a walk that adds each accepted miss
     bit for bit. A count k that splits equal distances is never looked up.
+    The arrays pad each slice's misses to 7 with inf distances, which no
+    finite r reaches, so a slice keeps only its own distances and masses.
     """
     records = [rec for trace in traces for rec in trace.slices]
     draft, true = _id_arrays(records, key)
@@ -281,7 +283,14 @@ def _judge_group(traces: Sequence[EpisodeTrace], key: NormKey) -> JudgedSlices:
     masses = np.zeros_like(cuts)
     for pos in range(N_DOF):
         masses += np.where(miss_dist[:, pos, None] <= cuts, miss_mass[:, pos, None], 0.0)
-    rows = zip(thresholds.tolist(), masses.tolist(), missed.sum(axis=1).tolist())
+    misses = missed.sum(axis=1)
+    kept = np.arange(N_DOF + 1) <= misses[:, None]  # the masses of k = 0..misses
+    near, accepted = thresholds[kept[:, 1:]].tolist(), masses[kept].tolist()
+    ends = np.cumsum(misses).tolist()  # where each slice's distances end in near
+    rows = iter([
+        (near[end - m : end], accepted[end - m + i : end + i + 1], m)
+        for i, (m, end) in enumerate(zip(misses.tolist(), ends))
+    ])
     return [list(islice(rows, len(trace.slices))) for trace in traces]
 
 

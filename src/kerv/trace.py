@@ -1,24 +1,31 @@
 """Episode traces: one record per decoded slice, serialized as JSON lines.
 
-A trace file starts with an ``episode`` metadata line, carries one slice
-record per line, and ends with a ``summary`` line. A slice record stores
-per-position draft and true ids (null where the Kalman filter filled a
-position, which was never drafted or verified), the final tokens, and the
-step's threshold r, variability, verify calls and cooldown. What a record
-can rebuild from itself is not stored: each drafted slot's status is
-``relaxed_accept`` of its ids and r (``SliceRecord.statuses``), and its
-first error position and whether it was compensated follow from the ids
-and r too. The acceptance rule lives here, once, beside its statuses.
+A trace file starts with an ``episode`` metadata line, which holds the
+run's ``comp_n`` (the slices a compensation keeps from compensating
+again), carries one slice record per line, and ends with a ``summary``
+line. A slice record stores per-position draft and true ids (null where
+the Kalman filter filled a position, which was never drafted or verified),
+the tokens the filter filled those positions with (``fill``), and the
+step's threshold r, variability and verify calls. What a record can
+rebuild is not stored: each drafted slot's status is ``relaxed_accept`` of
+its ids and r (``SliceRecord.statuses``), and its token is its draft id
+within r and its true id past r (``SliceRecord.tokens``, which ends with
+the fill); its first error position and whether it was compensated follow
+from the ids and r too. The cooldown after each record follows from the
+trace: the header's comp_n after a compensated record, one less than the
+record before's otherwise, down to 0, starting at 0. The acceptance rule
+lives here, once, beside its statuses.
 
-A record is a ``SliceRecord``: an immutable named tuple of 8 fields, which
+A record is a ``SliceRecord``: an immutable named tuple of 7 fields, which
 costs a tuple to build and is written as a JSON object with sorted keys.
 A record line is written from one ``%`` template (``_RECORD_TEMPLATE``):
-ids and counts as ``%d`` and floats as ``%r`` (``float.__repr__``, as the
-JSON encoder writes them). ``_ENCODE``, the ``encode`` of one
-``json.JSONEncoder(sort_keys=True)`` built at import, writes the header and
-summary lines, and a record with a null id or a non-finite float; both
-write the bytes ``json.dumps(..., sort_keys=True)`` writes. Every line is
-read by ``_DECODER``, one decoder built at import.
+ids and counts as ``%d``, floats as ``%r`` (``float.__repr__``, as the
+JSON encoder writes them) and the fill as ``[]``. ``_ENCODE``, the
+``encode`` of one ``json.JSONEncoder(sort_keys=True)`` built at import,
+writes the header and summary lines, and a record with a null id, a fill
+or a non-finite float; both write the bytes ``json.dumps(...,
+sort_keys=True)`` writes. Every line is read by ``_DECODER``, one decoder
+built at import.
 
 The episode statistics that a report and a calibration table share live
 here, once: ``success_rate``, ``mean_steps`` and ``_fold``, which adds
@@ -35,36 +42,43 @@ field's JSON types from its annotation (``_JSON_TYPES``) and its range from
 ``_RANGES``; the first fault in field order is reported. A field is at
 fault when it is missing or holds a value of the wrong JSON type: a scalar
 of another type (an int field refuses ``true``/``false`` and ``1.0``; a
-float field takes an integer), a per-position field that is not a list of
-7 slots, an id that is not an int or ``null``, a token that is not an int,
-or the constant ``NaN`` (``Infinity`` loads: an overflowing deviation is
-written as one); or when it holds a value outside its range: a negative
-trial, step count or deviation, or a record value outside its bounds
-(``verify_calls`` in [1, 7]: depth 1 with every position rejected is 7
-rounds). A header, record or summary that holds a key it does not define
-is refused once its fields pass, with the unknown keys sorted; so is a
-header or summary line with a key besides ``episode`` or ``summary``,
-before the object it holds is read. So a record of an older format, which
-also stored statuses or what they give, never loads. A header mode
-outside ``MODES`` or kind outside ``simenv.KINDS`` is rejected after its
-fields.
+float field takes an integer), an id field that is not a list of 7 slots,
+a fill that is not a list, an id that is not an int or ``null``, a fill
+token that is not an int, or the constant ``NaN`` (``Infinity`` loads: an
+overflowing deviation is written as one); or when it holds a value outside
+its range: a negative trial, comp_n, step count or deviation, or a record
+value outside its bounds (``verify_calls`` in [1, 7]: depth 1 with every
+position rejected is 7 rounds). A header, record or summary that holds a
+key it does not define is refused once its fields pass, with the unknown
+keys sorted; so is a header or summary line with a key besides
+``episode`` or ``summary``, before the object it holds is read. So a
+record of an older format, which also stored statuses or what they give,
+or all its tokens and its cooldown and no fill, never loads, and neither
+does a header without comp_n. A header mode outside ``MODES`` or kind
+outside ``simenv.KINDS`` is rejected after its fields.
 
 A record whose fields pass is then refused where it contradicts itself or
 the record before it (``_contradiction``), by the first of these rules:
 its two id lists are not null at the same slots; its null slots are not
 one run to the end that starts right after its only rejection; it has
 null slots and ``verify_calls`` is not 1 (a compensated slice is one
-round); a drafted position's token is not its draft id within r or its
-true id past r; it has no null slots and ``verify_calls`` is below its
-rejections plus one, where the one is dropped if the last rejection is at
-slot 6 (each rejection ends a round, and one more round follows the last
-rejection unless no slot is left; depth 7 takes the fewest rounds); or its
-``kvar_cum`` is not the previous record's (0.0 before the first) plus its
-``kvar_step``, exactly, as both decoders add them. ``load`` puts the
-file's path in front of the error, as it does for a file that is not
-UTF-8 text. Traces and calibration tables are written atomically (a
-temporary file in the target directory, then ``os.replace``), so a reader
-sees the old file or the whole new one.
+round); its fill does not hold one token per null slot; it has no null
+slots and ``verify_calls`` is below its rejections plus one, where the one
+is dropped if the last rejection is at slot 6 (each rejection ends a
+round, and one more round follows the last rejection unless no slot is
+left; depth 7 takes the fewest rounds); or its ``kvar_cum`` is not the
+previous record's (0.0 before the first) plus its ``kvar_step``, exactly,
+as both decoders add them. It is then refused where no run of its header
+could have decoded it after the records before it (``_unrunnable``), by
+the first of these rules: it is compensated, and its mode is ``naive`` or
+``fixed_relaxed`` (only ``kerv`` compensates), or it is the first record
+(the filter holds no context before the first slice), or the cooldown
+rebuilt after the record before it is above 0; a ``naive`` record's r is
+not 0.0; or a ``fixed_relaxed`` record's r is not the first record's.
+``load`` puts the file's path in front of the error, as it does for a file
+that is not UTF-8 text. Traces and calibration tables are written
+atomically (a temporary file in the target directory, then
+``os.replace``), so a reader sees the old file or the whole new one.
 """
 import json
 import math
@@ -101,7 +115,7 @@ def relaxed_accept(draft_id: int, true_id: int, r: float) -> str:
 
 
 # the fields of the header and summary lines
-_HEADER_FIELDS = ("suite", "kind", "mode", "robot", "trial", "seed")
+_HEADER_FIELDS = ("suite", "kind", "mode", "robot", "trial", "seed", "comp_n")
 _SUMMARY_FIELDS = ("success", "steps", "deviation", "plan_steps")
 # the types ``loads`` accepts for each scalar annotation, as ``json.loads``
 # builds them: a float field also takes an integer, and ``bool`` is a type
@@ -112,10 +126,9 @@ _TYPE_NAMES = {int: "an int", float: "a float", str: "a string", bool: "a bool"}
 # header, record and summary line; kvar_cum and deviation may be infinite,
 # as a run whose variability or deviation overflows writes them
 _RANGES = {
-    "episode": (("trial", 0, math.inf, ">= 0"),),
+    "episode": (("trial", 0, math.inf, ">= 0"), ("comp_n", 0, math.inf, ">= 0")),
     "record": (
         ("verify_calls", 1, N_DOF, f"in [1, {N_DOF}]"),
-        ("cooldown_remaining", 0, math.inf, ">= 0"),
         ("r", 0, sys.float_info.max, "finite and >= 0"),
         ("kvar_step", 0, sys.float_info.max, "finite and >= 0"),
         ("kvar_cum", 0, math.inf, ">= 0"),
@@ -151,24 +164,25 @@ _ENCODE = json.JSONEncoder(sort_keys=True).encode
 # counts as ``int.__repr__`` writes them, floats as ``float.__repr__``
 _IDS = "[" + ", ".join(["%d"] * N_DOF) + "]"
 _RECORD_TEMPLATE = (
-    '{"cooldown_remaining": %d, "draft_ids": ' + _IDS + ', "kvar_cum": %r, "kvar_step": %r, '
-    '"r": %r, "tokens": ' + _IDS + ', "true_ids": ' + _IDS + ', "verify_calls": %d}'
+    '{"draft_ids": ' + _IDS + ', "fill": [], "kvar_cum": %r, "kvar_step": %r, "r": %r, '
+    '"true_ids": ' + _IDS + ', "verify_calls": %d}'
 )
 
 
 def _record_lines(records) -> list[str]:
-    """Each record's line, from ``_RECORD_TEMPLATE``. ``_ENCODE`` writes the
-    field dict of a record with a null id (a slot the filter filled, which
-    holds a null in both id lists) or whose floats are not all finite (it
-    writes ``Infinity`` where ``%r`` writes ``inf``)."""
+    """Each record's line, from ``_RECORD_TEMPLATE``, which writes no fill.
+    ``_ENCODE`` writes the field dict of a record with a null id (a slot the
+    filter filled, which holds a null in both id lists) or a fill, or whose
+    floats are not all finite (it writes ``Infinity`` where ``%r`` writes
+    ``inf``)."""
     template, finite = _RECORD_TEMPLATE, math.isfinite
     lines = []
     for rec in records:
-        drafted, truth, tokens, r, kvar_step, kvar_cum, calls, cooldown = rec
-        if None in drafted or not (finite(r) and finite(kvar_step) and finite(kvar_cum)):
+        drafted, truth, fill, r, kvar_step, kvar_cum, calls = rec
+        if None in drafted or fill or not (finite(r) and finite(kvar_step) and finite(kvar_cum)):
             lines.append(_ENCODE(rec._asdict()))
             continue
-        fields = (cooldown, *drafted, kvar_cum, kvar_step, r, *tokens, *truth, calls)
+        fields = (*drafted, kvar_cum, kvar_step, r, *truth, calls)
         lines.append(template % fields)
     return lines
 
@@ -176,18 +190,28 @@ def _record_lines(records) -> list[str]:
 class SliceRecord(NamedTuple):
     """One decoded slice as its trace line records it; a tuple, so no field
     can be assigned. A record's step is its index in the trace, and each of
-    its ``verify_calls`` rounds is one draft call and one verify call. Its
-    statuses, first error position and compensation flag are derived from
-    its ids and r, never stored."""
+    its ``verify_calls`` rounds is one draft call and one verify call.
+    ``fill`` holds the tokens the filter wrote into the null slots, in slot
+    order, and is empty when nothing was filled: they are the only tokens
+    its ids and r cannot give. Its tokens, statuses, first error position
+    and compensation flag are derived from its ids, r and fill, never
+    stored."""
 
     draft_ids: tuple[int | None, ...]
     true_ids: tuple[int | None, ...]
-    tokens: tuple[int, ...]
+    fill: tuple[int, ...]
     r: float
     kvar_step: float
     kvar_cum: float
     verify_calls: int
-    cooldown_remaining: int
+
+    @property
+    def tokens(self) -> tuple[int, ...]:
+        """The executed tokens: each drafted slot's draft id within r and its
+        true id past r, then the fill."""
+        r = self.r
+        drafted = zip(self.draft_ids[: N_DOF - len(self.fill)], self.true_ids)
+        return (*(d if abs(d - t) <= r else t for d, t in drafted), *self.fill)
 
     @property
     def statuses(self) -> tuple[str | None, ...]:
@@ -228,6 +252,7 @@ class EpisodeTrace:
     robot: str
     trial: int
     seed: int
+    comp_n: int  # the run's cooldown: the slices after a compensation that cannot compensate
     slices: list[SliceRecord] = field(default_factory=list)
     success: bool = False
     steps: int = 0
@@ -290,11 +315,15 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise
 
 
-def _typed_slots(types: set, what: str):
-    """The slot check of a per-position field whose slots are each of a type
-    in ``types``: it returns what is wrong with the slots, or None."""
+def _typed_slots(name: str, types: set, what: str, size: int | None = None):
+    """The check of a record's list field ``name``, of ``size`` slots if
+    given, whose slots are each of a type in ``types``: it returns what is
+    wrong with the value, or None."""
+    shape = f"a list of {size} items" if size else "a list"
 
-    def fault(slots: list) -> str | None:
+    def fault(slots) -> str | None:
+        if type(slots) is not list or size and len(slots) != size:
+            return f"{name} must be {shape}, got {slots!r}"
         if types.issuperset(map(type, slots)):
             return None
         bad = next(slot for slot in slots if type(slot) not in types)
@@ -303,12 +332,13 @@ def _typed_slots(types: set, what: str):
     return fault
 
 
-# the slot check of each per-position field of a record, which holds one slot
-# per DoF: ids ints or null, tokens ints
+# the check of each list field of a record: the ids hold one slot per DoF,
+# each an int or null, and the fill holds ints; its length is checked
+# against the null slots
 _SLOT_CHECKS = {
-    "draft_ids": _typed_slots({int, type(None)}, "ids must be ints or null"),
-    "true_ids": _typed_slots({int, type(None)}, "ids must be ints or null"),
-    "tokens": _typed_slots({int}, "tokens must be ints"),
+    "draft_ids": _typed_slots("draft_ids", {int, type(None)}, "ids must be ints or null", N_DOF),
+    "true_ids": _typed_slots("true_ids", {int, type(None)}, "ids must be ints or null", N_DOF),
+    "fill": _typed_slots("fill", {int}, "fill tokens must be ints"),
 }
 
 
@@ -317,7 +347,7 @@ def _contradiction(values: list, prev: float) -> str | None:
     (``values``, in field order), or the record before it, whose
     ``kvar_cum`` is ``prev``; None if nothing does. The module
     docstring lists the rules in the order they are checked."""
-    draft_ids, true_ids, tokens, r, kvar_step, kvar_cum, calls, _ = values
+    draft_ids, true_ids, fill, r, kvar_step, kvar_cum, calls = values
     judged = N_DOF  # the drafted positions, which come first
     if None in draft_ids or None in true_ids:
         ids = f"draft_ids {draft_ids!r}, true_ids {true_ids!r}"
@@ -329,25 +359,41 @@ def _contradiction(values: list, prev: float) -> str | None:
             return f"null slots must follow the only rejection to the end, got {ids} at r {r!r}"
         if calls != 1:
             return f"a compensated record must have verify_calls 1, got {calls}"
-    rejections, last = 0, -1
-    for pos, d, t, tok in zip(range(judged), draft_ids, true_ids, tokens):
-        if abs(d - t) <= r:
-            want = d
-        else:
-            want = t
-            rejections += 1
-            last = pos
-        if tok != want:
-            return f"token {pos} must be {want} (ids {d} and {t} at r {r!r}), got {tok}"
-    # each rejection ends a round, and one more follows the last unless it is at slot 6
-    need = rejections + (last != N_DOF - 1)
-    if judged == N_DOF and calls < need:
-        return (
-            f"a record with {rejections} rejections, the last at slot {last}, must have "
-            f"verify_calls >= {need}, got {calls}"
-        )
+    if len(fill) != N_DOF - judged:
+        return f"fill must hold {N_DOF - judged} tokens, one per null slot, got {list(fill)!r}"
+    if judged == N_DOF:
+        rejected = [pos for pos in range(N_DOF) if abs(draft_ids[pos] - true_ids[pos]) > r]
+        last = rejected[-1] if rejected else -1
+        # each rejection ends a round, and one more follows the last unless it is at slot 6
+        need = len(rejected) + (last != N_DOF - 1)
+        if calls < need:
+            return (
+                f"a record with {len(rejected)} rejections, the last at slot {last}, must have "
+                f"verify_calls >= {need}, got {calls}"
+            )
     if kvar_cum != prev + kvar_step:
         return f"record kvar_cum must be the previous {prev!r} plus {kvar_step!r}, got {kvar_cum!r}"
+    return None
+
+
+def _unrunnable(trace: EpisodeTrace, rec: SliceRecord, cooldown: int) -> str | None:
+    """What in a record no run of the trace's header could have decoded
+    after the records before it (``trace.slices``), after which the rebuilt
+    cooldown is ``cooldown``; None if nothing. The module docstring lists
+    the rules in the order they are checked."""
+    mode, previous = trace.mode, trace.slices
+    if rec.comp_fired:
+        if mode != "kerv":
+            return f"a {mode} record cannot be compensated"
+        if not previous:
+            return "the first record cannot be compensated: the filter holds no context"
+        if cooldown:
+            return f"a record cannot be compensated with {cooldown} cooldown slices left"
+    if mode == "naive" and rec.r != 0.0:
+        return f"a naive record must have r 0.0, got {rec.r!r}"
+    if mode == "fixed_relaxed" and previous and rec.r != previous[0].r:
+        first = previous[0].r
+        return f"a fixed_relaxed record must have the first record's r {first!r}, got {rec.r!r}"
     return None
 
 
@@ -382,10 +428,6 @@ def _checked(obj, part: str, checks: tuple, lineno: int) -> list:
     for name, allowed, bounds, slot_fault in checks:
         value = obj[name]
         if slot_fault is not None:
-            if type(value) is not list or len(value) != N_DOF:
-                raise TraceError(
-                    f"line {lineno}: {name} must be a list of {N_DOF} items, got {value!r}"
-                )
             fault = slot_fault(value)
             if fault is not None:
                 raise TraceError(f"line {lineno}: {fault}")
@@ -411,6 +453,7 @@ def loads(text: str) -> EpisodeTrace:
     trace: EpisodeTrace | None = None
     summarized = False
     kvar_cum = 0.0  # the previous record's
+    cooldown = 0  # the rebuilt cooldown after the previous record
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
@@ -449,12 +492,13 @@ def loads(text: str) -> EpisodeTrace:
                 if trace is None:
                     raise TraceError(f"line {lineno}: slice record before episode header")
                 values = _checked(obj, "record", _RECORD_CHECKS, lineno)
-                fault = _contradiction(values, kvar_cum)
+                rec = SliceRecord._make(values)
+                fault = _contradiction(values, kvar_cum) or _unrunnable(trace, rec, cooldown)
                 if fault is not None:
                     raise TraceError(f"line {lineno}: {fault}")
-                rec = SliceRecord._make(values)
                 trace.slices.append(rec)
                 kvar_cum = rec.kvar_cum
+                cooldown = trace.comp_n if rec.comp_fired else max(cooldown - 1, 0)
         except KeyError as exc:
             raise TraceError(f"line {lineno}: record has no {exc.args[0]!r} field") from None
     if trace is None:

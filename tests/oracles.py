@@ -22,7 +22,9 @@ template and the other lines with one encoder), and the trace loader that
 checked slots, then scalar types, then ranges, in three passes, then walks
 each record's slots one at a time for what contradicts the rest of it
 (``reference_trace_loads``; the library counts and compares whole id
-lists, and judges a token at r where this loader judges it at floor(r)),
+lists, and judges a slot at r where this loader judges it at floor(r);
+it finds the cooldown from the last compensated record, where the library
+carries it from record to record),
 a slice decided one draft/verify round at a
 time, with its rounds, first error position and compensation flag
 tracked as it is decided (``reference_decode_slice_sd``; the library
@@ -579,17 +581,18 @@ def reference_run_episode(env, draft, verify, cfg, mode, row=None, *, outcomes=N
         elif cooldown > 0:
             cooldown -= 1
 
+        drafted = N_DOF - result.draft_ids.count(None)
         record = SliceRecord(
             draft_ids=result.draft_ids,
             true_ids=result.true_ids,
-            tokens=result.tokens,
+            fill=result.tokens[drafted:],
             r=r,
             kvar_step=kstep,
             kvar_cum=kvar_cum,
             verify_calls=result.rounds,
-            cooldown_remaining=cooldown,
         )
         assert record.statuses == result.statuses, (env.t, record.statuses, result.statuses)
+        assert record.tokens == result.tokens, (env.t, record.tokens, result.tokens)
         records.append(record)
         if kerv:
             r = threshold_mod.adjust(row, r, prev_kvar, kstep)
@@ -602,6 +605,7 @@ def reference_run_episode(env, draft, verify, cfg, mode, row=None, *, outcomes=N
         robot=cfg.robot,
         trial=env.trial,
         seed=env.spec.seed,
+        comp_n=cfg.comp_n,
         slices=records,
         success=env.succeeded,
         steps=env.t,
@@ -638,8 +642,7 @@ def reference_gripper_states(targets, key):
 # a slice record's fields, written out here rather than read from the
 # record type
 TRACE_RECORD_FIELDS = (
-    "draft_ids", "true_ids", "tokens", "r", "kvar_step", "kvar_cum", "verify_calls",
-    "cooldown_remaining",
+    "draft_ids", "true_ids", "fill", "r", "kvar_step", "kvar_cum", "verify_calls",
 )
 
 
@@ -658,23 +661,24 @@ def reference_trace_dumps(trace):
 # ``reference_trace_loads`` and its helpers are kept as they were written,
 # with their tables copied here. The scalar type tables are written out, as
 # the loader read them from string annotations the record type no longer
-# has. The tables follow the 8-field record, and ``_check_judged`` walks the
-# slots one at a time where the library counts nulls. ``_check_known`` was
-# added later, with the library's rule that a line names no key it does not
-# define; it lists the keys one at a time where the library compares counts.
-# ``_check_compensated``, ``_check_tokens`` and ``_check_kvar_cum`` were
-# added with the library's rules that a record does not contradict itself
-# or the record before it, written from the rules themselves.
-_HEADER_FIELDS = ("suite", "kind", "mode", "robot", "trial", "seed")
+# has. The tables follow the 7-field record and the header that holds the
+# run's comp_n, and ``_check_judged`` walks the slots one at a time where
+# the library counts nulls. ``_check_known`` was added later, with the
+# library's rule that a line names no key it does not define; it lists the
+# keys one at a time where the library compares counts.
+# ``_check_compensated``, ``_check_fill``, ``_check_verify_calls``,
+# ``_check_kvar_cum`` and ``_check_runnable`` were added with the library's
+# rules that a record does not contradict itself, the record before it or
+# what its header's run could decode, written from the rules themselves.
+_HEADER_FIELDS = ("suite", "kind", "mode", "robot", "trial", "seed", "comp_n")
 _SUMMARY_FIELDS = ("success", "steps", "deviation", "plan_steps")
-_SLOT_FIELDS = ("draft_ids", "true_ids", "tokens")
+_SLOT_FIELDS = ("draft_ids", "true_ids", "fill")
 _SLOTS = itemgetter(*_SLOT_FIELDS)
 _TYPE_NAMES = {int: "an int", float: "a float", str: "a string", bool: "a bool"}
 _RANGES = {
-    "episode": (("trial", 0, math.inf, ">= 0"),),
+    "episode": (("trial", 0, math.inf, ">= 0"), ("comp_n", 0, math.inf, ">= 0")),
     "record": (
         ("verify_calls", 1, 7, "in [1, 7]"),
-        ("cooldown_remaining", 0, math.inf, ">= 0"),
         ("r", 0, sys.float_info.max, "finite and >= 0"),
         ("kvar_step", 0, sys.float_info.max, "finite and >= 0"),
         ("kvar_cum", 0, math.inf, ">= 0"),
@@ -688,14 +692,13 @@ _RANGES = {
 _INT, _FLOAT, _STR, _BOOL = {int}, {int, float}, {str}, {bool}
 _HEADER_TYPES = (
     ("suite", _STR), ("kind", _STR), ("mode", _STR), ("robot", _STR), ("trial", _INT),
-    ("seed", _INT),
+    ("seed", _INT), ("comp_n", _INT),
 )
 _SUMMARY_TYPES = (
     ("success", _BOOL), ("steps", _INT), ("deviation", _FLOAT), ("plan_steps", _INT),
 )
 _RECORD_TYPES = (
     ("r", _FLOAT), ("kvar_step", _FLOAT), ("kvar_cum", _FLOAT), ("verify_calls", _INT),
-    ("cooldown_remaining", _INT),
 )
 
 
@@ -713,12 +716,11 @@ def _record_from_dict(d: dict) -> SliceRecord:
     return SliceRecord(
         draft_ids=tuple(d["draft_ids"]),
         true_ids=tuple(d["true_ids"]),
-        tokens=tuple(d["tokens"]),
+        fill=tuple(d["fill"]),
         r=d["r"],
         kvar_step=d["kvar_step"],
         kvar_cum=d["kvar_cum"],
         verify_calls=d["verify_calls"],
-        cooldown_remaining=d["cooldown_remaining"],
     )
 
 
@@ -739,19 +741,22 @@ def _check_scalars(obj, part: str, types: tuple, lineno: int) -> None:
 
 
 def _check_slots(obj: dict, lineno: int) -> None:
-    """Each per-position field a list of 7 slots: ids ints or null, tokens
-    ints."""
+    """Each id field a list of 7 slots, each an int or null, and the fill a
+    list of ints."""
     lists = _SLOTS(obj)
     for name, slots in zip(_SLOT_FIELDS, lists):
-        if type(slots) is not list or len(slots) != 7:
+        if type(slots) is not list:
+            shape = "a list" if name == "fill" else "a list of 7 items"
+            raise TraceError(f"line {lineno}: {name} must be {shape}, got {slots!r}")
+        if name != "fill" and len(slots) != 7:
             raise TraceError(f"line {lineno}: {name} must be a list of 7 items, got {slots!r}")
-    draft_ids, true_ids, tokens = lists
+    draft_ids, true_ids, fill = lists
     for tok in draft_ids + true_ids:
         if type(tok) is not int and tok is not None:
             raise TraceError(f"line {lineno}: ids must be ints or null, got {tok!r}")
-    for tok in tokens:
+    for tok in fill:
         if type(tok) is not int:
-            raise TraceError(f"line {lineno}: tokens must be ints, got {tok!r}")
+            raise TraceError(f"line {lineno}: fill tokens must be ints, got {tok!r}")
 
 
 def _check_known(obj: dict, names: tuple, part: str, lineno: int) -> None:
@@ -800,20 +805,14 @@ def _check_compensated(obj: dict, lineno: int) -> None:
         )
 
 
-def _check_tokens(obj: dict, lineno: int) -> None:
-    """Each drafted slot's token is its draft id when the ids are at most
-    floor(r) apart (distances are ints), and its true id otherwise."""
-    r = obj["r"]
-    for pos in range(7):
-        d, t, tok = obj["draft_ids"][pos], obj["true_ids"][pos], obj["tokens"][pos]
-        if d is None:
-            continue
-        want = t if abs(d - t) > math.floor(r) else d
-        if tok != want:
-            raise TraceError(
-                f"line {lineno}: token {pos} must be {want} (ids {d} and {t} at r {r!r}), "
-                f"got {tok}"
-            )
+def _check_fill(obj: dict, lineno: int) -> None:
+    """The fill holds one token for each slot the filter filled, which has
+    null ids."""
+    nulls = sum(1 for d in obj["draft_ids"] if d is None)
+    if len(obj["fill"]) != nulls:
+        raise TraceError(
+            f"line {lineno}: fill must hold {nulls} tokens, one per null slot, got {obj['fill']!r}"
+        )
 
 
 def _check_verify_calls(obj: dict, lineno: int) -> None:
@@ -840,6 +839,37 @@ def _check_kvar_cum(obj: dict, previous: float, lineno: int) -> None:
         raise TraceError(
             f"line {lineno}: record kvar_cum must be the previous {previous!r} plus "
             f"{obj['kvar_step']!r}, got {obj['kvar_cum']!r}"
+        )
+
+
+def _check_runnable(obj: dict, trace: EpisodeTrace, lineno: int) -> None:
+    """What the header's run could decode after ``trace.slices``: only kerv
+    compensates, and only from a filter that holds a slice and more than
+    comp_n records after its last compensation; naive decodes at r = 0, and
+    fixed_relaxed at one r throughout."""
+    mode, slices, r = trace.mode, trace.slices, obj["r"]
+    if any(d is None for d in obj["draft_ids"]):
+        if mode in ("naive", "fixed_relaxed"):
+            raise TraceError(f"line {lineno}: a {mode} record cannot be compensated")
+        if not slices:
+            raise TraceError(
+                f"line {lineno}: the first record cannot be compensated: the filter holds no "
+                "context"
+            )
+        compensated = [i for i, rec in enumerate(slices) if None in rec.draft_ids]
+        if compensated:
+            since = len(slices) - compensated[-1]  # records since the last compensation
+            if since <= trace.comp_n:
+                raise TraceError(
+                    f"line {lineno}: a record cannot be compensated with "
+                    f"{trace.comp_n - since + 1} cooldown slices left"
+                )
+    if mode == "naive" and r != 0:
+        raise TraceError(f"line {lineno}: a naive record must have r 0.0, got {r!r}")
+    if mode == "fixed_relaxed" and slices and r != slices[0].r:
+        raise TraceError(
+            f"line {lineno}: a fixed_relaxed record must have the first record's r "
+            f"{slices[0].r!r}, got {r!r}"
         )
 
 
@@ -889,10 +919,11 @@ def reference_trace_loads(text: str) -> EpisodeTrace:
                 _check_known(obj, TRACE_RECORD_FIELDS, "record", lineno)
                 _check_judged(obj, lineno)
                 _check_compensated(obj, lineno)
-                _check_tokens(obj, lineno)
+                _check_fill(obj, lineno)
                 _check_verify_calls(obj, lineno)
                 previous = trace.slices[-1].kvar_cum if trace.slices else 0.0
                 _check_kvar_cum(obj, previous, lineno)
+                _check_runnable(obj, trace, lineno)
                 trace.slices.append(_record_from_dict(obj))
         except KeyError as exc:
             raise TraceError(f"line {lineno}: record has no {exc.args[0]!r} field") from None

@@ -18,8 +18,14 @@ digest of the old traces with those keys removed from every line, and the
 report, plot data and table pins did not move. They moved once more when
 records stopped storing their ``statuses``, which each record derives from
 its ids and r: writing every record's derived statuses back into its line
-gives the previous pins (``PINNED_WITH_STATUSES``), and the report, plot
-data and table pins did not move.
+gives the pins before (``PINNED_WITH_STATUSES``), and the report, plot
+data and table pins did not move. They moved once more when a record kept
+only the filter's ``fill`` of its tokens, and the header gained the run's
+``comp_n``: writing every record's derived ``tokens`` and its rebuilt
+``cooldown_remaining`` back into its line, and dropping ``fill`` and the
+header's ``comp_n``, gives the pins before (``PINNED_WITH_TOKENS``), and
+doing that and writing the statuses back gives ``PINNED_WITH_STATUSES``;
+the report, plot data and table pins did not move.
 """
 
 import hashlib
@@ -33,7 +39,7 @@ GOLDEN_TRIALS = 2
 
 PINNED = {
     "report": "a8c7c786437cedaee8c541c8b03d51fc5c7d60ad5db892f5a3ea4dd9bc8e4d86",
-    "traces": "e4f8155763db56b5bb15668b0e9ece33cbc40421552e091296b34679bdb0d11c",
+    "traces": "1ac2c85ab9f9864fca3f789ed0a5f1e6bd49df9a85f782735566b0afd5ef8c7d",
     "plotdata": "2013ff075d4e962e75c9bddd5113aad6d082d1797676904bc617d8d7df1ee18c",
 }
 
@@ -44,7 +50,13 @@ PINNED_TABLES = {
 
 # sha256 of the kerv traces of a GOLDEN_TRIALS run from an equal-bounds
 # table, joined in (suite, mode) order
-PINNED_FIXED_R = "f19d98aaecfdc222affe65e8264a7bd637d0a9845c3795e84c55dc2299a8e181"
+PINNED_FIXED_R = "7e73cbc46616a27e1d65337fc9465de4b530a21814820bb88edc36441fdf1736"
+
+# the two trace pins when each record stored all its tokens and its cooldown
+PINNED_WITH_TOKENS = {
+    "traces": "e4f8155763db56b5bb15668b0e9ece33cbc40421552e091296b34679bdb0d11c",
+    "fixed_r": "f19d98aaecfdc222affe65e8264a7bd637d0a9845c3795e84c55dc2299a8e181",
+}
 
 # the two trace pins when each record also stored its statuses
 PINNED_WITH_STATUSES = {
@@ -92,30 +104,69 @@ def test_golden_equal_bounds_traces(bench_cfg, pre_sample):
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_FIXED_R
 
 
-def _with_statuses(text):
-    """A trace's text with each record's derived statuses written back into
-    its line, as ``json.dumps(..., sort_keys=True)`` wrote the record."""
-    records = iter(loads(text).slices)
+def _cooldowns(trace):
+    """Each record's cooldown after it, rebuilt from the trace: the header's
+    comp_n after a compensated record, one less than the record before's
+    otherwise, down to 0, and 0 before the first."""
+    cooldowns, cooldown = [], 0
+    for rec in trace.slices:
+        cooldown = trace.comp_n if rec.comp_fired else max(cooldown - 1, 0)
+        cooldowns.append(cooldown)
+    return cooldowns
+
+
+def _with_tokens(text, statuses=False):
+    """A trace's text as records wrote it when they stored all their tokens
+    and their cooldown: each record's derived ``tokens`` and rebuilt
+    ``cooldown_remaining`` written back into its line in place of its
+    ``fill``, and with ``statuses`` its derived statuses too; the header
+    without its ``comp_n``. Each line is ``json.dumps(..., sort_keys=True)``
+    of its object, as the trace wrote it."""
+    trace = loads(text)
+    records = iter(zip(trace.slices, _cooldowns(trace)))
     lines = []
     for line in text.splitlines():
         obj = json.loads(line)
-        if "episode" not in obj and "summary" not in obj:
-            line = json.dumps({**obj, "statuses": next(records).statuses}, sort_keys=True)
-        lines.append(line + "\n")
+        if "episode" in obj:
+            del obj["episode"]["comp_n"]
+        elif "summary" not in obj:
+            rec, cooldown = next(records)
+            del obj["fill"]
+            obj.update(tokens=rec.tokens, cooldown_remaining=cooldown)
+            if statuses:
+                obj["statuses"] = rec.statuses
+        lines.append(json.dumps(obj, sort_keys=True) + "\n")
     return "".join(lines)
 
 
-def test_the_trace_pins_moved_only_by_the_statuses(bench_cfg, calib_table, pre_sample, tmp_path):
-    """The golden traces with every record's statuses written back are the
-    traces that stored them, byte for byte: removing that one key is all
-    that moved the pins."""
+def _rewritten_pins(bench_cfg, calib_table, pre_sample, tmp_path, statuses):
+    """The two trace pins of the golden run with ``_with_tokens`` applied to
+    every trace."""
     report, traces = run_suite(bench_cfg, modes=MODES, trials=GOLDEN_TRIALS, table=calib_table)
     emit_results(report, traces, tmp_path)
     for path in (tmp_path / "traces").iterdir():
-        path.write_text(_with_statuses(path.read_text()))
-    text = "".join(map(_with_statuses, _equal_bounds_texts(bench_cfg, pre_sample)))
-    got = {
+        path.write_text(_with_tokens(path.read_text(), statuses))
+    texts = _equal_bounds_texts(bench_cfg, pre_sample)
+    text = "".join(_with_tokens(t, statuses) for t in texts)
+    return {
         "traces": _tree_digest(tmp_path / "traces"),
         "fixed_r": hashlib.sha256(text.encode()).hexdigest(),
     }
+
+
+def test_the_trace_pins_moved_only_by_the_fills(bench_cfg, calib_table, pre_sample, tmp_path):
+    """The golden traces with every record's tokens and cooldown written
+    back, and without the fills and the header's comp_n, are the traces
+    that stored them, byte for byte: that rewrite is all that moved the
+    pins."""
+    got = _rewritten_pins(bench_cfg, calib_table, pre_sample, tmp_path, statuses=False)
+    assert got == PINNED_WITH_TOKENS
+
+
+def test_the_trace_pins_moved_only_by_the_statuses(bench_cfg, calib_table, pre_sample, tmp_path):
+    """The golden traces rewritten as for the pins before the fills, with
+    every record's statuses written back as well, are the traces that
+    stored them, byte for byte: removing that one key is all that moved
+    the pins before."""
+    got = _rewritten_pins(bench_cfg, calib_table, pre_sample, tmp_path, statuses=True)
     assert got == PINNED_WITH_STATUSES

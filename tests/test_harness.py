@@ -38,7 +38,7 @@ from oracles import reference_run_episode
 def make_record(verify=None, comp=False, fep=7, r=0.0):
     """A record at r whose only rejection is at ``fep`` (none at 7), its true
     id one past r from its draft id, after which the filter filled the slice
-    when ``comp``; every other drafted slot is exact. It takes ``verify``
+    with 0s when ``comp``; every other drafted slot is exact. It takes ``verify``
     rounds, by default the fewest its slots allow: one, or two when a
     rejection before slot 6 is not compensated."""
     if verify is None:
@@ -51,20 +51,21 @@ def make_record(verify=None, comp=False, fep=7, r=0.0):
     return SliceRecord(
         draft_ids=(0,) * drafted + filled,
         true_ids=tuple(true_ids[:drafted]) + filled,
-        tokens=tuple(true_ids),
+        fill=(0,) * (7 - drafted),
         r=r,
         kvar_step=0.0,
         kvar_cum=0.0,
         verify_calls=verify,
-        cooldown_remaining=0,
     )
 
 
 def make_trace(records, **kw):
     """A trace of ``records``, read back through the trace loader, so every
-    trace a test builds here is one the loader takes."""
+    trace a test builds here is one the loader takes: a naive one unless
+    ``mode`` says otherwise, as it must where its records compensate or
+    move r."""
     base = dict(
-        suite="s", kind="reach", mode="naive", robot="arm", trial=0, seed=0,
+        suite="s", kind="reach", mode="naive", robot="arm", trial=0, seed=0, comp_n=0,
         success=True, steps=len(records), deviation=0.0, plan_steps=len(records),
     )
     base.update(kw)
@@ -79,10 +80,13 @@ def test_modeled_latency_linear_accumulation():
 
 
 def test_modeled_latency_counts_compensation_round_trip():
+    """The filter holds no context before the first slice, so a
+    compensated slice comes after one that is not."""
     cm = CostModel()
-    trace = make_trace([make_record(comp=True, fep=2)])
-    expected = cm.verify_cost + cm.draft_cost + cm.kf_cost + cm.transfer_cost + cm.adjust_cost
-    assert modeled_latency(trace, cm) == pytest.approx(expected)
+    trace = make_trace([make_record(), make_record(comp=True, fep=2)], mode="kerv")
+    first = cm.verify_cost + cm.draft_cost + cm.adjust_cost
+    compensated = cm.verify_cost + cm.draft_cost + cm.kf_cost + cm.transfer_cost + cm.adjust_cost
+    assert modeled_latency(trace, cm) == pytest.approx(first + compensated)
 
 
 def test_modeled_latency_homogeneous_in_costs():
@@ -95,7 +99,8 @@ def test_modeled_latency_homogeneous_in_costs():
         transfer_cost=2 * cm.transfer_cost,
     )
     trace = make_trace(
-        [make_record(verify=2 - (i % 3 == 0), comp=(i % 3 == 0), fep=2) for i in range(9)]
+        [make_record(verify=2 - (i % 3 == 1), comp=(i % 3 == 1), fep=2) for i in range(9)],
+        mode="kerv",
     )
     assert modeled_latency(trace, doubled) == pytest.approx(2 * modeled_latency(trace, cm))
 
@@ -793,7 +798,9 @@ def test_outputs_do_not_depend_on_a_compensated_sum(monkeypatch):
     key = NormKey(vocab_size=200)
     pre_sample = list(harness.pre_sample(replace(default_config(2), fixed_r=15.0, key=key)))
     table = calibrate(pre_sample, DEFAULT_GRID, key=key).dumps()
-    traces = [make_trace([make_record(r=0.1), make_record(r=0.2), make_record(r=0.3)])]
+    traces = [
+        make_trace([make_record(r=0.1), make_record(r=0.2), make_record(r=0.3)], mode="kerv")
+    ]
     r_mean = harness.mean_r(traces)
 
     env = SimEnv(make_task("reach", 12))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kerv import simenv, specdec, threshold
+from kerv import harness, simenv, specdec, threshold
 from kerv.codec import NormKey, decode_slice, token_to_action
 from kerv.config import RunConfig, default_config
 from kerv.kinematics import KfBank, KfParams, NoContextError
@@ -39,6 +39,7 @@ from oracles import (
     reference_adjust,
     reference_decode_slice_sd,
     reference_run_episode,
+    reference_trace_loads,
 )
 
 KEY = NormKey()
@@ -330,13 +331,32 @@ def test_cooldown_blocks_compensation_for_n_slices():
     blocked = 0
     for i, rec in enumerate(trace.slices):
         if rec.comp_fired:
-            assert rec.cooldown_remaining == 4
+            assert trace.comp_n == 4
             for follow in trace.slices[i + 1 : i + 5]:
                 assert not follow.comp_fired
                 assert None not in follow.statuses
                 blocked += 1
     assert trace.comp_events > 0
     assert blocked > 0
+
+
+@pytest.mark.parametrize("comp_n", [0, 1, 4])
+@pytest.mark.parametrize("fixed_r", [0.0, 3.0, 9.0, 15.0])
+@pytest.mark.parametrize("depth", [1, 2, 4, 7])
+def test_every_trace_the_engine_writes_loads(depth, fixed_r, comp_n, calib_table):
+    """A trial of every suite in every mode, and the pre-sample of the same
+    config, loads in both loaders as the trace it was written from: the
+    loader refuses nothing a run decodes, so its rules on compensation, the
+    cooldown and r hold for the engine."""
+    cfg = replace(default_config(1), depth=depth, fixed_r=fixed_r, comp_n=comp_n)
+    _, traces = harness.run_suite(cfg, table=calib_table)
+    written = [t for ts in traces.values() for t in ts] + list(harness.pre_sample(cfg))
+    assert {t.mode for t in written} == set(MODES)
+    assert any(t.comp_events for t in written)
+    for trace in written:
+        text = trace.dumps()
+        assert loads(text) == trace
+        assert reference_trace_loads(text) == trace
 
 
 def test_naive_mode_never_relaxes_or_compensates():

@@ -291,28 +291,22 @@ def test_table_rejects_an_unquoted_carriage_return():
 
 
 def _record(pairs, kvar_step, kvar_cum, r=15.0):
-    """A record at r of the (draft, true) ``pairs`` from position 0, each
-    token judged from its ids, in the fewest verify calls its rejections
-    allow. The positions after the pairs were filled by the filter when the
-    last pair is rejected (more than r apart), and hold exact (0, 0) pairs
-    otherwise."""
-    pairs = list(pairs)
-    if not pairs or abs(pairs[-1][0] - pairs[-1][1]) <= r:
-        pairs += [(0, 0)] * (7 - len(pairs))
-    compensated = len(pairs) < 7
-    pairs += [(None, None)] * (7 - len(pairs))
-    rejected = [pos for pos, (d, t) in enumerate(pairs) if d is not None and abs(d - t) > r]
+    """A fixed_relaxed record at r of the (draft, true) ``pairs`` from
+    position 0, in the fewest verify calls its rejections allow; the
+    positions after the pairs hold exact (0, 0) pairs. Only kerv
+    compensates, so nothing is filled."""
+    pairs = list(pairs) + [(0, 0)] * (7 - len(pairs))
+    rejected = [pos for pos, (d, t) in enumerate(pairs) if abs(d - t) > r]
     # a round per rejection, and one more unless the last is at slot 6
-    calls = 1 if compensated else len(rejected) + (not rejected or rejected[-1] != 6)
+    calls = len(rejected) + (not rejected or rejected[-1] != 6)
     return SliceRecord(
         draft_ids=tuple(d for d, _ in pairs),
         true_ids=tuple(t for _, t in pairs),
-        tokens=tuple(0 if d is None else d if abs(d - t) <= r else t for d, t in pairs),
+        fill=(),
         r=r,
         kvar_step=kvar_step,
         kvar_cum=kvar_cum,
         verify_calls=calls,
-        cooldown_remaining=0,
     )
 
 
@@ -325,7 +319,7 @@ def _trace(suite, kvar_steps, pairs):
         cum += kv
         slices.append(_record(pairs, kv, cum))
     trace = EpisodeTrace(
-        suite=suite, kind="reach", mode="fixed_relaxed", robot="armX", trial=0, seed=0,
+        suite=suite, kind="reach", mode="fixed_relaxed", robot="armX", trial=0, seed=0, comp_n=0,
         slices=slices, success=True, steps=len(slices), plan_steps=len(slices),
     )
     return loads(trace.dumps())
@@ -383,8 +377,9 @@ def test_calibrate_replay_keeps_r_bounded():
 # (norm key, widest miss, the r its records were judged at) of each key the
 # replay is checked on: the default key; 16 bins over +-0.02, whose bin
 # widths are not dyadic, and whose records are judged at r = 4 so that
-# slices may be filled; and 2**40 ids over ranges that differ per DoF. The
-# misses land on both sides of floor(r) as r walks down from 15.
+# slices may be exact after a rejection; and 2**40 ids over ranges that
+# differ per DoF. The misses land on both sides of floor(r) as r walks down
+# from 15.
 _WIDE_LO = (-0.5, -1.0, -0.25, -3.0, -3.0, -3.0, -1.0)
 _WIDE_HI = (0.5, 1.0, 0.75, 3.0, 3.0, 3.0, 1.0)
 _KEY_CASES = {
@@ -405,17 +400,17 @@ def _position(vocab, widest):
     )
 
 
-def _compensated(pairs, r):
+def _cut(pairs, r):
     """``pairs`` up to their first rejection at r, when it comes before the
-    gripper: ``_record`` leaves the positions after it to the filter."""
+    gripper: ``_record`` makes the positions after it exact."""
     first = next((pos for pos, (d, t) in enumerate(pairs) if abs(d - t) > r), 6)
     return pairs[: first + 1]
 
 
 def _slice_pairs(vocab, widest, r):
-    """Seven pairs, or a compensated slice's drafted pairs."""
+    """Seven pairs, or the pairs up to the first rejection, exact after it."""
     return st.lists(_position(vocab, widest), min_size=7, max_size=7).flatmap(
-        lambda pairs: st.sampled_from([pairs, _compensated(pairs, r)])
+        lambda pairs: st.sampled_from([pairs, _cut(pairs, r)])
     )
 
 
@@ -438,6 +433,7 @@ def _traces(draw, case=_KEY_CASES["default"]):
             slices.append(_record(templates[i], kvar_step, cum, r))
         trace = EpisodeTrace(
             suite="t", kind="reach", mode="fixed_relaxed", robot="armX", trial=trial, seed=0,
+            comp_n=0,
             slices=slices, success=trial % 2 == 0, steps=len(slices),
         )
         traces.append(loads(trace.dumps()))
@@ -484,9 +480,11 @@ def test_judged_masses_match_a_walk_that_adds_each_accepted_miss(keyed):
                 if d is not None and d != t
             ]
             assert misses == len(pairs)
-            assert thresholds == sorted(abs(d - t) for _, d, t in pairs) + [math.inf] * (7 - misses)
+            # a slice keeps its own distances, and a mass for each count 0..misses of them
+            assert thresholds == sorted(abs(d - t) for _, d, t in pairs)
+            assert len(masses) == misses + 1
             # r = 0 accepts no miss, and r at each distinct distance the misses up to it
-            for r in [0.0] + sorted(set(thresholds[:misses])):
+            for r in [0.0] + sorted(set(thresholds)):
                 want = 0.0
                 for pos, d, t in pairs:
                     if abs(d - t) <= r:
@@ -560,7 +558,7 @@ def test_calibrate_judges_each_miss_once(monkeypatch):
     """Each (task, robot) group is judged once, however many traces it has,
     and each candidate replays that judgement once; the replay moves r
     without ``adjust``."""
-    # the last pair is rejected, so the filter filled the positions after it
+    # the last pair is rejected, and the positions after it are exact
     pairs = [(100, 108), (30, 27), (7, 7), (200, 240)]
     kvars = [0.05, 0.3, 0.1, 0.5, 0.2, 0.0, 0.3]
     traces = [

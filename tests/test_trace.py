@@ -25,47 +25,55 @@ _seven = lambda elem: st.lists(elem, min_size=7, max_size=7).map(tuple)  # noqa:
 
 
 @st.composite
-def _records(draw, kvar_cum=0.0):
-    """A record after one whose ``kvar_cum`` is ``kvar_cum``, which the
-    loader takes: each token its draft id within r and its true id past r,
-    at least as many verify calls as its rejections need, and, when a
-    rejection before the gripper comes first, the slots after it may be
-    filled (null ids, any token, one verify call). Two largest
-    variabilities in a row overflow ``kvar_cum``."""
+def _records(draw, kvar_cum=0.0, r=None, compensable=False):
+    """A record after one whose ``kvar_cum`` is ``kvar_cum``, at ``r`` or
+    at a drawn r, which the loader takes: at least as many verify calls as
+    its rejections need, and, when ``compensable`` and a rejection before
+    the gripper comes first, the slots after it may be filled (null ids, a
+    fill token for each, one verify call). Two largest variabilities in a
+    row overflow ``kvar_cum``."""
     draft_ids, true_ids = list(draw(_seven(_id))), list(draw(_seven(_id)))
-    r = draw(_nonneg)
-    tokens = [d if abs(d - t) <= r else t for d, t in zip(draft_ids, true_ids)]
+    r = draw(_nonneg) if r is None else r
     rejected = [pos for pos, (d, t) in enumerate(zip(draft_ids, true_ids)) if abs(d - t) > r]
     # a round per rejection, and one more unless the last is at slot 6
     fewest = len(rejected) + (not rejected or rejected[-1] != 6)
     verify_calls = draw(st.integers(fewest, 7))
-    if rejected and rejected[0] < 6 and draw(st.booleans(), label="compensated"):
+    fill = ()
+    if compensable and rejected and rejected[0] < 6 and draw(st.booleans(), label="compensated"):
         filled = rejected[0] + 1
         draft_ids[filled:] = true_ids[filled:] = [None] * (7 - filled)
-        tokens[filled:] = draw(st.lists(_id, min_size=7 - filled, max_size=7 - filled))
+        fill = tuple(draw(st.lists(_id, min_size=7 - filled, max_size=7 - filled)))
         verify_calls = 1
     kvar_step = draw(_nonneg | st.just(sys.float_info.max))
     return SliceRecord(
         draft_ids=tuple(draft_ids),
         true_ids=tuple(true_ids),
-        tokens=tuple(tokens),
+        fill=fill,
         r=r,
         kvar_step=kvar_step,
         kvar_cum=kvar_cum + kvar_step,
         verify_calls=verify_calls,
-        cooldown_remaining=draw(st.integers(0, 5)),
     )
 
 
 @st.composite
 def _episodes(draw):
-    slices = []
+    """A trace the loader takes: a naive one at r = 0 and a fixed_relaxed
+    one at one r, neither compensating, or a kerv one at any r per record,
+    which may compensate after its first record once no cooldown runs."""
+    mode = draw(st.sampled_from(MODES))
+    comp_n = draw(st.integers(0, 3))
+    r = {"naive": 0.0, "fixed_relaxed": draw(_nonneg), "kerv": None}[mode]
+    slices, cooldown = [], 0
     for _ in range(draw(st.integers(0, 6), label="records")):
-        slices.append(draw(_records(slices[-1].kvar_cum if slices else 0.0)))
+        compensable = mode == "kerv" and bool(slices) and cooldown == 0
+        rec = draw(_records(slices[-1].kvar_cum if slices else 0.0, r, compensable))
+        cooldown = comp_n if rec.comp_fired else max(cooldown - 1, 0)
+        slices.append(rec)
     return EpisodeTrace(
-        suite="goal", kind="reach", mode=draw(st.sampled_from(["naive", "kerv"])),
-        robot="sim7dof", trial=draw(st.integers(0, 99)), seed=draw(st.integers(0, 2**40)),
-        slices=slices, success=draw(st.booleans()), steps=len(slices),
+        suite="goal", kind="reach", mode=mode, robot="sim7dof", trial=draw(st.integers(0, 99)),
+        seed=draw(st.integers(0, 2**40)), comp_n=comp_n, slices=slices,
+        success=draw(st.booleans()), steps=len(slices),
         deviation=draw(_nonneg | st.just(math.inf)), plan_steps=draw(st.integers(0, 500)),
     )
 
@@ -120,7 +128,8 @@ def test_loads_agrees_with_the_reference_loader_on_a_mutated_line(how, trace, da
             for i, obj in enumerate(objs)
             for part in [obj.get("episode") or obj.get("summary") or obj]
             for name in sorted(part)
-            if types is None or type(part[name]) in types
+            # an empty fill has no slot to mutate
+            if types is None or type(part[name]) in types and part[name] != []
         ]
         assume(fields)
         i, part, name = data.draw(st.sampled_from(fields), label="field")
@@ -130,7 +139,7 @@ def test_loads_agrees_with_the_reference_loader_on_a_mutated_line(how, trace, da
         elif how == "6 or 8 slots":
             part[name] = (part[name] * 2)[:value]
         elif how == "an unknown or mistyped slot":
-            part[name][data.draw(st.integers(0, 6), label="slot")] = value
+            part[name][data.draw(st.integers(0, len(part[name]) - 1), label="slot")] = value
         elif how == "an unknown key":
             # on the header or summary object, or on the line that holds it
             data.draw(st.sampled_from([part, objs[i]]), label="object")[value] = 0
@@ -158,21 +167,24 @@ def test_record_fields_keep_their_order_and_cannot_be_assigned():
             setattr(rec, name, getattr(rec, name))
 
 
-# a compensated record: slot 0 exact, slot 1 rejected at r = 9, the rest filled
-_COMPENSATED = SliceRecord(
-    draft_ids=(1, 2, None, None, None, None, None),
-    true_ids=(1, 20, None, None, None, None, None),
-    tokens=(1, 20, 1, 1, 1, 1, 1), r=9.0, kvar_step=0.0, kvar_cum=0.0, verify_calls=1,
-    cooldown_remaining=4,
+# slot 0 exact and slot 1 rejected at r = 9: resampled in two verify calls...
+_RESAMPLED = SliceRecord(
+    draft_ids=(1, 2, 1, 1, 1, 1, 1), true_ids=(1, 20, 1, 1, 1, 1, 1), fill=(), r=9.0,
+    kvar_step=0.0, kvar_cum=0.0, verify_calls=2,
+)
+# ...or compensated: the rest filled in one
+_COMPENSATED = _RESAMPLED._replace(
+    draft_ids=(1, 2) + (None,) * 5, true_ids=(1, 20) + (None,) * 5, fill=(1,) * 5,
+    verify_calls=1,
 )
 
 
-def _episode_text(n=3, slices=None):
-    """A trace of ``slices``, or of ``n`` copies of ``_COMPENSATED``, which
+def _episode_text(n=3, slices=None, mode="kerv", comp_n=0):
+    """A trace of ``slices``, or of ``n`` copies of ``_RESAMPLED``, which
     has no variability, so its lines can be dropped or repeated."""
-    slices = [_COMPENSATED] * n if slices is None else slices
+    slices = [_RESAMPLED] * n if slices is None else slices
     return EpisodeTrace(
-        suite="goal", kind="reach", mode="naive", robot="sim7dof", trial=0, seed=1,
+        suite="goal", kind="reach", mode=mode, robot="sim7dof", trial=0, seed=1, comp_n=comp_n,
         slices=slices, success=True, steps=len(slices), plan_steps=len(slices),
     ).dumps()
 
@@ -230,8 +242,8 @@ def test_record_of_the_fourteen_field_format_is_refused():
     (``first_error_pos``, ``sources``, ``comp_fired``), its index (``step``)
     and a copy of its verify calls (``draft_calls``), as records once did, is
     refused by name, and so is one of the nine-field format, which stored
-    only its statuses beside today's fields; so is a summary that stores its
-    ``comp_events``. Without them the stream loads."""
+    only its statuses beside the eight fields that followed; so is a summary
+    that stores its ``comp_events``. Without them the stream loads."""
     lines = _episode_text().splitlines(keepends=True)
     statuses = {"statuses": ["exact", "rejected"] + [None] * 5}
     old_fields = {
@@ -254,6 +266,34 @@ def test_record_of_the_fourteen_field_format_is_refused():
         with pytest.raises(TraceError, match=re.escape(summary_message)):
             load_text("".join(lines[:-1]) + old_summary + "\n")
         assert load_text("".join(lines)).steps == 3
+
+
+def test_a_record_or_header_of_the_eight_field_format_is_refused():
+    """A record that stores all its ``tokens`` and its ``cooldown_remaining``
+    and no ``fill``, as records did before the fills were all they kept, is
+    refused for the field it lacks, and so is a header without the run's
+    ``comp_n``; with the field it lacks beside them, both are refused by
+    the keys they no longer define."""
+    lines = _episode_text().splitlines(keepends=True)
+    rec = {**json.loads(lines[2]), "tokens": [1, 20, 1, 1, 1, 1, 1], "cooldown_remaining": 0}
+    header = json.loads(lines[0])
+    header["episode"]["cooldown_n"] = header["episode"].pop("comp_n")
+    old_record = {key: value for key, value in rec.items() if key != "fill"}
+    cases = [
+        (
+            lines[:2] + [json.dumps(old_record) + "\n"] + lines[3:],
+            "line 3: record has no 'fill' field",
+        ),
+        ([json.dumps(header) + "\n"] + lines[1:], "line 1: record has no 'comp_n' field"),
+        (
+            lines[:2] + [json.dumps(rec) + "\n"] + lines[3:],
+            "line 3: record has unknown keys ['cooldown_remaining', 'tokens']",
+        ),
+    ]
+    for load_text in (loads, reference_trace_loads):
+        for text, message in cases:
+            with pytest.raises(TraceError, match=re.escape(message)):
+                load_text("".join(text))
 
 
 @pytest.mark.parametrize(
@@ -280,14 +320,15 @@ def test_header_or_summary_with_a_key_it_does_not_define_is_trace_error(lineno, 
         ("draft_ids", [1, 2]),
         ("true_ids", None),
         ("draft_ids", "relaxed"),  # seven characters, but not a list
-        ("tokens", [1] * 8),
+        ("fill", 5),  # the fill is a list of any length, checked against the null slots
     ],
 )
 def test_record_whose_slot_field_is_not_seven_items_is_trace_error(field, value):
     lines = _episode_text().splitlines(keepends=True)
     rec = json.loads(lines[2])
     rec[field] = value
-    with pytest.raises(TraceError, match=f"line 3: {field} must be a list of 7 items"):
+    shape = "a list" if field == "fill" else "a list of 7 items"
+    with pytest.raises(TraceError, match=f"line 3: {field} must be {shape}, got "):
         loads("".join(lines[:2]) + json.dumps(rec) + "\n" + "".join(lines[3:]))
 
 
@@ -314,6 +355,7 @@ def _with(lines, lineno, part, field, value):
         (1, "episode", "suite", 3, "a string"),
         (1, "episode", "trial", "0", "an int"),
         (1, "episode", "seed", True, "an int"),
+        (1, "episode", "comp_n", 4.0, "an int"),
         (3, None, "r", "9", "a float or an int"),
         (3, None, "kvar_step", "0.1", "a float or an int"),
         (3, None, "kvar_cum", None, "a float or an int"),
@@ -361,7 +403,6 @@ def test_infinite_deviation_loads(value):
         ("verify_calls", 0, "in [1, 7]"),
         ("verify_calls", 8, "in [1, 7]"),
         ("verify_calls", 50, "in [1, 7]"),
-        ("cooldown_remaining", -1, ">= 0"),
         ("r", -1.0, "finite and >= 0"),
         ("r", math.inf, "finite and >= 0"),
         ("kvar_step", -5.0, "finite and >= 0"),
@@ -381,6 +422,7 @@ def test_record_value_out_of_range_is_trace_error(field, value, need):
     "lineno, part, field, value",
     [
         (1, "episode", "trial", -1),
+        (1, "episode", "comp_n", -1),
         (5, "summary", "steps", -3),
         (5, "summary", "plan_steps", -3),
         (5, "summary", "deviation", -1e-300),
@@ -432,35 +474,36 @@ def test_integral_number_in_a_float_field_loads():
         ("draft_ids", "1", "ids must be ints or null, got '1'"),
         ("true_ids", True, "ids must be ints or null, got True"),
         ("draft_ids", 1.0, "ids must be ints or null, got 1.0"),
-        ("tokens", None, "tokens must be ints, got None"),
-        ("tokens", False, "tokens must be ints, got False"),
+        ("fill", None, "fill tokens must be ints, got None"),
+        ("fill", False, "fill tokens must be ints, got False"),
         ("true_ids", "exact", "ids must be ints or null, got 'exact'"),  # a status, not an id
         ("draft_ids", [2], "ids must be ints or null, got [2]"),
     ],
 )
 def test_slot_outside_its_type_or_set_is_trace_error(field, slot, message):
     lines = _episode_text().splitlines(keepends=True)
-    slots = json.loads(lines[2])[field]
+    # an empty fill gets seven slots: its slots' types are checked before their count
+    slots = json.loads(lines[2])[field] or [0] * 7
     slots[4] = slot
     with pytest.raises(TraceError, match="^line 3: " + re.escape(message)):
         loads(_with(lines, 3, None, field, slots))
 
 
-def _record(draft_ids, true_ids, tokens=None, *, r=0.0, kvar_step=0.0, kvar_cum=None):
-    """A one-round record of the given ids at r, its tokens judged from them
-    unless given, first in its trace unless ``kvar_cum`` is given."""
-    if tokens is None:
-        tokens = tuple(
-            0 if d is None else d if abs(d - t) <= r else t for d, t in zip(draft_ids, true_ids)
-        )
+def _record(draft_ids, true_ids, fill=None, *, r=0.0, kvar_step=0.0, kvar_cum=None):
+    """A one-round record of the given ids at r, with a fill token 0 for
+    each null draft id unless ``fill`` is given, first in its trace unless
+    ``kvar_cum`` is given."""
+    if fill is None:
+        fill = (0,) * draft_ids.count(None)
     kvar_cum = kvar_step if kvar_cum is None else kvar_cum
-    return SliceRecord(draft_ids, true_ids, tokens, r, kvar_step, kvar_cum, 1, 0)
+    return SliceRecord(draft_ids, true_ids, fill, r, kvar_step, kvar_cum, 1)
 
 
-def _refusal(slices):
+def _refusal(slices, **header):
     """The ``TraceError`` message that both loaders give for a trace of
-    ``slices``; the two must agree."""
-    text = _episode_text(slices=slices)
+    ``slices`` (``_episode_text``'s header, with ``header`` set); the two
+    must agree."""
+    text = _episode_text(slices=slices, **header)
     with pytest.raises(TraceError) as got:
         loads(text)
     with pytest.raises(TraceError) as reference:
@@ -485,28 +528,31 @@ def test_ids_null_at_different_slots_is_trace_error(draft_ids, true_ids):
     """Only a slot the filter filled has null ids, and it has both: a record
     that says otherwise is refused with its line, so no metric reads a
     drafted slot without its ids or counts a fill that has one."""
-    rec = _record(draft_ids, true_ids, (0,) * 7, r=9.0)
+    rec = _record(draft_ids, true_ids, r=9.0)
     message = "line 2: draft_ids and true_ids must be null at the same slots, got draft_ids "
     assert _refusal([rec]).startswith(message)
 
 
 @pytest.mark.parametrize(
-    "draft_ids, true_ids, r, tokens, want",
+    "draft_ids, true_ids, fill, nulls",
     [
-        # the status the record once stored said exact: d = 5, t = 9 at r = 0
-        ((5,) + (1,) * 6, (9,) + (1,) * 6, 0.0, (5,) + (1,) * 6, "token 0 must be 9"),
-        # within r the draft id stands, and past r the true id
-        ((1, 5) + (1,) * 5, (1, 9) + (1,) * 5, 4.0, (1, 9) + (1,) * 5, "token 1 must be 5"),
-        ((1, 5) + (1,) * 5, (1, 9) + (1,) * 5, 3.9, (1, 5) + (1,) * 5, "token 1 must be 9"),
-        # a compensated slice's rejected slot holds the true id
-        ((1, 2) + _FILLED, (1, 20) + _FILLED, 9.0, (1, 2) + (0,) * 5, "token 1 must be 20"),
+        # a fill with no null slot: nothing was filled
+        ((1,) * 7, (1,) * 7, (3,), 0),
+        ((5,) * 7, (9,) * 7, (1,) * 7, 0),
+        # a null slot more or fewer than fill tokens
+        ((1, 2) + _FILLED, (1, 20) + _FILLED, (0,) * 4, 5),
+        ((1, 2) + _FILLED, (1, 20) + _FILLED, (0,) * 6, 5),
+        ((1, 2) + _FILLED, (1, 20) + _FILLED, (), 5),
     ],
 )
-def test_a_token_that_is_not_its_draft_id_within_r_or_its_true_id_past_it_is_trace_error(
-    draft_ids, true_ids, r, tokens, want
-):
-    message = _refusal([_record(draft_ids, true_ids, tokens, r=r)])
-    assert message.startswith(f"line 2: {want} (ids ")
+def test_a_fill_that_is_not_a_token_per_null_slot_is_trace_error(draft_ids, true_ids, fill, nulls):
+    """A record stores the filter's fills and nothing else of its tokens:
+    a fill token for every null slot, and no other, so the tokens it
+    derives are seven."""
+    rec = _record(draft_ids, true_ids, fill, r=9.0)
+    assert _refusal([_RESAMPLED, rec]) == (
+        f"line 3: fill must hold {nulls} tokens, one per null slot, got {list(fill)!r}"
+    )
 
 
 @pytest.mark.parametrize(
@@ -532,7 +578,7 @@ def test_null_slots_that_are_not_one_run_after_the_only_rejection_are_trace_erro
 @pytest.mark.parametrize("calls", [2, 3, 7])
 def test_compensated_record_with_more_than_one_verify_call_is_trace_error(calls):
     rec = _COMPENSATED._replace(verify_calls=calls)
-    assert _refusal([_COMPENSATED, rec]) == (
+    assert _refusal([_RESAMPLED, rec]) == (
         f"line 3: a compensated record must have verify_calls 1, got {calls}"
     )
 
@@ -598,22 +644,101 @@ def test_kvar_cum_that_overflows_loads():
 def test_what_a_record_derives_from_its_statuses():
     """A record's statuses are ``relaxed_accept`` of its ids at its r, null
     where the filter filled; its first error position and compensation flag
-    follow from its ids and r as from those statuses."""
-    trace = loads(_episode_text())
-    rec = trace.slices[0]
+    follow from its ids and r as from those statuses, and its tokens are
+    each drafted slot's draft id within r and true id past r, then its
+    fill."""
+    trace = loads(_episode_text(slices=[_RESAMPLED, _COMPENSATED, _COMPENSATED]))
+    rec = trace.slices[1]
     assert rec.statuses == ("exact", "rejected") + (None,) * 5
-    assert (rec.first_error_pos, rec.comp_fired, trace.comp_events) == (1, True, 3)
+    assert rec.tokens == (1, 20, 1, 1, 1, 1, 1)
+    assert (rec.first_error_pos, rec.comp_fired, trace.comp_events) == (1, True, 2)
+    assert trace.slices[0].tokens == (1, 20, 1, 1, 1, 1, 1)
     ids = (1, 2, 3, 4, 5, 6, 7)
-    judged = rec._replace(draft_ids=ids, true_ids=(1, 3, 13, 14, 15, 16, 17), r=1.0)
+    judged = rec._replace(draft_ids=ids, true_ids=(1, 3, 13, 14, 15, 16, 17), fill=(), r=1.0)
     assert judged.statuses == ("exact", "relaxed") + ("rejected",) * 5
+    assert judged.tokens == (1, 2, 13, 14, 15, 16, 17)
     assert (judged.first_error_pos, judged.comp_fired) == (2, False)
     # r = 9.99 accepts what floor(r) = 9 does: distance 10 is rejected, 9 is not
     wider = judged._replace(true_ids=(1, 3, 3, 4, 5, 6, 17), r=9.99)
     assert wider.statuses == ("exact", "relaxed") + ("exact",) * 4 + ("rejected",)
+    assert wider.tokens == (1, 2, 3, 4, 5, 6, 17)
     assert wider.first_error_pos == 6
-    clean = rec._replace(draft_ids=ids, true_ids=ids)
+    clean = judged._replace(true_ids=ids)
     assert clean.statuses == ("exact",) * 7
+    assert clean.tokens == ids
     assert (clean.first_error_pos, clean.comp_fired) == (7, False)
+
+
+@pytest.mark.parametrize(
+    "mode, comp_n, slices, message",
+    [
+        # a fixed_relaxed trace that compensates on its first record and on the next
+        (
+            "fixed_relaxed", 0, [_COMPENSATED] * 2,
+            "line 2: a fixed_relaxed record cannot be compensated",
+        ),
+        (
+            "naive", 0, [_RESAMPLED._replace(r=0.0), _COMPENSATED._replace(r=0.0)],
+            "line 3: a naive record cannot be compensated",
+        ),
+        (
+            "kerv", 0, [_COMPENSATED, _RESAMPLED],
+            "line 2: the first record cannot be compensated: the filter holds no context",
+        ),
+        (
+            "kerv", 1, [_RESAMPLED, _COMPENSATED, _COMPENSATED],
+            "line 4: a record cannot be compensated with 1 cooldown slices left",
+        ),
+        (
+            "kerv", 4, [_RESAMPLED, _COMPENSATED, _RESAMPLED, _RESAMPLED, _COMPENSATED],
+            "line 6: a record cannot be compensated with 2 cooldown slices left",
+        ),
+    ],
+)
+def test_a_compensation_the_run_could_not_have_made_is_trace_error(mode, comp_n, slices, message):
+    """Only kerv compensates, from a filter that holds the slices before it,
+    and a compensation starts comp_n slices that resample: the cooldown is
+    rebuilt from the compensated records and the header's comp_n, so a
+    trace that compensates where its run could not is refused with its
+    line."""
+    assert _refusal(slices, mode=mode, comp_n=comp_n) == message
+
+
+@pytest.mark.parametrize(
+    "mode, slices, message",
+    [
+        # a naive trace at r = 5 with a relaxed slot
+        (
+            "naive", [_rejected_at((), 1), _record((5,) * 7, (9,) * 7, r=5.0)],
+            "line 3: a naive record must have r 0.0, got 5.0",
+        ),
+        (
+            "fixed_relaxed", [_RESAMPLED, _RESAMPLED, _RESAMPLED._replace(r=15.0)],
+            "line 4: a fixed_relaxed record must have the first record's r 9.0, got 15.0",
+        ),
+    ],
+)
+def test_a_threshold_the_mode_could_not_have_decoded_at_is_trace_error(mode, slices, message):
+    """naive decodes strictly, at r = 0, and fixed_relaxed at one r."""
+    assert _refusal(slices, mode=mode) == message
+
+
+@pytest.mark.parametrize("comp_n", [0, 1, 4])
+def test_compensations_the_cooldown_allows_load(comp_n):
+    """A kerv trace that compensates on its second record and again once
+    comp_n records have resampled loads in both loaders, as do a naive
+    trace at r = 0 (or the int 0) and a fixed_relaxed one at r = 9 (or the
+    int 9)."""
+    slices = [_RESAMPLED, _COMPENSATED] + [_RESAMPLED] * comp_n + [_COMPENSATED]
+    cases = [
+        ("kerv", slices),
+        ("naive", [_RESAMPLED._replace(r=0.0), _RESAMPLED._replace(r=0)]),
+        ("fixed_relaxed", [_RESAMPLED, _RESAMPLED._replace(r=9)]),
+    ]
+    for mode, trace_slices in cases:
+        text = _episode_text(slices=trace_slices, mode=mode, comp_n=comp_n)
+        assert loads(text) == reference_trace_loads(text)
+        assert loads(text).slices == trace_slices
 
 
 def test_non_object_line_is_trace_error():
@@ -648,16 +773,16 @@ _NEAR_2_52 = (2**52 - 1, 2**52 - 2, 0, 1, 2**51, 3, 2**52 - 7)
     "rec",
     [
         # ids near 2**52, a negative zero and a float that repr writes in 17 digits
-        SliceRecord(_NEAR_2_52, _NEAR_2_52[::-1], _NEAR_2_52, -0.0, 0.1 + 0.2, 1e-300, 7, 0),
+        SliceRecord(_NEAR_2_52, _NEAR_2_52[::-1], (), -0.0, 0.1 + 0.2, 1e-300, 7),
         # null slots: the filter filled the positions after a rejection
         SliceRecord(
             (4, 9, None, None, None, None, None), (4, 7, None, None, None, None, None),
-            (4, 7, 1, 2, 3, 4, 5), 1.0, 0.0, 2.5e16, 1, 4,
+            (1, 2, 3, 4, 5), 1.0, 0.0, 2.5e16, 1,
         ),
         # an infinite kvar_cum, as a run whose variability overflows writes it
-        SliceRecord((1,) * 7, (1,) * 7, (1,) * 7, 15.0, 0.0, math.inf, 2, 0),
+        SliceRecord((1,) * 7, (1,) * 7, (), 15.0, 0.0, math.inf, 2),
         # ints where floats go, as a hand-written trace loads them
-        SliceRecord((2,) * 7, (3,) * 7, (2,) * 7, 15, 0, 0, 2, 0),
+        SliceRecord((2,) * 7, (3,) * 7, (), 15, 0, 0, 2),
     ],
     ids=["big_ids", "null_slots", "infinite_kvar_cum", "int_floats"],
 )
@@ -665,7 +790,7 @@ def test_record_line_is_the_sorted_json_of_its_fields(rec):
     """Whether a record's line comes from the template or from the JSON
     encoder, it is ``json.dumps`` of its field dict with sorted keys."""
     trace = EpisodeTrace(
-        suite="goal", kind="reach", mode="kerv", robot="sim7dof", trial=0, seed=1,
+        suite="goal", kind="reach", mode="kerv", robot="sim7dof", trial=0, seed=1, comp_n=0,
         slices=[rec, rec], steps=2,
     )
     lines = trace.dumps().splitlines()
