@@ -38,6 +38,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import islice
@@ -64,6 +65,21 @@ DEFAULT_GRID: tuple[tuple[float, float], ...] = tuple(
 
 class ThresholdConfigError(ValueError):
     """Raised for unknown table keys, bad bounds, or empty calibration input."""
+
+
+# a table's numeric field: an ASCII decimal literal, or a spelling of nan or
+# inf, which ``float`` reads and the row refuses as not finite; ``float``
+# alone also takes underscores, surrounding whitespace and non-ASCII digits
+_NUMBER = re.compile(
+    r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|(?i:nan|inf|infinity))", re.ASCII
+)
+
+
+def _number(name: str, text: str) -> float:
+    """The value of a table's numeric field ``name``, written as ``text``."""
+    if not _NUMBER.fullmatch(text):
+        raise ThresholdConfigError(f"{name} must be a decimal number, got {text!r}")
+    return float(text)
 
 
 @dataclass(frozen=True)
@@ -175,7 +191,7 @@ class CalibrationTable:
             if (task, robot) in table.rows:
                 raise ThresholdConfigError(f"{where}: second row for ({task!r}, {robot!r})")
             try:
-                row = CalibrationRow(*map(float, rec[2:]))
+                row = CalibrationRow(*map(_number, cls.HEADER[2:], rec[2:]))
             except ValueError as exc:  # a ThresholdConfigError is one too
                 raise ThresholdConfigError(f"{where}: {exc}") from None
             table.rows[(task, robot)] = row

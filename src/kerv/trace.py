@@ -35,22 +35,37 @@ floats left to right, so a total does not move with the interpreter's
 The summary line is required: ``loads`` rejects a stream without one, with
 a second header, with a record after the summary, or whose slice count
 differs from the summary's ``steps``, so a truncated file never reaches
-the metrics. A line that is not a JSON object is rejected with its line
-number. ``loads`` checks each header, record and summary in one pass over
-its fields (``_checked``), which reads each field once and takes the
-field's JSON types from its annotation (``_JSON_TYPES``) and its range from
-``_RANGES``; the first fault in field order is reported. A field is at
-fault when it is missing or holds a value of the wrong JSON type: a scalar
-of another type (an int field refuses ``true``/``false`` and ``1.0``; a
-float field takes an integer), an id field that is not a list of 7 slots,
-a fill that is not a list, an id that is not an int or ``null``, a fill
-token that is not an int, or the constant ``NaN`` (``Infinity`` loads: an
-overflowing deviation is written as one); or when it holds a value outside
-its range: a negative trial, comp_n, step count or deviation, or a record
-value outside its bounds (``verify_calls`` in [1, 7]: depth 1 with every
-position rejected is 7 rounds). A header, record or summary that holds a
-key it does not define is refused once its fields pass, with the unknown
-keys sorted; so is a header or summary line with a key besides
+the metrics. Each line is decoded once, by ``_DECODER.raw_decode``; a line
+it does not read to its end goes to ``_DECODER.decode``, which takes
+surrounding whitespace and words the error of a malformed line. A line
+that is not a JSON object is rejected with its line number. A header or
+summary is checked as it is read (``_checked``). Record lines are kept and
+judged together once the lines stop (``_judged``): at the end of the
+stream, or at an error of a later line (a malformed or non-object line, a
+second header, a faulty summary), which the first refused record raises
+ahead of. Each rule below judges a whole column of the records at once,
+and only the records before the first that an earlier rule refused; so
+the record refused is the first that any rule refuses, with the message of
+the first rule it fails, as when records were judged one at a time. A
+column is float64 only where it holds its values exactly (a float field
+whose values are all floats, ids all below 2**52 in size); otherwise it
+holds the Python values, so an int past float precision compares and adds
+as Python does, and a record keeps the decoded values.
+
+A header, record or summary is refused for the first of its fields, in
+field order, that is missing or holds a value of the wrong JSON type, or
+else holds a value outside its range. The types come from the field's
+annotation (``_JSON_TYPES``) and the ranges from ``_RANGES``. A wrong type
+is a scalar of another type (an int field refuses ``true``/``false`` and
+``1.0``; a float field takes an integer), an id field that is not a list
+of 7 slots, a fill that is not a list, an id that is not an int or
+``null``, a fill token that is not an int, or the constant ``NaN``
+(``Infinity`` loads: an overflowing deviation is written as one). A value
+out of range is a negative trial, comp_n, step count or deviation, or a
+record value outside its bounds (``verify_calls`` in [1, 7]: depth 1 with
+every position rejected is 7 rounds). A header, record or summary that
+holds a key it does not define is refused once its fields pass, with the
+unknown keys sorted; so is a header or summary line with a key besides
 ``episode`` or ``summary``, before the object it holds is read. So a
 record of an older format, which also stored statuses or what they give,
 or all its tokens and its cooldown and no fill, never loads, and neither
@@ -58,35 +73,38 @@ does a header without comp_n. A header mode outside ``MODES`` or kind
 outside ``simenv.KINDS`` is rejected after its fields.
 
 A record whose fields pass is then refused where it contradicts itself or
-the record before it (``_contradiction``), by the first of these rules:
-its two id lists are not null at the same slots; its null slots are not
-one run to the end that starts right after its only rejection; it has
-null slots and ``verify_calls`` is not 1 (a compensated slice is one
-round); its fill does not hold one token per null slot; it has no null
-slots and ``verify_calls`` is below its rejections plus one, where the one
-is dropped if the last rejection is at slot 6 (each rejection ends a
-round, and one more round follows the last rejection unless no slot is
-left; depth 7 takes the fewest rounds); or its ``kvar_cum`` is not the
-previous record's (0.0 before the first) plus its ``kvar_step``, exactly,
-as both decoders add them. It is then refused where no run of its header
-could have decoded it after the records before it (``_unrunnable``), by
-the first of these rules: it is compensated, and its mode is ``naive`` or
-``fixed_relaxed`` (only ``kerv`` compensates), or it is the first record
-(the filter holds no context before the first slice), or the cooldown
-rebuilt after the record before it is above 0; a ``naive`` record's r is
-not 0.0; or a ``fixed_relaxed`` record's r is not the first record's.
-``load`` puts the file's path in front of the error, as it does for a file
-that is not UTF-8 text. Traces and calibration tables are written
-atomically (a temporary file in the target directory, then
-``os.replace``), so a reader sees the old file or the whole new one.
+the record before it, by the first of these rules: its two id lists are
+not null at the same slots; its null slots are not one run to the end
+that starts right after its only rejection; it has null slots and
+``verify_calls`` is not 1 (a compensated slice is one round); its fill
+does not hold one token per null slot; it has no null slots and
+``verify_calls`` is below its rejections plus one, where the one is
+dropped if the last rejection is at slot 6 (each rejection ends a round,
+and one more round follows the last rejection unless no slot is left;
+depth 7 takes the fewest rounds); or its ``kvar_cum`` is not the previous
+record's (0.0 before the first) plus its ``kvar_step``, exactly, as both
+decoders add them. It is then refused where no run of its header could
+have decoded it after the records before it, by the first of these rules:
+it is compensated, and its mode is ``naive`` or ``fixed_relaxed`` (only
+``kerv`` compensates), or it is the first record (the filter holds no
+context before the first slice), or the cooldown rebuilt after the record
+before it is above 0; a ``naive`` record's r is not 0.0; or a
+``fixed_relaxed`` record's r is not the first record's. ``load`` puts the
+file's path in front of the error, as it does for a file that is not
+UTF-8 text. Traces and calibration tables are written atomically (a
+temporary file in the target directory, then ``os.replace``), so a reader
+sees the old file or the whole new one.
 """
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .codec import N_DOF
 from .simenv import KINDS
@@ -315,100 +333,28 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise
 
 
-def _typed_slots(name: str, types: set, what: str, size: int | None = None):
-    """The check of a record's list field ``name``, of ``size`` slots if
-    given, whose slots are each of a type in ``types``: it returns what is
-    wrong with the value, or None."""
-    shape = f"a list of {size} items" if size else "a list"
+# where a record lacks a field, its column holds this
+_MISSING = object()
 
-    def fault(slots) -> str | None:
-        if type(slots) is not list or size and len(slots) != size:
-            return f"{name} must be {shape}, got {slots!r}"
-        if types.issuperset(map(type, slots)):
-            return None
-        bad = next(slot for slot in slots if type(slot) not in types)
-        return f"{what}, got {bad!r}"
-
-    return fault
-
-
-# the check of each list field of a record: the ids hold one slot per DoF,
-# each an int or null, and the fill holds ints; its length is checked
-# against the null slots
-_SLOT_CHECKS = {
-    "draft_ids": _typed_slots("draft_ids", {int, type(None)}, "ids must be ints or null", N_DOF),
-    "true_ids": _typed_slots("true_ids", {int, type(None)}, "ids must be ints or null", N_DOF),
-    "fill": _typed_slots("fill", {int}, "fill tokens must be ints"),
+# each list field of a record: the JSON types of its slots, how many it
+# holds (None: any; the fill's length is checked against the null slots)
+# and what its slots must be
+_SLOT_FIELDS = {
+    "draft_ids": ({int, type(None)}, N_DOF, "ids must be ints or null"),
+    "true_ids": ({int, type(None)}, N_DOF, "ids must be ints or null"),
+    "fill": ({int}, None, "fill tokens must be ints"),
 }
 
 
-def _contradiction(values: list, prev: float) -> str | None:
-    """What contradicts the rest of a record whose fields passed
-    (``values``, in field order), or the record before it, whose
-    ``kvar_cum`` is ``prev``; None if nothing does. The module
-    docstring lists the rules in the order they are checked."""
-    draft_ids, true_ids, fill, r, kvar_step, kvar_cum, calls = values
-    judged = N_DOF  # the drafted positions, which come first
-    if None in draft_ids or None in true_ids:
-        ids = f"draft_ids {draft_ids!r}, true_ids {true_ids!r}"
-        if any((d is None) is not (t is None) for d, t in zip(draft_ids, true_ids)):
-            return f"draft_ids and true_ids must be null at the same slots, got {ids}"
-        judged = draft_ids.index(None)
-        rejected = [pos for pos in range(judged) if abs(draft_ids[pos] - true_ids[pos]) > r]
-        if rejected != [judged - 1] or draft_ids.count(None) != N_DOF - judged:
-            return f"null slots must follow the only rejection to the end, got {ids} at r {r!r}"
-        if calls != 1:
-            return f"a compensated record must have verify_calls 1, got {calls}"
-    if len(fill) != N_DOF - judged:
-        return f"fill must hold {N_DOF - judged} tokens, one per null slot, got {list(fill)!r}"
-    if judged == N_DOF:
-        rejected = [pos for pos in range(N_DOF) if abs(draft_ids[pos] - true_ids[pos]) > r]
-        last = rejected[-1] if rejected else -1
-        # each rejection ends a round, and one more follows the last unless it is at slot 6
-        need = len(rejected) + (last != N_DOF - 1)
-        if calls < need:
-            return (
-                f"a record with {len(rejected)} rejections, the last at slot {last}, must have "
-                f"verify_calls >= {need}, got {calls}"
-            )
-    if kvar_cum != prev + kvar_step:
-        return f"record kvar_cum must be the previous {prev!r} plus {kvar_step!r}, got {kvar_cum!r}"
-    return None
-
-
-def _unrunnable(trace: EpisodeTrace, rec: SliceRecord, cooldown: int) -> str | None:
-    """What in a record no run of the trace's header could have decoded
-    after the records before it (``trace.slices``), after which the rebuilt
-    cooldown is ``cooldown``; None if nothing. The module docstring lists
-    the rules in the order they are checked."""
-    mode, previous = trace.mode, trace.slices
-    if rec.comp_fired:
-        if mode != "kerv":
-            return f"a {mode} record cannot be compensated"
-        if not previous:
-            return "the first record cannot be compensated: the filter holds no context"
-        if cooldown:
-            return f"a record cannot be compensated with {cooldown} cooldown slices left"
-    if mode == "naive" and rec.r != 0.0:
-        return f"a naive record must have r 0.0, got {rec.r!r}"
-    if mode == "fixed_relaxed" and previous and rec.r != previous[0].r:
-        first = previous[0].r
-        return f"a fixed_relaxed record must have the first record's r {first!r}, got {rec.r!r}"
-    return None
-
-
 def _checks(cls, part: str, names) -> tuple:
-    """(field, accepted JSON types, range, slot check) of each named field of
-    ``cls``, in order. A scalar takes its types from its annotation
-    (``_JSON_TYPES``; this module evaluates its annotations, so they are
-    types) and its (lowest, highest, the range in words) from ``_RANGES``,
-    or None; a per-position field has only its slot check."""
+    """(field, accepted JSON types, range) of each named field of ``cls``,
+    in order. A scalar takes its types from its annotation (``_JSON_TYPES``;
+    this module evaluates its annotations, so they are types) and its
+    (lowest, highest, the range in words) from ``_RANGES``, or None; a list
+    field has neither (``_SLOT_FIELDS``)."""
     ranges = {name: bounds for name, *bounds in _RANGES[part]}
     return tuple(
-        (name, None, None, _SLOT_CHECKS[name])
-        if name in _SLOT_CHECKS
-        else (name, _JSON_TYPES[cls.__annotations__[name]], ranges.get(name), None)
-        for name in names
+        (name, _JSON_TYPES.get(cls.__annotations__[name]), ranges.get(name)) for name in names
     )
 
 
@@ -417,60 +363,258 @@ _RECORD_CHECKS = _checks(SliceRecord, "record", SliceRecord._fields)
 _SUMMARY_CHECKS = _checks(EpisodeTrace, "summary", _SUMMARY_FIELDS)
 
 
+def _fault(part: str, name: str, allowed, bounds, value) -> str | None:
+    """What is wrong with ``value`` as field ``name`` of a line's ``part``,
+    checked as ``_checks`` gives it: missing, then its type, then its range
+    (a list field: its shape, then its slots' types); or None."""
+    if value is _MISSING:
+        return f"record has no {name!r} field"
+    if allowed is None:
+        types, size, what = _SLOT_FIELDS[name]
+        if type(value) is not list or size and len(value) != size:
+            shape = f"a list of {size} items" if size else "a list"
+            return f"{name} must be {shape}, got {value!r}"
+        bad = [slot for slot in value if type(slot) not in types]
+        return f"{what}, got {bad[0]!r}" if bad else None
+    if type(value) not in allowed:
+        what = " or ".join(sorted(_TYPE_NAMES[t] for t in allowed))
+        return f"{part} {name} must be {what}, got {value!r}"
+    if bounds is not None and not bounds[0] <= value <= bounds[1]:
+        return f"{part} {name} must be {bounds[2]}, got {value!r}"
+    return None
+
+
+def _unknown_keys(obj: dict, names, part: str) -> str:
+    """What names, sorted, the keys of ``obj`` outside ``names``."""
+    unknown = sorted(set(obj).difference(names))
+    return f"{part} has unknown keys {unknown}"
+
+
 def _checked(obj, part: str, checks: tuple, lineno: int) -> list:
-    """The fields of a line's ``part`` in ``checks`` order, each read once
-    and checked: a scalar of an accepted type and in its range, a
-    per-position field a list of 7 slots that pass its slot check (returned
-    as a tuple)."""
+    """The fields of a header's or summary's ``part`` in ``checks`` order,
+    each read once and checked (``_fault``)."""
     if type(obj) is not dict:
         raise TraceError(f"line {lineno}: {part} must be a JSON object, got {obj!r}")
     values = []
-    for name, allowed, bounds, slot_fault in checks:
-        value = obj[name]
-        if slot_fault is not None:
-            fault = slot_fault(value)
-            if fault is not None:
-                raise TraceError(f"line {lineno}: {fault}")
-            value = tuple(value)
-        elif type(value) not in allowed:
-            what = " or ".join(sorted(_TYPE_NAMES[t] for t in allowed))
-            raise TraceError(f"line {lineno}: {part} {name} must be {what}, got {value!r}")
-        elif bounds is not None and not bounds[0] <= value <= bounds[1]:
-            raise TraceError(f"line {lineno}: {part} {name} must be {bounds[2]}, got {value!r}")
+    for name, allowed, bounds in checks:
+        value = obj.get(name, _MISSING)
+        fault = _fault(part, name, allowed, bounds, value)
+        if fault is not None:
+            raise TraceError(f"line {lineno}: {fault}")
         values.append(value)
     if len(obj) != len(checks):  # every field was found, so the rest are unknown
-        raise _unknown_keys(obj, [check[0] for check in checks], part, lineno)
+        unknown = _unknown_keys(obj, [check[0] for check in checks], part)
+        raise TraceError(f"line {lineno}: {unknown}")
     return values
 
 
-def _unknown_keys(obj: dict, names, part: str, lineno: int) -> TraceError:
-    """The error that names, sorted, the keys of ``obj`` outside ``names``."""
-    unknown = sorted(set(obj).difference(names))
-    return TraceError(f"line {lineno}: {part} has unknown keys {unknown}")
+def _numbers(values: list, types: set) -> np.ndarray:
+    """A float field's column: float64 when every value is a float, which
+    it holds exactly, else the Python values, so ints compare and add as
+    the JSON gave them."""
+    return np.array(values, dtype=np.float64 if types == {float} else object)
+
+
+def _ids(lists: list) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of ``lists`` (id lists of 7 ints or nulls, draft rows then
+    true rows) as one array of rows with 0 where an id is null, and its
+    null mask. The ids are float64 where every one is below 2**52 in size,
+    so a difference of two is exact, else the Python ints."""
+    flat = list(chain.from_iterable(lists))
+    try:
+        ids = np.array(flat, dtype=np.float64).reshape(-1, N_DOF)  # a null is nan
+        null = np.isnan(ids)
+        ids[null] = 0.0
+        exact = np.abs(ids).max(initial=0.0) < 2.0**52
+    except OverflowError:  # an id past the float range
+        exact = False
+    if not exact:
+        ids = np.array(flat, dtype=object).reshape(-1, N_DOF)
+        null = np.equal(ids, None)
+        ids[null] = 0
+    return ids, null
+
+
+def _plus(a, b):
+    """``a + b``, or the OverflowError that Python raises adding an int past
+    the float range and a float."""
+    try:
+        return a + b
+    except OverflowError as exc:
+        return exc
+
+
+def _judged(objs: list, linenos: list, mode: str, comp_n: int) -> list[SliceRecord]:
+    """The records of a trace's record objects ``objs``, on lines
+    ``linenos``, of a header's ``mode`` and ``comp_n``. Each rule judges
+    every record at once, in the order the module docstring lists, and only
+    the records before the first that an earlier rule refused: so the first
+    record any rule refuses raises, with its first rule's message."""
+    limit, message = len(objs), None  # the records before limit pass every rule so far
+
+    def refuse(bad, word) -> None:
+        """Refuse the first record before limit that ``bad`` marks, with
+        ``word(i)`` for record i."""
+        nonlocal limit, message
+        hits = np.flatnonzero(bad[:limit])
+        if hits.size:
+            limit = int(hits[0])
+            message = word(limit)
+
+    # the fields, in field order: found, of a JSON type, in range, each
+    # tested over its column and walked only to find a fault
+    cols, kinds = [], []
+    for name, allowed, bounds in _RECORD_CHECKS:
+        col = list(map(dict.get, objs[:limit], repeat(name), repeat(_MISSING)))
+        kind = set(map(type, col))
+        if allowed is None:
+            types, size, _ = _SLOT_FIELDS[name]
+            ok = (
+                kind <= {list}
+                and (size is None or set(map(len, col)) <= {size})
+                and types.issuperset(map(type, chain.from_iterable(col)))
+            )
+        else:
+            ok = kind <= allowed and (
+                bounds is None or not col or bounds[0] <= min(col) and max(col) <= bounds[1]
+            )
+        if not ok:
+            faults = [_fault("record", name, allowed, bounds, value) for value in col]
+            refuse([fault is not None for fault in faults], faults.__getitem__)
+        cols.append(col)
+        kinds.append(kind)
+    names = SliceRecord._fields
+    sizes = list(map(len, objs[:limit]))
+    if max(sizes, default=0) > len(names):  # every field was found, so the rest are unknown
+        bad = [size > len(names) for size in sizes]
+        refuse(bad, lambda i: _unknown_keys(objs[i], names, "record"))
+
+    n = limit
+    drafted, truth, fill, r, kvar_step, kvar_cum, calls = cols = [col[:n] for col in cols]
+    ids, null = _ids(drafted + truth)
+    draft_null, true_null = null[:n], null[n:]
+    r_col = _numbers(r, kinds[3])
+    dist = np.abs(ids[:n] - ids[n:])  # 0 at a null slot
+    rejected = dist > r_col[:, None]
+    nulls = draft_null.sum(axis=1)
+    comp = nulls > 0
+    n_calls = np.array(calls, dtype=np.int64)  # in [1, 7]
+
+    def both(i: int) -> str:
+        return f"draft_ids {tuple(drafted[i])!r}, true_ids {tuple(truth[i])!r}"
+
+    # what contradicts the rest of a record, or the record before it
+    if null.any():
+        refuse(
+            (draft_null != true_null).any(axis=1),
+            lambda i: f"draft_ids and true_ids must be null at the same slots, got {both(i)}",
+        )
+        judged = np.where(comp, draft_null.argmax(axis=1), N_DOF)  # the drafted slots come first
+        before = np.arange(N_DOF) < judged[:, None]
+        last_judged = rejected[np.arange(n), judged - 1]
+        one_run = ((rejected & before).sum(axis=1) == 1) & last_judged & (nulls == N_DOF - judged)
+        refuse(
+            comp & ~one_run,
+            lambda i: (
+                f"null slots must follow the only rejection to the end, got {both(i)} "
+                f"at r {r[i]!r}"
+            ),
+        )
+        refuse(
+            comp & (n_calls != 1),
+            lambda i: f"a compensated record must have verify_calls 1, got {calls[i]}",
+        )
+    refuse(
+        np.fromiter(map(len, fill), np.intp, n) != nulls,
+        lambda i: f"fill must hold {nulls[i]} tokens, one per null slot, got {fill[i]!r}",
+    )
+    # each rejection ends a round, and one more follows the last unless it is at slot 6
+    need = rejected.sum(axis=1) + ~rejected[:, -1]
+
+    def too_few(i: int) -> str:
+        slots = np.flatnonzero(rejected[i])
+        last = int(slots[-1]) if slots.size else -1
+        return (
+            f"a record with {slots.size} rejections, the last at slot {last}, must have "
+            f"verify_calls >= {need[i]}, got {calls[i]}"
+        )
+
+    refuse(~comp & (n_calls < need), too_few)
+    cums = _numbers(kvar_cum, kinds[5])
+    previous = np.concatenate(([0.0], cums[:-1]))  # of cums' dtype, 0.0 before the first
+    add = np.frompyfunc(_plus, 2, 1) if cums.dtype == object else np.add
+    with np.errstate(over="ignore"):  # a float sum past the float range is inf
+        sums = add(previous, _numbers(kvar_step, kinds[4]))
+
+    def off_chain(i: int):
+        if isinstance(sums[i], OverflowError):
+            return sums[i]  # raised as Python raises it
+        return (
+            f"record kvar_cum must be the previous {kvar_cum[i - 1] if i else 0.0!r} plus "
+            f"{kvar_step[i]!r}, got {kvar_cum[i]!r}"
+        )
+
+    refuse(cums != sums, off_chain)
+
+    # what no run of the header could have decoded after the records before it
+    if mode != "kerv":
+        refuse(comp, lambda i: f"a {mode} record cannot be compensated")
+    else:
+        first = "the first record cannot be compensated: the filter holds no context"
+        refuse(comp[:1], lambda i: first)
+        # the cooldown a compensation starts is over comp_n + 1 records after it
+        at = np.flatnonzero(comp)
+        gaps = np.diff(at)
+        close = np.zeros(n, dtype=bool)
+        close[at[1:]] = gaps <= min(comp_n, n)
+        gap = dict(zip(at[1:].tolist(), gaps.tolist()))
+        refuse(close, lambda i: (
+            f"a record cannot be compensated with {comp_n + 1 - gap[i]} cooldown slices left"
+        ))
+    if mode == "naive":
+        refuse(r_col != 0.0, lambda i: f"a naive record must have r 0.0, got {r[i]!r}")
+    if mode == "fixed_relaxed":
+        refuse(r_col != r_col[:1], lambda i: (
+            f"a fixed_relaxed record must have the first record's r {r[0]!r}, got {r[i]!r}"
+        ))
+    if message is not None:
+        if isinstance(message, Exception):
+            raise message
+        raise TraceError(f"line {linenos[limit]}: {message}")
+    # ``SliceRecord._make`` of each record's values, without its length check
+    fields = zip(map(tuple, drafted), map(tuple, truth), map(tuple, fill), *cols[3:])
+    return list(map(tuple.__new__, repeat(SliceRecord), fields))
 
 
 def loads(text: str) -> EpisodeTrace:
     trace: EpisodeTrace | None = None
     summarized = False
-    kvar_cum = 0.0  # the previous record's
-    cooldown = 0  # the rebuilt cooldown after the previous record
+    objs, linenos = [], []  # each record line's object and number, judged once the lines stop
+    stop = None  # the line-level error that stops the lines
+    raw_decode, decode = _DECODER.raw_decode, _DECODER.decode
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
         try:
-            obj = _DECODER.decode(raw)
-        except ValueError as exc:  # malformed JSON, or NaN
-            raise TraceError(f"line {lineno}: not a JSON record ({exc})") from None
-        if not isinstance(obj, dict):
-            raise TraceError(f"line {lineno}: not a JSON object")
-        if summarized:
-            raise TraceError(f"line {lineno}: record after the summary line")
-        try:
+            try:
+                obj, end = raw_decode(raw)
+            except ValueError:
+                end = -1
+            if end != len(raw):  # not one JSON value that fills the line
+                if not raw.strip():
+                    continue
+                try:
+                    obj = decode(raw)
+                except ValueError as exc:  # malformed JSON, or NaN
+                    raise TraceError(f"line {lineno}: not a JSON record ({exc})") from None
+            if not isinstance(obj, dict):
+                raise TraceError(f"line {lineno}: not a JSON object")
+            if summarized:
+                raise TraceError(f"line {lineno}: record after the summary line")
             if "episode" in obj:
                 if trace is not None:
                     raise TraceError(f"line {lineno}: second episode header")
                 if len(obj) != 1:
-                    raise _unknown_keys(obj, ("episode",), "episode line", lineno)
+                    unknown = _unknown_keys(obj, ("episode",), "episode line")
+                    raise TraceError(f"line {lineno}: {unknown}")
                 values = _checked(obj["episode"], "episode", _HEADER_CHECKS, lineno)
                 m = dict(zip(_HEADER_FIELDS, values))
                 for name, known in (("mode", MODES), ("kind", KINDS)):
@@ -483,24 +627,24 @@ def loads(text: str) -> EpisodeTrace:
                 if trace is None:
                     raise TraceError(f"line {lineno}: summary before episode header")
                 if len(obj) != 1:
-                    raise _unknown_keys(obj, ("summary",), "summary line", lineno)
+                    unknown = _unknown_keys(obj, ("summary",), "summary line")
+                    raise TraceError(f"line {lineno}: {unknown}")
                 values = _checked(obj["summary"], "summary", _SUMMARY_CHECKS, lineno)
                 for name, value in zip(_SUMMARY_FIELDS, values):
                     setattr(trace, name, value)
                 summarized = True
+            elif trace is None:
+                raise TraceError(f"line {lineno}: slice record before episode header")
             else:
-                if trace is None:
-                    raise TraceError(f"line {lineno}: slice record before episode header")
-                values = _checked(obj, "record", _RECORD_CHECKS, lineno)
-                rec = SliceRecord._make(values)
-                fault = _contradiction(values, kvar_cum) or _unrunnable(trace, rec, cooldown)
-                if fault is not None:
-                    raise TraceError(f"line {lineno}: {fault}")
-                trace.slices.append(rec)
-                kvar_cum = rec.kvar_cum
-                cooldown = trace.comp_n if rec.comp_fired else max(cooldown - 1, 0)
-        except KeyError as exc:
-            raise TraceError(f"line {lineno}: record has no {exc.args[0]!r} field") from None
+                objs.append(obj)
+                linenos.append(lineno)
+        except TraceError as exc:
+            stop = exc
+            break
+    if objs:  # a record refused ahead of a later line's error
+        trace.slices = _judged(objs, linenos, trace.mode, trace.comp_n)
+    if stop is not None:
+        raise stop
     if trace is None:
         raise TraceError("empty trace stream")
     if not summarized:

@@ -19,12 +19,13 @@ slice, every token pair decoded again per candidate, zero-padded action
 slices compared over all seven positions, one ``json.dumps(...,
 sort_keys=True)`` per trace line (the library writes records from a
 template and the other lines with one encoder), and the trace loader that
-checked slots, then scalar types, then ranges, in three passes, then walks
-each record's slots one at a time for what contradicts the rest of it
-(``reference_trace_loads``; the library counts and compares whole id
-lists, and judges a slot at r where this loader judges it at floor(r);
-it finds the cooldown from the last compensated record, where the library
-carries it from record to record),
+judges each line as it reads it: a record's slots, then its scalar types,
+then its ranges, in three passes, then its slots one at a time for what
+contradicts the rest of it, and its cooldown from the last compensated
+record (``reference_trace_loads``; the library keeps a trace's record
+lines until the lines stop and judges each rule once over the columns of
+all of them, ids and floats in float64 arrays where these hold them
+exactly, and judges a slot at r where this loader judges it at floor(r)),
 a slice decided one draft/verify round at a
 time, with its rounds, first error position and compensation flag
 tracked as it is decided (``reference_decode_slice_sd``; the library

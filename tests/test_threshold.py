@@ -185,6 +185,31 @@ def test_table_rejects_non_numeric_field():
         CalibrationTable.loads(_HEADER_LINE + _ROW.replace("0.7", "wide"))
 
 
+@pytest.mark.parametrize(
+    "r_max", ["1_0", " 10", "10 ", "\u0661\u0660", "0x10", "1e1_0", "10.0.0", "", "+-10"]
+)
+def test_table_rejects_a_number_that_is_not_an_ascii_decimal_literal(r_max):
+    """``float`` reads an underscore, surrounding whitespace and Arabic-Indic
+    digits, but a table writes none of them: the field is refused by name
+    with its line, where it once loaded as 10.0."""
+    row = _ROW.replace("15.0", r_max)
+    message = f"calibration table line 2: r_max must be a decimal number, got {r_max!r}"
+    with pytest.raises(ThresholdConfigError, match=f"^{re.escape(message)}$"):
+        CalibrationTable.loads(_HEADER_LINE + row)
+
+
+@pytest.mark.parametrize("r_max", ["70", "1e1", "15.", ".5e2", "+15.0", "1.5E+1"])
+def test_table_takes_every_decimal_literal(r_max):
+    row = lookup(CalibrationTable.loads(_HEADER_LINE + _ROW.replace("15.0", r_max)), "goal", "sim7dof")
+    assert row.r_max == float(r_max)
+
+
+@pytest.mark.parametrize("r_max", ["nan", "-inf", "Infinity", "NaN"])
+def test_table_refuses_a_spelling_of_nan_or_inf_as_not_finite(r_max):
+    with pytest.raises(ThresholdConfigError, match="^calibration table line 2: every numeric field must be finite$"):
+        CalibrationTable.loads(_HEADER_LINE + _ROW.replace("15.0", r_max))
+
+
 def test_table_rejects_duplicate_key():
     with pytest.raises(ThresholdConfigError, match="second row for \\('goal', 'sim7dof'\\)"):
         CalibrationTable.loads(_HEADER_LINE + _ROW + _ROW.replace("1.0", "2.0", 1))

@@ -3,14 +3,16 @@ mutated streams, partial streams, atomic saves."""
 
 import json
 import math
+import operator
 import re
 import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from kerv import config
+from kerv import config, harness
+from kerv.config import default_config
 from kerv.simenv import KINDS
 from kerv.trace import MODES, EpisodeTrace, SliceRecord, TraceError, load, loads
 from oracles import TRACE_RECORD_FIELDS, reference_trace_dumps, reference_trace_loads
@@ -25,14 +27,14 @@ _seven = lambda elem: st.lists(elem, min_size=7, max_size=7).map(tuple)  # noqa:
 
 
 @st.composite
-def _records(draw, kvar_cum=0.0, r=None, compensable=False):
+def _records(draw, kvar_cum=0.0, r=None, compensable=False, ids=_id):
     """A record after one whose ``kvar_cum`` is ``kvar_cum``, at ``r`` or
-    at a drawn r, which the loader takes: at least as many verify calls as
-    its rejections need, and, when ``compensable`` and a rejection before
-    the gripper comes first, the slots after it may be filled (null ids, a
-    fill token for each, one verify call). Two largest variabilities in a
-    row overflow ``kvar_cum``."""
-    draft_ids, true_ids = list(draw(_seven(_id))), list(draw(_seven(_id)))
+    at a drawn r, of ``ids``, which the loader takes: at least as many
+    verify calls as its rejections need, and, when ``compensable`` and a
+    rejection before the gripper comes first, the slots after it may be
+    filled (null ids, a fill token for each, one verify call). Two largest
+    variabilities in a row overflow ``kvar_cum``."""
+    draft_ids, true_ids = list(draw(_seven(ids))), list(draw(_seven(ids)))
     r = draw(_nonneg) if r is None else r
     rejected = [pos for pos, (d, t) in enumerate(zip(draft_ids, true_ids)) if abs(d - t) > r]
     # a round per rejection, and one more unless the last is at slot 6
@@ -57,17 +59,18 @@ def _records(draw, kvar_cum=0.0, r=None, compensable=False):
 
 
 @st.composite
-def _episodes(draw):
-    """A trace the loader takes: a naive one at r = 0 and a fixed_relaxed
-    one at one r, neither compensating, or a kerv one at any r per record,
-    which may compensate after its first record once no cooldown runs."""
+def _episodes(draw, ids=_id):
+    """A trace of ``ids`` the loader takes: a naive one at r = 0 and a
+    fixed_relaxed one at one r, neither compensating, or a kerv one at any
+    r per record, which may compensate after its first record once no
+    cooldown runs."""
     mode = draw(st.sampled_from(MODES))
     comp_n = draw(st.integers(0, 3))
     r = {"naive": 0.0, "fixed_relaxed": draw(_nonneg), "kerv": None}[mode]
     slices, cooldown = [], 0
     for _ in range(draw(st.integers(0, 6), label="records")):
         compensable = mode == "kerv" and bool(slices) and cooldown == 0
-        rec = draw(_records(slices[-1].kvar_cum if slices else 0.0, r, compensable))
+        rec = draw(_records(slices[-1].kvar_cum if slices else 0.0, r, compensable, ids))
         cooldown = comp_n if rec.comp_fired else max(cooldown - 1, 0)
         slices.append(rec)
     return EpisodeTrace(
@@ -105,48 +108,49 @@ _FIELD_MUTATIONS = {
 _LINE_MUTATIONS = ["a non-object line", "a second header"]
 
 
-@pytest.mark.parametrize("how", sorted(_FIELD_MUTATIONS) + _LINE_MUTATIONS)
-@given(trace=_episodes(), data=st.data())
-@settings(max_examples=25, deadline=None)
-def test_loads_agrees_with_the_reference_loader_on_a_mutated_line(how, trace, data):
-    """One line of a valid trace is mutated: one field as ``_FIELD_MUTATIONS``
-    says (or a key added beside it), the line replaced by a non-object, or a
-    second header inserted after it. Both loaders return equal traces, or
-    both raise ``TraceError`` with the same message."""
-    lines = trace.dumps().splitlines(keepends=True)
+def _mutate(lines, how, data, lo, hi):
+    """Mutate one of ``lines`` (each ending in a newline) with its index in
+    [lo, hi), in place: one field as ``_FIELD_MUTATIONS`` says (or a key
+    added beside it), the line replaced by a non-object, or a second header
+    inserted after it. Returns the index drawn."""
     if how in _LINE_MUTATIONS:
-        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        i = data.draw(st.integers(lo, hi - 1), label="line")
         if how == "a second header":
             lines.insert(i + 1, lines[0])
         else:
             lines[i] = data.draw(st.sampled_from(["[1, 2]\n", '"episode"\n', "7\n", "null\n"]))
+        return i
+    types, values = _FIELD_MUTATIONS[how]
+    objs = {i: json.loads(lines[i]) for i in range(lo, hi)}
+    fields = [
+        (i, part, name)
+        for i, obj in objs.items()
+        for part in [obj.get("episode") or obj.get("summary") or obj]
+        for name in sorted(part)
+        # an empty fill has no slot to mutate
+        if types is None or type(part[name]) in types and part[name] != []
+    ]
+    assume(fields)
+    i, part, name = data.draw(st.sampled_from(fields), label="field")
+    value = data.draw(st.sampled_from(values), label="value")
+    if how == "drop the field":
+        del part[name]
+    elif how == "6 or 8 slots":
+        part[name] = (part[name] * 2)[:value]
+    elif how == "an unknown or mistyped slot":
+        part[name][data.draw(st.integers(0, len(part[name]) - 1), label="slot")] = value
+    elif how == "an unknown key":
+        # on the header or summary object, or on the line that holds it
+        data.draw(st.sampled_from([part, objs[i]]), label="object")[value] = 0
     else:
-        types, values = _FIELD_MUTATIONS[how]
-        objs = [json.loads(line) for line in lines]
-        fields = [
-            (i, part, name)
-            for i, obj in enumerate(objs)
-            for part in [obj.get("episode") or obj.get("summary") or obj]
-            for name in sorted(part)
-            # an empty fill has no slot to mutate
-            if types is None or type(part[name]) in types and part[name] != []
-        ]
-        assume(fields)
-        i, part, name = data.draw(st.sampled_from(fields), label="field")
-        value = data.draw(st.sampled_from(values), label="value")
-        if how == "drop the field":
-            del part[name]
-        elif how == "6 or 8 slots":
-            part[name] = (part[name] * 2)[:value]
-        elif how == "an unknown or mistyped slot":
-            part[name][data.draw(st.integers(0, len(part[name]) - 1), label="slot")] = value
-        elif how == "an unknown key":
-            # on the header or summary object, or on the line that holds it
-            data.draw(st.sampled_from([part, objs[i]]), label="object")[value] = 0
-        else:
-            part[name] = value
-        lines[i] = json.dumps(objs[i]) + "\n"
-    text = "".join(lines)
+        part[name] = value
+    lines[i] = json.dumps(objs[i]) + "\n"
+    return i
+
+
+def _agree(text):
+    """Both loaders return equal traces for ``text``, or both raise
+    ``TraceError`` with the same message."""
     try:
         expected = reference_trace_loads(text)
     except TraceError as exc:
@@ -157,6 +161,56 @@ def test_loads_agrees_with_the_reference_loader_on_a_mutated_line(how, trace, da
         got = loads(text)
         assert got == expected
         assert got.dumps() == expected.dumps()
+
+
+@pytest.mark.parametrize("how", sorted(_FIELD_MUTATIONS) + _LINE_MUTATIONS)
+@given(trace=_episodes(), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_loads_agrees_with_the_reference_loader_on_a_mutated_line(how, trace, data):
+    """One line of a valid trace is mutated (``_mutate``). Both loaders
+    return equal traces, or both raise ``TraceError`` with the same
+    message."""
+    lines = trace.dumps().splitlines(keepends=True)
+    _mutate(lines, how, data, 0, len(lines))
+    _agree("".join(lines))
+
+
+@pytest.fixture(scope="module")
+def engine_trace(calib_table):
+    """A kerv trace of the object suite's first trial: 100 or more records,
+    some compensated."""
+    cfg = default_config(1)
+    suite = next(suite for suite in cfg.suites if suite.name == "object")
+    trace = harness.run_one_episode(cfg, suite, "kerv", 0, calib_table)
+    assert len(trace.slices) >= 100 and trace.comp_events > 0
+    return trace
+
+
+@pytest.mark.parametrize("later", ["a record field", "a summary field"] + _LINE_MUTATIONS)
+@pytest.mark.parametrize("source", ["drawn", "engine"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_loads_agrees_with_the_reference_loader_on_two_mutated_lines(
+    source, later, engine_trace, data
+):
+    """A field of one record line is mutated, and then a later line: a
+    field of a later record or of the summary, the line replaced by a
+    non-object, or a second header inserted after it. The column loader
+    judges the records once the lines stop, and the reference judges each
+    as it reads it; both give the first fault, the earlier line's when
+    both lines are at fault."""
+    trace = engine_trace if source == "engine" else data.draw(_episodes(), label="trace")
+    assume(trace.slices)
+    lines = trace.dumps().splitlines(keepends=True)
+    summary = len(lines) - 1
+    i = _mutate(lines, data.draw(st.sampled_from(sorted(_FIELD_MUTATIONS))), data, 1, summary)
+    if later in _LINE_MUTATIONS:
+        _mutate(lines, later, data, i + 1 if later == "a non-object line" else i, len(lines))
+    else:
+        lo, hi = (i + 1, summary) if later == "a record field" else (summary, summary + 1)
+        assume(lo < hi)
+        _mutate(lines, data.draw(st.sampled_from(sorted(_FIELD_MUTATIONS))), data, lo, hi)
+    _agree("".join(lines))
 
 
 def test_record_fields_keep_their_order_and_cannot_be_assigned():
@@ -179,14 +233,18 @@ _COMPENSATED = _RESAMPLED._replace(
 )
 
 
-def _episode_text(n=3, slices=None, mode="kerv", comp_n=0):
+def _episode(n=3, slices=None, mode="kerv", comp_n=0):
     """A trace of ``slices``, or of ``n`` copies of ``_RESAMPLED``, which
     has no variability, so its lines can be dropped or repeated."""
     slices = [_RESAMPLED] * n if slices is None else slices
     return EpisodeTrace(
         suite="goal", kind="reach", mode=mode, robot="sim7dof", trial=0, seed=1, comp_n=comp_n,
         slices=slices, success=True, steps=len(slices), plan_steps=len(slices),
-    ).dumps()
+    )
+
+
+def _episode_text(n=3, slices=None, mode="kerv", comp_n=0):
+    return _episode(n, slices, mode, comp_n).dumps()
 
 
 def test_truncated_stream_is_rejected():
@@ -795,3 +853,102 @@ def test_record_line_is_the_sorted_json_of_its_fields(rec):
     )
     lines = trace.dumps().splitlines()
     assert lines[1:3] == [json.dumps(rec._asdict(), sort_keys=True)] * 2
+
+
+# ids past float precision: one past 2**53, 2**63 (past int64), one past
+# the float range and -2**70; a slot draws one of them plus a small offset,
+# so ids of one base lie on both sides of r and ids of two bases far apart
+_BIG_IDS = (2**53 + 1, 2**63, 10**400, -(2**70))
+_big_id = st.builds(operator.add, st.sampled_from(_BIG_IDS), st.integers(-12, 12))
+
+
+@pytest.mark.parametrize("how", [None] + sorted(_FIELD_MUTATIONS))
+@given(trace=_episodes(ids=_big_id), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_loads_agrees_with_the_reference_loader_on_ids_past_float_precision(how, trace, data):
+    """A trace whose ids a float64 or int64 cannot hold loads as it was
+    written, and with one line mutated both loaders agree."""
+    text = trace.dumps()
+    if how is None:
+        assert loads(text) == trace
+        assert loads(text).dumps() == text
+    lines = text.splitlines(keepends=True)
+    if how is not None:
+        _mutate(lines, how, data, 0, len(lines))
+    _agree("".join(lines))
+
+
+def _outcome(load, text):
+    """What ``load`` gives for ``text``: the trace, or the type and message
+    of what it raises."""
+    try:
+        return load(text)
+    except (TraceError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+_P = 2**53
+_TOP = int(sys.float_info.max)  # the largest float, as an int
+_EXACT = (1,) * 7
+
+
+def _kvar(steps, cums, r=0.0):
+    """Exact records whose variabilities are ``steps`` and ``cums``."""
+    return [
+        _record(_EXACT, _EXACT, r=r, kvar_step=step, kvar_cum=cum) for step, cum in zip(steps, cums)
+    ]
+
+
+@pytest.mark.parametrize(
+    "mode, slices, loaded",
+    [
+        # kvar_step = kvar_cum = 2**53 + 1 on a first record: 0.0 plus the
+        # step is a float sum, 2**53, which float64 columns would equal
+        ("kerv", _kvar([_P + 1], [_P + 1]), False),
+        # an int plus an int is exact, so 2**53 then 2**53 + 1 loads...
+        ("kerv", _kvar([_P, 1], [_P, _P + 1]), True),
+        # ...and 2**53 twice does not; an int plus a float is a float sum
+        ("kerv", _kvar([_P, 1], [_P, _P]), False),
+        ("kerv", _kvar([_P, 1.0], [_P, float(_P)]), True),
+        ("kerv", _kvar([_P, 1.0], [_P, _P + 1]), False),
+        # ints past 2**53 in r: a distance of 2**53 + 1 is within r = 2**53 + 1
+        ("kerv", [_record((0,) * 7, (_P + 1,) * 7, r=_P + 1)], True),
+        ("kerv", [_record((0,) * 7, (_P + 2,) * 7, r=_P + 1)], False),
+        ("naive", [_record(_EXACT, _EXACT, r=0), _record(_EXACT, _EXACT, r=_P + 1)], False),
+        # fixed_relaxed at the int 2**53 + 1, then at the float 2**53
+        ("fixed_relaxed", _kvar([0, 0], [0, 0], r=_P + 1), True),
+        (
+            "fixed_relaxed",
+            [*_kvar([0], [0], r=_P + 1), *_kvar([0], [0], r=float(_P + 1))],
+            False,
+        ),
+        # ids 2**63 + 5 against 2**63 at r = 3 are rejected, in two verify calls
+        ("kerv", [_record((2**63 + 5,) + _EXACT[1:], (2**63,) + _EXACT[1:], r=3)._replace(
+            verify_calls=2)], True),
+        ("kerv", [_record((2**63 + 5,) + _EXACT[1:], (2**63,) + _EXACT[1:], r=3)], False),
+        # a compensation after a rejection between ids past the float range
+        (
+            "kerv",
+            [_RESAMPLED._replace(kvar_step=0, kvar_cum=0),
+             _record((10**400, 10**400 + 9) + _FILLED, (10**400, 10**400) + _FILLED, r=3)],
+            True,
+        ),
+        # kvar_cum an int past the float range (an int sum), and then a float
+        # step, which Python cannot add to it: both loaders raise OverflowError...
+        ("kerv", _kvar([_TOP, _TOP, 1.0], [_TOP, 2 * _TOP, 0.0]), False),
+        # ...unless a rule refuses an earlier record first
+        ("fixed_relaxed", _kvar([_TOP], [_TOP]) + _kvar([_TOP, 1.0], [2 * _TOP, 0.0], r=1.0), False),
+    ],
+)
+def test_float_fields_holding_ints_past_float_precision_agree_with_the_reference(
+    mode, slices, loaded
+):
+    """Ints in a float field compare and add as Python ints: the column
+    loader takes float64 columns only where they hold the values exactly."""
+    # the reference writer: the library's cannot write an int past the float range
+    text = reference_trace_dumps(_episode(slices=slices, mode=mode))
+    got = _outcome(loads, text)
+    assert got == _outcome(reference_trace_loads, text)
+    assert isinstance(got, EpisodeTrace) is loaded
+    if loaded:
+        assert got.slices == slices and got.dumps() == text
